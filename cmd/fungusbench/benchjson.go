@@ -1,7 +1,7 @@
 // Benchmark-tracking mode: fungusbench -benchjson parses `go test
 // -bench` text output into a stable JSON report (BENCH_ci.json in CI)
 // and optionally gates it against a checked-in baseline, failing on
-// regressions beyond the tolerance. CI runs:
+// ns/op or allocs/op regressions beyond the tolerance. CI runs:
 //
 //	go test -bench='ShardedTick|ShardedIngest|Recovery' -benchtime=500ms \
 //	    -count=3 -benchmem -run '^$' . | tee bench.txt
@@ -137,10 +137,22 @@ func parseBenchOutput(r io.Reader) (BenchReport, error) {
 	return rep, nil
 }
 
+// allocSlack is how many allocations per op a benchmark may gain before
+// the relative gate applies. The small fixed costs of a cell (the
+// goroutines of a fan-out sized by GOMAXPROCS, a channel per shard)
+// differ by a handful between machines — ShardedTick measures 13 on
+// one box and 18 on another — and the gate exists for paths that slide
+// from O(batches) back to O(rows), which is hundreds.
+const allocSlack = 16
+
 // compareReports gates cur against base: any benchmark present in both
-// whose ns/op grew by more than tolerance (0.25 = +25%) is a
-// regression. Benchmarks only in one report are noted, not failed, so
-// adding or retiring a benchmark never blocks CI.
+// whose ns/op or allocs/op grew by more than tolerance (0.25 = +25%) is
+// a regression. Allocation counts repeat almost exactly from run to
+// run, so the second gate is what keeps an O(batches) path from
+// sliding back to O(rows) inside the timing noise; it applies where
+// both reports carry a count (-benchmem cells, not the macro ones).
+// Benchmarks only in one report are noted, not failed, so adding or
+// retiring a benchmark never blocks CI.
 func compareReports(base, cur BenchReport, tolerance float64, out io.Writer) (regressions int) {
 	curBy := map[string]BenchEntry{}
 	for _, e := range cur.Benchmarks {
@@ -153,13 +165,20 @@ func compareReports(base, cur BenchReport, tolerance float64, out io.Writer) (re
 			continue
 		}
 		ratio := c.NsPerOp / b.NsPerOp
-		mark := "ok"
-		if ratio > 1+tolerance {
-			mark = "REGRESSION"
+		slower := ratio > 1+tolerance
+		allocs := ""
+		fatter := false
+		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
+			fatter = c.AllocsPerOp > b.AllocsPerOp*(1+tolerance) && c.AllocsPerOp > b.AllocsPerOp+allocSlack
+			allocs = fmt.Sprintf("  %9.0f -> %9.0f allocs/op (%+.1f%%)", b.AllocsPerOp, c.AllocsPerOp, (c.AllocsPerOp/b.AllocsPerOp-1)*100)
+		}
+		mark := "="
+		if slower || fatter {
+			mark = "!"
 			regressions++
 		}
-		fmt.Fprintf(out, "  %-2s %-50s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
-			map[string]string{"ok": "=", "REGRESSION": "!"}[mark], b.Name, b.NsPerOp, c.NsPerOp, (ratio-1)*100)
+		fmt.Fprintf(out, "  %-2s %-50s %12.0f -> %12.0f ns/op (%+.1f%%)%s\n",
+			mark, b.Name, b.NsPerOp, c.NsPerOp, (ratio-1)*100, allocs)
 		delete(curBy, b.Name)
 	}
 	for name := range curBy {

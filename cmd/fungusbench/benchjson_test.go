@@ -68,3 +68,29 @@ func TestCompareReportsGate(t *testing.T) {
 		t.Errorf("regressions at +50%% tolerance = %d, want 0", n)
 	}
 }
+
+// TestCompareReportsGatesAllocs: allocations per op are gated like
+// ns/op, where both reports have a count, with a small absolute slack.
+func TestCompareReportsGatesAllocs(t *testing.T) {
+	base := BenchReport{Benchmarks: []BenchEntry{
+		{Name: "BenchmarkStream", NsPerOp: 1000, AllocsPerOp: 400},
+		{Name: "BenchmarkSteady", NsPerOp: 1000, AllocsPerOp: 400},
+		{Name: "BenchmarkTiny", NsPerOp: 1000, AllocsPerOp: 13},
+		{Name: "BenchmarkUncounted", NsPerOp: 1000},
+		{Name: "Macro/short/wall", NsPerOp: 1000, AllocsPerOp: 400},
+	}}
+	cur := BenchReport{Benchmarks: []BenchEntry{
+		{Name: "BenchmarkStream", NsPerOp: 900, AllocsPerOp: 30000}, // faster, but back to per-row allocation
+		{Name: "BenchmarkSteady", NsPerOp: 1000, AllocsPerOp: 480},  // +20%: inside tolerance
+		{Name: "BenchmarkTiny", NsPerOp: 1000, AllocsPerOp: 18},     // +38%, but five allocations
+		{Name: "BenchmarkUncounted", NsPerOp: 1000, AllocsPerOp: 50},
+		{Name: "Macro/short/wall", NsPerOp: 1000},
+	}}
+	var out strings.Builder
+	if n := compareReports(base, cur, 0.25, &out); n != 1 {
+		t.Errorf("regressions = %d, want 1 (BenchmarkStream's allocations):\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "400 ->     30000 allocs/op") {
+		t.Errorf("report does not show the allocation counts:\n%s", out.String())
+	}
+}

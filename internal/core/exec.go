@@ -30,17 +30,18 @@ import (
 // exist (or has rotted away).
 var ErrNoContainer = errors.New("core: no such container")
 
-// streamBatchSize is the per-shard tuple batch handed over one channel
-// hop on the streaming path. Combined with the 1-batch channel buffer
-// it bounds in-flight memory at roughly 2*shards*streamBatchSize rows.
-const streamBatchSize = 256
-
 // abortCheckEvery is how many scanned tuples a streaming producer lets
 // pass between polls of the done channel. Without it a producer whose
 // remaining tuples never match (no sends, so no natural done check)
 // would scan to the end of its shard even after the k-way merge has
 // emitted LIMIT rows or the caller closed the stream.
 const abortCheckEvery = 1024
+
+// streamHandOffHook, when set (tests only), runs in a streaming
+// producer right after each block it hands to the merge, with the
+// producer's shard and the stream's cancellation channel. Tests park
+// producers in it to make cancellation observable without timing.
+var streamHandOffHook func(shard int, done <-chan struct{})
 
 // topkPeakHook, when set (tests only), receives the total rows
 // retained across all per-shard top-k heaps just before the merge —
@@ -306,11 +307,12 @@ func (t *Table) matchShardBatch(i int, bm *query.BatchMatcher, limit int, prune 
 }
 
 // execStream is the shard-parallel streaming peek: one producer per
-// shard scans under that shard's read lock and hands matching tuples
+// shard scans under that shard's read lock, copies the plan's output
+// columns of the matching rows into hand-off blocks and passes them
 // over a small bounded channel; the returned Rows k-way merges the
-// batches back into global insertion order as the caller pulls. The
+// blocks back into global insertion order as the caller pulls. The
 // fan-out deliberately runs one goroutine per shard rather than the
-// worker-bounded pool — the merge needs every shard's head batch
+// worker-bounded pool — the merge needs every shard's head block
 // before it can emit anything, so capping concurrency below the shard
 // count would deadlock; memory stays bounded by the channel buffers,
 // and pacing comes from the consumer.
@@ -322,10 +324,10 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 	if sl := plan.Limit(); sl > 0 && (limit == 0 || sl < limit) {
 		limit = sl
 	}
-	chans := make([]chan []tuple.Tuple, n)
-	recv := make([]<-chan []tuple.Tuple, n)
+	chans := make([]chan *query.Block, n)
+	recv := make([]<-chan *query.Block, n)
 	for i := range chans {
-		chans[i] = make(chan []tuple.Tuple, 1)
+		chans[i] = make(chan *query.Block, 1)
 		recv[i] = chans[i]
 	}
 	done := make(chan struct{})
@@ -337,53 +339,69 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			defer close(chans[i])
 			t.shardMu[i].RLock()
 			defer t.shardMu[i].RUnlock()
-			batch := make([]tuple.Tuple, 0, streamBatchSize)
+			// Each shard contributes at most limit rows to a
+			// limit-capped merge, so it stops scanning there.
+			bw := plan.NewBlockWriter(params, limit)
 			matched := 0
-			visited := 0
 			aborted := false
 			var innerErr error
-			send := func(b []tuple.Tuple) bool {
+			// handOff passes the block being filled to the merge; false
+			// means the stream was cancelled meanwhile.
+			handOff := func() bool {
 				select {
-				case chans[i] <- b:
-					return true
+				case chans[i] <- bw.Take():
 				case <-done:
 					aborted = true
 					return false
 				}
+				if streamHandOffHook != nil {
+					streamHandOffHook(i, done)
+				}
+				return true
+			}
+			cancelled := func() bool {
+				select {
+				case <-done:
+					aborted = true
+				default:
+				}
+				return aborted
 			}
 			if bm := t.batchMatcher(plan, params, opt); bm != nil {
 				// Vectorized producer: the WHERE program selects whole
-				// column batches; matches clone in ascending row order,
-				// filling the same 256-row hand-off batches at the same
-				// boundaries as the tuple path. Cancellation polls per
-				// storage batch (≤ BatchRows rows, ≤ abortCheckEvery).
+				// column batches and the selected rows' output columns
+				// copy straight from the column views, filling the same
+				// hand-off blocks at the same boundaries as the tuple
+				// path. Cancellation polls per storage batch (≤ BatchRows
+				// rows, ≤ abortCheckEvery).
+				var sel []int
 				t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
 					scanned.Add(int64(b.Alive))
-					select {
-					case <-done:
-						aborted = true
+					if cancelled() {
 						return false
-					default:
 					}
 					runtime.Gosched()
-					sel, _, kerr := bm.Match(b)
-					full := false
-					tuple.EachSet(sel, func(j int) bool {
-						batch = append(batch, b.Row(j))
-						matched++
-						if len(batch) == streamBatchSize {
-							if !send(batch) {
-								return false
-							}
-							batch = make([]tuple.Tuple, 0, streamBatchSize)
+					bits, _, kerr := bm.Match(b)
+					sel = tuple.AppendSet(sel[:0], bits)
+					// This batch is the shard's last when it reaches the
+					// limit or a row in it fails to project.
+					last := limit != 0 && matched+len(sel) >= limit
+					if last {
+						sel = sel[:limit-matched]
+					}
+					for rows := sel; len(rows) > 0; {
+						took := bw.AddBatch(b, rows)
+						rows = rows[took:]
+						matched += took
+						if bw.Failed() {
+							last = true
+							break
 						}
-						if limit != 0 && matched >= limit {
-							full = true
+						if bw.Full() && !handOff() {
 							return false
 						}
-						return true
-					})
-					if aborted || full {
+					}
+					if last {
 						return false
 					}
 					if kerr != nil {
@@ -392,70 +410,55 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 					}
 					return true
 				})
-				if innerErr != nil {
-					return innerErr
-				}
-				if !aborted && len(batch) > 0 {
-					send(batch)
-				}
-				return nil
+			} else {
+				visited := 0
+				t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
+					scanned.Add(1)
+					// Poll for cancellation between sends: once the merge
+					// has emitted LIMIT rows (or the caller closed the
+					// stream), a shard mid-way through a matchless stretch
+					// must stop instead of scanning to its end. The yield
+					// keeps the consumer (who decides to cancel) runnable
+					// even when producers saturate every P.
+					if visited++; visited%abortCheckEvery == 0 {
+						if cancelled() {
+							return false
+						}
+						runtime.Gosched()
+					}
+					ok, err := plan.Match(tp, params)
+					if err != nil {
+						innerErr = err
+						return false
+					}
+					if !ok {
+						return true
+					}
+					if !bw.AddTuple(tp) {
+						return false
+					}
+					matched++
+					if bw.Full() && !handOff() {
+						return false
+					}
+					return limit == 0 || matched < limit
+				})
 			}
-			t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
-				scanned.Add(1)
-				// Poll for cancellation between sends: once the merge
-				// has emitted LIMIT rows (or the caller closed the
-				// stream), a shard mid-way through a matchless stretch
-				// must stop instead of scanning to its end. The yield
-				// keeps the consumer (who decides to cancel) runnable
-				// even when producers saturate every P.
-				if visited++; visited%abortCheckEvery == 0 {
-					select {
-					case <-done:
-						aborted = true
-						return false
-					default:
-					}
-					runtime.Gosched()
-				}
-				ok, err := plan.Match(tp, params)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-				batch = append(batch, tp.Clone())
-				matched++
-				if len(batch) == streamBatchSize {
-					if !send(batch) {
-						return false
-					}
-					batch = make([]tuple.Tuple, 0, streamBatchSize)
-				}
-				// Each shard contributes at most limit rows to a
-				// limit-capped merge, so stop scanning early.
-				return limit == 0 || matched < limit
-			})
 			if innerErr != nil {
 				return innerErr
 			}
-			if !aborted && len(batch) > 0 {
-				send(batch)
+			if !aborted && bw.Len() > 0 {
+				handOff()
 			}
 			return nil
 		})
 	}()
 
-	var project func(*tuple.Tuple) ([]tuple.Value, error)
-	if !plan.Raw() {
-		project = func(tp *tuple.Tuple) ([]tuple.Value, error) { return plan.Project(tp, params) }
-	}
 	return query.NewStreamRows(query.Stream{
-		Cols:    plan.Cols(),
-		Mode:    plan.Mode(),
-		Batches: recv,
-		Done:    done,
+		Cols:   plan.Cols(),
+		Mode:   plan.Mode(),
+		Blocks: recv,
+		Done:   done,
 		Wait: func() (int, error) {
 			err := <-errCh
 			// Count the query only once the scan ends cleanly, matching
@@ -467,8 +470,7 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			}
 			return int(scanned.Load()), err
 		},
-		Project: project,
-		Limit:   limit,
+		Limit: limit,
 	}), nil
 }
 

@@ -308,15 +308,41 @@ func streamStopTable(t *testing.T) *Table {
 	return tbl
 }
 
+// parkAfterHandOff makes cancellation observable without timing: the
+// producers of the given shards stop right after each block they hand
+// to the merge and resume only once the stream has been cancelled
+// (Close, or the merge reaching LIMIT). What they scan after that is
+// what cancellation failed to prevent.
+func parkAfterHandOff(t *testing.T, shards ...int) {
+	t.Helper()
+	streamHandOffHook = func(shard int, done <-chan struct{}) {
+		for _, s := range shards {
+			if s == shard {
+				<-done
+			}
+		}
+	}
+	t.Cleanup(func() { streamHandOffHook = nil })
+}
+
+// bothProducers runs fn against the vectorized and the tuple-at-a-time
+// streaming producer.
+func bothProducers(t *testing.T, fn func(t *testing.T, opt QueryOpts)) {
+	t.Run("vectorized", func(t *testing.T) { fn(t, QueryOpts{NoPrune: true}) })
+	t.Run("tuple", func(t *testing.T) { fn(t, QueryOpts{NoPrune: true, NoVectorize: true}) })
+}
+
 // TestStreamLimitEarlyStop verifies the plain-peek LIMIT satellite:
 // once the k-way merge has emitted LIMIT rows, a producer still
 // scanning a long matchless stretch is cancelled instead of walking to
 // the end of its shard. Shard 0 supplies all 512 LIMIT rows (even ks
 // below 1023, where its own match cap stops it); shard 1's 256 matches
-// sit higher up, so its head batch arrives early but is never drained
-// — its producer would scan its remaining ~148k tuples if the merge
-// finishing did not cancel it. NoPrune isolates the cancellation from
-// zone-map pruning, which would otherwise skip the tail wholesale.
+// sit higher up (rows 1000..1255 of the shard), so its head block
+// arrives but is never drained — its producer, parked after that
+// hand-off until the merge has hit LIMIT, would scan its remaining
+// ~148k tuples if the merge finishing did not cancel it. NoPrune
+// isolates the cancellation from zone-map pruning, which would
+// otherwise skip the tail wholesale.
 func TestStreamLimitEarlyStop(t *testing.T) {
 	tbl := streamStopTable(t)
 	pq, err := tbl.Prepare(
@@ -324,44 +350,55 @@ func TestStreamLimitEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, scanned := drainValues(t, pq, QueryOpts{NoPrune: true})
-	if len(got) != 512 {
-		t.Fatalf("rows = %d, want 512", len(got))
-	}
-	if got[0] != "0" || got[511] != "1022" {
-		t.Fatalf("unexpected rows %q..%q", got[0], got[511])
-	}
-	// Shard 0 stops itself at its 512th match (~1k tuples); shard 1
-	// must be cancelled shortly after the merge finishes. Without
-	// cancellation the total would exceed 150k.
-	if scanned > 100_000 {
-		t.Errorf("scanned %d tuples; producer was not cancelled when the merge hit LIMIT", scanned)
-	}
+	parkAfterHandOff(t, 1)
+	bothProducers(t, func(t *testing.T, opt QueryOpts) {
+		got, scanned := drainValues(t, pq, opt)
+		if len(got) != 512 {
+			t.Fatalf("rows = %d, want 512", len(got))
+		}
+		if got[0] != "0" || got[511] != "1022" {
+			t.Fatalf("unexpected rows %q..%q", got[0], got[511])
+		}
+		// Shard 0 stops itself within its first storage batch. Shard 1
+		// is parked inside its second one and, once released, may
+		// finish that batch and must notice the cancellation within one
+		// more abortCheckEvery window.
+		if bound := tuple.BatchRows + 2*tuple.BatchRows + abortCheckEvery; scanned > bound {
+			t.Errorf("scanned %d tuples, want <= %d: producer was not cancelled when the merge hit LIMIT", scanned, bound)
+		}
+	})
 }
 
 // TestStreamCloseCancelsProducers: an early Close must cancel
 // producers mid-scan (the v2 streaming handler relies on this to
 // release shard read locks on client disconnect), even when no further
-// sends would ever unblock them.
+// sends would ever unblock them. Both shards hold 256 matches at their
+// very start and nothing after; both producers are parked after
+// handing that block off, until Close has fired.
 func TestStreamCloseCancelsProducers(t *testing.T) {
 	tbl := streamStopTable(t)
 	pq, err := tbl.Prepare("SELECT k FROM t WHERE k < 512")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := pq.ExecuteOpts(QueryOpts{NoPrune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Next() {
-		t.Fatal(rows.Err())
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if scanned := rows.Scanned(); scanned > 100_000 {
-		t.Errorf("scanned %d tuples after an immediate Close", scanned)
-	}
+	parkAfterHandOff(t, 0, 1)
+	bothProducers(t, func(t *testing.T, opt QueryOpts) {
+		rows, err := pq.ExecuteOpts(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatal(rows.Err())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Per shard: the storage batch it was parked in, plus one
+		// abortCheckEvery window to notice the Close.
+		if bound := 2 * (tuple.BatchRows + abortCheckEvery); rows.Scanned() > bound {
+			t.Errorf("scanned %d tuples after an immediate Close, want <= %d", rows.Scanned(), bound)
+		}
+	})
 }
 
 // TestLimitPlaceholderEndToEnd runs `LIMIT ?` through the prepared

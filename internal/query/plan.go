@@ -32,6 +32,12 @@ type Plan struct {
 	agg     bool
 	raw     bool // no projection stage: Execute yields whole tuples
 
+	// proj lowers each output column of a streaming plan to a column
+	// slot (see lowerTargets); computed marks plans with at least one
+	// target that still evaluates an expression per row.
+	proj     []int
+	computed bool
+
 	// Compiled execution state. match is the WHERE clause lowered to
 	// typed closures; pruner is its conjuncts lowered to zone-map
 	// checks. Both are compiled when the plan (or its Bind derivative)
@@ -93,6 +99,9 @@ func (s *Statement) Plan(schema *tuple.Schema) (*Plan, error) {
 		agg:        agg,
 		limit:      stmt.Limit,
 		limitParam: stmt.LimitParam,
+	}
+	if !agg {
+		p.proj, p.computed = lowerTargets(targets, schema)
 	}
 	// Resolve ORDER BY keys against the output columns once, here —
 	// a misspelt sort column is a compile error, not a per-execute
@@ -183,6 +192,7 @@ func PlanPredicate(pred *Predicate, mode Mode) *Plan {
 		mode:       mode,
 		where:      pred.expr,
 		raw:        true,
+		proj:       identityProj(pred.schema),
 		match:      pred.match,
 		pruner:     pred.pruner,
 		vec:        pred.vec,

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fungusdb/internal/clock"
 	"fungusdb/internal/tuple"
 )
 
@@ -64,7 +65,8 @@ func (r *Rows) Next() bool {
 func (r *Rows) Values() []tuple.Value { return r.vals }
 
 // Tuple returns the current whole tuple for raw plans (Query-style
-// scans); nil when the plan has a projection stage.
+// scans); nil when the plan has a projection stage. The tuple itself is
+// valid until the next Next call; its Attrs may be kept.
 func (r *Rows) Tuple() *tuple.Tuple { return r.tp }
 
 // Err returns the first error hit while producing rows. For streaming
@@ -167,42 +169,40 @@ type Stream struct {
 	Cols []string
 	// Mode is the plan's read semantics.
 	Mode Mode
-	// Batches carries each shard's matching tuples as ID-ascending
-	// batches; every channel is closed when its shard's scan ends.
-	Batches []<-chan []tuple.Tuple
+	// Blocks carries each shard's matching rows as ID-ascending,
+	// already projected blocks; every channel is closed when its
+	// shard's scan ends.
+	Blocks []<-chan *Block
 	// Done is closed exactly once by the Rows to abort the producers
 	// (early Close, limit reached, projection error).
 	Done chan struct{}
 	// Wait blocks until every producer exited and returns the total
 	// live tuples scanned plus the first scan error.
 	Wait func() (scanned int, err error)
-	// Project maps a matching tuple to an output row; nil = raw.
-	Project func(*tuple.Tuple) ([]tuple.Value, error)
 	// Limit caps the emitted rows (0 = unlimited).
 	Limit int
 }
 
-// NewStreamRows builds the pull-based k-way merge over per-shard batch
-// channels: each shard's batches are ID-ascending, so emitting the
+// NewStreamRows builds the pull-based k-way merge over per-shard block
+// channels: each shard's blocks are ID-ascending, so emitting the
 // smallest head ID reproduces global insertion order — the same order
 // the materialised path's mergeByID produces.
 func NewStreamRows(s Stream) *Rows {
 	return &Rows{cols: s.Cols, mode: s.Mode, src: &streamSource{
-		batches: s.Batches,
-		done:    s.Done,
-		wait:    s.Wait,
-		project: s.Project,
-		limit:   s.Limit,
+		blocks: s.Blocks,
+		done:   s.Done,
+		wait:   s.Wait,
+		limit:  s.Limit,
 	}}
 }
 
 type streamSource struct {
-	batches []<-chan []tuple.Tuple
-	heads   [][]tuple.Tuple // current batch per shard; nil once its channel closed
-	idx     []int           // cursor into heads[i]
+	blocks  []<-chan *Block
+	heads   []*Block // current block per shard; nil once its channel closed
+	idx     []int    // cursor into heads[i]
 	done    chan struct{}
 	wait    func() (int, error)
-	project func(*tuple.Tuple) ([]tuple.Value, error)
+	tup     tuple.Tuple // the current row of a raw plan
 	limit   int
 	emitted int
 	started bool
@@ -217,9 +217,9 @@ func (s *streamSource) next(r *Rows) bool {
 	}
 	if !s.started {
 		s.started = true
-		s.heads = make([][]tuple.Tuple, len(s.batches))
-		s.idx = make([]int, len(s.batches))
-		for i := range s.batches {
+		s.heads = make([]*Block, len(s.blocks))
+		s.idx = make([]int, len(s.blocks))
+		for i := range s.blocks {
 			s.refill(i)
 		}
 	}
@@ -234,7 +234,7 @@ func (s *streamSource) next(r *Rows) bool {
 		if h == nil {
 			continue
 		}
-		if best < 0 || h[s.idx[i]].ID < s.heads[best][s.idx[best]].ID {
+		if best < 0 || h.IDs[s.idx[i]] < s.heads[best].IDs[s.idx[best]] {
 			best = i
 		}
 	}
@@ -244,50 +244,52 @@ func (s *streamSource) next(r *Rows) bool {
 		}
 		return false
 	}
-	tp := &s.heads[best][s.idx[best]]
+	h, k := s.heads[best], s.idx[best]
 	s.idx[best]++
-	if s.idx[best] == len(s.heads[best]) {
+	last := s.idx[best] == len(h.IDs)
+	if last && h.Err != nil {
+		r.err = h.Err
+		_ = s.shutdown()
+		return false
+	}
+	if last {
 		if s.limit == 0 || s.emitted+1 < s.limit {
 			s.refill(best)
 		} else {
 			// This emission reaches the limit: the merge will never
-			// need another batch, so don't block on a producer that
+			// need another block, so don't block on a producer that
 			// may be mid-way through a long matchless stretch — the
 			// next call shuts the stream down and cancels them.
 			s.heads[best] = nil
 		}
 	}
-	if s.project != nil {
-		vals, err := s.project(tp)
-		if err != nil {
-			r.err = err
-			_ = s.shutdown()
-			return false
+	// The capacity cut keeps a caller's append from writing into the
+	// next row of the block.
+	vals := h.Vals[k*h.Width : (k+1)*h.Width : (k+1)*h.Width]
+	if h.Ts != nil {
+		s.tup = tuple.Tuple{
+			ID:       h.IDs[k],
+			T:        clock.Tick(h.Ts[k]),
+			F:        tuple.Freshness(h.Fs[k]),
+			Infected: h.Inf[k],
+			Attrs:    vals,
 		}
-		r.vals = vals
+		r.vals, r.tp = nil, &s.tup
 	} else {
-		r.vals = nil
+		r.vals, r.tp = vals, nil
 	}
-	r.tp = tp
 	s.emitted++
 	return true
 }
 
-// refill receives shard i's next batch, marking the shard finished
+// refill receives shard i's next block, marking the shard finished
 // when its channel closes.
 func (s *streamSource) refill(i int) {
-	for {
-		b, ok := <-s.batches[i]
-		if !ok {
-			s.heads[i] = nil
-			return
-		}
-		if len(b) > 0 {
-			s.heads[i] = b
-			s.idx[i] = 0
-			return
-		}
+	b, ok := <-s.blocks[i]
+	if !ok {
+		b = nil
 	}
+	s.heads[i], s.idx[i] = b, 0
 }
 
 // shutdown aborts and joins the producers: signal done, drain every
@@ -299,7 +301,7 @@ func (s *streamSource) shutdown() error {
 	}
 	s.stopped = true
 	close(s.done)
-	for _, ch := range s.batches {
+	for _, ch := range s.blocks {
 		for range ch { // drain until closed so producers unblock
 		}
 	}

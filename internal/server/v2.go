@@ -252,18 +252,20 @@ func (s *Server) queryV2(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 	ctx := r.Context()
+	// Row lines collect in buf and reach the ResponseWriter once per
+	// flush interval, in one Write.
+	buf := make([]byte, 0, 4096)
 	n := 0
 	for rows.Next() {
-		vals := rows.Values()
-		out := make([]any, len(vals))
-		for j, v := range vals {
-			out[j] = valueToJSON(v)
-		}
-		if err := writeNDJSON(w, out); err != nil {
-			return // write failure: client disconnected; Close aborts the scan
+		if buf, err = appendRowJSON(buf, rows.Values()); err != nil {
+			break
 		}
 		n++
 		if n%flushEvery == 0 {
+			if _, werr := w.Write(buf); werr != nil {
+				return // write failure: client disconnected; Close aborts the scan
+			}
+			buf = buf[:0]
 			flush()
 			armDeadline()
 			select {
@@ -273,19 +275,23 @@ func (s *Server) queryV2(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := rows.Err(); err != nil {
-		// Mid-stream failure: the 200 status is already on the wire, so
-		// the error travels as the final line in place of the trailer.
-		_ = writeNDJSON(w, errorBody{Error: ErrorDetail{Code: ErrCodeExec, Message: err.Error()}})
-		flush()
-		return
+	if err == nil {
+		err = rows.Err()
 	}
-	_ = writeNDJSON(w, StreamTrailer{Done: true, Rows: n, Scanned: rows.Scanned()})
+	// The last line is the trailer or, after a mid-stream failure (the
+	// 200 status is already on the wire), the error in its place; it
+	// goes out with whatever rows are still buffered.
+	var last any = StreamTrailer{Done: true, Rows: n, Scanned: rows.Scanned()}
+	if err != nil {
+		last = errorBody{Error: ErrorDetail{Code: ErrCodeExec, Message: err.Error()}}
+	}
+	line, _ := json.Marshal(last) // plain structs of strings and ints: cannot fail
+	_, _ = w.Write(append(append(buf, line...), '\n'))
 	flush()
 }
 
 // writeNDJSON marshals v as one line (json.Encoder appends the
-// newline itself).
+// newline itself). Row lines do not come this way: see appendRowJSON.
 func writeNDJSON(w http.ResponseWriter, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }

@@ -108,3 +108,16 @@ func EachSet(words []uint64, fn func(j int) bool) bool {
 	}
 	return true
 }
+
+// AppendSet appends every set bit index in words to dst, in ascending
+// order.
+func AppendSet(dst []int, words []uint64) []int {
+	for w, m := range words {
+		base := w << 6
+		for m != 0 {
+			dst = append(dst, base+bits.TrailingZeros64(m))
+			m &= m - 1
+		}
+	}
+	return dst
+}

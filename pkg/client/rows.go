@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -67,31 +68,41 @@ func (c *Client) stream(body map[string]any) (*Rows, error) {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		return nil, decodeError(resp.StatusCode, data)
 	}
-	r := &Rows{body: resp.Body, dec: json.NewDecoder(resp.Body)}
-	// The header is the first NDJSON line; reading it here surfaces
-	// immediate failures from Query itself.
+	return newRows(resp.Body)
+}
+
+// newRows wires an NDJSON response body into a Rows. The header is the
+// first line; reading it here surfaces immediate failures from Query
+// itself. The body is closed on failure.
+func newRows(body io.ReadCloser) (*Rows, error) {
+	r := &Rows{body: body, br: bufio.NewReaderSize(body, readBufferSize)}
 	var header struct {
 		Cols []string `json:"cols"`
 	}
-	var raw json.RawMessage
-	if err := r.dec.Decode(&raw); err != nil {
-		resp.Body.Close()
-		return nil, fmt.Errorf("client: stream header: %w", err)
+	line, err := r.readLine()
+	if err == nil {
+		err = json.Unmarshal(line, &header)
 	}
-	if err := json.Unmarshal(raw, &header); err != nil {
-		resp.Body.Close()
+	if err != nil {
+		body.Close()
 		return nil, fmt.Errorf("client: stream header: %w", err)
 	}
 	r.cols = header.Cols
 	return r, nil
 }
 
+// readBufferSize is the line reader's buffer: a few hundred typical
+// rows per read of the response body. Longer lines spill into a
+// per-Rows buffer, so no line is too long.
+const readBufferSize = 16 << 10
+
 // Rows iterates an NDJSON result stream row by row; rows decode as the
 // server produces them, so a very large answer never buffers in the
 // client either. Always Close (or drain) the Rows.
 type Rows struct {
 	body    io.ReadCloser
-	dec     *json.Decoder
+	br      *bufio.Reader
+	long    []byte // assembles a line longer than br's buffer
 	cols    []string
 	cur     []any
 	err     error
@@ -104,28 +115,56 @@ type Rows struct {
 // Cols returns the output column names.
 func (r *Rows) Cols() []string { return r.cols }
 
+// readLine returns the next non-blank line of the stream without its
+// line ending and surrounding blanks, valid until the next call. At
+// the end of the stream it returns io.EOF, or io.ErrUnexpectedEOF when
+// the stream ends inside a line that is not a whole JSON value.
+func (r *Rows) readLine() ([]byte, error) {
+	for {
+		line, err := r.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			r.long = append(r.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.br.ReadSlice('\n')
+				r.long = append(r.long, line...)
+			}
+			line = r.long
+		}
+		line = bytes.Trim(line, " \t\r\n") // JSON's blanks, no others
+		switch {
+		case err == nil && len(line) > 0:
+			return line, nil
+		case err == nil:
+			continue // blank line
+		case err == io.EOF && json.Valid(line):
+			return line, nil // a last line without its newline
+		case err == io.EOF && len(line) > 0:
+			return nil, io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+}
+
 // Next advances to the next row. Once it returns false, check Err.
 func (r *Rows) Next() bool {
 	if r.done {
 		return false
 	}
-	var raw json.RawMessage
-	if err := r.dec.Decode(&raw); err != nil {
+	line, err := r.readLine()
+	if err != nil {
 		// A truncated stream (no trailer) means the server died
 		// mid-answer; io.EOF alone is not success.
 		r.fail(fmt.Errorf("client: stream truncated: %w", err))
 		return false
 	}
-	trimmed := bytes.TrimLeft(raw, " \t\r\n")
-	if len(trimmed) == 0 {
-		r.fail(fmt.Errorf("client: empty stream line"))
-		return false
-	}
-	if trimmed[0] == '[' {
-		var row []any
-		if err := json.Unmarshal(trimmed, &row); err != nil {
-			r.fail(fmt.Errorf("client: bad row: %w", err))
-			return false
+	if line[0] == '[' {
+		row, ok := parseRowLine(line, r.cur)
+		if !ok {
+			row = nil
+			if err := json.Unmarshal(line, &row); err != nil {
+				r.fail(fmt.Errorf("client: bad row: %w", err))
+				return false
+			}
 		}
 		r.cur = row
 		r.rows++
@@ -141,7 +180,7 @@ func (r *Rows) Next() bool {
 			Message string `json:"message"`
 		} `json:"error"`
 	}
-	if err := json.Unmarshal(trimmed, &tail); err != nil {
+	if err := json.Unmarshal(line, &tail); err != nil {
 		r.fail(fmt.Errorf("client: bad stream line: %w", err))
 		return false
 	}
