@@ -7,7 +7,7 @@ import (
 )
 
 // The two shard-lock annotations. "requires" marks a per-shard entry
-// point (storage.ShardedStore.ScanShardPruned and friends) whose
+// point (storage.ShardedStore.ScanShardBatches and friends) whose
 // caller must hold the owning shard's lock; "acquires" marks a helper
 // (core.Table.lockAll/rlockAll) that takes shard locks on the
 // caller's behalf.

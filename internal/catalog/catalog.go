@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/query"
@@ -120,16 +121,27 @@ func (s *FungusSpec) Build(schema *tuple.Schema) (fungus.Fungus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog: targeted: %w", err)
 		}
-		return fungus.Targeted{Inner: in, Only: predMatcher{pred}}, nil
+		return fungus.Targeted{Inner: in, Only: newPredMatcher(pred)}, nil
 	}
 	return nil, fmt.Errorf("catalog: unknown fungus kind %q", s.Kind)
 }
 
 // predMatcher adapts a query predicate to the fungus.Matcher interface.
-type predMatcher struct{ p *query.Predicate }
+// One Targeted value ticks every shard of its table, in parallel, and a
+// row matcher carries scratch state, so each Match borrows one.
+type predMatcher struct{ pool *sync.Pool }
+
+func newPredMatcher(p *query.Predicate) predMatcher {
+	return predMatcher{pool: &sync.Pool{New: func() any { return p.NewRowMatcher() }}}
+}
 
 // Match implements fungus.Matcher.
-func (m predMatcher) Match(tp *tuple.Tuple) (bool, error) { return m.p.Match(tp) }
+func (m predMatcher) Match(tp *tuple.Tuple) (bool, error) {
+	rm := m.pool.Get().(*query.RowMatcher)
+	ok, err := rm.Match(tp)
+	m.pool.Put(rm)
+	return ok, err
+}
 
 // TableSpec declaratively describes one table.
 type TableSpec struct {

@@ -30,13 +30,6 @@ import (
 // exist (or has rotted away).
 var ErrNoContainer = errors.New("core: no such container")
 
-// abortCheckEvery is how many scanned tuples a streaming producer lets
-// pass between polls of the done channel. Without it a producer whose
-// remaining tuples never match (no sends, so no natural done check)
-// would scan to the end of its shard even after the k-way merge has
-// emitted LIMIT rows or the caller closed the stream.
-const abortCheckEvery = 1024
-
 // streamHandOffHook, when set (tests only), runs in a streaming
 // producer right after each block it hands to the merge, with the
 // producer's shard and the stream's cancellation channel. Tests park
@@ -48,27 +41,21 @@ var streamHandOffHook func(shard int, done <-chan struct{})
 // the ordered route's peak result-set footprint, O(shards × LIMIT).
 var topkPeakHook func(retained int)
 
+// pruneOffHook, when set (tests only), makes every scan visit every
+// segment: no zone-map pruning, no top-k axis bound. The differential
+// tests compare pruned answers against it.
+var pruneOffHook bool
+
 // pruneFn adapts the plan's compiled segment-prune checks to the
-// storage scan callback, nil when the plan (or the caller) prunes
-// nothing. *storage.ZoneMap satisfies query.ZoneView structurally, so
-// neither package imports the other.
-func pruneFn(plan *query.Plan, opt QueryOpts) func(*storage.ZoneMap) bool {
+// storage scan callback, nil when the plan prunes nothing.
+// *storage.ZoneMap satisfies query.ZoneView structurally, so neither
+// package imports the other.
+func pruneFn(plan *query.Plan) func(*storage.ZoneMap) bool {
 	p := plan.Pruner()
-	if p == nil || opt.NoPrune {
+	if p == nil || pruneOffHook {
 		return nil
 	}
 	return func(z *storage.ZoneMap) bool { return p.Skip(z) }
-}
-
-// batchMatcher returns a fresh per-shard batch evaluator when the plan
-// and options allow the vectorized route, nil otherwise (the caller
-// then matches tuple at a time). Matchers carry scratch bitmaps, so
-// every shard goroutine needs its own.
-func (t *Table) batchMatcher(plan *query.Plan, params []tuple.Value, opt QueryOpts) *query.BatchMatcher {
-	if opt.NoVectorize {
-		return nil
-	}
-	return plan.NewBatchMatcher(params)
 }
 
 // PreparedQuery is a statement compiled against one table: parse and
@@ -225,7 +212,7 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 		// answer-set cap (QueryOpts.Limit bounds the tuples aggregated,
 		// unlike the SQL LIMIT, which caps output rows and is handled
 		// by the aggregator itself).
-		return t.execAggregate(plan, params, opt)
+		return t.execAggregate(plan, params)
 	case !plan.Aggregated() && !plan.Ordered() && opt.Distill == "" && !t.cfg.TouchOnRead:
 		return t.execStream(plan, params, opt)
 	case !plan.Aggregated() && plan.Ordered() && plan.Limit() > 0 &&
@@ -234,7 +221,7 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 		// sort into per-shard bounded top-k heaps and merge k-way, so
 		// peak result memory is O(shards × LIMIT) instead of the whole
 		// matching set behind a sort barrier.
-		return t.execOrderedTopK(plan, params, opt)
+		return t.execOrderedTopK(plan, params)
 	default:
 		return t.execMaterial(plan, params, opt)
 	}
@@ -252,58 +239,45 @@ func (t *Table) execAsk(plan *query.Plan, params []tuple.Value) (*query.Rows, er
 	return plan.AskRows(c.Digest, params)
 }
 
-// matchShard collects up to limit clones of the tuples in shard i
-// matching the plan, skipping whole segments the plan's pruner rules
-// out. The caller holds shard i's lock (read suffices).
+// collectMatches gathers up to limit (0 = all) of the tuples matching
+// the plan, in global ID order: every shard's scan selects rows
+// batch-wise over the columnar segment views, tuples materialise only
+// for matches, and the per-shard parts merge by ID. A kernel error only
+// surfaces when a shard's scan consumes every selected row before it —
+// a limit hit stops first, exactly where a row-by-row evaluation would
+// have stopped. The caller holds every shard's lock (read suffices).
 //
 //fungusvet:requires shardlock
-func (t *Table) matchShard(i int, plan *query.Plan, params []tuple.Value, limit int, prune func(*storage.ZoneMap) bool, scanned *int) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
-	var matchErr error
-	t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
-		*scanned++
-		ok, err := plan.Match(tp, params)
-		if err != nil {
-			matchErr = err
-			return false
-		}
-		if !ok {
-			return true
-		}
-		out = append(out, tp.Clone())
-		return limit == 0 || len(out) < limit
-	})
-	return out, matchErr
-}
-
-// matchShardBatch is matchShard on the vectorized route: the compiled
-// WHERE program selects rows batch-wise over the columnar segment
-// views, and tuples materialise only for matches. A kernel error only
-// surfaces when the scan consumes every selected row before it — a
-// limit hit stops first, exactly where the tuple path would have
-// stopped evaluating. The caller holds shard i's lock.
-//
-//fungusvet:requires shardlock
-func (t *Table) matchShardBatch(i int, bm *query.BatchMatcher, limit int, prune func(*storage.ZoneMap) bool, scanned *int) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
-	var matchErr error
-	t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-		*scanned += b.Alive
-		sel, _, kerr := bm.Match(b)
-		full := !tuple.EachSet(sel, func(j int) bool {
-			out = append(out, b.Row(j))
-			return limit == 0 || len(out) < limit
-		})
-		if full {
-			return false
-		}
-		if kerr != nil {
+func (t *Table) collectMatches(plan *query.Plan, limit int) (tuples []tuple.Tuple, scanned int, err error) {
+	n := t.store.NumShards()
+	parts := make([][]tuple.Tuple, n)
+	counts := make([]int, n)
+	prune := pruneFn(plan)
+	err = fanOut(n, t.workers, func(i int) error {
+		bm := plan.NewBatchMatcher()
+		var matchErr error
+		t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
+			counts[i] += b.Alive
+			sel, _, kerr := bm.Match(b)
+			full := !tuple.EachSet(sel, func(j int) bool {
+				parts[i] = append(parts[i], b.Row(j))
+				return limit == 0 || len(parts[i]) < limit
+			})
+			if full {
+				return false
+			}
 			matchErr = kerr
-			return false
-		}
-		return true
+			return kerr == nil
+		})
+		return matchErr
 	})
-	return out, matchErr
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, c := range counts {
+		scanned += c
+	}
+	return mergeByID(parts, limit), scanned, nil
 }
 
 // execStream is the shard-parallel streaming peek: one producer per
@@ -332,7 +306,7 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 	}
 	done := make(chan struct{})
 	var scanned atomic.Int64
-	prune := pruneFn(plan, opt)
+	prune := pruneFn(plan)
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- fanOut(n, n, func(i int) error {
@@ -342,6 +316,7 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			// Each shard contributes at most limit rows to a
 			// limit-capped merge, so it stops scanning there.
 			bw := plan.NewBlockWriter(params, limit)
+			bm := plan.NewBatchMatcher()
 			matched := 0
 			aborted := false
 			var innerErr error
@@ -359,91 +334,52 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 				}
 				return true
 			}
-			cancelled := func() bool {
+			// The WHERE program selects whole column batches and the
+			// selected rows' output columns copy straight from the column
+			// views into the hand-off blocks.
+			var sel []int
+			t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
+				scanned.Add(int64(b.Alive))
+				// Poll for cancellation once per storage batch (≤ BatchRows
+				// rows): once the merge has emitted LIMIT rows (or the
+				// caller closed the stream), a shard mid-way through a
+				// matchless stretch — no sends, so no natural done check —
+				// must stop instead of scanning to its end. The yield keeps
+				// the consumer (who decides to cancel) runnable even when
+				// producers saturate every P.
 				select {
 				case <-done:
 					aborted = true
+					return false
 				default:
 				}
-				return aborted
-			}
-			if bm := t.batchMatcher(plan, params, opt); bm != nil {
-				// Vectorized producer: the WHERE program selects whole
-				// column batches and the selected rows' output columns
-				// copy straight from the column views, filling the same
-				// hand-off blocks at the same boundaries as the tuple
-				// path. Cancellation polls per storage batch (≤ BatchRows
-				// rows, ≤ abortCheckEvery).
-				var sel []int
-				t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-					scanned.Add(int64(b.Alive))
-					if cancelled() {
-						return false
+				runtime.Gosched()
+				bits, _, kerr := bm.Match(b)
+				sel = tuple.AppendSet(sel[:0], bits)
+				// This batch is the shard's last when it reaches the
+				// limit or a row in it fails to project.
+				last := limit != 0 && matched+len(sel) >= limit
+				if last {
+					sel = sel[:limit-matched]
+				}
+				for rows := sel; len(rows) > 0; {
+					took := bw.AddBatch(b, rows)
+					rows = rows[took:]
+					matched += took
+					if bw.Failed() {
+						last = true
+						break
 					}
-					runtime.Gosched()
-					bits, _, kerr := bm.Match(b)
-					sel = tuple.AppendSet(sel[:0], bits)
-					// This batch is the shard's last when it reaches the
-					// limit or a row in it fails to project.
-					last := limit != 0 && matched+len(sel) >= limit
-					if last {
-						sel = sel[:limit-matched]
-					}
-					for rows := sel; len(rows) > 0; {
-						took := bw.AddBatch(b, rows)
-						rows = rows[took:]
-						matched += took
-						if bw.Failed() {
-							last = true
-							break
-						}
-						if bw.Full() && !handOff() {
-							return false
-						}
-					}
-					if last {
-						return false
-					}
-					if kerr != nil {
-						innerErr = kerr
-						return false
-					}
-					return true
-				})
-			} else {
-				visited := 0
-				t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
-					scanned.Add(1)
-					// Poll for cancellation between sends: once the merge
-					// has emitted LIMIT rows (or the caller closed the
-					// stream), a shard mid-way through a matchless stretch
-					// must stop instead of scanning to its end. The yield
-					// keeps the consumer (who decides to cancel) runnable
-					// even when producers saturate every P.
-					if visited++; visited%abortCheckEvery == 0 {
-						if cancelled() {
-							return false
-						}
-						runtime.Gosched()
-					}
-					ok, err := plan.Match(tp, params)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					if !ok {
-						return true
-					}
-					if !bw.AddTuple(tp) {
-						return false
-					}
-					matched++
 					if bw.Full() && !handOff() {
 						return false
 					}
-					return limit == 0 || matched < limit
-				})
-			}
+				}
+				if last {
+					return false
+				}
+				innerErr = kerr
+				return kerr == nil
+			})
 			if innerErr != nil {
 				return innerErr
 			}
@@ -478,69 +414,40 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 // materialising matches: one partial aggregator per shard, fed during
 // the parallel scan, merged in ascending shard order (deterministic
 // for a fixed shard count).
-func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
+func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
 	n := t.store.NumShards()
 	base := plan.NewAggregator(params)
 	aggs := make([]*query.Aggregator, n)
 	scanned := make([]int, n)
-	prune := pruneFn(plan, opt)
+	prune := pruneFn(plan)
 	err := fanOut(n, t.workers, func(i int) error {
 		agg := base.Fork()
 		t.shardMu[i].RLock()
 		defer t.shardMu[i].RUnlock()
+		// The WHERE program selects whole column batches and eligible
+		// aggregates fold the selection without materialising a single
+		// tuple. Statements FeedBatch cannot fold (GROUP BY, computed
+		// aggregate arguments) decode just the selected rows.
+		bm := plan.NewBatchMatcher()
+		canBatch := agg.CanFeedBatch()
+		var scratch tuple.Tuple
 		var innerErr error
-		if bm := t.batchMatcher(plan, params, opt); bm != nil {
-			// Vectorized route: the WHERE program selects whole column
-			// batches and eligible aggregates fold the selection without
-			// materialising a single tuple. Statements FeedBatch cannot
-			// fold (GROUP BY, computed aggregate arguments) decode just
-			// the selected rows — the WHERE stays vectorized either way.
-			canBatch := agg.CanFeedBatch()
-			var scratch tuple.Tuple
-			t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-				scanned[i] += b.Alive
-				sel, _, kerr := bm.Match(b)
-				if canBatch {
-					if err := agg.FeedBatch(b, sel); err != nil {
-						innerErr = err
-						return false
-					}
-				} else {
-					tuple.EachSet(sel, func(j int) bool {
-						b.ReadRow(j, &scratch)
-						if err := agg.Feed(&scratch); err != nil {
-							innerErr = err
-							return false
-						}
-						return true
-					})
-					if innerErr != nil {
-						return false
-					}
-				}
-				if kerr != nil {
-					innerErr = kerr
-					return false
-				}
-				return true
-			})
-			aggs[i] = agg
-			return innerErr
-		}
-		t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
-			scanned[i]++
-			ok, err := plan.Match(tp, params)
-			if err != nil {
-				innerErr = err
-				return false
+		t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
+			scanned[i] += b.Alive
+			sel, _, kerr := bm.Match(b)
+			if canBatch {
+				innerErr = agg.FeedBatch(b, sel)
+			} else {
+				tuple.EachSet(sel, func(j int) bool {
+					b.ReadRow(j, &scratch)
+					innerErr = agg.Feed(&scratch)
+					return innerErr == nil
+				})
 			}
-			if ok {
-				if err := agg.Feed(tp); err != nil {
-					innerErr = err
-					return false
-				}
+			if innerErr == nil {
+				innerErr = kerr
 			}
-			return true
+			return innerErr == nil
 		})
 		aggs[i] = agg
 		return innerErr
@@ -574,9 +481,9 @@ func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value, opt QueryO
 // keys, ID) order — the exact total order the materialised path's
 // stable sort produces. Peak result memory is O(shards × k) no matter
 // how many tuples match.
-func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
+func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
 	n := t.store.NumShards()
-	prune := pruneFn(plan, opt)
+	prune := pruneFn(plan)
 	axis, axisDesc, axisOK := plan.OrderAxis()
 	tks := make([]*query.TopK, n)
 	scanned := make([]int, n)
@@ -584,74 +491,39 @@ func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value, opt Quer
 		tk := plan.NewTopK()
 		t.shardMu[i].RLock()
 		defer t.shardMu[i].RUnlock()
-		var innerErr error
-		feed := func(tp *tuple.Tuple) bool {
-			ok, err := plan.Match(tp, params)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-			row, err := plan.Project(tp, params)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			tk.Add(row, tp.ID)
-			return true
-		}
-		switch bm := t.batchMatcher(plan, params, opt); {
-		case axisOK && !opt.NoPrune:
-			// Zone-directed ordered scan: ORDER BY _t/_id walks the ID
-			// axis in key order (segments and rows reversed for DESC),
-			// so the heap fills with the best candidates first and the
-			// per-segment _t/_id bounds rule out whole segments once it
-			// is full. The top-k survivor set is insertion-order
-			// independent (the heap orders totally, ties broken by ID),
-			// so the changed visit order cannot change the answer.
+		// ORDER BY _t/_id walks the ID axis in key order (segments and
+		// batches reversed for DESC), so the heap fills with the best
+		// candidates first and the per-segment _t/_id bounds rule out
+		// whole segments once it is full. The top-k survivor set is
+		// visit-order independent (the heap orders totally, ties broken
+		// by ID), so the direction cannot change the answer.
+		skip := prune
+		if axisOK && !pruneOffHook {
 			axisSkip := tk.AxisSkip(axis, axisDesc)
-			skip := func(z *storage.ZoneMap) bool {
-				if prune != nil && prune(z) {
-					return true
-				}
-				return axisSkip(z)
+			skip = func(z *storage.ZoneMap) bool {
+				return (prune != nil && prune(z)) || axisSkip(z)
 			}
-			t.store.ScanShardAxis(i, axisDesc, skip, func(tp *tuple.Tuple) bool {
-				scanned[i]++
-				return feed(tp)
-			})
-		case bm != nil:
-			var scratch tuple.Tuple
-			t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-				scanned[i] += b.Alive
-				sel, _, kerr := bm.Match(b)
-				tuple.EachSet(sel, func(j int) bool {
-					b.ReadRow(j, &scratch)
-					row, err := plan.Project(&scratch, params)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					tk.Add(row, scratch.ID)
-					return true
-				})
-				if innerErr != nil {
+		}
+		bm := plan.NewBatchMatcher()
+		var scratch tuple.Tuple
+		var innerErr error
+		t.store.ScanShardAxis(i, axisOK && axisDesc, skip, func(b *tuple.Batch) bool {
+			scanned[i] += b.Alive
+			sel, _, kerr := bm.Match(b)
+			tuple.EachSet(sel, func(j int) bool {
+				b.ReadRow(j, &scratch)
+				var row []tuple.Value
+				if row, innerErr = plan.Project(&scratch, params); innerErr != nil {
 					return false
 				}
-				if kerr != nil {
-					innerErr = kerr
-					return false
-				}
+				tk.Add(row, scratch.ID)
 				return true
 			})
-		default:
-			t.store.ScanShardPruned(i, prune, func(tp *tuple.Tuple) bool {
-				scanned[i]++
-				return feed(tp)
-			})
-		}
+			if innerErr == nil {
+				innerErr = kerr
+			}
+			return innerErr == nil
+		})
 		if innerErr != nil {
 			return innerErr
 		}
@@ -685,34 +557,17 @@ func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value, opt Quer
 	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, total), nil
 }
 
-// execMaterial is the barrier peek: collect the matching set like the
-// classical path (per-shard parallel scan merged by ID), apply
-// touch-on-read and distillation over it, then run the finishing
+// execMaterial is the barrier peek: collect the matching set (one cut
+// across all shards, under their read locks), apply touch-on-read and
+// distillation over it, then run the finishing
 // stages (projection, ORDER BY, LIMIT — or local aggregation when the
 // distributed path was disqualified).
 func (t *Table) execMaterial(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
-	n := t.store.NumShards()
-	parts := make([][]tuple.Tuple, n)
-	scanned := make([]int, n)
-	prune := pruneFn(plan, opt)
-	err := fanOut(n, t.workers, func(i int) error {
-		t.shardMu[i].RLock()
-		defer t.shardMu[i].RUnlock()
-		var err error
-		if bm := t.batchMatcher(plan, params, opt); bm != nil {
-			parts[i], err = t.matchShardBatch(i, bm, opt.Limit, prune, &scanned[i])
-		} else {
-			parts[i], err = t.matchShard(i, plan, params, opt.Limit, prune, &scanned[i])
-		}
-		return err
-	})
+	t.rlockAll()
+	tuples, totalScanned, err := t.collectMatches(plan, opt.Limit)
+	t.runlockAll()
 	if err != nil {
 		return nil, err
-	}
-	tuples := mergeByID(parts, opt.Limit)
-	totalScanned := 0
-	for _, s := range scanned {
-		totalScanned += s
 	}
 
 	if t.cfg.TouchOnRead && len(tuples) > 0 {
@@ -738,7 +593,7 @@ func (t *Table) execMaterial(plan *query.Plan, params []tuple.Value, opt QueryOp
 // atomic answer-and-discard cut across all shards, then the finishing
 // stages over the (already removed) answer set.
 func (t *Table) execConsume(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
-	tuples, scanned, due, err := t.consumeCut(plan, params, opt)
+	tuples, scanned, due, err := t.consumeCut(plan, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -769,7 +624,7 @@ func (t *Table) finishRows(plan *query.Plan, params []tuple.Value, tuples []tupl
 // consumeCut is the all-shards critical section of a consume query:
 // one atomic answer-and-discard cut across the whole extent. It
 // reports whether a checkpoint fell due.
-func (t *Table) consumeCut(plan *query.Plan, params []tuple.Value, opt QueryOpts) (tuples []tuple.Tuple, scannedTotal int, due bool, err error) {
+func (t *Table) consumeCut(plan *query.Plan, opt QueryOpts) (tuples []tuple.Tuple, scannedTotal int, due bool, err error) {
 	n := t.store.NumShards()
 	t.lockAll()
 	defer t.unlockAll()
@@ -777,24 +632,9 @@ func (t *Table) consumeCut(plan *query.Plan, params []tuple.Value, opt QueryOpts
 		return nil, 0, false, t.errClosed()
 	}
 
-	parts := make([][]tuple.Tuple, n)
-	scanned := make([]int, n)
-	prune := pruneFn(plan, opt)
-	err = fanOut(n, t.workers, func(i int) error {
-		var err error
-		if bm := t.batchMatcher(plan, params, opt); bm != nil {
-			parts[i], err = t.matchShardBatch(i, bm, opt.Limit, prune, &scanned[i])
-		} else {
-			parts[i], err = t.matchShard(i, plan, params, opt.Limit, prune, &scanned[i])
-		}
-		return err
-	})
+	tuples, scannedTotal, err = t.collectMatches(plan, opt.Limit)
 	if err != nil {
 		return nil, 0, false, err
-	}
-	tuples = mergeByID(parts, opt.Limit)
-	for _, s := range scanned {
-		scannedTotal += s
 	}
 
 	t.mu.Lock()

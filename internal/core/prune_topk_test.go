@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"fungusdb/internal/fungus"
 	"fungusdb/internal/tuple"
 )
 
@@ -39,115 +38,6 @@ func drainValues(t *testing.T, pq *PreparedQuery, opt QueryOpts, params ...tuple
 		t.Fatalf("rows: %v", err)
 	}
 	return out, rows.Scanned()
-}
-
-// TestPrunedScanEquivalenceUnderChurn is the invalidation property
-// test: across decay-rot, consume-on-query eviction and compaction, a
-// pruned scan must return exactly what the unpruned scan returns — a
-// pruned segment may never hide a matching tuple. It also proves the
-// compiled matcher agrees with the interpreted predicate path at
-// shards=1 (QueryPred goes through the same compiled closures;
-// query.Execute's reference semantics are property-tested in
-// internal/query).
-func TestPrunedScanEquivalenceUnderChurn(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db := openDB(t)
-			tbl, err := db.CreateTable("t", TableConfig{
-				Schema:      pruneSchema,
-				Fungus:      fungus.TTL{Lifetime: 9},
-				Shards:      shards,
-				SegmentSize: 32,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := 0
-			insert := func(n int) {
-				rows := make([][]tuple.Value, n)
-				for i := range rows {
-					rows[i] = Row(seq, float64(seq%97), fmt.Sprintf("name-%d", seq%11))
-					seq++
-				}
-				if _, err := tbl.InsertBatch(rows); err != nil {
-					t.Fatal(err)
-				}
-			}
-			queries := func() []string {
-				hi := seq
-				return []string{
-					fmt.Sprintf("SELECT k, v, name FROM t WHERE k >= %d", hi-hi/10-1),
-					fmt.Sprintf("SELECT k FROM t WHERE k < %d", hi/10+1),
-					fmt.Sprintf("SELECT k, name FROM t WHERE k BETWEEN %d AND %d", hi/3, hi/2),
-					"SELECT k FROM t WHERE name = \"name-3\"",
-					"SELECT k FROM t WHERE name IN (\"name-1\", \"name-7\", \"nope\")",
-					fmt.Sprintf("SELECT k FROM t WHERE _id < %d", hi/4+1),
-					fmt.Sprintf("SELECT k FROM t WHERE _t >= %d", int64(db.Now())-2),
-					"SELECT k FROM t WHERE v > 50.0",                   // unprunable: sanity
-					fmt.Sprintf("SELECT k FROM t WHERE k = %d", hi+50), // matches nothing
-					fmt.Sprintf("SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE k >= %d", hi-hi/5-1),
-				}
-			}
-			check := func(stage string) {
-				t.Helper()
-				for _, src := range queries() {
-					pq, err := tbl.Prepare(src)
-					if err != nil {
-						t.Fatalf("%s: %q: %v", stage, src, err)
-					}
-					pruned, scannedP := drainValues(t, pq, QueryOpts{})
-					plain, scannedU := drainValues(t, pq, QueryOpts{NoPrune: true})
-					if len(pruned) != len(plain) {
-						t.Fatalf("%s: %q: pruned %d rows, unpruned %d", stage, src, len(pruned), len(plain))
-					}
-					for i := range pruned {
-						if pruned[i] != plain[i] {
-							t.Fatalf("%s: %q: row %d differs: %q vs %q", stage, src, i, pruned[i], plain[i])
-						}
-					}
-					if scannedP > scannedU {
-						t.Fatalf("%s: %q: pruned scan examined more tuples (%d > %d)", stage, src, scannedP, scannedU)
-					}
-				}
-			}
-
-			insert(400)
-			check("fresh")
-
-			// Decay-rot: tick past the TTL so early epochs rot away,
-			// dropping and hollowing segments.
-			for i := 0; i < 5; i++ {
-				if _, err := db.Tick(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			insert(300)
-			for i := 0; i < 5; i++ {
-				if _, err := db.Tick(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check("after rot")
-
-			// Consume-on-query eviction: punch mid-segment holes.
-			if _, err := tbl.SQL("SELECT CONSUME k FROM t WHERE k % 7 = 0"); err != nil {
-				t.Fatal(err)
-			}
-			check("after consume")
-
-			// Compaction: rewrite the hollowed segments (zone maps are
-			// rebuilt over the survivors).
-			tbl.Compact()
-			check("after compact")
-
-			insert(250)
-			check("after regrowth")
-
-			if st := tbl.StoreStats(); st.SegsPruned == 0 || st.TuplesSkipped == 0 {
-				t.Errorf("no pruning happened at all (stats %+v) — test has lost its teeth", st)
-			}
-		})
-	}
 }
 
 // TestOrderedTopKParity proves the per-shard top-k route returns
@@ -325,11 +215,11 @@ func parkAfterHandOff(t *testing.T, shards ...int) {
 	t.Cleanup(func() { streamHandOffHook = nil })
 }
 
-// bothProducers runs fn against the vectorized and the tuple-at-a-time
-// streaming producer.
-func bothProducers(t *testing.T, fn func(t *testing.T, opt QueryOpts)) {
-	t.Run("vectorized", func(t *testing.T) { fn(t, QueryOpts{NoPrune: true}) })
-	t.Run("tuple", func(t *testing.T) { fn(t, QueryOpts{NoPrune: true, NoVectorize: true}) })
+// unpruned runs the rest of the test with zone-map pruning off.
+func unpruned(t *testing.T) {
+	t.Helper()
+	pruneOffHook = true
+	t.Cleanup(func() { pruneOffHook = false })
 }
 
 // TestStreamLimitEarlyStop verifies the plain-peek LIMIT satellite:
@@ -340,8 +230,8 @@ func bothProducers(t *testing.T, fn func(t *testing.T, opt QueryOpts)) {
 // sit higher up (rows 1000..1255 of the shard), so its head block
 // arrives but is never drained — its producer, parked after that
 // hand-off until the merge has hit LIMIT, would scan its remaining
-// ~148k tuples if the merge finishing did not cancel it. NoPrune
-// isolates the cancellation from zone-map pruning, which would
+// ~148k tuples if the merge finishing did not cancel it. Pruning is
+// off to isolate the cancellation from the zone maps, which would
 // otherwise skip the tail wholesale.
 func TestStreamLimitEarlyStop(t *testing.T) {
 	tbl := streamStopTable(t)
@@ -351,22 +241,20 @@ func TestStreamLimitEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	parkAfterHandOff(t, 1)
-	bothProducers(t, func(t *testing.T, opt QueryOpts) {
-		got, scanned := drainValues(t, pq, opt)
-		if len(got) != 512 {
-			t.Fatalf("rows = %d, want 512", len(got))
-		}
-		if got[0] != "0" || got[511] != "1022" {
-			t.Fatalf("unexpected rows %q..%q", got[0], got[511])
-		}
-		// Shard 0 stops itself within its first storage batch. Shard 1
-		// is parked inside its second one and, once released, may
-		// finish that batch and must notice the cancellation within one
-		// more abortCheckEvery window.
-		if bound := tuple.BatchRows + 2*tuple.BatchRows + abortCheckEvery; scanned > bound {
-			t.Errorf("scanned %d tuples, want <= %d: producer was not cancelled when the merge hit LIMIT", scanned, bound)
-		}
-	})
+	unpruned(t)
+	got, scanned := drainValues(t, pq, QueryOpts{})
+	if len(got) != 512 {
+		t.Fatalf("rows = %d, want 512", len(got))
+	}
+	if got[0] != "0" || got[511] != "1022" {
+		t.Fatalf("unexpected rows %q..%q", got[0], got[511])
+	}
+	// Shard 0 stops itself within its first storage batch. Shard 1 is
+	// parked inside its second one and, once released, may finish that
+	// batch and must notice the cancellation at the next one's poll.
+	if bound := tuple.BatchRows + 3*tuple.BatchRows; scanned > bound {
+		t.Errorf("scanned %d tuples, want <= %d: producer was not cancelled when the merge hit LIMIT", scanned, bound)
+	}
 }
 
 // TestStreamCloseCancelsProducers: an early Close must cancel
@@ -382,23 +270,22 @@ func TestStreamCloseCancelsProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	parkAfterHandOff(t, 0, 1)
-	bothProducers(t, func(t *testing.T, opt QueryOpts) {
-		rows, err := pq.ExecuteOpts(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.Next() {
-			t.Fatal(rows.Err())
-		}
-		if err := rows.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Per shard: the storage batch it was parked in, plus one
-		// abortCheckEvery window to notice the Close.
-		if bound := 2 * (tuple.BatchRows + abortCheckEvery); rows.Scanned() > bound {
-			t.Errorf("scanned %d tuples after an immediate Close, want <= %d", rows.Scanned(), bound)
-		}
-	})
+	unpruned(t)
+	rows, err := pq.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatal(rows.Err())
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Per shard: the storage batch it was parked in, plus the next
+	// one, whose poll notices the Close.
+	if bound := 2 * 2 * tuple.BatchRows; rows.Scanned() > bound {
+		t.Errorf("scanned %d tuples after an immediate Close, want <= %d", rows.Scanned(), bound)
+	}
 }
 
 // TestLimitPlaceholderEndToEnd runs `LIMIT ?` through the prepared

@@ -38,7 +38,7 @@ func blockTable(t testing.TB, shards, n int) *Table {
 // TestStreamProjectsFromColumns pins the values the block hand-off
 // copies for every kind of target: attributes in any order and more
 // than once, the three system columns, and computed expressions beside
-// them — on both producers, across block boundaries and shards.
+// them — across block boundaries and shards.
 func TestStreamProjectsFromColumns(t *testing.T) {
 	const n = 1500 // several 256-row blocks per shard
 	tbl := blockTable(t, 3, n)
@@ -46,23 +46,21 @@ func TestStreamProjectsFromColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bothProducers(t, func(t *testing.T, opt QueryOpts) {
-		got, err := drainAny(pq, opt)
-		if err != nil {
-			t.Fatal(err)
+	got, err := drainAny(pq, QueryOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n-10 {
+		t.Fatalf("%d rows, want %d", len(got), n-10)
+	}
+	for i, row := range got {
+		k := i + 10
+		want := fmt.Sprintf("%v|%q|%d|%d|0|1|%v|%d|%q",
+			k%3 == 0, fmt.Sprintf("name-%d", k%7), k, k, tuple.Float(float64(k)/2), k+1, fmt.Sprintf("name-%d!", k%7))
+		if row != want {
+			t.Fatalf("row %d = %s, want %s", i, row, want)
 		}
-		if len(got) != n-10 {
-			t.Fatalf("%d rows, want %d", len(got), n-10)
-		}
-		for i, row := range got {
-			k := i + 10
-			want := fmt.Sprintf("%v|%q|%d|%d|0|1|%v|%d|%q",
-				k%3 == 0, fmt.Sprintf("name-%d", k%7), k, k, tuple.Float(float64(k)/2), k+1, fmt.Sprintf("name-%d!", k%7))
-			if row != want {
-				t.Fatalf("row %d = %s, want %s", i, row, want)
-			}
-		}
-	})
+	}
 }
 
 // TestStreamProjectionErrorPrecedence: a target that fails on one row
@@ -89,15 +87,13 @@ func TestStreamProjectionErrorPrecedence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bothProducers(t, func(t *testing.T, opt QueryOpts) {
-				got, err := drainAny(pq, opt)
-				if len(got) != tc.wantRows {
-					t.Errorf("shards=%d %q: %d rows before the end, want %d", shards, src, len(got), tc.wantRows)
-				}
-				if tc.wantErr != (err != nil) || (err != nil && !strings.Contains(err.Error(), "division by zero")) {
-					t.Errorf("shards=%d %q: err = %v, want error %v", shards, src, err, tc.wantErr)
-				}
-			})
+			got, err := drainAny(pq, QueryOpts{})
+			if len(got) != tc.wantRows {
+				t.Errorf("shards=%d %q: %d rows before the end, want %d", shards, src, len(got), tc.wantRows)
+			}
+			if tc.wantErr != (err != nil) || (err != nil && !strings.Contains(err.Error(), "division by zero")) {
+				t.Errorf("shards=%d %q: err = %v, want error %v", shards, src, err, tc.wantErr)
+			}
 		}
 	}
 }
@@ -175,27 +171,25 @@ func TestStreamAllocsPerBlock(t *testing.T) {
 	const perBlock, fixed = 6, 150
 	blocks := (n+query.BlockRows-1)/query.BlockRows + shards
 	for name, pq := range map[string]*PreparedQuery{"projected": proj, "star": star, "raw": raw} {
-		bothProducers(t, func(t *testing.T, opt QueryOpts) {
-			got := 0
-			allocs := testing.AllocsPerRun(5, func() {
-				rows, err := pq.ExecuteOpts(opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for got = 0; rows.Next(); got++ {
-				}
-				if err := rows.Close(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got != n {
-				t.Fatalf("%s: %d rows, want %d", name, got, n)
+		got := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			rows, err := pq.Execute()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if limit := float64(perBlock*blocks + fixed); allocs > limit {
-				t.Errorf("%s: %.0f allocations for %d rows in %d blocks, want <= %.0f", name, allocs, n, blocks, limit)
-			} else {
-				t.Logf("%s: %.0f allocations for %d rows in %d blocks", name, allocs, n, blocks)
+			for got = 0; rows.Next(); got++ {
+			}
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
+		if got != n {
+			t.Fatalf("%s: %d rows, want %d", name, got, n)
+		}
+		if limit := float64(perBlock*blocks + fixed); allocs > limit {
+			t.Errorf("%s: %.0f allocations for %d rows in %d blocks, want <= %.0f", name, allocs, n, blocks, limit)
+		} else {
+			t.Logf("%s: %.0f allocations for %d rows in %d blocks", name, allocs, n, blocks)
+		}
 	}
 }

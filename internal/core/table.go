@@ -593,22 +593,6 @@ type QueryOpts struct {
 	// (created on first use with the table's container half-life).
 	// Empty means no distillation.
 	Distill string
-	// NoPrune disables zone-map segment pruning for this execution,
-	// forcing the scan to visit every live tuple. Pruning never
-	// changes the answer set: a skipped segment provably holds no
-	// match. Like any engine that skips data blocks, predicates are
-	// only *evaluated* against visited tuples, so a query that would
-	// fail solely because an unevaluable tuple (say, a NaN attribute
-	// compared against a number) sits inside a fully-pruned segment
-	// succeeds instead of erroring. This knob exists for benchmarks
-	// and the property tests comparing the two paths.
-	NoPrune bool
-	// NoVectorize disables the columnar batch execution route for this
-	// execution, forcing tuple-at-a-time matching. The two routes are
-	// byte-identical by construction (same rows, same order, same error
-	// text); the knob exists for benchmarks and the property tests
-	// asserting exactly that.
-	NoVectorize bool
 }
 
 // Query executes Q(T,R,P) with the given mode. In Consume mode every

@@ -21,8 +21,8 @@ import (
 //   - Seasonal gates another fungus onto a duty cycle (when).
 
 // Matcher selects tuples. It is the fungus-side twin of query
-// predicates; query.Predicate.Match satisfies it via a tiny adapter in
-// the engine, and tests can use plain functions.
+// predicates; internal/catalog adapts a query.Predicate's row matcher
+// to it, and tests can use plain functions.
 type Matcher interface {
 	Match(tp *tuple.Tuple) (bool, error)
 }

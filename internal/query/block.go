@@ -166,7 +166,7 @@ func (w *BlockWriter) AddBatch(src *tuple.Batch, rows []int) int {
 	if w.plan.computed {
 		for n, j := range rows {
 			src.ReadRow(j, &w.scratch)
-			if !w.AddTuple(&w.scratch) {
+			if !w.addTuple(&w.scratch) {
 				return n + 1
 			}
 		}
@@ -226,11 +226,11 @@ func gatherCol(dst []tuple.Value, stride int, col *tuple.ColView, rows []int) {
 	}
 }
 
-// AddTuple appends one matching tuple (the row-at-a-time producer, and
-// AddBatch's route for computed targets). The block must not be full.
-// It reports false when projecting the tuple failed: the block is now
-// poisoned (see Block.Err) and takes no more rows.
-func (w *BlockWriter) AddTuple(tp *tuple.Tuple) bool {
+// addTuple appends one decoded row, AddBatch's route for computed
+// targets. The block must not be full. It reports false when
+// projecting the tuple failed: the block is now poisoned (see
+// Block.Err) and takes no more rows.
+func (w *BlockWriter) addTuple(tp *tuple.Tuple) bool {
 	b, at := w.grow(1)
 	b.IDs[at] = tp.ID
 	if w.plan.raw {

@@ -38,12 +38,11 @@ type Plan struct {
 	proj     []int
 	computed bool
 
-	// Compiled execution state. match is the WHERE clause lowered to
-	// typed closures; pruner is its conjuncts lowered to zone-map
-	// checks. Both are compiled when the plan (or its Bind derivative)
-	// has no unresolved placeholders left. order is the ORDER BY list
-	// resolved to output-column indices at compile time.
-	match      matchFn
+	// Compiled execution state. vec is the WHERE clause lowered to the
+	// batch program (nil without a WHERE); pruner is its conjuncts
+	// lowered to zone-map checks. Bind re-lowers both once placeholders
+	// have become literals. order is the ORDER BY list resolved to
+	// output-column indices at compile time.
 	pruner     *Pruner
 	vec        *vecProg
 	order      []orderIdx
@@ -113,19 +112,16 @@ func (s *Statement) Plan(schema *tuple.Schema) (*Plan, error) {
 		}
 		p.order = order
 	}
-	if stmt.Params == 0 {
-		p.compileExec()
-	}
+	p.compileExec()
 	return p, nil
 }
 
-// compileExec lowers the (fully bound) WHERE clause into the compiled
-// matcher and the segment pruner.
+// compileExec lowers the WHERE clause into the batch program and the
+// segment pruner.
 func (p *Plan) compileExec() {
 	if p.where == nil {
 		return
 	}
-	p.match = compileMatch(p.where, p.schema)
 	p.pruner = compilePrune(p.where, p.schema)
 	p.vec = compileVecMatch(p.where, p.schema)
 }
@@ -193,7 +189,6 @@ func PlanPredicate(pred *Predicate, mode Mode) *Plan {
 		where:      pred.expr,
 		raw:        true,
 		proj:       identityProj(pred.schema),
-		match:      pred.match,
 		pruner:     pred.pruner,
 		vec:        pred.vec,
 		limitParam: -1,
@@ -292,7 +287,7 @@ func (p *Plan) BindCheck(params []tuple.Value) error {
 // Bind substitutes the parameters into the plan's expressions as
 // literals, returning a derived zero-parameter plan that evaluates at
 // literal speed (no per-tuple parameter resolution): the bound WHERE
-// clause is re-lowered into compiled closures and prune checks, and a
+// clause is re-lowered into the batch program and prune checks, and a
 // `LIMIT ?` placeholder resolves (and type-checks) here. The caller
 // must have BindCheck-ed params first; plans without placeholders
 // return themselves. The original plan is untouched — one cached Plan
@@ -338,26 +333,6 @@ func (p *Plan) Bind(params []tuple.Value) (*Plan, error) {
 	}
 	q.compileExec()
 	return &q, nil
-}
-
-// Match evaluates the plan's WHERE clause for one tuple. Fully bound
-// plans run the compiled closure chain; the expression tree is only
-// interpreted when unresolved placeholders force the Env path.
-func (p *Plan) Match(tp *tuple.Tuple, params []tuple.Value) (bool, error) {
-	if p.where == nil {
-		return true, nil
-	}
-	if p.match != nil && len(params) == 0 {
-		return p.match(tp)
-	}
-	v, err := p.where.Eval(TupleEnv{Schema: p.schema, Tuple: tp, Params: params})
-	if err != nil {
-		return false, err
-	}
-	if v.Kind() != tuple.KindBool {
-		return false, fmt.Errorf("query: predicate yields %s, want BOOL", v.Kind())
-	}
-	return v.AsBool(), nil
 }
 
 // Project evaluates the plain projection for one matching tuple. It

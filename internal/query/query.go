@@ -28,13 +28,12 @@ func (m Mode) String() string {
 
 // Predicate is a WHERE expression validated against one schema. It is
 // immutable and safe for concurrent use. Compilation also lowers the
-// expression into the typed closure chain and segment prune checks the
-// engine's scan paths use (see match.go, prune.go).
+// expression into the batch program and segment prune checks the
+// engine's scan paths use (see vec.go, prune.go).
 type Predicate struct {
 	expr   Expr
 	schema *tuple.Schema
 	src    string
-	match  matchFn
 	pruner *Pruner
 	vec    *vecProg
 }
@@ -57,7 +56,6 @@ func newPredicate(e Expr, schema *tuple.Schema, src string) *Predicate {
 		expr:   e,
 		schema: schema,
 		src:    src,
-		match:  compileMatch(e, schema),
 		pruner: compilePrune(e, schema),
 		vec:    compileVecMatch(e, schema),
 	}
@@ -119,22 +117,6 @@ func checkCols(e Expr, schema *tuple.Schema) error {
 		}
 	}
 	return nil
-}
-
-// Match evaluates the predicate for one tuple. Non-boolean results are
-// a type error.
-func (p *Predicate) Match(tp *tuple.Tuple) (bool, error) {
-	if p.match != nil {
-		return p.match(tp)
-	}
-	v, err := p.expr.Eval(TupleEnv{Schema: p.schema, Tuple: tp})
-	if err != nil {
-		return false, err
-	}
-	if v.Kind() != tuple.KindBool {
-		return false, fmt.Errorf("query: predicate yields %s, want BOOL", v.Kind())
-	}
-	return v.AsBool(), nil
 }
 
 // Source returns the original WHERE source text.

@@ -29,7 +29,7 @@ func evalBool(t *testing.T, src string, tp tuple.Tuple) bool {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}
-	got, err := p.Match(&tp)
+	got, err := matchRow(p, &tp)
 	if err != nil {
 		t.Fatalf("Match(%q): %v", src, err)
 	}
@@ -163,7 +163,7 @@ func TestMatchTypeErrors(t *testing.T) {
 		if err != nil {
 			continue // some are caught at compile time; fine either way
 		}
-		if _, err := p.Match(&tp); err == nil {
+		if _, err := matchRow(p, &tp); err == nil {
 			t.Errorf("Match(%q) did not error", src)
 		}
 	}
@@ -277,8 +277,8 @@ func TestQuickIntPredicates(t *testing.T) {
 	ge := MustCompile("x >= 0", schema)
 	f := func(x int64) bool {
 		tp := tuple.New(0, 0, []tuple.Value{tuple.Int(x)})
-		a, err1 := lt.Match(&tp)
-		b, err2 := ge.Match(&tp)
+		a, err1 := matchRow(lt, &tp)
+		b, err2 := matchRow(ge, &tp)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -299,8 +299,8 @@ func TestQuickDeMorgan(t *testing.T) {
 	rhs := MustCompile("NOT p OR NOT q", schema)
 	f := func(p, q bool) bool {
 		tp := tuple.New(0, 0, []tuple.Value{tuple.Bool(p), tuple.Bool(q)})
-		a, err1 := lhs.Match(&tp)
-		b, err2 := rhs.Match(&tp)
+		a, err1 := matchRow(lhs, &tp)
+		b, err2 := matchRow(rhs, &tp)
 		return err1 == nil && err2 == nil && a == b
 	}
 	if err := quick.Check(f, nil); err != nil {

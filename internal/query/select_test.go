@@ -86,7 +86,7 @@ func TestSelectWhere(t *testing.T) {
 	}
 	var filtered []tuple.Tuple
 	for _, tp := range clickTuples() {
-		if ok, _ := pred.Match(&tp); ok {
+		if ok, _ := matchRow(pred, &tp); ok {
 			filtered = append(filtered, tp)
 		}
 	}
@@ -323,7 +323,7 @@ func TestPostfixOperatorErrors(t *testing.T) {
 			continue
 		}
 		tp := testTuple("a", 1, 1, true)
-		if _, err := p.Match(&tp); err == nil {
+		if _, err := matchRow(p, &tp); err == nil {
 			t.Errorf("%q evaluated", src)
 		}
 	}

@@ -39,10 +39,15 @@ func TestPlaceholderBindAndMatch(t *testing.T) {
 	if err := plan.BindCheck(params); err != nil {
 		t.Fatal(err)
 	}
+	bound, err := plan.Bind(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := newRowMatcher(bound.vec)
 	tuples := clickTuples()
 	var matched int
 	for i := range tuples {
-		ok, err := plan.Match(&tuples[i], params)
+		ok, err := rm.Match(&tuples[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +88,11 @@ func TestPlaceholderTypeMismatchSurfacesAtMatch(t *testing.T) {
 	}
 	tuples := clickTuples()
 	// Comparing INT column against STRING param is a runtime type error.
-	if _, err := plan.Match(&tuples[0], []tuple.Value{tuple.String_("nope")}); err == nil {
+	bound, err := plan.Bind([]tuple.Value{tuple.String_("nope")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newRowMatcher(bound.vec).Match(&tuples[0]); err == nil {
 		t.Fatal("INT vs STRING comparison did not error")
 	}
 }
@@ -225,7 +234,7 @@ func matchWhere(t *testing.T, where string, tp *tuple.Tuple) bool {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", where, err)
 	}
-	ok, err := pred.Match(tp)
+	ok, err := matchRow(pred, tp)
 	if err != nil {
 		t.Fatalf("Match(%q): %v", where, err)
 	}

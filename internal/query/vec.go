@@ -8,31 +8,126 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-// This file lowers WHERE clauses a second time, into column-wise batch
-// kernels. The per-tuple closures in match.go stay the semantic
-// reference: a batch program exists only for expression shapes whose
-// kernels reproduce the interpreted path bit for bit — same selected
-// rows, same error text, same first-erroring row. Shapes without a
-// kernel simply do not compile (compileVecMatch returns nil) and the
-// executor falls back to tuple-at-a-time matching, so vectorization is
-// never a semantics fork, only a faster route for the common plans:
-// comparisons of a column against a literal or another column, IN over
-// a literal list, LIKE with a literal pattern, bare BOOL columns, and
-// AND/OR/NOT over those.
+// This file is the engine's one WHERE evaluator: a bound expression
+// tree lowered into column-wise batch kernels. The tree interpreter
+// (Expr.Eval) is the semantic reference — every kernel reproduces it
+// bit for bit: same selected rows, same error text, same first-erroring
+// row. The program is total. Comparisons of a column against a literal
+// or another column, IN over a literal list, LIKE with a literal
+// pattern, bare BOOL columns, and AND/OR/NOT over those run as kernels;
+// any other boolean sub-expression (arithmetic operands, computed LIKE
+// patterns or IN lists, non-column left sides) becomes an interpNode
+// leaf that decodes each selected row and hands it to the interpreter,
+// so a shape without a kernel costs only its own leaf, never the plan.
 //
 // A kernel evaluates one operator over a selection bitmap (one bit per
 // batch row) and writes a result bitmap. Errors keep lazy, per-row
 // semantics: eval returns the index of the first selected row whose
 // evaluation would error under the interpreter, with result bits
-// defined only below that row — exactly the prefix a tuple-at-a-time
-// scan would have produced before aborting.
+// defined only below that row — exactly the prefix a row-by-row
+// evaluation would have produced before aborting.
+
+// colAcc is a schema-resolved column accessor.
+type colAcc struct {
+	kind tuple.Kind
+	idx  int   // attribute index, sys == 0 only
+	sys  uint8 // 0 = attribute, 1 = _t, 2 = _f, 3 = _id
+}
+
+// resolveCol resolves a column name once, at compile time. ok=false
+// leaves the interpreter to report the unknown column per row.
+func resolveCol(name string, schema *tuple.Schema) (colAcc, bool) {
+	switch name {
+	case tuple.SysTick:
+		return colAcc{kind: tuple.KindInt, sys: 1}, true
+	case tuple.SysFresh:
+		return colAcc{kind: tuple.KindFloat, sys: 2}, true
+	case tuple.SysID:
+		return colAcc{kind: tuple.KindInt, sys: 3}, true
+	}
+	if i := schema.Index(name); i >= 0 {
+		return colAcc{kind: schema.Column(i).Kind, idx: i}, true
+	}
+	return colAcc{}, false
+}
+
+// colRef resolves e when it is a plain column reference.
+func colRef(e Expr, schema *tuple.Schema) (colAcc, bool) {
+	c, ok := e.(Col)
+	if !ok {
+		return colAcc{}, false
+	}
+	return resolveCol(c.Name, schema)
+}
+
+// numericKind reports whether k participates in numeric comparison.
+func numericKind(k tuple.Kind) bool { return k == tuple.KindInt || k == tuple.KindFloat }
+
+func allLits(list []Expr) bool {
+	for _, e := range list {
+		if _, ok := e.(Lit); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// cmpDecide turns a three-way comparison into the operator's boolean.
+func cmpDecide(op BinOp, cmp int) bool {
+	switch op {
+	case OpEq:
+		return cmp == 0
+	case OpNe:
+		return cmp != 0
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	}
+	return false
+}
+
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func cmpString(a, b string) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case !a && b:
+		return -1
+	case a && !b:
+		return 1
+	}
+	return 0
+}
 
 // vecProg is an immutable compiled batch program, shared by every
 // execution of its plan. Scratch state lives in BatchMatcher.
 type vecProg struct {
-	root vecNode
-	nbuf int // scratch selection-bitmap slots
-	nstr int // string translate-table slots
+	root   vecNode
+	schema *tuple.Schema
+	nbuf   int // scratch selection-bitmap slots
+	nstr   int // string translate-table slots
 }
 
 // vecNode is one operator of a compiled batch program.
@@ -77,8 +172,9 @@ func zeroWords(words []uint64) {
 }
 
 // batchNum reads row j of a numeric column as its float64 image —
-// the same conversion colAcc.num applies on the tuple path. ok is
-// false for non-numeric kinds.
+// the conversion tuple.Value.Compare applies (Numeric), so comparisons
+// stay bit-identical to the interpreter even beyond 2^53. ok is false
+// for non-numeric kinds.
 func batchNum(c colAcc, b *tuple.Batch, j int) (float64, bool) {
 	switch c.sys {
 	case 1:
@@ -98,8 +194,7 @@ func batchNum(c colAcc, b *tuple.Batch, j int) (float64, bool) {
 	return 0, false
 }
 
-// batchValue reads row j of a column as a boxed Value, mirroring
-// colAcc.value.
+// batchValue reads row j of a column as a boxed Value.
 func batchValue(c colAcc, b *tuple.Batch, j int) tuple.Value {
 	switch c.sys {
 	case 1:
@@ -260,7 +355,10 @@ func (nd *strTableNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64)
 	cv := &b.Cols[nd.idx]
 	tab := m.tabs[nd.slot]
 	if m.tabSeg[nd.slot] != b.Seg || len(tab) < len(cv.Dict) {
-		tab = make([]bool, len(cv.Dict))
+		if cap(tab) < len(cv.Dict) {
+			tab = make([]bool, len(cv.Dict))
+		}
+		tab = tab[:len(cv.Dict)]
 		for d, s := range cv.Dict {
 			tab[d] = nd.pred(s)
 		}
@@ -422,6 +520,42 @@ func (nd *staticErrNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64
 	return b.N, nil
 }
 
+// interpNode is the leaf that makes the program total: a sub-expression
+// with no kernel evaluates through the tree interpreter, one selected
+// row at a time over the matcher's scratch tuple. nonBool renders the
+// error the enclosing operator (or the predicate root) reports for a
+// value that is not BOOL.
+type interpNode struct {
+	e       Expr
+	nonBool func(tuple.Kind) error
+}
+
+func (nd *interpNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
+	if m.env == nil {
+		m.env = &TupleEnv{Schema: m.prog.schema, Tuple: new(tuple.Tuple)}
+	}
+	zeroWords(out)
+	for w, mset := range sel {
+		base := w << 6
+		for mset != 0 {
+			j := base + bits.TrailingZeros64(mset)
+			mset &= mset - 1
+			b.ReadRow(j, m.env.Tuple)
+			v, err := nd.e.Eval(m.env)
+			if err != nil {
+				return j, err
+			}
+			if v.Kind() != tuple.KindBool {
+				return j, nd.nonBool(v.Kind())
+			}
+			if v.AsBool() {
+				out[w] |= 1 << uint(j&63)
+			}
+		}
+	}
+	return b.N, nil
+}
+
 // --- compiler -------------------------------------------------------
 
 type vecCompiler struct {
@@ -433,49 +567,45 @@ type vecCompiler struct {
 func (vc *vecCompiler) buf() int { vc.nbuf++; return vc.nbuf - 1 }
 func (vc *vecCompiler) str() int { vc.nstr++; return vc.nstr - 1 }
 
-// compileVecMatch lowers a predicate into a batch program, or nil when
-// some node has no kernel with interpreter-identical semantics.
+// compileVecMatch lowers a predicate into a batch program. Every
+// expression compiles: shapes without a kernel become interpNode
+// leaves.
 func compileVecMatch(e Expr, schema *tuple.Schema) *vecProg {
 	vc := &vecCompiler{schema: schema}
-	root := vc.boolNode(e)
-	if root == nil {
-		return nil
-	}
-	return &vecProg{root: root, nbuf: vc.nbuf, nstr: vc.nstr}
+	root := vc.boolNode(e, func(k tuple.Kind) error {
+		return fmt.Errorf("query: predicate yields %s, want BOOL", k)
+	})
+	return &vecProg{root: root, schema: schema, nbuf: vc.nbuf, nstr: vc.nstr}
 }
 
-// boolNode mirrors compileBoolNode's shape dispatch; nil means the
-// shape needs the tuple-at-a-time path.
-func (vc *vecCompiler) boolNode(e Expr) vecNode {
+// boolNode lowers e in a position that needs a BOOL; nonBool is that
+// position's error for any other kind.
+func (vc *vecCompiler) boolNode(e Expr, nonBool func(tuple.Kind) error) vecNode {
+	var nd vecNode
 	switch n := e.(type) {
 	case Bin:
 		switch n.Op {
 		case OpAnd, OpOr:
-			l := vc.boolNode(n.L)
-			if l == nil {
-				return nil
+			operand := func(k tuple.Kind) error {
+				return fmt.Errorf("query: %s needs BOOL operands, got %s", n.Op, k)
 			}
-			r := vc.boolNode(n.R)
-			if r == nil {
-				return nil
-			}
+			l, r := vc.boolNode(n.L, operand), vc.boolNode(n.R, operand)
 			if n.Op == OpAnd {
 				return &andNode{l: l, r: r, tmp: vc.buf()}
 			}
 			return &orNode{l: l, r: r, tmpA: vc.buf(), tmpB: vc.buf()}
 		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-			return vc.cmp(n)
+			nd = vc.cmp(n)
 		}
 	case Not:
-		x := vc.boolNode(n.X)
-		if x == nil {
-			return nil
-		}
+		x := vc.boolNode(n.X, func(k tuple.Kind) error {
+			return fmt.Errorf("query: NOT needs BOOL, got %s", k)
+		})
 		return &notNode{x: x, tmp: vc.buf()}
 	case Like:
-		return vc.like(n)
+		nd = vc.like(n)
 	case In:
-		return vc.in(n)
+		nd = vc.in(n)
 	case Lit:
 		if n.V.Kind() == tuple.KindBool {
 			return &litBoolNode{val: n.V.AsBool()}
@@ -485,9 +615,14 @@ func (vc *vecCompiler) boolNode(e Expr) vecNode {
 			return &boolColNode{idx: c.idx}
 		}
 	}
-	return nil
+	if nd == nil {
+		nd = &interpNode{e: e, nonBool: nonBool}
+	}
+	return nd
 }
 
+// cmp lowers column-vs-literal (either order) and column-vs-column
+// comparisons; nil for any other operand shape.
 func (vc *vecCompiler) cmp(n Bin) vecNode {
 	op := n.Op
 	if c, ok := colRef(n.L, vc.schema); ok {
@@ -507,8 +642,10 @@ func (vc *vecCompiler) cmp(n Bin) vecNode {
 	return nil
 }
 
-// colLit mirrors compileColLitCmp case for case, including the
-// error-message operand order under swap.
+// colLit specialises a column-vs-constant comparison on the operands'
+// kinds. swap marks the source order as literal-first (the caller
+// mirrored op with flipCmp), which only matters for the error
+// message's operand order.
 func (vc *vecCompiler) colLit(c colAcc, op BinOp, lit tuple.Value, swap bool) vecNode {
 	kinds := [2]tuple.Kind{c.kind, lit.Kind()}
 	if swap {
@@ -532,11 +669,12 @@ func (vc *vecCompiler) colLit(c colAcc, op BinOp, lit tuple.Value, swap bool) ve
 	case c.kind == tuple.KindBool && lit.Kind() == tuple.KindBool:
 		return &boolCmpLitNode{idx: c.idx, op: op, lit: lit.AsBool()}
 	default:
+		// Statically incomparable kinds error for every row evaluated.
 		return &staticErrNode{err: incomparable}
 	}
 }
 
-// colCol mirrors compileColColCmp.
+// colCol specialises a column-vs-column comparison.
 func (vc *vecCompiler) colCol(l colAcc, op BinOp, r colAcc) vecNode {
 	switch {
 	case numericKind(l.kind) && numericKind(r.kind):
@@ -551,8 +689,7 @@ func (vc *vecCompiler) colCol(l colAcc, op BinOp, r colAcc) vecNode {
 	}
 }
 
-// like mirrors compileLike for literal patterns; computed patterns
-// fall back.
+// like lowers `column LIKE literal`; nil for computed operands.
 func (vc *vecCompiler) like(n Like) vecNode {
 	c, ok := colRef(n.X, vc.schema)
 	if !ok {
@@ -574,8 +711,9 @@ func (vc *vecCompiler) like(n Like) vecNode {
 	return &staticErrNode{err: fmt.Errorf("query: LIKE needs STRING operands, got %s and %s", c.kind, lit.V.Kind())}
 }
 
-// in mirrors compileIn's hash-set specialisation; other shapes fall
-// back.
+// in lowers `column IN (literals)` to a hash-set probe (numeric values
+// key by their float64 image, matching Compare's cross-kind equality);
+// nil for any other shape.
 func (vc *vecCompiler) in(n In) vecNode {
 	c, ok := colRef(n.X, vc.schema)
 	if !ok || !allLits(n.List) {
@@ -608,15 +746,18 @@ func (vc *vecCompiler) in(n In) vecNode {
 // --- matcher --------------------------------------------------------
 
 // BatchMatcher is one execution's batch-program state: scratch
-// selection bitmaps and per-segment string translate tables. It is not
-// safe for concurrent use; executors create one per shard scan.
+// selection bitmaps, per-segment string translate tables and, once an
+// interpreted leaf has run, the scratch row such leaves decode into.
+// It is not safe for concurrent use; executors create one per shard
+// scan.
 type BatchMatcher struct {
-	prog   *vecProg
+	prog   *vecProg // nil = no WHERE clause
 	base   []uint64
 	out    []uint64
 	bufs   [][]uint64
 	tabSeg []uint64
 	tabs   [][]bool
+	env    *TupleEnv // interpNode's; one per matcher, so no Env is boxed per row
 }
 
 func newBatchMatcher(prog *vecProg) *BatchMatcher {
@@ -639,7 +780,7 @@ func newBatchMatcher(prog *vecProg) *BatchMatcher {
 // Match evaluates the WHERE program over one batch, returning the
 // selection bitmap of matching live rows, the first erroring row (b.N
 // when none) and its error. Bits at or above the error row are
-// cleared: they are exactly the rows a tuple-at-a-time scan would
+// cleared: they are exactly the rows a row-by-row evaluation would
 // never have reached. The bitmap aliases matcher scratch and is valid
 // until the next Match call.
 func (m *BatchMatcher) Match(b *tuple.Batch) ([]uint64, int, error) {
@@ -658,15 +799,72 @@ func (m *BatchMatcher) Match(b *tuple.Batch) ([]uint64, int, error) {
 }
 
 // NewBatchMatcher returns a fresh batch evaluator for the plan's WHERE
-// clause, or nil when the clause has no batch lowering (the executor
-// then matches tuple at a time — same result, slower). Mirrors Match's
-// compiled-path gate: unbound placeholders disable it.
-func (p *Plan) NewBatchMatcher(params []tuple.Value) *BatchMatcher {
-	if p.where == nil {
-		return newBatchMatcher(nil)
+// clause. A placeholder the plan still carries evaluates to the
+// interpreter's not-bound error for every row; Bind first.
+func (p *Plan) NewBatchMatcher() *BatchMatcher { return newBatchMatcher(p.vec) }
+
+// RowMatcher runs a predicate's batch program over one tuple at a
+// time, presented as a one-row batch: the entry point for callers that
+// hold tuples rather than column batches (stream rules, decay laws that
+// read attributes). Not safe for concurrent use.
+type RowMatcher struct {
+	bm *BatchMatcher
+	b  tuple.Batch
+}
+
+// NewRowMatcher returns a fresh single-tuple evaluator for the
+// predicate.
+func (p *Predicate) NewRowMatcher() *RowMatcher { return newRowMatcher(p.vec) }
+
+func newRowMatcher(prog *vecProg) *RowMatcher {
+	r := &RowMatcher{bm: newBatchMatcher(prog)}
+	b := &r.b
+	b.N, b.Alive = 1, 1
+	b.IDs = make([]tuple.ID, 1)
+	b.Ts = make([]int64, 1)
+	b.Fs = make([]float64, 1)
+	b.Inf = make([]bool, 1)
+	b.Live = []uint64{1}
+	b.Cols = make([]tuple.ColView, prog.schema.Len())
+	for i := range b.Cols {
+		cv := &b.Cols[i]
+		cv.Kind = prog.schema.Column(i).Kind
+		switch cv.Kind {
+		case tuple.KindInt:
+			cv.Ints = make([]int64, 1)
+		case tuple.KindFloat:
+			cv.Floats = make([]float64, 1)
+		case tuple.KindString:
+			cv.Codes = make([]uint32, 1)
+			cv.Dict = make([]string, 1)
+		case tuple.KindBool:
+			cv.Bools = make([]bool, 1)
+		}
 	}
-	if p.vec == nil || len(params) != 0 {
-		return nil
+	return r
+}
+
+// Match evaluates the predicate for one tuple of the predicate's
+// schema.
+func (r *RowMatcher) Match(tp *tuple.Tuple) (bool, error) {
+	b := &r.b
+	b.IDs[0], b.Ts[0], b.Fs[0], b.Inf[0] = tp.ID, int64(tp.T), float64(tp.F), tp.Infected
+	for i := range b.Cols {
+		cv, v := &b.Cols[i], &tp.Attrs[i]
+		switch cv.Kind {
+		case tuple.KindInt:
+			cv.Ints[0] = v.AsInt()
+		case tuple.KindFloat:
+			cv.Floats[0] = v.AsFloat()
+		case tuple.KindString:
+			cv.Dict[0] = v.AsString()
+		case tuple.KindBool:
+			cv.Bools[0] = v.AsBool()
+		}
 	}
-	return newBatchMatcher(p.vec)
+	// A fresh tag per tuple: the one-entry dictionaries just changed, so
+	// no string translate table may carry over.
+	b.Seg++
+	sel, _, err := r.bm.Match(b)
+	return sel[0]&1 != 0, err
 }

@@ -614,8 +614,11 @@ func (s *Server) preparedForSQL(w http.ResponseWriter, sql string) (*core.Prepar
 
 // runQuery is the v1 materialised endpoint, re-expressed as a shim
 // over the prepared path: Prepare, Execute, drain the stream into one
-// grid-shaped JSON body. Use /v2/query for NDJSON streaming and
-// parameter binding.
+// grid-shaped JSON body (a QueryResponse, rows encoded by the /v2 row
+// encoder). The body is complete before the status line goes out, so a
+// failure part-way — a NaN or infinite FLOAT has no JSON encoding —
+// still answers with the error envelope. Use /v2/query for NDJSON
+// streaming and parameter binding.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.observe("v1_query", time.Now())
 	var req QueryRequest
@@ -626,44 +629,33 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var opt core.QueryOpts
-	if req.Distill != "" {
-		opt.Distill = req.Distill
-	}
-	rows, err := pq.ExecuteOpts(opt)
+	rows, err := pq.ExecuteOpts(core.QueryOpts{Distill: req.Distill})
 	if err != nil {
 		writeExecErr(w, err)
 		return
 	}
 	defer rows.Close()
-	resp := QueryResponse{Cols: rows.Cols(), Rows: [][]any{}}
-	for rows.Next() {
-		vals := rows.Values()
-		out := make([]any, len(vals))
-		for j, v := range vals {
-			out[j] = valueToJSON(v)
+	cols, _ := json.Marshal(rows.Cols()) // a []string always marshals
+	buf := append([]byte(`{"cols":`), cols...)
+	buf = append(buf, `,"rows":[`...)
+	n := 0
+	for ; rows.Next(); n++ {
+		if buf, err = appendRowJSON(buf, rows.Values()); err != nil {
+			writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
+			return
 		}
-		resp.Rows = append(resp.Rows, out)
+		buf[len(buf)-1] = ',' // the row line's newline
 	}
 	if err := rows.Err(); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func valueToJSON(v tuple.Value) any {
-	switch v.Kind() {
-	case tuple.KindInt:
-		return v.AsInt()
-	case tuple.KindFloat:
-		return v.AsFloat()
-	case tuple.KindString:
-		return v.AsString()
-	case tuple.KindBool:
-		return v.AsBool()
+	if n > 0 {
+		buf = buf[:len(buf)-1]
 	}
-	return nil
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(buf, "]}\n"...)) // a failed write is a client that left
 }
 
 // TickRequest advances decay.

@@ -252,14 +252,6 @@ func (ss *ShardedStore) ScanShard(i int, fn func(*tuple.Tuple) bool) {
 	ss.shards[i].Scan(fn)
 }
 
-// ScanShardPruned scans only shard i with segment pruning (see
-// Store.ScanPruned), reporting what was skipped.
-//
-//fungusvet:requires shardlock
-func (ss *ShardedStore) ScanShardPruned(i int, skip func(*ZoneMap) bool, fn func(*tuple.Tuple) bool) PruneStats {
-	return ss.shards[i].ScanPruned(skip, fn)
-}
-
 // ScanShardBatches scans only shard i as columnar batches (see
 // Store.ScanBatches), reporting what was pruned.
 //
@@ -268,11 +260,12 @@ func (ss *ShardedStore) ScanShardBatches(i int, skip func(*ZoneMap) bool, fn fun
 	return ss.shards[i].ScanBatches(skip, fn)
 }
 
-// ScanShardAxis scans only shard i in the chosen direction along the ID
-// axis (see Store.ScanAxis), reporting what was skipped.
+// ScanShardAxis scans only shard i as columnar batches in the chosen
+// direction along the ID axis (see Store.ScanAxis), reporting what was
+// pruned.
 //
 //fungusvet:requires shardlock
-func (ss *ShardedStore) ScanShardAxis(i int, reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Tuple) bool) PruneStats {
+func (ss *ShardedStore) ScanShardAxis(i int, reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
 	return ss.shards[i].ScanAxis(reverse, skip, fn)
 }
 

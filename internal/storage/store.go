@@ -500,15 +500,35 @@ func (s *segment) scanLive(scratch *tuple.Tuple, fn func(*tuple.Tuple) bool) boo
 }
 
 // ScanBatches drives fn over the extent's live rows as columnar
-// batches, segment-pruning with skip exactly like ScanPruned. Every
-// batch's views alias segment memory and are valid only during the
-// call; fn must not evict, insert, or mutate through them. Batches with
-// no live rows are elided. Returning false stops the scan.
+// batches in insertion order: ScanAxis going forward.
 func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
+	return s.ScanAxis(false, skip, fn)
+}
+
+// ScanAxis drives fn over the extent's live rows as columnar batches,
+// segment-pruning with skip exactly like ScanPruned, in a caller-chosen
+// direction along the ID axis: reverse=true visits segments, and the
+// batches within them, from the top down (rows inside a batch stay
+// ascending). skip is consulted just before its segment would be
+// visited, so it may read state fn builds up — ordered top-k scans use
+// that to stop consulting segments whose zone bounds cannot beat the
+// current worst survivor. Every batch's views alias segment memory and
+// are valid only during the call; fn must not evict, insert, or mutate
+// through them. Batches with no live rows are elided. Returning false
+// stops the scan.
+func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
 	var ps PruneStats
 	var b tuple.Batch
 	var batches, rows uint64
-	for i := s.first; i < len(s.segs); i++ {
+	defer func() {
+		s.noteBatches(batches, rows)
+		s.notePruned(ps)
+	}()
+	for k, n := 0, len(s.segs)-s.first; k < n; k++ {
+		i := s.first + k
+		if reverse {
+			i = len(s.segs) - 1 - k
+		}
 		sg := s.segs[i]
 		if sg == nil {
 			continue
@@ -518,7 +538,12 @@ func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool
 			ps.Tuples += sg.live
 			continue
 		}
-		for start := 0; start < sg.rows(); start += tuple.BatchRows {
+		nb := (sg.rows() + tuple.BatchRows - 1) / tuple.BatchRows
+		for bi := 0; bi < nb; bi++ {
+			start := bi * tuple.BatchRows
+			if reverse {
+				start = (nb - 1 - bi) * tuple.BatchRows
+			}
 			sg.fillBatch(start, &b)
 			if b.Alive == 0 {
 				continue
@@ -526,52 +551,10 @@ func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool
 			batches++
 			rows += uint64(b.Alive)
 			if !fn(&b) {
-				s.noteBatches(batches, rows)
-				s.notePruned(ps)
 				return ps
 			}
 		}
 	}
-	s.noteBatches(batches, rows)
-	s.notePruned(ps)
-	return ps
-}
-
-// ScanAxis is ScanPruned with a caller-chosen direction: reverse=true
-// visits segments (and rows within them) from the top of the ID axis
-// down. Ordered top-k scans use it with a heap-state-aware skip so
-// ORDER BY _t/_id LIMIT k queries stop consulting segments whose zone
-// bounds cannot beat the current worst survivor.
-func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Tuple) bool) PruneStats {
-	if !reverse {
-		return s.ScanPruned(skip, fn)
-	}
-	var ps PruneStats
-	var scratch tuple.Tuple
-	for i := len(s.segs) - 1; i >= s.first; i-- {
-		sg := s.segs[i]
-		if sg == nil {
-			continue
-		}
-		if skip != nil && sg.live > 0 && sg.zone.usable() && skip(sg.zone) {
-			ps.Segments++
-			ps.Tuples += sg.live
-			continue
-		}
-		for j := sg.rows() - 1; j >= 0; j-- {
-			if !sg.liveAt(j) {
-				continue
-			}
-			sg.readRow(j, &scratch)
-			ok := fn(&scratch)
-			sg.writeBack(j, &scratch)
-			if !ok {
-				s.notePruned(ps)
-				return ps
-			}
-		}
-	}
-	s.notePruned(ps)
 	return ps
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,67 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Errorf("early stop scanned %d, want 3", count)
+	}
+}
+
+// TestScanAxisDirections: both directions visit exactly the live rows
+// Scan visits; forward batches ascend, reverse batches descend (rows
+// inside a batch ascending either way), dead batches are elided, and a
+// skipped segment is skipped whole in either direction.
+func TestScanAxisDirections(t *testing.T) {
+	s := New(intSchema(t), WithSegmentSize(2500)) // 1024 + 1024 + 452 rows per segment
+	fill(t, s, 6000)
+	for id := tuple.ID(0); id < 6000; id++ {
+		if id%3 == 1 || (id >= 1024 && id < 2048) { // holes, and one whole batch
+			if err := s.Evict(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want []tuple.ID
+	s.Scan(func(tp *tuple.Tuple) bool {
+		want = append(want, tp.ID)
+		return true
+	})
+	for _, reverse := range []bool{false, true} {
+		var firsts, got []tuple.ID
+		s.ScanAxis(reverse, nil, func(b *tuple.Batch) bool {
+			firsts = append(firsts, b.IDs[0])
+			tuple.EachSet(b.Live, func(j int) bool {
+				got = append(got, b.IDs[j])
+				return true
+			})
+			return true
+		})
+		if len(firsts) != 6 { // 7 batches, one of them dead
+			t.Errorf("reverse=%v: %d batches, want 6", reverse, len(firsts))
+		}
+		for i := 1; i < len(firsts); i++ {
+			if (firsts[i] > firsts[i-1]) == reverse {
+				t.Errorf("reverse=%v: batch order %v", reverse, firsts)
+			}
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if len(got) != len(want) {
+			t.Fatalf("reverse=%v: %d rows, Scan saw %d", reverse, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("reverse=%v: row %d is ID %d, Scan saw %d", reverse, i, got[i], want[i])
+			}
+		}
+		// Skip the middle segment.
+		rows := 0
+		ps := s.ScanAxis(reverse, func(z *ZoneMap) bool {
+			lo, _, _ := z.IDBounds()
+			return lo.AsInt() == 2500
+		}, func(b *tuple.Batch) bool {
+			rows += b.Alive
+			return true
+		})
+		if ps.Segments != 1 || rows+ps.Tuples != len(want) {
+			t.Errorf("reverse=%v: pruned %+v, visited %d rows of %d", reverse, ps, rows, len(want))
+		}
 	}
 }
 

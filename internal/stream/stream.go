@@ -42,16 +42,18 @@ type Event struct {
 // mutating methods.
 type Action func(Event)
 
+// Rules own their row matchers (scratch state, one goroutine at a
+// time): Poll evaluates them under the monitor's mutex.
 type matchRule struct {
 	name string
-	pred *query.Predicate
+	pred *query.RowMatcher
 	act  Action
 }
 
 type seqRule struct {
 	name   string
-	first  *query.Predicate
-	then   *query.Predicate
+	first  *query.RowMatcher
+	then   *query.RowMatcher
 	within uint64
 	act    Action
 	// pending holds ticks of unconsumed 'first' events.
@@ -90,7 +92,7 @@ func (m *Monitor) OnMatch(name, where string, act Action) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rules = append(m.rules, &matchRule{name: name, pred: pred, act: act})
+	m.rules = append(m.rules, &matchRule{name: name, pred: pred.NewRowMatcher(), act: act})
 	return nil
 }
 
@@ -112,7 +114,7 @@ func (m *Monitor) OnSequence(name, firstWhere, thenWhere string, within uint64, 
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.seqs = append(m.seqs, &seqRule{name: name, first: first, then: then, within: within, act: act})
+	m.seqs = append(m.seqs, &seqRule{name: name, first: first.NewRowMatcher(), then: then.NewRowMatcher(), within: within, act: act})
 	return nil
 }
 
