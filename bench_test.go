@@ -297,24 +297,51 @@ func BenchmarkShardedSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedGroupBy measures the distributed aggregate path: each
-// shard folds its matches into a partial aggregator, merged in shard
-// order, so grouped analytics never materialise matching tuples.
+// BenchmarkShardedGroupBy measures the distributed aggregate path over
+// the 100k-row, 32-device extent: each shard buckets its matches by
+// dictionary code and folds them off the column slices into a partial
+// aggregator, merged in shard order, so grouped analytics never
+// materialise a matching tuple. where=all groups every row; where=half
+// puts a WHERE kernel in front (NOT (seq < x) lowers to no zone-map
+// check, so every segment is still scanned). by=seq+device is the
+// worst case for the group index: a unique INT column ahead of the
+// STRING one, so every row is a bucket of its own and nothing per
+// (bucket, dictionary entry) may be kept.
 func BenchmarkShardedGroupBy(b *testing.B) {
+	const n = 100_000
 	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			_, tbl := shardedTable(b, shards, nil, 100_000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g, err := tbl.SQL("SELECT device, COUNT(*) AS n, AVG(temp) AS avg FROM t GROUP BY device")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(g.Rows) != 1 {
-					b.Fatal("bad grid")
-				}
+		_, tbl := prunedScanTable(b, shards, n)
+		for _, tc := range []struct {
+			name, keys, where string
+			groups            int
+		}{
+			{"where=all", "device", "", 32},
+			{"where=half", "device", fmt.Sprintf(" WHERE NOT (seq < %d)", n/2), 32},
+			{"by=seq+device", "seq, device", "", n},
+		} {
+			pq, err := tbl.Prepare("SELECT " + tc.keys + ", COUNT(*) AS n, AVG(temp) AS avg FROM p" + tc.where + " GROUP BY " + tc.keys)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rows, err := pq.Execute()
+					if err != nil {
+						b.Fatal(err)
+					}
+					got := 0
+					for rows.Next() {
+						got++
+					}
+					if err := rows.Close(); err != nil {
+						b.Fatal(err)
+					}
+					if got != tc.groups {
+						b.Fatalf("%d groups, want %d", got, tc.groups)
+					}
+				}
+			})
+		}
 	}
 }
 

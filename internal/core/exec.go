@@ -20,10 +20,14 @@ import (
 //	digest    ask plans: answer from the container digest, no scan
 //	consume   all-shard atomic answer-and-discard cut, then finish
 //	aggregate per-shard partial aggregators merged in shard order
+//	top-k     ORDER BY + LIMIT: per-shard bounded heaps merged k-way
 //	stream    per-shard parallel scan k-way merged by ID, pull-based
 //	material  barrier peek (ORDER BY / distill / touch-on-read):
 //	          collect, then finish
 //
+// Stream, aggregate and top-k materialise late: WHERE, group keys,
+// aggregate arguments and sort keys read the scan batch's typed column
+// slices, and values are boxed only for rows that reach the answer.
 // New capabilities land here once instead of once per front door.
 
 // ErrNoContainer reports an ask against a container that does not
@@ -221,7 +225,7 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 		// sort into per-shard bounded top-k heaps and merge k-way, so
 		// peak result memory is O(shards × LIMIT) instead of the whole
 		// matching set behind a sort barrier.
-		return t.execOrderedTopK(plan, params)
+		return t.execOrderedTopK(plan)
 	default:
 		return t.execMaterial(plan, params, opt)
 	}
@@ -411,40 +415,27 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 }
 
 // execAggregate evaluates an aggregate/GROUP BY peek without
-// materialising matches: one partial aggregator per shard, fed during
-// the parallel scan, merged in ascending shard order (deterministic
-// for a fixed shard count).
+// materialising matches: one partial aggregator per shard folds the
+// selected rows off the column slices during the parallel scan (group
+// keys and aggregate arguments alike), merged in ascending shard order
+// (deterministic for a fixed shard count).
 func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
 	n := t.store.NumShards()
-	base := plan.NewAggregator(params)
 	aggs := make([]*query.Aggregator, n)
 	scanned := make([]int, n)
 	prune := pruneFn(plan)
 	err := fanOut(n, t.workers, func(i int) error {
-		agg := base.Fork()
+		agg := plan.NewAggregator(params)
 		t.shardMu[i].RLock()
 		defer t.shardMu[i].RUnlock()
-		// The WHERE program selects whole column batches and eligible
-		// aggregates fold the selection without materialising a single
-		// tuple. Statements FeedBatch cannot fold (GROUP BY, computed
-		// aggregate arguments) decode just the selected rows.
+		// The WHERE program selects whole column batches and the
+		// aggregator folds the selection off the same column slices.
 		bm := plan.NewBatchMatcher()
-		canBatch := agg.CanFeedBatch()
-		var scratch tuple.Tuple
 		var innerErr error
 		t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
 			scanned[i] += b.Alive
 			sel, _, kerr := bm.Match(b)
-			if canBatch {
-				innerErr = agg.FeedBatch(b, sel)
-			} else {
-				tuple.EachSet(sel, func(j int) bool {
-					b.ReadRow(j, &scratch)
-					innerErr = agg.Feed(&scratch)
-					return innerErr == nil
-				})
-			}
-			if innerErr == nil {
+			if innerErr = agg.FeedBatch(b, sel); innerErr == nil {
 				innerErr = kerr
 			}
 			return innerErr == nil
@@ -475,13 +466,14 @@ func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Ro
 }
 
 // execOrderedTopK answers an ordered, LIMIT-capped peek without a full
-// sort barrier: each shard folds its matches into a bounded heap of
-// k = LIMIT projected rows under that shard's read lock (with segment
-// pruning), and the per-shard survivors merge k-way in (ORDER BY
+// sort barrier: under its read lock (with segment pruning) each shard
+// offers its selected rows to a bounded heap of k = LIMIT rows that
+// compares sort keys on the column slices and materialises only the
+// rows it admits. The per-shard survivors merge k-way in (ORDER BY
 // keys, ID) order — the exact total order the materialised path's
 // stable sort produces. Peak result memory is O(shards × k) no matter
 // how many tuples match.
-func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
+func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
 	n := t.store.NumShards()
 	prune := pruneFn(plan)
 	axis, axisDesc, axisOK := plan.OrderAxis()
@@ -505,21 +497,11 @@ func (t *Table) execOrderedTopK(plan *query.Plan, params []tuple.Value) (*query.
 			}
 		}
 		bm := plan.NewBatchMatcher()
-		var scratch tuple.Tuple
 		var innerErr error
 		t.store.ScanShardAxis(i, axisOK && axisDesc, skip, func(b *tuple.Batch) bool {
 			scanned[i] += b.Alive
 			sel, _, kerr := bm.Match(b)
-			tuple.EachSet(sel, func(j int) bool {
-				b.ReadRow(j, &scratch)
-				var row []tuple.Value
-				if row, innerErr = plan.Project(&scratch, params); innerErr != nil {
-					return false
-				}
-				tk.Add(row, scratch.ID)
-				return true
-			})
-			if innerErr == nil {
+			if innerErr = tk.AddBatch(b, sel); innerErr == nil {
 				innerErr = kerr
 			}
 			return innerErr == nil

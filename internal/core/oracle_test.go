@@ -152,9 +152,9 @@ func oracleEval(t *testing.T, shards [][]tuple.Tuple, src string, optLimit int, 
 	if err != nil {
 		t.Fatalf("%q: %v", src, err)
 	}
-	agg, err := query.Aggregated(stmt, oracleSchema)
-	if err != nil {
-		t.Fatalf("%q: %v", src, err)
+	agg := len(stmt.GroupBy) > 0
+	for _, tg := range stmt.Targets {
+		agg = agg || tg.Agg != query.AggNone
 	}
 	ordered := len(stmt.OrderBy) > 0
 	streaming := !stmt.Consume && !agg && !ordered
@@ -439,6 +439,22 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 				run("SELECT SUM(name) AS s FROM t")
 				run("SELECT MIN(ok) AS m FROM t WHERE k < 0 OR name > 5")
 				run("SELECT COUNT(*) AS n FROM t WHERE k % 2 = 0", QueryOpts{Limit: 9})
+				// GROUP BY over every key kind — STRING by dictionary code,
+				// INT, BOOL, FLOAT (NaN is one group, -0 is not 0), a system
+				// column, two columns — with computed arguments, and the
+				// first failing (row, target) pair whatever the target order.
+				run("SELECT name, COUNT(*) AS n, AVG(v) AS a, MIN(k) AS lo, MAX(_id) AS hi FROM t GROUP BY name")
+				run("SELECT k, COUNT(*) AS n, MAX(v) AS m FROM t WHERE k % 7 = 0 GROUP BY k")
+				run("SELECT ok, COUNT(*) AS n, SUM(k) AS s, MIN(name) AS first, MAX(ok) AS any FROM t GROUP BY ok")
+				run("SELECT v, COUNT(*) AS n, MIN(k) AS lo FROM t GROUP BY v ORDER BY lo")
+				run("SELECT _t, COUNT(*) AS n, MAX(k) AS hi, MIN(_f) AS f FROM t GROUP BY _t")
+				run("SELECT name, ok, COUNT(*) AS n, SUM(_t) AS s FROM t WHERE k % 2 = 0 GROUP BY name, ok")
+				run("SELECT _t, name, COUNT(ok) AS n FROM t GROUP BY _t, name ORDER BY n DESC, name, _t LIMIT 6")
+				run("SELECT name, SUM(k * 2) AS s, COUNT(k + 1) AS n, MAX(0 - k) AS m FROM t GROUP BY name")
+				run(fmt.Sprintf("SELECT name, SUM(100 / (k - %d)) AS s FROM t GROUP BY name", hi-40))
+				run("SELECT ok, SUM(name) AS s FROM t GROUP BY ok")
+				run("SELECT MAX(v) AS m, SUM(name) AS s FROM t")
+				run("SELECT SUM(name) AS s, MAX(v) AS m FROM t GROUP BY ok")
 				// Ordered top-k, including both directions of both axes.
 				for _, order := range []string{"k DESC", "name DESC, k ASC", "_t ASC", "_t DESC, _id DESC", "_id ASC", "_id DESC"} {
 					run(fmt.Sprintf("SELECT k, name, _t, _id FROM t ORDER BY %s LIMIT 9", order))
@@ -447,8 +463,17 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 					run(fmt.Sprintf("SELECT k, name, _t, _id FROM t WHERE 100 / (k - 3) > 0 ORDER BY %s LIMIT 9", order))
 				}
 				run("SELECT k, _id FROM t ORDER BY _id DESC LIMIT 100000")
+				// Sort keys off the column slices: a STRING key, ties on
+				// every key broken by ID, a LIMIT beyond the match count, and
+				// a computed target that fails on a row the heap would drop.
+				run("SELECT name, k FROM t ORDER BY name LIMIT 9")
+				run("SELECT name, ok, _id FROM t WHERE k % 2 = 0 ORDER BY name DESC, ok ASC LIMIT 12")
+				run("SELECT k, name FROM t WHERE k % 50 = 0 ORDER BY name DESC LIMIT 500")
+				run(fmt.Sprintf("SELECT k, 100 / (k - %d) AS q FROM t ORDER BY k DESC LIMIT 5", hi-40))
+				run(fmt.Sprintf("SELECT k + 0 AS kk, name FROM t WHERE k >= %d ORDER BY name, kk DESC LIMIT 8", hi/2))
 				if !nan {
 					run("SELECT k, v, name FROM t WHERE v >= 10.0 ORDER BY v DESC, name ASC LIMIT 7")
+					run("SELECT ok, v, _f FROM t ORDER BY ok DESC, v ASC, _f LIMIT 7")
 				}
 				// Material: a sort barrier without LIMIT, with the
 				// programmatic cap, and a distilling peek.
@@ -488,12 +513,22 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 			// Unevaluable values in a few rows: comparisons against v now
 			// fail exactly where a scan reaches one of them.
 			insert(60, func(seq int) float64 {
-				if seq%17 == 0 {
+				switch {
+				case seq%17 == 0:
 					return math.NaN()
+				case seq%5 == 0:
+					return math.Copysign(0, float64(seq%2)-0.5) // -0 and 0
 				}
 				return finite(seq)
 			})
 			check("with NaN", true)
+
+			// One aggregate error text pinned literally: the oracle above
+			// only proves the routes agree with each other.
+			_, _, err = oracleRun(t, tbl, "SELECT ok, SUM(name) AS s FROM t GROUP BY ok", QueryOpts{})
+			if err == nil || err.Error() != "query: SUM over non-numeric STRING" {
+				t.Errorf("SUM over a STRING column: err = %v", err)
+			}
 
 			st := tbl.StoreStats()
 			if st.RowsVectorized == 0 || st.BatchesScanned == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -11,7 +12,11 @@ import (
 
 // blockTable holds n rows (k = insertion order, v = k/2, name cycling
 // over 7 strings, hot every third row) spread over the given shards.
-func blockTable(t testing.TB, shards, n int) *Table {
+func blockTable(t testing.TB, shards, n int) *Table { return blockTableNames(t, shards, n, 7) }
+
+// blockTableNames is blockTable with a name column of the given
+// cardinality.
+func blockTableNames(t testing.TB, shards, n, names int) *Table {
 	t.Helper()
 	db, err := Open(DBConfig{Seed: 1})
 	if err != nil {
@@ -24,7 +29,7 @@ func blockTable(t testing.TB, shards, n int) *Table {
 	}
 	rows := make([][]tuple.Value, 0, 1000)
 	for k := 0; k < n; k++ {
-		rows = append(rows, Row(k, float64(k)/2, fmt.Sprintf("name-%d", k%7), k%3 == 0))
+		rows = append(rows, Row(k, float64(k)/2, fmt.Sprintf("name-%d", k%names), k%3 == 0))
 		if len(rows) == cap(rows) || k == n-1 {
 			if _, err := tbl.InsertBatch(rows); err != nil {
 				t.Fatal(err)
@@ -190,6 +195,94 @@ func TestStreamAllocsPerBlock(t *testing.T) {
 			t.Errorf("%s: %.0f allocations for %d rows in %d blocks, want <= %.0f", name, allocs, n, blocks, limit)
 		} else {
 			t.Logf("%s: %.0f allocations for %d rows in %d blocks", name, allocs, n, blocks)
+		}
+	}
+}
+
+// TestAnalyticAllocsLateMaterialised is the allocation guard of the two
+// analytic routes: an ORDER BY ... LIMIT k peek and a GROUP BY peek over
+// n matching rows allocate per scan batch, per group and per retained
+// row — never per matching row — whether targets are bare columns or a
+// scalar aggregate rides along.
+func TestAnalyticAllocsLateMaterialised(t *testing.T) {
+	const n, shards, k, groups = 20_000, 4, 50, 7
+	tbl := blockTable(t, shards, n)
+	// Per shard: the heap keeps k rows (one value slice each); the
+	// aggregator makes a bucket per group (key values, cells, index node
+	// and edge) and, for a STRING group key, one code table per segment.
+	// The rest (fan-out, matchers, scratch, the Rows) is fixed.
+	segments := n/4096 + shards
+	const perGroup, fixed = 12, 150
+	for name, tc := range map[string]struct {
+		src   string
+		rows  int
+		limit int
+	}{
+		"topk":   {"SELECT name, v FROM t WHERE k >= 0 ORDER BY v DESC LIMIT 50", k, shards*k + fixed},
+		"group":  {"SELECT name, COUNT(*) AS n, AVG(v) AS a, MAX(k) AS hi FROM t WHERE k >= 0 GROUP BY name", groups, shards*groups*perGroup + segments + fixed},
+		"scalar": {"SELECT COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo FROM t WHERE k >= 0", 1, fixed},
+	} {
+		pq, err := tbl.Prepare(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			rows, err := pq.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for got = 0; rows.Next(); got++ {
+			}
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", name, got, tc.rows)
+		}
+		if allocs > float64(tc.limit) {
+			t.Errorf("%s: %.0f allocations over %d matching rows, want <= %d", name, allocs, n, tc.limit)
+		} else {
+			t.Logf("%s: %.0f allocations over %d matching rows (limit %d)", name, allocs, n, tc.limit)
+		}
+	}
+}
+
+// TestGroupByHighCardinalityMemory bounds what a GROUP BY over a
+// near-unique INT column followed by a near-unique STRING column
+// allocates: per group, never per (group, dictionary entry) — a code
+// table of a segment's whole dictionary for every node of the group
+// index would cost about a thousand times this bound.
+func TestGroupByHighCardinalityMemory(t *testing.T) {
+	const n, perGroupAllocs, perGroupBytes = 20_000, 12, 4 << 10
+	tbl := blockTableNames(t, 1, n, n)
+	for _, keys := range []string{"k, name", "name, k"} {
+		pq, err := tbl.Prepare("SELECT " + keys + ", COUNT(*) AS n, MAX(v) AS hi FROM t GROUP BY " + keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rows, err := pq.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for ; rows.Next(); got++ {
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got != n {
+			t.Fatalf("GROUP BY %s: %d groups, want %d", keys, got, n)
+		}
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if allocs > n*perGroupAllocs || bytes > n*perGroupBytes {
+			t.Errorf("GROUP BY %s: %d allocations, %d bytes for %d groups, want <= %d and <= %d", keys, allocs, bytes, n, n*perGroupAllocs, n*perGroupBytes)
+		} else {
+			t.Logf("GROUP BY %s: %d allocations, %d bytes for %d groups", keys, allocs, bytes, n)
 		}
 	}
 }

@@ -182,30 +182,32 @@ func (w *BlockWriter) AddBatch(src *tuple.Batch, rows []int) int {
 		}
 	}
 	for c, slot := range w.plan.proj {
-		dst := b.Vals[at*b.Width+c:]
-		switch slot {
-		case projTick:
-			for k, j := range rows {
-				dst[k*b.Width] = tuple.Int(src.Ts[j])
-			}
-		case projFresh:
-			for k, j := range rows {
-				dst[k*b.Width] = tuple.Float(src.Fs[j])
-			}
-		case projID:
-			for k, j := range rows {
-				dst[k*b.Width] = tuple.Int(int64(src.IDs[j]))
-			}
-		default:
-			gatherCol(dst, b.Width, &src.Cols[slot], rows)
-		}
+		gatherCol(b.Vals[at*b.Width+c:], b.Width, src, slot, rows)
 	}
 	return len(rows)
 }
 
-// gatherCol boxes the given rows of one column into every stride-th
-// slot of dst.
-func gatherCol(dst []tuple.Value, stride int, col *tuple.ColView, rows []int) {
+// gatherCol boxes the given rows of one lowered column slot (a user
+// attribute or a system column) into every stride-th slot of dst.
+func gatherCol(dst []tuple.Value, stride int, src *tuple.Batch, slot int, rows []int) {
+	switch slot {
+	case projTick:
+		for k, j := range rows {
+			dst[k*stride] = tuple.Int(src.Ts[j])
+		}
+		return
+	case projFresh:
+		for k, j := range rows {
+			dst[k*stride] = tuple.Float(src.Fs[j])
+		}
+		return
+	case projID:
+		for k, j := range rows {
+			dst[k*stride] = tuple.Int(int64(src.IDs[j]))
+		}
+		return
+	}
+	col := &src.Cols[slot]
 	switch col.Kind {
 	case tuple.KindInt:
 		for k, j := range rows {

@@ -335,21 +335,6 @@ func (p *Plan) Bind(params []tuple.Value) (*Plan, error) {
 	return &q, nil
 }
 
-// Project evaluates the plain projection for one matching tuple. It
-// must only be called on non-aggregated SELECT plans.
-func (p *Plan) Project(tp *tuple.Tuple, params []tuple.Value) ([]tuple.Value, error) {
-	env := TupleEnv{Schema: p.schema, Tuple: tp, Params: params}
-	row := make([]tuple.Value, len(p.targets))
-	for j, t := range p.targets {
-		v, err := t.Expr.Eval(env)
-		if err != nil {
-			return nil, err
-		}
-		row[j] = v
-	}
-	return row, nil
-}
-
 // Finish runs the statement's target/group/order/limit stages over a
 // materialised matching set — the barrier path for plans that cannot
 // stream (ORDER BY, aggregates executed locally, consume).
@@ -358,29 +343,17 @@ func (p *Plan) Finish(tuples []tuple.Tuple, params []tuple.Value) (*Grid, error)
 		return nil, fmt.Errorf("query: raw plans have no projection stage")
 	}
 	if p.agg {
-		agg := p.NewAggregator(params)
-		for i := range tuples {
-			if err := agg.Feed(&tuples[i]); err != nil {
-				return nil, err
-			}
-		}
-		return agg.Grid()
+		return executeGrouped(p.stmt, p.targets, p.schema, tuples, params)
 	}
 	return executePlain(p.stmt, p.targets, p.schema, tuples, params)
 }
 
 // NewAggregator returns an empty accumulator for the plan's aggregate
 // stage with the given parameters bound. The plan already validated
-// the statement, so construction cannot fail; Fork per shard and Merge
-// in shard order, exactly like NewAggregator's accumulators.
+// the statement, so construction cannot fail; make one per shard and
+// Merge in shard order.
 func (p *Plan) NewAggregator(params []tuple.Value) *Aggregator {
-	return &Aggregator{
-		stmt:    p.stmt,
-		targets: p.targets,
-		schema:  p.schema,
-		groups:  map[string]*aggGroup{},
-		params:  params,
-	}
+	return newAggregator(p.stmt, p.targets, p.schema, params)
 }
 
 // DigestView is the read surface of a knowledge-container digest that

@@ -323,14 +323,9 @@ func executePlain(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schema
 		g.Cols = append(g.Cols, t.Alias)
 	}
 	for i := range tuples {
-		env := TupleEnv{Schema: schema, Tuple: &tuples[i], Params: params}
 		row := make([]tuple.Value, len(targets))
-		for j, t := range targets {
-			v, err := t.Expr.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
+		if err := projectRow(targets, TupleEnv{Schema: schema, Tuple: &tuples[i], Params: params}, row); err != nil {
+			return nil, err
 		}
 		g.Rows = append(g.Rows, row)
 	}
@@ -338,6 +333,18 @@ func executePlain(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schema
 		return nil, err
 	}
 	return g, nil
+}
+
+// projectRow evaluates a plain projection for the tuple behind env.
+func projectRow(targets []SelectTarget, env Env, row []tuple.Value) error {
+	for j, t := range targets {
+		v, err := t.Expr.Eval(env)
+		if err != nil {
+			return err
+		}
+		row[j] = v
+	}
+	return nil
 }
 
 // aggState accumulates one aggregate cell.
@@ -413,7 +420,7 @@ func executeGrouped(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Sche
 	if err := checkGrouping(stmt, targets, schema); err != nil {
 		return nil, err
 	}
-	agg := &Aggregator{stmt: stmt, targets: targets, schema: schema, groups: map[string]*aggGroup{}, params: params}
+	agg := newAggregator(stmt, targets, schema, params)
 	for i := range tuples {
 		if err := agg.Feed(&tuples[i]); err != nil {
 			return nil, err
@@ -445,14 +452,7 @@ func orderAndLimit(g *Grid, stmt *SelectStmt) error {
 		// the total order (keys, ID) — identical to the heaps'.
 		var sortErr error
 		sort.SliceStable(g.Rows, func(a, b int) bool {
-			cmp, err := compareOrderKeys(g.Rows[a], g.Rows[b], keys)
-			if err != nil {
-				if sortErr == nil {
-					sortErr = err
-				}
-				return false
-			}
-			return cmp < 0
+			return rowLess(g.Rows[a], g.Rows[b], keys, false, &sortErr)
 		})
 		if sortErr != nil {
 			return sortErr

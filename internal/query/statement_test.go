@@ -107,16 +107,16 @@ func TestBareWhereRejectsPlaceholders(t *testing.T) {
 }
 
 func TestUnboundPlaceholderEvalErrors(t *testing.T) {
-	stmt, _ := ParseStatement("SELECT dwell + ? AS d FROM clicks")
+	stmt, _ := ParseStatement("SELECT dwell + ? AS d FROM clicks ORDER BY d LIMIT 3")
 	plan, err := stmt.Plan(clickSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := clickTuples()
-	// Project with an empty param slice: the placeholder must fail, not
+	// Projecting on an unbound plan: the placeholder must fail, not
 	// silently evaluate.
-	if _, err := plan.Project(&tuples[0], nil); err == nil {
-		t.Fatal("unbound placeholder evaluated")
+	b := batchOf(clickSchema, clickTuples(), 1)
+	if err := plan.NewTopK().AddBatch(b, b.Live); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Fatalf("unbound placeholder evaluated (err %v)", err)
 	}
 }
 

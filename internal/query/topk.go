@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"fungusdb/internal/sketch"
@@ -10,9 +11,11 @@ import (
 
 // This file implements the ORDER BY top-k push-down: instead of
 // materialising every matching tuple behind a sort barrier, each shard
-// folds its matches into a bounded heap of k = LIMIT projected rows,
-// and the engine merges the per-shard survivors — peak result memory
-// O(shards × k) regardless of how many tuples match.
+// folds its matches into a bounded heap of k = LIMIT rows, and the
+// engine merges the per-shard survivors — peak result memory
+// O(shards × k) regardless of how many tuples match. Materialisation is
+// late: sort keys compare on the typed column slices of the scan batch,
+// and only a row that enters the heap has its output columns boxed.
 //
 // Ordering is (ORDER BY keys, tuple ID ascending), which is exactly
 // the total order the materialised path produces: its rows arrive in
@@ -47,39 +50,56 @@ func resolveOrderKeys(orderBy []OrderKey, cols []string) ([]orderIdx, error) {
 	return out, nil
 }
 
-// compareOrderKeys orders two rows by the resolved keys (DESC keys
-// reversed), returning 0 on a full tie; both the sort barrier and the
-// top-k heaps order through it, which is what makes their outputs
-// byte-identical. err reports the first incomparable key pair.
-func compareOrderKeys(a, b []tuple.Value, keys []orderIdx) (int, error) {
-	for _, k := range keys {
-		cmp, ok := a[k.idx].Compare(b[k.idx])
-		if !ok {
-			return 0, fmt.Errorf("query: ORDER BY %q over incomparable kinds", k.col)
+// decide is the one per-key step of the row order, shared by every
+// walker so the sort barrier and the top-k heaps cannot drift: given the
+// comparison of two rows on key k it reports whether that settles the
+// order and, if so, whether the first row sorts first (DESC reversed).
+// An incomparable pair settles it arbitrarily (but consistently within a
+// sort) and records the first such error in errp; the caller surfaces
+// the error before trusting any result.
+func (k orderIdx) decide(cmp int, ok bool, errp *error) (less, done bool) {
+	if !ok {
+		if *errp == nil {
+			*errp = fmt.Errorf("query: ORDER BY %q over incomparable kinds", k.col)
 		}
-		if cmp == 0 {
-			continue
-		}
-		if k.desc {
-			return -cmp, nil
-		}
-		return cmp, nil
+		return false, true
 	}
-	return 0, nil
+	return (cmp < 0) != k.desc, cmp != 0
 }
 
-// topkRow is one candidate row plus the ID tie-break.
+// rowLess orders two projected rows by the resolved keys, a full tie
+// going to tie: false under the sort barrier (a stable sort over rows in
+// ID order), the ascending tuple ID in the heaps.
+func rowLess(a, b []tuple.Value, keys []orderIdx, tie bool, errp *error) bool {
+	for _, k := range keys {
+		cmp, ok := a[k.idx].Compare(b[k.idx])
+		if less, done := k.decide(cmp, ok, errp); done {
+			return less
+		}
+	}
+	return tie
+}
+
+// topkRow is one retained row plus the ID tie-break. vals is storage the
+// collector owns: the row that evicts this one is written over it.
 type topkRow struct {
 	vals []tuple.Value
 	id   tuple.ID
 }
 
-// TopK accumulates the best k projected rows of one shard. Not safe
-// for concurrent use; run one per shard and merge with MergeTopK.
+// TopK accumulates the best k rows of one shard straight off the
+// column batches. Not safe for concurrent use; run one per shard and
+// merge with MergeTopK.
 type TopK struct {
 	plan *Plan
 	h    *sketch.BoundedHeap[topkRow]
 	err  error
+	keys []colAcc // the ORDER BY columns of a column-only plan
+	one  [1]int   // the admitted row, as gatherCol's row list
+	// Computed plans decode every selected row into env's tuple and
+	// evaluate it into row before the heap decides; nil otherwise.
+	env *TupleEnv
+	row []tuple.Value
 }
 
 // NewTopK returns an empty per-shard collector. The plan must be
@@ -90,30 +110,102 @@ func (p *Plan) NewTopK() *TopK {
 	t.h = sketch.NewBoundedHeap(p.limit, func(a, b topkRow) bool {
 		return p.orderLess(a, b, &t.err)
 	})
+	if p.computed {
+		t.env = &TupleEnv{Schema: p.schema, Tuple: new(tuple.Tuple)}
+		t.row = make([]tuple.Value, len(p.targets))
+		return t
+	}
+	for _, k := range p.order {
+		acc, _ := resolveCol(p.targets[k.idx].Expr.(Col).Name, p.schema)
+		t.keys = append(t.keys, acc)
+	}
 	return t
 }
 
 // orderLess orders candidate rows by the resolved ORDER BY keys, ties
-// broken by ascending tuple ID. Incomparable keys record the first
-// error and impose an arbitrary (but consistent within the sort)
-// order; the caller surfaces the error before trusting any result.
+// broken by ascending tuple ID.
 func (p *Plan) orderLess(a, b topkRow, errp *error) bool {
-	cmp, err := compareOrderKeys(a.vals, b.vals, p.order)
-	if err != nil {
-		if *errp == nil {
-			*errp = err
-		}
-		return false
-	}
-	if cmp != 0 {
-		return cmp < 0
-	}
-	return a.id < b.id
+	return rowLess(a.vals, b.vals, p.order, a.id < b.id, errp)
 }
 
-// Add offers one projected row.
-func (t *TopK) Add(vals []tuple.Value, id tuple.ID) {
-	t.h.Push(topkRow{vals: vals, id: id})
+// AddBatch offers every selected row of a column batch, in ascending
+// row order. Once the heap is full a losing row costs one typed
+// comparison; a winner copies its output columns over the row it
+// evicts, so the collector allocates per retained row, never per match,
+// and keeps nothing that aliases batch memory (dictionary strings
+// outlive the batch). The error is a computed target failing on the
+// first selected row it fails on.
+func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
+	p := t.plan
+	for w, m := range sel {
+		for ; m != 0; m &= m - 1 {
+			j := w<<6 + bits.TrailingZeros64(m)
+			var row topkRow
+			full := t.h.Len() == t.h.Cap()
+			if full {
+				row = t.h.Items()[0]
+			}
+			if t.env != nil {
+				b.ReadRow(j, t.env.Tuple)
+				if err := projectRow(p.targets, t.env, t.row); err != nil {
+					return err
+				}
+				if full && !p.orderLess(topkRow{vals: t.row, id: b.IDs[j]}, row, &t.err) {
+					continue
+				}
+			} else if full && !t.beats(b, j, row) {
+				continue
+			}
+			if !full {
+				row.vals = make([]tuple.Value, len(p.proj))
+			}
+			row.id = b.IDs[j]
+			if t.env != nil {
+				copy(row.vals, t.row)
+			} else {
+				t.one[0] = j
+				for c, slot := range p.proj {
+					gatherCol(row.vals[c:], 1, b, slot, t.one[:])
+				}
+			}
+			if full {
+				t.h.ReplaceTop(row)
+			} else {
+				t.h.Push(row)
+			}
+		}
+	}
+	return nil
+}
+
+// beats reports whether row j of b sorts strictly before worst, read
+// off the column slices with orderLess's semantics.
+func (t *TopK) beats(b *tuple.Batch, j int, worst topkRow) bool {
+	for i, k := range t.plan.order {
+		cmp, ok := compareCol(t.keys[i], b, j, worst.vals[k.idx])
+		if less, done := k.decide(cmp, ok, &t.err); done {
+			return less
+		}
+	}
+	return b.IDs[j] < worst.id
+}
+
+// compareCol is Value.Compare between row j of a column and v, a value
+// gathered earlier from the same column: numbers compare by their
+// float64 image and NaN is incomparable.
+func compareCol(c colAcc, b *tuple.Batch, j int, v tuple.Value) (int, bool) {
+	if x, ok := batchNum(c, b, j); ok {
+		y, _ := v.Numeric()
+		if x != x || y != y {
+			return 0, false
+		}
+		return cmpFloat(x, y), true
+	}
+	cv := &b.Cols[c.idx]
+	if c.kind == tuple.KindString {
+		return cmpString(cv.Dict[cv.Codes[j]], v.AsString()), true
+	}
+	return cmpBool(cv.Bools[j], v.AsBool()), true
 }
 
 // Len returns the rows currently retained (≤ k).

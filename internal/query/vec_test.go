@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fungusdb/internal/clock"
@@ -162,54 +163,243 @@ func vecBatch() (*tuple.Batch, []tuple.Tuple) {
 		}
 	}
 	b.Alive = tuple.PopCount(b.Live)
-	rows := make([]tuple.Tuple, n)
+	return b, batchRows(b)
+}
+
+// batchRows decodes every row of b, dead ones included.
+func batchRows(b *tuple.Batch) []tuple.Tuple {
+	rows := make([]tuple.Tuple, b.N)
 	for j := range rows {
 		rows[j] = b.Row(j)
 	}
-	return b, rows
+	return rows
+}
+
+// vecBatchNext is the batch a scan hands over after vecBatch when it
+// crosses into the next segment: later IDs, another liveness pattern,
+// and the same strings under a dictionary in a different order — so a
+// per-segment cache that survives the tag change puts rows in the wrong
+// place.
+func vecBatchNext() (*tuple.Batch, []tuple.Tuple) {
+	b, _ := vecBatch()
+	b.Seg = 2
+	dict := b.Cols[2].Dict
+	rev := make([]string, len(dict))
+	for d, s := range dict {
+		rev[len(dict)-1-d] = s
+	}
+	b.Cols[2].Dict = rev
+	b.Live[0], b.Live[1] = 0, 0
+	for j := 0; j < b.N; j++ {
+		b.IDs[j] += 1000
+		b.Cols[0].Ints[j] += 3
+		b.Cols[2].Codes[j] = uint32(len(dict)-1) - b.Cols[2].Codes[j]
+		if j%7 != 3 {
+			b.Live[j>>6] |= 1 << uint(j&63)
+		}
+	}
+	b.Alive = tuple.PopCount(b.Live)
+	return b, batchRows(b)
+}
+
+// batchOf presents tuples of schema as one all-live column batch of the
+// segment tagged seg, dictionary-encoding STRING columns the way a
+// storage segment does.
+func batchOf(schema *tuple.Schema, rows []tuple.Tuple, seg uint64) *tuple.Batch {
+	n := len(rows)
+	b := &tuple.Batch{
+		N: n, Alive: n, Seg: seg,
+		IDs: make([]tuple.ID, n), Ts: make([]int64, n), Fs: make([]float64, n), Inf: make([]bool, n),
+		Live: make([]uint64, (n+63)/64),
+		Cols: make([]tuple.ColView, schema.Len()),
+	}
+	codes := map[string]uint32{}
+	for c := range b.Cols {
+		b.Cols[c].Kind = schema.Column(c).Kind
+	}
+	for j := range rows {
+		tp := &rows[j]
+		b.IDs[j], b.Ts[j], b.Fs[j], b.Inf[j] = tp.ID, int64(tp.T), float64(tp.F), tp.Infected
+		b.Live[j>>6] |= 1 << uint(j&63)
+		for c := range b.Cols {
+			cv, v := &b.Cols[c], tp.Attrs[c]
+			switch cv.Kind {
+			case tuple.KindInt:
+				cv.Ints = append(cv.Ints, v.AsInt())
+			case tuple.KindFloat:
+				cv.Floats = append(cv.Floats, v.AsFloat())
+			case tuple.KindBool:
+				cv.Bools = append(cv.Bools, v.AsBool())
+			case tuple.KindString:
+				key := string(rune(c)) + v.AsString()
+				code, ok := codes[key]
+				if !ok {
+					code = uint32(len(cv.Dict))
+					codes[key] = code
+					cv.Dict = append(cv.Dict, v.AsString())
+				}
+				cv.Codes = append(cv.Codes, code)
+			}
+		}
+	}
+	return b
 }
 
 // checkBatchProgram asserts the batch program of e selects the same
 // rows, stops at the same first erroring row and reports the same error
-// text as the interpreter run row by row — both over a whole batch and
-// through the one-row adapter.
+// text as the interpreter run row by row — over two batches of
+// different segments through one matcher, and through the one-row
+// adapter. The selections then drive the late-materialising consumers
+// (checkAnalytic).
 func checkBatchProgram(t *testing.T, e Expr) {
 	t.Helper()
-	b, rows := vecBatch()
-	want := make([]uint64, len(b.Live))
-	wantRow, wantErr := b.N, error(nil)
-	for j := 0; j < b.N && wantErr == nil; j++ {
-		if b.Live[j>>6]&(1<<uint(j&63)) == 0 {
-			continue
-		}
-		ok, err := interpMatch(e, &rows[j])
-		if err != nil {
-			wantRow, wantErr = j, err
-		} else if ok {
-			want[j>>6] |= 1 << uint(j&63)
-		}
-	}
-
 	prog := compileVecMatch(e, matchSchema)
-	got, gotRow, gotErr := newBatchMatcher(prog).Match(b)
-	if gotRow != wantRow {
-		t.Errorf("%s: first erroring row %d, interpreter %d", e, gotRow, wantRow)
-	}
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Errorf("%s: error\n  program:     %v\n  interpreter: %v", e, gotErr, wantErr)
-	}
-	for w := range want {
-		if got[w] != want[w] {
-			t.Errorf("%s: selection word %d = %064b, interpreter %064b", e, w, got[w], want[w])
+	m := newBatchMatcher(prog)
+	var batches []*tuple.Batch
+	var decoded [][]tuple.Tuple
+	var sels [][]uint64
+	for _, next := range []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext} {
+		b, rows := next()
+		want := make([]uint64, len(b.Live))
+		wantRow, wantErr := b.N, error(nil)
+		for j := 0; j < b.N && wantErr == nil; j++ {
+			if b.Live[j>>6]&(1<<uint(j&63)) == 0 {
+				continue
+			}
+			ok, err := interpMatch(e, &rows[j])
+			if err != nil {
+				wantRow, wantErr = j, err
+			} else if ok {
+				want[j>>6] |= 1 << uint(j&63)
+			}
 		}
+
+		got, gotRow, gotErr := m.Match(b)
+		if gotRow != wantRow {
+			t.Errorf("%s: segment %d: first erroring row %d, interpreter %d", e, b.Seg, gotRow, wantRow)
+		}
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("%s: segment %d: error\n  program:     %v\n  interpreter: %v", e, b.Seg, gotErr, wantErr)
+		}
+		for w := range want {
+			if got[w] != want[w] {
+				t.Errorf("%s: segment %d: selection word %d = %064b, interpreter %064b", e, b.Seg, w, got[w], want[w])
+			}
+		}
+		batches, decoded, sels = append(batches, b), append(decoded, rows), append(sels, want)
 	}
+	checkAnalytic(t, batches, decoded, sels)
 
 	rm := newRowMatcher(prog)
+	rows := decoded[0]
 	for j := range rows {
 		wantOK, wantErr := interpMatch(e, &rows[j])
 		gotOK, gotErr := rm.Match(&rows[j])
 		if gotOK != wantOK || (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Errorf("%s: row matcher on row %d = (%v, %v), interpreter (%v, %v)", e, j, gotOK, gotErr, wantOK, wantErr)
+		}
+	}
+}
+
+// analyticShapes are the statements checkAnalytic folds a selection
+// through: grouped by a STRING (dictionary codes), by a FLOAT with NaN
+// and -0 beside a BOOL, ungrouped with a computed argument, extremes
+// that meet a NaN, two targets failing on different rows and on the
+// same row; top-k over a
+// STRING key with ID ties, over a FLOAT key with NaN, and over a
+// computed target.
+var analyticShapes = []string{
+	"SELECT name, COUNT(*) AS n, SUM(v) AS s, AVG(k) AS a, MIN(k) AS lo, MAX(_id) AS hi FROM t GROUP BY name",
+	"SELECT v, ok, COUNT(*) AS n, MIN(name) AS first, MAX(_t) AS t FROM t GROUP BY v, ok ORDER BY n DESC, first, ok",
+	"SELECT _t, COUNT(v) AS n, MAX(ok) AS any FROM t GROUP BY _t",
+	"SELECT COUNT(*) AS n, SUM(k * 2) AS s, MIN(name + \"!\") AS m, MIN(_f) AS f FROM t",
+	"SELECT name, MIN(v) AS lo FROM t GROUP BY name",
+	"SELECT MAX(v) AS hi, SUM(name) AS s FROM t",
+	"SELECT SUM(name) AS s, SUM(ok) AS o FROM t GROUP BY k",
+	"SELECT SUM(100 / k) AS q, MAX(v) AS hi FROM t GROUP BY ok",
+	"SELECT k, name, _id FROM t ORDER BY name DESC LIMIT 5",
+	"SELECT name, ok, _t FROM t ORDER BY ok, _t DESC, name LIMIT 40",
+	"SELECT v, k FROM t ORDER BY v DESC, k LIMIT 4",
+	"SELECT k * 2 AS kk, name FROM t ORDER BY name, kk DESC LIMIT 6",
+	"SELECT 100 / k AS q FROM t ORDER BY q LIMIT 3",
+}
+
+var analyticPlans []*Plan
+
+// checkAnalytic feeds the selections of a two-segment scan to the
+// batch consumers — Aggregator.FeedBatch and TopK.AddBatch — and to
+// their row-at-a-time references (Aggregator.Feed, and a projection,
+// stable sort and LIMIT over the decoded rows): same grid, same order,
+// or the same error text.
+func checkAnalytic(t *testing.T, batches []*tuple.Batch, decoded [][]tuple.Tuple, sels [][]uint64) {
+	t.Helper()
+	if analyticPlans == nil {
+		for _, src := range analyticShapes {
+			stmt, err := ParseStatement(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := stmt.Plan(matchSchema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analyticPlans = append(analyticPlans, plan)
+		}
+	}
+	var selected []tuple.Tuple
+	for i, sel := range sels {
+		tuple.EachSet(sel, func(j int) bool {
+			selected = append(selected, decoded[i][j])
+			return true
+		})
+	}
+	for _, plan := range analyticPlans {
+		want, wantErr := plan.Finish(selected, nil)
+		var got *Grid
+		var gotErr error
+		if plan.Aggregated() {
+			agg := plan.NewAggregator(nil)
+			for i := range batches {
+				if gotErr = agg.FeedBatch(batches[i], sels[i]); gotErr != nil {
+					break
+				}
+			}
+			if gotErr == nil {
+				got, gotErr = agg.Grid()
+			}
+		} else {
+			tk := plan.NewTopK()
+			for i := range batches {
+				if gotErr = tk.AddBatch(batches[i], sels[i]); gotErr != nil {
+					break
+				}
+			}
+			if gotErr == nil {
+				gotErr = tk.Err()
+			}
+			if gotErr == nil {
+				got = &Grid{}
+				got.Rows, gotErr = plan.MergeTopK([]*TopK{tk})
+			}
+		}
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Errorf("%s over %d selected rows: error\n  batch:     %v\n  reference: %v", plan.Source(), len(selected), gotErr, wantErr)
+			continue
+		}
+		if gotErr != nil {
+			continue
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Errorf("%s over %d selected rows: %d rows, reference %d", plan.Source(), len(selected), len(got.Rows), len(want.Rows))
+			continue
+		}
+		for r := range want.Rows {
+			for c := range want.Rows[r] {
+				if g, w := got.Rows[r][c].String(), want.Rows[r][c].String(); g != w {
+					t.Errorf("%s over %d selected rows: row %d = %v, reference %v", plan.Source(), len(selected), r, got.Rows[r], want.Rows[r])
+					break
+				}
+			}
 		}
 	}
 }
@@ -288,5 +478,65 @@ func BenchmarkRowMatcher(b *testing.B) {
 				_, _ = interpMatch(pred.Expr(), &tuples[i%len(tuples)])
 			}
 		})
+	}
+}
+
+// TestGroupIdentity pins which rows share a bucket in absolute terms
+// (the oracles only prove the batch fold and the row fold agree): values
+// group by how they render — every NaN is one group whatever its
+// payload, -0 is not 0 — on both folds, within a shard and across Merge,
+// in first-seen order.
+func TestGroupIdentity(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	vs := []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5, nan2, 0, 1.5, nan2, math.Copysign(0, -1), math.NaN()}
+	rows := make([]tuple.Tuple, len(vs))
+	for i, v := range vs {
+		rows[i] = tuple.New(tuple.ID(i), 1, []tuple.Value{tuple.Int(int64(i % 2)), tuple.Float(v), tuple.String_("x"), tuple.Bool(true)})
+	}
+	stmt, err := ParseStatement("SELECT v, name, COUNT(*) AS n, MIN(_id) AS first FROM t GROUP BY v, name ORDER BY first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := stmt.Plan(matchSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `NaN "x" 4 0|0 "x" 2 1|-0 "x" 2 2|1.5 "x" 2 3|`
+	render := func(g *Grid, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		var sb strings.Builder
+		for _, r := range g.Rows {
+			fmt.Fprintf(&sb, "%v %v %v %v|", r[0], r[1], r[2], r[3])
+		}
+		return sb.String()
+	}
+	if got := render(plan.Finish(rows, nil)); got != want {
+		t.Errorf("row fold:   %s\nwant:       %s", got, want)
+	}
+	all := []uint64{1<<uint(len(rows)) - 1}
+	whole := plan.NewAggregator(nil)
+	if err := whole.FeedBatch(batchOf(matchSchema, rows, 1), all); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(whole.Grid()); got != want {
+		t.Errorf("batch fold: %s\nwant:       %s", got, want)
+	}
+	// Two shards, split mid-way: the second meets the NaN of the other
+	// payload first, and Merge must still find the first one's bucket.
+	lo, hi := plan.NewAggregator(nil), plan.NewAggregator(nil)
+	half := []uint64{1<<uint(len(rows)/2) - 1}
+	if err := lo.FeedBatch(batchOf(matchSchema, rows[:len(rows)/2], 2), half); err != nil {
+		t.Fatal(err)
+	}
+	if err := hi.FeedBatch(batchOf(matchSchema, rows[len(rows)/2:], 3), half); err != nil {
+		t.Fatal(err)
+	}
+	if err := lo.Merge(hi); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(lo.Grid()); got != want {
+		t.Errorf("merged:     %s\nwant:       %s", got, want)
 	}
 }

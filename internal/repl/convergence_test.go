@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"fungusdb/internal/repl"
 	"fungusdb/pkg/client"
@@ -86,17 +85,19 @@ func TestConvergence(t *testing.T) {
 						t.Fatalf("checkpoint: %v", err)
 					}
 				}
-				// Pace rounds past the shipper's poll interval so each
-				// round ships (and commits) separately instead of
-				// coalescing into one tail burst — the commit stream is
-				// what the cutter's fuzzed indices land on.
-				time.Sleep(time.Duration(12+rng.Intn(8)) * time.Millisecond)
+				// Let the follower apply the round before the next one
+				// starts, so each round ships (and commits) separately
+				// instead of coalescing into one tail burst — the commit
+				// stream is what the cutter's fuzzed indices land on. The
+				// round's own checkpoint still races the shipping of its
+				// ingest, which is what picks rollover or rebase.
+				fh.waitSynced(t, lh)
 			}
 			// Top up the workload until every fuzzed cut has fired: the
 			// property needs >= 2 real disconnects, not two dice rolls.
 			for i := 0; cc.hits() < 2 && i < 100; i++ {
 				lh.ingest(t, 5, 100+i)
-				time.Sleep(15 * time.Millisecond)
+				fh.waitSynced(t, lh)
 			}
 			// A final decay ramp so rot-eviction (tick replay on the
 			// follower) provably ran, then quiesce.
@@ -154,4 +155,38 @@ func TestConvergenceAcrossRestartRebase(t *testing.T) {
 	}
 	assertShardsIdentical(t, lh, fh, []int{0, 1, 2, 3})
 	assertQueriesIdentical(t, lh, fh)
+}
+
+// TestConvergenceRepeatedStringAfterRebase pins the interleaving that
+// used to make TestConvergence flake: a follower rebuilt from a shipped
+// snapshot mid-segment, followed by an insert whose STRING value
+// repeats the last one the leader folded into that segment's zone map.
+// The leader's fold takes the repeat short-cut; the follower's
+// installed summary has no memo of the last value and folds in full.
+// Both must serialise the same zone blob.
+func TestConvergenceRepeatedStringAfterRebase(t *testing.T) {
+	lh := startLeader(t, eventsSpec(1))
+	insert := func(devices ...string) {
+		t.Helper()
+		rows := make([][]any, len(devices))
+		for i, d := range devices {
+			rows[i] = []any{d, 20.5}
+		}
+		if _, err := lh.cl.Insert(tableName, rows); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+	}
+	insert("dev-a", "dev-b", "dev-c")
+	if err := lh.tbl.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	// A late join against a checkpointed leader can only rebase.
+	fh := startFollower(t, lh.srv.URL, nil)
+	fh.waitSynced(t, lh)
+	if st, _ := fh.f.TableStatus(tableName); st.Rebases < 1 {
+		t.Fatalf("want a rebase before the repeat insert, got %d", st.Rebases)
+	}
+	insert("dev-c", "dev-a")
+	fh.waitSynced(t, lh)
+	assertShardsIdentical(t, lh, fh, []int{0})
 }

@@ -170,6 +170,11 @@ func (b *Bloom) AddString(s string) {
 	b.added++
 }
 
+// AddRepeat records an Add of an item the caller knows is already in
+// the filter: no bit can change, so only the count moves. The filter
+// ends up in exactly the state a full Add of that item would leave.
+func (b *Bloom) AddRepeat() { b.added++ }
+
 // MayContainString is MayContain for a string key.
 func (b *Bloom) MayContainString(s string) bool {
 	h1, h2 := hashesString(s)

@@ -44,6 +44,15 @@ func (h *BoundedHeap[T]) Push(x T) {
 	}
 }
 
+// ReplaceTop overwrites the current worst survivor with x and restores
+// heap order. It is Push for callers that have already decided x beats
+// the root (Items()[0]) — typically by a cheaper comparison than less —
+// and want to build x in the storage the evicted item owned.
+func (h *BoundedHeap[T]) ReplaceTop(x T) {
+	h.items[0] = x
+	h.siftDown(0)
+}
+
 // Len returns the number of retained items (≤ k).
 func (h *BoundedHeap[T]) Len() int { return len(h.items) }
 

@@ -46,3 +46,30 @@ func TestBoundedHeapRejectsNonPositiveK(t *testing.T) {
 	}()
 	NewBoundedHeap(0, func(a, b int) bool { return a < b })
 }
+
+// TestBoundedHeapReplaceTop: a caller that compares against the root
+// itself and replaces it keeps the same k smallest items Push keeps.
+func TestBoundedHeapReplaceTop(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const k, n = 8, 500
+	less := func(a, b int) bool { return a < b }
+	pushed, replaced := NewBoundedHeap(k, less), NewBoundedHeap(k, less)
+	for i := 0; i < n; i++ {
+		x := rng.Intn(300)
+		pushed.Push(x)
+		switch {
+		case replaced.Len() < k:
+			replaced.Push(x)
+		case x < replaced.Items()[0]:
+			replaced.ReplaceTop(x)
+		}
+	}
+	got, want := append([]int(nil), replaced.Items()...), append([]int(nil), pushed.Items()...)
+	sort.Ints(got)
+	sort.Ints(want)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ReplaceTop kept %v, Push kept %v", got, want)
+		}
+	}
+}

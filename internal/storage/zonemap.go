@@ -132,7 +132,13 @@ func (z *ZoneMap) fold(sg *segment, j int) {
 			if !first && c.hasLast && code == c.lastCode {
 				// Insertion-time clustering makes value repeats the
 				// common case; a repeat changes neither the bounds nor
-				// the bloom (sets are idempotent), so skip the hash.
+				// the bloom's bits, so skip the hash. It still counts:
+				// a summary installed from a snapshot has lost this memo
+				// and folds the row in full, and both must serialise the
+				// same bytes (replicas compare zone blobs).
+				if c.bloom != nil {
+					c.bloom.AddRepeat()
+				}
 				break
 			}
 			v := col.dict[code]
