@@ -32,6 +32,7 @@ import (
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/wal"
 	"fungusdb/internal/workload"
+	"fungusdb/pkg/client"
 )
 
 // benchScale keeps per-iteration experiment cost reasonable while
@@ -117,25 +118,6 @@ func BenchmarkInsert(b *testing.B) {
 	b.ReportMetric(float64(tbl.Len()), "final_extent")
 }
 
-// BenchmarkPeekQuery measures a 1%-selective scan over 100k tuples.
-func BenchmarkPeekQuery(b *testing.B) {
-	_, tbl := microTable(b, nil, 100_000)
-	pred, err := tbl.Compile("temp = 50")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := tbl.QueryPred(pred, query.Peek)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Len() != 1000 {
-			b.Fatalf("answer %d", res.Len())
-		}
-	}
-}
-
 // BenchmarkConsumeQuery measures consume-mode answers of 1000 tuples,
 // reloading between iterations.
 func BenchmarkConsumeQuery(b *testing.B) {
@@ -155,12 +137,12 @@ func BenchmarkConsumeQuery(b *testing.B) {
 			tbl.Insert(core.Row("s", float64(j%100)))
 		}
 		b.StartTimer()
-		res, err := tbl.Query("temp < 10", query.Consume)
+		g, err := tbl.SQL("SELECT CONSUME * FROM " + name + " WHERE temp < 10")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Len() != 1000 {
-			b.Fatalf("consumed %d", res.Len())
+		if len(g.Rows) != 1000 {
+			b.Fatalf("consumed %d", len(g.Rows))
 		}
 		b.StopTimer()
 		db.DropTable(name)
@@ -266,31 +248,6 @@ func BenchmarkShardedTick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Tick(); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedSelect measures a 1%-selective peek scan over a 100k
-// extent as the shard count grows; shards scan in parallel and the
-// partial answers merge back into global insertion order.
-func BenchmarkShardedSelect(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			_, tbl := shardedTable(b, shards, nil, 100_000)
-			pred, err := tbl.Compile("temp = 50")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := tbl.QueryPred(pred, query.Peek)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != 1000 {
-					b.Fatalf("answer %d", res.Len())
 				}
 			}
 		})
@@ -928,15 +885,20 @@ func BenchmarkHTTPQuery(b *testing.B) {
 	}
 	ts := httptest.NewServer(server.New(db))
 	defer ts.Close()
-	c := server.NewClient(ts.URL, ts.Client())
+	c := client.New(ts.URL, ts.Client())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := c.Query("SELECT device, COUNT(*) AS n FROM t GROUP BY device")
+		rows, err := c.Query("SELECT device, COUNT(*) AS n FROM t GROUP BY device")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(g.Rows) != 1 {
-			b.Fatal("bad grid")
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		rows.Close()
+		if err := rows.Err(); err != nil || n != 1 {
+			b.Fatalf("%d rows, err %v", n, err)
 		}
 	}
 }

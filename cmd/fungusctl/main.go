@@ -357,7 +357,7 @@ func (s *shell) dump(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := tbl.Query(strings.Join(args[2:], " "), query.Peek)
+	g, err := tbl.SQL(core.SelectTuples(tbl.Name(), false, strings.Join(args[2:], " ")))
 	if err != nil {
 		return err
 	}
@@ -367,25 +367,16 @@ func (s *shell) dump(args []string) error {
 	}
 	defer f.Close()
 	w := csv.NewWriter(f)
-	header := []string{"_id", "_t", "_f"}
-	for _, c := range tbl.Schema().Columns() {
-		header = append(header, c.Name)
-	}
-	if err := w.Write(header); err != nil {
+	if err := w.Write(g.Cols); err != nil {
 		return err
 	}
-	for i := range res.Tuples {
-		tp := &res.Tuples[i]
-		rec := []string{
-			strconv.FormatUint(uint64(tp.ID), 10),
-			strconv.FormatUint(uint64(tp.T), 10),
-			strconv.FormatFloat(float64(tp.F), 'g', -1, 64),
-		}
-		for _, v := range tp.Attrs {
+	for _, row := range g.Rows {
+		rec := make([]string, len(row))
+		for i, v := range row {
 			if v.Kind() == tuple.KindString {
-				rec = append(rec, v.AsString())
+				rec[i] = v.AsString()
 			} else {
-				rec = append(rec, v.String())
+				rec[i] = v.String()
 			}
 		}
 		if err := w.Write(rec); err != nil {
@@ -396,7 +387,7 @@ func (s *shell) dump(args []string) error {
 	if err := w.Error(); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "dumped %d rows to %s\n", res.Len(), args[1])
+	fmt.Fprintf(s.out, "dumped %d rows to %s\n", len(g.Rows), args[1])
 	return nil
 }
 
@@ -568,21 +559,35 @@ func (s *shell) query(args []string) error {
 		opts.Distill = strings.TrimPrefix(rest[0], "into=")
 		rest = rest[1:]
 	}
-	where := strings.Join(rest, " ")
-	res, err := tbl.Query(where, mode, opts)
+	pq, err := tbl.Prepare(core.SelectTuples(tbl.Name(), mode == query.Consume, strings.Join(rest, " ")))
 	if err != nil {
 		return err
 	}
-	limit := 20
-	for i := range res.Tuples {
-		if i == limit {
-			fmt.Fprintf(s.out, "... (%d more)\n", res.Len()-limit)
-			break
+	rows, err := pq.ExecuteOpts(opts)
+	if err != nil {
+		return err
+	}
+	const limit = 20
+	n, mass := 0, 0.0
+	for ; rows.Next(); n++ {
+		tp := core.RowTuple(rows.Values())
+		mass += float64(tp.F)
+		if n < limit {
+			fmt.Fprintln(s.out, tp.String())
 		}
-		fmt.Fprintln(s.out, res.Tuples[i].String())
+	}
+	if err := rows.Close(); err != nil {
+		return err
+	}
+	if n > limit {
+		fmt.Fprintf(s.out, "... (%d more)\n", n-limit)
+	}
+	mean := 0.0
+	if n > 0 {
+		mean = mass / float64(n)
 	}
 	fmt.Fprintf(s.out, "%d tuples (%s, scanned %d, mean freshness %.3f)\n",
-		res.Len(), mode, res.Scanned, res.MeanFreshness())
+		n, mode, rows.Scanned(), mean)
 	return nil
 }
 

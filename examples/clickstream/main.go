@@ -17,7 +17,6 @@ import (
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/ingest"
-	"fungusdb/internal/query"
 	"fungusdb/internal/workload"
 )
 
@@ -62,12 +61,12 @@ func main() {
 			}
 		}
 		for _, job := range jobs {
-			res, err := clicks.Query(job.where, query.Consume, core.QueryOpts{Distill: job.name})
+			g, err := clicks.SQL("SELECT CONSUME COUNT(*) FROM clicks WHERE "+job.where, core.QueryOpts{Distill: job.name})
 			if err != nil {
 				log.Fatal(err)
 			}
 			if round == rounds-1 {
-				fmt.Printf("round %2d %-12s claimed %5d events\n", round, job.name, res.Len())
+				fmt.Printf("round %2d %-12s claimed %5d events\n", round, job.name, g.Rows[0][0].AsInt())
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/ingest"
-	"fungusdb/internal/query"
+	"fungusdb/internal/tuple"
 	"fungusdb/internal/workload"
 )
 
@@ -52,6 +52,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The hourly archive compiles once; its cutoff binds per hour.
+	archiveOld, err := readings.Prepare("SELECT CONSUME COUNT(*) FROM readings WHERE _t < ?")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for hour := 0; hour < hours; hour++ {
 		for tick := 0; tick < ticksPerHour; tick++ {
@@ -65,7 +70,7 @@ func main() {
 			// Dashboard: watch the alarms. Peek + TouchOnRead keeps
 			// alarming readings fresh — the owner is "taking care" of
 			// exactly the data that matters.
-			if _, err := readings.Query("alarm", query.Peek); err != nil {
+			if _, err := readings.SQL("SELECT COUNT(*) FROM readings WHERE alarm"); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -74,16 +79,19 @@ func main() {
 		// this hour's container, consuming it from the extent.
 		cutoff := uint64(db.Now()) - ticksPerHour/2
 		archive := fmt.Sprintf("hour-%02d", hour)
-		res, err := readings.Query(
-			fmt.Sprintf("_t < %d", cutoff),
-			query.Consume,
-			core.QueryOpts{Distill: archive},
-		)
+		rows, err := archiveOld.ExecuteOpts(core.QueryOpts{Distill: archive}, tuple.Int(int64(cutoff)))
 		if err != nil {
 			log.Fatal(err)
 		}
+		var archived int64
+		for rows.Next() {
+			archived = rows.Values()[0].AsInt()
+		}
+		if err := rows.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("hour %d: archived %6d readings into %q; extent %6d, %s\n",
-			hour, res.Len(), archive, readings.Len(), readings.Profile())
+			hour, archived, archive, readings.Len(), readings.Profile())
 	}
 
 	fmt.Println("\n=== end of shift ===")

@@ -18,7 +18,6 @@ import (
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/ingest"
-	"fungusdb/internal/query"
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/workload"
 )
@@ -74,7 +73,7 @@ func main() {
 		// into the incident book on both arms, every 10 ticks.
 		if tick%10 == 0 {
 			for _, tbl := range []*core.Table{ttlTbl, egiTbl} {
-				if _, err := tbl.Query("severity <= 3", query.Consume,
+				if _, err := tbl.SQL("SELECT CONSUME COUNT(*) FROM "+tbl.Name()+" WHERE severity <= 3",
 					core.QueryOpts{Distill: "incidents"}); err != nil {
 					log.Fatal(err)
 				}

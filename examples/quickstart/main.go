@@ -14,7 +14,6 @@ import (
 	"fungusdb/internal/container"
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
-	"fungusdb/internal/query"
 	"fungusdb/internal/tuple"
 )
 
@@ -69,11 +68,11 @@ func main() {
 
 	// Law 2: a consume query removes what it answers and cooks it into
 	// the "hot" knowledge container.
-	res, err := readings.Query("temp > 30", query.Consume, core.QueryOpts{Distill: "hot"})
+	g, err := readings.SQL("SELECT CONSUME COUNT(*) FROM readings WHERE temp > 30", core.QueryOpts{Distill: "hot"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("consumed %d hot readings; extent now %d\n", res.Len(), readings.Len())
+	fmt.Printf("consumed %d hot readings; extent now %d\n", g.Rows[0][0].AsInt(), readings.Len())
 
 	// Let nature work: 40 clock cycles of decay.
 	for i := 0; i < 40; i++ {

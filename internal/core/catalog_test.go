@@ -138,11 +138,11 @@ func TestSpecTargetedFungusRoundTrip(t *testing.T) {
 	tbl.Insert(Row("a", 7)) // chatty: rots next tick
 	tbl.Insert(Row("a", 1)) // serious: shielded
 	db2.Tick()
-	res, err := tbl.Query("", query.Peek)
+	res, err := answer(tbl, "", query.Peek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Tuples[0].Attrs[1].AsInt() != 1 {
-		t.Errorf("targeted fungus wrong after reopen: %v", res.Tuples)
+	if len(res) != 1 || res[0].Attrs[1].AsInt() != 1 {
+		t.Errorf("targeted fungus wrong after reopen: %v", res)
 	}
 }

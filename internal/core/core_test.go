@@ -16,6 +16,28 @@ var iotSchema = tuple.MustSchema(
 	tuple.Column{Name: "temp", Kind: tuple.KindFloat},
 )
 
+// answer runs SelectTuples over tbl with the given options and
+// rebuilds the answer's tuples.
+func answer(tbl *Table, where string, mode query.Mode, opts ...QueryOpts) ([]tuple.Tuple, error) {
+	pq, err := tbl.Prepare(SelectTuples(tbl.Name(), mode == query.Consume, where))
+	if err != nil {
+		return nil, err
+	}
+	var opt QueryOpts
+	if len(opts) > 0 {
+		opt = opts[0]
+	}
+	rows, err := pq.ExecuteOpts(opt)
+	if err != nil {
+		return nil, err
+	}
+	var out []tuple.Tuple
+	for rows.Next() {
+		out = append(out, RowTuple(rows.Values()))
+	}
+	return out, rows.Close()
+}
+
 func openDB(t *testing.T) *DB {
 	t.Helper()
 	db, err := Open(DBConfig{Seed: 1})
@@ -68,20 +90,30 @@ func TestInsertAndPeekQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := tbl.Query("temp >= 5", query.Peek)
+	pq, err := tbl.Prepare("SELECT * FROM iot WHERE temp >= 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 5 || res.Scanned != 10 {
-		t.Errorf("len=%d scanned=%d", res.Len(), res.Scanned)
+	rows, err := pq.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; rows.Next(); n++ {
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 || rows.Scanned() != 10 {
+		t.Errorf("len=%d scanned=%d", n, rows.Scanned())
 	}
 	if tbl.Len() != 10 {
 		t.Error("peek changed the extent")
 	}
 	// Same query again: identical answer (no consumption).
-	res2, _ := tbl.Query("temp >= 5", query.Peek)
-	if res2.Len() != 5 {
-		t.Errorf("second peek len=%d", res2.Len())
+	res2, _ := answer(tbl, "temp >= 5", query.Peek)
+	if len(res2) != 5 {
+		t.Errorf("second peek len=%d", len(res2))
 	}
 }
 
@@ -91,21 +123,21 @@ func TestConsumeQueryReducesExtent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row("s", float64(i)))
 	}
-	res, err := tbl.Query("temp < 4", query.Consume)
+	res, err := answer(tbl, "temp < 4", query.Consume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 4 {
-		t.Fatalf("consumed %d, want 4", res.Len())
+	if len(res) != 4 {
+		t.Fatalf("consumed %d, want 4", len(res))
 	}
 	// Law 2: extent = old extent minus answer set.
 	if tbl.Len() != 6 {
 		t.Errorf("Len = %d, want 6", tbl.Len())
 	}
 	// Re-running the same query returns nothing: answers are disjoint.
-	res2, _ := tbl.Query("temp < 4", query.Consume)
-	if res2.Len() != 0 {
-		t.Errorf("second consume returned %d tuples", res2.Len())
+	res2, _ := answer(tbl, "temp < 4", query.Consume)
+	if len(res2) != 0 {
+		t.Errorf("second consume returned %d tuples", len(res2))
 	}
 	c := tbl.Counters()
 	if c.Consumed != 4 || c.Queries != 2 {
@@ -119,12 +151,12 @@ func TestQueryLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row("s", float64(i)))
 	}
-	res, err := tbl.Query("", query.Consume, QueryOpts{Limit: 3})
+	res, err := answer(tbl, "", query.Consume, QueryOpts{Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 3 {
-		t.Errorf("limited answer = %d", res.Len())
+	if len(res) != 3 {
+		t.Errorf("limited answer = %d", len(res))
 	}
 	if tbl.Len() != 7 {
 		t.Errorf("extent = %d, want 7 (only answered tuples leave)", tbl.Len())
@@ -135,10 +167,10 @@ func TestQueryErrors(t *testing.T) {
 	db := openDB(t)
 	tbl, _ := db.CreateTable("iot", TableConfig{Schema: iotSchema})
 	tbl.Insert(Row("s", 1.0))
-	if _, err := tbl.Query("nosuch > 1", query.Peek); err == nil {
+	if _, err := answer(tbl, "nosuch > 1", query.Peek); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := tbl.Query("device > 1", query.Peek); err == nil {
+	if _, err := answer(tbl, "device > 1", query.Peek); err == nil {
 		t.Error("type-mismatched query did not fail")
 	}
 	if tbl.Counters().Queries != 0 {
@@ -152,12 +184,12 @@ func TestQueryDistillIntoContainer(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tbl.Insert(Row("s", float64(i)))
 	}
-	res, err := tbl.Query("temp < 50", query.Consume, QueryOpts{Distill: "cold"})
+	res, err := answer(tbl, "temp < 50", query.Consume, QueryOpts{Distill: "cold"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 50 {
-		t.Fatalf("consumed %d", res.Len())
+	if len(res) != 50 {
+		t.Fatalf("consumed %d", len(res))
 	}
 	c := tbl.Shelf().Get("cold")
 	if c == nil {
@@ -269,7 +301,7 @@ func TestEGIEndToEndWithConsumeForget(t *testing.T) {
 	}
 	// Consume everything; the infection set must drain (Forget) so the
 	// fungus does not reference ghosts.
-	if _, err := tbl.Query("", query.Consume); err != nil {
+	if _, err := answer(tbl, "", query.Consume); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 0 {
@@ -297,7 +329,7 @@ func TestTouchOnReadKeepsDataAlive(t *testing.T) {
 	// Tend the data: peek everything after every tick.
 	for i := 0; i < 30; i++ {
 		db.Tick()
-		if _, err := tbl.Query("", query.Peek); err != nil {
+		if _, err := answer(tbl, "", query.Peek); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +349,7 @@ func TestContainerShelfDecaysWithTicks(t *testing.T) {
 		ContainerHalfLife: 3,
 	})
 	tbl.Insert(Row("s", 1.0))
-	if _, err := tbl.Query("", query.Consume, QueryOpts{Distill: "short-lived"}); err != nil {
+	if _, err := answer(tbl, "", query.Consume, QueryOpts{Distill: "short-lived"}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Shelf().Len() != 1 {
@@ -390,7 +422,7 @@ func TestClosedTableRejectsOps(t *testing.T) {
 	if _, err := tbl.Insert(Row("s", 1.0)); err == nil {
 		t.Error("insert on closed table succeeded")
 	}
-	if _, err := tbl.Query("", query.Peek); err == nil {
+	if _, err := answer(tbl, "", query.Peek); err == nil {
 		t.Error("query on closed table succeeded")
 	}
 	if _, err := tbl.Tick(); err == nil {
@@ -429,7 +461,7 @@ func TestConcurrentInsertsAndQueries(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if _, err := tbl.Query("temp < 100", query.Peek); err != nil {
+					if _, err := answer(tbl, "temp < 100", query.Peek); err != nil {
 						t.Errorf("query: %v", err)
 						return
 					}
@@ -473,7 +505,7 @@ func TestPersistentTableSurvivesReopen(t *testing.T) {
 	}
 	db1.Tick()
 	db1.Tick() // freshness now 0.8
-	if _, err := tbl.Query("temp < 5", query.Consume); err != nil {
+	if _, err := answer(tbl, "temp < 5", query.Consume); err != nil {
 		t.Fatal(err)
 	}
 	wantLen := tbl.Len()
@@ -499,17 +531,17 @@ func TestPersistentTableSurvivesReopen(t *testing.T) {
 		t.Fatalf("recovered %d tuples, want %d", tbl2.Len(), wantLen)
 	}
 	// Freshness survived the checkpoint.
-	res, err := tbl2.Query("_f < 0.81 AND _f > 0.79", query.Peek)
+	res, err := answer(tbl2, "_f < 0.81 AND _f > 0.79", query.Peek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != wantLen {
-		t.Errorf("freshness lost on recovery: %d of %d tuples at 0.8", res.Len(), wantLen)
+	if len(res) != wantLen {
+		t.Errorf("freshness lost on recovery: %d of %d tuples at 0.8", len(res), wantLen)
 	}
 	// The consumed tuples stayed consumed.
-	res, _ = tbl2.Query("temp < 5", query.Peek)
-	if res.Len() != 0 {
-		t.Errorf("consumed tuples resurrected: %d", res.Len())
+	res, _ = answer(tbl2, "temp < 5", query.Peek)
+	if len(res) != 0 {
+		t.Errorf("consumed tuples resurrected: %d", len(res))
 	}
 }
 
@@ -583,24 +615,32 @@ func TestTimeSeriesThroughTable(t *testing.T) {
 	}
 }
 
+// TestCompileReuse: a statement prepared before the data arrives
+// answers over the extent as it is at Execute, and preparing it again
+// hands back the same compiled plan.
 func TestCompileReuse(t *testing.T) {
 	db := openDB(t)
 	tbl, _ := db.CreateTable("iot", TableConfig{Schema: iotSchema})
-	pred, err := tbl.Compile("temp > 5")
+	pq, err := tbl.Prepare("SELECT temp FROM iot WHERE temp > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row("s", float64(i)))
 	}
-	res, err := tbl.QueryPred(pred, query.Peek)
+	rows, err := pq.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 4 {
-		t.Errorf("len = %d", res.Len())
+	_, got := drainRows(t, rows)
+	if len(got) != 4 {
+		t.Errorf("len = %d", len(got))
 	}
-	if !strings.Contains(pred.Source(), "temp") {
-		t.Error("source lost")
+	again, err := tbl.Prepare("SELECT temp FROM iot WHERE temp > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.plan != pq.plan || !strings.Contains(again.plan.Source(), "temp") {
+		t.Error("re-prepare compiled a second plan")
 	}
 }

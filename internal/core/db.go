@@ -399,3 +399,31 @@ func Row(vals ...any) []tuple.Value {
 	}
 	return out
 }
+
+// SelectTuples is the statement that reads whole tuples of table:
+// SELECT [CONSUME] _id, _t, _f, * FROM table [WHERE where] — the system
+// columns, then the attributes in schema order. RowTuple turns each of
+// its rows back into a tuple.
+func SelectTuples(table string, consume bool, where string) string {
+	src := "SELECT "
+	if consume {
+		src += "CONSUME "
+	}
+	src += tuple.SysID + ", " + tuple.SysTick + ", " + tuple.SysFresh + ", * FROM " + table
+	if where != "" {
+		src += " WHERE " + where
+	}
+	return src
+}
+
+// RowTuple rebuilds the tuple behind a row of SelectTuples; its Attrs
+// alias the row. Infected is fungus state, not a column, so it is always
+// false.
+func RowTuple(row []tuple.Value) tuple.Tuple {
+	return tuple.Tuple{
+		ID:    tuple.ID(row[0].AsInt()),
+		T:     clock.Tick(row[1].AsInt()),
+		F:     tuple.Freshness(row[2].AsFloat()),
+		Attrs: row[3:],
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
-	"fungusdb/internal/query"
 	"fungusdb/internal/tuple"
 )
 
@@ -37,11 +36,11 @@ func Example() {
 	}
 
 	// Law 2: consume the hot readings into a knowledge container.
-	res, err := tbl.Query("temp >= 22", query.Consume, core.QueryOpts{Distill: "hot"})
+	hot, err := tbl.SQL("SELECT CONSUME * FROM readings WHERE temp >= 22", core.QueryOpts{Distill: "hot"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("consumed:", res.Len(), "left:", tbl.Len())
+	fmt.Println("consumed:", len(hot.Rows), "left:", tbl.Len())
 
 	// Law 1: after the TTL lifetime, the remainder rots away.
 	db.Tick()
@@ -49,8 +48,7 @@ func Example() {
 	fmt.Println("after 2 ticks:", tbl.Len())
 
 	// The knowledge outlives the data.
-	hot := tbl.Shelf().Get("hot").Digest
-	fmt.Println("knowledge count:", hot.Count())
+	fmt.Println("knowledge count:", tbl.Shelf().Get("hot").Digest.Count())
 	// Output:
 	// consumed: 2 left: 2
 	// after 2 ticks: 0

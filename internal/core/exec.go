@@ -11,11 +11,12 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-// This file is the one execution path of the engine's read side. Every
-// query API — Table.Query/QueryPred, Table.SQL, the HTTP /v1/query and
-// container ask handlers, and the streaming /v2/query — compiles (or
-// fetches from the per-table plan cache) a query.Plan and hands it to
-// execPlan, which routes it:
+// This file is the one execution path of the engine's read side, and
+// Prepare is its one way in. Every read — Table.SQL, the HTTP /v1/query
+// and container ask handlers, the streaming /v2/query, stream monitors,
+// the shell and the experiments — prepares a statement into a query.Plan
+// (or fetches it from the per-table plan cache) and hands it to execPlan,
+// which routes it:
 //
 //	digest    ask plans: answer from the container digest, no scan
 //	consume   all-shard atomic answer-and-discard cut, then finish
@@ -28,7 +29,10 @@ import (
 // Stream, aggregate and top-k materialise late: WHERE, group keys,
 // aggregate arguments and sort keys read the scan batch's typed column
 // slices, and values are boxed only for rows that reach the answer.
-// New capabilities land here once instead of once per front door.
+// Every route answers projected rows (query.Rows.Values); a caller that
+// wants a whole tuple's fields selects `_id, _t, _f, *` (SelectTuples,
+// RowTuple). New
+// capabilities land here once instead of once per front door.
 
 // ErrNoContainer reports an ask against a container that does not
 // exist (or has rotted away).
@@ -76,8 +80,8 @@ type PreparedQuery struct {
 // table. Compilation results are cached per table keyed by source
 // text, so preparing the same statement twice is a map hit.
 func (t *Table) Prepare(src string) (*PreparedQuery, error) {
-	if v := t.plans.get("s\x00" + src); v != nil {
-		return &PreparedQuery{t: t, plan: v.(*query.Plan)}, nil
+	if plan := t.plans.get("s\x00" + src); plan != nil {
+		return &PreparedQuery{t: t, plan: plan}, nil
 	}
 	stmt, err := query.ParseStatement(src)
 	if err != nil {
@@ -90,8 +94,8 @@ func (t *Table) Prepare(src string) (*PreparedQuery, error) {
 // (the HTTP handlers) that parsed the source themselves to route it to
 // a table — a plan-cache miss then compiles without re-parsing.
 func (t *Table) PrepareStatement(stmt *query.Statement) (*PreparedQuery, error) {
-	if v := t.plans.get("s\x00" + stmt.Source()); v != nil {
-		return &PreparedQuery{t: t, plan: v.(*query.Plan)}, nil
+	if plan := t.plans.get("s\x00" + stmt.Source()); plan != nil {
+		return &PreparedQuery{t: t, plan: plan}, nil
 	}
 	return t.compileStatement(stmt)
 }
@@ -117,8 +121,8 @@ func (t *Table) compileStatement(stmt *query.Statement) (*PreparedQuery, error) 
 // prepared ask can outlive container churn.
 func (t *Table) PrepareAsk(container, question string) (*PreparedQuery, error) {
 	key := "a\x00" + container + "\x00" + question
-	if v := t.plans.get(key); v != nil {
-		return &PreparedQuery{t: t, plan: v.(*query.Plan)}, nil
+	if plan := t.plans.get(key); plan != nil {
+		return &PreparedQuery{t: t, plan: plan}, nil
 	}
 	stmt, err := query.ParseAskStatement(container, question)
 	if err != nil {
@@ -132,28 +136,12 @@ func (t *Table) PrepareAsk(container, question string) (*PreparedQuery, error) {
 	return &PreparedQuery{t: t, plan: plan}, nil
 }
 
-// cachedPredicate returns the compiled predicate for a WHERE source,
-// consulting the table's LRU first.
-func (t *Table) cachedPredicate(where string) (*query.Predicate, error) {
-	key := "w\x00" + where
-	if v := t.plans.get(key); v != nil {
-		return v.(*query.Predicate), nil
-	}
-	pred, err := query.Compile(where, t.cfg.Schema)
-	if err != nil {
-		return nil, err
-	}
-	t.plans.put(key, pred)
-	return pred, nil
-}
-
 // PlanCacheStats reports the table's compiled-statement cache counters.
 func (t *Table) PlanCacheStats() (hits, misses uint64, size int) {
 	return t.plans.stats()
 }
 
-// Cols returns the prepared statement's output column names (nil for
-// raw tuple scans and before ask fan-out is known).
+// Cols returns the prepared statement's output column names.
 func (pq *PreparedQuery) Cols() []string { return pq.plan.Cols() }
 
 // NumParams returns how many `?` placeholders Execute must bind.
@@ -589,13 +577,9 @@ func (t *Table) execConsume(plan *query.Plan, params []tuple.Value, opt QueryOpt
 	return t.finishRows(plan, params, tuples, scanned)
 }
 
-// finishRows turns a materialised matching set into Rows: raw plans
-// yield the tuples themselves, statement plans run the finishing
-// stages into a grid first.
+// finishRows runs the plan's finishing stages over a materialised
+// matching set and serves the grid as Rows.
 func (t *Table) finishRows(plan *query.Plan, params []tuple.Value, tuples []tuple.Tuple, scanned int) (*query.Rows, error) {
-	if plan.Raw() {
-		return query.NewTupleRows(nil, plan.Mode(), tuples, nil, scanned), nil
-	}
 	g, err := plan.Finish(tuples, params)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,8 @@ package core
 import (
 	"container/list"
 	"sync"
+
+	"fungusdb/internal/query"
 )
 
 // planCacheCap bounds each table's compiled-statement cache. Plans are
@@ -11,11 +13,11 @@ import (
 // stream of distinct statements stays bounded.
 const planCacheCap = 128
 
-// planCache is a small LRU of compiled query artifacts (plans and
-// predicates) keyed by source text. A table owns one: its schema never
-// changes, so cached compilations stay valid for the table's lifetime,
-// and repeated Query/SQL calls with the same source skip the parse and
-// validation entirely. Safe for concurrent use.
+// planCache is a small LRU of compiled plans keyed by source text ("s"
+// statements, "a" container questions). A table owns one: its schema
+// never changes, so cached compilations stay valid for the table's
+// lifetime, and repeated Prepare/SQL calls with the same source skip the
+// parse and validation entirely. Safe for concurrent use.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -26,8 +28,8 @@ type planCache struct {
 }
 
 type planCacheEntry struct {
-	key string
-	val any
+	key  string
+	plan *query.Plan
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -38,8 +40,8 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached value for key, nil on miss.
-func (c *planCache) get(key string) any {
+// get returns the cached plan for key, nil on miss.
+func (c *planCache) get(key string) *query.Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -49,16 +51,16 @@ func (c *planCache) get(key string) any {
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	return el.Value.(*planCacheEntry).val
+	return el.Value.(*planCacheEntry).plan
 }
 
-// put inserts key -> val, evicting the least recently used entry when
+// put inserts key -> plan, evicting the least recently used entry when
 // the cache is full.
-func (c *planCache) put(key string, val any) {
+func (c *planCache) put(key string, plan *query.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*planCacheEntry).val = val
+		el.Value.(*planCacheEntry).plan = plan
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -69,7 +71,7 @@ func (c *planCache) put(key string, val any) {
 			delete(c.entries, oldest.Value.(*planCacheEntry).key)
 		}
 	}
-	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, val: val})
+	c.entries[key] = c.lru.PushFront(&planCacheEntry{key: key, plan: plan})
 }
 
 // Stats reports cache effectiveness.

@@ -92,13 +92,21 @@ func TestPreparedMatchesSQL(t *testing.T) {
 }
 
 // TestPreparedConsumeMatchesQuery asserts CONSUME through the prepared
-// path removes exactly what the classical consume query removes.
+// path removes exactly what Table.SQL's consume removes — the matching
+// set a peek counts beforehand.
 func TestPreparedConsumeMatchesQuery(t *testing.T) {
 	db := openDB(t)
 	a := loadIoT(t, db, "t", 4, 200)
-	resA, err := a.Query("temp < 20", query.Consume)
+	want, err := a.SQL("SELECT COUNT(*) FROM t WHERE temp < 20")
 	if err != nil {
 		t.Fatal(err)
+	}
+	resA, err := answer(a, "temp < 20", query.Consume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(resA)) != want.Rows[0][0].AsInt() || a.Len() != 200-len(resA) {
+		t.Fatalf("consumed %d of %d matches, extent %d", len(resA), want.Rows[0][0].AsInt(), a.Len())
 	}
 
 	db2 := openDB(t)
@@ -112,8 +120,8 @@ func TestPreparedConsumeMatchesQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got := drainRows(t, rows)
-	if len(got) != resA.Len() {
-		t.Fatalf("consumed %d rows, classical path consumed %d", len(got), resA.Len())
+	if len(got) != len(resA) {
+		t.Fatalf("consumed %d rows, Table.SQL consumed %d", len(got), len(resA))
 	}
 	if a.Len() != b.Len() {
 		t.Fatalf("extents diverged: %d vs %d", a.Len(), b.Len())
@@ -235,7 +243,7 @@ func TestPlanCache(t *testing.T) {
 	db := openDB(t)
 	tbl := loadIoT(t, db, "t", 2, 50)
 	for i := 0; i < 5; i++ {
-		if _, err := tbl.Query("temp > 10", query.Peek); err != nil {
+		if _, err := tbl.Prepare("SELECT device FROM t WHERE temp > 10"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tbl.SQL("SELECT COUNT(*) FROM t"); err != nil {
@@ -243,7 +251,7 @@ func TestPlanCache(t *testing.T) {
 		}
 	}
 	hits, misses, size := tbl.PlanCacheStats()
-	// First Query + first SQL miss; the other 4+4 hit.
+	// First Prepare + first SQL miss; the other 4+4 hit.
 	if misses != 2 || hits != 8 {
 		t.Fatalf("cache hits=%d misses=%d size=%d, want 8/2", hits, misses, size)
 	}
@@ -256,7 +264,7 @@ func TestPlanCache(t *testing.T) {
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(3)
 	for i := 0; i < 10; i++ {
-		c.put(fmt.Sprintf("k%d", i), i)
+		c.put(fmt.Sprintf("k%d", i), &query.Plan{})
 	}
 	if _, _, size := c.stats(); size != 3 {
 		t.Fatalf("size = %d, want 3", size)
@@ -271,7 +279,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	if c.get("k7") == nil {
 		t.Fatal("k7 missing")
 	}
-	c.put("k10", 10)
+	c.put("k10", &query.Plan{})
 	if c.get("k8") != nil {
 		t.Fatal("LRU evicted the recently used entry instead")
 	}
@@ -285,7 +293,7 @@ func TestPlanCacheEviction(t *testing.T) {
 func TestPrepareAskThroughPlan(t *testing.T) {
 	db := openDB(t)
 	tbl := loadIoT(t, db, "t", 2, 100)
-	if _, err := tbl.Query("temp >= 25", query.Consume, QueryOpts{Distill: "hot"}); err != nil {
+	if _, err := answer(tbl, "temp >= 25", query.Consume, QueryOpts{Distill: "hot"}); err != nil {
 		t.Fatal(err)
 	}
 	// Scalar question.

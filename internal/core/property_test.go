@@ -43,7 +43,7 @@ func TestQuickConservationIdentity(t *testing.T) {
 					return false
 				}
 			case 3:
-				if _, err := tbl.Query("temp < 50", query.Consume, QueryOpts{Distill: "cold"}); err != nil {
+				if _, err := answer(tbl, "temp < 50", query.Consume, QueryOpts{Distill: "cold"}); err != nil {
 					return false
 				}
 			}
@@ -85,22 +85,22 @@ func TestQuickFreshnessMonotone(t *testing.T) {
 			tbl.Insert(Row("s", float64(i)))
 		}
 		prev := map[uint64]float64{}
-		res, _ := tbl.Query("", query.Peek)
-		for i := range res.Tuples {
-			prev[uint64(res.Tuples[i].ID)] = float64(res.Tuples[i].F)
+		res, _ := answer(tbl, "", query.Peek)
+		for i := range res {
+			prev[uint64(res[i].ID)] = float64(res[i].F)
 		}
 		for k := 0; k < int(nTicks%40); k++ {
 			if _, err := db.Tick(); err != nil {
 				return false
 			}
-			res, err := tbl.Query("", query.Peek)
+			res, err := answer(tbl, "", query.Peek)
 			if err != nil {
 				return false
 			}
 			cur := map[uint64]float64{}
-			for i := range res.Tuples {
-				id := uint64(res.Tuples[i].ID)
-				f := float64(res.Tuples[i].F)
+			for i := range res {
+				id := uint64(res[i].ID)
+				f := float64(res[i].F)
 				cur[id] = f
 				before, seen := prev[id]
 				if !seen {
@@ -140,23 +140,23 @@ func TestQuickConsumePartition(t *testing.T) {
 			tbl.Insert(Row("s", float64(i)))
 		}
 		pivot := float64(cut % 100)
-		a, err := tbl.Query(fmt.Sprintf("temp < %g", pivot), query.Consume)
+		a, err := answer(tbl, fmt.Sprintf("temp < %g", pivot), query.Consume)
 		if err != nil {
 			return false
 		}
-		b, err := tbl.Query(fmt.Sprintf("NOT (temp < %g)", pivot), query.Consume)
+		b, err := answer(tbl, fmt.Sprintf("NOT (temp < %g)", pivot), query.Consume)
 		if err != nil {
 			return false
 		}
-		if a.Len()+b.Len() != n || tbl.Len() != 0 {
+		if len(a)+len(b) != n || tbl.Len() != 0 {
 			return false
 		}
 		seen := map[uint64]bool{}
-		for i := range a.Tuples {
-			seen[uint64(a.Tuples[i].ID)] = true
+		for i := range a {
+			seen[uint64(a[i].ID)] = true
 		}
-		for i := range b.Tuples {
-			if seen[uint64(b.Tuples[i].ID)] {
+		for i := range b {
+			if seen[uint64(b[i].ID)] {
 				return false // overlap
 			}
 		}

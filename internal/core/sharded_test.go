@@ -79,7 +79,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < peeks; i++ {
-			if _, err := tbl.Query("temp >= 50", query.Peek); err != nil {
+			if _, err := answer(tbl, "temp >= 50", query.Peek); err != nil {
 				t.Error(err)
 				return
 			}
@@ -93,7 +93,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < consumes; i++ {
-			if _, err := tbl.Query("temp < 25", query.Consume, QueryOpts{Limit: consumeCap}); err != nil {
+			if _, err := answer(tbl, "temp < 25", query.Consume, QueryOpts{Limit: consumeCap}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -110,17 +110,17 @@ func TestShardedConcurrentHammer(t *testing.T) {
 		t.Fatalf("conservation broken: live %d + rotted %d + consumed %d != inserted %d",
 			live, c.Rotted, c.Consumed, c.Inserted)
 	}
-	res, err := tbl.Query("", query.Peek)
+	res, err := answer(tbl, "", query.Peek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(res.Len()) != live {
-		t.Fatalf("full scan %d != Len %d", res.Len(), live)
+	if uint64(len(res)) != live {
+		t.Fatalf("full scan %d != Len %d", len(res), live)
 	}
-	for i := range res.Tuples {
-		tp := &res.Tuples[i]
-		if i > 0 && tp.ID <= res.Tuples[i-1].ID {
-			t.Fatalf("scan not strictly increasing at %d: %d after %d", i, tp.ID, res.Tuples[i-1].ID)
+	for i := range res {
+		tp := &res[i]
+		if i > 0 && tp.ID <= res[i-1].ID {
+			t.Fatalf("scan not strictly increasing at %d: %d after %d", i, tp.ID, res[i-1].ID)
 		}
 		if tp.F < 0 || tp.F > tuple.Full {
 			t.Fatalf("freshness out of bounds: %v", tp.F)
@@ -157,11 +157,11 @@ func scriptedRun(t *testing.T, seed int64, shards, workers int) string {
 			}
 		}
 		if tick%7 == 3 {
-			res, err := tbl.Query("temp < 15", query.Consume, QueryOpts{Limit: 40, Distill: "cold"})
+			res, err := answer(tbl, "temp < 15", query.Consume, QueryOpts{Limit: 40, Distill: "cold"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, "consume@%d=%d\n", tick, res.Len())
+			fmt.Fprintf(&b, "consume@%d=%d\n", tick, len(res))
 		}
 		rep, err := db.Tick()
 		if err != nil {
@@ -171,14 +171,14 @@ func scriptedRun(t *testing.T, seed int64, shards, workers int) string {
 	}
 	c := tbl.Counters()
 	fmt.Fprintf(&b, "counters %s\n", c)
-	res, err := tbl.Query("", query.Peek)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Tuples {
-		tp := &res.Tuples[i]
+	// Infected is fungus state no statement can select, so the live
+	// extent is read in-package.
+	tbl.rlockAll()
+	tbl.store.Scan(func(tp *tuple.Tuple) bool {
 		fmt.Fprintf(&b, "%d %d %.6f %v\n", tp.ID, tp.T, float64(tp.F), tp.Infected)
-	}
+		return true
+	})
+	tbl.runlockAll()
 	return b.String()
 }
 
@@ -249,7 +249,7 @@ func TestShardedPersistenceAcrossShardCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tbl.Query("v < 20", query.Consume); err != nil {
+	if _, err := answer(tbl, "v < 20", query.Consume); err != nil {
 		t.Fatal(err)
 	}
 	wantLive := tbl.Len()
@@ -262,15 +262,15 @@ func TestShardedPersistenceAcrossShardCounts(t *testing.T) {
 		if tbl.Len() != wantLive {
 			t.Fatalf("shards=%d: recovered %d tuples, want %d", shards, tbl.Len(), wantLive)
 		}
-		res, err := tbl.Query("", query.Peek)
+		res, err := answer(tbl, "", query.Peek)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range res.Tuples {
-			if res.Tuples[i].Attrs[0].AsInt() < 20 {
-				t.Fatalf("shards=%d: consumed tuple came back: %v", shards, res.Tuples[i])
+		for i := range res {
+			if res[i].Attrs[0].AsInt() < 20 {
+				t.Fatalf("shards=%d: consumed tuple came back: %v", shards, res[i])
 			}
-			if i > 0 && res.Tuples[i].ID <= res.Tuples[i-1].ID {
+			if i > 0 && res[i].ID <= res[i-1].ID {
 				t.Fatalf("shards=%d: recovered scan out of order", shards)
 			}
 		}

@@ -61,9 +61,9 @@ func TestSQLConsumeRemovesMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LIMIT truncates the grid, not the consumption: QueryPred consumed
-	// only what it answered... Limit is applied post-scan in Execute,
-	// while QueryOpts.Limit was not set, so all 30 matches left.
+	// LIMIT truncates the grid, not the consumption: the SQL LIMIT is
+	// applied by the finishing stages after the cut, and QueryOpts.Limit
+	// (which bounds the cut) was not set, so all 30 matches left.
 	if len(g.Rows) != 5 {
 		t.Errorf("grid rows = %d", len(g.Rows))
 	}

@@ -103,9 +103,9 @@ func TestStreamProjectionErrorPrecedence(t *testing.T) {
 	}
 }
 
-// TestStreamRowsStayValid: callers keep Values() (Table.SQL) and
-// Tuple().Attrs (Table.QueryPred) beyond the next Next; hand-off blocks
-// are never recycled, so what they kept must not change under them.
+// TestStreamRowsStayValid: callers keep Values() beyond the next Next
+// (Table.SQL, and RowTuple's Attrs alias the row); hand-off blocks are
+// never recycled, so what they kept must not change under them.
 func TestStreamRowsStayValid(t *testing.T) {
 	const n = 1200
 	tbl := blockTable(t, 2, n)
@@ -113,19 +113,19 @@ func TestStreamRowsStayValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tbl.Query("k >= 0", query.Peek)
+	res, err := answer(tbl, "k >= 0", query.Peek)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != n || len(res.Tuples) != n {
-		t.Fatalf("%d projected rows, %d tuples, want %d", len(g.Rows), len(res.Tuples), n)
+	if len(g.Rows) != n || len(res) != n {
+		t.Fatalf("%d projected rows, %d tuples, want %d", len(g.Rows), len(res), n)
 	}
 	for k := 0; k < n; k++ {
 		name := fmt.Sprintf("name-%d", k%7)
 		if row := g.Rows[k]; row[0].AsInt() != int64(k) || row[1].AsString() != name {
 			t.Fatalf("projected row %d = %v", k, row)
 		}
-		tp := res.Tuples[k]
+		tp := res[k]
 		if tp.ID != tuple.ID(k) || tp.F != tuple.Full || len(tp.Attrs) != 4 ||
 			tp.Attrs[0].AsInt() != int64(k) || tp.Attrs[2].AsString() != name || tp.Attrs[3].AsBool() != (k%3 == 0) {
 			t.Fatalf("tuple %d = %v", k, tp)
@@ -152,7 +152,7 @@ func TestStreamRowsStayValid(t *testing.T) {
 
 // TestStreamAllocsPerBlock is the allocation guard of the block
 // hand-off: draining a stream allocates per 256-row block, not per row,
-// whether the plan projects columns or yields whole tuples.
+// whether the plan projects some columns or every field of the tuple.
 func TestStreamAllocsPerBlock(t *testing.T) {
 	const n, shards = 20_000, 4
 	tbl := blockTable(t, shards, n)
@@ -164,18 +164,16 @@ func TestStreamAllocsPerBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := tbl.cachedPredicate("k >= 0")
+	tuples, err := tbl.Prepare(SelectTuples("t", false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := &PreparedQuery{t: tbl, plan: query.PlanPredicate(pred, query.Peek)}
-	// Six allocations per raw block (the block, its IDs, its values and
-	// three system columns), three per projected one; a partial last
-	// block per shard; the rest (channels, goroutines, matchers, the
-	// Rows) does not depend on the row count.
-	const perBlock, fixed = 6, 150
+	// Three allocations per block (the block, its IDs, its values); a
+	// partial last block per shard; the rest (channels, goroutines,
+	// matchers, the Rows) does not depend on the row count.
+	const perBlock, fixed = 3, 150
 	blocks := (n+query.BlockRows-1)/query.BlockRows + shards
-	for name, pq := range map[string]*PreparedQuery{"projected": proj, "star": star, "raw": raw} {
+	for name, pq := range map[string]*PreparedQuery{"projected": proj, "star": star, "tuples": tuples} {
 		got := 0
 		allocs := testing.AllocsPerRun(5, func() {
 			rows, err := pq.Execute()

@@ -577,14 +577,7 @@ func (t *Table) InsertShardBatch(i int, rows [][]tuple.Value) ([]tuple.Tuple, er
 	return results, nil
 }
 
-// Compile prepares a predicate against this table's schema. Compiled
-// predicates can be reused across queries; results are cached in the
-// table's plan LRU, so recompiling the same source is a map hit.
-func (t *Table) Compile(where string) (*query.Predicate, error) {
-	return t.cachedPredicate(where)
-}
-
-// QueryOpts tunes Query.
+// QueryOpts tunes one execution (PreparedQuery.ExecuteOpts, Table.SQL).
 type QueryOpts struct {
 	// Limit caps the answer set size; 0 means unlimited. In Consume
 	// mode only the answered tuples are removed.
@@ -593,49 +586,6 @@ type QueryOpts struct {
 	// (created on first use with the table's container half-life).
 	// Empty means no distillation.
 	Distill string
-}
-
-// Query executes Q(T,R,P) with the given mode. In Consume mode every
-// answered tuple is discarded from the extent immediately, implementing
-// the second natural law; in Peek mode the extent is unchanged (and,
-// with TouchOnRead, refreshed). The WHERE compilation is cached in the
-// table's plan LRU, so repeated calls with the same source skip the
-// parse.
-func (t *Table) Query(where string, mode query.Mode, opts ...QueryOpts) (*query.Result, error) {
-	pred, err := t.cachedPredicate(where)
-	if err != nil {
-		return nil, err
-	}
-	return t.QueryPred(pred, mode, opts...)
-}
-
-// QueryPred is Query with a pre-compiled predicate. It is a thin shim
-// over the prepared plan/execute path: the predicate wraps into a raw
-// scan plan, executes through the same router as SQL statements, and
-// the streamed rows drain into the classical materialised Result.
-// Peek queries scan the shards in parallel and merge the partial
-// answers back into global insertion order; Consume queries hold every
-// shard lock so the answer-and-discard step is one atomic cut across
-// the whole extent.
-func (t *Table) QueryPred(pred *query.Predicate, mode query.Mode, opts ...QueryOpts) (*query.Result, error) {
-	var opt QueryOpts
-	if len(opts) > 0 {
-		opt = opts[0]
-	}
-	rows, err := t.execPlan(query.PlanPredicate(pred, mode), nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	res := &query.Result{Schema: t.cfg.Schema, Mode: mode}
-	for rows.Next() {
-		res.Tuples = append(res.Tuples, *rows.Tuple())
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	res.Scanned = rows.Scanned()
-	return res, nil
 }
 
 // mergeByID k-way merges per-shard answer sets (each ID-ascending) into

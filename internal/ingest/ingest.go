@@ -116,6 +116,11 @@ type Pipeline struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 	queues []chan []tuple.Value // live only while started
+
+	// onStats, when set (tests only, before Start), runs after every fold
+	// of batch counters into stats, so tests wait on progress instead of
+	// polling for it.
+	onStats func()
 }
 
 // New builds a pipeline. The source schema must equal the table schema.
@@ -270,6 +275,9 @@ func (p *Pipeline) addStats(local Stats) {
 	p.stats.QueueDropped += local.QueueDropped
 	p.stats.Flushes += local.Flushes
 	p.mu.Unlock()
+	if p.onStats != nil {
+		p.onStats()
+	}
 }
 
 // runBatch pulls and refines one batch, then hands the survivors to the

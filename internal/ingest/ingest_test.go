@@ -26,6 +26,38 @@ func newTable(t *testing.T, schema *tuple.Schema) *core.Table {
 	return tbl
 }
 
+// startWatched starts p in the background and returns a wait that
+// blocks until cond holds for p's counters. The wait re-checks after
+// every fold the pipeline makes (its onStats hook) instead of polling;
+// the timeout only turns a hang into a failure.
+func startWatched(t *testing.T, p *Pipeline) (wait func(what string, cond func(Stats) bool) Stats) {
+	t.Helper()
+	progress := make(chan struct{}, 1)
+	p.onStats = func() {
+		select {
+		case progress <- struct{}{}:
+		default: // a wake-up is already pending; it reads the latest counters
+		}
+	}
+	if err := p.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return func(what string, cond func(Stats) bool) Stats {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for {
+			if st := p.Stats(); cond(st) {
+				return st
+			}
+			select {
+			case <-progress:
+			case <-timeout:
+				t.Fatalf("%s: %+v", what, p.Stats())
+			}
+		}
+	}
+}
+
 func TestRunIngestsExactly(t *testing.T) {
 	gen := workload.NewIoT(10, 1)
 	tbl := newTable(t, gen.Schema())
@@ -145,26 +177,20 @@ func TestBackgroundStartStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	wait := startWatched(t, p)
 	if err := p.Start(context.Background()); err == nil {
 		t.Error("double start accepted")
 	}
-	deadline := time.After(5 * time.Second)
-	for tbl.Len() < 100 {
-		select {
-		case <-deadline:
-			t.Fatalf("background ingest too slow: %d rows", tbl.Len())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	wait("background ingest too slow", func(st Stats) bool { return st.Inserted >= 100 })
 	p.Stop()
-	n := tbl.Len()
-	time.Sleep(20 * time.Millisecond)
-	if tbl.Len() != n {
-		t.Error("ingestion continued after Stop")
+	// Stop returned after the producer's epilogue, which runs once every
+	// consumer exited and drops the queues: nothing is left to insert,
+	// and everything inserted is counted.
+	if p.QueueDepths() != nil {
+		t.Error("pipeline goroutines still running after Stop")
+	}
+	if n := tbl.Len(); uint64(n) != p.Stats().Inserted {
+		t.Errorf("table %d != inserted %d after Stop", n, p.Stats().Inserted)
 	}
 	p.Stop() // no-op
 }
@@ -177,20 +203,16 @@ func TestBackgroundRateLimitThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
+	start := time.Now()
+	wait := startWatched(t, p)
+	wait("nothing ingested", func(st Stats) bool { return st.Inserted >= 50 })
 	p.Stop()
-	got := tbl.Len()
-	// ~100ms at 1000/s is ~100 rows; allow generous scheduling slack
-	// but catch an unthrottled burst (which would insert tens of
-	// thousands).
-	if got > 1000 {
-		t.Errorf("rate limiter ineffective: %d rows in 100ms", got)
-	}
-	if got == 0 {
-		t.Error("nothing ingested")
+	elapsed := time.Since(start)
+	// The producer pulls one batch at once and one more per tick, so in
+	// elapsed it pulled at most 10 + 1000/s × elapsed rows. An
+	// unthrottled burst would insert tens of thousands.
+	if got, most := tbl.Len(), 10+int(1000*elapsed.Seconds()); got > most {
+		t.Errorf("rate limiter ineffective: %d rows in %v, at most %d at 1000/s", got, elapsed, most)
 	}
 }
 
@@ -254,18 +276,8 @@ func TestBoundedQueueDrainsOnStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for tbl.Len() < 500 {
-		select {
-		case <-deadline:
-			t.Fatalf("bounded-queue ingest too slow: %d rows", tbl.Len())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	wait := startWatched(t, p)
+	wait("bounded-queue ingest too slow", func(st Stats) bool { return st.Inserted >= 500 })
 	p.Stop()
 	st := p.Stats()
 	if st.Enqueued == 0 {
@@ -330,18 +342,8 @@ func TestDropWhenFullShedsLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for p.Stats().QueueDropped == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("drop policy never shed a row")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	wait := startWatched(t, p)
+	wait("drop policy never shed a row", func(st Stats) bool { return st.QueueDropped > 0 })
 	p.Stop()
 	st := p.Stats()
 	if st.Inserted != st.Enqueued {
@@ -364,22 +366,8 @@ func TestBackgroundRefinerRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		st := p.Stats()
-		if st.Dropped > 50 && st.Inserted > 5 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("refiner starved: %+v", p.Stats())
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
+	wait := startWatched(t, p)
+	wait("refiner starved", func(st Stats) bool { return st.Dropped > 50 && st.Inserted > 5 })
 	p.Stop()
 	st := p.Stats()
 	if st.Enqueued+st.Dropped+st.QueueDropped != st.Pulled {

@@ -21,11 +21,6 @@ type Block struct {
 	// Vals[k*Width:(k+1)*Width].
 	Vals  []tuple.Value
 	Width int
-	// Ts, Fs and Inf are the system fields of raw plans, whose rows are
-	// whole tuples; nil for projected plans.
-	Ts  []int64
-	Fs  []float64
-	Inf []bool
 	// Err, when set, poisons the block's last row: its ID is present
 	// but projecting it failed, so it has no values. The merge reports
 	// Err when (and only if) it reaches that row — exactly where a
@@ -66,16 +61,6 @@ func lowerTargets(targets []SelectTarget, schema *tuple.Schema) (proj []int, com
 		}
 	}
 	return proj, computed
-}
-
-// identityProj is the projection of a raw plan: every user attribute
-// in schema order.
-func identityProj(schema *tuple.Schema) []int {
-	proj := make([]int, schema.Len())
-	for i := range proj {
-		proj[i] = i
-	}
-	return proj
 }
 
 // BlockWriter fills hand-off blocks for one shard producer of a
@@ -139,19 +124,11 @@ func (w *BlockWriter) grow(n int) (*Block, int) {
 			Vals:  make([]tuple.Value, 0, w.cap*width),
 			Width: width,
 		}
-		if w.plan.raw {
-			b.Ts = make([]int64, 0, w.cap)
-			b.Fs = make([]float64, 0, w.cap)
-			b.Inf = make([]bool, 0, w.cap)
-		}
 		w.blk = b
 	}
 	at := len(b.IDs)
 	b.IDs = b.IDs[:at+n]
 	b.Vals = b.Vals[:(at+n)*b.Width]
-	if w.plan.raw {
-		b.Ts, b.Fs, b.Inf = b.Ts[:at+n], b.Fs[:at+n], b.Inf[:at+n]
-	}
 	return b, at
 }
 
@@ -175,11 +152,6 @@ func (w *BlockWriter) AddBatch(src *tuple.Batch, rows []int) int {
 	b, at := w.grow(len(rows))
 	for k, j := range rows {
 		b.IDs[at+k] = src.IDs[j]
-	}
-	if w.plan.raw {
-		for k, j := range rows {
-			b.Ts[at+k], b.Fs[at+k], b.Inf[at+k] = src.Ts[j], src.Fs[j], src.Inf[j]
-		}
 	}
 	for c, slot := range w.plan.proj {
 		gatherCol(b.Vals[at*b.Width+c:], b.Width, src, slot, rows)
@@ -235,9 +207,6 @@ func gatherCol(dst []tuple.Value, stride int, src *tuple.Batch, slot int, rows [
 func (w *BlockWriter) addTuple(tp *tuple.Tuple) bool {
 	b, at := w.grow(1)
 	b.IDs[at] = tp.ID
-	if w.plan.raw {
-		b.Ts[at], b.Fs[at], b.Inf[at] = int64(tp.T), float64(tp.F), tp.Infected
-	}
 	row := b.Vals[at*b.Width : (at+1)*b.Width]
 	if w.env != nil {
 		w.env.Tuple = tp

@@ -23,14 +23,13 @@ type Plan struct {
 	src     string
 	mode    Mode
 	where   Expr           // nil = always true
-	stmt    *SelectStmt    // nil for raw and ask plans
-	targets []SelectTarget // expanded projection; nil for raw plans
+	stmt    *SelectStmt    // nil for ask plans
+	targets []SelectTarget // expanded projection; nil for ask plans
 	ask     *AskStmt       // nil for SELECT plans
 	askVal  tuple.Value    // coerced has-operand (zero when parameterised)
 	cols    []string
 	params  int
 	agg     bool
-	raw     bool // no projection stage: Execute yields whole tuples
 
 	// proj lowers each output column of a streaming plan to a column
 	// slot (see lowerTargets); computed marks plans with at least one
@@ -177,24 +176,6 @@ func coerceToColumn(schema *tuple.Schema, col, raw string) (tuple.Value, error) 
 	return tuple.String_(raw), nil
 }
 
-// PlanPredicate wraps an already-compiled predicate as a raw scan plan:
-// no projection stage, Execute yields whole tuples. It is how the
-// classical Query/QueryPred API re-expresses itself over the one
-// prepared path.
-func PlanPredicate(pred *Predicate, mode Mode) *Plan {
-	return &Plan{
-		schema:     pred.schema,
-		src:        pred.src,
-		mode:       mode,
-		where:      pred.expr,
-		raw:        true,
-		proj:       identityProj(pred.schema),
-		pruner:     pred.pruner,
-		vec:        pred.vec,
-		limitParam: -1,
-	}
-}
-
 // Schema returns the schema the plan compiled against.
 func (p *Plan) Schema() *tuple.Schema { return p.schema }
 
@@ -210,10 +191,6 @@ func (p *Plan) Consume() bool { return p.mode == Consume }
 // Aggregated reports whether the plan runs the aggregate/GROUP BY
 // stage (and therefore merges per-shard partial aggregators).
 func (p *Plan) Aggregated() bool { return p.agg }
-
-// Raw reports whether the plan has no projection stage: Execute yields
-// whole tuples and Rows.Values is nil.
-func (p *Plan) Raw() bool { return p.raw }
 
 // Ordered reports whether the plan needs a sort barrier before the
 // first row can be emitted.
@@ -234,7 +211,7 @@ func (p *Plan) Pruner() *Pruner { return p.pruner }
 // bare system column — those orders can be served by an axis-directed
 // scan that skips whole segments once a top-k heap is full.
 func (p *Plan) OrderAxis() (axis uint8, desc, ok bool) {
-	if p.stmt == nil || p.agg || p.raw || len(p.order) == 0 {
+	if p.stmt == nil || p.agg || len(p.order) == 0 {
 		return 0, false, false
 	}
 	oi := p.order[0]
@@ -262,7 +239,7 @@ func (p *Plan) IsAsk() bool { return p.ask != nil }
 // Ask returns the validated ask statement, nil for SELECT plans.
 func (p *Plan) Ask() *AskStmt { return p.ask }
 
-// Cols returns the output column names (nil for raw plans).
+// Cols returns the output column names.
 func (p *Plan) Cols() []string { return p.cols }
 
 // NumParams returns the number of `?` placeholders Execute must bind.
@@ -339,9 +316,6 @@ func (p *Plan) Bind(params []tuple.Value) (*Plan, error) {
 // materialised matching set — the barrier path for plans that cannot
 // stream (ORDER BY, aggregates executed locally, consume).
 func (p *Plan) Finish(tuples []tuple.Tuple, params []tuple.Value) (*Grid, error) {
-	if p.raw || p.stmt == nil {
-		return nil, fmt.Errorf("query: raw plans have no projection stage")
-	}
 	if p.agg {
 		return executeGrouped(p.stmt, p.targets, p.schema, tuples, params)
 	}

@@ -36,6 +36,20 @@ func (z fakeZone) MayContainString(col int, s string) bool {
 	return z.names[s]
 }
 
+// pruneOf lowers a WHERE source to its segment-prune checks, nil when
+// no conjunct is prunable.
+func pruneOf(t *testing.T, where string) *Pruner {
+	t.Helper()
+	e, err := Parse(where)
+	if err != nil {
+		t.Fatalf("%q: %v", where, err)
+	}
+	if err := checkCols(e, matchSchema); err != nil {
+		t.Fatalf("%q: %v", where, err)
+	}
+	return compilePrune(e, matchSchema)
+}
+
 func TestPruneRules(t *testing.T) {
 	zone := fakeZone{names: map[string]bool{"alpha": true, "beta": true}}
 	cases := []struct {
@@ -81,17 +95,14 @@ func TestPruneRules(t *testing.T) {
 		{"NOT k > 3", false}, // NOT is never lowered
 	}
 	for _, c := range cases {
-		pred, err := Compile(c.where, matchSchema)
-		if err != nil {
-			t.Fatalf("%q: %v", c.where, err)
-		}
-		if pred.pruner == nil {
+		pruner := pruneOf(t, c.where)
+		if pruner == nil {
 			if c.skip {
 				t.Errorf("%q: no pruner compiled but skip expected", c.where)
 			}
 			continue
 		}
-		if got := pred.pruner.Skip(zone); got != c.skip {
+		if got := pruner.Skip(zone); got != c.skip {
 			t.Errorf("%q: skip = %v, want %v", c.where, got, c.skip)
 		}
 	}
@@ -102,9 +113,9 @@ func TestPruneRules(t *testing.T) {
 // the bloom (fake: unknown values miss) would already do it. Verify
 // the bounds proof alone suffices when the bloom abstains.
 func TestPruneStringBoundsWithoutBloom(t *testing.T) {
-	pred := MustCompile("name = \"aaaa\"", matchSchema)
+	pruner := pruneOf(t, "name = \"aaaa\"")
 	zone := fakeZone{} // nil names: bloom always says maybe
-	if pred.pruner == nil || !pred.pruner.Skip(zone) {
+	if pruner == nil || !pruner.Skip(zone) {
 		t.Error("string bounds alone did not prune")
 	}
 }
@@ -114,11 +125,7 @@ func TestPruneUnprunablePredicates(t *testing.T) {
 		"", "true", "v > 0.5", "_f < 1.0", "k + 1 > 3", "k > v",
 		"NOT k > 20", "name LIKE \"a%\"", "k != 12",
 	} {
-		pred, err := Compile(where, matchSchema)
-		if err != nil {
-			t.Fatalf("%q: %v", where, err)
-		}
-		if pred.pruner != nil && pred.pruner.Skip(fakeZone{}) {
+		if pruner := pruneOf(t, where); pruner != nil && pruner.Skip(fakeZone{}) {
 			t.Errorf("%q pruned a segment it cannot reason about", where)
 		}
 	}

@@ -199,74 +199,45 @@ func TestExprStringRoundTrips(t *testing.T) {
 	}
 }
 
-func TestResultHelpers(t *testing.T) {
-	r := &Result{
-		Schema: testSchema,
-		Tuples: []tuple.Tuple{
-			testTuple("a", 10, 1, true),
-			testTuple("b", 20, 2, false),
-		},
-		Scanned: 5,
-		Mode:    Consume,
-	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if r.FreshnessMass() != 1.0 { // two tuples at 0.5 each
-		t.Errorf("FreshnessMass = %v", r.FreshnessMass())
-	}
-	if r.MeanFreshness() != 0.5 {
-		t.Errorf("MeanFreshness = %v", r.MeanFreshness())
-	}
-	if r.Bytes() <= 0 {
-		t.Error("Bytes not positive")
-	}
-	if r.Mode.String() != "consume" || Peek.String() != "peek" {
-		t.Error("Mode strings wrong")
-	}
-
-	vals, err := r.Project(1, []string{"device", "_f", "temp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].AsString() != "b" || vals[1].AsFloat() != 0.5 || vals[2].AsFloat() != 20 {
-		t.Errorf("Project = %v", vals)
-	}
-	if _, err := r.Project(0, []string{"nosuch"}); err == nil {
-		t.Error("Project unknown column accepted")
-	}
-
-	empty := &Result{Schema: testSchema}
-	if empty.MeanFreshness() != 0 {
-		t.Error("empty MeanFreshness not 0")
-	}
-}
-
+// TestAggregate pins the one-column fold the stream layer's windows
+// use: COUNT, SUM, AVG, MIN and MAX over a numeric column, a non-numeric
+// one rejected, and the values of an empty input.
 func TestAggregate(t *testing.T) {
-	r := &Result{
-		Schema: testSchema,
-		Tuples: []tuple.Tuple{
-			testTuple("a", 10, 1, true),
-			testTuple("b", 30, 3, true),
-			testTuple("c", 20, 2, true),
-		},
+	tuples := []tuple.Tuple{
+		testTuple("a", 10, 1, true),
+		testTuple("b", 30, 3, true),
+		testTuple("c", 20, 2, true),
 	}
-	a, err := r.Aggregate("temp")
+	run := func(col string, in []tuple.Tuple) ([]tuple.Value, error) {
+		stmt, err := ParseSelect("SELECT COUNT(*), SUM(" + col + "), AVG(" + col + "), MIN(" + col + "), MAX(" + col + ") FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Execute(stmt, testSchema, in)
+		if err != nil {
+			return nil, err
+		}
+		return g.Rows[0], nil
+	}
+	row, err := run("temp", tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Count() != 3 || a.Sum() != 60 || a.Min() != 10 || a.Max() != 30 || a.Mean() != 20 {
-		t.Errorf("agg = count %d sum %v min %v max %v mean %v", a.Count(), a.Sum(), a.Min(), a.Max(), a.Mean())
+	if row[0].AsInt() != 3 || row[1].AsFloat() != 60 || row[2].AsFloat() != 20 || row[3].AsFloat() != 10 || row[4].AsFloat() != 30 {
+		t.Errorf("agg = %v", row)
 	}
-	if _, err := r.Aggregate("device"); err == nil {
+	if _, err := run("device", tuples); err == nil {
 		t.Error("aggregate over string accepted")
 	}
-	if _, err := r.Aggregate("nosuch"); err == nil {
+	if _, err := run("nosuch", tuples); err == nil {
 		t.Error("aggregate over unknown column accepted")
 	}
-	var zero Agg
-	if zero.Mean() != 0 || zero.Min() != 0 || zero.Max() != 0 {
-		t.Error("zero Agg accessors not 0")
+	row, err = run("temp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row[0].AsInt() != 0 || row[1].AsFloat() != 0 || row[2].AsFloat() != 0 || row[3].IsValid() || row[4].IsValid() {
+		t.Errorf("empty agg = %v", row)
 	}
 }
 

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"fungusdb/internal/clock"
 	"fungusdb/internal/tuple"
 )
 
@@ -11,7 +10,7 @@ import (
 //	rows, err := pq.Execute(params...)
 //	defer rows.Close()
 //	for rows.Next() {
-//	    use rows.Values() (projected) or rows.Tuple() (raw plans)
+//	    use rows.Values()
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
@@ -26,13 +25,12 @@ type Rows struct {
 	mode   Mode
 	src    rowSource
 	vals   []tuple.Value
-	tp     *tuple.Tuple
 	err    error
 	done   bool
 	closed bool
 }
 
-// rowSource feeds a Rows. next sets r.vals/r.tp and returns true, or
+// rowSource feeds a Rows. next sets r.vals and returns true, or
 // returns false at end of stream (setting r.err on failure).
 type rowSource interface {
 	next(r *Rows) bool
@@ -40,7 +38,7 @@ type rowSource interface {
 	scanned() int
 }
 
-// Cols returns the output column names (nil for raw tuple scans).
+// Cols returns the output column names.
 func (r *Rows) Cols() []string { return r.cols }
 
 // Mode returns the executed plan's read semantics.
@@ -54,20 +52,20 @@ func (r *Rows) Next() bool {
 	}
 	if !r.src.next(r) {
 		r.done = true
-		r.vals, r.tp = nil, nil
+		r.vals = nil
 		return false
 	}
 	return true
 }
 
-// Values returns the current projected row. It is valid until the next
-// Next call; nil for raw plans (use Tuple).
+// Values returns the current row. It is valid until the next Next call.
 func (r *Rows) Values() []tuple.Value { return r.vals }
 
-// Tuple returns the current whole tuple for raw plans (Query-style
-// scans); nil when the plan has a projection stage. The tuple itself is
-// valid until the next Next call; its Attrs may be kept.
-func (r *Rows) Tuple() *tuple.Tuple { return r.tp }
+// Tuple always returns nil: every plan has a projection stage, so rows
+// carry values only — select `_id, _t, _f, *` for a whole tuple's
+// fields. It is kept, with its signature, because the repository
+// benchmark (bench/fungusload) still names it and may not change.
+func (r *Rows) Tuple() *tuple.Tuple { return nil }
 
 // Err returns the first error hit while producing rows. For streaming
 // plans an error in one shard surfaces after the remaining shards'
@@ -104,7 +102,7 @@ func (s *valueSource) next(r *Rows) bool {
 	if s.i >= len(s.rows) {
 		return false
 	}
-	r.vals, r.tp = s.rows[s.i], nil
+	r.vals = s.rows[s.i]
 	s.i++
 	return true
 }
@@ -123,49 +121,12 @@ func NewGridRows(g *Grid, mode Mode, scanned int) *Rows {
 	return &Rows{cols: g.Cols, mode: mode, src: &valueSource{rows: g.Rows, scannedN: scanned}}
 }
 
-// tupleSource serves a materialised matching set, optionally projected.
-type tupleSource struct {
-	tuples   []tuple.Tuple
-	i        int
-	project  func(*tuple.Tuple) ([]tuple.Value, error) // nil = raw
-	scannedN int
-}
-
-func (s *tupleSource) next(r *Rows) bool {
-	if s.i >= len(s.tuples) {
-		return false
-	}
-	tp := &s.tuples[s.i]
-	s.i++
-	if s.project != nil {
-		vals, err := s.project(tp)
-		if err != nil {
-			r.err = err
-			return false
-		}
-		r.vals = vals
-	} else {
-		r.vals = nil
-	}
-	r.tp = tp
-	return true
-}
-
-func (s *tupleSource) close() error { return nil }
-func (s *tupleSource) scanned() int { return s.scannedN }
-
-// NewTupleRows wraps a materialised matching set as a Rows. A nil
-// project yields raw tuples only.
-func NewTupleRows(cols []string, mode Mode, tuples []tuple.Tuple, project func(*tuple.Tuple) ([]tuple.Value, error), scanned int) *Rows {
-	return &Rows{cols: cols, mode: mode, src: &tupleSource{tuples: tuples, project: project, scannedN: scanned}}
-}
-
 // --- shard-streaming source ------------------------------------------
 
 // Stream wires a shard-parallel scan into a Rows. The engine owns the
 // producer goroutines; this type owns the pull side.
 type Stream struct {
-	// Cols are the output column names (nil for raw plans).
+	// Cols are the output column names.
 	Cols []string
 	// Mode is the plan's read semantics.
 	Mode Mode
@@ -202,7 +163,6 @@ type streamSource struct {
 	idx     []int    // cursor into heads[i]
 	done    chan struct{}
 	wait    func() (int, error)
-	tup     tuple.Tuple // the current row of a raw plan
 	limit   int
 	emitted int
 	started bool
@@ -265,19 +225,7 @@ func (s *streamSource) next(r *Rows) bool {
 	}
 	// The capacity cut keeps a caller's append from writing into the
 	// next row of the block.
-	vals := h.Vals[k*h.Width : (k+1)*h.Width : (k+1)*h.Width]
-	if h.Ts != nil {
-		s.tup = tuple.Tuple{
-			ID:       h.IDs[k],
-			T:        clock.Tick(h.Ts[k]),
-			F:        tuple.Freshness(h.Fs[k]),
-			Infected: h.Inf[k],
-			Attrs:    vals,
-		}
-		r.vals, r.tp = nil, &s.tup
-	} else {
-		r.vals, r.tp = vals, nil
-	}
+	r.vals = h.Vals[k*h.Width : (k+1)*h.Width : (k+1)*h.Width]
 	s.emitted++
 	return true
 }

@@ -80,7 +80,7 @@ func TestSelectWhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Execute receives pre-filtered tuples in the engine; simulate here.
-	pred, err := FromExpr(stmt.Where, clickSchema)
+	pred, err := Compile(stmt.Where.String(), clickSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +226,9 @@ func TestSelectConsumeFlagParsed(t *testing.T) {
 	stmt, _ = ParseSelect("SELECT * FROM clicks")
 	if stmt.Consume {
 		t.Error("Consume true without keyword")
+	}
+	if Consume.String() != "consume" || Peek.String() != "peek" {
+		t.Error("Mode strings wrong")
 	}
 }
 

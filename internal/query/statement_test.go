@@ -141,14 +141,14 @@ func TestPlanRejectsUnknownColumns(t *testing.T) {
 
 func TestPlanRouting(t *testing.T) {
 	cases := []struct {
-		src                        string
-		agg, consume, ordered, raw bool
+		src                   string
+		agg, consume, ordered bool
 	}{
-		{"SELECT * FROM clicks", false, false, false, false},
-		{"SELECT COUNT(*) FROM clicks", true, false, false, false},
-		{"SELECT user, COUNT(*) AS n FROM clicks GROUP BY user", true, false, false, false},
-		{"SELECT CONSUME * FROM clicks WHERE dwell > 1", false, true, false, false},
-		{"SELECT user FROM clicks ORDER BY user", false, false, true, false},
+		{"SELECT * FROM clicks", false, false, false},
+		{"SELECT COUNT(*) FROM clicks", true, false, false},
+		{"SELECT user, COUNT(*) AS n FROM clicks GROUP BY user", true, false, false},
+		{"SELECT CONSUME * FROM clicks WHERE dwell > 1", false, true, false},
+		{"SELECT user FROM clicks ORDER BY user", false, false, true},
 	}
 	for _, c := range cases {
 		stmt, err := ParseStatement(c.src)
@@ -159,10 +159,9 @@ func TestPlanRouting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %q: %v", c.src, err)
 		}
-		if plan.Aggregated() != c.agg || plan.Consume() != c.consume ||
-			plan.Ordered() != c.ordered || plan.Raw() != c.raw {
-			t.Errorf("%q routing = agg:%v consume:%v ordered:%v raw:%v",
-				c.src, plan.Aggregated(), plan.Consume(), plan.Ordered(), plan.Raw())
+		if plan.Aggregated() != c.agg || plan.Consume() != c.consume || plan.Ordered() != c.ordered {
+			t.Errorf("%q routing = agg:%v consume:%v ordered:%v",
+				c.src, plan.Aggregated(), plan.Consume(), plan.Ordered())
 		}
 	}
 }

@@ -446,7 +446,7 @@ func FuzzBatchProgram(f *testing.F) {
 func TestBatchProgramUnknownColumn(t *testing.T) {
 	// Schema checks normally reject unknown columns at compile time;
 	// the program must still reproduce the interpreter's error if
-	// handed one (predicates built via FromExpr on unchecked trees).
+	// handed one (an expression tree that skipped the schema check).
 	checkBatchProgram(t, Bin{Op: OpGt, L: Col{Name: "nosuch"}, R: Lit{V: tuple.Int(1)}})
 }
 

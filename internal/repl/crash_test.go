@@ -229,15 +229,9 @@ func TestTornBatchRejectedBeforeApply(t *testing.T) {
 
 	// The rejection is pinned in the table's status: the last stream
 	// error was the pre-apply validation, not a storage failure.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, _ := fh.f.TableStatus(tableName)
-		if st.Err != nil && strings.Contains(st.Err.Error(), "torn or corrupt") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("torn batch never surfaced as a validation error (last: %v)", st.Err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st, ok := fh.pollStatus(2*time.Second, func(st repl.TableStatus, _ bool) bool {
+		return st.Err != nil && strings.Contains(st.Err.Error(), "torn or corrupt")
+	}); !ok {
+		t.Fatalf("torn batch never surfaced as a validation error (last: %v)", st.Err)
 	}
 }

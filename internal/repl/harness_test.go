@@ -117,21 +117,34 @@ func startFollower(t *testing.T, leaderURL string, mod func(*repl.Config)) *foll
 func (fh *followerHarness) waitSynced(t *testing.T, lh *leaderHarness) {
 	t.Helper()
 	log := lh.tbl.ShipLog()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st, ok := fh.f.TableStatus(tableName)
-		man := log.Manifest()
-		var want uint64
+	var gen, want uint64
+	st, synced := fh.pollStatus(15*time.Second, func(st repl.TableStatus, ok bool) bool {
+		gen, want = log.Manifest().Generation, 0
 		for _, c := range log.RecordCounts() {
 			want += c
 		}
-		if ok && st.Connected && !st.Fenced &&
-			st.Generation == man.Generation && st.AppliedRecords == want {
-			return
+		return ok && st.Connected && !st.Fenced && st.Generation == gen && st.AppliedRecords == want
+	})
+	if !synced {
+		t.Fatalf("follower never synced: leader gen %d with %d records, follower %+v", gen, want, st)
+	}
+}
+
+// pollStatus re-reads the follower's status of the events table until
+// cond holds (true) or timeout passes (false), and returns the last
+// status read. The follower has nothing to wait on, so this polls; the
+// pause between polls cannot fail a test — it only paces re-checks of
+// cond, and only the deadline, far beyond any one replication step,
+// decides a failure.
+func (fh *followerHarness) pollStatus(timeout time.Duration, cond func(st repl.TableStatus, ok bool) bool) (repl.TableStatus, bool) {
+	deadline := time.Now().Add(timeout)
+	for {
+		st, ok := fh.f.TableStatus(tableName)
+		if cond(st, ok) {
+			return st, true
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never synced: leader gen %d with %d records, follower %+v",
-				man.Generation, want, st)
+			return st, false
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

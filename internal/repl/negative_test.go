@@ -97,16 +97,10 @@ func TestStaleGenerationFencesFollower(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	lhA.ingest(t, 5, 1)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, ok := fh.f.TableStatus(tableName)
-		if ok && st.Generation >= 1 && st.Connected && st.LagRecords == 0 && st.HaveCounts {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never reached generation 1 (status %+v)", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st, ok := fh.pollStatus(10*time.Second, func(st repl.TableStatus, ok bool) bool {
+		return ok && st.Generation >= 1 && st.Connected && st.LagRecords == 0 && st.HaveCounts
+	}); !ok {
+		t.Fatalf("follower never reached generation 1 (status %+v)", st)
 	}
 	rowsBefore := queryRows(t, fh.cl, "SELECT * FROM events")
 
@@ -117,23 +111,16 @@ func TestStaleGenerationFencesFollower(t *testing.T) {
 	rt.setTarget(strings.TrimPrefix(lhB.srv.URL, "http://"))
 	lhA.srv.CloseClientConnections() // drop the live stream to force the reconnect
 
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		st, ok := fh.f.TableStatus(tableName)
-		if ok && st.Fenced {
-			var ce *client.Error
-			if !errors.As(st.Err, &ce) || ce.Code != "stale_generation" {
-				t.Fatalf("fenced with %v, want pinned stale_generation", st.Err)
-			}
-			if st.Connected {
-				t.Error("fenced table still reports a live stream")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never fenced against the regressed leader (status %+v)", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	st, fenced := fh.pollStatus(10*time.Second, func(st repl.TableStatus, ok bool) bool { return ok && st.Fenced })
+	if !fenced {
+		t.Fatalf("follower never fenced against the regressed leader (status %+v)", st)
+	}
+	var ce *client.Error
+	if !errors.As(st.Err, &ce) || ce.Code != "stale_generation" {
+		t.Fatalf("fenced with %v, want pinned stale_generation", st.Err)
+	}
+	if st.Connected {
+		t.Error("fenced table still reports a live stream")
 	}
 
 	// Fenced ≠ down: the replica still answers reads with its last

@@ -106,15 +106,15 @@ func parseExposition(t *testing.T, body string) (types map[string]string, tableV
 // exposition covering the engine metric catalog (>= 12 engine families)
 // plus the per-route latency histogram.
 func TestMetricsExposition(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	if _, err := c.Query("SELECT * FROM logs WHERE sev > 1"); err != nil {
-		t.Fatal(err)
+	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT * FROM logs WHERE sev > 1"}); status != http.StatusOK {
+		t.Fatalf("status %d, body %q", status, body)
 	}
 	if _, err := c.Tick(2); err != nil {
 		t.Fatal(err)
 	}
-	body := scrape(t, c.base)
+	body := scrape(t, ts.URL)
 	types, _ := parseExposition(t, body)
 
 	engine := 0
@@ -155,19 +155,17 @@ func TestMetricsExposition(t *testing.T) {
 // for a table against the /v1 stats endpoint: the two surfaces read the
 // same engine state and must agree while the table is quiescent.
 func TestMetricsStatsParity(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	if _, err := c.Query("SELECT CONSUME * FROM logs WHERE sev = 7"); err != nil {
+	if _, err := queryRows(c, "SELECT CONSUME * FROM logs WHERE sev = 7"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Tick(4); err != nil { // linear 0.25 fungus: 4 ticks rots the survivors
 		t.Fatal(err)
 	}
-	st, err := c.Stats("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, vals := parseExposition(t, scrape(t, c.base))
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/tables/logs/stats", &st)
+	_, vals := parseExposition(t, scrape(t, ts.URL))
 	for name, want := range map[string]float64{
 		"fungusdb_table_inserted_total":          float64(st.Inserted),
 		"fungusdb_table_rotted_total":            float64(st.Rotted),

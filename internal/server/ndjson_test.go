@@ -112,7 +112,7 @@ func FuzzAppendRowJSON(f *testing.F) {
 // before it, then an exec_error line in place of the trailer — not
 // stop short as if the client had gone away.
 func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
-	c, db, ts := newServerV2(t, Config{})
+	c, db, ts := newServer(t, Config{})
 	seedV2(t, c, 0)
 	tbl, err := db.Table("logs")
 	if err != nil {
@@ -165,10 +165,11 @@ func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
 	}
 }
 
-// v1Body posts sql to /v1/query and returns the status and raw body.
-func v1Body(t *testing.T, url, sql string) (int, []byte) {
+// v1Body posts a query to /v1/query and returns the status and raw
+// body. It is the tests' only way to /v1/query: pkg/client speaks /v2.
+func v1Body(t *testing.T, url string, q QueryRequest) (int, []byte) {
 	t.Helper()
-	req, _ := json.Marshal(QueryRequest{SQL: sql})
+	req, _ := json.Marshal(q)
 	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func v1Body(t *testing.T, url, sql string) (int, []byte) {
 // JSON encoding must come back as the 400 exec_error envelope, not as a
 // 200 whose body the encoder abandoned.
 func TestV1QueryNonFiniteFloatIsAnError(t *testing.T) {
-	c, db, ts := newServerV2(t, Config{})
+	c, db, ts := newServer(t, Config{})
 	seedV2(t, c, 0)
 	tbl, err := db.Table("logs")
 	if err != nil {
@@ -196,14 +197,14 @@ func TestV1QueryNonFiniteFloatIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	status, body := v1Body(t, ts.URL, "SELECT sev, latency FROM logs")
+	status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT sev, latency FROM logs"})
 	var env errorBody
 	if err := json.Unmarshal(body, &env); status != http.StatusBadRequest || err != nil ||
 		env.Error.Code != ErrCodeExec || !strings.Contains(env.Error.Message, "-Inf") {
 		t.Fatalf("status %d, body %q (%v); want 400 and an %s error naming -Inf", status, body, err, ErrCodeExec)
 	}
 	// The rows around it are still answerable.
-	if status, body := v1Body(t, ts.URL, "SELECT sev, latency FROM logs WHERE sev != 1"); status != http.StatusOK ||
+	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT sev, latency FROM logs WHERE sev != 1"}); status != http.StatusOK ||
 		string(body) != `{"cols":["sev","latency"],"rows":[[0,1.5],[2,2.5]]}`+"\n" {
 		t.Errorf("status %d, body %q", status, body)
 	}
@@ -212,7 +213,7 @@ func TestV1QueryNonFiniteFloatIsAnError(t *testing.T) {
 // TestV1QueryBodyMatchesEncodingJSON: the hand-assembled body is what
 // encoding/json writes for the same QueryResponse, byte for byte.
 func TestV1QueryBodyMatchesEncodingJSON(t *testing.T) {
-	c, db, ts := newServerV2(t, Config{})
+	c, db, ts := newServer(t, Config{})
 	seedV2(t, c, 0)
 	tbl, err := db.Table("logs")
 	if err != nil {
@@ -241,7 +242,7 @@ func TestV1QueryBodyMatchesEncodingJSON(t *testing.T) {
 		if err := json.NewEncoder(&ref).Encode(want); err != nil {
 			t.Fatal(err)
 		}
-		if status, body := v1Body(t, ts.URL, sql); status != http.StatusOK || !bytes.Equal(body, ref.Bytes()) {
+		if status, body := v1Body(t, ts.URL, QueryRequest{SQL: sql}); status != http.StatusOK || !bytes.Equal(body, ref.Bytes()) {
 			t.Errorf("%q: status %d\n  body          %q\n  encoding/json %q", sql, status, body, ref.Bytes())
 		}
 	}

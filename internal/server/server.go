@@ -1,5 +1,6 @@
-// Package server exposes a FungusDB over HTTP with a JSON API, plus the
-// matching Go client. The API surface mirrors the embedded one:
+// Package server exposes a FungusDB over HTTP with a JSON API (its Go
+// client is fungusdb/pkg/client). The API surface mirrors the embedded
+// one:
 //
 //	GET    /healthz                          liveness
 //	GET    /v1/tables                        table names
@@ -22,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"fungusdb/internal/catalog"
@@ -698,6 +698,3 @@ func (s *Server) tick(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
-
-// trim is a tiny helper used by the client for error text.
-func trim(s string) string { return strings.TrimSpace(s) }

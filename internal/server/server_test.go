@@ -1,38 +1,27 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"fungusdb/internal/catalog"
 	"fungusdb/internal/core"
+	"fungusdb/pkg/client"
 )
 
-func newServer(t *testing.T) (*Client, *core.DB) {
-	t.Helper()
-	db, err := core.Open(core.DBConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	ts := httptest.NewServer(New(db))
-	t.Cleanup(ts.Close)
-	return NewClient(ts.URL, ts.Client()), db
-}
-
-func spec() catalog.TableSpec {
-	return catalog.TableSpec{
+func spec() client.TableSpec {
+	return client.TableSpec{
 		Name:   "logs",
 		Schema: "host STRING, sev INT, latency FLOAT, ok BOOL",
-		Fungus: &catalog.FungusSpec{Kind: "linear", Rate: 0.25},
+		Fungus: &client.FungusSpec{Kind: "linear", Rate: 0.25},
 	}
 }
 
-func seed(t *testing.T, c *Client) {
+func seed(t *testing.T, c *client.Client) {
 	t.Helper()
-	if err := c.CreateTable(spec(), false); err != nil {
+	if err := c.CreateTable(spec()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := c.Insert("logs", [][]any{
@@ -48,8 +37,39 @@ func seed(t *testing.T, c *Client) {
 	}
 }
 
+// queryRows runs sql over the streaming endpoint and collects its rows.
+func queryRows(c *client.Client, sql string) ([][]any, error) {
+	rows, err := c.Query(sql)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	var out [][]any
+	for rows.Next() {
+		out = append(out, append([]any(nil), rows.Row()...))
+	}
+	return out, rows.Err()
+}
+
+// getJSON decodes a GET answer for the fields pkg/client does not
+// mirror (the full stats body, the container listing).
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHealthAndTables(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	now, err := c.Health()
 	if err != nil || now != 0 {
 		t.Fatalf("health = %d, %v", now, err)
@@ -62,64 +82,63 @@ func TestHealthAndTables(t *testing.T) {
 }
 
 func TestQueryRoundTrip(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
-	g, err := c.Query("SELECT host, sev, latency, ok FROM logs WHERE sev <= 5 ORDER BY sev")
+	rows, err := queryRows(c, "SELECT host, sev, latency, ok FROM logs WHERE sev <= 5 ORDER BY sev")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 2 {
-		t.Fatalf("rows = %v", g.Rows)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
 	}
-	r0 := g.Rows[0]
+	r0 := rows[0]
 	if r0[0] != "web-1" || r0[1] != float64(2) || r0[2] != 9.5 || r0[3] != true {
 		t.Errorf("row 0 = %v", r0)
 	}
 }
 
 func TestQueryGroupBy(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
-	g, err := c.Query("SELECT host, COUNT(*) AS n FROM logs GROUP BY host ORDER BY n DESC")
+	rows, err := queryRows(c, "SELECT host, COUNT(*) AS n FROM logs GROUP BY host ORDER BY n DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 2 || g.Rows[0][0] != "web-1" || g.Rows[0][1] != float64(2) {
-		t.Errorf("grid = %+v", g)
+	if len(rows) != 2 || rows[0][0] != "web-1" || rows[0][1] != float64(2) {
+		t.Errorf("rows = %+v", rows)
 	}
 }
 
+// TestConsumeAndContainersOverHTTP is the /v1/query + distill check:
+// pkg/client speaks /v2/query, which has no distill field.
 func TestConsumeAndContainersOverHTTP(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	g, err := c.QueryDistill("SELECT CONSUME * FROM logs WHERE sev <= 5", "serious")
-	if err != nil {
-		t.Fatal(err)
+	status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT CONSUME * FROM logs WHERE sev <= 5", Distill: "serious"})
+	var g QueryResponse
+	if err := json.Unmarshal(body, &g); status != http.StatusOK || err != nil {
+		t.Fatalf("status %d, body %q (%v)", status, body, err)
 	}
 	if len(g.Rows) != 2 {
 		t.Fatalf("consumed rows = %d", len(g.Rows))
 	}
-	st, err := c.Stats("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/tables/logs/stats", &st)
 	if st.Live != 1 || st.Consumed != 2 || st.Distilled != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	cs, err := c.Containers("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs) != 1 || cs[0].Name != "serious" || cs[0].Count != 2 {
-		t.Errorf("containers = %+v", cs)
+	var cs struct{ Containers []ContainerInfo }
+	getJSON(t, ts.URL+"/v1/tables/logs/containers", &cs)
+	if len(cs.Containers) != 1 || cs.Containers[0].Name != "serious" || cs.Containers[0].Count != 2 {
+		t.Errorf("containers = %+v", cs.Containers)
 	}
 }
 
 func TestAskContainerOverHTTP(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	if _, err := c.QueryDistill("SELECT CONSUME * FROM logs", "all"); err != nil {
-		t.Fatal(err)
+	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT CONSUME * FROM logs", Distill: "all"}); status != http.StatusOK {
+		t.Fatalf("status %d, body %q", status, body)
 	}
 	cases := []struct {
 		q    string
@@ -172,7 +191,7 @@ func TestAskContainerOverHTTP(t *testing.T) {
 }
 
 func TestTickDecaysOverHTTP(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
 	// Linear rate 0.25: everything rots on the 4th tick.
 	resp, err := c.Tick(4)
@@ -189,7 +208,7 @@ func TestTickDecaysOverHTTP(t *testing.T) {
 }
 
 func TestDropTable(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
 	if err := c.DropTable("logs"); err != nil {
 		t.Fatal(err)
@@ -204,19 +223,21 @@ func TestDropTable(t *testing.T) {
 }
 
 func TestErrorsSurfaceAsJSON(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
+	persistent := spec()
+	persistent.Persist = true
 	cases := []func() error{
-		func() error { return c.CreateTable(spec(), false) }, // duplicate
-		func() error { return c.CreateTable(catalog.TableSpec{Name: "x", Schema: "bad"}, false) },
-		func() error { return c.CreateTable(spec(), true) }, // persist without Dir
+		func() error { return c.CreateTable(spec()) }, // duplicate
+		func() error { return c.CreateTable(client.TableSpec{Name: "x", Schema: "bad"}) },
+		func() error { return c.CreateTable(persistent) }, // persist without Dir
 		func() error { _, err := c.Insert("nosuch", [][]any{{1}}); return err },
 		func() error { _, err := c.Insert("logs", [][]any{{"only-one"}}); return err },
 		func() error { _, err := c.Insert("logs", [][]any{{1, 2, 3, 4}}); return err }, // wrong kinds
 		func() error { _, err := c.Insert("logs", nil); return err },
-		func() error { _, err := c.Query("SELECT nosuch FROM logs"); return err },
-		func() error { _, err := c.Query("SELECT * FROM nosuch"); return err },
-		func() error { _, err := c.Query("not sql"); return err },
+		func() error { _, err := queryRows(c, "SELECT nosuch FROM logs"); return err },
+		func() error { _, err := queryRows(c, "SELECT * FROM nosuch"); return err },
+		func() error { _, err := queryRows(c, "not sql"); return err },
 		func() error { _, err := c.Tick(2_000_000); return err },
 	}
 	for i, fn := range cases {
@@ -229,7 +250,7 @@ func TestErrorsSurfaceAsJSON(t *testing.T) {
 }
 
 func TestIntColumnRejectsFractional(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, _ := newServer(t, Config{})
 	seed(t, c)
 	if _, err := c.Insert("logs", [][]any{{"h", 2.5, 1.0, true}}); err == nil {
 		t.Error("fractional INT accepted")
@@ -243,8 +264,10 @@ func TestPersistentSpecOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(db))
-	c := NewClient(ts.URL, ts.Client())
-	if err := c.CreateTable(spec(), true); err != nil {
+	c := client.New(ts.URL, ts.Client())
+	persistent := spec()
+	persistent.Persist = true
+	if err := c.CreateTable(persistent); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Insert("logs", [][]any{{"web-1", 1, 1.0, true}}); err != nil {
@@ -261,20 +284,18 @@ func TestPersistentSpecOverHTTP(t *testing.T) {
 	defer db2.Close()
 	ts2 := httptest.NewServer(New(db2))
 	defer ts2.Close()
-	c2 := NewClient(ts2.URL, ts2.Client())
-	g, err := c2.Query("SELECT COUNT(*) FROM logs")
+	c2 := client.New(ts2.URL, ts2.Client())
+	rows, err := queryRows(c2, "SELECT COUNT(*) FROM logs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rows[0][0] != float64(1) {
-		t.Errorf("count after restart = %v", g.Rows[0][0])
+	if rows[0][0] != float64(1) {
+		t.Errorf("count after restart = %v", rows[0][0])
 	}
 }
 
 func TestUnknownRoute(t *testing.T) {
-	_, db := newServer(t)
-	ts := httptest.NewServer(New(db))
-	defer ts.Close()
+	_, _, ts := newServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -294,11 +315,12 @@ func TestDurabilityStatsOverHTTP(t *testing.T) {
 	defer db.Close()
 	ts := httptest.NewServer(New(db))
 	defer ts.Close()
-	c := NewClient(ts.URL, ts.Client())
+	c := client.New(ts.URL, ts.Client())
 
 	s := spec()
 	s.Durability = "grouped"
-	if err := c.CreateTable(s, true); err != nil {
+	s.Persist = true
+	if err := c.CreateTable(s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Insert(s.Name, [][]any{{"web-1", 1, 1.0, true}}); err != nil {
@@ -315,27 +337,25 @@ func TestDurabilityStatsOverHTTP(t *testing.T) {
 	bad := spec()
 	bad.Name = "bad"
 	bad.Durability = "paranoid"
-	if err := c.CreateTable(bad, false); err == nil {
+	if err := c.CreateTable(bad); err == nil {
 		t.Error("bad durability accepted over HTTP")
 	}
 }
 
 func TestPruningCountersOverHTTP(t *testing.T) {
-	c, _ := newServer(t)
+	c, _, ts := newServer(t, Config{})
 	seed(t, c)
 	// sev spans [2, 7]; a disjoint range predicate lets the zone map
 	// skip the whole (single) segment without touching a tuple.
-	g, err := c.Query("SELECT host FROM logs WHERE sev > 100")
+	rows, err := queryRows(c, "SELECT host FROM logs WHERE sev > 100")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Rows) != 0 {
-		t.Fatalf("rows = %d, want 0", len(g.Rows))
+	if len(rows) != 0 {
+		t.Fatalf("rows = %d, want 0", len(rows))
 	}
-	st, err := c.Stats("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/tables/logs/stats", &st)
 	if st.SegmentsPruned == 0 || st.TuplesSkipped == 0 {
 		t.Errorf("pruning counters missing from stats: %+v", st)
 	}

@@ -15,8 +15,8 @@ import (
 	"fungusdb/pkg/client"
 )
 
-// newServerV2 spins up a server plus the public streaming client.
-func newServerV2(t *testing.T, cfg Config) (*client.Client, *core.DB, *httptest.Server) {
+// newServer spins up a server plus the public client.
+func newServer(t *testing.T, cfg Config) (*client.Client, *core.DB, *httptest.Server) {
 	t.Helper()
 	db, err := core.Open(core.DBConfig{Seed: 5})
 	if err != nil {
@@ -50,7 +50,7 @@ func seedV2(t *testing.T, c *client.Client, rows int) {
 }
 
 func TestV2PrepareAndStreamWithParams(t *testing.T) {
-	c, _, _ := newServerV2(t, Config{})
+	c, _, _ := newServer(t, Config{})
 	seedV2(t, c, 500)
 	stmt, err := c.Prepare("SELECT host, sev FROM logs WHERE sev >= ? AND latency <= ? ORDER BY sev DESC LIMIT 10")
 	if err != nil {
@@ -96,7 +96,7 @@ func TestV2PrepareAndStreamWithParams(t *testing.T) {
 // must re-bind the handle to the new table rather than hand the stale
 // compilation back.
 func TestV2HandleHealsAfterTableRecreate(t *testing.T) {
-	c, _, _ := newServerV2(t, Config{})
+	c, _, _ := newServer(t, Config{})
 	seedV2(t, c, 20)
 	stmt, err := c.Prepare("SELECT host FROM logs")
 	if err != nil {
@@ -141,7 +141,7 @@ func TestV2Streams100kRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-row stream in -short mode")
 	}
-	c, _, _ := newServerV2(t, Config{})
+	c, _, _ := newServer(t, Config{})
 	seedV2(t, c, 100_000)
 	rows, err := c.Query("SELECT host, sev, latency FROM logs")
 	if err != nil {
@@ -167,7 +167,7 @@ func TestV2Streams100kRows(t *testing.T) {
 // few rows and checks the server-side scan unwinds (the table accepts
 // writes promptly afterwards).
 func TestV2EarlyDisconnectReleasesServer(t *testing.T) {
-	c, db, _ := newServerV2(t, Config{})
+	c, db, _ := newServer(t, Config{})
 	seedV2(t, c, 50_000)
 	rows, err := c.Query("SELECT host FROM logs")
 	if err != nil {
@@ -196,7 +196,7 @@ func TestV2EarlyDisconnectReleasesServer(t *testing.T) {
 }
 
 func TestV2ErrorCodes(t *testing.T) {
-	c, _, ts := newServerV2(t, Config{})
+	c, _, ts := newServer(t, Config{})
 	seedV2(t, c, 10)
 	cases := []struct {
 		name, path, body string
@@ -238,7 +238,7 @@ func TestV2ErrorCodes(t *testing.T) {
 // TestV2AskErrorShape checks the v1 ask handler speaks the same error
 // envelope with compile-time validation.
 func TestV2AskErrorShape(t *testing.T) {
-	c, _, ts := newServerV2(t, Config{})
+	c, _, ts := newServer(t, Config{})
 	seedV2(t, c, 10)
 	get := func(path string) (int, errorBody) {
 		resp, err := http.Get(ts.URL + path)
@@ -260,7 +260,7 @@ func TestV2AskErrorShape(t *testing.T) {
 }
 
 func TestMaxRequestBytesConfigurable(t *testing.T) {
-	c, _, ts := newServerV2(t, Config{MaxRequestBytes: 256})
+	c, _, ts := newServer(t, Config{MaxRequestBytes: 256})
 	if err := c.CreateTable(client.TableSpec{Name: "logs", Schema: "host STRING, sev INT, latency FLOAT, ok BOOL"}); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestMaxRequestBytesConfigurable(t *testing.T) {
 // TestV2WireFormat reads the raw NDJSON to pin the wire contract:
 // header line, row lines, trailer line.
 func TestV2WireFormat(t *testing.T) {
-	c, _, ts := newServerV2(t, Config{})
+	c, _, ts := newServer(t, Config{})
 	seedV2(t, c, 3)
 	resp, err := http.Post(ts.URL+"/v2/query", "application/json",
 		strings.NewReader(`{"sql":"SELECT host FROM logs"}`))

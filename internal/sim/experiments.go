@@ -257,11 +257,8 @@ func E3BlueCheese(cfg Config) *Table {
 				panic(err)
 			}
 		}
-		res, err := tbl.Query("temp >= 10", query.Peek)
-		if err != nil {
-			panic(err)
-		}
-		states[name] = armState{db, tbl, res.Len()}
+		base, _ := answerFreshness(tbl, " WHERE temp >= 10")
+		states[name] = armState{db, tbl, base}
 	}
 	defer func() {
 		for _, s := range states {
@@ -273,14 +270,11 @@ func E3BlueCheese(cfg Config) *Table {
 		cov := map[string]float64{}
 		fresh := map[string]float64{}
 		for name, s := range states {
-			res, err := s.tbl.Query("temp >= 10", query.Peek)
-			if err != nil {
-				panic(err)
-			}
+			n, mass := answerFreshness(s.tbl, " WHERE temp >= 10")
 			if s.base > 0 {
-				cov[name] = float64(res.Len()) / float64(s.base)
+				cov[name] = float64(n) / float64(s.base)
 			}
-			fresh[name] = res.MeanFreshness()
+			fresh[name] = meanOf(mass, n)
 		}
 		t.Add(tick, cov["egi"], cov["ttl"], fresh["egi"], fresh["ttl"])
 		for i := 0; i < 5; i++ {
@@ -292,6 +286,30 @@ func E3BlueCheese(cfg Config) *Table {
 		}
 	}
 	return t
+}
+
+// answerFreshness peeks at the tuples of tbl matching where (a " WHERE
+// ..." clause, or empty for all) and returns the answer size and its
+// freshness mass. The mass adds the answer's _f in ID order, as the
+// experiments always have, so the figures reproduce bit for bit at any
+// shard count; SUM(_f) would add per-shard partial sums instead.
+func answerFreshness(tbl *core.Table, where string) (n int, mass float64) {
+	g, err := tbl.SQL("SELECT _f FROM " + tbl.Name() + where)
+	if err != nil {
+		panic(err)
+	}
+	for _, row := range g.Rows {
+		mass += row[0].AsFloat()
+	}
+	return len(g.Rows), mass
+}
+
+// meanOf is mass / n, or 0 for an empty answer.
+func meanOf(mass float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return mass / float64(n)
 }
 
 // E4Consume — DESIGN.md "Table 3". Law 2 mechanics: consume-mode
@@ -313,6 +331,10 @@ func E4Consume(cfg Config) *Table {
 	}
 
 	for _, mode := range []query.Mode{query.Consume, query.Peek} {
+		src := "SELECT _id, * FROM clicks WHERE temp >= 15 AND temp < 25"
+		if mode == query.Consume {
+			src = "SELECT CONSUME _id, * FROM clicks WHERE temp >= 15 AND temp < 25"
+		}
 		db, tbl, gen := newIoTTable(cfg, "clicks", fungus.Null{}, false)
 		for i := 0; i < n; i++ {
 			if _, err := tbl.Insert(gen.Next()); err != nil {
@@ -321,18 +343,20 @@ func E4Consume(cfg Config) *Table {
 		}
 		seen := map[tuple.ID]bool{}
 		for round := 0; round < rounds; round++ {
-			res, err := tbl.Query("temp >= 15 AND temp < 25", mode, core.QueryOpts{Limit: n / 16})
+			g, err := tbl.SQL(src, core.QueryOpts{Limit: n / 16})
 			if err != nil {
 				panic(err)
 			}
-			dups := 0
-			for i := range res.Tuples {
-				if seen[res.Tuples[i].ID] {
+			dups, bytes := 0, 0
+			for _, row := range g.Rows {
+				id := tuple.ID(row[0].AsInt())
+				if seen[id] {
 					dups++
 				}
-				seen[res.Tuples[i].ID] = true
+				seen[id] = true
+				bytes += tuple.Tuple{Attrs: row[1:]}.Size()
 			}
-			t.Add(round, mode.String(), res.Len(), dups, tbl.Len(), res.Bytes())
+			t.Add(round, mode.String(), len(g.Rows), dups, tbl.Len(), bytes)
 		}
 		db.Close()
 	}
@@ -370,11 +394,11 @@ func E5Distill(cfg Config) *Table {
 	rawBytes := tbl.Bytes()
 
 	// Consume the whole extent into one container.
-	res, err := tbl.Query("", query.Consume, core.QueryOpts{Distill: "archive"})
+	g, err := tbl.SQL("SELECT CONSUME COUNT(*) FROM clicks", core.QueryOpts{Distill: "archive"})
 	if err != nil {
 		panic(err)
 	}
-	if res.Len() != n || tbl.Len() != 0 {
+	if g.Rows[0][0].AsInt() != int64(n) || tbl.Len() != 0 {
 		panic("E5: consume did not empty the extent")
 	}
 	d := tbl.Shelf().Get("archive").Digest
@@ -582,7 +606,7 @@ func E7Health(cfg Config) *Table {
 			if period > 0 && tick%period == 0 {
 				// The owner distills the most rotten decile before the
 				// fungus finishes it off.
-				if _, err := tbl.Query("_f < 0.5", query.Consume, core.QueryOpts{Distill: "weekly"}); err != nil {
+				if _, err := tbl.SQL("SELECT CONSUME COUNT(*) FROM iot WHERE _f < 0.5", core.QueryOpts{Distill: "weekly"}); err != nil {
 					panic(err)
 				}
 			}
@@ -688,11 +712,8 @@ func E9FreshnessTradeoff(cfg Config) *Table {
 				panic(err)
 			}
 		}
-		res, err := tbl.Query("", query.Peek)
-		if err != nil {
-			panic(err)
-		}
-		t.Add(rate, res.Len(), res.FreshnessMass(), res.MeanFreshness())
+		n, mass := answerFreshness(tbl, "")
+		t.Add(rate, n, mass, meanOf(mass, n))
 		db.Close()
 	}
 	return t

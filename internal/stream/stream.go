@@ -16,6 +16,12 @@
 // is consumed) before the next Poll is genuinely missed; that is the
 // semantics the paper prescribes — data not cooked in time is gone —
 // and the Missed counter makes the loss observable.
+//
+// A Monitor reads its table through the prepared-statement path like
+// every other reader: Poll executes one statement bound to the
+// high-water mark, WindowStats one per aggregated column bound to the
+// window's first tick, so a monitored table's plan cache holds a fixed
+// handful of entries however often the monitor runs.
 package stream
 
 import (
@@ -30,7 +36,9 @@ import (
 
 // Event is one rule firing.
 type Event struct {
-	Rule  string
+	Rule string
+	// Tuple is the matching tuple, rebuilt from the row Poll read (see
+	// core.RowTuple: Infected is not readable and always false).
 	Tuple tuple.Tuple
 	// First is the earlier tuple of a sequence rule (zero otherwise).
 	First tuple.Tuple
@@ -64,7 +72,8 @@ type seqRule struct {
 type Monitor struct {
 	mu    sync.Mutex
 	tbl   *core.Table
-	hwm   int64 // highest tuple ID already processed
+	since *core.PreparedQuery // tuples above a bound ID; prepared on first Poll
+	hwm   int64               // highest tuple ID already processed
 	rules []*matchRule
 	seqs  []*seqRule
 
@@ -83,7 +92,7 @@ func NewMonitor(tbl *core.Table) *Monitor {
 // OnMatch registers a simple rule: act fires once for every new tuple
 // satisfying where.
 func (m *Monitor) OnMatch(name, where string, act Action) error {
-	pred, err := m.tbl.Compile(where)
+	pred, err := query.Compile(where, m.tbl.Schema())
 	if err != nil {
 		return err
 	}
@@ -101,11 +110,11 @@ func (m *Monitor) OnMatch(name, where string, act Action) error {
 // firstWhere. Each 'first' arms at most one firing (earliest pending
 // first wins).
 func (m *Monitor) OnSequence(name, firstWhere, thenWhere string, within uint64, act Action) error {
-	first, err := m.tbl.Compile(firstWhere)
+	first, err := query.Compile(firstWhere, m.tbl.Schema())
 	if err != nil {
 		return err
 	}
-	then, err := m.tbl.Compile(thenWhere)
+	then, err := query.Compile(thenWhere, m.tbl.Schema())
 	if err != nil {
 		return err
 	}
@@ -139,7 +148,7 @@ func (m *Monitor) Poll() (fired int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	res, err := m.tbl.Query(fmt.Sprintf("%s > %d", tuple.SysID, m.hwm), query.Peek)
+	fresh, err := m.newRows()
 	if err != nil {
 		return 0, err
 	}
@@ -148,15 +157,15 @@ func (m *Monitor) Poll() (fired int, err error) {
 	// rotted or were consumed between polls are counted missed.)
 	if top := int64(m.tbl.StoreStats().Inserted) - 1; top > m.hwm {
 		span := top - m.hwm
-		m.missed += uint64(span - int64(len(res.Tuples)))
+		m.missed += uint64(span - int64(len(fresh)))
 		m.hwm = top
 	}
 
-	for i := range res.Tuples {
-		tp := &res.Tuples[i]
+	for _, row := range fresh {
+		tp := core.RowTuple(row)
 		m.polled++
 		for _, r := range m.rules {
-			ok, err := r.pred.Match(tp)
+			ok, err := r.pred.Match(&tp)
 			if err != nil {
 				return fired, fmt.Errorf("stream: rule %q: %w", r.name, err)
 			}
@@ -167,13 +176,36 @@ func (m *Monitor) Poll() (fired int, err error) {
 			}
 		}
 		for _, s := range m.seqs {
-			if err := m.stepSequence(s, tp, &fired); err != nil {
+			if err := m.stepSequence(s, &tp, &fired); err != nil {
 				return fired, err
 			}
 		}
 		m.lastNow = tp.T
 	}
 	return fired, nil
+}
+
+// newRows reads every live tuple above the high-water mark, in ID
+// order, as core.SelectTuples rows. The answer is drained before any
+// rule runs, so actions never execute while the scan holds shard locks.
+// Caller holds m.mu.
+func (m *Monitor) newRows() ([][]tuple.Value, error) {
+	if m.since == nil {
+		pq, err := m.tbl.Prepare(core.SelectTuples(m.tbl.Name(), false, tuple.SysID+" > ?"))
+		if err != nil {
+			return nil, err
+		}
+		m.since = pq
+	}
+	rows, err := m.since.Execute(tuple.Int(m.hwm))
+	if err != nil {
+		return nil, err
+	}
+	var fresh [][]tuple.Value
+	for rows.Next() {
+		fresh = append(fresh, rows.Values())
+	}
+	return fresh, rows.Close()
 }
 
 func (m *Monitor) stepSequence(s *seqRule, tp *tuple.Tuple, fired *int) error {
@@ -225,26 +257,33 @@ type WindowPoint struct {
 
 // WindowStats aggregates col over tuples inserted in the last width
 // ticks (inclusive of the current tick). It reads the live extent, so
-// rotted tuples are — correctly — absent.
+// rotted tuples are — correctly — absent. An empty window reports zeros.
+// The figures are SQL aggregates: over several shards, Sum and Mean add
+// per-shard partial sums.
 func (m *Monitor) WindowStats(col string, width uint64, now clock.Tick) (WindowPoint, error) {
 	lo := uint64(0)
 	if uint64(now) > width {
 		lo = uint64(now) - width
 	}
-	res, err := m.tbl.Query(fmt.Sprintf("%s >= %d", tuple.SysTick, lo), query.Peek)
+	pq, err := m.tbl.Prepare(fmt.Sprintf("SELECT COUNT(*), SUM(%[1]s), AVG(%[1]s), MIN(%[1]s), MAX(%[1]s) FROM %[2]s WHERE %[3]s >= ?",
+		col, m.tbl.Name(), tuple.SysTick))
 	if err != nil {
 		return WindowPoint{}, err
 	}
-	agg, err := res.Aggregate(col)
+	rows, err := pq.Execute(tuple.Int(int64(lo)))
 	if err != nil {
 		return WindowPoint{}, err
 	}
-	return WindowPoint{
-		At:    now,
-		Count: agg.Count(),
-		Sum:   agg.Sum(),
-		Mean:  agg.Mean(),
-		Min:   agg.Min(),
-		Max:   agg.Max(),
-	}, nil
+	var agg []tuple.Value
+	for rows.Next() {
+		agg = rows.Values()
+	}
+	if err := rows.Close(); err != nil {
+		return WindowPoint{}, err
+	}
+	p := WindowPoint{At: now, Count: uint64(agg[0].AsInt()), Sum: agg[1].AsFloat(), Mean: agg[2].AsFloat()}
+	// MIN and MAX of an empty window are unset; Numeric reads them as 0.
+	p.Min, _ = agg[3].Numeric()
+	p.Max, _ = agg[4].Numeric()
+	return p, nil
 }

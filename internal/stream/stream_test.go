@@ -235,3 +235,47 @@ func TestWindowStatsRespectsDecay(t *testing.T) {
 		t.Errorf("rotted tuple still visible in window: %+v", p)
 	}
 }
+
+// TestMonitorKeepsPlanCacheSmall: Poll and WindowStats bind their bounds
+// into prepared statements instead of compiling a new WHERE per call,
+// so a monitored table's plan cache neither grows with the monitor's
+// rounds nor evicts the table's other statements.
+func TestMonitorKeepsPlanCacheSmall(t *testing.T) {
+	db, tbl := newTable(t, nil)
+	const user = "SELECT host, COUNT(*) AS n FROM logs GROUP BY host"
+	if _, err := tbl.Prepare(user); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMonitor(tbl)
+	if err := m.OnMatch("all", "", func(Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := tbl.Insert(core.Row("web-1", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.WindowStats("sev", 5, db.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits, _, _ := tbl.PlanCacheStats()
+	if _, err := tbl.Prepare(user); err != nil {
+		t.Fatal(err)
+	}
+	again, _, size := tbl.PlanCacheStats()
+	if again != hits+1 {
+		t.Errorf("re-preparing %q missed the plan cache: the monitor evicted it", user)
+	}
+	if size > 3 {
+		t.Errorf("plan cache holds %d entries after 200 monitor rounds, want <= 3", size)
+	}
+	if st := m.Stats(); st.Polled != 200 || st.Fired != 200 {
+		t.Errorf("stats = %+v, want 200 polled and fired", st)
+	}
+}

@@ -112,8 +112,12 @@ func TestGroupCommitCrashMidGroupConcurrent(t *testing.T) {
 			ss, sl := buildSharded(t, dir, shards, 0)
 			gc := NewGroupCommitter(sl, GroupCommitConfig{Interval: 200 * time.Microsecond, SizeThreshold: 16})
 
+			// The crash comes once crashAfter appends were acknowledged,
+			// with the appenders and the daemon still racing.
+			const crashAfter = 64
 			var ackMu sync.Mutex
 			acked := make(map[tuple.ID]bool)
+			enough := make(chan struct{})
 			stop := make(chan struct{})
 			locks := make([]sync.Mutex, shards)
 			var wg sync.WaitGroup
@@ -147,11 +151,20 @@ func TestGroupCommitCrashMidGroupConcurrent(t *testing.T) {
 						}
 						ackMu.Lock()
 						acked[tp.ID] = true
+						if len(acked) == crashAfter {
+							close(enough)
+						}
 						ackMu.Unlock()
 					}
 				}(w)
 			}
-			time.Sleep(20 * time.Millisecond)
+			select {
+			case <-enough:
+			case <-time.After(10 * time.Second):
+				close(stop)
+				wg.Wait()
+				t.Fatalf("only %d appends acknowledged in 10s", len(acked))
+			}
 
 			// Crash point: freeze the acknowledged set FIRST, then copy
 			// the directory. Every acked record was fsynced before its
