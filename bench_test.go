@@ -478,7 +478,7 @@ func BenchmarkGroupCommitWait(b *testing.B) {
 // BenchmarkWALAppend measures insert logging + fsync-free append.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	log, err := wal.Open(filepath.Join(dir, wal.LogFile))
+	log, err := wal.Open(filepath.Join(dir, wal.ShardLogFile(0)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,34 +492,13 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkRecover measures snapshot+WAL recovery of a 50k extent.
-func BenchmarkRecover(b *testing.B) {
-	dir := b.TempDir()
-	st := storage.New(microSchema)
-	for i := 0; i < 50_000; i++ {
-		st.Insert(clock.Tick(i), core.Row("s", float64(i)))
-	}
-	if err := wal.WriteSnapshot(filepath.Join(dir, wal.SnapshotFile), st); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := wal.Recover(dir, microSchema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Len() != 50_000 {
-			b.Fatal("bad recovery")
-		}
-	}
-}
-
 // BenchmarkRecovery measures cold recovery of a populated multi-shard
 // table in the per-shard WAL layout: every shard loads its own snapshot
 // and replays its own log, all shards in parallel. Scaling with the
 // shard count on a multi-core runner is the parallel-replay win; the
 // workload is log-heavy (most tuples live only in the logs) so replay
-// dominates over snapshot decoding.
+// dominates over snapshot decoding. shards=1 is the one-shard table's
+// snapshot + log recovery.
 func BenchmarkRecovery(b *testing.B) {
 	const snapshotted, logged = 10_000, 40_000
 	for _, shards := range []int{1, 2, 4, 8} {

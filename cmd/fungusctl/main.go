@@ -55,7 +55,6 @@ func main() {
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	addr := flag.String("addr", "", "fungusd base URL for remote subcommands (e.g. http://localhost:8044)")
-	recoveryPar := flag.Int("recovery-parallelism", 0, "goroutines replaying per-shard WAL files at reopen (0 = worker pool size)")
 	durability := flag.String("durability", "none", "default WAL sync level for persistent tables: none|grouped|strict (create ... durability=L overrides)")
 	groupInterval := flag.Duration("group-commit-interval", 0, "grouped-durability flush tick (0 = 2ms default)")
 	groupSize := flag.Int("group-commit-size", 0, "records per group-commit window before an early flush (0 = 512 default)")
@@ -82,7 +81,7 @@ func main() {
 		os.Exit(1)
 	}
 	db, err := core.Open(core.DBConfig{
-		Seed: *seed, Dir: *dir, RecoveryParallelism: *recoveryPar,
+		Seed: *seed, Dir: *dir,
 		Durability: level, GroupCommitInterval: *groupInterval, GroupCommitSize: *groupSize,
 	})
 	if err != nil {

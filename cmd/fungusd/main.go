@@ -35,7 +35,6 @@ func main() {
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
 	period := flag.Duration("period", time.Second, "wall time per decay tick")
 	seed := flag.Int64("seed", 20150104, "deterministic seed")
-	recoveryPar := flag.Int("recovery-parallelism", 0, "goroutines replaying per-shard WAL files at reopen (0 = worker pool size)")
 	durability := flag.String("durability", "none", "default WAL sync level for persistent tables: none|grouped|strict (table specs override)")
 	groupInterval := flag.Duration("group-commit-interval", 0, "grouped-durability flush tick (0 = 2ms default)")
 	groupSize := flag.Int("group-commit-size", 0, "records per group-commit window before an early flush (0 = 512 default)")
@@ -51,7 +50,7 @@ func main() {
 		log.Fatalf("fungusd: -follow replicas are in-memory; drop -dir")
 	}
 	db, err := core.Open(core.DBConfig{
-		Seed: *seed, Dir: *dir, RecoveryParallelism: *recoveryPar,
+		Seed: *seed, Dir: *dir,
 		Durability: level, GroupCommitInterval: *groupInterval, GroupCommitSize: *groupSize,
 	})
 	if err != nil {

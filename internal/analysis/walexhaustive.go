@@ -20,8 +20,8 @@ var (
 
 // WalExhaustive requires every switch over wal.RecType to either
 // handle all declared record kinds or carry a default clause that
-// returns or panics. Replay sites (crash recovery, follower apply,
-// reshard merge) otherwise skip unknown frames silently, and a new
+// returns or panics. Replay sites (crash recovery, follower apply)
+// otherwise skip unknown frames silently, and a new
 // record kind — the ROADMAP failover arc will add one — must break
 // the build at every replay site rather than corrupt a replica.
 var WalExhaustive = &Analyzer{

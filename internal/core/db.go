@@ -49,10 +49,6 @@ type DBConfig struct {
 	// to Workers^2 goroutines briefly. 0 means GOMAXPROCS; 1 forces the
 	// fully serial engine.
 	Workers int
-	// RecoveryParallelism bounds the per-shard WAL replay fan-out when a
-	// persistent table reopens (each shard's snapshot + log recovers on
-	// its own goroutine). 0 means Workers; 1 forces serial recovery.
-	RecoveryParallelism int
 	// Durability is the WAL sync level applied to persistent tables
 	// whose TableConfig.Durability is left at wal.DurabilityDefault:
 	// none (buffered, fsync only at checkpoint/close), grouped (batched

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"fungusdb/internal/catalog"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/query"
 	"fungusdb/internal/storage"
@@ -322,11 +325,11 @@ func TestShardedBatchInsert(t *testing.T) {
 	}
 }
 
-// TestLegacySingleLogDirMigratesOnOpen: a table directory written by
-// the old one-log-per-table engine (snapshot.db + wal.log, no manifest)
-// must open through CreateTable unchanged — recovery migrates it in
-// place to the per-shard layout and the data survives further restarts.
-func TestLegacySingleLogDirMigratesOnOpen(t *testing.T) {
+// TestSingleLogDirRefusedOnOpen: a table directory in the retired
+// one-log-per-table layout (snapshot.db + wal.log, no manifest) must
+// fail Open with an error naming the layout — never open as a fresh,
+// empty table — and must be left exactly as it was.
+func TestSingleLogDirRefusedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	schema := tuple.MustSchema(tuple.Column{Name: "v", Kind: tuple.KindInt})
 	tdir := filepath.Join(dir, "p")
@@ -334,7 +337,7 @@ func TestLegacySingleLogDirMigratesOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := storage.New(schema)
-	log, err := wal.Open(filepath.Join(tdir, wal.LogFile))
+	log, err := wal.Open(filepath.Join(tdir, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,44 +350,44 @@ func TestLegacySingleLogDirMigratesOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wal.Checkpoint(tdir, st, log); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := st.Insert(2, Row(30)) // post-checkpoint, log only
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.AppendInsert(tp); err != nil {
-		t.Fatal(err)
-	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := wal.WriteSnapshot(filepath.Join(tdir, "snapshot.db"), st); err != nil {
+		t.Fatal(err)
+	}
+	cat := &catalog.Catalog{}
+	cat.Put(catalog.TableSpec{Name: "p", Schema: "v INT", Shards: 4})
+	if err := cat.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, name := range []string{"snapshot.db", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(tdir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = data
+	}
 
-	for pass := 0; pass < 2; pass++ { // second pass reopens the migrated layout
-		db, err := Open(DBConfig{Seed: 1, Dir: dir})
+	db, err := Open(DBConfig{Seed: 1, Dir: dir})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open recovered a single-log table directory")
+	}
+	if !errors.Is(err, wal.ErrSingleLogLayout) || !strings.Contains(err.Error(), "single-log layout") {
+		t.Fatalf("Open error does not name the layout: %v", err)
+	}
+	for name, want := range before {
+		got, err := os.ReadFile(filepath.Join(tdir, name))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s after refused open: %v", name, err)
 		}
-		tbl, err := db.CreateTable("p", TableConfig{Schema: schema, Shards: 4, Persist: true})
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the refused open", name)
 		}
-		if tbl.Len() != 31 {
-			t.Fatalf("pass %d: recovered %d tuples, want 31", pass, tbl.Len())
-		}
-		wi := tbl.WALInfo()
-		if !wi.Persistent || wi.LogShards != 4 {
-			t.Fatalf("pass %d: WALInfo = %+v, want 4 persistent shard logs", pass, wi)
-		}
-		if _, err := os.Stat(filepath.Join(tdir, wal.LogFile)); err == nil {
-			t.Fatalf("pass %d: legacy wal.log survived migration", pass)
-		}
-		if _, err := os.Stat(filepath.Join(tdir, wal.ManifestFile)); err != nil {
-			t.Fatalf("pass %d: no manifest after migration: %v", pass, err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := os.Stat(filepath.Join(tdir, wal.ManifestFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused open wrote a manifest (stat: %v)", err)
 	}
 }

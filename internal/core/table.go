@@ -160,10 +160,6 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 	if cfg.SegmentSize > 0 {
 		opts = append(opts, storage.WithSegmentSize(cfg.SegmentSize))
 	}
-	recoveryPar := dbc.RecoveryParallelism
-	if recoveryPar < 1 {
-		recoveryPar = workers
-	}
 	// Resolve the sync level: table spec wins, then the DB default,
 	// then none (the pre-group-commit behaviour).
 	durability := cfg.Durability
@@ -203,11 +199,11 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 	}
 	t.store = storage.NewSharded(cfg.Schema, n, opts...)
 	if dir != "" {
-		// RecoverSharded replays the per-shard logs in parallel (bounded
-		// by recoveryPar) and leaves the directory in the canonical
-		// per-shard layout, migrating old single-log directories and
-		// re-routing records when the shard count changed.
-		if err := wal.RecoverSharded(dir, t.store, recoveryPar); err != nil {
+		// RecoverSharded replays the per-shard logs in parallel (over the
+		// table's worker pool, as checkpoints do) and leaves the directory
+		// in the per-shard layout at this shard count, re-routing tuples
+		// when the count changed. A single-log directory is refused.
+		if err := wal.RecoverSharded(dir, t.store, workers); err != nil {
 			return nil, fmt.Errorf("core: recover table %q: %w", name, err)
 		}
 		log, err := wal.OpenSharded(dir, n)

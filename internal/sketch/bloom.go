@@ -120,8 +120,15 @@ func (b *Bloom) AppendTo(dst []byte) []byte {
 	return dst
 }
 
+// maxBloomHashes bounds k on decode: an optimal filter uses -log2(fp)
+// hashes, so 64 covers any false-positive rate above 1e-19, and a
+// corrupt k cannot turn every Add into billions of probes.
+const maxBloomHashes = 64
+
 // BloomFrom deserialises a filter written by AppendTo, returning it and
-// the number of bytes consumed.
+// the number of bytes consumed. A header claiming more bit words than
+// the remaining bytes could hold is rejected before anything is
+// allocated.
 func BloomFrom(data []byte) (*Bloom, int, error) {
 	pos := 0
 	read := func() (uint64, bool) {
@@ -135,8 +142,12 @@ func BloomFrom(data []byte) (*Bloom, int, error) {
 	nbits, ok1 := read()
 	k, ok2 := read()
 	added, ok3 := read()
-	if !ok1 || !ok2 || !ok3 || k == 0 || nbits == 0 {
+	if !ok1 || !ok2 || !ok3 || k == 0 || k > maxBloomHashes || nbits == 0 {
 		return nil, 0, fmt.Errorf("sketch: bloom decode: bad header")
+	}
+	// Every word takes at least one uvarint byte.
+	if (nbits-1)/64 >= uint64(len(data)-pos) {
+		return nil, 0, fmt.Errorf("sketch: bloom decode: truncated words")
 	}
 	words := make([]uint64, (nbits+63)/64)
 	for i := range words {

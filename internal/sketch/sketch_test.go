@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -323,6 +324,35 @@ func TestBloomValidation(t *testing.T) {
 	}
 	if _, err := NewBloom(10, 1); err == nil {
 		t.Error("rate 1 accepted")
+	}
+}
+
+// BloomFrom reads filters out of snapshot zone blobs, so a header that
+// claims more words than the bytes that follow, or an absurd hash
+// count, must fail before anything is allocated or probed.
+func TestBloomFromRejectsImplausibleHeader(t *testing.T) {
+	b := MustBloom(100, 0.01)
+	b.AddString("x")
+	good := b.AppendTo(nil)
+	got, n, err := BloomFrom(good)
+	if err != nil || n != len(good) || !got.MayContainString("x") {
+		t.Fatalf("round trip: n=%d err=%v", n, err)
+	}
+	header := func(nbits, k uint64) []byte {
+		h := binary.AppendUvarint(nil, nbits)
+		h = binary.AppendUvarint(h, k)
+		h = binary.AppendUvarint(h, 1)
+		return append(h, 0, 0, 0, 0)
+	}
+	for _, bad := range [][]byte{
+		header(1<<20, 7), // 2^14 words behind four bytes
+		header(^uint64(0), 7),
+		header(64, 1<<32), // k wraps to 0 as a uint32
+		header(64, 1000),  // every Add would probe 1000 times
+	} {
+		if _, _, err := BloomFrom(bad); err == nil {
+			t.Errorf("BloomFrom(%x) accepted an implausible header", bad)
+		}
 	}
 }
 

@@ -347,12 +347,6 @@ func (ss *ShardedStore) Restore(tp tuple.Tuple) error {
 	return ss.shards[ss.ShardOf(tp.ID)].Restore(tp)
 }
 
-// InsertTuple restores a fully formed tuple during WAL replay, routing
-// by ID residue.
-func (ss *ShardedStore) InsertTuple(tp tuple.Tuple) error {
-	return ss.shards[ss.ShardOf(tp.ID)].InsertTuple(tp)
-}
-
 // FinishRestore completes recovery on every shard and re-aims the
 // round-robin cursor at the shard that is furthest behind, so the
 // post-recovery insert rotation continues where the pre-crash one left

@@ -200,24 +200,11 @@ func (s *Store) allocID() tuple.ID {
 	}
 }
 
-// InsertTuple restores a fully formed tuple (including freshness and
-// infection state), used by WAL recovery and snapshot load. The tuple's
-// ID must equal NextID(); recovery replays in insertion order.
-func (s *Store) InsertTuple(tp tuple.Tuple) error {
-	if tp.ID != s.nextID {
-		return fmt.Errorf("storage: out-of-order restore: got id %d, want %d", tp.ID, s.nextID)
-	}
-	if err := s.schema.Validate(tp.Attrs); err != nil {
-		return err
-	}
-	s.insertRaw(tp)
-	return nil
-}
-
-// Restore appends a tuple during snapshot load. Unlike InsertTuple it
-// accepts sparse IDs (snapshots only contain survivors); IDs must still
-// be strictly increasing across calls. Segments fully covered by gaps
-// stay unallocated, and segments the restore cursor has moved past are
+// Restore appends a fully formed tuple (including freshness and
+// infection state) during snapshot load or log replay. It accepts sparse
+// IDs (snapshots only contain survivors); IDs must be strictly
+// increasing across calls. Segments fully covered by gaps stay
+// unallocated, and segments the restore cursor has moved past are
 // sealed so they can be dropped when their last tuple is evicted. Call
 // FinishRestore after the last tuple.
 func (s *Store) Restore(tp tuple.Tuple) error {

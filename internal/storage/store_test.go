@@ -346,24 +346,6 @@ func TestEvictInSparseSegment(t *testing.T) {
 	}
 }
 
-func TestInsertTupleRestore(t *testing.T) {
-	s := New(intSchema(t))
-	tp := tuple.New(0, 5, []tuple.Value{tuple.Int(7)})
-	tp.F = 0.25
-	tp.Infected = true
-	if err := s.InsertTuple(tp); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Get(0)
-	if got.F != 0.25 || !got.Infected || got.T != 5 {
-		t.Errorf("restore lost state: %v", got)
-	}
-	bad := tuple.New(5, 1, []tuple.Value{tuple.Int(1)})
-	if err := s.InsertTuple(bad); err == nil {
-		t.Error("out-of-order restore accepted")
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s := New(intSchema(t), WithSegmentSize(2))
 	fill(t, s, 5)

@@ -80,23 +80,6 @@ func (s *Store) InstallZones(blob []byte) {
 	}
 }
 
-// AppendZones serialises the usable zone maps of every shard into one
-// blob. Records carry their shard's stride and base, so a reader with a
-// different shard count drops them instead of misinstalling.
-func (ss *ShardedStore) AppendZones(dst []byte) []byte {
-	var recs [][]byte
-	for _, sh := range ss.shards {
-		for i := sh.first; i < len(sh.segs); i++ {
-			sg := sh.segs[i]
-			if sg == nil || !sg.zone.usable() {
-				continue
-			}
-			recs = append(recs, appendZoneRecord(nil, sg))
-		}
-	}
-	return appendZoneBlob(dst, recs)
-}
-
 // appendZoneBlob frames the records: version, count, then each record
 // length-prefixed.
 func appendZoneBlob(dst []byte, recs [][]byte) []byte {
@@ -107,14 +90,6 @@ func appendZoneBlob(dst []byte, recs [][]byte) []byte {
 		dst = append(dst, r...)
 	}
 	return dst
-}
-
-// InstallZones offers the blob to every shard; each stages only the
-// records that match its own stride and residue class.
-func (ss *ShardedStore) InstallZones(blob []byte) {
-	for _, sh := range ss.shards {
-		sh.InstallZones(blob)
-	}
 }
 
 // appendZoneRecord serialises one segment's summary: base, stride, then

@@ -123,7 +123,7 @@ func Decode(buf []byte, schema *Schema) (Tuple, int, error) {
 				return Tuple{}, 0, fmt.Errorf("tuple: bad string length at attribute %d", i)
 			}
 			pos += w
-			if uint64(pos)+l > uint64(len(buf)) {
+			if l > uint64(len(buf)-pos) {
 				return Tuple{}, 0, fmt.Errorf("tuple: truncated string at attribute %d", i)
 			}
 			tp.Attrs = append(tp.Attrs, String_(string(buf[pos:pos+int(l)])))

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -116,6 +117,17 @@ func TestCodecBadKindByte(t *testing.T) {
 	buf[26] = 0xEE
 	if _, _, err := Decode(buf, nil); err == nil {
 		t.Error("Decode accepted corrupt kind byte")
+	}
+}
+
+func TestCodecHugeStringLength(t *testing.T) {
+	buf := AppendEncode(nil, New(1, 1, []Value{String_("ab")}))
+	// Replace the string's length varint (after the 25-byte header, the
+	// attr count and the kind byte) with the largest uvarint, whose sum
+	// with the offset wraps around.
+	buf = append(binary.AppendUvarint(buf[:27:27], math.MaxUint64), "ab"...)
+	if _, _, err := Decode(buf, nil); err == nil {
+		t.Error("Decode accepted a string length past the buffer")
 	}
 }
 

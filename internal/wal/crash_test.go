@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +15,8 @@ import (
 
 // Crash-injection tests for the per-shard WAL layout: torn tails must
 // stay local to their shard, a checkpoint is committed only by the
-// manifest rename, and old single-log directories migrate in place.
+// manifest rename, and a reopen at another shard count keeps every
+// tuple and never reuses an ID.
 
 // buildSharded inserts n round-robin rows into a fresh store+log pair
 // in dir, logging every insert to its shard's log.
@@ -199,23 +202,19 @@ func TestCrashBetweenSnapshotWriteAndManifestCommit(t *testing.T) {
 	}
 }
 
-// A directory written by the old single-log engine must reopen through
-// in-place migration at any shard count, reproducing the pre-migration
-// extent exactly — and reopen identically again from the migrated
-// layout.
-func TestMigrateLegacySingleLogLayout(t *testing.T) {
+// A directory in the retired single-log layout (snapshot.db + wal.log,
+// no manifest) is refused at every shard count: RecoverSharded names the
+// layout, recovers nothing, and leaves the files byte-identical with no
+// manifest written — it never opens as a fresh, empty directory.
+func TestSingleLogLayoutRefused(t *testing.T) {
 	legacy := t.TempDir()
-	// Old engine: 2-writer-shard store appending to ONE log, with a
-	// checkpoint mid-stream and post-checkpoint activity (including a
-	// consume) left in the log.
-	ss := storage.NewSharded(walSchema, 2)
-	log, err := Open(filepath.Join(legacy, LogFile))
+	st := storage.New(walSchema)
+	log, err := Open(filepath.Join(legacy, "wal.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	insert := func(k int) {
-		i := ss.NextShard()
-		tp, err := ss.InsertShard(i, 1, row("dev", int64(k)))
+	for k := 0; k < 20; k++ {
+		tp, err := st.Insert(1, row("dev", int64(k)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,70 +222,97 @@ func TestMigrateLegacySingleLogLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for k := 0; k < 20; k++ {
-		insert(k)
-	}
-	if err := Checkpoint(legacy, ss, log); err != nil {
-		t.Fatal(err)
-	}
-	for k := 20; k < 33; k++ {
-		insert(k)
-	}
-	for _, id := range []tuple.ID{3, 8, 25} {
-		if err := ss.Evict(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.AppendEvict(id); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := signature(ss)
+	if err := WriteSnapshot(filepath.Join(legacy, "snapshot.db"), st); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, shards := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := copyDir(t, legacy)
+			before := map[string][]byte{}
+			for _, name := range []string{"snapshot.db", "wal.log"} {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before[name] = data
+			}
 			got := storage.NewSharded(walSchema, shards)
-			if err := RecoverSharded(dir, got, shards); err != nil {
-				t.Fatal(err)
+			err := RecoverSharded(dir, got, shards)
+			if !errors.Is(err, ErrSingleLogLayout) {
+				t.Fatalf("RecoverSharded on a single-log directory: err = %v, want ErrSingleLogLayout", err)
 			}
-			if s := signature(got); s != want {
-				t.Fatalf("migrated extent diverged from pre-migration contents:\ngot:\n%s\nwant:\n%s", s, want)
+			if got.Len() != 0 {
+				t.Errorf("refused recovery loaded %d tuples", got.Len())
 			}
-			// Migration rewrote the directory: legacy files gone,
-			// manifest + per-shard snapshots committed.
-			for _, name := range []string{SnapshotFile, LogFile} {
-				if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-					t.Errorf("legacy file %s survived migration", name)
+			for name, want := range before {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatalf("%s after refused recovery: %v", name, err)
+				}
+				if !bytes.Equal(data, want) {
+					t.Errorf("%s changed by the refused recovery", name)
 				}
 			}
-			man, ok, err := loadManifest(dir)
-			if err != nil || !ok {
-				t.Fatalf("no manifest after migration: %v", err)
-			}
-			if man.Shards != shards {
-				t.Fatalf("manifest shards = %d, want %d", man.Shards, shards)
-			}
-
-			// Reopening the MIGRATED directory reproduces the same bytes.
-			again := storage.NewSharded(walSchema, shards)
-			if err := RecoverSharded(dir, again, shards); err != nil {
-				t.Fatal(err)
-			}
-			if s := signature(again); s != want {
-				t.Fatalf("migrated directory did not reopen identically:\ngot:\n%s\nwant:\n%s", s, want)
-			}
-			// IDs are never reused after migration.
-			tp, err := again.Insert(2, row("fresh", 99))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tp.ID < 33 {
-				t.Errorf("post-migration insert reused ID %d", tp.ID)
+			if _, ok, err := loadManifest(dir); ok || err != nil {
+				t.Errorf("refused recovery left a manifest (ok=%v, err=%v)", ok, err)
 			}
 		})
+	}
+}
+
+// IDs are never reused (ARCHITECTURE.md invariant 4), also across a
+// reshard: rows consumed after the last checkpoint exist only as log
+// records, and the IDs they held — the highest ever allocated — must
+// stay burned when the directory reopens at another shard count.
+func TestReshardNeverReusesIDs(t *testing.T) {
+	for _, tc := range []struct{ from, to int }{{3, 2}, {2, 3}} {
+		for _, checkpoint := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%dto%d/checkpoint=%v", tc.from, tc.to, checkpoint), func(t *testing.T) {
+				dir := t.TempDir()
+				ss, sl := buildSharded(t, dir, tc.from, 20)
+				if checkpoint {
+					if err := sl.Checkpoint(ss, tc.from); err != nil {
+						t.Fatal(err)
+					}
+				}
+				appendRows(t, ss, sl, 10) // IDs 20..29
+				// Consume the newest rows: no live tuple keeps their IDs.
+				for id := tuple.ID(20); id < 30; id++ {
+					if err := ss.Evict(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := sl.AppendEvict(ss.ShardOf(id), id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want := signature(ss)
+
+				// The reshard, then a matched reopen of the rewritten layout.
+				for pass := 0; pass < 2; pass++ {
+					got := storage.NewSharded(walSchema, tc.to)
+					if err := RecoverSharded(dir, got, tc.to); err != nil {
+						t.Fatal(err)
+					}
+					if s := signature(got); s != want {
+						t.Fatalf("pass %d: recovered extent diverged:\ngot:\n%s\nwant:\n%s", pass, s, want)
+					}
+					tp, err := got.Insert(2, row("fresh", 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tp.ID < 30 {
+						t.Fatalf("pass %d: insert after reopening at %d shards reused ID %d (IDs 0..29 were allocated)", pass, tc.to, tp.ID)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-// Robustness: feeding arbitrary bytes to Replay and LoadSnapshot must
+// Robustness: feeding arbitrary bytes to ReplayBounded and loadSnapshot must
 // yield zero-or-some records or a clean error — never a panic and never
 // fabricated data that breaks recovery.
 
@@ -25,7 +25,7 @@ func TestReplayArbitraryBytes(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := Replay(path, func(Rec) error { return nil })
+		_, err := ReplayBounded(path, func(Rec) error { return nil })
 		// Random bytes should essentially never form a valid CRC frame;
 		// either way the call must return without panicking.
 		_ = err
@@ -34,7 +34,7 @@ func TestReplayArbitraryBytes(t *testing.T) {
 
 func TestReplayBitFlipsOnValidLog(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, LogFile)
+	path := filepath.Join(dir, ShardLogFile(0))
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestReplayBitFlipsOnValidLog(t *testing.T) {
 		}
 		count := 0
 		var firstErr error
-		err := Replay(path, func(r Rec) error {
+		_, err := ReplayBounded(path, func(r Rec) error {
 			count++
 			if r.Type == RecInsert && len(r.Tuple.Attrs) != 2 && firstErr == nil {
 				t.Fatalf("trial %d: corrupt record passed CRC with %d attrs", trial, len(r.Tuple.Attrs))
@@ -80,61 +80,64 @@ func TestReplayBitFlipsOnValidLog(t *testing.T) {
 
 func TestLoadSnapshotArbitraryBytes(t *testing.T) {
 	schema := tuple.MustSchema(tuple.Column{Name: "n", Kind: tuple.KindInt})
-	rng := rand.New(rand.NewSource(5))
 	dir := t.TempDir()
-	path := filepath.Join(dir, SnapshotFile)
-	for trial := 0; trial < 200; trial++ {
-		size := rng.Intn(1024)
-		data := make([]byte, size)
-		rng.Read(data)
-		// Half the trials get the valid magic so parsing goes deeper.
-		if trial%2 == 0 && size >= 8 {
-			copy(data, []byte("FDBSNAP1"))
-		}
+	path := filepath.Join(dir, shardSnapshotFile(1, 0))
+	for trial, data := range arbitrarySnapshots() {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st := storage.New(schema)
-		if err := LoadSnapshot(path, st); err == nil && st.Len() > 0 {
+		if _, err := loadSnapshot(path, st); err == nil && st.Len() > 0 {
 			t.Fatalf("trial %d: random bytes produced %d tuples", trial, st.Len())
 		}
 	}
 }
 
-func TestRecoverIdempotent(t *testing.T) {
-	schema := tuple.MustSchema(tuple.Column{Name: "n", Kind: tuple.KindInt})
-	dir := t.TempDir()
-	st := storage.New(schema)
-	log, _ := Open(filepath.Join(dir, LogFile))
-	for i := 0; i < 50; i++ {
-		tp, _ := st.Insert(1, []tuple.Value{tuple.Int(int64(i))})
-		log.AppendInsert(tp)
+// arbitrarySnapshots returns 200 random byte strings, half of them
+// behind a valid snapshot magic so parsing goes deeper.
+func arbitrarySnapshots() [][]byte {
+	rng := rand.New(rand.NewSource(5))
+	out := make([][]byte, 200)
+	for trial := range out {
+		size := rng.Intn(1024)
+		data := make([]byte, size)
+		rng.Read(data)
+		if trial%2 == 0 && size >= 8 {
+			copy(data, snapshotMagic[:])
+		}
+		out[trial] = data
 	}
+	return out
+}
+
+func TestRecoverIdempotent(t *testing.T) {
+	src := t.TempDir()
+	st := storage.NewSharded(walSchema, 1)
+	sl, err := OpenSharded(src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows(t, st, sl, 50)
 	for i := 0; i < 50; i += 3 {
 		st.Evict(tuple.ID(i))
-		log.AppendEvict(tuple.ID(i))
+		sl.AppendEvict(0, tuple.ID(i))
 	}
-	log.Sync()
-	log.Close()
+	sl.Sync()
+	sl.Close()
+	want := signature(st)
 
-	// Recover repeatedly: every pass yields the identical extent.
-	var want []tuple.ID
-	for pass := 0; pass < 3; pass++ {
-		got, err := Recover(dir, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := got.ScanIDs(nil)
-		if pass == 0 {
-			want = ids
-			continue
-		}
-		if len(ids) != len(want) {
-			t.Fatalf("pass %d: %d tuples vs %d", pass, len(ids), len(want))
-		}
-		for i := range ids {
-			if ids[i] != want[i] {
-				t.Fatalf("pass %d: extent differs at %d", pass, i)
+	// Recover the same directory repeatedly: every pass yields the
+	// identical extent. At a changed count the first pass reshards and
+	// rewrites the layout; the later passes take the matched path.
+	for _, shards := range reopenCounts {
+		dir := copyDir(t, src)
+		for pass := 0; pass < 3; pass++ {
+			got := storage.NewSharded(walSchema, shards)
+			if err := RecoverSharded(dir, got, shards); err != nil {
+				t.Fatal(err)
+			}
+			if s := signature(got); s != want {
+				t.Fatalf("shards=%d pass %d: extent differs:\ngot:\n%s\nwant:\n%s", shards, pass, s, want)
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +20,11 @@ import (
 const ManifestFile = "wal.manifest.json"
 
 const manifestVersion = 1
+
+// ErrSingleLogLayout is returned when a table directory holds the
+// retired single-log layout (snapshot.db + wal.log, no manifest). This
+// version cannot read it; the files are left exactly as they were.
+var ErrSingleLogLayout = errors.New("wal: retired single-log layout (snapshot.db + wal.log, no manifest) is not supported")
 
 // Manifest describes a table directory in the per-shard layout: which
 // shard count the files were written at, which snapshot generation is
@@ -135,7 +139,7 @@ type Truncation struct {
 // OpenSharded opens the per-shard logs of dir for appending, creating
 // the manifest (and empty logs) on first open. The directory must
 // already be in the per-shard layout at this shard count — callers
-// recover (and thereby migrate or reshard) via RecoverSharded first.
+// recover (and thereby reshard) via RecoverSharded first.
 func OpenSharded(dir string, shards int) (*ShardedLog, error) {
 	if shards < 1 {
 		shards = 1
@@ -305,12 +309,10 @@ func (sl *ShardedLog) LastTruncation() (Truncation, bool) {
 }
 
 // cleanupStale removes files the committed manifest does not own:
-// legacy single-log files, snapshots of other generations, and shard
-// files at other shard counts. Best effort — leftovers are skipped (and
-// re-deleted) by the next recovery or checkpoint.
+// snapshots of other generations and shard files at other shard counts.
+// Best effort — leftovers are skipped (and re-deleted) by the next
+// recovery or checkpoint.
 func cleanupStale(dir string, man Manifest) {
-	os.Remove(filepath.Join(dir, SnapshotFile))
-	os.Remove(filepath.Join(dir, LogFile))
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -378,48 +380,35 @@ func parseShardLogName(name string) (shard int, ok bool) {
 //     records apply directly — no buffering, no sorting. A torn tail in
 //     one shard's log truncates that log at the tear and never aborts
 //     (or shortens) the recovery of the others.
-//   - Per-shard layout at a different shard count: the merge path loads
-//     every old shard file, sorts by ID (IDs decide ownership, not file
-//     layout) and re-routes each record to its new owner, then rewrites
-//     the directory at the new shard count.
-//   - Legacy single-log layout (snapshot.db + wal.log, no manifest): the
-//     old order-insensitive recovery runs unchanged, then the directory
-//     is migrated in place to the per-shard layout.
+//   - Per-shard layout at a different shard count: the same matched
+//     recovery rebuilds the old shards in a temporary store, every live
+//     tuple is restored in global ID order into ss (IDs decide
+//     ownership, not file layout), and the directory is rewritten at the
+//     new shard count.
 //
 // A fresh directory recovers nothing and is left untouched (OpenSharded
-// commits the first manifest).
+// commits the first manifest). A directory in the retired single-log
+// layout fails with ErrSingleLogLayout and is left untouched too.
 func RecoverSharded(dir string, ss *storage.ShardedStore, parallelism int) error {
 	man, ok, err := loadManifest(dir)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		if !legacyLayoutPresent(dir) {
-			return nil // fresh directory
+		for _, name := range []string{"snapshot.db", "wal.log"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				return fmt.Errorf("%w: %s", ErrSingleLogLayout, dir)
+			}
 		}
-		// Migrate the single-log layout in place: recover through the
-		// order-insensitive path, then rewrite as per-shard files.
-		if err := RecoverInto(dir, ss); err != nil {
-			return err
-		}
-		return rewriteLayout(dir, ss, 1, parallelism)
+		return nil // fresh directory
 	}
 	if man.Shards == ss.NumShards() {
 		return recoverMatched(dir, man, ss, parallelism)
 	}
-	if err := recoverReshard(dir, man, ss); err != nil {
+	if err := recoverReshard(dir, man, ss, parallelism); err != nil {
 		return err
 	}
 	return rewriteLayout(dir, ss, man.Generation+1, parallelism)
-}
-
-func legacyLayoutPresent(dir string) bool {
-	for _, name := range []string{SnapshotFile, LogFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // recoverMatched is the fast path: shard counts agree, so shard i's
@@ -485,83 +474,31 @@ func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallel
 	return nil
 }
 
-// collectExtent buffers snapshot tuples instead of restoring them, so
-// the reshard path can merge several shard snapshots by ID before
-// routing. Only the methods loadSnapshot touches do real work.
-type collectExtent struct {
-	schema *tuple.Schema
-	tuples []tuple.Tuple
-}
-
-func (c *collectExtent) Schema() *tuple.Schema        { return c.schema }
-func (c *collectExtent) Len() int                     { return len(c.tuples) }
-func (c *collectExtent) NextID() tuple.ID             { return 0 }
-func (c *collectExtent) Scan(func(*tuple.Tuple) bool) {}
-func (c *collectExtent) Restore(tp tuple.Tuple) error { c.tuples = append(c.tuples, tp); return nil }
-func (c *collectExtent) FinishRestore()               {}
-func (c *collectExtent) AdvanceNextID(tuple.ID)       {}
-func (c *collectExtent) Evict(tuple.ID) error         { return nil }
-
 // recoverReshard re-routes a per-shard directory written at a different
-// shard count: all old snapshots and log inserts merge into one
-// ID-sorted stream (stable, snapshots first, so a record that survived
-// into a snapshot wins over its own stale log copy), restore routes each
-// tuple to its new owner by residue, and evictions apply afterwards —
-// IDs are never reused, so insert-then-evict commutes.
-func recoverReshard(dir string, man Manifest, ss *storage.ShardedStore) error {
-	var inserts []tuple.Tuple
-	var evicts []tuple.ID
-	maxNext := tuple.ID(0)
-	for i := 0; i < man.Shards; i++ {
-		col := &collectExtent{schema: ss.Schema()}
-		hdrNext, err := loadSnapshot(filepath.Join(dir, shardSnapshotFile(man.Generation, i)), col)
-		if err != nil {
-			return fmt.Errorf("wal: reshard snapshot %d: %w", i, err)
-		}
-		if hdrNext > maxNext {
-			maxNext = hdrNext
-		}
-		inserts = append(inserts, col.tuples...)
+// shard count. The old shards recover at their own count through
+// recoverMatched into a temporary store — the one replay loop, with its
+// per-shard stale-record and torn-tail rules — and every live tuple is
+// then restored into ss in the temporary store's merged ID order, which
+// routes each to its new owner by residue.
+func recoverReshard(dir string, man Manifest, ss *storage.ShardedStore, parallelism int) error {
+	old := storage.NewSharded(ss.Schema(), man.Shards)
+	if err := recoverMatched(dir, man, old, parallelism); err != nil {
+		return err
 	}
-	for i := 0; i < man.Shards; i++ {
-		_, err := ReplayBounded(filepath.Join(dir, ShardLogFile(i)), func(rec Rec) error {
-			switch rec.Type {
-			case RecInsert:
-				inserts = append(inserts, rec.Tuple)
-			case RecEvict:
-				evicts = append(evicts, rec.ID)
-			case RecTick:
-				// As on the matched path: crash recovery takes freshness
-				// from the snapshots, ticks matter only to live followers.
-			default:
-				return fmt.Errorf("reshard: unknown record %d", rec.Type)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("wal: reshard log %d: %w", i, err)
-		}
-	}
-	sort.SliceStable(inserts, func(a, b int) bool { return inserts[a].ID < inserts[b].ID })
-	for _, tp := range inserts {
-		if err := ss.Restore(tp); err != nil && !errors.Is(err, storage.ErrStaleRestore) {
-			return err
-		}
-	}
-	for _, id := range evicts {
-		if err := ss.Evict(id); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return err
-		}
+	var err error
+	old.Scan(func(tp *tuple.Tuple) bool {
+		err = ss.Restore(*tp)
+		return err == nil
+	})
+	if err != nil {
+		return fmt.Errorf("wal: reshard: %w", err)
 	}
 	ss.FinishRestore()
-	for _, nid := range man.NextIDs {
-		if tuple.ID(nid) > maxNext {
-			maxNext = tuple.ID(nid)
-		}
-	}
-	// Old cursors round up into the new residue classes; only the global
-	// high-water mark is meaningful across shard counts.
-	ss.AdvanceNextID(maxNext)
+	// Old cursors round up into the new residue classes, so only the
+	// global high-water mark carries over. It is taken from the recovered
+	// cursors, not from man.NextIDs alone: those predate the log tail,
+	// whose consumed rows left no live tuple behind to restore.
+	ss.AdvanceNextID(old.NextID())
 	return nil
 }
 
@@ -569,9 +506,8 @@ func recoverReshard(dir string, man Manifest, ss *storage.ShardedStore) error {
 // given generation — per-shard snapshots, then the manifest commit —
 // and removes every superseded file, including all old shard logs
 // (their records now live in the new snapshots, and their residue
-// classes may not match the new shard count). Used by migration and
-// resharding; a crash before the manifest commit leaves the old layout
-// fully intact.
+// classes may not match the new shard count). Used by resharding; a
+// crash before the manifest commit leaves the old layout fully intact.
 func rewriteLayout(dir string, ss *storage.ShardedStore, gen uint64, parallelism int) error {
 	n := ss.NumShards()
 	if err := fanout.Run(n, parallelism, func(i int) error {

@@ -1,115 +1,62 @@
 package wal
 
 import (
-	"path/filepath"
 	"testing"
 
 	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 )
 
-// The snapshot header records only the GLOBAL next-ID high-water mark;
-// per-shard cursors can trail it by up to shards-1. A post-checkpoint
-// insert on a lagging shard must survive crash recovery — the cursors
-// may only be advanced to the header mark after the log has replayed.
+// Per-shard cursors trail the global next-ID high-water mark by up to
+// shards-1. A post-checkpoint insert on a lagging shard must survive
+// crash recovery, whether the directory reopens at its own shard count
+// or at another: cursors may only be advanced to the recorded marks
+// after the logs have replayed.
 func TestRecoverPostCheckpointInsertOnLaggingShard(t *testing.T) {
 	dir := t.TempDir()
 	ss := storage.NewSharded(walSchema, 2)
-	log, err := Open(filepath.Join(dir, LogFile))
+	sl, err := OpenSharded(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// IDs 0,1,2: shard 0's cursor is now 4, shard 1's is 3.
-	for i := 0; i < 3; i++ {
-		tp, err := ss.Insert(1, []tuple.Value{tuple.String_("d"), tuple.Int(int64(i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := log.AppendInsert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Checkpoint: snapshot header nextID = max cursor = 4, log truncated.
-	if err := Checkpoint(dir, ss, log); err != nil {
+	appendRows(t, ss, sl, 3)
+	// Checkpoint: snapshot headers and manifest record the cursors, the
+	// logs are truncated.
+	if err := sl.Checkpoint(ss, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint insert lands on lagging shard 1 as ID 3.
-	tp, err := ss.Insert(1, []tuple.Value{tuple.String_("d"), tuple.Int(3)})
+	i := ss.NextShard()
+	tp, err := ss.InsertShard(i, 1, row("d", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tp.ID != 3 {
 		t.Fatalf("post-checkpoint insert got ID %d, want 3", tp.ID)
 	}
-	if err := log.AppendInsert(tp); err != nil {
+	if err := sl.AppendInsert(i, tp); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil { // flush; the "crash" is not reopening cleanly
+	if err := sl.Close(); err != nil { // flush; the "crash" is not reopening cleanly
 		t.Fatal(err)
 	}
 
-	got := storage.NewSharded(walSchema, 2)
-	if err := RecoverInto(dir, got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 4 {
-		t.Fatalf("recovered %d tuples, want 4 (post-checkpoint insert lost)", got.Len())
-	}
-	if !got.Contains(3) {
-		t.Fatal("tuple 3 (post-checkpoint, lagging shard) missing after recovery")
-	}
-	// The high-water mark still holds: fresh inserts never reuse IDs.
-	next, err := got.Insert(2, []tuple.Value{tuple.String_("d"), tuple.Int(9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.ID < 4 {
-		t.Fatalf("post-recovery insert reused ID %d", next.ID)
-	}
-}
-
-// Concurrent shards append WAL records in per-shard (not global) ID
-// order. Recovery must tolerate that interleaving under ANY shard
-// count — including one different from the writer's — without
-// silently dropping tuples (replay sorts inserts by ID before
-// routing).
-func TestRecoverInterleavedLogAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
-	log, err := Open(filepath.Join(dir, LogFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 2-shard writer flushing shard 0's group before shard 1's:
-	// IDs 0,2,4 then 1,3,5 — monotone per writer shard, not globally.
-	for _, id := range []tuple.ID{0, 2, 4, 1, 3, 5} {
-		tp := tuple.New(id, 1, []tuple.Value{tuple.String_("d"), tuple.Int(int64(id))})
-		if err := log.AppendInsert(tp); err != nil {
+	for _, shards := range []int{2, 1, 3} {
+		got := recoverCopy(t, dir, shards)
+		if got.Len() != 4 {
+			t.Fatalf("shards=%d: recovered %d tuples, want 4 (post-checkpoint insert lost)", shards, got.Len())
+		}
+		if !got.Contains(3) {
+			t.Fatalf("shards=%d: tuple 3 (post-checkpoint, lagging shard) missing after recovery", shards)
+		}
+		// The high-water mark still holds: fresh inserts never reuse IDs.
+		next, err := got.Insert(2, []tuple.Value{tuple.String_("d"), tuple.Int(9)})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Evict one tuple; its record precedes some inserts ID-wise.
-	if err := log.AppendEvict(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, shards := range []int{1, 2, 3} {
-		store := storage.NewSharded(walSchema, shards)
-		if err := RecoverInto(dir, store); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if store.Len() != 5 {
-			t.Fatalf("shards=%d: recovered %d tuples, want 5", shards, store.Len())
-		}
-		want := []tuple.ID{0, 1, 3, 4, 5}
-		var got []tuple.ID
-		store.Scan(func(tp *tuple.Tuple) bool { got = append(got, tp.ID); return true })
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("shards=%d: recovered IDs %v, want %v", shards, got, want)
-			}
+		if next.ID < 4 {
+			t.Fatalf("shards=%d: post-recovery insert reused ID %d", shards, next.ID)
 		}
 	}
 }

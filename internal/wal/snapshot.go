@@ -8,60 +8,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 )
 
-// Snapshot/recovery file names within a table directory.
-const (
-	SnapshotFile = "snapshot.db"
-	LogFile      = "wal.log"
-)
+var snapshotMagic = [8]byte{'F', 'D', 'B', 'S', 'N', 'A', 'P', '2'}
 
-var (
-	snapshotMagicV1 = [8]byte{'F', 'D', 'B', 'S', 'N', 'A', 'P', '1'}
-	snapshotMagic   = [8]byte{'F', 'D', 'B', 'S', 'N', 'A', 'P', '2'}
-)
-
-// Extent is the store surface persistence needs. Both *storage.Store
-// and *storage.ShardedStore implement it: snapshots are written in
-// global scan (ID) order and restored by routing each record back to
-// its owner, so a table can even be reopened with a different shard
-// count — IDs decide ownership, not file layout.
-type Extent interface {
-	Schema() *tuple.Schema
-	Len() int
-	NextID() tuple.ID
-	Scan(fn func(*tuple.Tuple) bool)
-	Restore(tp tuple.Tuple) error
-	FinishRestore()
-	AdvanceNextID(id tuple.ID)
-	Evict(id tuple.ID) error
-}
-
-// zoneSaver and zoneLoader are the optional extent surfaces for
-// carrying segment zone maps through snapshots. Extents that lack them
-// (e.g. the shard-merge collector) simply rebuild summaries from the
-// restored tuples — persistence is an optimisation, never required.
-type zoneSaver interface {
-	AppendZones(dst []byte) []byte
-}
-
-type zoneLoader interface {
-	InstallZones(blob []byte)
-}
-
-// WriteSnapshot serialises every live tuple of store (with exact
-// freshness and infection state) to path, atomically via a temp file +
-// rename. Layout: magic, uvarint nextID, uvarint tuple count, a
-// length-prefixed zone-map blob (empty when the extent has none), the
-// tuples, then crc32c of everything after the magic. The zone blob sits
-// before the tuples so recovery can stage the summaries ahead of the
-// restore stream.
-func WriteSnapshot(path string, store Extent) (err error) {
+// WriteSnapshot serialises every live tuple of one shard store (with
+// exact freshness and infection state) to path, atomically via a temp
+// file + rename.
+func WriteSnapshot(path string, store *storage.Store) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -73,44 +30,8 @@ func WriteSnapshot(path string, store Extent) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-
-	crc := crc32.New(crcTable)
-	w := bufio.NewWriter(io.MultiWriter(f, crc))
-	if _, err = f.Write(snapshotMagic[:]); err != nil {
-		return fmt.Errorf("wal: snapshot magic: %w", err)
-	}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(store.NextID()))
-	hdr = binary.AppendUvarint(hdr, uint64(store.Len()))
-	var zones []byte
-	if zs, ok := store.(zoneSaver); ok {
-		zones = zs.AppendZones(nil)
-	}
-	hdr = binary.AppendUvarint(hdr, uint64(len(zones)))
-	hdr = append(hdr, zones...)
-	if _, err = w.Write(hdr); err != nil {
-		return fmt.Errorf("wal: snapshot header: %w", err)
-	}
-	var buf []byte
-	var scanErr error
-	store.Scan(func(tp *tuple.Tuple) bool {
-		buf = tuple.AppendEncode(buf[:0], *tp)
-		if _, scanErr = w.Write(buf); scanErr != nil {
-			return false
-		}
-		return true
-	})
-	if scanErr != nil {
-		err = fmt.Errorf("wal: snapshot body: %w", scanErr)
+	if err = encodeSnapshot(f, store); err != nil {
 		return err
-	}
-	if err = w.Flush(); err != nil {
-		return fmt.Errorf("wal: snapshot flush: %w", err)
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err = f.Write(tail[:]); err != nil {
-		return fmt.Errorf("wal: snapshot crc: %w", err)
 	}
 	if err = f.Sync(); err != nil {
 		return fmt.Errorf("wal: snapshot sync: %w", err)
@@ -124,26 +45,53 @@ func WriteSnapshot(path string, store Extent) (err error) {
 	return nil
 }
 
-// LoadSnapshot restores tuples from path into store (which must be
-// empty). A missing file is not an error and loads nothing.
-func LoadSnapshot(path string, store Extent) error {
-	nextID, err := loadSnapshot(path, store)
-	if err != nil {
-		return err
+// encodeSnapshot writes the snapshot of store to w. Layout: magic,
+// uvarint nextID, uvarint tuple count, a length-prefixed zone-map blob,
+// the tuples, then crc32c of everything after the magic. The zone blob
+// sits before the tuples so recovery can stage the summaries ahead of
+// the restore stream.
+func encodeSnapshot(w io.Writer, store *storage.Store) error {
+	if _, err := w.Write(snapshotMagic[:]); err != nil {
+		return fmt.Errorf("wal: snapshot magic: %w", err)
 	}
-	store.FinishRestore()
-	// Resume ID allocation where the snapshotted store left off, so IDs
-	// of tuples evicted before the snapshot are never reused.
-	store.AdvanceNextID(nextID)
+	crc := crc32.New(crcTable)
+	bw := bufio.NewWriter(io.MultiWriter(w, crc))
+	var hdr []byte
+	hdr = binary.AppendUvarint(hdr, uint64(store.NextID()))
+	hdr = binary.AppendUvarint(hdr, uint64(store.Len()))
+	zones := store.AppendZones(nil)
+	hdr = binary.AppendUvarint(hdr, uint64(len(zones)))
+	hdr = append(hdr, zones...)
+	if _, err := bw.Write(hdr); err != nil {
+		return fmt.Errorf("wal: snapshot header: %w", err)
+	}
+	var buf []byte
+	var scanErr error
+	store.Scan(func(tp *tuple.Tuple) bool {
+		buf = tuple.AppendEncode(buf[:0], *tp)
+		_, scanErr = bw.Write(buf)
+		return scanErr == nil
+	})
+	if scanErr != nil {
+		return fmt.Errorf("wal: snapshot body: %w", scanErr)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("wal: snapshot flush: %w", err)
+	}
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
+	if _, err := w.Write(tail[:]); err != nil {
+		return fmt.Errorf("wal: snapshot crc: %w", err)
+	}
 	return nil
 }
 
-// loadSnapshot restores the snapshot body without touching allocation
-// cursors, returning the header's next-ID high-water mark. RecoverInto
-// needs the raw form: advancing cursors before WAL replay would make a
-// lagging shard's logged post-checkpoint inserts look stale (the header
-// records only the global maximum, which rounds up per shard).
-func loadSnapshot(path string, store Extent) (tuple.ID, error) {
+// loadSnapshot restores the snapshot at path into store (which must be
+// empty) without touching allocation cursors, returning the header's
+// next-ID high-water mark. A missing file is not an error and loads
+// nothing. Recovery advances the cursor only after the shard's log has
+// replayed, so logged post-checkpoint inserts never look stale.
+func loadSnapshot(path string, store *storage.Store) (tuple.ID, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -160,25 +108,12 @@ func loadSnapshot(path string, store Extent) (tuple.ID, error) {
 // snapshot uses it directly: the chunks arrive over the wire, never
 // touching the follower's disk. The caller is responsible for
 // FinishRestore and AdvanceNextID once every shard is loaded.
-func DecodeSnapshot(data []byte, store Extent) (tuple.ID, error) {
+func DecodeSnapshot(data []byte, store *storage.Store) (tuple.ID, error) {
 	if len(data) < len(snapshotMagic)+4 {
 		return 0, fmt.Errorf("wal: snapshot truncated (%d bytes)", len(data))
 	}
-	v2 := true
-	for i, b := range snapshotMagic {
-		if data[i] != b {
-			v2 = false
-			break
-		}
-	}
-	if !v2 {
-		// A v1 snapshot (pre zone-map persistence) restores fine — the
-		// summaries rebuild from the tuples.
-		for i, b := range snapshotMagicV1 {
-			if data[i] != b {
-				return 0, fmt.Errorf("wal: bad snapshot magic")
-			}
-		}
+	if [8]byte(data[:8]) != snapshotMagic {
+		return 0, fmt.Errorf("wal: bad snapshot magic")
 	}
 	body := data[len(snapshotMagic) : len(data)-4]
 	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
@@ -197,128 +132,27 @@ func DecodeSnapshot(data []byte, store Extent) (tuple.ID, error) {
 		return 0, fmt.Errorf("wal: snapshot bad count")
 	}
 	pos += w
-	if v2 {
-		zlen, w := binary.Uvarint(body[pos:])
-		if w <= 0 || pos+w+int(zlen) > len(body) {
-			return 0, fmt.Errorf("wal: snapshot bad zone blob")
-		}
-		pos += w
-		if zl, ok := store.(zoneLoader); ok && zlen > 0 {
-			zl.InstallZones(body[pos : pos+int(zlen)])
-		}
-		pos += int(zlen)
+	zlen, w := binary.Uvarint(body[pos:])
+	if w <= 0 || zlen > uint64(len(body)-pos-w) {
+		return 0, fmt.Errorf("wal: snapshot bad zone blob")
 	}
+	pos += w
+	if zlen > 0 {
+		store.InstallZones(body[pos : pos+int(zlen)])
+	}
+	pos += int(zlen)
 	for i := uint64(0); i < count; i++ {
 		tp, n, err := tuple.Decode(body[pos:], store.Schema())
 		if err != nil {
 			return 0, fmt.Errorf("wal: snapshot tuple %d: %w", i, err)
 		}
 		pos += n
+		if uint64(tp.ID) >= nextID {
+			return 0, fmt.Errorf("wal: snapshot tuple %d: id %d at or past the next-ID mark %d", i, tp.ID, nextID)
+		}
 		if err := store.Restore(tp); err != nil {
 			return 0, fmt.Errorf("wal: snapshot tuple %d: %w", i, err)
 		}
 	}
 	return tuple.ID(nextID), nil
-}
-
-// Recover rebuilds a plain store from the snapshot and WAL in dir.
-func Recover(dir string, schema *tuple.Schema, opts ...storage.Option) (*storage.Store, error) {
-	store := storage.New(schema, opts...)
-	if err := RecoverInto(dir, store); err != nil {
-		return nil, err
-	}
-	return store, nil
-}
-
-// RecoverInto replays the snapshot and WAL in dir into an empty extent.
-// Records that predate the snapshot (possible when a crash interrupted
-// a checkpoint between snapshot rename and log truncation) are skipped.
-// A sharded extent routes every record to its owning shard by ID, so
-// recovery works even when the shard count changed since the files were
-// written.
-//
-// Concurrent shards append log records in per-shard (not global) ID
-// order, and a different shard count re-partitions the residue classes,
-// so the raw log stream need not be monotonic per NEW shard. Replay
-// therefore buffers the log tail, sorts inserts by ID (restoring
-// per-shard monotonicity under any partitioning) and applies evictions
-// afterwards — IDs are never reused, so insert-then-evict commutes to
-// the same final extent.
-func RecoverInto(dir string, store Extent) error {
-	hdrNext, err := loadSnapshot(filepath.Join(dir, SnapshotFile), store)
-	if err != nil {
-		return err
-	}
-	var inserts []tuple.Tuple
-	var evicts []tuple.ID
-	err = Replay(filepath.Join(dir, LogFile), func(rec Rec) error {
-		switch rec.Type {
-		case RecInsert:
-			inserts = append(inserts, rec.Tuple)
-			return nil
-		case RecEvict:
-			evicts = append(evicts, rec.ID)
-			return nil
-		case RecTick:
-			// Freshness at the crash point is approximated by the
-			// snapshot (see the package comment's bounded-staleness
-			// trade-off); ticks matter only to live followers.
-			return nil
-		}
-		return fmt.Errorf("wal: recover: unknown record %d", rec.Type)
-	})
-	if err != nil {
-		return err
-	}
-	sort.Slice(inserts, func(i, j int) bool { return inserts[i].ID < inserts[j].ID })
-	for _, tp := range inserts {
-		// A record behind the owning shard's cursor is already in the
-		// snapshot; the staleness check lives in the store so it is per
-		// shard, not against the global high-water mark.
-		if err := store.Restore(tp); err != nil && !errors.Is(err, storage.ErrStaleRestore) {
-			return err
-		}
-	}
-	for _, id := range evicts {
-		if err := store.Evict(id); err != nil && !errors.Is(err, storage.ErrNotFound) {
-			return err
-		}
-	}
-	store.FinishRestore()
-	// Advance allocation cursors only AFTER replay: the header records
-	// the global maximum, which rounds up per shard — doing this first
-	// would make a lagging shard's logged post-checkpoint inserts look
-	// stale and silently drop them.
-	store.AdvanceNextID(hdrNext)
-	return nil
-}
-
-// Checkpoint writes a fresh snapshot of store into dir and truncates the
-// log. The order (snapshot first, truncate second) keeps every state
-// recoverable: a crash in between replays stale records, which Recover
-// skips.
-func Checkpoint(dir string, store Extent, log *Log) error {
-	if err := WriteSnapshot(filepath.Join(dir, SnapshotFile), store); err != nil {
-		return err
-	}
-	return log.Truncate()
-}
-
-// Truncate discards all logged records. The caller must have captured
-// the state elsewhere (see Checkpoint).
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: truncate flush: %w", err)
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: truncate seek: %w", err)
-	}
-	l.w.Reset(l.f)
-	l.recs = 0
-	return nil
 }

@@ -1,5 +1,6 @@
 // Package wal provides crash-safe persistence for a relation extent: a
-// write-ahead log of insert/evict records plus full-store snapshots.
+// write-ahead log of insert/evict records plus snapshots, one of each
+// per shard.
 //
 // The paper's decay laws mutate freshness continuously; logging every
 // freshness update would write more than the data itself. The WAL
@@ -11,10 +12,10 @@
 // lists this bounded-staleness trade-off.
 //
 // Record framing: [length uint32][crc32c uint32][type byte][payload].
-// Replay stops cleanly at the first torn or corrupt record, which is the
-// expected state after a crash mid-append; ReplayBounded additionally
-// reports where the valid prefix ends so the torn tail can be truncated
-// before new appends land behind it.
+// ReplayBounded stops cleanly at the first torn or corrupt record, which
+// is the expected state after a crash mid-append, and reports where the
+// valid prefix ends so the torn tail can be truncated before new appends
+// land behind it.
 //
 // # Per-shard layout
 //
@@ -34,12 +35,12 @@
 // untruncated logs (stale records are skipped on replay), or the new
 // manifest pointing at the complete generation-g+1 files.
 //
-// Directories written by the old single-log engine (snapshot.db +
-// wal.log, no manifest) are detected on open, recovered through the
-// order-insensitive merge path, and rewritten in place to the per-shard
-// layout; a manifest whose shard count differs from the opening table's
-// takes the same merge-and-rewrite path, re-routing every record to its
-// new owner by ID residue.
+// This is the only on-disk layout. A manifest whose shard count differs
+// from the opening table's is recovered at its own shard count, then
+// every live tuple is re-routed to its new owner by ID residue and the
+// directory is rewritten at the new count. A directory in the retired
+// single-log layout (snapshot.db + wal.log, no manifest) is refused with
+// ErrSingleLogLayout and left untouched.
 //
 // # Durability
 //
@@ -220,21 +221,35 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Replay reads records from path in order, invoking fn for each. A
-// missing file replays zero records. Replay stops without error at the
-// first torn or corrupt record (the crash tail); fn errors abort.
-func Replay(path string, fn func(Rec) error) error {
-	_, err := ReplayBounded(path, fn)
-	return err
+// Truncate discards all logged records. The caller must have captured
+// the state elsewhere (see ShardedLog.Checkpoint).
+func (l *Log) Truncate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("wal: truncate flush: %w", err)
+	}
+	if err := l.f.Truncate(0); err != nil {
+		return fmt.Errorf("wal: truncate: %w", err)
+	}
+	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("wal: truncate seek: %w", err)
+	}
+	l.w.Reset(l.f)
+	l.recs = 0
+	return nil
 }
 
-// ReplayBounded is Replay returning the byte offset one past the last
-// fully valid record — the truncation point for a torn tail. A shard
-// log reopened for appending MUST be truncated there first, or records
-// appended after the tear would hide behind it and be lost on the next
-// recovery. Sharded recovery uses the per-shard offsets to truncate
-// each log independently, so one shard's torn tail never aborts (or
-// shortens) the recovery of the others.
+// ReplayBounded reads records from path in order, invoking fn for each,
+// and returns the byte offset one past the last fully valid record — the
+// truncation point for a torn tail. A missing file replays zero records.
+// Replay stops without error at the first torn or corrupt record (the
+// crash tail); fn errors abort. A shard log reopened for appending MUST
+// be truncated at the returned offset first, or records appended after
+// the tear would hide behind it and be lost on the next recovery.
+// Sharded recovery uses the per-shard offsets to truncate each log
+// independently, so one shard's torn tail never aborts (or shortens) the
+// recovery of the others.
 func ReplayBounded(path string, fn func(Rec) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,9 +20,56 @@ func row(device string, v int64) []tuple.Value {
 	return []tuple.Value{tuple.String_(device), tuple.Int(v)}
 }
 
+// restoreSnapshot loads the snapshot at path into the empty store st
+// and finishes the restore the way recovery does: seal the tail, then
+// resume ID allocation at the header's high-water mark.
+func restoreSnapshot(path string, st *storage.Store) error {
+	next, err := loadSnapshot(path, st)
+	if err != nil {
+		return err
+	}
+	st.FinishRestore()
+	st.AdvanceNextID(next)
+	return nil
+}
+
+// sealSnapshot frames body as a snapshot file: magic, body, crc32c.
+func sealSnapshot(magic, body []byte) []byte {
+	data := append(append([]byte(nil), magic...), body...)
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, crcTable))
+}
+
+// replayAll replays the log at path and returns its records.
+func replayAll(t *testing.T, path string) []Rec {
+	t.Helper()
+	var recs []Rec
+	if _, err := ReplayBounded(path, func(r Rec) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// recoverCopy recovers a copy of src at the given shard count, leaving
+// src itself untouched for the next count.
+func recoverCopy(t *testing.T, src string, shards int, opts ...storage.Option) *storage.ShardedStore {
+	t.Helper()
+	got := storage.NewSharded(walSchema, shards, opts...)
+	if err := RecoverSharded(copyDir(t, src), got, shards); err != nil {
+		t.Fatalf("recover at %d shards: %v", shards, err)
+	}
+	return got
+}
+
+// reopenCounts are the shard counts a directory written at one shard is
+// recovered at: the matched path and a changed count.
+var reopenCounts = []int{1, 3}
+
 func TestLogAppendAndReplay(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, LogFile)
+	path := filepath.Join(dir, ShardLogFile(0))
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -42,13 +91,7 @@ func TestLogAppendAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var recs []Rec
-	if err := Replay(path, func(r Rec) error {
-		recs = append(recs, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	recs := replayAll(t, path)
 	if len(recs) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(recs))
 	}
@@ -65,18 +108,18 @@ func TestLogAppendAndReplay(t *testing.T) {
 
 func TestReplayMissingFile(t *testing.T) {
 	n := 0
-	err := Replay(filepath.Join(t.TempDir(), "nope.log"), func(Rec) error {
+	valid, err := ReplayBounded(filepath.Join(t.TempDir(), "nope.log"), func(Rec) error {
 		n++
 		return nil
 	})
-	if err != nil || n != 0 {
-		t.Errorf("missing file: err=%v n=%d", err, n)
+	if err != nil || n != 0 || valid != 0 {
+		t.Errorf("missing file: err=%v n=%d valid=%d", err, n, valid)
 	}
 }
 
 func TestReplayStopsAtTornTail(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, LogFile)
+	path := filepath.Join(dir, ShardLogFile(0))
 	l, _ := Open(path)
 	l.AppendInsert(tuple.New(0, 1, row("a", 1)))
 	l.AppendInsert(tuple.New(1, 1, row("b", 2)))
@@ -86,18 +129,14 @@ func TestReplayStopsAtTornTail(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-5], 0o644)
 
-	var n int
-	if err := Replay(path, func(Rec) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
+	if n := len(replayAll(t, path)); n != 1 {
 		t.Errorf("replayed %d records after tear, want 1", n)
 	}
 }
 
 func TestReplayStopsAtCorruptCRC(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, LogFile)
+	path := filepath.Join(dir, ShardLogFile(0))
 	l, _ := Open(path)
 	l.AppendInsert(tuple.New(0, 1, row("a", 1)))
 	l.Close()
@@ -106,11 +145,7 @@ func TestReplayStopsAtCorruptCRC(t *testing.T) {
 	data[len(data)-1] ^= 0xFF // flip a payload byte
 	os.WriteFile(path, data, 0o644)
 
-	var n int
-	if err := Replay(path, func(Rec) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
+	if n := len(replayAll(t, path)); n != 0 {
 		t.Errorf("replayed %d corrupt records, want 0", n)
 	}
 }
@@ -127,13 +162,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	src.Evict(3)
 	src.Update(5, func(tp *tuple.Tuple) { tp.F = 0.25; tp.Infected = true })
 
-	path := filepath.Join(dir, SnapshotFile)
+	path := filepath.Join(dir, shardSnapshotFile(1, 0))
 	if err := WriteSnapshot(path, src); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := storage.New(walSchema, storage.WithSegmentSize(4))
-	if err := LoadSnapshot(path, dst); err != nil {
+	if err := restoreSnapshot(path, dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() {
@@ -161,11 +196,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestLoadSnapshotMissingFile(t *testing.T) {
 	dst := storage.New(walSchema)
-	if err := LoadSnapshot(filepath.Join(t.TempDir(), "none"), dst); err != nil {
+	next, err := loadSnapshot(filepath.Join(t.TempDir(), "none"), dst)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dst.Len() != 0 {
-		t.Error("loaded tuples from nothing")
+	if dst.Len() != 0 || next != 0 {
+		t.Errorf("loaded %d tuples (next %d) from nothing", dst.Len(), next)
 	}
 }
 
@@ -173,21 +209,33 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	src := storage.New(walSchema)
 	src.Insert(1, row("a", 1))
-	path := filepath.Join(dir, SnapshotFile)
+	path := filepath.Join(dir, shardSnapshotFile(1, 0))
 	if err := WriteSnapshot(path, src); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
 	data[len(data)-6] ^= 0x55
 	os.WriteFile(path, data, 0o644)
-	if err := LoadSnapshot(path, storage.New(walSchema)); err == nil {
+	if _, err := loadSnapshot(path, storage.New(walSchema)); err == nil {
 		t.Error("corrupt snapshot accepted")
 	}
 	// Bad magic.
 	data[0] = 'X'
 	os.WriteFile(path, data, 0o644)
-	if err := LoadSnapshot(path, storage.New(walSchema)); err == nil {
+	if _, err := loadSnapshot(path, storage.New(walSchema)); err == nil {
 		t.Error("bad magic accepted")
+	}
+	// A tuple at or past the header's next-ID mark: no store ever wrote
+	// one, and restoring it would size the store by an unchecked ID.
+	var body []byte
+	body = binary.AppendUvarint(body, 1) // nextID
+	body = binary.AppendUvarint(body, 1) // tuple count
+	body = binary.AppendUvarint(body, 0) // no zone blob
+	body = tuple.AppendEncode(body, tuple.New(5, 1, row("a", 1)))
+	os.WriteFile(path, sealSnapshot(snapshotMagic[:], body), 0o644)
+	st := storage.New(walSchema)
+	if _, err := loadSnapshot(path, st); err == nil || st.Len() != 0 {
+		t.Errorf("tuple past the next-ID mark: err=%v, %d tuples restored", err, st.Len())
 	}
 }
 
@@ -195,84 +243,91 @@ func TestRecoverSnapshotPlusLog(t *testing.T) {
 	dir := t.TempDir()
 
 	// Phase 1: build a store, checkpoint it.
-	store := storage.New(walSchema, storage.WithSegmentSize(4))
-	log, err := Open(filepath.Join(dir, LogFile))
+	store := storage.NewSharded(walSchema, 1, storage.WithSegmentSize(4))
+	sl, err := OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		tp, _ := store.Insert(1, row("pre", int64(i)))
-		log.AppendInsert(tp)
-	}
-	if err := Checkpoint(dir, store, log); err != nil {
+	appendRows(t, store, sl, 6)
+	if err := sl.Checkpoint(store, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// Phase 2: more activity after the checkpoint.
 	tp6, _ := store.Insert(2, row("post", 6))
-	log.AppendInsert(tp6)
+	sl.AppendInsert(0, tp6)
 	store.Evict(1)
-	log.AppendEvict(1)
-	if err := log.Sync(); err != nil {
+	sl.AppendEvict(0, 1)
+	if err := sl.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	log.Close()
+	sl.Close()
 
 	// Crash. Recover.
-	got, err := Recover(dir, walSchema, storage.WithSegmentSize(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != store.Len() {
-		t.Fatalf("recovered %d tuples, want %d", got.Len(), store.Len())
-	}
-	if got.Contains(1) {
-		t.Error("evicted tuple recovered")
-	}
-	if !got.Contains(6) {
-		t.Error("post-checkpoint insert lost")
+	for _, shards := range reopenCounts {
+		got := recoverCopy(t, dir, shards, storage.WithSegmentSize(4))
+		if got.Len() != store.Len() {
+			t.Fatalf("shards=%d: recovered %d tuples, want %d", shards, got.Len(), store.Len())
+		}
+		if got.Contains(1) {
+			t.Errorf("shards=%d: evicted tuple recovered", shards)
+		}
+		if !got.Contains(6) {
+			t.Errorf("shards=%d: post-checkpoint insert lost", shards)
+		}
 	}
 }
 
 func TestRecoverSkipsStaleRecords(t *testing.T) {
-	// Crash between snapshot rename and log truncation: the log still
-	// holds records already covered by the snapshot.
+	// Crash between the manifest commit and log truncation: the new
+	// generation is committed, yet the log still holds records the
+	// generation's snapshot already covers.
 	dir := t.TempDir()
-	store := storage.New(walSchema)
-	log, _ := Open(filepath.Join(dir, LogFile))
-	tp0, _ := store.Insert(1, row("a", 0))
-	log.AppendInsert(tp0)
-	tp1, _ := store.Insert(1, row("b", 1))
-	log.AppendInsert(tp1)
-	log.Sync()
-	// Snapshot written but log NOT truncated.
-	if err := WriteSnapshot(filepath.Join(dir, SnapshotFile), store); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
-
-	got, err := Recover(dir, walSchema)
+	store := storage.NewSharded(walSchema, 1)
+	sl, err := OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 {
-		t.Errorf("recovered %d tuples, want 2 (no duplicates)", got.Len())
+	appendRows(t, store, sl, 2)
+	if err := sl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Snapshot written and manifest committed, but log NOT truncated.
+	if err := WriteSnapshot(filepath.Join(dir, shardSnapshotFile(1, 0)), store.Shard(0)); err != nil {
+		t.Fatal(err)
+	}
+	man := Manifest{Version: manifestVersion, Shards: 1, Generation: 1, NextIDs: cursorsOf(store)}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+	sl.Close()
+
+	for _, shards := range reopenCounts {
+		if got := recoverCopy(t, dir, shards); got.Len() != 2 {
+			t.Errorf("shards=%d: recovered %d tuples, want 2 (no duplicates)", shards, got.Len())
+		}
 	}
 }
 
 func TestRecoverEmptyDir(t *testing.T) {
-	got, err := Recover(t.TempDir(), walSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Error("recovered tuples from empty dir")
+	for _, shards := range reopenCounts {
+		dir := t.TempDir()
+		got := storage.NewSharded(walSchema, shards)
+		if err := RecoverSharded(dir, got, shards); err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 {
+			t.Errorf("shards=%d: recovered tuples from empty dir", shards)
+		}
+		if _, ok, err := loadManifest(dir); ok || err != nil {
+			t.Errorf("shards=%d: recovering an empty dir wrote a manifest (err %v)", shards, err)
+		}
 	}
 }
 
 func TestTruncateAllowsNewRecords(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, LogFile)
+	path := filepath.Join(dir, ShardLogFile(0))
 	l, _ := Open(path)
 	l.AppendInsert(tuple.New(0, 1, row("old", 1)))
 	if err := l.Truncate(); err != nil {
@@ -281,9 +336,7 @@ func TestTruncateAllowsNewRecords(t *testing.T) {
 	l.AppendInsert(tuple.New(7, 1, row("new", 2)))
 	l.Close()
 
-	var recs []Rec
-	Replay(path, func(r Rec) error { recs = append(recs, r); return nil })
-	if len(recs) != 1 || recs[0].Tuple.ID != 7 {
+	if recs := replayAll(t, path); len(recs) != 1 || recs[0].Tuple.ID != 7 {
 		t.Errorf("after truncate replayed %+v", recs)
 	}
 }
@@ -292,40 +345,50 @@ func TestRecoverSparseSnapshotSegmentsSealed(t *testing.T) {
 	// A snapshot whose tuples leave a whole segment dead must recover
 	// into a store where evicting the survivors drops their segments.
 	dir := t.TempDir()
-	store := storage.New(walSchema, storage.WithSegmentSize(2))
+	store := storage.NewSharded(walSchema, 1, storage.WithSegmentSize(2))
 	for i := 0; i < 6; i++ {
 		store.Insert(1, row("x", int64(i)))
 	}
 	store.Evict(2)
 	store.Evict(3) // segment 1 fully dead
 	store.Evict(5) // segment 2 half dead
-	if err := WriteSnapshot(filepath.Join(dir, SnapshotFile), store); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Recover(dir, walSchema, storage.WithSegmentSize(2))
+	sl, err := OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", got.Len())
+	if err := sl.Checkpoint(store, 1); err != nil {
+		t.Fatal(err)
 	}
-	// Evict the survivors of segment 0; it must drop. Segment 2 is the
-	// open insert tail, so it stays.
-	for _, id := range []tuple.ID{0, 1, 4} {
-		if err := got.Evict(id); err != nil {
+	sl.Close()
+
+	for _, shards := range reopenCounts {
+		got := recoverCopy(t, dir, shards, storage.WithSegmentSize(2))
+		if got.Len() != 3 {
+			t.Fatalf("shards=%d: Len = %d, want 3", shards, got.Len())
+		}
+		// Evict every survivor. Only each shard's open insert tail may
+		// stay; every sealed segment the restore left must drop. At one
+		// shard that is segment 0 (segment 2 is the tail).
+		for _, id := range []tuple.ID{0, 1, 4} {
+			if err := got.Evict(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := got.Stats()
+		if st.SegsLive > shards {
+			t.Errorf("shards=%d: %d segments live after evicting every tuple", shards, st.SegsLive)
+		}
+		if shards == 1 && st.SegsDropped != 1 {
+			t.Errorf("SegsDropped = %d, want 1", st.SegsDropped)
+		}
+		// The pre-crash allocation point survives: tuple 5 was evicted
+		// before the snapshot, and its ID must not be reused.
+		tp, err := got.Insert(2, row("fresh", 1))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if st := got.Stats(); st.SegsDropped != 1 {
-		t.Errorf("SegsDropped = %d, want 1", st.SegsDropped)
-	}
-	// The pre-crash allocation point survives: tuple 5 was evicted
-	// before the snapshot, and its ID must not be reused.
-	tp, err := got.Insert(2, row("fresh", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.ID < 6 {
-		t.Errorf("insert after recovery reused ID %d", tp.ID)
+		if tp.ID < 6 {
+			t.Errorf("shards=%d: insert after recovery reused ID %d", shards, tp.ID)
+		}
 	}
 }

@@ -2,31 +2,15 @@ package wal
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fungusdb/internal/clock"
 	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 )
-
-// writeSnapshotV1 emits the pre-zone-persistence layout (v1 magic, no
-// zone blob) the way the old writer did, for compatibility testing.
-func writeSnapshotV1(path string, store Extent) error {
-	var body []byte
-	body = binary.AppendUvarint(body, uint64(store.NextID()))
-	body = binary.AppendUvarint(body, uint64(store.Len()))
-	store.Scan(func(tp *tuple.Tuple) bool {
-		body = tuple.AppendEncode(body, *tp)
-		return true
-	})
-	data := append([]byte{}, snapshotMagicV1[:]...)
-	data = append(data, body...)
-	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, crcTable))
-	return os.WriteFile(path, data, 0o644)
-}
 
 // countZoneFolds arranges for folds to be counted for the duration of
 // the test and returns the live counter.
@@ -68,14 +52,14 @@ func TestSnapshotZoneRestoreSkipsFolds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, SnapshotFile)
+	path := filepath.Join(dir, shardSnapshotFile(1, 0))
 	if err := WriteSnapshot(path, src); err != nil {
 		t.Fatal(err)
 	}
 
 	folds := countZoneFolds(t)
 	dst := storage.New(walSchema, storage.WithSegmentSize(4))
-	if err := LoadSnapshot(path, dst); err != nil {
+	if err := restoreSnapshot(path, dst); err != nil {
 		t.Fatal(err)
 	}
 	if *folds != 0 {
@@ -114,58 +98,46 @@ func TestSnapshotZoneRestoreSkipsFolds(t *testing.T) {
 // TestRecoverZoneFoldsOnlyLogTail: after a checkpoint plus more logged
 // inserts, recovery installs the snapshot summaries untouched and folds
 // exactly the log-tail rows (whose IDs sit above the persisted
-// high-water marks).
+// high-water marks). Reopened at another shard count the summaries are
+// rebuilt instead, and must still cover every live row.
 func TestRecoverZoneFoldsOnlyLogTail(t *testing.T) {
 	dir := t.TempDir()
-	src := storage.New(walSchema, storage.WithSegmentSize(4))
-	log, err := Open(filepath.Join(dir, LogFile))
+	src := storage.NewSharded(walSchema, 1, storage.WithSegmentSize(4))
+	sl, err := OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		tp, err := src.Insert(3, row("dev", int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := log.AppendInsert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := Checkpoint(dir, src, log); err != nil {
+	appendRows(t, src, sl, 12)
+	if err := sl.Checkpoint(src, 1); err != nil {
 		t.Fatal(err)
 	}
 	const tail = 5
-	for i := 0; i < tail; i++ {
-		tp, err := src.Insert(4, row("late", int64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := log.AppendInsert(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
+	appendRows(t, src, sl, tail)
+	if err := sl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	folds := countZoneFolds(t)
-	dst, err := Recover(dir, walSchema, storage.WithSegmentSize(4))
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range reopenCounts {
+		*folds = 0
+		dst := recoverCopy(t, dir, shards, storage.WithSegmentSize(4))
+		if dst.Len() != 17 {
+			t.Fatalf("shards=%d: recovered %d tuples, want 17", shards, dst.Len())
+		}
+		if shards == 1 && *folds != tail {
+			t.Errorf("recovery folded %d rows, want exactly the %d log-tail inserts", *folds, tail)
+		}
+		for i := 0; i < shards; i++ {
+			zonesUsable(t, dst.Shard(i))
+		}
 	}
-	if dst.Len() != 17 {
-		t.Fatalf("recovered %d tuples, want 17", dst.Len())
-	}
-	if *folds != tail {
-		t.Errorf("recovery folded %d rows, want exactly the %d log-tail inserts", *folds, tail)
-	}
-	zonesUsable(t, dst)
 }
 
-// TestZoneRestoreShardCountChange: reopening with a different shard
-// count re-partitions the ID residue classes, so the persisted records
-// no longer line up — they must be dropped (not misinstalled) and the
-// summaries rebuilt from the tuples, which still prune correctly.
+// TestZoneRestoreShardCountChange: a shard snapshot carries zone records
+// for its own stride and residue class. Loaded into a store with another
+// stride they no longer line up, so they must be dropped (not
+// misinstalled) and the summaries rebuilt from the tuples, which still
+// prune correctly.
 func TestZoneRestoreShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	src := storage.NewSharded(walSchema, 2, storage.WithSegmentSize(4))
@@ -174,73 +146,59 @@ func TestZoneRestoreShardCountChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, SnapshotFile)
-	if err := WriteSnapshot(path, src); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same shard count: summaries install, no folds.
 	folds := countZoneFolds(t)
-	same := storage.NewSharded(walSchema, 2, storage.WithSegmentSize(4))
-	if err := LoadSnapshot(path, same); err != nil {
-		t.Fatal(err)
-	}
-	if *folds != 0 {
-		t.Errorf("same-layout restore folded %d rows, want 0", *folds)
-	}
-
-	// Different shard count: records dropped, summaries rebuilt.
-	*folds = 0
-	diff := storage.NewSharded(walSchema, 3, storage.WithSegmentSize(4))
-	if err := LoadSnapshot(path, diff); err != nil {
-		t.Fatal(err)
-	}
-	if *folds == 0 {
-		t.Error("re-sharded restore installed mismatched zone records instead of rebuilding")
-	}
-	if diff.Len() != 24 {
-		t.Fatalf("re-sharded restore lost tuples: %d, want 24", diff.Len())
-	}
-	for i := 0; i < 3; i++ {
-		sh := diff.Shard(i)
-		ps := sh.ScanPruned(
-			func(*storage.ZoneMap) bool { return true },
-			func(*tuple.Tuple) bool { return true },
-		)
-		if ps.Tuples != sh.Len() {
-			t.Errorf("shard %d: only %d of %d tuples under usable zones after rebuild", i, ps.Tuples, sh.Len())
+	for i := 0; i < 2; i++ {
+		path := filepath.Join(dir, shardSnapshotFile(1, i))
+		if err := WriteSnapshot(path, src.Shard(i)); err != nil {
+			t.Fatal(err)
 		}
+
+		// Same stride and residue: summaries install, no folds.
+		*folds = 0
+		same := storage.NewSharded(walSchema, 2, storage.WithSegmentSize(4)).Shard(i)
+		if err := restoreSnapshot(path, same); err != nil {
+			t.Fatal(err)
+		}
+		if *folds != 0 {
+			t.Errorf("shard %d: same-layout restore folded %d rows, want 0", i, *folds)
+		}
+
+		// Stride 1: records dropped, every row folded into a rebuilt
+		// summary.
+		*folds = 0
+		diff := storage.New(walSchema, storage.WithSegmentSize(4))
+		if err := restoreSnapshot(path, diff); err != nil {
+			t.Fatal(err)
+		}
+		if diff.Len() != 12 {
+			t.Fatalf("shard %d: re-strided restore lost tuples: %d, want 12", i, diff.Len())
+		}
+		if *folds != diff.Len() {
+			t.Errorf("shard %d: re-strided restore folded %d of %d rows; mismatched zone records were installed", i, *folds, diff.Len())
+		}
+		zonesUsable(t, diff)
 	}
 }
 
-// TestV1SnapshotStillLoads: a pre-zone-persistence snapshot (v1 magic,
-// no zone blob) restores fine; the summaries rebuild from the tuples.
-func TestV1SnapshotStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	src := storage.New(walSchema, storage.WithSegmentSize(4))
-	for i := 0; i < 10; i++ {
-		if _, err := src.Insert(3, row("dev", int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(dir, SnapshotFile)
-	if err := writeSnapshotV1(path, src); err != nil {
+// TestV1SnapshotRejected: the pre-zone-persistence snapshot format (v1
+// magic, no zone blob) is retired. Loading one fails with a bad-magic
+// error and restores nothing.
+func TestV1SnapshotRejected(t *testing.T) {
+	var body []byte
+	body = binary.AppendUvarint(body, 1) // nextID
+	body = binary.AppendUvarint(body, 1) // tuple count
+	body = tuple.AppendEncode(body, tuple.New(0, 3, row("dev", 0)))
+	data := sealSnapshot([]byte("FDBSNAP1"), body)
+	path := filepath.Join(t.TempDir(), "v1.db")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dst := storage.New(walSchema, storage.WithSegmentSize(4))
-	if err := LoadSnapshot(path, dst); err != nil {
-		t.Fatal(err)
+	dst := storage.New(walSchema)
+	_, err := loadSnapshot(path, dst)
+	if err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("v1 snapshot: err = %v, want bad snapshot magic", err)
 	}
-	if dst.Len() != 10 {
-		t.Fatalf("v1 restore got %d tuples, want 10", dst.Len())
-	}
-	zonesUsable(t, dst)
-	// Corrupt magic still rejected.
-	data, _ := os.ReadFile(path)
-	data[7] = 'X'
-	bad := filepath.Join(dir, "bad.db")
-	os.WriteFile(bad, data, 0o644)
-	if err := LoadSnapshot(bad, storage.New(walSchema)); err == nil {
-		t.Error("unknown snapshot magic accepted")
+	if dst.Len() != 0 {
+		t.Errorf("rejected v1 snapshot restored %d tuples", dst.Len())
 	}
 }
