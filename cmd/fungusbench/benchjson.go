@@ -1,7 +1,8 @@
 // Benchmark-tracking mode: fungusbench -benchjson parses `go test
 // -bench` text output into a stable JSON report (BENCH_ci.json in CI)
 // and optionally gates it against a checked-in baseline, failing on
-// ns/op or allocs/op regressions beyond the tolerance. CI runs:
+// ns/op or allocs/op regressions beyond the tolerance. CI's bench job
+// runs (with a longer -bench list):
 //
 //	go test -bench='ShardedTick|ShardedIngest|Recovery' -benchtime=500ms \
 //	    -count=3 -benchmem -run '^$' . | tee bench.txt
@@ -16,13 +17,9 @@ import (
 	"io"
 	"os"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"fungusdb/internal/macrobench"
 )
 
 // BenchEntry is one benchmark's best observation. With -count > 1 the
@@ -150,7 +147,7 @@ const allocSlack = 16
 // a regression. Allocation counts repeat almost exactly from run to
 // run, so the second gate is what keeps an O(batches) path from
 // sliding back to O(rows) inside the timing noise; it applies where
-// both reports carry a count (-benchmem cells, not the macro ones).
+// both reports carry a count (cells run with -benchmem).
 // Benchmarks only in one report are noted, not failed, so adding or
 // retiring a benchmark never blocks CI.
 func compareReports(base, cur BenchReport, tolerance float64, out io.Writer) (regressions int) {
@@ -187,117 +184,26 @@ func compareReports(base, cur BenchReport, tolerance float64, out io.Writer) (re
 	return regressions
 }
 
-// macroEntries runs the named macro experiments count times each and
-// renders them as benchjson cells: Macro/<name>/query_p50|p95|p99
-// carry the latency percentile as ns/op (what the baseline gate
-// compares), and Macro/<name>/wall carries the run length plus the
-// side counters (heap readings, ingest volume, shed rows) in the
-// Metrics map. Like the micro parser, each cell keeps the MINIMUM
-// across repetitions: tail percentiles are noisy on shared runners,
-// and a regression that survives the floor is real.
-func macroEntries(list string, scale float64, seed int64, count int) ([]BenchEntry, error) {
-	names := macrobench.List()
-	if list != "all" {
-		names = strings.Split(list, ",")
-	}
-	if count < 1 {
-		count = 1
-	}
-	var out []BenchEntry
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		cells := map[string]*BenchEntry{}
-		for rep := 0; rep < count; rep++ {
-			res, err := macrobench.Run(name, macrobench.Config{Seed: seed + int64(rep), Scale: scale})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Printf("macro %-8s wall %8v  p50 %8v  p95 %8v  p99 %8v  (%d queries, %d rows ingested, %d shed, %d ticks, heap peak %.1f MiB)\n",
-				res.Name, res.Wall.Round(time.Millisecond),
-				res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond),
-				res.Queries, res.Rows, res.Dropped, res.Ticks, float64(res.HeapPeak)/(1<<20))
-			prefix := "Macro/" + res.Name
-			fold := func(suffix string, ns float64, metrics map[string]float64) {
-				e := cells[suffix]
-				if e == nil {
-					e = &BenchEntry{Name: prefix + "/" + suffix, NsPerOp: ns, Metrics: metrics}
-					cells[suffix] = e
-				} else if ns < e.NsPerOp {
-					e.NsPerOp = ns
-					e.Metrics = metrics
-				}
-				e.Runs++
-			}
-			fold("query_p50", float64(res.P50.Nanoseconds()), nil)
-			fold("query_p95", float64(res.P95.Nanoseconds()), nil)
-			fold("query_p99", float64(res.P99.Nanoseconds()), nil)
-			fold("wall", float64(res.Wall.Nanoseconds()), map[string]float64{
-				"queries":           float64(res.Queries),
-				"rows_ingested":     float64(res.Rows),
-				"queue_dropped":     float64(res.Dropped),
-				"ticks":             float64(res.Ticks),
-				"soak_streams":      float64(res.Soak),
-				"heap_before_bytes": float64(res.HeapPre),
-				"heap_peak_bytes":   float64(res.HeapPeak),
-				"heap_after_bytes":  float64(res.HeapPost),
-			})
-		}
-		for _, suffix := range []string{"query_p50", "query_p95", "query_p99", "wall"} {
-			out = append(out, *cells[suffix])
-		}
-	}
-	return out, nil
-}
-
-// runBenchJSON is the -benchjson / -macro entry point; returns the
-// exit code. Micro cells (parsed from `go test -bench` text) and macro
-// cells (run in-process) merge into one report so a single baseline
-// gates both.
-func runBenchJSON(inPath, macroList string, macroScale float64, macroCount int, seed int64, outPath, baselinePath string, tolerance float64) int {
-	var rep BenchReport
-	if inPath != "" {
-		var in io.Reader = os.Stdin
-		if inPath != "-" {
-			f, err := os.Open(inPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fungusbench:", err)
-				return 2
-			}
-			defer f.Close()
-			in = f
-		}
-		var err error
-		rep, err = parseBenchOutput(in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fungusbench: parse:", err)
-			return 2
-		}
-	}
-	if macroList != "" {
-		cells, err := macroEntries(macroList, macroScale, seed, macroCount)
+// runBenchJSON is the -benchjson entry point; returns the exit code.
+func runBenchJSON(inPath, outPath, baselinePath string, tolerance float64) int {
+	var in io.Reader = os.Stdin
+	if inPath != "-" {
+		f, err := os.Open(inPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fungusbench:", err)
 			return 2
 		}
-		rep.Benchmarks = append(rep.Benchmarks, cells...)
-		sort.Slice(rep.Benchmarks, func(i, j int) bool {
-			return rep.Benchmarks[i].Name < rep.Benchmarks[j].Name
-		})
+		defer f.Close()
+		in = f
+	}
+	rep, err := parseBenchOutput(in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fungusbench: parse:", err)
+		return 2
 	}
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "fungusbench: no benchmark lines found")
 		return 2
-	}
-	// Macro-only runs have no `go test` header lines to harvest the
-	// platform from; fill it in so reports stay comparable.
-	if rep.GOOS == "" {
-		rep.GOOS = runtime.GOOS
-	}
-	if rep.GOARCH == "" {
-		rep.GOARCH = runtime.GOARCH
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -77,14 +77,14 @@ func TestCompareReportsGatesAllocs(t *testing.T) {
 		{Name: "BenchmarkSteady", NsPerOp: 1000, AllocsPerOp: 400},
 		{Name: "BenchmarkTiny", NsPerOp: 1000, AllocsPerOp: 13},
 		{Name: "BenchmarkUncounted", NsPerOp: 1000},
-		{Name: "Macro/short/wall", NsPerOp: 1000, AllocsPerOp: 400},
+		{Name: "BenchmarkNoBenchmem", NsPerOp: 1000, AllocsPerOp: 400},
 	}}
 	cur := BenchReport{Benchmarks: []BenchEntry{
 		{Name: "BenchmarkStream", NsPerOp: 900, AllocsPerOp: 30000}, // faster, but back to per-row allocation
 		{Name: "BenchmarkSteady", NsPerOp: 1000, AllocsPerOp: 480},  // +20%: inside tolerance
 		{Name: "BenchmarkTiny", NsPerOp: 1000, AllocsPerOp: 18},     // +38%, but five allocations
 		{Name: "BenchmarkUncounted", NsPerOp: 1000, AllocsPerOp: 50},
-		{Name: "Macro/short/wall", NsPerOp: 1000},
+		{Name: "BenchmarkNoBenchmem", NsPerOp: 1000}, // run without -benchmem: no alloc gate
 	}}
 	var out strings.Builder
 	if n := compareReports(base, cur, 0.25, &out); n != 1 {

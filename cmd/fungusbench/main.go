@@ -3,22 +3,18 @@
 //
 // Usage:
 //
-//	fungusbench [-exp E1|E2|...|all] [-scale 1.0] [-seed N]
-//	fungusbench -macro short|mixed|soak|all|list [-macro-scale 1.0]
-//	fungusbench [-macro ...] [-benchjson bench.txt] [-benchout BENCH_ci.json]
+//	fungusbench [-exp E1|E2|...|all] [-scale 1.0] [-seed N] [-shards 1]
+//	fungusbench -benchjson bench.txt [-benchout BENCH_ci.json]
 //	            [-baseline BENCH_baseline.json] [-tolerance 0.25]
 //
 // Each experiment prints an aligned text table; figure experiments
 // print their series as rows. Scale < 1 shrinks the workloads
 // proportionally (tests use 0.05); the shapes are scale-invariant.
 //
-// -macro runs end-to-end macro-benchmarks (concurrent streaming
-// clients against a live server with ingest and decay running; see
-// internal/macrobench) and folds their latency percentiles into the
-// same benchjson report the micro-benchmarks feed, so one baseline
-// gates both. The -benchjson mode is the CI benchmark tracker: see
-// benchjson.go. The two combine: CI passes both flags and gets one
-// merged BENCH_ci.json.
+// -benchjson is the CI micro-benchmark tracker (see benchjson.go): it
+// converts `go test -bench` output into a JSON report and gates it
+// against a baseline. The end-to-end benchmark is bench/fungusload, a
+// module of its own.
 package main
 
 import (
@@ -27,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"fungusdb/internal/macrobench"
 	"fungusdb/internal/sim"
 )
 
@@ -37,23 +32,13 @@ func main() {
 	seed := flag.Int64("seed", 20150104, "deterministic seed")
 	shards := flag.Int("shards", 1, "extent shards per table (1 = pre-sharding engine)")
 	benchIn := flag.String("benchjson", "", "parse `go test -bench` output from this file ('-' = stdin) into JSON and exit")
-	benchOut := flag.String("benchout", "BENCH_ci.json", "JSON report path for -benchjson / -macro")
-	baseline := flag.String("baseline", "", "baseline JSON to gate against (with -benchjson / -macro)")
+	benchOut := flag.String("benchout", "BENCH_ci.json", "JSON report path for -benchjson")
+	baseline := flag.String("baseline", "", "baseline JSON to gate against (with -benchjson)")
 	tolerance := flag.Float64("tolerance", 0.25, "max allowed ns/op growth vs -baseline before failing")
-	macro := flag.String("macro", "", "run macro experiments: comma list, 'all', or 'list' to enumerate")
-	macroScale := flag.Float64("macro-scale", 1.0, "macro experiment scale factor (duration, concurrency, preload)")
-	macroCount := flag.Int("macro-count", 1, "repetitions per macro experiment; each cell keeps the minimum")
 	flag.Parse()
 
-	if *macro == "list" {
-		for _, name := range macrobench.List() {
-			desc, _ := macrobench.Describe(name)
-			fmt.Printf("%-8s %s\n", name, desc)
-		}
-		return
-	}
-	if *benchIn != "" || *macro != "" {
-		os.Exit(runBenchJSON(*benchIn, *macro, *macroScale, *macroCount, *seed, *benchOut, *baseline, *tolerance))
+	if *benchIn != "" {
+		os.Exit(runBenchJSON(*benchIn, *benchOut, *baseline, *tolerance))
 	}
 
 	cfg := sim.Config{Scale: *scale, Seed: *seed, Shards: *shards}

@@ -282,6 +282,14 @@ func (t *Table) collectMatches(plan *query.Plan, limit int) (tuples []tuple.Tupl
 // before it can emit anything, so capping concurrency below the shard
 // count would deadlock; memory stays bounded by the channel buffers,
 // and pacing comes from the consumer.
+//
+// Every shard is read-locked here, in index order, before any producer
+// runs, and each producer releases its own lock when it finishes. A
+// producer blocked on the merge holds its lock while the merge waits
+// on the other shards; had one of those still to take its lock, it
+// could queue behind a writer that waits on a reader (rlockAll, another
+// stream) which in turn waits on the blocked producer's shard — a
+// cycle. Once Execute returns, the stream waits only on its consumer.
 func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
 	n := t.store.NumShards()
 	// The programmatic cap and the SQL LIMIT both bound a plain
@@ -300,10 +308,10 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 	var scanned atomic.Int64
 	prune := pruneFn(plan)
 	errCh := make(chan error, 1)
+	t.rlockAll()
 	go func() {
 		errCh <- fanOut(n, n, func(i int) error {
 			defer close(chans[i])
-			t.shardMu[i].RLock()
 			defer t.shardMu[i].RUnlock()
 			// Each shard contributes at most limit rows to a
 			// limit-capped merge, so it stops scanning there.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -235,6 +236,109 @@ func TestStreamingEarlyCloseReleasesLocks(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("insert blocked after Rows.Close: shard locks leaked")
+	}
+}
+
+// TestStreamLockCycle builds the cycle a stream whose producers lock
+// their shards late used to close: a reader holding shard 0 on its way
+// to shard 1 (rlockAll's order, as a /metrics scrape or a tick takes
+// them), writers queued on both shards, and a stream between them. The
+// stream's shard-1 producer blocked on the merge, the merge waited for
+// shard 0, whose producer queued behind the shard-0 writer, which
+// waited for the reader, which queued behind the shard-1 writer, which
+// waited for the shard-1 producer. Execute now read-locks every shard
+// before returning, so the reader's second lock is granted and the
+// stream completes once the reader lets go.
+func TestStreamLockCycle(t *testing.T) {
+	db := openDB(t)
+	tbl := loadIoT(t, db, "t", 2, 2000) // 1000 rows a shard: several hand-off blocks each
+	pq, err := tbl.Prepare("SELECT device FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// writer takes shard i's write lock as an insert does and returns
+	// once that writer is queued (new readers of the shard then wait
+	// behind it) or already through.
+	writer := func(i int) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			tbl.shardMu[i].Lock()
+			tbl.shardMu[i].Unlock()
+			close(done)
+		}()
+		for {
+			select {
+			case <-done:
+				return done
+			default:
+			}
+			if !tbl.shardMu[i].TryRLock() {
+				return done
+			}
+			tbl.shardMu[i].RUnlock()
+			runtime.Gosched()
+		}
+	}
+
+	tbl.shardMu[0].RLock() // the reader's first lock
+	w0 := writer(0)
+	streamed := make(chan int, 1)
+	go func() {
+		rows, err := pq.Execute()
+		if err != nil {
+			t.Error(err)
+			streamed <- -1
+			return
+		}
+		defer rows.Close()
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Err(); err != nil {
+			t.Error(err)
+		}
+		streamed <- n
+	}()
+	// A late-locking shard-1 producer read-locks its shard and fills the
+	// merge's buffer within microseconds; the fixed stream is still in
+	// Execute, queued on shard 0. The bound only decides how fast the
+	// broken order is caught, never whether the fixed one passes.
+	for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); runtime.Gosched() {
+		if !tbl.shardMu[1].TryLock() {
+			break
+		}
+		tbl.shardMu[1].Unlock()
+	}
+	w1 := writer(1)
+	second := make(chan struct{})
+	go func() {
+		tbl.shardMu[1].RLock() // the reader's second lock
+		close(second)
+	}()
+	deadlocked := false
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		deadlocked = true
+	}
+	// Letting go of shard 0 breaks the cycle if there is one, so the
+	// test unwinds either way.
+	tbl.shardMu[0].RUnlock()
+	<-second
+	tbl.shardMu[1].RUnlock()
+	if deadlocked {
+		t.Fatal("reader, writers and stream deadlocked: a stream producer took its shard lock after Execute returned")
+	}
+	<-w0
+	<-w1
+	select {
+	case n := <-streamed:
+		if n != 2000 {
+			t.Fatalf("streamed %d rows, want 2000", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream never finished")
 	}
 }
 

@@ -38,11 +38,6 @@ func (t *Table) errReadOnly() error {
 // ReadOnly reports whether the table is a replication replica.
 func (t *Table) ReadOnly() bool { return t.cfg.ReadOnly }
 
-// ReplayingTicks reports whether this replica re-executes the leader's
-// logged fungus runs locally (replayable law) rather than relying on
-// shipped evictions.
-func (t *Table) ReplayingTicks() bool { return t.replayTicks }
-
 // ShipLog exposes the table's sharded WAL to the replication leader
 // endpoint, or nil for in-memory tables (nothing to ship). The shipper
 // reads log files lock-free; a concurrent Close simply makes its reads

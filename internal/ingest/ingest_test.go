@@ -1,12 +1,19 @@
 package ingest
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"fungusdb/internal/core"
+	"fungusdb/internal/obs"
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/wal"
 	"fungusdb/internal/workload"
@@ -351,6 +358,131 @@ func TestDropWhenFullShedsLoad(t *testing.T) {
 	}
 	if st.Pulled != st.Inserted+st.Dropped+st.QueueDropped {
 		t.Errorf("conservation broken: %+v", st)
+	}
+}
+
+var (
+	typeLine   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)$`)
+	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
+)
+
+// exposition renders reg as Prometheus text and parses it back: every
+// # TYPE follows its family's # HELP, every sample line is well formed
+// and follows its own family's # TYPE. It returns family name -> type
+// and sample (name plus rendered label set) -> value.
+func exposition(t *testing.T, reg *obs.Registry) (types map[string]string, samples map[string]float64) {
+	t.Helper()
+	fams, err := reg.Gather()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := obs.WriteText(&text, fams); err != nil {
+		t.Fatal(err)
+	}
+	types, samples = map[string]string{}, map[string]float64{}
+	var help, family string
+	sc := bufio.NewScanner(strings.NewReader(text.String()))
+	for sc.Scan() {
+		line := sc.Text()
+		if name, ok := strings.CutPrefix(line, "# HELP "); ok {
+			help, _, _ = strings.Cut(name, " ")
+			continue
+		}
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			if m[1] != help {
+				t.Fatalf("# TYPE %s not preceded by its # HELP", m[1])
+			}
+			family, types[m[1]] = m[1], m[2]
+			continue
+		}
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil || m[1] != family {
+			t.Fatalf("malformed or misplaced sample line %q (family %q)", line, family)
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("bad value in %q", line)
+		}
+		samples[m[1]+m[2]] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return types, samples
+}
+
+// The pipeline's /metrics face: a queue-depth sample per shard while
+// running and none after Stop, every counter equal to its Stats field,
+// every sample labelled with the table (the lookups below key on the
+// full label set), and valid exposition text.
+func TestMetricsCollector(t *testing.T) {
+	const shards = 3
+	gen := workload.NewIoT(5, 15)
+	tbl := newShardedTable(t, gen.Schema(), shards)
+	p, err := New(gen, tbl, Config{BatchSize: 16, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	reg.Register(p.MetricsCollector("readings"))
+	const depth = "fungusdb_ingest_queue_depth"
+	wantTypes := map[string]string{
+		"fungusdb_ingest_pulled_total":          "counter",
+		"fungusdb_ingest_inserted_total":        "counter",
+		"fungusdb_ingest_refiner_dropped_total": "counter",
+		"fungusdb_ingest_batches_total":         "counter",
+		"fungusdb_ingest_enqueued_total":        "counter",
+		"fungusdb_ingest_queue_dropped_total":   "counter",
+		"fungusdb_ingest_flushes_total":         "counter",
+		depth:                                   "gauge",
+	}
+	depthSamples := func(samples map[string]float64) int {
+		n := 0
+		for key := range samples {
+			if strings.HasPrefix(key, depth+"{") {
+				n++
+			}
+		}
+		return n
+	}
+
+	wait := startWatched(t, p)
+	wait("background ingest too slow", func(st Stats) bool { return st.Inserted >= 100 })
+	types, samples := exposition(t, reg)
+	if !reflect.DeepEqual(types, wantTypes) {
+		t.Errorf("families = %v, want %v", types, wantTypes)
+	}
+	for i := 0; i < shards; i++ {
+		if _, ok := samples[fmt.Sprintf(`%s{table="readings",shard="%d"}`, depth, i)]; !ok {
+			t.Errorf("no queue depth for shard %d", i)
+		}
+	}
+	if n := depthSamples(samples); n != shards {
+		t.Errorf("%d queue depth samples while running, want %d", n, shards)
+	}
+
+	p.Stop()
+	st := p.Stats()
+	types, samples = exposition(t, reg)
+	if !reflect.DeepEqual(types, wantTypes) {
+		t.Errorf("families after Stop = %v, want %v", types, wantTypes)
+	}
+	if n := depthSamples(samples); n != 0 {
+		t.Errorf("%d queue depth samples after Stop, want none", n)
+	}
+	for name, want := range map[string]uint64{
+		"fungusdb_ingest_pulled_total":          st.Pulled,
+		"fungusdb_ingest_inserted_total":        st.Inserted,
+		"fungusdb_ingest_refiner_dropped_total": st.Dropped,
+		"fungusdb_ingest_batches_total":         st.Batches,
+		"fungusdb_ingest_enqueued_total":        st.Enqueued,
+		"fungusdb_ingest_queue_dropped_total":   st.QueueDropped,
+		"fungusdb_ingest_flushes_total":         st.Flushes,
+	} {
+		if got, ok := samples[name+`{table="readings"}`]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), Stats says %d", name, got, ok, want)
+		}
 	}
 }
 

@@ -45,9 +45,6 @@ func (p *Pruner) Skip(z ZoneView) bool {
 	return false
 }
 
-// NumRules returns how many conjuncts were lowered into prune checks.
-func (p *Pruner) NumRules() int { return len(p.rules) }
-
 // pruneRule proves (or fails to prove) one conjunct unsatisfiable over
 // a segment summary.
 type pruneRule interface {

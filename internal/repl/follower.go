@@ -559,25 +559,3 @@ func (f *Follower) ServerStatus(name string) (server.ReplStatus, bool) {
 		Connected: st.Connected,
 	}, true
 }
-
-// WaitCaughtUp blocks until the named table is connected and has
-// applied every record the leader reports (lag zero with known counts),
-// or the timeout passes. Quiesce leader writes first — lag against a
-// moving leader may never pin to zero.
-func (f *Follower) WaitCaughtUp(name string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout) //fungusvet:allow determinism -- operator/test timeout on the local machine; never feeds replicated state
-	for {
-		st, ok := f.TableStatus(name)
-		if ok && st.Connected && st.HaveCounts && st.LagRecords == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) { //fungusvet:allow determinism -- same wall-clock timeout as above
-			return fmt.Errorf("repl: %s not caught up after %v (status %+v)", name, timeout, st)
-		}
-		select {
-		case <-f.ctx.Done():
-			return fmt.Errorf("repl: follower stopped while waiting for %s", name)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-}

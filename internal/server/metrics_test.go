@@ -16,6 +16,7 @@ import (
 
 	"fungusdb/internal/core"
 	"fungusdb/internal/tuple"
+	"fungusdb/pkg/client"
 )
 
 // scrape fetches /metrics and returns the body.
@@ -200,7 +201,8 @@ func TestMetricsStatsParity(t *testing.T) {
 
 // TestMetricsScrapeConcurrent scrapes while inserts, queries and decay
 // ticks run — the -race CI job drives this to prove the scrape path
-// takes consistent locks against the engine's writers.
+// takes consistent locks against the engine's writers, and that
+// pkg/client decodes NDJSON streams cut from shards under that churn.
 func TestMetricsScrapeConcurrent(t *testing.T) {
 	db, err := core.Open(core.DBConfig{Seed: 11})
 	if err != nil {
@@ -249,6 +251,26 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 		_, err := tbl.SQL("SELECT COUNT(*) FROM hot WHERE k > 10")
 		return err
 	})
+	stmt, err := client.New(ts.URL, ts.Client()).Prepare("SELECT k, v FROM hot WHERE k > ? LIMIT 600")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, streamed := 0, 0
+	run(func() error { // streamer: a prepared /v2/query decoded client-side
+		bound = (bound + 7) % 32
+		rows, err := stmt.Query(bound)
+		if err != nil {
+			return err
+		}
+		defer rows.Close()
+		for rows.Next() {
+			if k := rows.Row()[0].(float64); k <= float64(bound) {
+				return fmt.Errorf("streamed k=%v, bound %d", k, bound)
+			}
+			streamed++
+		}
+		return rows.Err()
+	})
 	for i := 0; i < 3; i++ { // three concurrent scrapers
 		run(func() error {
 			resp, err := http.Get(ts.URL + "/metrics")
@@ -266,6 +288,9 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 		})
 	}
 	wg.Wait()
+	if streamed == 0 {
+		t.Error("the streamer decoded no rows")
+	}
 	// Post-churn scrape still parses.
 	parseExposition(t, scrape(t, ts.URL))
 }

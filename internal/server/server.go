@@ -12,6 +12,10 @@
 //	GET    /v1/tables/{table}/containers/{container}/ask?q=...   digest questions
 //	POST   /v1/query                         SELECT (incl. CONSUME) -> grid
 //	POST   /v1/tick                          advance decay n cycles
+//	POST   /v2/prepare                       compile SQL into a reusable handle
+//	POST   /v2/query                         execute a handle or SQL, rows streamed as NDJSON
+//	GET    /v2/replicate/tables              replicable table specs (leader side)
+//	POST   /v2/replicate                     stream a table's shard WAL frames (leader side)
 //	GET    /metrics                          Prometheus text exposition
 //
 // Rows and grid cells travel as natural JSON values (numbers, strings,

@@ -25,9 +25,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig is the full-size configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 20150104} } // CIDR'15 opening day
-
 func (c Config) n(full int) int {
 	n := int(float64(full) * c.Scale)
 	if n < 8 {
