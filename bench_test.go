@@ -882,6 +882,44 @@ func BenchmarkHTTPQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPInsert measures a 1000-row bulk insert through the HTTP
+// stack (client body encode, loopback, the server's single-pass column
+// decode, Table.InsertColumns on four shards). Every 64 inserts a TTL
+// tick, untimed, empties the table so its size stays bounded.
+func BenchmarkHTTPInsert(b *testing.B) {
+	gen := workload.NewIoT(512, 1)
+	db, err := core.Open(core.DBConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateTable("t", core.TableConfig{Schema: gen.Schema(), Shards: 4, Fungus: fungus.TTL{Lifetime: 1}}); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(db))
+	defer ts.Close()
+	c := client.New(ts.URL, ts.Client())
+	rows := make([][]any, 1000)
+	for i := range rows {
+		r := gen.Next()
+		rows[i] = []any{r[0].AsString(), r[1].AsFloat(), r[2].AsFloat(), r[3].AsBool()}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err := c.Insert("t", rows); err != nil || res.Inserted != len(rows) {
+			b.Fatalf("inserted %d, err %v", res.Inserted, err)
+		}
+		if i%64 == 63 {
+			b.StopTimer()
+			if _, err := db.Tick(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(b.N*len(rows))/b.Elapsed().Seconds(), "rows/s")
+}
+
 // BenchmarkIngestPipeline measures the full source->refine->insert path.
 func BenchmarkIngestPipeline(b *testing.B) {
 	gen := workload.NewIoT(100, 1)

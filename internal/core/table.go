@@ -365,44 +365,15 @@ func (t *Table) InsertDurable(attrs []tuple.Value) (tuple.Tuple, wal.CommitWait,
 	if err := t.cfg.Schema.Validate(attrs); err != nil {
 		return tuple.Tuple{}, wal.CommitWait{}, err
 	}
-	if t.cfg.ReadOnly {
-		return tuple.Tuple{}, wal.CommitWait{}, t.errReadOnly()
-	}
-	if t.closed.Load() {
-		return tuple.Tuple{}, wal.CommitWait{}, t.errClosed()
-	}
-	now := t.clk.Now()
-	i := t.store.NextShard()
-	t.shardMu[i].Lock()
-	if t.closed.Load() {
-		t.shardMu[i].Unlock()
-		return tuple.Tuple{}, wal.CommitWait{}, t.errClosed()
-	}
-	tp, err := t.store.InsertShard(i, now, attrs)
-	inStore := err == nil
-	var wait wal.CommitWait
-	if err == nil && t.log != nil {
-		if err = t.log.AppendInsert(i, tp); err == nil {
-			wait, err = t.noteAppendLocked(i, 1)
-		}
-	}
-	t.shardMu[i].Unlock()
-	// Count every tuple that reached the store, even when logging it
-	// failed afterwards — the tuple is live, and the conservation
-	// invariant (inserted == live + rotted + consumed) must hold.
-	if inStore {
-		t.mu.Lock()
-		t.ctrs.Inserted++
-		due := t.noteMutationLocked(1)
-		t.mu.Unlock()
-		if err == nil && due {
-			err = t.Checkpoint()
-		}
-	}
-	if err != nil {
+	if err := t.writable(); err != nil {
 		return tuple.Tuple{}, wal.CommitWait{}, err
 	}
-	return tp, wait, nil
+	var out [1]tuple.Tuple
+	inserted, wait, err := t.insertShard(t.store.NextShard(), t.clk.Now(), &rowSource{rows: [][]tuple.Value{attrs}, n: 1}, nil, out[:])
+	if err := t.noteInserted(inserted, err); err != nil {
+		return tuple.Tuple{}, wal.CommitWait{}, err
+	}
+	return out[0], wait, nil
 }
 
 // InsertBatch appends a batch of rows, grouping them by destination
@@ -424,80 +395,7 @@ func (t *Table) InsertBatch(rows [][]tuple.Value) ([]tuple.Tuple, error) {
 // batch straddling a group-commit window swap waits on every window it
 // touched.
 func (t *Table) InsertBatchDurable(rows [][]tuple.Value) ([]tuple.Tuple, wal.CommitWait, error) {
-	if len(rows) == 0 {
-		return nil, wal.CommitWait{}, nil
-	}
-	// Validate every row before dealing rotation slots (see Insert).
-	for r, row := range rows {
-		if err := t.cfg.Schema.Validate(row); err != nil {
-			return nil, wal.CommitWait{}, fmt.Errorf("core: batch row %d: %w", r, err)
-		}
-	}
-	if t.cfg.ReadOnly {
-		return nil, wal.CommitWait{}, t.errReadOnly()
-	}
-	if t.closed.Load() {
-		return nil, wal.CommitWait{}, t.errClosed()
-	}
-	now := t.clk.Now()
-	n := t.store.NumShards()
-	// Deal the batch round-robin, preserving global arrival order.
-	groups := make([][]int, n)
-	for r := range rows {
-		i := t.store.NextShard()
-		groups[i] = append(groups[i], r)
-	}
-	results := make([]tuple.Tuple, len(rows))
-	waits := make([]wal.CommitWait, n)
-	var inserted atomic.Int64
-	err := fanOut(n, t.workers, func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		t.shardMu[i].Lock()
-		defer t.shardMu[i].Unlock()
-		if t.closed.Load() {
-			return t.errClosed()
-		}
-		logged := 0
-		for _, r := range groups[i] {
-			tp, err := t.store.InsertShard(i, now, rows[r])
-			if err != nil {
-				return err
-			}
-			// Count before logging: a tuple that reached the store is
-			// live and must be reflected in the conservation counters
-			// even if its WAL append fails.
-			results[r] = tp
-			inserted.Add(1)
-			if t.log != nil {
-				if err := t.log.AppendInsert(i, tp); err != nil {
-					return err
-				}
-				logged++
-			}
-		}
-		if logged > 0 {
-			var err error
-			waits[i], err = t.noteAppendLocked(i, logged)
-			return err
-		}
-		return nil
-	})
-	wait := wal.JoinWaits(waits)
-	t.mu.Lock()
-	t.ctrs.Inserted += uint64(inserted.Load())
-	due := t.noteMutationLocked(int(inserted.Load()))
-	t.mu.Unlock()
-	if err != nil {
-		return results, wait, err
-	}
-	if due {
-		if err := t.Checkpoint(); err != nil {
-			return results, wait, err
-		}
-	}
-	return results, wait, nil
+	return t.insertRows(-1, rows)
 }
 
 // NextShard claims the next slot in the table's round-robin insert
@@ -515,62 +413,164 @@ func (t *Table) NextShard() int { return t.store.NextShard() }
 // the batch may be partially applied and failed rows come back
 // zero-valued, like InsertBatch.
 func (t *Table) InsertShardBatch(i int, rows [][]tuple.Value) ([]tuple.Tuple, error) {
+	tps, _, err := t.insertRows(i, rows)
+	return tps, err
+}
+
+// insertRows validates every row, then inserts them on shard i, or dealt
+// round-robin when i < 0.
+func (t *Table) insertRows(i int, rows [][]tuple.Value) ([]tuple.Tuple, wal.CommitWait, error) {
 	if len(rows) == 0 {
-		return nil, nil
+		return nil, wal.CommitWait{}, nil
 	}
+	// Validate every row before dealing rotation slots (see Insert).
 	for r, row := range rows {
 		if err := t.cfg.Schema.Validate(row); err != nil {
-			return nil, fmt.Errorf("core: batch row %d: %w", r, err)
+			return nil, wal.CommitWait{}, fmt.Errorf("core: batch row %d: %w", r, err)
 		}
 	}
+	results := make([]tuple.Tuple, len(rows))
+	wait, err := t.insert(&rowSource{rows: rows, n: len(rows)}, i, results)
+	return results, wait, err
+}
+
+// InsertColumns is InsertBatch for rows that arrive column by column, as
+// the HTTP insert route decodes them: cols[c] is schema column c as a
+// typed view (Ints, Floats, Bools, or Codes into Dict) of at least n
+// rows. Rows are dealt and logged as InsertBatch deals and logs them,
+// with no value slice per row. It returns the ID of row 0 (0 when n is
+// 0); on error the batch may be partially applied.
+func (t *Table) InsertColumns(cols []tuple.ColView, n int) (tuple.ID, error) {
+	if err := t.cfg.Schema.ValidateColumns(cols, n); err != nil {
+		return 0, err
+	}
+	var first [1]tuple.Tuple
+	_, err := t.insert(&rowSource{cols: cols, n: n}, -1, first[:])
+	return first[0].ID, err
+}
+
+// rowSource is the input of the insert loop: n rows, given as value rows
+// or as typed columns.
+type rowSource struct {
+	rows [][]tuple.Value
+	cols []tuple.ColView
+	n    int
+}
+
+// row returns row r. Column input is copied into scratch, which the
+// next call overwrites: the store and the WAL copy what they keep.
+func (src *rowSource) row(r int, scratch []tuple.Value) []tuple.Value {
+	if src.cols == nil {
+		return src.rows[r]
+	}
+	for c := range src.cols {
+		scratch[c] = src.cols[c].Value(r)
+	}
+	return scratch
+}
+
+// writable rejects a mutation of a replica or a closed table.
+func (t *Table) writable() error {
 	if t.cfg.ReadOnly {
-		return nil, t.errReadOnly()
+		return t.errReadOnly()
 	}
 	if t.closed.Load() {
-		return nil, t.errClosed()
+		return t.errClosed()
+	}
+	return nil
+}
+
+// insert runs validated rows through the per-shard loop: all on shard i,
+// or — when i < 0 — dealt round-robin as InsertBatch describes, the
+// shard groups in parallel. out[r] receives row r's tuple for
+// r < len(out). The error is the first failing group's.
+func (t *Table) insert(src *rowSource, i int, out []tuple.Tuple) (wal.CommitWait, error) {
+	if err := t.writable(); err != nil {
+		return wal.CommitWait{}, err
 	}
 	now := t.clk.Now()
-	results := make([]tuple.Tuple, len(rows))
-	inserted, logged := 0, 0
+	if i >= 0 {
+		inserted, wait, err := t.insertShard(i, now, src, nil, out)
+		return wait, t.noteInserted(inserted, err)
+	}
+	n := t.store.NumShards()
+	groups := make([][]int, n)
+	for r := 0; r < src.n; r++ {
+		g := t.store.NextShard()
+		if groups[g] == nil {
+			groups[g] = make([]int, 0, (src.n+n-1)/n)
+		}
+		groups[g] = append(groups[g], r)
+	}
+	waits := make([]wal.CommitWait, n)
+	var inserted atomic.Int64
+	err := fanOut(n, t.workers, func(g int) error {
+		if len(groups[g]) == 0 {
+			return nil
+		}
+		k, wait, err := t.insertShard(g, now, src, groups[g], out)
+		inserted.Add(int64(k))
+		waits[g] = wait
+		return err
+	})
+	return wal.JoinWaits(waits), t.noteInserted(int(inserted.Load()), err)
+}
+
+// insertShard is the one per-shard insert loop. Under shard i's lock it
+// appends the rows of src listed in group (all of them when group is
+// nil), logs each and notes the appends with the durability level. It
+// returns how many rows reached the store.
+func (t *Table) insertShard(i int, now clock.Tick, src *rowSource, group []int, out []tuple.Tuple) (int, wal.CommitWait, error) {
 	t.shardMu[i].Lock()
-	var err error
+	defer t.shardMu[i].Unlock()
 	if t.closed.Load() {
-		err = t.errClosed()
-	} else {
-		for r := range rows {
-			tp, ierr := t.store.InsertShard(i, now, rows[r])
-			if ierr != nil {
-				err = ierr
-				break
-			}
-			results[r] = tp
-			inserted++
-			if t.log != nil {
-				if lerr := t.log.AppendInsert(i, tp); lerr != nil {
-					err = lerr
-					break
-				}
-				logged++
-			}
+		return 0, wal.CommitWait{}, t.errClosed()
+	}
+	scratch := make([]tuple.Value, len(src.cols)) // empty for row input
+	n := src.n
+	if group != nil {
+		n = len(group)
+	}
+	inserted := 0
+	for k := 0; k < n; k++ {
+		r := k
+		if group != nil {
+			r = group[k]
 		}
-		if err == nil && logged > 0 {
-			_, err = t.noteAppendLocked(i, logged)
+		tp, err := t.store.InsertShard(i, now, src.row(r, scratch))
+		if err != nil {
+			return inserted, wal.CommitWait{}, err
+		}
+		// Counted before logging: a tuple in the store is live even if
+		// its WAL append fails, and the conservation counters say so.
+		inserted++
+		if r < len(out) {
+			out[r] = tp
+		}
+		if t.log != nil {
+			if err := t.log.AppendInsert(i, tp); err != nil {
+				return inserted, wal.CommitWait{}, err
+			}
 		}
 	}
-	t.shardMu[i].Unlock()
+	if t.log == nil || inserted == 0 {
+		return inserted, wal.CommitWait{}, nil
+	}
+	wait, err := t.noteAppendLocked(i, inserted)
+	return inserted, wait, err
+}
+
+// noteInserted counts n tuples that reached the store and, when the
+// insert succeeded, runs the checkpoint they made due.
+func (t *Table) noteInserted(n int, err error) error {
 	t.mu.Lock()
-	t.ctrs.Inserted += uint64(inserted)
-	due := t.noteMutationLocked(inserted)
+	t.ctrs.Inserted += uint64(n)
+	due := t.noteMutationLocked(n)
 	t.mu.Unlock()
-	if err != nil {
-		return results, err
+	if err == nil && due {
+		return t.Checkpoint()
 	}
-	if due {
-		if err := t.Checkpoint(); err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return err
 }
 
 // QueryOpts tunes one execution (PreparedQuery.ExecuteOpts, Table.SQL).

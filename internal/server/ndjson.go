@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"unicode/utf8"
 
+	"fungusdb/internal/jsonscalar"
 	"fungusdb/internal/tuple"
 )
 
@@ -31,9 +31,9 @@ func appendRowJSON(buf []byte, row []tuple.Value) ([]byte, error) {
 			if math.IsInf(f, 0) || math.IsNaN(f) {
 				return buf[:start], fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 			}
-			buf = appendFloatJSON(buf, f)
+			buf = jsonscalar.AppendFloat(buf, f)
 		case tuple.KindString:
-			buf = appendStringJSON(buf, v.AsString())
+			buf = jsonscalar.AppendString(buf, v.AsString())
 		case tuple.KindBool:
 			buf = strconv.AppendBool(buf, v.AsBool())
 		default:
@@ -41,76 +41,4 @@ func appendRowJSON(buf []byte, row []tuple.Value) ([]byte, error) {
 		}
 	}
 	return append(buf, ']', '\n'), nil
-}
-
-// appendFloatJSON formats a finite float the way encoding/json (and
-// ES6) does: shortest round-trip digits, exponent form below 1e-6 and
-// from 1e21, a two-digit exponent trimmed to one ("1e-07" -> "1e-7").
-func appendFloatJSON(buf []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && (buf[n-3] == '-' || buf[n-3] == '+') && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendStringJSON quotes s as encoding/json does with HTML escaping
-// on: `"` and `\` backslashed; \b \f \n \r \t by their short forms;
-// other control bytes, '<', '>' and '&' as \u00XX; U+2028 and U+2029
-// escaped as \u2028 and \u2029; each byte of invalid UTF-8 as \ufffd.
-func appendStringJSON(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				buf = append(buf, '\\', b)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\ufffd`...)
-			start = i + size
-		case c == 0x2028 || c == 0x2029: // LINE and PARAGRAPH SEPARATOR
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }

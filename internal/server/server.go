@@ -20,12 +20,19 @@
 //
 // Rows and grid cells travel as natural JSON values (numbers, strings,
 // booleans) positionally matched to the table schema.
+//
+// A bulk insert answers 200 once its rows are stored and logged. It
+// does not wait for their commit future, so on a table with grouped
+// durability the answer comes before the group commit fsyncs the rows
+// (docs/DURABILITY.md, "What you can lose").
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -223,17 +230,30 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) bool {
 }
 
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.cfg.MaxRequestBytes > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := decodeStrict(s.body(w, r), v); err != nil {
+		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// body is r's body under the configured size cap.
+func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
+	if s.cfg.MaxRequestBytes > 0 {
+		return http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	}
+	return r.Body
+}
+
+// decodeStrict decodes one JSON value from body into v, refusing
+// unknown fields.
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }
 
 func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
@@ -345,22 +365,29 @@ func (s *Server) insertRows(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req InsertRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, errors.New("no rows"))
-		return
-	}
-	rows := make([][]tuple.Value, len(req.Rows))
-	for i, raw := range req.Rows {
-		vals, err := decodeRow(tbl.Schema(), raw)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("row %d: %w", i, err))
+	data, readErr := readBody(s.body(w, r), r.ContentLength)
+	if readErr == nil {
+		if cols, n, ok := decodeInsertBody(data, tbl.Schema()); ok {
+			first, err := tbl.InsertColumns(cols, n)
+			if err != nil {
+				writeExecErr(w, err)
+				return
+			}
+			writeJSON(w, http.StatusOK, InsertResponse{Inserted: n, FirstID: uint64(first)})
 			return
 		}
-		rows[i] = vals
+	}
+	// Whatever the single-pass decoder declines goes through the
+	// reference decode, which reads the same bytes (and the same read
+	// error) and either takes the body or words the error.
+	var body io.Reader = bytes.NewReader(data)
+	if readErr != nil {
+		body = io.MultiReader(body, errReader{readErr})
+	}
+	rows, err := decodeRows(body, tbl.Schema())
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, err)
+		return
 	}
 	// One batch insert: rows are grouped per shard and each shard lock
 	// is taken once, instead of once per row.
@@ -371,6 +398,49 @@ func (s *Server) insertRows(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := InsertResponse{Inserted: len(tps), FirstID: uint64(tps[0].ID)}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// maxBodyPresize caps the buffer readBody allocates before a byte has
+// arrived: a declared length is only a claim, so a body larger than
+// this grows as it is read.
+const maxBodyPresize = 1 << 20
+
+// readBody reads all of body into one buffer sized from the request's
+// declared length.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 {
+		buf.Grow(int(min(declared, maxBodyPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeRows is the reference insert-body decode: encoding/json into an
+// InsertRequest, then decodeRow per row. It words every insert-body
+// error the route returns.
+func decodeRows(body io.Reader, schema *tuple.Schema) ([][]tuple.Value, error) {
+	var req InsertRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Rows) == 0 {
+		return nil, errors.New("no rows")
+	}
+	rows := make([][]tuple.Value, len(req.Rows))
+	for i, raw := range req.Rows {
+		vals, err := decodeRow(schema, raw)
+		if err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
+		}
+		rows[i] = vals
+	}
+	return rows, nil
 }
 
 // decodeRow converts JSON values to typed attributes positionally.

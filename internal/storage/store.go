@@ -504,13 +504,24 @@ func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool
 // through them. Batches with no live rows are elided. Returning false
 // stops the scan.
 func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
-	var ps PruneStats
+	ps, batches, rows := s.walkBatches(reverse, skip, fn)
+	s.noteBatches(batches, rows)
+	s.notePruned(ps)
+	return ps
+}
+
+// EachBatch hands fn the extent's live rows as columnar batches in
+// insertion order, under the same rules as ScanBatches with nothing
+// pruned, for a reader that serialises the extent rather than queries
+// it: no scan or pruning counter moves.
+func (s *Store) EachBatch(fn func(*tuple.Batch) bool) {
+	s.walkBatches(false, nil, fn)
+}
+
+// walkBatches is the batch walk behind ScanAxis and EachBatch. It
+// returns what it pruned and the batches and live rows it handed out.
+func (s *Store) walkBatches(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) (ps PruneStats, batches, rows uint64) {
 	var b tuple.Batch
-	var batches, rows uint64
-	defer func() {
-		s.noteBatches(batches, rows)
-		s.notePruned(ps)
-	}()
 	for k, n := 0, len(s.segs)-s.first; k < n; k++ {
 		i := s.first + k
 		if reverse {
@@ -538,11 +549,11 @@ func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.
 			batches++
 			rows += uint64(b.Alive)
 			if !fn(&b) {
-				return ps
+				return ps, batches, rows
 			}
 		}
 	}
-	return ps
+	return ps, batches, rows
 }
 
 // noteBatches folds one batch scan's volume into the lifetime counters.

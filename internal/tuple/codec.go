@@ -67,6 +67,51 @@ func AppendEncode(dst []byte, tp Tuple) []byte {
 	return dst
 }
 
+// AppendEncodeRow appends the encoding of row j of b: the bytes
+// AppendEncode writes for b.Row(j), read off the column slices without
+// materialising the tuple. It spells the layout out again instead of
+// sharing a per-attribute helper with AppendEncode: that call made
+// AppendEncode, the WAL's per-row encoder, over twice as slow.
+func AppendEncodeRow(dst []byte, b *Batch, j int) []byte {
+	var scratch [8]byte
+	binary.LittleEndian.PutUint64(scratch[:], uint64(b.IDs[j]))
+	dst = append(dst, scratch[:]...)
+	binary.LittleEndian.PutUint64(scratch[:], uint64(b.Ts[j]))
+	dst = append(dst, scratch[:]...)
+	binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(b.Fs[j]))
+	dst = append(dst, scratch[:]...)
+	var flags byte
+	if b.Inf[j] {
+		flags |= 1
+	}
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
+	for i := range b.Cols {
+		c := &b.Cols[i]
+		dst = append(dst, byte(c.Kind))
+		switch c.Kind {
+		case KindInt:
+			dst = binary.AppendVarint(dst, c.Ints[j])
+		case KindFloat:
+			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(c.Floats[j]))
+			dst = append(dst, scratch[:]...)
+		case KindBool:
+			if c.Bools[j] {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+			}
+		case KindString:
+			s := c.Dict[c.Codes[j]]
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		default:
+			panic("tuple: encode invalid column")
+		}
+	}
+	return dst
+}
+
 // Decode parses one tuple from the front of buf, returning the tuple and
 // the number of bytes consumed. If schema is non-nil the decoded
 // attributes are validated against it.

@@ -141,3 +141,37 @@ func (s *Schema) Validate(vals []Value) error {
 	}
 	return nil
 }
+
+// ValidateColumns checks that cols holds the schema's columns, in
+// order, as typed views of at least n rows each, with every STRING code
+// inside its dictionary.
+func (s *Schema) ValidateColumns(cols []ColView, n int) error {
+	if len(cols) != len(s.cols) {
+		return fmt.Errorf("tuple: %d columns, schema %q wants %d", len(cols), s, len(s.cols))
+	}
+	for i, c := range cols {
+		if c.Kind != s.cols[i].Kind {
+			return fmt.Errorf("tuple: column %q wants %s, got %s", s.cols[i].Name, s.cols[i].Kind, c.Kind)
+		}
+		have := 0
+		switch c.Kind {
+		case KindInt:
+			have = len(c.Ints)
+		case KindFloat:
+			have = len(c.Floats)
+		case KindBool:
+			have = len(c.Bools)
+		case KindString:
+			have = len(c.Codes)
+			for _, code := range c.Codes[:min(n, have)] {
+				if int(code) >= len(c.Dict) {
+					return fmt.Errorf("tuple: column %q: code %d outside its %d-entry dictionary", s.cols[i].Name, code, len(c.Dict))
+				}
+			}
+		}
+		if have < n {
+			return fmt.Errorf("tuple: column %q has %d rows, want %d", s.cols[i].Name, have, n)
+		}
+	}
+	return nil
+}

@@ -65,15 +65,21 @@ func encodeSnapshot(w io.Writer, store *storage.Store) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return fmt.Errorf("wal: snapshot header: %w", err)
 	}
+	// The tuples are encoded off the column slices a batch at a time:
+	// no row is materialised, and no freshness is written back.
 	var buf []byte
-	var scanErr error
-	store.Scan(func(tp *tuple.Tuple) bool {
-		buf = tuple.AppendEncode(buf[:0], *tp)
-		_, scanErr = bw.Write(buf)
-		return scanErr == nil
+	var werr error
+	store.EachBatch(func(b *tuple.Batch) bool {
+		buf = buf[:0]
+		tuple.EachSet(b.Live, func(j int) bool {
+			buf = tuple.AppendEncodeRow(buf, b, j)
+			return true
+		})
+		_, werr = bw.Write(buf)
+		return werr == nil
 	})
-	if scanErr != nil {
-		return fmt.Errorf("wal: snapshot body: %w", scanErr)
+	if werr != nil {
+		return fmt.Errorf("wal: snapshot body: %w", werr)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("wal: snapshot flush: %w", err)

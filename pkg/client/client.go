@@ -69,19 +69,27 @@ func decodeError(status int, data []byte) error {
 
 // do runs one materialised JSON round trip.
 func (c *Client) do(method, path string, in, out any) error {
-	var body io.Reader
+	var data []byte
 	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if data, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("client: marshal: %w", err)
 		}
+	}
+	return c.send(method, path, data, out)
+}
+
+// send is do with the request body already encoded; nil sends none.
+func (c *Client) send(method, path string, data []byte, out any) error {
+	var body io.Reader
+	if data != nil {
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
 		return fmt.Errorf("client: request: %w", err)
 	}
-	if in != nil {
+	if data != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
@@ -89,15 +97,15 @@ func (c *Client) do(method, path string, in, out any) error {
 		return fmt.Errorf("client: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return fmt.Errorf("client: read: %w", err)
 	}
 	if resp.StatusCode >= 400 {
-		return decodeError(resp.StatusCode, data)
+		return decodeError(resp.StatusCode, answer)
 	}
 	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+		if err := json.Unmarshal(answer, out); err != nil {
 			return fmt.Errorf("client: decode: %w", err)
 		}
 	}
@@ -170,11 +178,25 @@ type InsertResult struct {
 	FirstID  uint64 `json:"first_id"`
 }
 
-// Insert bulk-inserts positional rows.
+// Insert bulk-inserts positional rows. The request body is exactly what
+// json.Marshal(map[string]any{"rows": rows}) writes; values of the
+// types a row usually holds (string, float64, bool, int, int64, nil)
+// are appended without reflection.
+//
+// A nil error means the server stored every row, not that they are
+// durable: on a table with grouped durability the server answers before
+// the group commit fsyncs them (docs/DURABILITY.md, "What you can
+// lose").
 func (c *Client) Insert(table string, rows [][]any) (InsertResult, error) {
+	body, ok := appendInsertBody(nil, rows)
+	if !ok {
+		var err error
+		if body, err = json.Marshal(map[string]any{"rows": rows}); err != nil {
+			return InsertResult{}, fmt.Errorf("client: marshal: %w", err)
+		}
+	}
 	var resp InsertResult
-	err := c.do(http.MethodPost, "/v1/tables/"+table+"/rows",
-		map[string]any{"rows": rows}, &resp)
+	err := c.send(http.MethodPost, "/v1/tables/"+table+"/rows", body, &resp)
 	return resp, err
 }
 

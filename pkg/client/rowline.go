@@ -2,7 +2,8 @@ package client
 
 import (
 	"strconv"
-	"unicode/utf8"
+
+	"fungusdb/internal/jsonscalar"
 )
 
 // parseRowLine decodes one NDJSON row line — a flat JSON array of
@@ -29,30 +30,14 @@ func parseRowLine(line []byte, dst []any) (row []any, ok bool) {
 		}
 		switch c := line[i]; {
 		case c == '"':
-			start := i + 1
-			ascii := true
-			for i = start; ; i++ {
-				if i >= n-1 {
-					return dst, false // unterminated
-				}
-				c := line[i]
-				if c == '"' {
-					break
-				}
-				if c == '\\' || c < ' ' {
-					return dst, false
-				}
-				if c >= utf8.RuneSelf {
-					ascii = false
-				}
-			}
-			if !ascii && !utf8.Valid(line[start:i]) {
+			end := jsonscalar.StringEnd(line, i)
+			if end < 0 {
 				return dst, false
 			}
-			dst = append(dst, string(line[start:i]))
-			i++
+			dst = append(dst, string(line[i+1:end-1]))
+			i = end
 		case c == '-' || (c >= '0' && c <= '9'):
-			end := scanNumber(line, i)
+			end := jsonscalar.NumberEnd(line, i)
 			if end < 0 {
 				return dst, false
 			}
@@ -86,43 +71,4 @@ func parseRowLine(line []byte, dst []any) (row []any, ok bool) {
 
 func hasLiteral(line []byte, at int, lit string) bool {
 	return len(line)-at >= len(lit) && string(line[at:at+len(lit)]) == lit
-}
-
-// scanNumber returns the end of the JSON number starting at line[i],
-// or -1 when the bytes there are not one. The grammar is checked here
-// because strconv.ParseFloat accepts more than JSON does (hex, "Inf",
-// a bare leading or trailing dot).
-func scanNumber(line []byte, i int) int {
-	digits := func() bool {
-		start := i
-		for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
-	if line[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(line) && line[i] == '0':
-		i++
-	case !digits():
-		return -1
-	}
-	if i < len(line) && line[i] == '.' {
-		i++
-		if !digits() {
-			return -1
-		}
-	}
-	if i < len(line) && (line[i] == 'e' || line[i] == 'E') {
-		i++
-		if i < len(line) && (line[i] == '+' || line[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return -1
-		}
-	}
-	return i
 }
