@@ -173,9 +173,9 @@ func BenchmarkTickEGI(b *testing.B) {
 }
 
 // BenchmarkTargetedTick measures one decay tick of a catalog-built
-// Targeted{Linear} over a 100k extent: every tuple goes through the
-// WHERE clause's row matcher, so this is what the row-at-a-time path
-// costs on a whole operation. The rate is too small for anything to rot.
+// Targeted{Linear} over a 100k extent: the WHERE clause's batch program
+// runs once per batch, half the rows are shielded, and a second batch
+// walk restores them. The rate is too small for anything to rot.
 func BenchmarkTargetedTick(b *testing.B) {
 	spec := catalog.FungusSpec{Kind: "targeted", Where: "temp < 50",
 		Inner: &catalog.FungusSpec{Kind: "linear", Rate: 1e-9}}
@@ -599,7 +599,14 @@ func BenchmarkAblationEGIScan(b *testing.B) {
 			b.StartTimer()
 			// The naive design: walk every live tuple to locate the
 			// infection before running the same spread logic.
-			ids = s.ScanIDs(ids[:0])
+			ids = ids[:0]
+			s.ScanSystem(func(segIDs []tuple.ID, _ []int64, _ []float64, live []uint64) bool {
+				tuple.EachSet(live, func(j int) bool {
+					ids = append(ids, segIDs[j])
+					return true
+				})
+				return true
+			})
 			touched := 0
 			for _, id := range ids {
 				tp, err := s.Get(id)
@@ -641,6 +648,7 @@ func BenchmarkAblationCompaction(b *testing.B) {
 
 // BenchmarkAblationConsume contrasts consume-by-tombstone (shipped)
 // with a copy-rebuild strategy that materialises the surviving extent.
+// Both select through the WHERE clause's batch program, once per batch.
 func BenchmarkAblationConsume(b *testing.B) {
 	const n = 20_000
 	fill := func() *storage.Store {
@@ -650,7 +658,11 @@ func BenchmarkAblationConsume(b *testing.B) {
 		}
 		return s
 	}
-	pred := query.MustCompile("temp < 50", microSchema).NewRowMatcher()
+	pred, err := query.Compile("temp < 50", microSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := pred.NewBatchMatcher()
 
 	b.Run("tombstone", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -658,10 +670,12 @@ func BenchmarkAblationConsume(b *testing.B) {
 			s := fill()
 			b.StartTimer()
 			var victims []tuple.ID
-			s.Scan(func(tp *tuple.Tuple) bool {
-				if ok, _ := pred.Match(tp); ok {
-					victims = append(victims, tp.ID)
-				}
+			s.ScanBatches(nil, func(bt *tuple.Batch) bool {
+				sel, _, _ := m.Match(bt)
+				tuple.EachSet(sel, func(j int) bool {
+					victims = append(victims, bt.IDs[j])
+					return true
+				})
 				return true
 			})
 			for _, id := range victims {
@@ -679,10 +693,16 @@ func BenchmarkAblationConsume(b *testing.B) {
 			s := fill()
 			b.StartTimer()
 			rebuilt := storage.New(microSchema)
-			s.Scan(func(tp *tuple.Tuple) bool {
-				if ok, _ := pred.Match(tp); !ok {
-					rebuilt.Insert(tp.T, tp.Clone().Attrs)
+			s.ScanBatches(nil, func(bt *tuple.Batch) bool {
+				sel, _, _ := m.Match(bt)
+				for w := range sel {
+					sel[w] = bt.Live[w] &^ sel[w]
 				}
+				tuple.EachSet(sel, func(j int) bool {
+					tp := bt.Row(j)
+					rebuilt.Insert(tp.T, tp.Attrs)
+					return true
+				})
 				return true
 			})
 			if rebuilt.Len() != n/2 {

@@ -5,9 +5,9 @@
 // application re-supplying configuration.
 //
 // Fungi constructed programmatically (custom Fungus implementations,
-// Targeted with a Go-level Matcher) cannot round-trip through JSON;
-// the spec language covers every built-in fungus, with Targeted scoped
-// by a WHERE clause instead of a function.
+// Targeted with a Go-level batch matcher) cannot round-trip through
+// JSON; the spec language covers every built-in fungus, with Targeted
+// scoped by a WHERE clause compiled to the query layer's batch program.
 package catalog
 
 import (
@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/query"
@@ -121,26 +120,9 @@ func (s *FungusSpec) Build(schema *tuple.Schema) (fungus.Fungus, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog: targeted: %w", err)
 		}
-		return fungus.Targeted{Inner: in, Only: newPredMatcher(pred)}, nil
+		return fungus.Targeted{Inner: in, Only: func() fungus.Matcher { return pred.NewBatchMatcher() }}, nil
 	}
 	return nil, fmt.Errorf("catalog: unknown fungus kind %q", s.Kind)
-}
-
-// predMatcher adapts a query predicate to the fungus.Matcher interface.
-// One Targeted value ticks every shard of its table, in parallel, and a
-// row matcher carries scratch state, so each Match borrows one.
-type predMatcher struct{ pool *sync.Pool }
-
-func newPredMatcher(p *query.Predicate) predMatcher {
-	return predMatcher{pool: &sync.Pool{New: func() any { return p.NewRowMatcher() }}}
-}
-
-// Match implements fungus.Matcher.
-func (m predMatcher) Match(tp *tuple.Tuple) (bool, error) {
-	rm := m.pool.Get().(*query.RowMatcher)
-	ok, err := rm.Match(tp)
-	m.pool.Put(rm)
-	return ok, err
 }
 
 // TableSpec declaratively describes one table.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fungusdb/internal/catalog"
+	"fungusdb/internal/clock"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/query"
 	"fungusdb/internal/storage"
@@ -389,5 +390,90 @@ func TestSingleLogDirRefusedOnOpen(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(tdir, wal.ManifestFile)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("refused open wrote a manifest (stat: %v)", err)
+	}
+}
+
+// TestShardedTargetedTickMatchesRowModel ticks a catalog-built targeted
+// table at 4 shards on parallel workers, inserting between ticks, and
+// holds every row's freshness and every rot to a row-at-a-time model:
+// the WHERE clause decides per tuple, on its state before the tick,
+// whether Linear decays it. The clause mixes an INT comparison, a STRING
+// LIKE and the insertion tick, so each shard's own batch matcher
+// translates its own dictionaries.
+func TestShardedTargetedTickMatchesRowModel(t *testing.T) {
+	const rate = 0.25
+	db, err := Open(DBConfig{Dir: t.TempDir(), Seed: 3, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTableFromSpec(catalog.TableSpec{
+		Name:        "logs",
+		Schema:      "host STRING, sev INT",
+		Shards:      4,
+		SegmentSize: 64,
+		Fungus: &catalog.FungusSpec{
+			Kind:  "targeted",
+			Where: "(sev > 2 AND host LIKE 'web-%') OR _t < 3",
+			Inner: &catalog.FungusSpec{Kind: "linear", Rate: rate},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type modelRow struct {
+		at   clock.Tick
+		host string
+		sev  int64
+		f    tuple.Freshness
+	}
+	model := map[tuple.ID]*modelRow{}
+	hosts := []string{"web-1", "db-1", "web-2", "webby", "cache"}
+	for tick := 0; tick < 12; tick++ {
+		for i := 0; i < 150; i++ {
+			host, sev := hosts[(tick+i)%len(hosts)], int64((i*7+tick)%6)
+			tp, err := tbl.Insert(Row(host, sev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[tp.ID] = &modelRow{at: tp.T, host: host, sev: sev, f: tuple.Full}
+		}
+		rep, err := db.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRot := 0
+		for id, r := range model {
+			if !(r.sev > 2 && strings.HasPrefix(r.host, "web-") || r.at < 3) {
+				continue
+			}
+			if r.f = (r.f - rate).Clamp(); r.f.Rotten() {
+				delete(model, id)
+				wantRot++
+			}
+		}
+		if rep.TotalRot != wantRot {
+			t.Fatalf("tick %d: %d rotted, model %d", tick, rep.TotalRot, wantRot)
+		}
+		tbl.rlockAll()
+		live := 0
+		tbl.store.Scan(func(tp *tuple.Tuple) bool {
+			live++
+			r, ok := model[tp.ID]
+			switch {
+			case !ok:
+				t.Errorf("tick %d: tuple %d live, model rotted it", tick, tp.ID)
+			case tp.F != r.f:
+				t.Errorf("tick %d: tuple %d (%s, %d, t=%d) freshness %v, model %v", tick, tp.ID, r.host, r.sev, r.at, tp.F, r.f)
+			}
+			return true
+		})
+		tbl.runlockAll()
+		if live != len(model) {
+			t.Fatalf("tick %d: %d live, model %d", tick, live, len(model))
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
 }

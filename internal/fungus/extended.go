@@ -1,8 +1,10 @@
 package fungus
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fungusdb/internal/clock"
@@ -20,50 +22,60 @@ import (
 //     (how: pressure-driven instead of clock-driven).
 //   - Seasonal gates another fungus onto a duty cycle (when).
 
-// Matcher selects tuples. It is the fungus-side twin of query
-// predicates; internal/catalog adapts a query.Predicate's row matcher
-// to it, and tests can use plain functions.
+// Matcher selects the rows of a column batch: it returns the selection
+// bitmap of matching live rows, the first erroring row (b.N when none)
+// and its error. It is the signature of *query.BatchMatcher, which
+// internal/catalog hands to Targeted; tests use small matchers of
+// their own. A matcher carries scratch state and serves one walk.
 type Matcher interface {
-	Match(tp *tuple.Tuple) (bool, error)
+	Match(b *tuple.Batch) (sel []uint64, errRow int, err error)
 }
-
-// MatcherFunc adapts a function to the Matcher interface.
-type MatcherFunc func(tp *tuple.Tuple) (bool, error)
-
-// Match implements Matcher.
-func (f MatcherFunc) Match(tp *tuple.Tuple) (bool, error) { return f(tp) }
 
 // Targeted applies an inner fungus only to tuples the matcher selects:
 // the "what to decay" axis. Non-matching tuples are completely shielded
-// — their freshness is restored after the inner tick, so even
-// whole-extent fungi like Linear become scoped.
+// — their freshness and infection are restored after the inner tick, so
+// even whole-extent fungi like Linear become scoped.
 type Targeted struct {
 	Inner Fungus
-	Only  Matcher
+	// Only builds the matcher of one tick. Every tick, and so every
+	// shard of a parallel table tick, runs its own.
+	Only func() Matcher
 }
 
 // Name implements Fungus.
 func (t Targeted) Name() string { return "targeted(" + t.Inner.Name() + ")" }
 
-// Tick implements Fungus.
+// shielded is the state of one shielded tuple as it was before the
+// inner tick.
+type shielded struct {
+	id       tuple.ID
+	f        float64
+	infected bool
+}
+
+// Tick implements Fungus in two walks over the batches around the inner
+// tick. The first runs the matcher once per batch and saves every
+// shielded row — live and not selected — with its freshness and
+// infection; the second writes those back. The inner law neither
+// inserts nor evicts, so both walks meet the same batches in the same
+// order.
 func (t Targeted) Tick(now clock.Tick, ext Extent, rng *rand.Rand, rotten []tuple.ID) []tuple.ID {
-	// Snapshot the freshness of shielded tuples.
-	type saved struct {
-		id       tuple.ID
-		f        tuple.Freshness
-		infected bool
-	}
-	var shield []saved
+	m := t.Only()
+	var masks []uint64   // each batch's shielded rows, batch after batch
+	var saved []shielded // in ID order
 	var matchErr error
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		ok, err := t.Only.Match(tp)
+	ext.EachBatch(func(b *tuple.Batch) bool {
+		sel, _, err := m.Match(b)
 		if err != nil {
 			matchErr = err
 			return false
 		}
-		if !ok {
-			shield = append(shield, saved{tp.ID, tp.F, tp.Infected})
+		for w, live := range b.Live {
+			masks = append(masks, live&^sel[w])
 		}
+		eachLive(masks[len(masks)-len(b.Live):], func(j int) {
+			saved = append(saved, shielded{b.IDs[j], b.Fs[j], b.Inf[j]})
+		})
 		return true
 	})
 	if matchErr != nil {
@@ -73,18 +85,23 @@ func (t Targeted) Tick(now clock.Tick, ext Extent, rng *rand.Rand, rotten []tupl
 	}
 	before := len(rotten)
 	rotten = t.Inner.Tick(now, ext, rng, rotten)
-	// Restore the shielded tuples and drop them from the rot report.
-	shielded := make(map[tuple.ID]bool, len(shield))
-	for _, s := range shield {
-		shielded[s.id] = true
-		_ = ext.Update(s.id, func(tp *tuple.Tuple) {
-			tp.F = s.f
-			tp.Infected = s.infected
-		})
+	if len(saved) == 0 {
+		return rotten
 	}
+	k := 0
+	ext.EachBatch(func(b *tuple.Batch) bool {
+		eachLive(masks[:len(b.Live)], func(j int) {
+			b.Fs[j], b.Inf[j] = saved[k].f, saved[k].infected
+			k++
+		})
+		masks = masks[len(b.Live):]
+		return true
+	})
+	// Drop the shielded tuples from the rot report.
 	kept := rotten[:before]
 	for _, id := range rotten[before:] {
-		if !shielded[id] {
+		_, hit := slices.BinarySearchFunc(saved, id, func(s shielded, id tuple.ID) int { return cmp.Compare(s.id, id) })
+		if !hit {
 			kept = append(kept, id)
 		} else if egi, ok := t.Inner.(*EGI); ok {
 			egi.Forget(id)
@@ -106,18 +123,21 @@ func (v ValueRate) Name() string { return fmt.Sprintf("valuerate(col=%d)", v.Col
 
 // Tick implements Fungus.
 func (v ValueRate) Tick(_ clock.Tick, ext Extent, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		if v.Column < 0 || v.Column >= len(tp.Attrs) {
-			return true
+	ext.EachBatch(func(b *tuple.Batch) bool {
+		if v.Column < 0 || v.Column >= len(b.Cols) {
+			return false
 		}
-		rate, ok := tp.Attrs[v.Column].Numeric()
-		if !ok || rate < 0 {
-			return true
-		}
-		tp.F = (tp.F - tuple.Freshness(rate*v.Scale)).Clamp()
-		if tp.F.Rotten() {
-			rotten = append(rotten, tp.ID)
-		}
+		eachLive(b.Live, func(j int) {
+			rate, ok := b.Cols[v.Column].Value(j).Numeric()
+			if !ok || rate < 0 {
+				return
+			}
+			nf := (tuple.Freshness(b.Fs[j]) - tuple.Freshness(rate*v.Scale)).Clamp()
+			b.Fs[j] = float64(nf)
+			if nf.Rotten() {
+				rotten = append(rotten, b.IDs[j])
+			}
+		})
 		return true
 	})
 	return rotten
@@ -204,14 +224,17 @@ func (s Staggered) Tick(now clock.Tick, ext Extent, _ *rand.Rand, rotten []tuple
 	}
 	phase := uint64(now) % s.Phases
 	step := tuple.Freshness(s.Rate * float64(s.Phases))
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		if uint64(tp.ID)%s.Phases != phase {
-			return true
-		}
-		tp.F = (tp.F - step).Clamp()
-		if tp.F.Rotten() {
-			rotten = append(rotten, tp.ID)
-		}
+	ext.ScanSystem(func(ids []tuple.ID, _ []int64, fs []float64, live []uint64) bool {
+		eachLive(live, func(j int) {
+			if uint64(ids[j])%s.Phases != phase {
+				return
+			}
+			nf := (tuple.Freshness(fs[j]) - step).Clamp()
+			fs[j] = float64(nf)
+			if nf.Rotten() {
+				rotten = append(rotten, ids[j])
+			}
+		})
 		return true
 	})
 	return rotten

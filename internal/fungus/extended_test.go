@@ -26,9 +26,40 @@ func extStore(t *testing.T, values []int64) *storage.Store {
 
 func evens(tp *tuple.Tuple) (bool, error) { return tp.Attrs[0].AsInt()%2 == 0, nil }
 
+// rowsMatcher is a small batch matcher over a per-tuple test: it selects
+// the live rows keep accepts, up to the first row keep fails on.
+type rowsMatcher struct {
+	keep func(*tuple.Tuple) (bool, error)
+	sel  []uint64
+	tp   tuple.Tuple
+}
+
+func (m *rowsMatcher) Match(b *tuple.Batch) ([]uint64, int, error) {
+	m.sel = append(m.sel[:0], make([]uint64, len(b.Live))...)
+	errRow, err := b.N, error(nil)
+	tuple.EachSet(b.Live, func(j int) bool {
+		b.ReadRow(j, &m.tp)
+		ok, kerr := m.keep(&m.tp)
+		if kerr != nil {
+			errRow, err = j, kerr
+			return false
+		}
+		if ok {
+			m.sel[j>>6] |= 1 << uint(j&63)
+		}
+		return true
+	})
+	return m.sel, errRow, err
+}
+
+// matching is the Targeted.Only of a per-tuple test.
+func matching(keep func(*tuple.Tuple) (bool, error)) func() Matcher {
+	return func() Matcher { return &rowsMatcher{keep: keep} }
+}
+
 func TestTargetedShieldsNonMatching(t *testing.T) {
 	s := extStore(t, []int64{0, 1, 2, 3, 4, 5})
-	f := Targeted{Inner: Linear{Rate: 0.6}, Only: MatcherFunc(evens)}
+	f := Targeted{Inner: Linear{Rate: 0.6}, Only: matching(evens)}
 	r := rng()
 
 	rotten := f.Tick(1, s, r, nil)
@@ -61,7 +92,7 @@ func TestTargetedShieldsNonMatching(t *testing.T) {
 func TestTargetedWithEGIShieldForgets(t *testing.T) {
 	s := extStore(t, []int64{0, 1, 2, 3, 4, 5, 6, 7})
 	egi := NewEGI(EGIConfig{SeedsPerTick: 2, DecayRate: 0.9, AgeBias: 1})
-	f := Targeted{Inner: egi, Only: MatcherFunc(evens)}
+	f := Targeted{Inner: egi, Only: matching(evens)}
 	r := rng()
 	for tick := 1; tick <= 10; tick++ {
 		rotten := f.Tick(clock.Tick(tick), s, r, nil)
@@ -93,7 +124,7 @@ func TestTargetedMatcherErrorFailsClosed(t *testing.T) {
 	s := extStore(t, []int64{1, 2, 3})
 	f := Targeted{
 		Inner: Linear{Rate: 1.0},
-		Only:  MatcherFunc(func(*tuple.Tuple) (bool, error) { return false, errors.New("boom") }),
+		Only:  matching(func(*tuple.Tuple) (bool, error) { return false, errors.New("boom") }),
 	}
 	rotten := f.Tick(1, s, rng(), nil)
 	if len(rotten) != 0 {
@@ -248,7 +279,7 @@ func TestStaggeredPanicsOnZeroPhases(t *testing.T) {
 
 func TestExtendedFungusNames(t *testing.T) {
 	cases := map[string]Fungus{
-		"targeted(linear)": Targeted{Inner: Linear{Rate: 0.1}, Only: MatcherFunc(evens)},
+		"targeted(linear)": Targeted{Inner: Linear{Rate: 0.1}, Only: matching(evens)},
 		"valuerate(col=0)": ValueRate{Column: 0},
 		"quota(10)":        Quota{MaxTuples: 10},
 		"staggered(4)":     Staggered{Rate: 0.1, Phases: 4},

@@ -33,20 +33,30 @@ import (
 )
 
 // Extent is the view of a relation a fungus may touch. *storage.Store
-// implements it. Fungi must not insert; eviction of rotten tuples is the
-// engine's job so it can distill first. Update (and in-place Scan
-// mutation) may touch freshness and infection state only — attribute
-// values are summarised by the storage layer's zone maps, which this
-// interface deliberately gives no way to outdate.
+// implements it. A fungus reads the extent only as column slices: the
+// system columns of whole segments through ScanSystem, or batches of
+// every column through EachBatch. Single tuples are addressed by ID, for
+// the neighbour walk and Update. Fungi must not insert or evict;
+// eviction of rotten tuples is the engine's job so it can distill
+// first. Every write touches freshness and infection state only —
+// attribute values are summarised by the storage layer's zone maps,
+// which this interface deliberately gives no way to outdate.
 type Extent interface {
 	Len() int
-	Get(id tuple.ID) (tuple.Tuple, error)
 	Update(id tuple.ID, fn func(*tuple.Tuple)) error
-	Scan(fn func(*tuple.Tuple) bool)
 	PrevLive(id tuple.ID) (tuple.ID, bool)
 	NextLive(id tuple.ID) (tuple.ID, bool)
 	FirstLive() (tuple.ID, bool)
 	LastLive() (tuple.ID, bool)
+	// ScanSystem hands fn, segment by segment in ID order, the row IDs,
+	// insertion ticks, freshness and liveness bitmap of every row. fn
+	// may write fs, which aliases segment memory, and nothing else. It
+	// is the walk of laws that read no attribute.
+	ScanSystem(fn func(ids []tuple.ID, ts []int64, fs []float64, live []uint64) bool)
+	// EachBatch hands fn the live rows as column batches in ID order.
+	// fn may write b.Fs and b.Inf, which alias segment memory, and
+	// nothing else. It is the walk of laws that read attributes.
+	EachBatch(fn func(b *tuple.Batch) bool)
 }
 
 // Fungus is one decay strategy. Implementations may keep per-extent
@@ -62,19 +72,8 @@ type Fungus interface {
 	Tick(now clock.Tick, ext Extent, rng *rand.Rand, rotten []tuple.ID) []tuple.ID
 }
 
-// systemScanner is the columnar tick fast path *storage.Store offers
-// (matched structurally to avoid importing storage here). It exposes
-// each segment's raw system columns — row IDs, insertion ticks,
-// freshness, and the liveness bitmap — so decay laws that never read
-// attribute values can tick by mutating the freshness slice in place
-// instead of materialising every tuple. Laws that consult attributes
-// (e.g. ValueRate) must keep using Scan.
-type systemScanner interface {
-	ScanSystem(fn func(ids []tuple.ID, ts []int64, fs []float64, live []uint64) bool)
-}
-
-// eachLive walks the set bits of a segment liveness bitmap, calling fn
-// with each live row index.
+// eachLive walks the set bits of a row bitmap — a liveness bitmap or a
+// selection — calling fn with each row index.
 func eachLive(live []uint64, fn func(j int)) {
 	for w, m := range live {
 		base := w << 6
@@ -121,31 +120,16 @@ func (f TTL) Tick(now clock.Tick, ext Extent, _ *rand.Rand, rotten []tuple.ID) [
 	if f.Lifetime == 0 {
 		panic("fungus: TTL lifetime must be positive")
 	}
-	if ss, ok := ext.(systemScanner); ok {
-		ss.ScanSystem(func(ids []tuple.ID, ts []int64, fs []float64, live []uint64) bool {
-			eachLive(live, func(j int) {
-				age := uint64(now - clock.Tick(ts[j]))
-				if age >= f.Lifetime {
-					fs[j] = 0
-					rotten = append(rotten, ids[j])
-					return
-				}
-				fs[j] = 1 - float64(age)/float64(f.Lifetime)
-			})
-			return true
+	ext.ScanSystem(func(ids []tuple.ID, ts []int64, fs []float64, live []uint64) bool {
+		eachLive(live, func(j int) {
+			age := uint64(now - clock.Tick(ts[j]))
+			if age >= f.Lifetime {
+				fs[j] = 0
+				rotten = append(rotten, ids[j])
+				return
+			}
+			fs[j] = 1 - float64(age)/float64(f.Lifetime)
 		})
-		return rotten
-	}
-	// The scan only mutates the tuple in place (no evictions), which
-	// Extent.Scan permits.
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		age := uint64(now - tp.T)
-		if age >= f.Lifetime {
-			tp.F = 0
-			rotten = append(rotten, tp.ID)
-			return true
-		}
-		tp.F = tuple.Freshness(1 - float64(age)/float64(f.Lifetime))
 		return true
 	})
 	return rotten
@@ -161,25 +145,15 @@ func (f Linear) Name() string { return "linear" }
 
 // Tick implements Fungus.
 func (f Linear) Tick(_ clock.Tick, ext Extent, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-	if ss, ok := ext.(systemScanner); ok {
-		rate := tuple.Freshness(f.Rate)
-		ss.ScanSystem(func(ids []tuple.ID, _ []int64, fs []float64, live []uint64) bool {
-			eachLive(live, func(j int) {
-				nf := (tuple.Freshness(fs[j]) - rate).Clamp()
-				fs[j] = float64(nf)
-				if nf.Rotten() {
-					rotten = append(rotten, ids[j])
-				}
-			})
-			return true
+	rate := tuple.Freshness(f.Rate)
+	ext.ScanSystem(func(ids []tuple.ID, _ []int64, fs []float64, live []uint64) bool {
+		eachLive(live, func(j int) {
+			nf := (tuple.Freshness(fs[j]) - rate).Clamp()
+			fs[j] = float64(nf)
+			if nf.Rotten() {
+				rotten = append(rotten, ids[j])
+			}
 		})
-		return rotten
-	}
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		tp.F = (tp.F - tuple.Freshness(f.Rate)).Clamp()
-		if tp.F.Rotten() {
-			rotten = append(rotten, tp.ID)
-		}
 		return true
 	})
 	return rotten
@@ -200,25 +174,14 @@ func (f Exponential) Name() string { return "exponential" }
 
 // Tick implements Fungus.
 func (f Exponential) Tick(_ clock.Tick, ext Extent, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-	if ss, ok := ext.(systemScanner); ok {
-		ss.ScanSystem(func(ids []tuple.ID, _ []int64, fs []float64, live []uint64) bool {
-			eachLive(live, func(j int) {
-				fs[j] *= f.Factor
-				if fs[j] < rotThreshold {
-					fs[j] = 0
-					rotten = append(rotten, ids[j])
-				}
-			})
-			return true
+	ext.ScanSystem(func(ids []tuple.ID, _ []int64, fs []float64, live []uint64) bool {
+		eachLive(live, func(j int) {
+			fs[j] *= f.Factor
+			if fs[j] < rotThreshold {
+				fs[j] = 0
+				rotten = append(rotten, ids[j])
+			}
 		})
-		return rotten
-	}
-	ext.Scan(func(tp *tuple.Tuple) bool {
-		tp.F = tuple.Freshness(float64(tp.F) * f.Factor)
-		if float64(tp.F) < rotThreshold {
-			tp.F = 0
-			rotten = append(rotten, tp.ID)
-		}
 		return true
 	})
 	return rotten

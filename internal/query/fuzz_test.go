@@ -89,7 +89,7 @@ func TestQuickMatchTotal(t *testing.T) {
 	}
 	preds := make([]*Predicate, len(exprs))
 	for i, e := range exprs {
-		preds[i] = MustCompile(e, schema)
+		preds[i] = mustCompile(e, schema)
 	}
 	f := func(s string, n int64, pi uint8) (ok bool) {
 		defer func() {

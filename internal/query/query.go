@@ -26,15 +26,14 @@ func (m Mode) String() string {
 	return "peek"
 }
 
-// Predicate is a WHERE expression validated against one schema, the
-// compiled condition behind NewRowMatcher for callers that test one
-// tuple at a time (catalog `targeted` fungi, stream rules). Queries do
-// not go through it: they prepare a statement into a Plan. It is
-// immutable and safe for concurrent use.
+// Predicate is a WHERE expression validated against one schema and
+// compiled to the batch program, for callers that select rows without a
+// statement around them (catalog `targeted` fungi, stream rules).
+// Queries do not go through it: they prepare a statement into a Plan.
+// It is immutable and safe for concurrent use; the matchers it hands
+// out are not.
 type Predicate struct {
-	expr Expr
-	src  string
-	vec  *vecProg
+	vec *vecProg
 }
 
 // Compile parses src and checks every column reference against schema.
@@ -47,16 +46,7 @@ func Compile(src string, schema *tuple.Schema) (*Predicate, error) {
 	if err := checkCols(e, schema); err != nil {
 		return nil, err
 	}
-	return &Predicate{expr: e, src: src, vec: compileVecMatch(e, schema)}, nil
-}
-
-// MustCompile is Compile that panics on error.
-func MustCompile(src string, schema *tuple.Schema) *Predicate {
-	p, err := Compile(src, schema)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return &Predicate{vec: compileVecMatch(e, schema)}, nil
 }
 
 func checkCols(e Expr, schema *tuple.Schema) error {
@@ -94,9 +84,3 @@ func checkCols(e Expr, schema *tuple.Schema) error {
 	}
 	return nil
 }
-
-// Source returns the original WHERE source text.
-func (p *Predicate) Source() string { return p.src }
-
-// Expr exposes the compiled tree (read-only) for explainers.
-func (p *Predicate) Expr() Expr { return p.expr }

@@ -244,8 +244,8 @@ func TestAggregate(t *testing.T) {
 // Property: integer comparison predicates agree with Go's operators.
 func TestQuickIntPredicates(t *testing.T) {
 	schema := tuple.MustSchema(tuple.Column{Name: "x", Kind: tuple.KindInt})
-	lt := MustCompile("x < 0", schema)
-	ge := MustCompile("x >= 0", schema)
+	lt := mustCompile("x < 0", schema)
+	ge := mustCompile("x >= 0", schema)
 	f := func(x int64) bool {
 		tp := tuple.New(0, 0, []tuple.Value{tuple.Int(x)})
 		a, err1 := matchRow(lt, &tp)
@@ -266,8 +266,8 @@ func TestQuickDeMorgan(t *testing.T) {
 		tuple.Column{Name: "p", Kind: tuple.KindBool},
 		tuple.Column{Name: "q", Kind: tuple.KindBool},
 	)
-	lhs := MustCompile("NOT (p AND q)", schema)
-	rhs := MustCompile("NOT p OR NOT q", schema)
+	lhs := mustCompile("NOT (p AND q)", schema)
+	rhs := mustCompile("NOT p OR NOT q", schema)
 	f := func(p, q bool) bool {
 		tp := tuple.New(0, 0, []tuple.Value{tuple.Bool(p), tuple.Bool(q)})
 		a, err1 := matchRow(lhs, &tp)
@@ -276,16 +276,6 @@ func TestQuickDeMorgan(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPredicateSourceAndExpr(t *testing.T) {
-	p := MustCompile("temp > 1", testSchema)
-	if p.Source() != "temp > 1" {
-		t.Errorf("Source = %q", p.Source())
-	}
-	if p.Expr() == nil {
-		t.Error("Expr nil")
 	}
 }
 

@@ -43,11 +43,10 @@ func TestPlaceholderBindAndMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := newRowMatcher(bound.vec)
 	tuples := clickTuples()
 	var matched int
 	for i := range tuples {
-		ok, err := rm.Match(&tuples[i])
+		ok, err := matchProg(bound.vec, &tuples[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +91,7 @@ func TestPlaceholderTypeMismatchSurfacesAtMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newRowMatcher(bound.vec).Match(&tuples[0]); err == nil {
+	if _, err := matchProg(bound.vec, &tuples[0]); err == nil {
 		t.Fatal("INT vs STRING comparison did not error")
 	}
 }
@@ -114,7 +113,7 @@ func TestUnboundPlaceholderEvalErrors(t *testing.T) {
 	}
 	// Projecting on an unbound plan: the placeholder must fail, not
 	// silently evaluate.
-	b := batchOf(clickSchema, clickTuples(), 1)
+	b := batchOf(clickSchema, clickTuples())
 	if err := plan.NewTopK().AddBatch(b, b.Live); err == nil || !strings.Contains(err.Error(), "not bound") {
 		t.Fatalf("unbound placeholder evaluated (err %v)", err)
 	}

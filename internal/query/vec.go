@@ -803,68 +803,5 @@ func (m *BatchMatcher) Match(b *tuple.Batch) ([]uint64, int, error) {
 // interpreter's not-bound error for every row; Bind first.
 func (p *Plan) NewBatchMatcher() *BatchMatcher { return newBatchMatcher(p.vec) }
 
-// RowMatcher runs a predicate's batch program over one tuple at a
-// time, presented as a one-row batch: the entry point for callers that
-// hold tuples rather than column batches (stream rules, decay laws that
-// read attributes). Not safe for concurrent use.
-type RowMatcher struct {
-	bm *BatchMatcher
-	b  tuple.Batch
-}
-
-// NewRowMatcher returns a fresh single-tuple evaluator for the
-// predicate.
-func (p *Predicate) NewRowMatcher() *RowMatcher { return newRowMatcher(p.vec) }
-
-func newRowMatcher(prog *vecProg) *RowMatcher {
-	r := &RowMatcher{bm: newBatchMatcher(prog)}
-	b := &r.b
-	b.N, b.Alive = 1, 1
-	b.IDs = make([]tuple.ID, 1)
-	b.Ts = make([]int64, 1)
-	b.Fs = make([]float64, 1)
-	b.Inf = make([]bool, 1)
-	b.Live = []uint64{1}
-	b.Cols = make([]tuple.ColView, prog.schema.Len())
-	for i := range b.Cols {
-		cv := &b.Cols[i]
-		cv.Kind = prog.schema.Column(i).Kind
-		switch cv.Kind {
-		case tuple.KindInt:
-			cv.Ints = make([]int64, 1)
-		case tuple.KindFloat:
-			cv.Floats = make([]float64, 1)
-		case tuple.KindString:
-			cv.Codes = make([]uint32, 1)
-			cv.Dict = make([]string, 1)
-		case tuple.KindBool:
-			cv.Bools = make([]bool, 1)
-		}
-	}
-	return r
-}
-
-// Match evaluates the predicate for one tuple of the predicate's
-// schema.
-func (r *RowMatcher) Match(tp *tuple.Tuple) (bool, error) {
-	b := &r.b
-	b.IDs[0], b.Ts[0], b.Fs[0], b.Inf[0] = tp.ID, int64(tp.T), float64(tp.F), tp.Infected
-	for i := range b.Cols {
-		cv, v := &b.Cols[i], &tp.Attrs[i]
-		switch cv.Kind {
-		case tuple.KindInt:
-			cv.Ints[0] = v.AsInt()
-		case tuple.KindFloat:
-			cv.Floats[0] = v.AsFloat()
-		case tuple.KindString:
-			cv.Dict[0] = v.AsString()
-		case tuple.KindBool:
-			cv.Bools[0] = v.AsBool()
-		}
-	}
-	// A fresh tag per tuple: the one-entry dictionaries just changed, so
-	// no string translate table may carry over.
-	b.Seg++
-	sel, _, err := r.bm.Match(b)
-	return sel[0]&1 != 0, err
-}
+// NewBatchMatcher returns a fresh batch evaluator for the predicate.
+func (p *Predicate) NewBatchMatcher() *BatchMatcher { return newBatchMatcher(p.vec) }

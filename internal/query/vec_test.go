@@ -36,10 +36,26 @@ func matchTuples() []tuple.Tuple {
 	return out
 }
 
-// matchRow evaluates a predicate for one tuple the way the engine's
-// row-at-a-time callers do.
-func matchRow(p *Predicate, tp *tuple.Tuple) (bool, error) {
-	return p.NewRowMatcher().Match(tp)
+// mustCompile is Compile that fails loudly, for fixed test predicates.
+func mustCompile(src string, schema *tuple.Schema) *Predicate {
+	p, err := Compile(src, schema)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// matchRow evaluates a predicate for one tuple the way stream rules
+// do: laid out as a batch, here of one row.
+func matchRow(p *Predicate, tp *tuple.Tuple) (bool, error) { return matchProg(p.vec, tp) }
+
+// matchProg evaluates a batch program for one tuple, laid out as a
+// one-row batch.
+func matchProg(prog *vecProg, tp *tuple.Tuple) (bool, error) {
+	var b tuple.Batch
+	b.Fill(prog.schema, []tuple.Tuple{*tp})
+	sel, _, err := newBatchMatcher(prog).Match(&b)
+	return sel[0]&1 != 0, err
 }
 
 // interpMatch is the reference: the expression tree walked through
@@ -202,54 +218,18 @@ func vecBatchNext() (*tuple.Batch, []tuple.Tuple) {
 	return b, batchRows(b)
 }
 
-// batchOf presents tuples of schema as one all-live column batch of the
-// segment tagged seg, dictionary-encoding STRING columns the way a
-// storage segment does.
-func batchOf(schema *tuple.Schema, rows []tuple.Tuple, seg uint64) *tuple.Batch {
-	n := len(rows)
-	b := &tuple.Batch{
-		N: n, Alive: n, Seg: seg,
-		IDs: make([]tuple.ID, n), Ts: make([]int64, n), Fs: make([]float64, n), Inf: make([]bool, n),
-		Live: make([]uint64, (n+63)/64),
-		Cols: make([]tuple.ColView, schema.Len()),
-	}
-	codes := map[string]uint32{}
-	for c := range b.Cols {
-		b.Cols[c].Kind = schema.Column(c).Kind
-	}
-	for j := range rows {
-		tp := &rows[j]
-		b.IDs[j], b.Ts[j], b.Fs[j], b.Inf[j] = tp.ID, int64(tp.T), float64(tp.F), tp.Infected
-		b.Live[j>>6] |= 1 << uint(j&63)
-		for c := range b.Cols {
-			cv, v := &b.Cols[c], tp.Attrs[c]
-			switch cv.Kind {
-			case tuple.KindInt:
-				cv.Ints = append(cv.Ints, v.AsInt())
-			case tuple.KindFloat:
-				cv.Floats = append(cv.Floats, v.AsFloat())
-			case tuple.KindBool:
-				cv.Bools = append(cv.Bools, v.AsBool())
-			case tuple.KindString:
-				key := string(rune(c)) + v.AsString()
-				code, ok := codes[key]
-				if !ok {
-					code = uint32(len(cv.Dict))
-					codes[key] = code
-					cv.Dict = append(cv.Dict, v.AsString())
-				}
-				cv.Codes = append(cv.Codes, code)
-			}
-		}
-	}
+// batchOf presents tuples of schema as one all-live column batch.
+func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
+	b := new(tuple.Batch)
+	b.Fill(schema, rows)
 	return b
 }
 
 // checkBatchProgram asserts the batch program of e selects the same
 // rows, stops at the same first erroring row and reports the same error
 // text as the interpreter run row by row — over two batches of
-// different segments through one matcher, and through the one-row
-// adapter. The selections then drive the late-materialising consumers
+// different segments through one matcher, and on every row alone as a
+// one-row batch. The selections then drive the late-materialising consumers
 // (checkAnalytic).
 func checkBatchProgram(t *testing.T, e Expr) {
 	t.Helper()
@@ -290,13 +270,12 @@ func checkBatchProgram(t *testing.T, e Expr) {
 	}
 	checkAnalytic(t, batches, decoded, sels)
 
-	rm := newRowMatcher(prog)
 	rows := decoded[0]
 	for j := range rows {
 		wantOK, wantErr := interpMatch(e, &rows[j])
-		gotOK, gotErr := rm.Match(&rows[j])
+		gotOK, gotErr := matchProg(prog, &rows[j])
 		if gotOK != wantOK || (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Errorf("%s: row matcher on row %d = (%v, %v), interpreter (%v, %v)", e, j, gotOK, gotErr, wantOK, wantErr)
+			t.Errorf("%s: one-row batch of row %d = (%v, %v), interpreter (%v, %v)", e, j, gotOK, gotErr, wantOK, wantErr)
 		}
 	}
 }
@@ -461,21 +440,35 @@ func TestBatchProgramUnboundPlaceholder(t *testing.T) {
 	checkBatchProgram(t, stmt.Select().Where)
 }
 
-// BenchmarkRowMatcher reports the one-row adapter's per-row cost beside
-// the interpreter's.
+// BenchmarkRowMatcher reports what it costs to select the rows of a
+// batch the way stream rules do — lay tuples out with Batch.Fill, then
+// run the batch program once — beside the interpreter walking the same
+// rows one at a time. One op is one batch of tuple.BatchRows rows.
 func BenchmarkRowMatcher(b *testing.B) {
-	tuples := matchTuples()
+	base := matchTuples()
+	tuples := make([]tuple.Tuple, tuple.BatchRows)
+	for i := range tuples {
+		tuples[i] = base[i%len(base)]
+	}
 	for _, src := range []string{"v < 50.0", "ok AND v > 30.0 AND name LIKE \"a%\""} {
-		pred := MustCompile(src, matchSchema)
-		b.Run("onerow/"+src, func(b *testing.B) {
-			rm := pred.NewRowMatcher()
+		e, err := Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pred := mustCompile(src, matchSchema)
+		b.Run("batch/"+src, func(b *testing.B) {
+			m := pred.NewBatchMatcher()
+			var batch tuple.Batch
 			for i := 0; i < b.N; i++ {
-				_, _ = rm.Match(&tuples[i%len(tuples)])
+				batch.Fill(matchSchema, tuples)
+				_, _, _ = m.Match(&batch)
 			}
 		})
 		b.Run("interp/"+src, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _ = interpMatch(pred.Expr(), &tuples[i%len(tuples)])
+				for j := range tuples {
+					_, _ = interpMatch(e, &tuples[j])
+				}
 			}
 		})
 	}
@@ -517,7 +510,7 @@ func TestGroupIdentity(t *testing.T) {
 	}
 	all := []uint64{1<<uint(len(rows)) - 1}
 	whole := plan.NewAggregator(nil)
-	if err := whole.FeedBatch(batchOf(matchSchema, rows, 1), all); err != nil {
+	if err := whole.FeedBatch(batchOf(matchSchema, rows), all); err != nil {
 		t.Fatal(err)
 	}
 	if got := render(whole.Grid()); got != want {
@@ -527,10 +520,10 @@ func TestGroupIdentity(t *testing.T) {
 	// payload first, and Merge must still find the first one's bucket.
 	lo, hi := plan.NewAggregator(nil), plan.NewAggregator(nil)
 	half := []uint64{1<<uint(len(rows)/2) - 1}
-	if err := lo.FeedBatch(batchOf(matchSchema, rows[:len(rows)/2], 2), half); err != nil {
+	if err := lo.FeedBatch(batchOf(matchSchema, rows[:len(rows)/2]), half); err != nil {
 		t.Fatal(err)
 	}
-	if err := hi.FeedBatch(batchOf(matchSchema, rows[len(rows)/2:], 3), half); err != nil {
+	if err := hi.FeedBatch(batchOf(matchSchema, rows[len(rows)/2:]), half); err != nil {
 		t.Fatal(err)
 	}
 	if err := lo.Merge(hi); err != nil {

@@ -19,18 +19,10 @@ package storage
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"fungusdb/internal/clock"
 	"fungusdb/internal/tuple"
 )
-
-// segTags hands out segment revision tags: a fresh tag per segment, and
-// a fresh one again whenever Compact rewrites a segment's columns. The
-// tag travels with every batch (tuple.Batch.Seg) so per-segment caches
-// built over the dictionary — predicate translate tables in the query
-// layer — invalidate exactly when the dictionary can have changed.
-var segTags atomic.Uint64
 
 // colVec stores one attribute column of a segment as a contiguous typed
 // slice. Exactly one payload slice is in use, selected by kind; STRING
@@ -184,7 +176,7 @@ func newSegment(schema *tuple.Schema, base tuple.ID, capacity int, stride tuple.
 		base:     base,
 		stride:   stride,
 		capacity: capacity,
-		tag:      segTags.Add(1),
+		tag:      tuple.NewSegTag(),
 		ids:      make([]tuple.ID, 0, capacity),
 		ts:       make([]int64, 0, capacity),
 		fs:       make([]float64, 0, capacity),
@@ -371,7 +363,7 @@ func (s *segment) compactInPlace() int {
 		s.liveBits[j>>6] |= 1 << (uint(j) & 63)
 	}
 	s.sparse = true
-	s.tag = segTags.Add(1)
+	s.tag = tuple.NewSegTag()
 	s.zoneInstall = false
 	return reclaimed
 }

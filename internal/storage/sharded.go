@@ -269,66 +269,6 @@ func (ss *ShardedStore) ScanShardAxis(i int, reverse bool, skip func(*ZoneMap) b
 	return ss.shards[i].ScanAxis(reverse, skip, fn)
 }
 
-// ScanIDs appends the IDs of all live tuples to dst in global insertion
-// order and returns it.
-func (ss *ShardedStore) ScanIDs(dst []tuple.ID) []tuple.ID {
-	ss.Scan(func(tp *tuple.Tuple) bool {
-		dst = append(dst, tp.ID)
-		return true
-	})
-	return dst
-}
-
-// FirstLive returns the smallest live tuple ID across shards.
-func (ss *ShardedStore) FirstLive() (tuple.ID, bool) {
-	var best tuple.ID
-	found := false
-	for _, sh := range ss.shards {
-		if id, ok := sh.FirstLive(); ok && (!found || id < best) {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
-// LastLive returns the largest live tuple ID across shards.
-func (ss *ShardedStore) LastLive() (tuple.ID, bool) {
-	var best tuple.ID
-	found := false
-	for _, sh := range ss.shards {
-		if id, ok := sh.LastLive(); ok && (!found || id > best) {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
-// PrevLive returns the nearest live tuple ID strictly before id on the
-// global time axis.
-func (ss *ShardedStore) PrevLive(id tuple.ID) (tuple.ID, bool) {
-	var best tuple.ID
-	found := false
-	for _, sh := range ss.shards {
-		if got, ok := sh.PrevLive(id); ok && (!found || got > best) {
-			best, found = got, true
-		}
-	}
-	return best, found
-}
-
-// NextLive returns the nearest live tuple ID strictly after id on the
-// global time axis.
-func (ss *ShardedStore) NextLive(id tuple.ID) (tuple.ID, bool) {
-	var best tuple.ID
-	found := false
-	for _, sh := range ss.shards {
-		if got, ok := sh.NextLive(id); ok && (!found || got < best) {
-			best, found = got, true
-		}
-	}
-	return best, found
-}
-
 // Compact reclaims tombstone space in every shard, returning the total
 // number of slots reclaimed.
 func (ss *ShardedStore) Compact() int {

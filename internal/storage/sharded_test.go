@@ -86,13 +86,6 @@ func TestShardedRoutingAndEvict(t *testing.T) {
 	if ss.Shard(1).Len() != 0 {
 		t.Fatalf("shard 1 should be empty, Len=%d", ss.Shard(1).Len())
 	}
-	// Merged neighbour walk skips the hole shard.
-	if next, ok := ss.NextLive(0); !ok || next != 2 {
-		t.Fatalf("NextLive(0) = %d, %v", next, ok)
-	}
-	if prev, ok := ss.PrevLive(4); !ok || prev != 3 {
-		t.Fatalf("PrevLive(4) = %d, %v", prev, ok)
-	}
 }
 
 // A shard store's neighbour queries accept IDs outside its residue

@@ -420,11 +420,9 @@ func (s *Store) Scan(fn func(*tuple.Tuple) bool) {
 // live tuples, in insertion (time) order: row IDs, insertion ticks,
 // freshness values, and the liveness bitmap (set bits mark live rows;
 // bits past the appended prefix are never set). fn may mutate fs in
-// place — that is the columnar equivalent of the freshness write-back a
-// Scan performs — but must treat the other slices as read-only and must
-// not evict or insert. Returning false stops the scan. This exists so
-// decay laws that touch only system fields can tick without
-// materialising tuples row by row.
+// place but must treat the other slices as read-only and must not evict
+// or insert. Returning false stops the scan. It is the walk of decay
+// laws that touch only system fields (fungus.Extent).
 func (s *Store) ScanSystem(fn func(ids []tuple.ID, ts []int64, fs []float64, live []uint64) bool) {
 	for i := s.first; i < len(s.segs); i++ {
 		sg := s.segs[i]
@@ -511,9 +509,11 @@ func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.
 }
 
 // EachBatch hands fn the extent's live rows as columnar batches in
-// insertion order, under the same rules as ScanBatches with nothing
-// pruned, for a reader that serialises the extent rather than queries
-// it: no scan or pruning counter moves.
+// insertion order, with nothing pruned, for a reader that serialises or
+// decays the extent rather than queries it: no scan or pruning counter
+// moves. The rules are ScanBatches', with one permission more: fn may
+// write b.Fs and b.Inf, which alias segment memory — how decay laws
+// that read attributes tick (fungus.Extent).
 func (s *Store) EachBatch(fn func(*tuple.Batch) bool) {
 	s.walkBatches(false, nil, fn)
 }
@@ -571,16 +571,6 @@ func (s *Store) notePruned(ps PruneStats) {
 		s.segsPruned.Add(uint64(ps.Segments))
 		s.tuplesSkipped.Add(uint64(ps.Tuples))
 	}
-}
-
-// ScanIDs appends the IDs of all live tuples to dst in insertion order
-// and returns it. Used by fungi that must mutate during iteration.
-func (s *Store) ScanIDs(dst []tuple.ID) []tuple.ID {
-	s.Scan(func(tp *tuple.Tuple) bool {
-		dst = append(dst, tp.ID)
-		return true
-	})
-	return dst
 }
 
 // PrevLive returns the nearest live tuple ID strictly before id on the

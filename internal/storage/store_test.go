@@ -28,6 +28,16 @@ func fill(t *testing.T, s *Store, n int) []tuple.Tuple {
 	return out
 }
 
+// liveIDs lists the live tuple IDs in insertion order.
+func liveIDs(s *Store) []tuple.ID {
+	var ids []tuple.ID
+	s.Scan(func(tp *tuple.Tuple) bool {
+		ids = append(ids, tp.ID)
+		return true
+	})
+	return ids
+}
+
 func TestInsertAssignsDenseIDs(t *testing.T) {
 	s := New(intSchema(t))
 	tps := fill(t, s, 10)
@@ -293,12 +303,12 @@ func TestCompactPreservesScanAndLookups(t *testing.T) {
 	for _, id := range []tuple.ID{0, 2, 5, 6, 7, 9} {
 		s.Evict(id)
 	}
-	before := s.ScanIDs(nil)
+	before := liveIDs(s)
 	reclaimed := s.Compact()
 	if reclaimed == 0 {
 		t.Error("Compact reclaimed nothing")
 	}
-	after := s.ScanIDs(nil)
+	after := liveIDs(s)
 	if len(before) != len(after) {
 		t.Fatalf("scan changed: %v -> %v", before, after)
 	}
@@ -409,7 +419,7 @@ func TestQuickStoreInvariants(t *testing.T) {
 		if s.Len() != len(alive) {
 			return false
 		}
-		ids := s.ScanIDs(nil)
+		ids := liveIDs(s)
 		if len(ids) != len(alive) {
 			return false
 		}

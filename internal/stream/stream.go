@@ -50,18 +50,42 @@ type Event struct {
 // mutating methods.
 type Action func(Event)
 
-// Rules own their row matchers (scratch state, one goroutine at a
-// time): Poll evaluates them under the monitor's mutex.
+// verdict is one predicate's answer over the batch Poll filled: its
+// matcher, the selection bitmap, the first erroring row and that row's
+// error (see query.BatchMatcher.Match). The bitmap is matcher scratch,
+// valid until the matcher runs again.
+type verdict struct {
+	m      *query.BatchMatcher
+	sel    []uint64
+	errRow int
+	err    error
+}
+
+func newVerdict(p *query.Predicate) verdict { return verdict{m: p.NewBatchMatcher()} }
+
+func (v *verdict) match(b *tuple.Batch) { v.sel, v.errRow, v.err = v.m.Match(b) }
+
+// at reports whether row j matched, or the error the predicate raised
+// on that row.
+func (v *verdict) at(j int) (bool, error) {
+	if v.err != nil && j == v.errRow {
+		return false, v.err
+	}
+	return v.sel[j>>6]&(1<<uint(j&63)) != 0, nil
+}
+
+// Rules own their matchers (scratch state, one goroutine at a time):
+// Poll evaluates them under the monitor's mutex.
 type matchRule struct {
 	name string
-	pred *query.RowMatcher
+	pred verdict
 	act  Action
 }
 
 type seqRule struct {
 	name   string
-	first  *query.RowMatcher
-	then   *query.RowMatcher
+	first  verdict
+	then   verdict
 	within uint64
 	act    Action
 	// pending holds ticks of unconsumed 'first' events.
@@ -77,10 +101,11 @@ type Monitor struct {
 	rules []*matchRule
 	seqs  []*seqRule
 
-	polled  uint64
-	fired   uint64
-	missed  uint64 // IDs that vanished before being seen
-	lastNow clock.Tick
+	batch tuple.Batch // the fresh rows Poll evaluates the rules over
+
+	polled uint64
+	fired  uint64
+	missed uint64 // IDs that vanished before being seen
 }
 
 // NewMonitor attaches a monitor to tbl. Rules added afterwards only see
@@ -101,7 +126,7 @@ func (m *Monitor) OnMatch(name, where string, act Action) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rules = append(m.rules, &matchRule{name: name, pred: pred.NewRowMatcher(), act: act})
+	m.rules = append(m.rules, &matchRule{name: name, pred: newVerdict(pred), act: act})
 	return nil
 }
 
@@ -123,7 +148,7 @@ func (m *Monitor) OnSequence(name, firstWhere, thenWhere string, within uint64, 
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.seqs = append(m.seqs, &seqRule{name: name, first: first.NewRowMatcher(), then: then.NewRowMatcher(), within: within, act: act})
+	m.seqs = append(m.seqs, &seqRule{name: name, first: newVerdict(first), then: newVerdict(then), within: within, act: act})
 	return nil
 }
 
@@ -143,7 +168,10 @@ func (m *Monitor) Stats() Stats {
 
 // Poll processes every tuple inserted since the previous Poll through
 // all rules, returning the number of rule firings. Call it after each
-// engine tick (or batch of inserts).
+// engine tick (or batch of inserts). Rules fire tuple by tuple, and
+// within a tuple in registration order, OnMatch rules before sequence
+// rules. The first error in that order ends the Poll; the tuples it
+// read are not read again.
 func (m *Monitor) Poll() (fired int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -161,28 +189,53 @@ func (m *Monitor) Poll() (fired int, err error) {
 		m.hwm = top
 	}
 
-	for _, row := range fresh {
-		tp := core.RowTuple(row)
+	tps := make([]tuple.Tuple, 0, min(len(fresh), tuple.BatchRows))
+	for len(fresh) > 0 {
+		tps = tps[:0]
+		for _, row := range fresh[:min(len(fresh), tuple.BatchRows)] {
+			tps = append(tps, core.RowTuple(row))
+		}
+		fresh = fresh[len(tps):]
+		if err := m.pollBatch(tps, &fired); err != nil {
+			return fired, err
+		}
+	}
+	return fired, nil
+}
+
+// pollBatch runs every rule's predicates once over tps, laid out as one
+// batch, then replays the verdicts tuple by tuple. Caller holds m.mu.
+func (m *Monitor) pollBatch(tps []tuple.Tuple, fired *int) error {
+	b := &m.batch
+	b.Fill(m.tbl.Schema(), tps)
+	for _, r := range m.rules {
+		r.pred.match(b)
+	}
+	for _, s := range m.seqs {
+		s.then.match(b)
+		s.first.match(b)
+	}
+	for j := range tps {
+		tp := &tps[j]
 		m.polled++
 		for _, r := range m.rules {
-			ok, err := r.pred.Match(&tp)
+			ok, err := r.pred.at(j)
 			if err != nil {
-				return fired, fmt.Errorf("stream: rule %q: %w", r.name, err)
+				return fmt.Errorf("stream: rule %q: %w", r.name, err)
 			}
 			if ok {
 				r.act(Event{Rule: r.name, Tuple: tp.Clone(), At: tp.T})
 				m.fired++
-				fired++
+				*fired++
 			}
 		}
 		for _, s := range m.seqs {
-			if err := m.stepSequence(s, &tp, &fired); err != nil {
-				return fired, err
+			if err := m.stepSequence(s, b, j, tp, fired); err != nil {
+				return err
 			}
 		}
-		m.lastNow = tp.T
 	}
-	return fired, nil
+	return nil
 }
 
 // newRows reads every live tuple above the high-water mark, in ID
@@ -208,7 +261,8 @@ func (m *Monitor) newRows() ([][]tuple.Value, error) {
 	return fresh, rows.Close()
 }
 
-func (m *Monitor) stepSequence(s *seqRule, tp *tuple.Tuple, fired *int) error {
+// stepSequence advances s over row j of b, the tuple tp.
+func (m *Monitor) stepSequence(s *seqRule, b *tuple.Batch, j int, tp *tuple.Tuple, fired *int) error {
 	// Expire pending firsts that fell out of the window.
 	live := s.pending[:0]
 	for _, ft := range s.pending {
@@ -218,7 +272,7 @@ func (m *Monitor) stepSequence(s *seqRule, tp *tuple.Tuple, fired *int) error {
 	}
 	s.pending = live
 
-	isThen, err := s.then.Match(tp)
+	isThen, err := s.then.at(j)
 	if err != nil {
 		return fmt.Errorf("stream: rule %q: %w", s.name, err)
 	}
@@ -233,9 +287,16 @@ func (m *Monitor) stepSequence(s *seqRule, tp *tuple.Tuple, fired *int) error {
 		})
 		m.fired++
 		*fired++
+		if s.first.err != nil && j == s.first.errRow {
+			// 'first' does not count on this row, so its error does not
+			// either — but the batch program cleared its verdicts above
+			// the row. Evaluate it again over the rows after this one.
+			clearThrough(b, j)
+			s.first.match(b)
+		}
 		return nil
 	}
-	isFirst, err := s.first.Match(tp)
+	isFirst, err := s.first.at(j)
 	if err != nil {
 		return fmt.Errorf("stream: rule %q: %w", s.name, err)
 	}
@@ -243,6 +304,15 @@ func (m *Monitor) stepSequence(s *seqRule, tp *tuple.Tuple, fired *int) error {
 		s.pending = append(s.pending, tp.T)
 	}
 	return nil
+}
+
+// clearThrough marks rows 0..j of b dead, so a matcher run again
+// evaluates only the rows after j. Poll owns the batch, and every
+// verdict on rows up to j is already taken.
+func clearThrough(b *tuple.Batch, j int) {
+	clear(b.Live[:j>>6])
+	b.Live[j>>6] &^= 1<<uint(j&63+1) - 1
+	b.Alive = tuple.PopCount(b.Live)
 }
 
 // WindowPoint is one sliding-window aggregate sample.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"strings"
 	"testing"
 
 	"fungusdb/internal/core"
@@ -161,6 +162,139 @@ func TestSequenceAcrossPolls(t *testing.T) {
 	m.Poll() // then seen in poll 2
 	if count != 1 {
 		t.Errorf("cross-poll sequence fired %d", count)
+	}
+}
+
+// TestPollRuleOrderAndErrorPrecedence pins what Poll does with several
+// rules over several rows: events fire row by row, and within a row in
+// rule order, simple rules before sequence rules. The first error in
+// that (row, rule) order ends the Poll after the events before it have
+// fired, and the rows that Poll read are not read again. A sequence
+// rule's first predicate is evaluated only where its then predicate did
+// not fire, so an error it would raise on such a row never surfaces.
+func TestPollRuleOrderAndErrorPrecedence(t *testing.T) {
+	type fired struct {
+		rule      string
+		sev       int64
+		firstTick int64
+	}
+	record := func(got *[]fired) Action {
+		return func(e Event) {
+			*got = append(*got, fired{e.Rule, e.Tuple.Attrs[1].AsInt(), int64(e.First.T)})
+		}
+	}
+	same := func(got, want []fired) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	t.Run("first error ends the poll", func(t *testing.T) {
+		db, tbl := newTable(t, nil)
+		m := NewMonitor(tbl)
+		var got []fired
+		if err := m.OnMatch("low", "sev < 5", record(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.OnMatch("div", "10 / (sev - 3) > 1", record(&got)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.OnSequence("pair", "sev = 1", "sev = 2", 10, record(&got)); err != nil {
+			t.Fatal(err)
+		}
+		for sev := 1; sev <= 4; sev++ {
+			db.Tick()
+			tbl.Insert(core.Row("web-1", sev))
+		}
+		n, err := m.Poll()
+		if err == nil || !strings.Contains(err.Error(), `rule "div"`) || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("Poll error = %v, want rule \"div\" dividing by zero", err)
+		}
+		want := []fired{{"low", 1, 0}, {"low", 2, 0}, {"pair", 2, 1}, {"low", 3, 0}}
+		if n != len(want) || !same(got, want) {
+			t.Fatalf("Poll fired %d: %v, want %v", n, got, want)
+		}
+		if st := m.Stats(); st.Polled != 3 || st.Fired != 4 || st.Missed != 0 {
+			t.Errorf("stats = %+v, want 3 polled, 4 fired", st)
+		}
+
+		// The rows that poll read, erroring or not, are not re-polled.
+		got = nil
+		if n, err := m.Poll(); n != 0 || err != nil || len(got) != 0 {
+			t.Fatalf("second Poll = %d, %v, events %v", n, err, got)
+		}
+		db.Tick()
+		tbl.Insert(core.Row("web-1", 6))
+		n, err = m.Poll()
+		if want := []fired{{"div", 6, 0}}; err != nil || n != 1 || !same(got, want) {
+			t.Fatalf("third Poll = %d, %v, events %v, want %v", n, err, got, want)
+		}
+	})
+
+	t.Run("sequence first is not evaluated where then fires", func(t *testing.T) {
+		db, tbl := newTable(t, nil)
+		m := NewMonitor(tbl)
+		var got []fired
+		if err := m.OnSequence("pair", "10 / (sev - 3) > 1", "sev = 3", 10, record(&got)); err != nil {
+			t.Fatal(err)
+		}
+		for _, sev := range []int{4, 3, 4, 3} {
+			db.Tick()
+			tbl.Insert(core.Row("web-1", sev))
+		}
+		n, err := m.Poll()
+		want := []fired{{"pair", 3, 1}, {"pair", 3, 3}}
+		if err != nil || n != len(want) || !same(got, want) {
+			t.Fatalf("Poll = %d, %v, events %v, want %v", n, err, got, want)
+		}
+
+		// With nothing pending, then does not fire and first runs.
+		got = nil
+		db.Tick()
+		tbl.Insert(core.Row("web-1", 3))
+		n, err = m.Poll()
+		if err == nil || !strings.Contains(err.Error(), `rule "pair"`) || n != 0 || len(got) != 0 {
+			t.Fatalf("Poll = %d, %v, events %v, want rule \"pair\" dividing by zero", n, err, got)
+		}
+	})
+}
+
+// TestStringRuleAcrossBatchesAndPolls: a STRING rule keeps matching the
+// right tuples when a poll spans several batches and when the next poll
+// brings other strings in the same positions.
+func TestStringRuleAcrossBatchesAndPolls(t *testing.T) {
+	_, tbl := newTable(t, nil)
+	m := NewMonitor(tbl)
+	var got []string
+	if err := m.OnMatch("web", "host LIKE 'web-%'", func(e Event) { got = append(got, e.Tuple.Attrs[0].AsString()) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, hosts := range [][]string{{"web-1", "db-1", "web-2"}, {"db-2", "web-3", "cache"}} {
+		got = nil
+		want := 0
+		for i := 0; i < 2500; i++ {
+			h := hosts[i%len(hosts)]
+			if strings.HasPrefix(h, "web-") {
+				want++
+			}
+			if _, err := tbl.Insert(core.Row(h, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := m.Poll(); err != nil || n != want || len(got) != want {
+			t.Fatalf("hosts %v: Poll = %d, %v with %d events, want %d", hosts, n, err, len(got), want)
+		}
+		for _, h := range got {
+			if !strings.HasPrefix(h, "web-") {
+				t.Fatalf("hosts %v: rule fired for %q", hosts, h)
+			}
+		}
 	}
 }
 

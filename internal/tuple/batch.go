@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"fungusdb/internal/clock"
 )
@@ -76,6 +77,75 @@ func (b *Batch) ReadRow(j int, dst *Tuple) {
 		dst.Attrs[i] = b.Cols[i].Value(j)
 	}
 }
+
+// Fill lays rows out as the batch, every row live: the inverse of
+// ReadRow, for callers that hold tuples and run a batch program over
+// them. It reuses the batch's slices, gives each STRING value a
+// dictionary entry of its own, and takes a fresh Seg tag, so a cache
+// keyed on an earlier fill's tag is never probed against these strings.
+// Every row must match schema, and len(rows) must not exceed BatchRows.
+func (b *Batch) Fill(schema *Schema, rows []Tuple) {
+	n := len(rows)
+	b.N, b.Alive, b.Seg = n, n, NewSegTag()
+	b.IDs, b.Ts, b.Fs, b.Inf = resize(b.IDs, n), resize(b.Ts, n), resize(b.Fs, n), resize(b.Inf, n)
+	b.Live = resize(b.Live, (n+63)/64)
+	for w := range b.Live {
+		b.Live[w] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		b.Live[n>>6] = 1<<uint(n&63) - 1
+	}
+	for j := range rows {
+		tp := &rows[j]
+		b.IDs[j], b.Ts[j], b.Fs[j], b.Inf[j] = tp.ID, int64(tp.T), float64(tp.F), tp.Infected
+	}
+	b.Cols = resize(b.Cols, schema.Len())
+	for i := range b.Cols {
+		cv := &b.Cols[i]
+		cv.Kind = schema.Column(i).Kind
+		switch cv.Kind {
+		case KindInt:
+			cv.Ints = resize(cv.Ints, n)
+			for j := range rows {
+				cv.Ints[j] = rows[j].Attrs[i].AsInt()
+			}
+		case KindFloat:
+			cv.Floats = resize(cv.Floats, n)
+			for j := range rows {
+				cv.Floats[j] = rows[j].Attrs[i].AsFloat()
+			}
+		case KindString:
+			cv.Codes, cv.Dict = resize(cv.Codes, n), resize(cv.Dict, n)
+			for j := range rows {
+				cv.Codes[j], cv.Dict[j] = uint32(j), rows[j].Attrs[i].AsString()
+			}
+		case KindBool:
+			cv.Bools = resize(cv.Bools, n)
+			for j := range rows {
+				cv.Bools[j] = rows[j].Attrs[i].AsBool()
+			}
+		}
+	}
+}
+
+// resize returns s with length n, reallocating only when it lacks the
+// capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// segTags hands out batch revision tags (see Batch.Seg) process-wide.
+var segTags atomic.Uint64
+
+// NewSegTag returns a revision tag no earlier call returned. Storage
+// takes one per segment, and again whenever compaction rewrites a
+// segment's columns, so per-segment caches built over the dictionary —
+// predicate translate tables in the query layer — invalidate exactly
+// when the dictionary can have changed.
+func NewSegTag() uint64 { return segTags.Add(1) }
 
 // Row materialises row j as a freshly allocated tuple.
 func (b *Batch) Row(j int) Tuple {
