@@ -562,9 +562,10 @@ func BenchmarkAblationEGIScan(b *testing.B) {
 		s.Insert(1, core.Row("s", float64(i)))
 	}
 	heal := func() {
-		s.Scan(func(tp *tuple.Tuple) bool {
-			tp.F = tuple.Full
-			tp.Infected = false
+		s.EachBatch(func(bt *tuple.Batch) bool {
+			for j := range bt.Fs {
+				bt.Fs[j], bt.Inf[j] = float64(tuple.Full), false
+			}
 			return true
 		})
 	}
@@ -736,17 +737,19 @@ func BenchmarkAblationAgeBias(b *testing.B) {
 				// One seed (plus its two neighbours) is infected; its
 				// position is the midpoint of the infected ID range.
 				lo, hi, found := tuple.ID(0), tuple.ID(0), false
-				s.Scan(func(tp *tuple.Tuple) bool {
-					if tp.Infected {
-						if !found {
-							lo = tp.ID
-							found = true
+				s.EachBatch(func(bt *tuple.Batch) bool {
+					tuple.EachSet(bt.Live, func(j int) bool {
+						if bt.Inf[j] {
+							if !found {
+								lo = bt.IDs[j]
+								found = true
+							}
+							hi = bt.IDs[j]
+							bt.Fs[j], bt.Inf[j] = float64(tuple.Full), false
+							egi.Forget(bt.IDs[j])
 						}
-						hi = tp.ID
-						tp.Infected = false
-						tp.F = tuple.Full
-						egi.Forget(tp.ID)
-					}
+						return true
+					})
 					return true
 				})
 				if found {

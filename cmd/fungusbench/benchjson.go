@@ -17,6 +17,8 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,12 +41,57 @@ type BenchEntry struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// BenchReport is the BENCH_*.json schema.
+// BenchReport is the BENCH_*.json schema. The environment block
+// (GoVersion, NumCPU, GOMAXPROCS, Commit) records where a report was
+// made; reports written before it existed parse with the block empty.
 type BenchReport struct {
 	GOOS       string       `json:"goos,omitempty"`
 	GOARCH     string       `json:"goarch,omitempty"`
 	CPU        string       `json:"cpu,omitempty"`
+	GoVersion  string       `json:"go_version,omitempty"`
+	NumCPU     int          `json:"num_cpu,omitempty"`
+	GOMAXPROCS int          `json:"gomaxprocs,omitempty"`
+	Commit     string       `json:"commit,omitempty"`
 	Benchmarks []BenchEntry `json:"benchmarks"`
+}
+
+// stampEnvironment fills rep's environment block from this process: the
+// Go toolchain, the CPU count and GOMAXPROCS of the machine that parses
+// the report (in CI, the runner that just ran the benchmarks), and the
+// commit under test — GITHUB_SHA when GitHub Actions sets it, else the
+// vcs.revision stamped into this binary, else empty.
+func stampEnvironment(rep *BenchReport) {
+	rep.GoVersion = runtime.Version()
+	rep.NumCPU = runtime.NumCPU()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep.Commit = os.Getenv("GITHUB_SHA")
+	if bi, ok := debug.ReadBuildInfo(); ok && rep.Commit == "" {
+		for _, kv := range bi.Settings {
+			if kv.Key == "vcs.revision" {
+				rep.Commit = kv.Value
+			}
+		}
+	}
+}
+
+// environment renders rep's environment on one line.
+func (rep BenchReport) environment() string {
+	if rep.GoVersion == "" && rep.NumCPU == 0 && rep.GOMAXPROCS == 0 {
+		return "no environment recorded"
+	}
+	commit := rep.Commit
+	if commit == "" {
+		commit = "unknown"
+	}
+	return fmt.Sprintf("%s %s/%s, %d CPUs (%s), GOMAXPROCS %d, commit %s",
+		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.NumCPU, rep.CPU, rep.GOMAXPROCS, commit)
+}
+
+// sameMachine reports whether two reports ran on the same kind of
+// machine and toolchain; the commit may differ.
+func sameMachine(a, b BenchReport) bool {
+	return a.GOOS == b.GOOS && a.GOARCH == b.GOARCH && a.CPU == b.CPU &&
+		a.GoVersion == b.GoVersion && a.NumCPU == b.NumCPU && a.GOMAXPROCS == b.GOMAXPROCS
 }
 
 // benchLine matches e.g.
@@ -149,8 +196,14 @@ const allocSlack = 16
 // sliding back to O(rows) inside the timing noise; it applies where
 // both reports carry a count (cells run with -benchmem).
 // Benchmarks only in one report are noted, not failed, so adding or
-// retiring a benchmark never blocks CI.
+// retiring a benchmark never blocks CI. The header names both sides'
+// environments, with a notice when they differ; it never changes the
+// verdict.
 func compareReports(base, cur BenchReport, tolerance float64, out io.Writer) (regressions int) {
+	fmt.Fprintf(out, "  baseline: %s\n  current:  %s\n", base.environment(), cur.environment())
+	if !sameMachine(base, cur) {
+		fmt.Fprintln(out, "  note: the two reports come from different environments; ns/op ratios measure the machine as well as the change")
+	}
 	curBy := map[string]BenchEntry{}
 	for _, e := range cur.Benchmarks {
 		curBy[e.Name] = e
@@ -201,6 +254,7 @@ func runBenchJSON(inPath, outPath, baselinePath string, tolerance float64) int {
 		fmt.Fprintln(os.Stderr, "fungusbench: parse:", err)
 		return 2
 	}
+	stampEnvironment(&rep)
 	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "fungusbench: no benchmark lines found")
 		return 2

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -92,5 +94,53 @@ func TestCompareReportsGatesAllocs(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "400 ->     30000 allocs/op") {
 		t.Errorf("report does not show the allocation counts:\n%s", out.String())
+	}
+}
+
+// TestReportEnvironmentBlock: a fresh report carries the environment
+// block, the commit taken from GITHUB_SHA when set. A baseline written
+// before the block existed still parses and gates exactly as before;
+// the comparison header names both environments and notes that they
+// differ.
+func TestReportEnvironmentBlock(t *testing.T) {
+	t.Setenv("GITHUB_SHA", "0123abcd")
+	cur, err := parseBenchOutput(strings.NewReader(sampleBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampEnvironment(&cur)
+	if cur.GoVersion != runtime.Version() || cur.NumCPU != runtime.NumCPU() ||
+		cur.GOMAXPROCS != runtime.GOMAXPROCS(0) || cur.Commit != "0123abcd" {
+		t.Errorf("environment block = %q %d %d %q", cur.GoVersion, cur.NumCPU, cur.GOMAXPROCS, cur.Commit)
+	}
+	data, err := json.Marshal(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"go_version":`, `"num_cpu":`, `"gomaxprocs":`, `"commit":"0123abcd"`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("report JSON lacks %s: %s", key, data)
+		}
+	}
+
+	var old BenchReport
+	if err := json.Unmarshal([]byte(`{"goos":"linux","goarch":"amd64","benchmarks":[
+		{"name":"BenchmarkShardedTick/shards=1","ns_per_op":300000,"allocs_per_op":11,"runs":1},
+		{"name":"BenchmarkRecovery/shards=4","ns_per_op":13965574,"allocs_per_op":140199,"runs":1}]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if n := compareReports(old, cur, 0.25, &out); n != 1 { // ShardedTick +47%
+		t.Errorf("regressions = %d, want 1:\n%s", n, out.String())
+	}
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < 3 || lines[0] != "  baseline: no environment recorded" ||
+		!strings.HasPrefix(lines[1], "  current:  "+runtime.Version()) || !strings.HasPrefix(lines[2], "  note: ") {
+		t.Errorf("header:\n%s", out.String())
+	}
+	out.Reset()
+	compareReports(cur, cur, 0.25, &out)
+	if strings.Contains(out.String(), "note:") {
+		t.Errorf("same environment still noted:\n%s", out.String())
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // This file is the one execution path of the engine's read side, and
-// Prepare is its one way in. Every read — Table.SQL, the HTTP /v1/query
-// and container ask handlers, the streaming /v2/query, stream monitors,
-// the shell and the experiments — prepares a statement into a query.Plan
+// Prepare is its one way in. Every read — Table.SQL, the HTTP container
+// ask handler, the streaming /v2/query, stream monitors, the shell and
+// the experiments — prepares a statement into a query.Plan
 // (or fetches it from the per-table plan cache) and hands it to execPlan,
 // which routes it:
 //

@@ -14,7 +14,7 @@ import (
 
 // This file is the engine's differential harness. The oracle is the
 // simplest evaluator the repository has: dump every shard's live tuples
-// with Store.Scan, filter them with the tree interpreter (Expr.Eval),
+// one at a time by ID, filter them with the tree interpreter (Expr.Eval),
 // finish with query.Execute. Every execution route — stream, aggregate,
 // ordered top-k, material, consume — at shards 1 and 3, under rot,
 // consume and compaction churn, must return the oracle's rows in the
@@ -99,14 +99,20 @@ var oracleWheres = []string{
 }
 
 // oracleDump copies every shard's live tuples out, in shard ID order.
+// It reads one tuple at a time by ID, never through a batch walk, so a
+// bug in the walk the engine scans with shows up as a mismatch.
 func oracleDump(tbl *Table) [][]tuple.Tuple {
 	parts := make([][]tuple.Tuple, tbl.store.NumShards())
 	for i := range parts {
 		tbl.shardMu[i].RLock()
-		tbl.store.ScanShard(i, func(tp *tuple.Tuple) bool {
-			parts[i] = append(parts[i], tp.Clone())
-			return true
-		})
+		sh := tbl.store.Shard(i)
+		for id, ok := sh.FirstLive(); ok; id, ok = sh.NextLive(id) {
+			tp, err := sh.Get(id)
+			if err != nil {
+				panic(err)
+			}
+			parts[i] = append(parts[i], tp)
+		}
 		tbl.shardMu[i].RUnlock()
 	}
 	return parts

@@ -177,12 +177,9 @@ func scriptedRun(t *testing.T, seed int64, shards, workers int) string {
 	fmt.Fprintf(&b, "counters %s\n", c)
 	// Infected is fungus state no statement can select, so the live
 	// extent is read in-package.
-	tbl.rlockAll()
-	tbl.store.Scan(func(tp *tuple.Tuple) bool {
+	for _, tp := range liveByID(tbl) {
 		fmt.Fprintf(&b, "%d %d %.6f %v\n", tp.ID, tp.T, float64(tp.F), tp.Infected)
-		return true
-	})
-	tbl.runlockAll()
+	}
 	return b.String()
 }
 
@@ -455,10 +452,8 @@ func TestShardedTargetedTickMatchesRowModel(t *testing.T) {
 		if rep.TotalRot != wantRot {
 			t.Fatalf("tick %d: %d rotted, model %d", tick, rep.TotalRot, wantRot)
 		}
-		tbl.rlockAll()
-		live := 0
-		tbl.store.Scan(func(tp *tuple.Tuple) bool {
-			live++
+		live := liveByID(tbl)
+		for _, tp := range live {
 			r, ok := model[tp.ID]
 			switch {
 			case !ok:
@@ -466,11 +461,9 @@ func TestShardedTargetedTickMatchesRowModel(t *testing.T) {
 			case tp.F != r.f:
 				t.Errorf("tick %d: tuple %d (%s, %d, t=%d) freshness %v, model %v", tick, tp.ID, r.host, r.sev, r.at, tp.F, r.f)
 			}
-			return true
-		})
-		tbl.runlockAll()
-		if live != len(model) {
-			t.Fatalf("tick %d: %d live, model %d", tick, live, len(model))
+		}
+		if len(live) != len(model) {
+			t.Fatalf("tick %d: %d live, model %d", tick, len(live), len(model))
 		}
 		if t.Failed() {
 			t.FailNow()

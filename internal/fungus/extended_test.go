@@ -66,7 +66,7 @@ func TestTargetedShieldsNonMatching(t *testing.T) {
 	if len(rotten) != 0 {
 		t.Fatalf("rotted on tick 1: %v", rotten)
 	}
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachRow(s, func(tp *tuple.Tuple) {
 		want := tuple.Freshness(1.0)
 		if tp.Attrs[0].AsInt()%2 == 0 {
 			want = 0.4
@@ -74,7 +74,6 @@ func TestTargetedShieldsNonMatching(t *testing.T) {
 		if tp.F != want {
 			t.Errorf("tuple %d freshness %v, want %v", tp.ID, tp.F, want)
 		}
-		return true
 	})
 
 	rotten = f.Tick(2, s, r, nil)
@@ -106,14 +105,13 @@ func TestTargetedWithEGIShieldForgets(t *testing.T) {
 	}
 	// All odd tuples survive at full freshness.
 	count := 0
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachRow(s, func(tp *tuple.Tuple) {
 		if tp.Attrs[0].AsInt()%2 != 0 {
 			count++
 			if tp.F != tuple.Full {
 				t.Errorf("odd tuple %d decayed to %v", tp.ID, tp.F)
 			}
 		}
-		return true
 	})
 	if count != 4 {
 		t.Errorf("odd survivors = %d, want 4", count)
@@ -235,16 +233,15 @@ func TestStaggeredMatchesLinearLongRun(t *testing.T) {
 		linear.Tick(tick, sA, r, nil)
 		staggered.Tick(tick, sB, r, nil)
 	}
-	sA.Scan(func(tpA *tuple.Tuple) bool {
+	eachRow(sA, func(tpA *tuple.Tuple) {
 		tpB, err := sB.Get(tpA.ID)
 		if err != nil {
 			t.Errorf("tuple %d missing in staggered extent", tpA.ID)
-			return true
+			return
 		}
 		if d := float64(tpA.F - tpB.F); d > 1e-9 || d < -1e-9 {
 			t.Errorf("tuple %d: linear %v vs staggered %v", tpA.ID, tpA.F, tpB.F)
 		}
-		return true
 	})
 }
 
@@ -254,14 +251,13 @@ func TestStaggeredVisitsEachTupleOncePerCycle(t *testing.T) {
 	r := rng()
 	f.Tick(0, s, r, nil) // phase 0 touches IDs 0 and 4
 	touched := 0
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachRow(s, func(tp *tuple.Tuple) {
 		if tp.F < 1 {
 			touched++
 			if uint64(tp.ID)%4 != 0 {
 				t.Errorf("tuple %d touched in phase 0", tp.ID)
 			}
 		}
-		return true
 	})
 	if touched != 2 {
 		t.Errorf("touched %d tuples, want 2", touched)

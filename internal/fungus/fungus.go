@@ -38,9 +38,10 @@ import (
 // every column through EachBatch. Single tuples are addressed by ID, for
 // the neighbour walk and Update. Fungi must not insert or evict;
 // eviction of rotten tuples is the engine's job so it can distill
-// first. Every write touches freshness and infection state only —
-// attribute values are summarised by the storage layer's zone maps,
-// which this interface deliberately gives no way to outdate.
+// first. Every write touches freshness and infection state only:
+// attributes are immutable once inserted, which is what lets the
+// storage layer's zone maps summarise them without ever being
+// invalidated.
 type Extent interface {
 	Len() int
 	Update(id tuple.ID, fn func(*tuple.Tuple)) error

@@ -33,11 +33,10 @@ func TestNullNeverRots(t *testing.T) {
 		}
 	}
 	minF := tuple.Full
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachRow(s, func(tp *tuple.Tuple) {
 		if tp.F < minF {
 			minF = tp.F
 		}
-		return true
 	})
 	if minF != tuple.Full {
 		t.Errorf("Null decayed freshness to %v", minF)
@@ -169,12 +168,11 @@ func TestAccessRefreshTouch(t *testing.T) {
 		t.Fatal("EGI infected nothing in two ticks")
 	}
 	var victim tuple.ID
-	s.Scan(func(tp *tuple.Tuple) bool {
-		if tp.Infected {
-			victim = tp.ID
-			return false
+	found := false
+	eachRow(s, func(tp *tuple.Tuple) {
+		if tp.Infected && !found {
+			victim, found = tp.ID, true
 		}
-		return true
 	})
 	a.Touch(3, s, victim)
 	got, _ := s.Get(victim)
@@ -289,11 +287,10 @@ func TestEGIPrunesConsumedTuples(t *testing.T) {
 	}
 	// Note: the infection died with the tuple — no spread happened.
 	count := 0
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachRow(s, func(tp *tuple.Tuple) {
 		if tp.Infected {
 			count++
 		}
-		return true
 	})
 	if count != 0 {
 		t.Errorf("%d tuples infected after consumed seed", count)

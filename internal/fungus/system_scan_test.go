@@ -13,20 +13,31 @@ import (
 // tuples of a store, mutating freshness and infection in place.
 type rowLaw func(now clock.Tick, s *storage.Store, rng *rand.Rand, rotten []tuple.ID) []tuple.ID
 
+// eachRow is the walk the references below use: every live tuple in ID
+// order, found by FirstLive/NextLive and read and written back one at a
+// time through Update. It never goes through a batch walk, so a bug in
+// one cannot hide on both sides of a parity check.
+func eachRow(s *storage.Store, fn func(*tuple.Tuple)) {
+	for id, ok := s.FirstLive(); ok; id, ok = s.NextLive(id) {
+		if err := s.Update(id, fn); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // The references below are the laws as they read before they walked
-// column slices: one decoded tuple at a time through Store.Scan.
+// column slices: one decoded tuple at a time.
 
 func refTTL(lifetime uint64) rowLaw {
 	return func(now clock.Tick, s *storage.Store, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			age := uint64(now - tp.T)
 			if age >= lifetime {
 				tp.F = 0
 				rotten = append(rotten, tp.ID)
-				return true
+				return
 			}
 			tp.F = tuple.Freshness(1 - float64(age)/float64(lifetime))
-			return true
 		})
 		return rotten
 	}
@@ -34,12 +45,11 @@ func refTTL(lifetime uint64) rowLaw {
 
 func refLinear(rate float64) rowLaw {
 	return func(_ clock.Tick, s *storage.Store, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			tp.F = (tp.F - tuple.Freshness(rate)).Clamp()
 			if tp.F.Rotten() {
 				rotten = append(rotten, tp.ID)
 			}
-			return true
 		})
 		return rotten
 	}
@@ -47,13 +57,12 @@ func refLinear(rate float64) rowLaw {
 
 func refExponential(factor float64) rowLaw {
 	return func(_ clock.Tick, s *storage.Store, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			tp.F = tuple.Freshness(float64(tp.F) * factor)
 			if float64(tp.F) < rotThreshold {
 				tp.F = 0
 				rotten = append(rotten, tp.ID)
 			}
-			return true
 		})
 		return rotten
 	}
@@ -63,15 +72,14 @@ func refStaggered(rate float64, phases uint64) rowLaw {
 	return func(now clock.Tick, s *storage.Store, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
 		phase := uint64(now) % phases
 		step := tuple.Freshness(rate * float64(phases))
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			if uint64(tp.ID)%phases != phase {
-				return true
+				return
 			}
 			tp.F = (tp.F - step).Clamp()
 			if tp.F.Rotten() {
 				rotten = append(rotten, tp.ID)
 			}
-			return true
 		})
 		return rotten
 	}
@@ -79,19 +87,18 @@ func refStaggered(rate float64, phases uint64) rowLaw {
 
 func refValueRate(column int, scale float64) rowLaw {
 	return func(_ clock.Tick, s *storage.Store, _ *rand.Rand, rotten []tuple.ID) []tuple.ID {
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			if column < 0 || column >= len(tp.Attrs) {
-				return true
+				return
 			}
 			rate, ok := tp.Attrs[column].Numeric()
 			if !ok || rate < 0 {
-				return true
+				return
 			}
 			tp.F = (tp.F - tuple.Freshness(rate*scale)).Clamp()
 			if tp.F.Rotten() {
 				rotten = append(rotten, tp.ID)
 			}
-			return true
 		})
 		return rotten
 	}
@@ -103,11 +110,10 @@ func refValueRate(column int, scale float64) rowLaw {
 func refTargeted(inner Fungus, keep func(*tuple.Tuple) (bool, error)) rowLaw {
 	return func(now clock.Tick, s *storage.Store, rng *rand.Rand, rotten []tuple.ID) []tuple.ID {
 		var shield []tuple.Tuple
-		s.Scan(func(tp *tuple.Tuple) bool {
+		eachRow(s, func(tp *tuple.Tuple) {
 			if ok, _ := keep(tp); !ok {
 				shield = append(shield, tuple.Tuple{ID: tp.ID, F: tp.F, Infected: tp.Infected})
 			}
-			return true
 		})
 		before := len(rotten)
 		rotten = inner.Tick(now, s, rng, rotten)
@@ -137,13 +143,10 @@ type rowState struct {
 }
 
 // stateMap snapshots every live tuple's freshness and infection keyed by
-// ID.
+// ID, read by ID.
 func stateMap(s *storage.Store) map[tuple.ID]rowState {
 	m := make(map[tuple.ID]rowState, s.Len())
-	s.Scan(func(tp *tuple.Tuple) bool {
-		m[tp.ID] = rowState{tp.F, tp.Infected}
-		return true
-	})
+	eachRow(s, func(tp *tuple.Tuple) { m[tp.ID] = rowState{tp.F, tp.Infected} })
 	return m
 }
 

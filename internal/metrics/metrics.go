@@ -10,15 +10,23 @@ import (
 	"fmt"
 	"strings"
 
+	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 )
 
-// Scanner is the read-only extent view the profilers need;
-// *storage.Store implements it.
-type Scanner interface {
-	Len() int
-	Bytes() int
-	Scan(fn func(*tuple.Tuple) bool)
+// eachLive calls fn with the ID, freshness and infection flag of every
+// live tuple of ss, shard by shard and in ID order within a shard. It
+// reads only the system columns of each batch; no attribute is decoded.
+func eachLive(ss *storage.ShardedStore, fn func(id tuple.ID, f float64, inf bool)) {
+	for i := 0; i < ss.NumShards(); i++ {
+		ss.Shard(i).EachBatch(func(b *tuple.Batch) bool {
+			tuple.EachSet(b.Live, func(j int) bool {
+				fn(b.IDs[j], b.Fs[j], b.Inf[j])
+				return true
+			})
+			return true
+		})
+	}
 }
 
 // FreshnessProfile summarises the freshness distribution of an extent.
@@ -33,21 +41,21 @@ type FreshnessProfile struct {
 	Deciles [10]int
 }
 
-// Profile scans the extent once and returns its freshness profile.
-func Profile(s Scanner) FreshnessProfile {
-	p := FreshnessProfile{Live: s.Len(), Bytes: s.Bytes(), Min: 1}
+// Profile walks the extent once and returns its freshness profile. The
+// caller holds every shard's lock (read is enough).
+func Profile(ss *storage.ShardedStore) FreshnessProfile {
+	p := FreshnessProfile{Live: ss.Len(), Bytes: ss.Bytes(), Min: 1}
 	if p.Live == 0 {
 		p.Min = 0
 		return p
 	}
 	var sum float64
-	s.Scan(func(tp *tuple.Tuple) bool {
-		f := float64(tp.F)
+	eachLive(ss, func(_ tuple.ID, f float64, inf bool) {
 		sum += f
 		if f < p.Min {
 			p.Min = f
 		}
-		if tp.Infected {
+		if inf {
 			p.Infected++
 		}
 		idx := int(f * 10)
@@ -55,7 +63,6 @@ func Profile(s Scanner) FreshnessProfile {
 			idx = 9
 		}
 		p.Deciles[idx]++
-		return true
 	})
 	p.Mean = sum / float64(p.Live)
 	return p
@@ -98,21 +105,28 @@ type TimeBucket struct {
 
 // TimeSeries splits the live extent into n equal ID ranges and profiles
 // each, exposing where along the time axis the rot spots sit. Returns
-// nil for an empty extent.
-func TimeSeries(s Scanner, n int) []TimeBucket {
+// nil for an empty extent. The caller holds every shard's lock (read is
+// enough).
+func TimeSeries(ss *storage.ShardedStore, n int) []TimeBucket {
 	if n <= 0 {
 		panic("metrics: bucket count must be positive")
 	}
 	var first, last tuple.ID
 	found := false
-	s.Scan(func(tp *tuple.Tuple) bool {
-		if !found {
-			first = tp.ID
-			found = true
+	for i := 0; i < ss.NumShards(); i++ {
+		lo, ok := ss.Shard(i).FirstLive()
+		if !ok {
+			continue
 		}
-		last = tp.ID
-		return true
-	})
+		hi, _ := ss.Shard(i).LastLive()
+		if !found || lo < first {
+			first = lo
+		}
+		if !found || hi > last {
+			last = hi
+		}
+		found = true
+	}
 	if !found {
 		return nil
 	}
@@ -135,20 +149,18 @@ func TimeSeries(s Scanner, n int) []TimeBucket {
 		cursor += tuple.ID(w)
 	}
 	var sums []float64 = make([]float64, n)
-	s.Scan(func(tp *tuple.Tuple) bool {
+	eachLive(ss, func(id tuple.ID, f float64, inf bool) {
 		// Buckets are contiguous; locate by offset.
-		idx := bucketIndex(buckets, tp.ID)
+		idx := bucketIndex(buckets, id)
 		b := &buckets[idx]
 		b.Live++
-		f := float64(tp.F)
 		sums[idx] += f
 		if f < b.Min {
 			b.Min = f
 		}
-		if tp.Infected {
+		if inf {
 			b.Infected++
 		}
-		return true
 	})
 	for i := range buckets {
 		b := &buckets[i]

@@ -9,16 +9,18 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-func buildStore(t *testing.T, freshness []float64) *storage.Store {
+// buildStore builds a one-shard extent holding one tuple per freshness
+// value, with IDs 0, 1, 2, ...
+func buildStore(t *testing.T, freshness []float64) *storage.ShardedStore {
 	t.Helper()
-	s := storage.New(tuple.MustSchema(tuple.Column{Name: "n", Kind: tuple.KindInt}), storage.WithSegmentSize(8))
+	s := storage.NewSharded(tuple.MustSchema(tuple.Column{Name: "n", Kind: tuple.KindInt}), 1, storage.WithSegmentSize(8))
 	for i, f := range freshness {
 		tp, err := s.Insert(1, []tuple.Value{tuple.Int(int64(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fv := f
-		s.Update(tp.ID, func(x *tuple.Tuple) { x.F = tuple.Freshness(fv) })
+		s.Shard(0).Update(tp.ID, func(x *tuple.Tuple) { x.F = tuple.Freshness(fv) })
 	}
 	return s
 }
@@ -33,7 +35,7 @@ func TestProfileEmpty(t *testing.T) {
 
 func TestProfileStats(t *testing.T) {
 	s := buildStore(t, []float64{1.0, 0.5, 0.25, 0.05})
-	s.Update(3, func(tp *tuple.Tuple) { tp.Infected = true })
+	s.Shard(0).Update(3, func(tp *tuple.Tuple) { tp.Infected = true })
 	p := Profile(s)
 	if p.Live != 4 {
 		t.Errorf("Live = %d", p.Live)
@@ -95,7 +97,7 @@ func TestTimeSeriesSplitsEvenly(t *testing.T) {
 func TestTimeSeriesCountsDeadRanges(t *testing.T) {
 	s := buildStore(t, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	for id := tuple.ID(2); id < 6; id++ {
-		s.Evict(id)
+		s.Shard(0).Evict(id)
 	}
 	buckets := TimeSeries(s, 2)
 	if len(buckets) != 2 {

@@ -109,8 +109,8 @@ func parseExposition(t *testing.T, body string) (types map[string]string, tableV
 func TestMetricsExposition(t *testing.T) {
 	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT * FROM logs WHERE sev > 1"}); status != http.StatusOK {
-		t.Fatalf("status %d, body %q", status, body)
+	if status, lines := postQuery(t, ts.URL, `{"sql":"SELECT * FROM logs WHERE sev > 1"}`); status != http.StatusOK {
+		t.Fatalf("status %d, lines %q", status, lines)
 	}
 	if _, err := c.Tick(2); err != nil {
 		t.Fatal(err)
@@ -133,9 +133,9 @@ func TestMetricsExposition(t *testing.T) {
 	if types["fungusdb_http_query_seconds"] != "histogram" {
 		t.Errorf("latency histogram missing or mistyped: %q", types["fungusdb_http_query_seconds"])
 	}
-	// The v1 query above must have landed in the route histogram.
-	if !strings.Contains(body, `fungusdb_http_query_seconds_count{route="v1_query"} 1`) {
-		t.Errorf("v1_query latency not recorded:\n%s", body)
+	// The query above must have landed in the route histogram.
+	if !strings.Contains(body, `fungusdb_http_query_seconds_count{route="v2_query"} 1`) {
+		t.Errorf("v2_query latency not recorded:\n%s", body)
 	}
 	// Stable names: the acceptance set the dashboards build on.
 	for _, name := range []string{

@@ -164,86 +164,3 @@ func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
 		t.Errorf("client saw %d rows, err %v; want %d rows and an %s error", rows.Count(), rows.Err(), good, ErrCodeExec)
 	}
 }
-
-// v1Body posts a query to /v1/query and returns the status and raw
-// body. It is the tests' only way to /v1/query: pkg/client speaks /v2.
-func v1Body(t *testing.T, url string, q QueryRequest) (int, []byte) {
-	t.Helper()
-	req, _ := json.Marshal(q)
-	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body.Bytes()
-}
-
-// TestV1QueryNonFiniteFloatIsAnError: an answer holding a FLOAT with no
-// JSON encoding must come back as the 400 exec_error envelope, not as a
-// 200 whose body the encoder abandoned.
-func TestV1QueryNonFiniteFloatIsAnError(t *testing.T) {
-	c, db, ts := newServer(t, Config{})
-	seedV2(t, c, 0)
-	tbl, err := db.Table("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, lat := range []float64{1.5, math.Inf(-1), 2.5} {
-		if _, err := tbl.Insert(core.Row("web", i, lat, true)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT sev, latency FROM logs"})
-	var env errorBody
-	if err := json.Unmarshal(body, &env); status != http.StatusBadRequest || err != nil ||
-		env.Error.Code != ErrCodeExec || !strings.Contains(env.Error.Message, "-Inf") {
-		t.Fatalf("status %d, body %q (%v); want 400 and an %s error naming -Inf", status, body, err, ErrCodeExec)
-	}
-	// The rows around it are still answerable.
-	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT sev, latency FROM logs WHERE sev != 1"}); status != http.StatusOK ||
-		string(body) != `{"cols":["sev","latency"],"rows":[[0,1.5],[2,2.5]]}`+"\n" {
-		t.Errorf("status %d, body %q", status, body)
-	}
-}
-
-// TestV1QueryBodyMatchesEncodingJSON: the hand-assembled body is what
-// encoding/json writes for the same QueryResponse, byte for byte.
-func TestV1QueryBodyMatchesEncodingJSON(t *testing.T) {
-	c, db, ts := newServer(t, Config{})
-	seedV2(t, c, 0)
-	tbl, err := db.Table("logs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, host := range []string{"web-1", "<b>&\u2028", "", "h\u00e9llo \"q\" \\ \t"} {
-		if _, err := tbl.Insert(core.Row(host, i-1, float64(i)*1e-7, i%2 == 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sql := range []string{
-		"SELECT * FROM logs",
-		"SELECT host + \"<&>\", latency FROM logs WHERE sev > 0", // the column name needs escaping too
-		"SELECT host FROM logs WHERE sev > 100",
-		"SELECT COUNT(*) AS n, MAX(latency) AS hi FROM logs",
-	} {
-		g, err := tbl.SQL(sql)
-		if err != nil {
-			t.Fatalf("%q: %v", sql, err)
-		}
-		want := QueryResponse{Cols: g.Cols, Rows: [][]any{}}
-		for _, row := range g.Rows {
-			want.Rows = append(want.Rows, boxRow(row))
-		}
-		var ref bytes.Buffer
-		if err := json.NewEncoder(&ref).Encode(want); err != nil {
-			t.Fatal(err)
-		}
-		if status, body := v1Body(t, ts.URL, QueryRequest{SQL: sql}); status != http.StatusOK || !bytes.Equal(body, ref.Bytes()) {
-			t.Errorf("%q: status %d\n  body          %q\n  encoding/json %q", sql, status, body, ref.Bytes())
-		}
-	}
-}

@@ -10,7 +10,6 @@
 //	GET    /v1/tables/{table}/stats          profile + counters
 //	GET    /v1/tables/{table}/containers     shelf listing
 //	GET    /v1/tables/{table}/containers/{container}/ask?q=...   digest questions
-//	POST   /v1/query                         SELECT (incl. CONSUME) -> grid
 //	POST   /v1/tick                          advance decay n cycles
 //	POST   /v2/prepare                       compile SQL into a reusable handle
 //	POST   /v2/query                         execute a handle or SQL, rows streamed as NDJSON
@@ -18,7 +17,8 @@
 //	POST   /v2/replicate                     stream a table's shard WAL frames (leader side)
 //	GET    /metrics                          Prometheus text exposition
 //
-// Rows and grid cells travel as natural JSON values (numbers, strings,
+// Every SQL statement, CONSUME and "distill" included, goes through
+// POST /v2/query. Rows travel as natural JSON values (numbers, strings,
 // booleans) positionally matched to the table schema.
 //
 // A bulk insert answers 200 once its rows are stored and logged. It
@@ -99,8 +99,8 @@ type Server struct {
 }
 
 // latencyRoutes are the label values of the per-route query latency
-// histogram: the two SQL execution surfaces plus container questions.
-var latencyRoutes = []string{"v1_query", "v2_query", "ask"}
+// histogram: the SQL execution surface plus container questions.
+var latencyRoutes = []string{"v2_query", "ask"}
 
 // New wraps db with default configuration. The returned Server is an
 // http.Handler.
@@ -141,7 +141,6 @@ func NewWithConfig(db *core.DB, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/tables/{table}/stats", s.tableStats)
 	s.mux.HandleFunc("GET /v1/tables/{table}/containers", s.listContainers)
 	s.mux.HandleFunc("GET /v1/tables/{table}/containers/{container}/ask", s.askContainer)
-	s.mux.HandleFunc("POST /v1/query", s.runQuery)
 	s.mux.HandleFunc("POST /v1/tick", s.tick)
 	s.mux.HandleFunc("POST /v2/prepare", s.prepareV2)
 	s.mux.HandleFunc("POST /v2/query", s.queryV2)
@@ -651,22 +650,8 @@ func (s *Server) askContainer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// QueryRequest is the POST /v1/query body. SQL must be a SELECT
-// statement (use SELECT CONSUME for second-law semantics); Distill
-// optionally names a container absorbing the matched set.
-type QueryRequest struct {
-	SQL     string `json:"sql"`
-	Distill string `json:"distill,omitempty"`
-}
-
-// QueryResponse is a grid in JSON.
-type QueryResponse struct {
-	Cols []string `json:"cols"`
-	Rows [][]any  `json:"rows"`
-}
-
 // preparedForSQL routes a statement to its table and compiles it: the
-// single front door every SQL-shaped handler (v1 and v2) goes through.
+// single front door every SQL-shaped handler goes through.
 func (s *Server) preparedForSQL(w http.ResponseWriter, sql string) (*core.PreparedQuery, bool) {
 	stmt, err := query.ParseStatement(sql)
 	if err != nil {
@@ -684,52 +669,6 @@ func (s *Server) preparedForSQL(w http.ResponseWriter, sql string) (*core.Prepar
 		return nil, false
 	}
 	return pq, true
-}
-
-// runQuery is the v1 materialised endpoint, re-expressed as a shim
-// over the prepared path: Prepare, Execute, drain the stream into one
-// grid-shaped JSON body (a QueryResponse, rows encoded by the /v2 row
-// encoder). The body is complete before the status line goes out, so a
-// failure part-way — a NaN or infinite FLOAT has no JSON encoding —
-// still answers with the error envelope. Use /v2/query for NDJSON
-// streaming and parameter binding.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("v1_query", time.Now())
-	var req QueryRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	pq, ok := s.preparedForSQL(w, req.SQL)
-	if !ok {
-		return
-	}
-	rows, err := pq.ExecuteOpts(core.QueryOpts{Distill: req.Distill})
-	if err != nil {
-		writeExecErr(w, err)
-		return
-	}
-	defer rows.Close()
-	cols, _ := json.Marshal(rows.Cols()) // a []string always marshals
-	buf := append([]byte(`{"cols":`), cols...)
-	buf = append(buf, `,"rows":[`...)
-	n := 0
-	for ; rows.Next(); n++ {
-		if buf, err = appendRowJSON(buf, rows.Values()); err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
-			return
-		}
-		buf[len(buf)-1] = ',' // the row line's newline
-	}
-	if err := rows.Err(); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
-		return
-	}
-	if n > 0 {
-		buf = buf[:len(buf)-1]
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(append(buf, "]}\n"...)) // a failed write is a client that left
 }
 
 // TickRequest advances decay.

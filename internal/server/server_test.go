@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,6 +50,23 @@ func queryRows(c *client.Client, sql string) ([][]any, error) {
 		out = append(out, append([]any(nil), rows.Row()...))
 	}
 	return out, rows.Err()
+}
+
+// postQuery posts a raw /v2/query body — the way to reach fields
+// pkg/client does not send, such as "distill" — and returns the status
+// and the answer's NDJSON lines.
+func postQuery(t *testing.T, url, body string) (int, []string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v2/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 }
 
 // getJSON decodes a GET answer for the fields pkg/client does not
@@ -109,18 +127,18 @@ func TestQueryGroupBy(t *testing.T) {
 	}
 }
 
-// TestConsumeAndContainersOverHTTP is the /v1/query + distill check:
-// pkg/client speaks /v2/query, which has no distill field.
+// TestConsumeAndContainersOverHTTP is the CONSUME + distill check over
+// /v2/query: pkg/client has no distill option, so the body is raw.
 func TestConsumeAndContainersOverHTTP(t *testing.T) {
 	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT CONSUME * FROM logs WHERE sev <= 5", Distill: "serious"})
-	var g QueryResponse
-	if err := json.Unmarshal(body, &g); status != http.StatusOK || err != nil {
-		t.Fatalf("status %d, body %q (%v)", status, body, err)
+	status, lines := postQuery(t, ts.URL, `{"sql":"SELECT CONSUME * FROM logs WHERE sev <= 5","distill":"serious"}`)
+	var trailer StreamTrailer
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); status != http.StatusOK || err != nil || !trailer.Done {
+		t.Fatalf("status %d, lines %q (%v)", status, lines, err)
 	}
-	if len(g.Rows) != 2 {
-		t.Fatalf("consumed rows = %d", len(g.Rows))
+	if len(lines) != 4 || trailer.Rows != 2 { // header + 2 rows + trailer
+		t.Fatalf("consumed rows = %d, lines %q", trailer.Rows, lines)
 	}
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/tables/logs/stats", &st)
@@ -137,8 +155,8 @@ func TestConsumeAndContainersOverHTTP(t *testing.T) {
 func TestAskContainerOverHTTP(t *testing.T) {
 	c, _, ts := newServer(t, Config{})
 	seed(t, c)
-	if status, body := v1Body(t, ts.URL, QueryRequest{SQL: "SELECT CONSUME * FROM logs", Distill: "all"}); status != http.StatusOK {
-		t.Fatalf("status %d, body %q", status, body)
+	if status, lines := postQuery(t, ts.URL, `{"sql":"SELECT CONSUME * FROM logs","distill":"all"}`); status != http.StatusOK {
+		t.Fatalf("status %d, lines %q", status, lines)
 	}
 	cases := []struct {
 		q    string

@@ -1,8 +1,7 @@
-// The /v2 query surface: prepared statement handles plus NDJSON
-// streaming execution. Unlike /v1/query, which materialises the whole
-// grid into one JSON body, /v2/query writes one JSON value per line
-// and flushes as it goes, so an arbitrarily large answer set streams
-// through bounded server memory:
+// The /v2 query surface, the server's only SQL route: prepared
+// statement handles plus NDJSON streaming execution. /v2/query writes
+// one JSON value per line and flushes as it goes, so an arbitrarily
+// large answer set streams through bounded server memory:
 //
 //	POST /v2/prepare  {"sql": "SELECT ... WHERE x > ?"}
 //	  -> {"handle":"p1","table":"t","cols":[...],"params":1}

@@ -211,9 +211,9 @@ func TestV2ErrorCodes(t *testing.T) {
 		{"neither", "/v2/query", `{}`, 400, ErrCodeBadRequest},
 		{"bad param", "/v2/query", `{"sql":"SELECT * FROM logs WHERE sev > ?","params":[null]}`, 400, ErrCodeBadRequest},
 		{"arity", "/v2/query", `{"sql":"SELECT * FROM logs WHERE sev > ?"}`, 400, ErrCodeExec},
-		{"v1 parse", "/v1/query", `{"sql":"SELEC nope"}`, 400, ErrCodeParse},
-		{"v1 no table", "/v1/query", `{"sql":"SELECT * FROM nosuch"}`, 404, ErrCodeNotFound},
-		{"v1 plan", "/v1/query", `{"sql":"SELECT nosuch FROM logs"}`, 400, ErrCodePlan},
+		{"sql parse", "/v2/query", `{"sql":"SELEC nope"}`, 400, ErrCodeParse},
+		{"sql no table", "/v2/query", `{"sql":"SELECT * FROM nosuch"}`, 404, ErrCodeNotFound},
+		{"sql plan", "/v2/query", `{"sql":"SELECT nosuch FROM logs"}`, 400, ErrCodePlan},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

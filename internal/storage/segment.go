@@ -78,20 +78,6 @@ func (c *colVec) appendVal(v tuple.Value) {
 	}
 }
 
-// setVal overwrites row j. v's kind must match the column's.
-func (c *colVec) setVal(j int, v tuple.Value) {
-	switch c.kind {
-	case tuple.KindInt:
-		c.ints[j] = v.AsInt()
-	case tuple.KindFloat:
-		c.floats[j] = v.AsFloat()
-	case tuple.KindBool:
-		c.bools[j] = v.AsBool()
-	case tuple.KindString:
-		c.codes[j] = c.code(v.AsString())
-	}
-}
-
 // value boxes row j.
 func (c *colVec) value(j int) tuple.Value {
 	switch c.kind {
@@ -274,8 +260,8 @@ func (s *segment) readRow(j int, dst *tuple.Tuple) {
 	}
 }
 
-// writeBack persists the in-place mutations a scan callback is allowed
-// to make — freshness and infection state — from the decoded tuple back
+// writeBack persists the in-place mutations an Update is allowed to
+// make — freshness and infection state — from the decoded tuple back
 // into the columns.
 func (s *segment) writeBack(j int, tp *tuple.Tuple) {
 	s.fs[j] = float64(tp.F)

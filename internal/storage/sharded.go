@@ -16,14 +16,20 @@ import (
 // as an unsharded store; a one-shard ShardedStore is bit-for-bit
 // equivalent to a plain Store.
 //
+// Tuples are read shard by shard: through Shard(i), whose Store offers
+// the batch walks and the by-ID calls, or through ScanShardBatches and
+// ScanShardAxis. Nothing merges the shards row by row; a reader that
+// needs global ID order sorts or merges what the shards hand it.
+//
 // Like Store, a ShardedStore is not safe for concurrent use by itself —
 // the engine layer (internal/core) holds one lock per shard and fans
 // work out. The exception is NextShard, whose round-robin cursor is
 // atomic so concurrent inserters can claim shards without a global
-// lock. Methods that take a shard index (Shard, InsertShard, ScanShard)
-// touch only that shard and may run concurrently with operations on
-// other shards; whole-extent methods (Scan, Len, Stats, ...) touch
-// every shard and need all shard locks held.
+// lock. Methods that take a shard index (Shard, InsertShard,
+// ScanShardBatches, ScanShardAxis) touch only that shard and may run
+// concurrently with operations on other shards; whole-extent methods
+// (Len, Stats, Compact, ...) touch every shard and need all shard locks
+// held.
 type ShardedStore struct {
 	schema *tuple.Schema
 	shards []*Store
@@ -144,114 +150,6 @@ func (ss *ShardedStore) Stats() Stats {
 	return out
 }
 
-// Get returns a copy of the live tuple with the given id.
-func (ss *ShardedStore) Get(id tuple.ID) (tuple.Tuple, error) {
-	return ss.shards[ss.ShardOf(id)].Get(id)
-}
-
-// Contains reports whether id refers to a live tuple.
-func (ss *ShardedStore) Contains(id tuple.ID) bool {
-	return ss.shards[ss.ShardOf(id)].Contains(id)
-}
-
-// Update applies fn to the live tuple with id in place (freshness and
-// infection state only — see Store.Update).
-func (ss *ShardedStore) Update(id tuple.ID, fn func(*tuple.Tuple)) error {
-	return ss.shards[ss.ShardOf(id)].Update(id, fn)
-}
-
-// UpdateAttrs applies fn to the live tuple with id, allowing attribute
-// mutation (invalidates the owning segment's zone map).
-func (ss *ShardedStore) UpdateAttrs(id tuple.ID, fn func(*tuple.Tuple)) error {
-	return ss.shards[ss.ShardOf(id)].UpdateAttrs(id, fn)
-}
-
-// Evict tombstones the tuple with id.
-func (ss *ShardedStore) Evict(id tuple.ID) error {
-	return ss.shards[ss.ShardOf(id)].Evict(id)
-}
-
-// cursor walks one shard's live rows in ID order without callbacks, so
-// Scan can k-way merge shards. Each cursor decodes into its own scratch
-// tuple and remembers the row behind it, so the merge loop can write
-// freshness/infection mutations back after every callback.
-type cursor struct {
-	s    *Store
-	seg  int
-	slot int
-	buf  tuple.Tuple
-	cur  *segment // segment of the row buf was decoded from
-	curJ int
-}
-
-func (c *cursor) next() *tuple.Tuple {
-	for c.seg < len(c.s.segs) {
-		sg := c.s.segs[c.seg]
-		if sg == nil {
-			c.seg++
-			c.slot = 0
-			continue
-		}
-		for c.slot < sg.rows() {
-			j := c.slot
-			c.slot++
-			if sg.liveAt(j) {
-				sg.readRow(j, &c.buf)
-				c.cur, c.curJ = sg, j
-				return &c.buf
-			}
-		}
-		c.seg++
-		c.slot = 0
-	}
-	return nil
-}
-
-// writeBack persists the scan-mutable fields of the current row.
-func (c *cursor) writeBack() { c.cur.writeBack(c.curJ, &c.buf) }
-
-// Scan calls fn for every live tuple in global insertion (time) order,
-// merging the shards by ID. The pointer passed to fn is valid only
-// during the call; fn must not evict or insert, and may mutate only
-// freshness and infection state (written back after each call).
-// Returning false stops the scan.
-func (ss *ShardedStore) Scan(fn func(*tuple.Tuple) bool) {
-	if len(ss.shards) == 1 {
-		ss.shards[0].Scan(fn)
-		return
-	}
-	cursors := make([]cursor, len(ss.shards))
-	heads := make([]*tuple.Tuple, len(ss.shards))
-	for i, sh := range ss.shards {
-		cursors[i] = cursor{s: sh, seg: sh.first}
-		heads[i] = cursors[i].next()
-	}
-	for {
-		best := -1
-		for i, h := range heads {
-			if h != nil && (best < 0 || h.ID < heads[best].ID) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		ok := fn(heads[best])
-		cursors[best].writeBack()
-		if !ok {
-			return
-		}
-		heads[best] = cursors[best].next()
-	}
-}
-
-// ScanShard scans only shard i, in that shard's ID order.
-//
-//fungusvet:requires shardlock
-func (ss *ShardedStore) ScanShard(i int, fn func(*tuple.Tuple) bool) {
-	ss.shards[i].Scan(fn)
-}
-
 // ScanShardBatches scans only shard i as columnar batches (see
 // Store.ScanBatches), reporting what was pruned.
 //
@@ -279,10 +177,10 @@ func (ss *ShardedStore) Compact() int {
 	return n
 }
 
-// Restore appends a tuple during snapshot load, routing by ID residue.
-// Global IDs must be strictly increasing across calls (the snapshot is
-// written in global scan order), which keeps every shard's sequence
-// increasing too.
+// Restore appends a tuple during recovery, routing by ID residue.
+// Global IDs must be strictly increasing across calls (resharding
+// recovery restores in sorted ID order), which keeps every shard's
+// sequence increasing too.
 func (ss *ShardedStore) Restore(tp tuple.Tuple) error {
 	return ss.shards[ss.ShardOf(tp.ID)].Restore(tp)
 }

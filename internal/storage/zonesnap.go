@@ -26,8 +26,8 @@ type pendingZone struct {
 }
 
 // AppendZones serialises every usable segment zone map of the store to
-// dst. Dirty or empty summaries are skipped: recovery rebuilds those
-// the ordinary way. The blob is self-describing and safe to hand to a
+// dst. Empty summaries are skipped: recovery rebuilds those the
+// ordinary way. The blob is self-describing and safe to hand to a
 // store with a different shard count or segment size — records that do
 // not line up with the reader's layout are simply dropped.
 func (s *Store) AppendZones(dst []byte) []byte {

@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,14 +48,34 @@ func appendRows(t testing.TB, ss *storage.ShardedStore, sl *ShardedLog, n int) {
 	}
 }
 
+// liveTuples reads every live tuple of ss by ID, in global ID order.
+func liveTuples(ss *storage.ShardedStore) []tuple.Tuple {
+	var out []tuple.Tuple
+	for i := 0; i < ss.NumShards(); i++ {
+		eachByID(ss.Shard(i), func(tp tuple.Tuple) { out = append(out, tp) })
+	}
+	slices.SortFunc(out, func(a, b tuple.Tuple) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// has reports whether ss holds a live tuple with id.
+func has(ss *storage.ShardedStore, id tuple.ID) bool {
+	_, err := ss.Shard(ss.ShardOf(id)).Get(id)
+	return err == nil
+}
+
+// evict tombstones id in the shard that owns it.
+func evict(ss *storage.ShardedStore, id tuple.ID) error {
+	return ss.Shard(ss.ShardOf(id)).Evict(id)
+}
+
 // signature captures the full recovered state: IDs, insertion ticks,
-// freshness, infection and attributes in global scan order.
+// freshness, infection and attributes in global ID order.
 func signature(ss *storage.ShardedStore) string {
 	var b strings.Builder
-	ss.Scan(func(tp *tuple.Tuple) bool {
+	for _, tp := range liveTuples(ss) {
 		fmt.Fprintf(&b, "%d|%d|%g|%v|%v\n", tp.ID, tp.T, tp.F, tp.Infected, tp.Attrs)
-		return true
-	})
+	}
 	return b.String()
 }
 
@@ -106,14 +129,14 @@ func TestShardedTornTailIsolatedPerShard(t *testing.T) {
 	if got.Len() != n-1 {
 		t.Fatalf("recovered %d tuples, want %d (one torn record)", got.Len(), n-1)
 	}
-	if got.Contains(38) {
+	if has(got, 38) {
 		t.Error("torn final record of shard 2 came back")
 	}
 	for id := 0; id < n; id++ {
 		if id == 38 {
 			continue
 		}
-		if !got.Contains(tuple.ID(id)) {
+		if !has(got, tuple.ID(id)) {
 			t.Errorf("tuple %d lost to another shard's torn tail", id)
 		}
 	}
@@ -151,7 +174,7 @@ func TestShardedTornTailIsolatedPerShard(t *testing.T) {
 	if err := RecoverSharded(dir, again, shards); err != nil {
 		t.Fatal(err)
 	}
-	if !again.Contains(42) {
+	if !has(again, 42) {
 		t.Error("append after torn-tail truncation lost")
 	}
 }
@@ -167,7 +190,7 @@ func TestCrashBetweenSnapshotWriteAndManifestCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRows(t, ss, sl, 15) // post-checkpoint, logged only
-	if err := ss.Evict(4); err != nil {
+	if err := evict(ss, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.AppendEvict(ss.ShardOf(4), 4); err != nil {
@@ -282,7 +305,7 @@ func TestReshardNeverReusesIDs(t *testing.T) {
 				appendRows(t, ss, sl, 10) // IDs 20..29
 				// Consume the newest rows: no live tuple keeps their IDs.
 				for id := tuple.ID(20); id < 30; id++ {
-					if err := ss.Evict(id); err != nil {
+					if err := evict(ss, id); err != nil {
 						t.Fatal(err)
 					}
 					if err := sl.AppendEvict(ss.ShardOf(id), id); err != nil {
@@ -316,6 +339,92 @@ func TestReshardNeverReusesIDs(t *testing.T) {
 	}
 }
 
+// TestReshardKeepsEveryTuple: a reshard restores every tuple exactly —
+// ID, insertion tick, freshness bits, infection flag and attributes —
+// from a directory whose snapshot holds infected rows and compacted
+// (sparse) segments and whose log tail holds more inserts, evictions of
+// snapshot rows and consumed newest rows. The next insert takes no ID
+// that was ever allocated.
+func TestReshardKeepsEveryTuple(t *testing.T) {
+	for _, tc := range []struct{ from, to int }{{3, 2}, {2, 3}, {1, 4}, {4, 1}} {
+		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
+			dir := t.TempDir()
+			ss := storage.NewSharded(walSchema, tc.from, storage.WithSegmentSize(4))
+			sl, err := OpenSharded(dir, tc.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendRows(t, ss, sl, 60)
+			for id := tuple.ID(0); id < 60; id++ {
+				sh := ss.Shard(ss.ShardOf(id))
+				switch {
+				case id%5 == 2 || (id >= 24 && id < 36): // holes, and whole segments
+					if err := sh.Evict(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := sl.AppendEvict(ss.ShardOf(id), id); err != nil {
+						t.Fatal(err)
+					}
+				case id%3 == 0:
+					f := tuple.Freshness(math.Nextafter(float64(id)/61, 1))
+					if err := sh.Update(id, func(tp *tuple.Tuple) { tp.F, tp.Infected = f, id%2 == 0 }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if ss.Compact() == 0 {
+				t.Fatal("compaction reclaimed nothing")
+			}
+			if err := sl.Checkpoint(ss, tc.from); err != nil {
+				t.Fatal(err)
+			}
+			appendRows(t, ss, sl, 15) // IDs 60..74, logged only
+			for _, id := range []tuple.ID{3, 9, 40, 70, 71, 72, 73, 74} {
+				if err := evict(ss, id); err != nil {
+					t.Fatal(err)
+				}
+				if err := sl.AppendEvict(ss.ShardOf(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := liveTuples(ss)
+
+			got := storage.NewSharded(walSchema, tc.to, storage.WithSegmentSize(4))
+			if err := RecoverSharded(dir, got, tc.to); err != nil {
+				t.Fatal(err)
+			}
+			have := liveTuples(got)
+			if len(have) != len(want) {
+				t.Fatalf("recovered %d tuples, want %d", len(have), len(want))
+			}
+			infected := 0
+			for i, w := range want {
+				g := have[i]
+				if g.ID != w.ID || g.T != w.T || math.Float64bits(float64(g.F)) != math.Float64bits(float64(w.F)) ||
+					g.Infected != w.Infected || !slices.Equal(g.Attrs, w.Attrs) {
+					t.Fatalf("tuple %d: recovered %+v, want %+v", i, g, w)
+				}
+				if g.Infected {
+					infected++
+				}
+			}
+			if infected == 0 {
+				t.Fatal("no infected tuple survived to be checked")
+			}
+			tp, err := got.Insert(9, row("fresh", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tp.ID < 75 {
+				t.Fatalf("insert after resharding %d to %d took ID %d (IDs 0..74 were allocated)", tc.from, tc.to, tp.ID)
+			}
+		})
+	}
+}
+
 // Reopening a per-shard directory at a DIFFERENT shard count re-routes
 // every record to its new owner by ID residue and rewrites the layout.
 func TestRecoverShardedAcrossShardCounts(t *testing.T) {
@@ -325,7 +434,7 @@ func TestRecoverShardedAcrossShardCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRows(t, ss, sl, 13)
-	if err := ss.Evict(10); err != nil {
+	if err := evict(ss, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.AppendEvict(ss.ShardOf(10), 10); err != nil {

@@ -41,14 +41,23 @@ func snapshotBytes(tb testing.TB, st *storage.Store) []byte {
 	return b.Bytes()
 }
 
+// eachByID hands fn every live tuple of st in ID order, read one at a
+// time by ID rather than through a batch walk.
+func eachByID(st *storage.Store, fn func(tuple.Tuple)) {
+	for id, ok := st.FirstLive(); ok; id, ok = st.NextLive(id) {
+		tp, err := st.Get(id)
+		if err != nil {
+			panic(err)
+		}
+		fn(tp)
+	}
+}
+
 // tupleDump encodes every live tuple of st in ID order: IDs, insertion
 // ticks, freshness, infection and attributes.
 func tupleDump(st *storage.Store) []byte {
 	var out []byte
-	st.Scan(func(tp *tuple.Tuple) bool {
-		out = tuple.AppendEncode(out, *tp)
-		return true
-	})
+	eachByID(st, func(tp tuple.Tuple) { out = tuple.AppendEncode(out, tp) })
 	return out
 }
 

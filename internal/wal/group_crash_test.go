@@ -79,12 +79,12 @@ func TestGroupCommitCrashLosesOnlyUnacknowledged(t *testing.T) {
 				t.Fatalf("recovered %d tuples, want the %d acknowledged", got.Len(), acked)
 			}
 			for id := 0; id < acked; id++ {
-				if !got.Contains(tuple.ID(id)) {
+				if !has(got, tuple.ID(id)) {
 					t.Errorf("acknowledged tuple %d lost in crash", id)
 				}
 			}
 			for id := acked; id < acked+unacked; id++ {
-				if got.Contains(tuple.ID(id)) {
+				if has(got, tuple.ID(id)) {
 					t.Errorf("unacknowledged tuple %d survived the crash", id)
 				}
 			}
@@ -195,7 +195,7 @@ func TestGroupCommitCrashMidGroupConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, id := range ackedAtCrash {
-				if !got.Contains(id) {
+				if !has(got, id) {
 					t.Errorf("acknowledged tuple %d lost in mid-group crash", id)
 				}
 			}

@@ -119,7 +119,7 @@ func TestRecoverIdempotent(t *testing.T) {
 	}
 	appendRows(t, st, sl, 50)
 	for i := 0; i < 50; i += 3 {
-		st.Evict(tuple.ID(i))
+		evict(st, tuple.ID(i))
 		sl.AppendEvict(0, tuple.ID(i))
 	}
 	sl.Sync()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -477,21 +478,33 @@ func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallel
 // recoverReshard re-routes a per-shard directory written at a different
 // shard count. The old shards recover at their own count through
 // recoverMatched into a temporary store — the one replay loop, with its
-// per-shard stale-record and torn-tail rules — and every live tuple is
-// then restored into ss in the temporary store's merged ID order, which
-// routes each to its new owner by residue.
+// per-shard stale-record and torn-tail rules. Their live IDs are then
+// collected and sorted, and every tuple is restored into ss in that
+// global ID order, which routes each to its new owner by residue.
 func recoverReshard(dir string, man Manifest, ss *storage.ShardedStore, parallelism int) error {
 	old := storage.NewSharded(ss.Schema(), man.Shards)
 	if err := recoverMatched(dir, man, old, parallelism); err != nil {
 		return err
 	}
-	var err error
-	old.Scan(func(tp *tuple.Tuple) bool {
-		err = ss.Restore(*tp)
-		return err == nil
-	})
-	if err != nil {
-		return fmt.Errorf("wal: reshard: %w", err)
+	ids := make([]tuple.ID, 0, old.Len())
+	for i := 0; i < old.NumShards(); i++ {
+		old.Shard(i).ScanSystem(func(sids []tuple.ID, _ []int64, _ []float64, live []uint64) bool {
+			tuple.EachSet(live, func(j int) bool {
+				ids = append(ids, sids[j])
+				return true
+			})
+			return true
+		})
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		tp, err := old.Shard(old.ShardOf(id)).Get(id)
+		if err == nil {
+			err = ss.Restore(tp)
+		}
+		if err != nil {
+			return fmt.Errorf("wal: reshard: %w", err)
+		}
 	}
 	ss.FinishRestore()
 	// Old cursors round up into the new residue classes, so only the

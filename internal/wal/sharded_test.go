@@ -47,7 +47,7 @@ func TestRecoverPostCheckpointInsertOnLaggingShard(t *testing.T) {
 		if got.Len() != 4 {
 			t.Fatalf("shards=%d: recovered %d tuples, want 4 (post-checkpoint insert lost)", shards, got.Len())
 		}
-		if !got.Contains(3) {
+		if !has(got, 3) {
 			t.Fatalf("shards=%d: tuple 3 (post-checkpoint, lagging shard) missing after recovery", shards)
 		}
 		// The high-water mark still holds: fresh inserts never reuse IDs.

@@ -15,8 +15,8 @@ import (
 )
 
 // encodeSnapshotByRows is the row-at-a-time reference for
-// encodeSnapshot: the same header, then every live tuple decoded by
-// Store.Scan and written by tuple.AppendEncode.
+// encodeSnapshot: the same header, then every live tuple read by ID and
+// written by tuple.AppendEncode.
 func encodeSnapshotByRows(w io.Writer, store *storage.Store) error {
 	if _, err := w.Write(snapshotMagic[:]); err != nil {
 		return err
@@ -32,15 +32,8 @@ func encodeSnapshotByRows(w io.Writer, store *storage.Store) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	var buf []byte
-	var scanErr error
-	store.Scan(func(tp *tuple.Tuple) bool {
-		buf = tuple.AppendEncode(buf[:0], *tp)
-		_, scanErr = bw.Write(buf)
-		return scanErr == nil
-	})
-	if scanErr != nil {
-		return scanErr
+	if _, err := bw.Write(tupleDump(store)); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -76,10 +69,7 @@ func TestSnapshotFromColumnsMatchesRows(t *testing.T) {
 	}
 	churn := func(st *storage.Store, every int) {
 		var ids []tuple.ID
-		st.Scan(func(tp *tuple.Tuple) bool {
-			ids = append(ids, tp.ID)
-			return true
-		})
+		eachByID(st, func(tp tuple.Tuple) { ids = append(ids, tp.ID) })
 		for k, id := range ids {
 			switch {
 			case k%every == 0 || (k >= 8 && k < 16): // rows 8-15: one whole 8-row segment

@@ -181,7 +181,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.F != 0.25 || !got.Infected {
 		t.Errorf("decay state lost: %+v", got)
 	}
-	if dst.Contains(2) || dst.Contains(3) {
+	_, err2 := dst.Get(2)
+	_, err3 := dst.Get(3)
+	if err2 == nil || err3 == nil {
 		t.Error("evicted tuples resurrected")
 	}
 	// Inserts after restore must not collide with restored IDs.
@@ -256,7 +258,7 @@ func TestRecoverSnapshotPlusLog(t *testing.T) {
 	// Phase 2: more activity after the checkpoint.
 	tp6, _ := store.Insert(2, row("post", 6))
 	sl.AppendInsert(0, tp6)
-	store.Evict(1)
+	evict(store, 1)
 	sl.AppendEvict(0, 1)
 	if err := sl.Sync(); err != nil {
 		t.Fatal(err)
@@ -269,10 +271,10 @@ func TestRecoverSnapshotPlusLog(t *testing.T) {
 		if got.Len() != store.Len() {
 			t.Fatalf("shards=%d: recovered %d tuples, want %d", shards, got.Len(), store.Len())
 		}
-		if got.Contains(1) {
+		if has(got, 1) {
 			t.Errorf("shards=%d: evicted tuple recovered", shards)
 		}
-		if !got.Contains(6) {
+		if !has(got, 6) {
 			t.Errorf("shards=%d: post-checkpoint insert lost", shards)
 		}
 	}
@@ -349,9 +351,9 @@ func TestRecoverSparseSnapshotSegmentsSealed(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		store.Insert(1, row("x", int64(i)))
 	}
-	store.Evict(2)
-	store.Evict(3) // segment 1 fully dead
-	store.Evict(5) // segment 2 half dead
+	evict(store, 2)
+	evict(store, 3) // segment 1 fully dead
+	evict(store, 5) // segment 2 half dead
 	sl, err := OpenSharded(dir, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +372,7 @@ func TestRecoverSparseSnapshotSegmentsSealed(t *testing.T) {
 		// stay; every sealed segment the restore left must drop. At one
 		// shard that is segment 0 (segment 2 is the tail).
 		for _, id := range []tuple.ID{0, 1, 4} {
-			if err := got.Evict(id); err != nil {
+			if err := evict(got, id); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -26,14 +26,11 @@ func countZoneFolds(t *testing.T) *int {
 // a scan whose skip callback rejects everything must skip every live
 // tuple (segments without a usable summary are never offered for
 // pruning and would be scanned instead).
-func zonesUsable(t *testing.T, s interface {
-	Len() int
-	ScanPruned(func(*storage.ZoneMap) bool, func(*tuple.Tuple) bool) storage.PruneStats
-}) {
+func zonesUsable(t *testing.T, s *storage.Store) {
 	t.Helper()
-	ps := s.ScanPruned(
+	ps := s.ScanBatches(
 		func(*storage.ZoneMap) bool { return true },
-		func(*tuple.Tuple) bool { return true },
+		func(*tuple.Batch) bool { return true },
 	)
 	if ps.Tuples != s.Len() {
 		t.Errorf("only %d of %d live tuples sit under usable zone maps", ps.Tuples, s.Len())
@@ -74,14 +71,14 @@ func TestSnapshotZoneRestoreSkipsFolds(t *testing.T) {
 	// collect per-segment ID bounds from both stores and compare.
 	bounds := func(s *storage.Store) [][2]tuple.ID {
 		var out [][2]tuple.ID
-		s.ScanPruned(func(z *storage.ZoneMap) bool {
+		s.ScanBatches(func(z *storage.ZoneMap) bool {
 			lo, hi, ok := z.IDBounds()
 			if !ok {
 				t.Fatal("usable zone without ID bounds")
 			}
 			out = append(out, [2]tuple.ID{tuple.ID(lo.AsInt()), tuple.ID(hi.AsInt())})
 			return true
-		}, func(*tuple.Tuple) bool { return true })
+		}, func(*tuple.Batch) bool { return true })
 		return out
 	}
 	got, want := bounds(dst), bounds(src)
