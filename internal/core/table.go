@@ -395,31 +395,6 @@ func (t *Table) InsertBatch(rows [][]tuple.Value) ([]tuple.Tuple, error) {
 // batch straddling a group-commit window swap waits on every window it
 // touched.
 func (t *Table) InsertBatchDurable(rows [][]tuple.Value) ([]tuple.Tuple, wal.CommitWait, error) {
-	return t.insertRows(-1, rows)
-}
-
-// NextShard claims the next slot in the table's round-robin insert
-// rotation and returns the destination shard index. The ingest
-// pipeline's bounded-queue producer claims slots at enqueue time so
-// the shard rotation follows source arrival order even when per-shard
-// consumers drain at different speeds. Safe for concurrent use.
-func (t *Table) NextShard() int { return t.store.NextShard() }
-
-// InsertShardBatch appends rows to shard i alone, under only shard i's
-// lock — no other shard is touched, so a slow (contended) shard never
-// blocks inserts to the others. Callers route rows themselves, having
-// claimed rotation slots via NextShard; the bounded-queue ingest
-// consumers are the intended user. Rows are validated first; on error
-// the batch may be partially applied and failed rows come back
-// zero-valued, like InsertBatch.
-func (t *Table) InsertShardBatch(i int, rows [][]tuple.Value) ([]tuple.Tuple, error) {
-	tps, _, err := t.insertRows(i, rows)
-	return tps, err
-}
-
-// insertRows validates every row, then inserts them on shard i, or dealt
-// round-robin when i < 0.
-func (t *Table) insertRows(i int, rows [][]tuple.Value) ([]tuple.Tuple, wal.CommitWait, error) {
 	if len(rows) == 0 {
 		return nil, wal.CommitWait{}, nil
 	}
@@ -430,7 +405,7 @@ func (t *Table) insertRows(i int, rows [][]tuple.Value) ([]tuple.Tuple, wal.Comm
 		}
 	}
 	results := make([]tuple.Tuple, len(rows))
-	wait, err := t.insert(&rowSource{rows: rows, n: len(rows)}, i, results)
+	wait, err := t.insert(&rowSource{rows: rows, n: len(rows)}, results)
 	return results, wait, err
 }
 
@@ -445,7 +420,7 @@ func (t *Table) InsertColumns(cols []tuple.ColView, n int) (tuple.ID, error) {
 		return 0, err
 	}
 	var first [1]tuple.Tuple
-	_, err := t.insert(&rowSource{cols: cols, n: n}, -1, first[:])
+	_, err := t.insert(&rowSource{cols: cols, n: n}, first[:])
 	return first[0].ID, err
 }
 
@@ -480,19 +455,15 @@ func (t *Table) writable() error {
 	return nil
 }
 
-// insert runs validated rows through the per-shard loop: all on shard i,
-// or — when i < 0 — dealt round-robin as InsertBatch describes, the
-// shard groups in parallel. out[r] receives row r's tuple for
-// r < len(out). The error is the first failing group's.
-func (t *Table) insert(src *rowSource, i int, out []tuple.Tuple) (wal.CommitWait, error) {
+// insert runs validated rows through the per-shard loop, dealt
+// round-robin as InsertBatch describes, the shard groups in parallel.
+// out[r] receives row r's tuple for r < len(out). The error is the first
+// failing group's.
+func (t *Table) insert(src *rowSource, out []tuple.Tuple) (wal.CommitWait, error) {
 	if err := t.writable(); err != nil {
 		return wal.CommitWait{}, err
 	}
 	now := t.clk.Now()
-	if i >= 0 {
-		inserted, wait, err := t.insertShard(i, now, src, nil, out)
-		return wait, t.noteInserted(inserted, err)
-	}
 	n := t.store.NumShards()
 	groups := make([][]int, n)
 	for r := 0; r < src.n; r++ {

@@ -7,6 +7,7 @@ import (
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/query"
+	"fungusdb/internal/sketch"
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/workload"
 )
@@ -420,7 +421,7 @@ func E5Distill(cfg Config) *Table {
 		if err != nil {
 			panic(err)
 		}
-		want := exactQuantile(dwells, q)
+		want := sketch.ExactQuantile(dwells, q)
 		t.Add(fmt.Sprintf("q%g(dwell_ms)", q*100), want, got, relErr(got, want))
 	}
 	// Heavy hitter recall: are the true top-5 URLs reported in the
@@ -461,22 +462,6 @@ func relErr(got, want float64) float64 {
 	return d
 }
 
-func exactQuantile(data []float64, q float64) float64 {
-	cp := append([]float64(nil), data...)
-	// insertion of sort here avoids importing sketch just for the helper
-	sortFloats(cp)
-	if len(cp) == 0 {
-		return 0
-	}
-	pos := q * float64(len(cp)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 < len(cp) {
-		return cp[i]*(1-frac) + cp[i+1]*frac
-	}
-	return cp[i]
-}
-
 func topKeys(m map[string]int, k int) []string {
 	type kv struct {
 		k string
@@ -501,38 +486,6 @@ func topKeys(m map[string]int, k int) []string {
 		out[i] = all[i].k
 	}
 	return out
-}
-
-func sortFloats(x []float64) {
-	// stdlib sort; tiny wrapper keeps the import local to this file
-	quickSort(x, 0, len(x)-1)
-}
-
-func quickSort(x []float64, lo, hi int) {
-	for lo < hi {
-		p := x[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for x[i] < p {
-				i++
-			}
-			for x[j] > p {
-				j--
-			}
-			if i <= j {
-				x[i], x[j] = x[j], x[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSort(x, lo, j)
-			lo = i
-		} else {
-			quickSort(x, i, hi)
-			hi = j
-		}
-	}
 }
 
 // E6Extinction — DESIGN.md "Figure 2". Parameter sweep: ticks until the

@@ -147,8 +147,10 @@ func (h *Histogram) Buckets() (counts []uint64, lo, hi float64) {
 // Bytes returns the approximate memory footprint.
 func (h *Histogram) Bytes() int { return 8*len(h.buckets) + 64 }
 
-// ExactQuantile is a testing helper: the true q'th quantile of data
-// using the same nearest-rank-with-interpolation convention.
+// ExactQuantile returns the true q'th quantile of data: position
+// q·(len-1) of the sorted values, interpolated linearly between the two
+// ranks around it. It is the reference that sketch estimates are
+// measured against.
 func ExactQuantile(data []float64, q float64) float64 {
 	if len(data) == 0 {
 		return 0

@@ -1,8 +1,8 @@
 // Package workload synthesises the data streams the paper's motivation
-// names — the "data deluge" of sensors, clicks and logs — plus query
-// workloads over them. All generators are deterministic given their
-// seed, so experiments are reproducible. See DESIGN.md: these stand in
-// for the production traces the paper (a vision piece) does not ship.
+// names — the "data deluge" of sensors, clicks and logs. All generators
+// are deterministic given their seed, so experiments are reproducible.
+// See DESIGN.md: these stand in for the production traces the paper (a
+// vision piece) does not ship.
 package workload
 
 import (
@@ -194,63 +194,5 @@ func (g *Syslog) Next() []tuple.Value {
 		tuple.Int(sev),
 		tuple.Int(status),
 		tuple.String_(syslogMessages[g.rng.Intn(len(syslogMessages))]),
-	}
-}
-
-// Queries generates WHERE clauses matched to a generator's schema, used
-// by the blue-cheese and consume experiments.
-type Queries struct {
-	rng  *rand.Rand
-	kind string
-}
-
-// NewQueries builds a query generator for the named workload ("iot",
-// "clickstream" or "syslog").
-func NewQueries(kind string, seed int64) (*Queries, error) {
-	switch kind {
-	case "iot", "clickstream", "syslog":
-		return &Queries{rng: rand.New(rand.NewSource(seed)), kind: kind}, nil
-	}
-	return nil, fmt.Errorf("workload: no query generator for %q", kind)
-}
-
-// Next returns a WHERE clause. Clauses mix point, range and time-window
-// predicates with roughly the selectivity real dashboards have.
-func (q *Queries) Next(nowTick uint64) string {
-	switch q.kind {
-	case "iot":
-		switch q.rng.Intn(4) {
-		case 0:
-			return fmt.Sprintf("device = 'sensor-%03d'", q.rng.Intn(100))
-		case 1:
-			lo := 10 + q.rng.Float64()*20
-			return fmt.Sprintf("temp >= %.1f AND temp < %.1f", lo, lo+5)
-		case 2:
-			return "alarm"
-		default:
-			win := uint64(10 + q.rng.Intn(90))
-			if win > nowTick {
-				win = nowTick
-			}
-			return fmt.Sprintf("_t >= %d", nowTick-win)
-		}
-	case "clickstream":
-		switch q.rng.Intn(3) {
-		case 0:
-			return fmt.Sprintf("url = '/page/%04d'", q.rng.Intn(100))
-		case 1:
-			return "converted"
-		default:
-			return fmt.Sprintf("dwell_ms > %d", 1000+q.rng.Intn(5000))
-		}
-	default: // syslog
-		switch q.rng.Intn(3) {
-		case 0:
-			return fmt.Sprintf("severity <= %d", q.rng.Intn(5))
-		case 1:
-			return "status = 500"
-		default:
-			return fmt.Sprintf("host = 'host-%02d'", q.rng.Intn(10))
-		}
 	}
 }

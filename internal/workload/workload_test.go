@@ -3,9 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-
-	"fungusdb/internal/query"
-	"fungusdb/internal/tuple"
 )
 
 func TestGeneratorsProduceValidRows(t *testing.T) {
@@ -124,47 +121,5 @@ func TestGeneratorPanicsOnBadConfig(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestQueriesCompileAgainstSchemas(t *testing.T) {
-	for _, kind := range []string{"iot", "clickstream", "syslog"} {
-		var schema *tuple.Schema
-		switch kind {
-		case "iot":
-			schema = NewIoT(10, 1).Schema()
-		case "clickstream":
-			schema = NewClickstream(10, 10, 1).Schema()
-		case "syslog":
-			schema = NewSyslog(10, 1).Schema()
-		}
-		q, err := NewQueries(kind, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			src := q.Next(uint64(100 + i))
-			if _, err := query.Compile(src, schema); err != nil {
-				t.Fatalf("%s query %q does not compile: %v", kind, src, err)
-			}
-		}
-	}
-}
-
-func TestQueriesUnknownKind(t *testing.T) {
-	if _, err := NewQueries("nosuch", 1); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestQueriesTimeWindowClamped(t *testing.T) {
-	q, _ := NewQueries("iot", 7)
-	// With nowTick 0 every generated time-window predicate must clamp
-	// to _t >= 0 rather than underflowing.
-	for i := 0; i < 100; i++ {
-		src := q.Next(0)
-		if strings.Contains(src, "_t >= ") && strings.Contains(src, "-") {
-			t.Fatalf("underflowed window: %q", src)
-		}
 	}
 }
