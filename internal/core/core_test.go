@@ -33,7 +33,9 @@ func answer(tbl *Table, where string, mode query.Mode, opts ...QueryOpts) ([]tup
 	}
 	var out []tuple.Tuple
 	for rows.Next() {
-		out = append(out, RowTuple(rows.Values()))
+		// RowTuple's Attrs alias the row, which the next Next may
+		// recycle, so the tuple gets a copy.
+		out = append(out, RowTuple(append([]tuple.Value(nil), rows.Values()...)))
 	}
 	return out, rows.Close()
 }

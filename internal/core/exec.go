@@ -281,7 +281,9 @@ func (t *Table) collectMatches(plan *query.Plan, limit int) (tuples []tuple.Tupl
 // worker-bounded pool — the merge needs every shard's head block
 // before it can emit anything, so capping concurrency below the shard
 // count would deadlock; memory stays bounded by the channel buffers,
-// and pacing comes from the consumer.
+// and pacing comes from the consumer. Blocks are recycled: the merge
+// releases each once the caller has moved past its rows, and a
+// producer's next block comes from that pool.
 //
 // Every shard is read-locked here, in index order, before any producer
 // runs, and each producer releases its own lock when it finishes. A
@@ -316,6 +318,9 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			// Each shard contributes at most limit rows to a
 			// limit-capped merge, so it stops scanning there.
 			bw := plan.NewBlockWriter(params, limit)
+			// A block still being filled when the producer stops early
+			// never reaches the merge.
+			defer func() { bw.Take().Release() }()
 			bm := plan.NewBatchMatcher()
 			matched := 0
 			aborted := false
@@ -323,9 +328,11 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			// handOff passes the block being filled to the merge; false
 			// means the stream was cancelled meanwhile.
 			handOff := func() bool {
+				b := bw.Take()
 				select {
-				case chans[i] <- bw.Take():
+				case chans[i] <- b:
 				case <-done:
+					b.Release()
 					aborted = true
 					return false
 				}

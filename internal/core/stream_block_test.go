@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"fungusdb/internal/query"
@@ -103,9 +104,11 @@ func TestStreamProjectionErrorPrecedence(t *testing.T) {
 	}
 }
 
-// TestStreamRowsStayValid: callers keep Values() beyond the next Next
-// (Table.SQL, and RowTuple's Attrs alias the row); hand-off blocks are
-// never recycled, so what they kept must not change under them.
+// TestStreamRowsStayValid: a streamed row is valid only until the next
+// Next, because its block goes back to the pool and a later stream
+// refills it. Callers that keep rows copy them — Table.SQL's grid and
+// the answer helper (RowTuple's Attrs alias the row) — so what they
+// kept must not change when later streams reuse the blocks.
 func TestStreamRowsStayValid(t *testing.T) {
 	const n = 1200
 	tbl := blockTable(t, 2, n)
@@ -117,13 +120,19 @@ func TestStreamRowsStayValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Streams of other values over the blocks the two above released.
+	for i := 0; i < 3; i++ {
+		if _, err := drainAny(mustPrepare(t, tbl, "SELECT hot, v, -k, name + \"?\" FROM t"), QueryOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if len(g.Rows) != n || len(res) != n {
 		t.Fatalf("%d projected rows, %d tuples, want %d", len(g.Rows), len(res), n)
 	}
 	for k := 0; k < n; k++ {
 		name := fmt.Sprintf("name-%d", k%7)
-		if row := g.Rows[k]; row[0].AsInt() != int64(k) || row[1].AsString() != name {
-			t.Fatalf("projected row %d = %v", k, row)
+		if row := g.Rows[k]; len(row) != 2 || cap(row) != 2 || row[0].AsInt() != int64(k) || row[1].AsString() != name {
+			t.Fatalf("projected row %d = %v (cap %d)", k, row, cap(row))
 		}
 		tp := res[k]
 		if tp.ID != tuple.ID(k) || tp.F != tuple.Full || len(tp.Attrs) != 4 ||
@@ -133,11 +142,7 @@ func TestStreamRowsStayValid(t *testing.T) {
 	}
 	// A caller appending to a row it was handed must not reach into the
 	// next row of the block.
-	pq, err := tbl.Prepare("SELECT k FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := pq.Execute()
+	rows, err := mustPrepare(t, tbl, "SELECT k FROM t").Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,50 +155,156 @@ func TestStreamRowsStayValid(t *testing.T) {
 	}
 }
 
-// TestStreamAllocsPerBlock is the allocation guard of the block
-// hand-off: draining a stream allocates per 256-row block, not per row,
-// whether the plan projects some columns or every field of the tuple.
-func TestStreamAllocsPerBlock(t *testing.T) {
-	const n, shards = 20_000, 4
+func mustPrepare(t testing.TB, tbl *Table, src string) *PreparedQuery {
+	t.Helper()
+	pq, err := tbl.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq
+}
+
+// TestStreamBlockRecycling runs several streams at once over recycled
+// hand-off blocks (4 shards, over 20 blocks each) and checks every row
+// against its reference twice: when Next hands it out, and again just
+// before the next Next, after yielding to the producers — which by then
+// may have refilled any block the merge released. A block released
+// while it still holds the current row fails one of the checks, or the
+// race detector. The statements cover a full drain, LIMIT's early stop,
+// Close mid-stream (the current row must survive Close) and a block
+// poisoned by a projection error.
+func TestStreamBlockRecycling(t *testing.T) {
+	const shards, n, bad = 4, 24_000, 17_000
 	tbl := blockTable(t, shards, n)
-	proj, err := tbl.Prepare("SELECT name, v, _id FROM t WHERE k >= 0")
-	if err != nil {
-		t.Fatal(err)
+	ref := make([][]tuple.Value, n)
+	for k := range ref {
+		ref[k] = []tuple.Value{tuple.Int(int64(k)), tuple.Float(float64(k) / 2), tuple.String_(fmt.Sprintf("name-%d", k%7)), tuple.Bool(k%3 == 0)}
 	}
-	star, err := tbl.Prepare("SELECT * FROM t")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		want      func(i int) []tuple.Value // the i-th row
+		rows      int                       // rows the consumer reads
+		closeAt   bool                      // Close after rows rows instead of draining
+		err       string                    // the error the stream ends in
+	}{
+		{"all", "SELECT k, v, name, hot FROM t", func(i int) []tuple.Value { return ref[i] }, n, false, ""},
+		{"limit", "SELECT k, v, name, hot FROM t WHERE k % 3 = 1 LIMIT 5000", func(i int) []tuple.Value { return ref[3*i+1] }, 5000, false, ""},
+		{"close", "SELECT k, v, name, hot FROM t", func(i int) []tuple.Value { return ref[i] }, 9001, true, ""},
+		{"poisoned", fmt.Sprintf("SELECT k, v, name, hot, 100 / (k - %d) FROM t", bad), func(i int) []tuple.Value {
+			return append(ref[i][:4:4], tuple.Int(int64(100/(i-bad))))
+		}, bad, false, "division by zero"},
 	}
-	tuples, err := tbl.Prepare(SelectTuples("t", false, ""))
-	if err != nil {
-		t.Fatal(err)
+	const streams, rounds = 6, 4
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				c := cases[(g+r)%len(cases)]
+				pq, err := tbl.Prepare(c.src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows, err := pq.Execute()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				same := func(i int, when string) bool {
+					got, want := rows.Values(), c.want(i)
+					ok := len(got) == len(want)
+					for j := 0; ok && j < len(want); j++ {
+						ok = got[j].Equal(want[j])
+					}
+					if !ok {
+						t.Errorf("%s: row %d %s = %v, want %v", c.name, i, when, got, want)
+					}
+					return ok
+				}
+				i := 0
+				for ; rows.Next(); i++ {
+					if !same(i, "when handed out") {
+						break
+					}
+					runtime.Gosched()
+					if !same(i, "before the next Next") {
+						break
+					}
+					if c.closeAt && i+1 == c.rows {
+						if err := rows.Close(); err != nil {
+							t.Errorf("%s: Close: %v", c.name, err)
+						}
+						runtime.Gosched()
+						same(i, "after Close")
+						i++
+						break
+					}
+				}
+				err = rows.Close()
+				if i != c.rows || (err == nil) != (c.err == "") || (err != nil && !strings.Contains(err.Error(), c.err)) {
+					t.Errorf("%s: %d rows, err %v; want %d rows, err %q", c.name, i, err, c.rows, c.err)
+				}
+				if rows.Next() {
+					t.Errorf("%s: Next after Close", c.name)
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
+}
+
+// TestStreamAllocsPerBlock is the allocation guard of the block
+// hand-off. A drain allocates per 256-row block, not per row, whether
+// the plan projects some columns or every field of the tuple; once a
+// drain has returned its blocks to the pool, the next one allocates
+// none, so its allocations do not grow with the row count.
+func TestStreamAllocsPerBlock(t *testing.T) {
+	const n, small, shards = 20_000, 2_000, 4
+	tbl, tblSmall := blockTable(t, shards, n), blockTable(t, shards, small)
 	// Three allocations per block (the block, its IDs, its values); a
 	// partial last block per shard; the rest (channels, goroutines,
 	// matchers, the Rows) does not depend on the row count.
 	const perBlock, fixed = 3, 150
 	blocks := (n+query.BlockRows-1)/query.BlockRows + shards
-	for name, pq := range map[string]*PreparedQuery{"projected": proj, "star": star, "tuples": tuples} {
-		got := 0
-		allocs := testing.AllocsPerRun(5, func() {
-			rows, err := pq.Execute()
-			if err != nil {
-				t.Fatal(err)
+	for _, src := range []string{"SELECT name, v, _id FROM t WHERE k >= 0", "SELECT * FROM t", SelectTuples("t", false, "")} {
+		drain := func(tbl *Table, want int) func() {
+			pq := mustPrepare(t, tbl, src)
+			return func() {
+				rows, err := pq.Execute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := 0
+				for ; rows.Next(); got++ {
+				}
+				if err := rows.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s: %d rows, want %d", src, got, want)
+				}
 			}
-			for got = 0; rows.Next(); got++ {
-			}
-			if err := rows.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != n {
-			t.Fatalf("%s: %d rows, want %d", name, got, n)
 		}
-		if limit := float64(perBlock*blocks + fixed); allocs > limit {
-			t.Errorf("%s: %.0f allocations for %d rows in %d blocks, want <= %.0f", name, allocs, n, blocks, limit)
-		} else {
-			t.Logf("%s: %.0f allocations for %d rows in %d blocks", name, allocs, n, blocks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		drain(tbl, n)()
+		runtime.ReadMemStats(&after)
+		first := after.Mallocs - before.Mallocs
+		if limit := uint64(perBlock*blocks + fixed); first > limit {
+			t.Errorf("%s: %d allocations for %d rows in %d blocks, want <= %d", src, first, n, blocks, limit)
 		}
+		if raceEnabled {
+			continue // the race detector makes sync.Pool drop some of what it is given
+		}
+		// AllocsPerRun drains once before it counts.
+		steady := testing.AllocsPerRun(5, drain(tbl, n))
+		steadySmall := testing.AllocsPerRun(5, drain(tblSmall, small))
+		if steady > steadySmall+perBlock*shards {
+			t.Errorf("%s: warm drains allocate %.0f times for %d rows, %.0f for %d; want no growth with the row count", src, steady, n, steadySmall, small)
+		}
+		t.Logf("%s: first drain %d allocations, then %.0f for %d rows and %.0f for %d", src, first, steady, n, steadySmall, small)
 	}
 }
 

@@ -632,9 +632,9 @@ func (t *Table) touchAnswered(answered []tuple.Tuple) {
 //
 // SQL is a thin shim over the prepared path — it is exactly
 // Prepare(src) followed by ExecuteOpts(opt) with the streamed rows
-// drained into a Grid; callers that repeat a statement should Prepare
-// it once themselves (the plan cache softens, but does not remove, the
-// difference).
+// copied into a Grid (Rows.Collect); callers that repeat a statement
+// should Prepare it once themselves (the plan cache softens, but does
+// not remove, the difference).
 func (t *Table) SQL(src string, opts ...QueryOpts) (*query.Grid, error) {
 	pq, err := t.Prepare(src)
 	if err != nil {
@@ -648,12 +648,8 @@ func (t *Table) SQL(src string, opts ...QueryOpts) (*query.Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
 	g := &query.Grid{Cols: rows.Cols()}
-	for rows.Next() {
-		g.Rows = append(g.Rows, rows.Values())
-	}
-	if err := rows.Err(); err != nil {
+	if g.Rows, err = rows.Collect(); err != nil {
 		return nil, err
 	}
 	return g, nil

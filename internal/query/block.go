@@ -1,6 +1,8 @@
 package query
 
 import (
+	"sync"
+
 	"fungusdb/internal/tuple"
 )
 
@@ -11,9 +13,14 @@ const BlockRows = 256
 
 // Block is one hand-off from a shard producer to the streaming merge:
 // the plan's output columns of up to BlockRows matching rows, copied
-// out of the extent into one flat row-major slice. A block is allocated
-// per hand-off and never reused, so rows handed out of it stay valid
-// for as long as the caller keeps them.
+// out of the extent into one flat row-major slice.
+//
+// Blocks are recycled through one process-wide pool. The merge releases
+// a block once no row of it can still be referenced: after the caller
+// has moved past its last row, since Rows.Values is valid only until
+// the next Next. A producer's BlockWriter takes a pooled block before
+// it allocates one. A caller that keeps a row beyond the next Next must
+// copy it.
 type Block struct {
 	// IDs are the rows' tuple IDs, ascending.
 	IDs []tuple.ID
@@ -26,6 +33,39 @@ type Block struct {
 	// Err when (and only if) it reaches that row — exactly where a
 	// consumer-side projection would have failed.
 	Err error
+}
+
+// blockPool holds released hand-off blocks, each with its own capacity.
+var blockPool sync.Pool
+
+// newBlock returns an empty block with room for rows rows of the given
+// width: a pooled one when it is big enough, else a fresh one. A pooled
+// block that is too small is dropped.
+func newBlock(rows, width int) *Block {
+	if b, _ := blockPool.Get().(*Block); b != nil && cap(b.IDs) >= rows && cap(b.Vals) >= rows*width {
+		b.Width = width
+		return b
+	}
+	return &Block{
+		IDs:   make([]tuple.ID, 0, rows),
+		Vals:  make([]tuple.Value, 0, rows*width),
+		Width: width,
+	}
+}
+
+// Release returns b to the pool. Call it only once nothing will read b
+// again: neither its holder nor a caller that was handed one of its
+// rows. The value slots its rows used are cleared first, so a pooled
+// block pins no strings of evicted segments. Release of nil does
+// nothing.
+func (b *Block) Release() {
+	if b == nil {
+		return
+	}
+	// A poisoned last row may have filled some slots past len(Vals).
+	clear(b.Vals[:len(b.IDs)*b.Width])
+	b.IDs, b.Vals, b.Err = b.IDs[:0], b.Vals[:0], nil
+	blockPool.Put(b)
 }
 
 // Projection slots for a target that is not a user attribute.
@@ -118,12 +158,7 @@ func (w *BlockWriter) Take() *Block {
 func (w *BlockWriter) grow(n int) (*Block, int) {
 	b := w.blk
 	if b == nil {
-		width := len(w.plan.proj)
-		b = &Block{
-			IDs:   make([]tuple.ID, 0, w.cap),
-			Vals:  make([]tuple.Value, 0, w.cap*width),
-			Width: width,
-		}
+		b = newBlock(w.cap, len(w.plan.proj))
 		w.blk = b
 	}
 	at := len(b.IDs)

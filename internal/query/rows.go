@@ -58,8 +58,35 @@ func (r *Rows) Next() bool {
 	return true
 }
 
-// Values returns the current row. It is valid until the next Next call.
+// Values returns the current row. It is valid until the next Next
+// call: a streaming plan recycles the memory behind it, so a caller that
+// keeps a row must copy it (see Collect). Close does not end it: after
+// Close, Values returns the row the last Next produced, unchanged.
 func (r *Rows) Values() []tuple.Value { return r.vals }
+
+// Collect drains the remaining rows into rows the caller owns, closes r
+// and returns Err. The values are copied into one flat slab that is cut
+// into rows once the drain ends, so collecting costs no allocation per
+// row.
+func (r *Rows) Collect() ([][]tuple.Value, error) {
+	var slab []tuple.Value
+	var out [][]tuple.Value
+	for r.Next() {
+		v := r.Values()
+		slab = append(slab, v...)
+		// A placeholder that only lends its length to the cut below:
+		// the row it aliases may be recycled by the next Next.
+		out = append(out, v)
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	for i, row := range out {
+		n := len(row)
+		out[i], slab = slab[:n:n], slab[n:]
+	}
+	return out, nil
+}
 
 // Tuple always returns nil: every plan has a projection stage, so rows
 // carry values only — select `_id, _t, _f, *` for a whole tuple's
@@ -158,9 +185,14 @@ func NewStreamRows(s Stream) *Rows {
 }
 
 type streamSource struct {
-	blocks  []<-chan *Block
-	heads   []*Block // current block per shard; nil once its channel closed
-	idx     []int    // cursor into heads[i]
+	blocks []<-chan *Block
+	heads  []*Block // current block per shard; nil once its channel closed
+	idx    []int    // cursor into heads[i]
+	// cur is the block the current row (r.vals) lies in. spent means the
+	// merge has moved past cur's last row, so cur is no longer a head
+	// and is released as soon as the caller moves on.
+	cur     *Block
+	spent   bool
 	done    chan struct{}
 	wait    func() (int, error)
 	limit   int
@@ -175,6 +207,13 @@ func (s *streamSource) next(r *Rows) bool {
 	if s.stopped {
 		return false
 	}
+	// The caller has moved past the current row; if that was its
+	// block's last row, the merge is done with the block too.
+	if s.spent {
+		s.cur.Release()
+		s.spent = false
+	}
+	s.cur = nil
 	if !s.started {
 		s.started = true
 		s.heads = make([]*Block, len(s.blocks))
@@ -226,6 +265,7 @@ func (s *streamSource) next(r *Rows) bool {
 	// The capacity cut keeps a caller's append from writing into the
 	// next row of the block.
 	r.vals = h.Vals[k*h.Width : (k+1)*h.Width : (k+1)*h.Width]
+	s.cur, s.spent = h, last
 	s.emitted++
 	return true
 }
@@ -242,7 +282,9 @@ func (s *streamSource) refill(i int) {
 
 // shutdown aborts and joins the producers: signal done, drain every
 // channel so no producer stays blocked on a send, then collect the
-// scan error and totals. Idempotent; returns the first scan error.
+// scan error and totals. Every block the merge holds or drains is
+// released, except cur: the caller may still read the current row.
+// Idempotent; returns the first scan error.
 func (s *streamSource) shutdown() error {
 	if s.stopped {
 		return s.waitErr
@@ -250,9 +292,16 @@ func (s *streamSource) shutdown() error {
 	s.stopped = true
 	close(s.done)
 	for _, ch := range s.blocks {
-		for range ch { // drain until closed so producers unblock
+		for b := range ch { // drain until closed so producers unblock
+			b.Release()
 		}
 	}
+	for _, h := range s.heads {
+		if h != s.cur {
+			h.Release()
+		}
+	}
+	s.heads = nil
 	s.total, s.waitErr = s.wait()
 	return s.waitErr
 }

@@ -254,11 +254,9 @@ func (m *Monitor) newRows() ([][]tuple.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fresh [][]tuple.Value
-	for rows.Next() {
-		fresh = append(fresh, rows.Values())
-	}
-	return fresh, rows.Close()
+	// Collect copies: the rows outlive the stream, and RowTuple's
+	// Attrs alias them.
+	return rows.Collect()
 }
 
 // stepSequence advances s over row j of b, the tuple tp.

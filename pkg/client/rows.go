@@ -75,7 +75,7 @@ func (c *Client) stream(body map[string]any) (*Rows, error) {
 // first line; reading it here surfaces immediate failures from Query
 // itself. The body is closed on failure.
 func newRows(body io.ReadCloser) (*Rows, error) {
-	r := &Rows{body: body, br: bufio.NewReaderSize(body, readBufferSize)}
+	r := &Rows{body: body, br: bufio.NewReaderSize(body, readBufferSize), strs: make(map[string]any)}
 	var header struct {
 		Cols []string `json:"cols"`
 	}
@@ -105,6 +105,7 @@ type Rows struct {
 	long    []byte // assembles a line longer than br's buffer
 	cols    []string
 	cur     []any
+	strs    map[string]any // interned string cells (internString)
 	err     error
 	done    bool
 	rows    int
@@ -158,13 +159,16 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if line[0] == '[' {
-		row, ok := parseRowLine(line, r.cur)
+		row, ok := parseRowLine(line, r.cur, r.strs)
 		if !ok {
-			row = nil
-			if err := json.Unmarshal(line, &row); err != nil {
+			// A variable of its own: taking row's address would move
+			// row to the heap for every line, not just for this rare one.
+			var slow []any
+			if err := json.Unmarshal(line, &slow); err != nil {
 				r.fail(fmt.Errorf("client: bad row: %w", err))
 				return false
 			}
+			row = slow
 		}
 		r.cur = row
 		r.rows++

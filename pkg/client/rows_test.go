@@ -192,14 +192,95 @@ func TestRowsRowReuse(t *testing.T) {
 	}
 	line, cur := []byte(`["web-12",21.957486726422708,87.5,true]`), make([]any, 0, 4)
 	allocs := testing.AllocsPerRun(20, func() {
-		dst, ok := parseRowLine(line, cur)
+		dst, ok := parseRowLine(line, cur, nil)
 		if !ok || len(dst) != 4 {
 			t.Fatal("row not recognised")
 		}
 	})
-	// The string's bytes, its box, and one box per float.
+	// The string's bytes, its box (nothing interns it here), and one
+	// box per float.
 	if allocs > 4 {
 		t.Errorf("%.0f allocations to decode a 4-column row, want <= 4", allocs)
+	}
+}
+
+// drainAllocs reports the allocations of reading body (row lines, then
+// the trailer) through a Rows from its header on.
+func drainAllocs(t *testing.T, body string, rows int) float64 {
+	t.Helper()
+	text := `{"cols":["a","b"]}` + "\n" + body + trailer
+	src := strings.NewReader(text)
+	return testing.AllocsPerRun(10, func() {
+		src.Reset(text)
+		r, err := newRows(io.NopCloser(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; r.Next(); n++ {
+		}
+		if err := r.Err(); err != nil || n != rows {
+			t.Fatalf("%d rows, err %v; want %d", n, err, rows)
+		}
+	})
+}
+
+// TestRowsAllocsPerRow: after the first row (which sizes the row slice
+// and interns its strings), a row line costs the boxes of its float64s
+// and nothing else — no row header, no boolean, no repeated string.
+func TestRowsAllocsPerRow(t *testing.T) {
+	const n = 400
+	for _, tc := range []struct {
+		line  string
+		boxes int // float64 cells per row
+	}{
+		{`[12.5,true,-0.25,false,null]`, 2},
+		{`[true,false]`, 0},
+		{`["web-12",true,"web-12"]`, 0},
+		{`[21.957486726422708,"web-12",87.5,true]`, 2},
+	} {
+		first := drainAllocs(t, tc.line+"\n", 1)
+		got := drainAllocs(t, strings.Repeat(tc.line+"\n", n), n) - first
+		if limit := float64(tc.boxes * (n - 1)); got > limit {
+			t.Errorf("%s: %.0f allocations over the %d rows after the first, want <= %.0f", tc.line, got, n-1, limit)
+		}
+	}
+}
+
+// TestRowsInternStrings: interned string cells decode exactly as
+// encoding/json decodes them, and the intern table stays within its
+// bounds on long and on many distinct strings.
+func TestRowsInternStrings(t *testing.T) {
+	long := strings.Repeat("x", internMaxLen+1)
+	var body strings.Builder
+	var want [][]any
+	for i := 0; i < 3*internMaxEntries; i++ {
+		line := fmt.Sprintf(`["dev-%d","web-12",%q,""]`, i, long)
+		fmt.Fprintln(&body, line)
+		var row []any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, row)
+	}
+	r := rowsOver(t, body.String()+trailer)
+	got, err := drain(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameValues(got[i], want[i]) {
+			t.Fatalf("row %d = %#v, want %#v", i, got[i], want[i])
+		}
+	}
+	if len(r.strs) != internMaxEntries {
+		t.Errorf("intern table holds %d strings, want its bound %d", len(r.strs), internMaxEntries)
+	}
+	if _, ok := r.strs[long]; ok {
+		t.Errorf("a %d-byte string was interned (bound %d)", len(long), internMaxLen)
 	}
 }
 
@@ -215,7 +296,7 @@ func FuzzRowLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var want []any
 		wantErr := json.Unmarshal(line, &want)
-		got, ok := parseRowLine(line, []any{"stale", 1.0})
+		got, ok := parseRowLine(line, []any{"stale", 1.0}, map[string]any{})
 		if ok && (wantErr != nil || !sameValues(got, want)) {
 			t.Fatalf("line %q: fast parser decoded %#v, encoding/json %#v (err %v)", line, got, want, wantErr)
 		}
