@@ -4,32 +4,20 @@
 // insert-body encoder all use it, so the wire format has one definition.
 // It imports only the standard library, which keeps pkg/client free of
 // engine code.
+//
+// Floats go through text without strconv on the common path, and with
+// exactly strconv's results. AppendFloat finds the shortest round-trip
+// digits with Schubfach (Giulietti, 2020) and ParseNumber converts
+// decimal to binary with Eisel–Lemire (Lemire, 2021); both read one
+// table of 128-bit mantissas of 10^-348 … 10^347, built once at start-up.
+// ParseNumber hands a number to strconv.ParseFloat only when it has more
+// than 19 significant digits or an exponent of 100000 or more, or when
+// Eisel–Lemire declines it (a halfway case one 128-bit product cannot
+// settle, a subnormal or overflowing result, an exponent outside the
+// table).
 package jsonscalar
 
-import (
-	"math"
-	"strconv"
-	"unicode/utf8"
-)
-
-// AppendFloat formats a finite float the way encoding/json (and ES6)
-// does: shortest round-trip digits, exponent form below 1e-6 and from
-// 1e21, a two-digit exponent trimmed to one ("1e-07" -> "1e-7"). NaN and
-// the infinities have no JSON encoding; callers refuse them first.
-func AppendFloat(buf []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && (buf[n-3] == '-' || buf[n-3] == '+') && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf
-}
+import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 
@@ -83,45 +71,6 @@ func AppendString(buf []byte, s string) []byte {
 	}
 	buf = append(buf, s[start:]...)
 	return append(buf, '"')
-}
-
-// NumberEnd returns the end of the JSON number starting at b[i], or -1
-// when the bytes there are not one. The grammar is checked here because
-// strconv.ParseFloat accepts more than JSON does (hex, "Inf", a bare
-// leading or trailing dot).
-func NumberEnd(b []byte, i int) int {
-	digits := func() bool {
-		start := i
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-		return i > start
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case !digits():
-		return -1
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return -1
-		}
-	}
-	return i
 }
 
 // StringEnd returns the end of the JSON string starting at b[i], one

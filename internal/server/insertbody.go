@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"strconv"
 
 	"fungusdb/internal/jsonscalar"
 	"fungusdb/internal/tuple"
@@ -107,18 +106,15 @@ func (s *bodyScanner) literal(lit string) bool {
 }
 
 // value appends the value starting here to col, which must take it
-// the way decodeRow would: INT and FLOAT from a number read as a
-// float64 (INT only when that float64 is integral), STRING from a
-// string, BOOL from true or false.
+// the way decodeRow would: INT and FLOAT from a number, read by
+// jsonscalar.ParseNumber into the float64 encoding/json would make of
+// it (INT only when that float64 is integral; a number that overflows
+// float64 is declined), STRING from a string, BOOL from true or false.
 func (s *bodyScanner) value(col *tuple.ColView, dict map[string]uint32) bool {
 	switch col.Kind {
 	case tuple.KindInt, tuple.KindFloat:
-		end := jsonscalar.NumberEnd(s.data, s.i)
-		if end < 0 {
-			return false
-		}
-		f, err := strconv.ParseFloat(string(s.data[s.i:end]), 64)
-		if err != nil {
+		f, end, ok := jsonscalar.ParseNumber(s.data, s.i)
+		if !ok {
 			return false
 		}
 		s.i = end

@@ -119,6 +119,13 @@ var insertBodyCases = []struct {
 	{`{"rows":[["x",1,1,true],{"a":1}]}`, false},                        // object row
 	{"\xef\xbb\xbf" + `{"rows":[["x",1,1,true]]}`, false},               // byte-order mark
 	{`{"rows":[["x",1,1,true]]}` + strings.Repeat(" ", 3) + "\n", true}, // trailing whitespace
+	{`{"rows":[["x",-0,1E+2,true]]}`, true},                             // negative zero; signed upper-case exponent
+	{`{"rows":[["x",1,123456789012345678901.5,true]]}`, true},           // past 19 digits: the strconv fallback
+	{`{"rows":[["x",1,2.2250738585072011e-308,true]]}`, true},           // subnormal result
+	{`{"rows":[["x",100000000000000000000000,1,true]]}`, false},         // integral, past int64
+	{`{"rows":[["x",1,-1e400,true]]}`, false},                           // out of float64 range
+	{`{"rows":[["x",1,01,true]]}`, false},                               // leading zero
+	{`{"rows":[["x",1,1.,true]]}`, false},                               // trailing dot
 }
 
 func TestInsertBodyDecoder(t *testing.T) {
@@ -137,6 +144,8 @@ func FuzzInsertBody(f *testing.F) {
 		f.Add([]byte(tc.body), sifb)
 	}
 	f.Add([]byte(`{"rows":[[1],[2.5],[-0],[1e21]]}`), []byte{2})
+	f.Add([]byte(`{"rows":[[-0],[1E+2],[9007199254740993],[1.00000000000000011102230246251565404236316680908203125]]}`), []byte{2})
+	f.Add([]byte(`{"rows":[[-0],[1E+2],[12345678901234567890123]]}`), []byte{1})
 	f.Add([]byte(`{"rows":[[true,"a"],[false,"a"],[true,"b"]]}`), []byte{3, 0})
 	f.Add([]byte("{\"rows\":[[\"a\"],[\"a\"],[\"\u00e9\"],[\"a\"]]}"), []byte{0})
 	f.Fuzz(func(t *testing.T, body, spec []byte) {

@@ -100,6 +100,12 @@ func FuzzAppendRowJSON(f *testing.F) {
 	f.Add(int64(-7), math.Copysign(0, -1), "\x00\x1f\x7f\b\f\r\t", true)
 	f.Add(int64(1), 1e-7, "h\u00e9llo \U0001F344", false)
 	f.Add(int64(2), math.Inf(-1), "x", true)
+	f.Add(int64(3), 100.0, "1E+2", false)
+	f.Add(int64(4), 0.1+0.2, "", true)
+	f.Add(int64(5), math.Nextafter(1e-6, 0), "", false)
+	f.Add(int64(6), math.Nextafter(1e21, 0), "", true)
+	f.Add(int64(7), 2.2250738585072011e-308, "", false)
+	f.Add(int64(8), -math.MaxFloat64, "", true)
 	f.Fuzz(func(t *testing.T, n int64, x float64, s string, b bool) {
 		checkRowLine(t, []tuple.Value{tuple.Int(n), tuple.Float(x), tuple.String_(s), tuple.Bool(b)})
 		checkRowLine(t, []tuple.Value{tuple.String_(s), tuple.String_(s + s)})

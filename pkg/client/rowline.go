@@ -1,10 +1,6 @@
 package client
 
-import (
-	"strconv"
-
-	"fungusdb/internal/jsonscalar"
-)
+import "fungusdb/internal/jsonscalar"
 
 // A Rows interns the string cells it decodes (see internString): up to
 // internMaxEntries distinct strings of at most internMaxLen bytes each,
@@ -18,9 +14,10 @@ const (
 // numbers, strings, booleans and nulls, written without whitespace, as
 // the server writes them — into dst[:0] in a single pass. Values come
 // out typed as encoding/json decodes them into an `any`: float64,
-// string, bool, nil; string cells are interned in strs. ok is false for
-// anything else (whitespace between tokens, escapes inside strings,
-// invalid UTF-8, nesting, malformed or out-of-range input); dst's
+// string, bool, nil; numbers are read by jsonscalar.ParseNumber, string
+// cells are interned in strs. ok is false for anything else (whitespace
+// between tokens, escapes inside strings, invalid UTF-8, nesting,
+// malformed input, a number that overflows float64); dst's
 // contents are then unspecified and the caller falls back to
 // json.Unmarshal, which either decodes the line or words the error.
 // FuzzRowLine holds the two parsers together.
@@ -46,12 +43,8 @@ func parseRowLine(line []byte, dst []any, strs map[string]any) (row []any, ok bo
 			dst = append(dst, internString(strs, line[i+1:end-1]))
 			i = end
 		case c == '-' || (c >= '0' && c <= '9'):
-			end := jsonscalar.NumberEnd(line, i)
-			if end < 0 {
-				return dst, false
-			}
-			f, err := strconv.ParseFloat(string(line[i:end]), 64)
-			if err != nil {
+			f, end, ok := jsonscalar.ParseNumber(line, i)
+			if !ok {
 				return dst, false
 			}
 			dst = append(dst, f)

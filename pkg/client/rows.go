@@ -210,7 +210,7 @@ func (r *Rows) fail(err error) {
 }
 
 // Row returns the current row's values (JSON-typed: float64, string,
-// bool). Valid until the next Next call.
+// bool, and nil for null). Valid until the next Next call.
 func (r *Rows) Row() []any { return r.cur }
 
 // Err returns the first error hit while streaming. It is nil after a

@@ -290,6 +290,8 @@ func FuzzRowLine(f *testing.F) {
 		`[-]`, `[+1]`, `[0x10]`, `[Infinity]`, `[NaN]`, `[1,]`, `[,1]`, `[1 ,2]`, `["a\nb"]`, `["é"]`, "[\"\xff\"]", "[\"\xc3\xa9\"]",
 		`["unterminated]`, `[tru]`, `[truefalse]`, `[nulll]`, `[[1]]`, `[{"a":1}]`, `[1]]`, `[1][2]`, `[`, `]`, ``, `{"done":true}`,
 		"[\"tab\there\"]", "[]\f", "\v[1]", "[1]\u00a0", `[1E5,2e+3,3e-3,-4.5E-10]`, `["]"]`, `[","]`,
+		`[-0,1E+2,-0.0]`, `[123456789012345678901,1.00000000000000011102230246251565404236316680908203125]`,
+		`[9007199254740993,2.2250738585072011e-308,4.9e-324]`, `[-1e400]`, `[1,1e400]`, `[-01]`, `[1.e5]`,
 	} {
 		f.Add([]byte(s))
 	}
