@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"fungusdb/internal/query"
@@ -272,6 +273,14 @@ func (t *Table) collectMatches(plan *query.Plan, limit int) (tuples []tuple.Tupl
 	return mergeByID(parts, limit), scanned, nil
 }
 
+// selPool recycles the stream producers' selected-row scratch. Each
+// slice holds a whole batch, so AppendSet never grows it and the pooled
+// pointer keeps naming the same array.
+var selPool = sync.Pool{New: func() any {
+	sel := make([]int, 0, tuple.BatchRows)
+	return &sel
+}}
+
 // execStream is the shard-parallel streaming peek: one producer per
 // shard scans under that shard's read lock, copies the plan's output
 // columns of the matching rows into hand-off blocks and passes them
@@ -344,7 +353,9 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			// The WHERE program selects whole column batches and the
 			// selected rows' output columns copy straight from the column
 			// views into the hand-off blocks.
-			var sel []int
+			selp := selPool.Get().(*[]int)
+			defer selPool.Put(selp)
+			sel := *selp
 			t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
 				scanned.Add(int64(b.Alive))
 				// Poll for cancellation once per storage batch (≤ BatchRows

@@ -21,7 +21,11 @@ import (
 // so a shape without a kernel costs only its own leaf, never the plan.
 //
 // A kernel evaluates one operator over a selection bitmap (one bit per
-// batch row) and writes a result bitmap. Errors keep lazy, per-row
+// batch row) and writes a result bitmap. A numeric column compared
+// against a literal — the common WHERE shape — picks its typed column
+// slice and its operator once per batch and builds each result word
+// from 64 branch-free comparisons (cmpLitWords); the other kernels
+// visit the selected rows one at a time. Errors keep lazy, per-row
 // semantics: eval returns the index of the first selected row whose
 // evaluation would error under the interpreter, with result bits
 // defined only below that row — exactly the prefix a row-by-row
@@ -293,22 +297,94 @@ type numLitNode struct {
 }
 
 func (nd *numLitNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
-	zeroWords(out)
-	for w, mset := range sel {
-		base := w << 6
-		for mset != 0 {
-			j := base + bits.TrailingZeros64(mset)
-			mset &= mset - 1
-			a, _ := batchNum(nd.c, b, j)
-			if nd.check && math.IsNaN(a) {
-				return j, nd.err
-			}
-			if cmpDecide(nd.op, cmpFloat(a, nd.lit)) {
-				out[w] |= 1 << uint(j&63)
+	var nan int
+	switch c := nd.c; {
+	case c.sys == 1:
+		nan = cmpLitWords(b.Ts[:b.N], nd.op, nd.lit, false, sel, out)
+	case c.sys == 2:
+		nan = cmpLitWords(b.Fs[:b.N], nd.op, nd.lit, nd.check, sel, out)
+	case c.sys == 3:
+		nan = cmpLitWords(b.IDs[:b.N], nd.op, nd.lit, false, sel, out)
+	case c.kind == tuple.KindInt:
+		nan = cmpLitWords(b.Cols[c.idx].Ints[:b.N], nd.op, nd.lit, false, sel, out)
+	default:
+		nan = cmpLitWords(b.Cols[c.idx].Floats[:b.N], nd.op, nd.lit, nd.check, sel, out)
+	}
+	if nan >= 0 {
+		return nan, nd.err
+	}
+	return b.N, nil
+}
+
+// cmpLitWords is numLitNode's kernel over one column slice: it sets
+// out[w] to the rows of word w that sel selects and whose float64
+// image compares true against lit. The operator is reduced once to
+// one of ==, <, > plus an inversion (!=, >=, <= are the complements,
+// exact here because a NaN row either errors or, in an INT column,
+// cannot occur). With check it returns the first selected NaN row and
+// leaves the words after that row's unwritten; otherwise, or when no
+// selected row is NaN, it returns -1.
+func cmpLitWords[T int64 | float64 | tuple.ID](vals []T, op BinOp, lit float64, check bool, sel, out []uint64) int {
+	var inv uint64
+	switch op {
+	case OpNe:
+		op, inv = OpEq, ^uint64(0)
+	case OpGe:
+		op, inv = OpLt, ^uint64(0)
+	case OpLe:
+		op, inv = OpGt, ^uint64(0)
+	}
+	for w, s := range sel {
+		if s == 0 {
+			out[w] = 0
+			continue
+		}
+		word := vals[w<<6 : min(w<<6+64, len(vals))]
+		out[w] = (litWord(word, op, lit) ^ inv) & s
+		if check {
+			if nan := nanWord(word) & s; nan != 0 {
+				return w<<6 + bits.TrailingZeros64(nan)
 			}
 		}
 	}
-	return b.N, nil
+	return -1
+}
+
+// litWord compares up to 64 values against lit under ==, < or >,
+// setting bit k for word[k] without a branch.
+func litWord[T int64 | float64 | tuple.ID](word []T, op BinOp, lit float64) (r uint64) {
+	switch op {
+	case OpEq:
+		for k, v := range word {
+			r |= b2u(float64(v) == lit) << (k & 63)
+		}
+	case OpLt:
+		for k, v := range word {
+			r |= b2u(float64(v) < lit) << (k & 63)
+		}
+	default: // OpGt
+		for k, v := range word {
+			r |= b2u(float64(v) > lit) << (k & 63)
+		}
+	}
+	return r
+}
+
+// nanWord sets bit k for each NaN word[k].
+func nanWord[T int64 | float64 | tuple.ID](word []T) (r uint64) {
+	for k, v := range word {
+		r |= b2u(math.IsNaN(float64(v))) << (k & 63)
+	}
+	return r
+}
+
+// b2u is 1 for true, 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // numColColNode compares two numeric columns row-wise.

@@ -233,12 +233,19 @@ func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
 // (checkAnalytic).
 func checkBatchProgram(t *testing.T, e Expr) {
 	t.Helper()
+	batches, decoded, sels := checkBatchProgramOver(t, e, []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext})
+	checkAnalytic(t, batches, decoded, sels)
+}
+
+// checkBatchProgramOver is checkBatchProgram's check of the program
+// alone, over the given batches run in order through one matcher; the
+// one-row check takes the rows of the first. It returns the batches,
+// their decoded rows and the interpreter's selections.
+func checkBatchProgramOver(t *testing.T, e Expr, gens []func() (*tuple.Batch, []tuple.Tuple)) (batches []*tuple.Batch, decoded [][]tuple.Tuple, sels [][]uint64) {
+	t.Helper()
 	prog := compileVecMatch(e, matchSchema)
 	m := newBatchMatcher(prog)
-	var batches []*tuple.Batch
-	var decoded [][]tuple.Tuple
-	var sels [][]uint64
-	for _, next := range []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext} {
+	for _, next := range gens {
 		b, rows := next()
 		want := make([]uint64, len(b.Live))
 		wantRow, wantErr := b.N, error(nil)
@@ -268,7 +275,6 @@ func checkBatchProgram(t *testing.T, e Expr) {
 		}
 		batches, decoded, sels = append(batches, b), append(decoded, rows), append(sels, want)
 	}
-	checkAnalytic(t, batches, decoded, sels)
 
 	rows := decoded[0]
 	for j := range rows {
@@ -278,6 +284,7 @@ func checkBatchProgram(t *testing.T, e Expr) {
 			t.Errorf("%s: one-row batch of row %d = (%v, %v), interpreter (%v, %v)", e, j, gotOK, gotErr, wantOK, wantErr)
 		}
 	}
+	return batches, decoded, sels
 }
 
 // analyticShapes are the statements checkAnalytic folds a selection

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -124,7 +126,9 @@ func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const good = 100 // past the first 64-row flush
+	// No row line is shorter than "[0,0]\n", so the good rows alone
+	// fill the first flush.
+	const good = flushBytes/len("[0,0]\n") + 1
 	for i := 0; i <= good; i++ {
 		lat := float64(i)
 		if i == good {
@@ -149,8 +153,8 @@ func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
 	if len(lines) != 1+good+1 {
 		t.Fatalf("%d lines, want header + %d rows + error line:\n%s", len(lines), good, body.String())
 	}
-	if lines[good] != "[99,99]" {
-		t.Errorf("last row line = %s, want [99,99]", lines[good])
+	if want := fmt.Sprintf("[%d,%d]", good-1, good-1); lines[good] != want {
+		t.Errorf("last row line = %s, want %s", lines[good], want)
 	}
 	var tail errorBody
 	if err := json.Unmarshal([]byte(lines[good+1]), &tail); err != nil || tail.Error.Code != ErrCodeExec ||
@@ -168,5 +172,61 @@ func TestV2StreamNonFiniteFloatEndsWithErrorLine(t *testing.T) {
 	var cerr *client.Error
 	if !errors.As(rows.Err(), &cerr) || cerr.Code != ErrCodeExec || rows.Count() != good {
 		t.Errorf("client saw %d rows, err %v; want %d rows and an %s error", rows.Count(), rows.Err(), good, ErrCodeExec)
+	}
+}
+
+// chunkRecorder is a ResponseWriter that keeps what reaches it between
+// two flushes as one chunk.
+type chunkRecorder struct {
+	header http.Header
+	cur    bytes.Buffer
+	chunks []string
+}
+
+func (r *chunkRecorder) Header() http.Header         { return r.header }
+func (r *chunkRecorder) WriteHeader(int)             {}
+func (r *chunkRecorder) Write(p []byte) (int, error) { return r.cur.Write(p) }
+
+func (r *chunkRecorder) Flush() {
+	if r.cur.Len() > 0 {
+		r.chunks = append(r.chunks, r.cur.String())
+		r.cur.Reset()
+	}
+}
+
+// TestV2FlushesByBytes pins the streaming flush rule: after the header,
+// every chunk but the last holds at least flushBytes and would hold
+// fewer without its last line; the last ends with the trailer; and the
+// chunks put together are the whole answer.
+func TestV2FlushesByBytes(t *testing.T) {
+	c, _, ts := newServer(t, Config{})
+	const n = 20_000
+	seedV2(t, c, n)
+	rec := &chunkRecorder{header: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/v2/query", strings.NewReader(`{"sql":"SELECT host, sev, latency, ok FROM logs"}`))
+	ts.Config.Handler.ServeHTTP(rec, req)
+	rec.Flush() // anything written after the last flush
+	chunks := rec.chunks
+	if len(chunks) < 4 {
+		t.Fatalf("%d chunks, want the header, at least two full chunks and the last", len(chunks))
+	}
+	if !strings.HasPrefix(chunks[0], `{"cols":`) || strings.Count(chunks[0], "\n") != 1 {
+		t.Errorf("first chunk %q, want the header line alone", chunks[0])
+	}
+	rowChunks := chunks[1:]
+	for i, ch := range rowChunks[:len(rowChunks)-1] {
+		lastLine := len(ch) - 1 - strings.LastIndexByte(ch[:len(ch)-1], '\n')
+		if len(ch) < flushBytes || len(ch)-lastLine >= flushBytes || !strings.HasSuffix(ch, "\n") {
+			t.Errorf("chunk %d: %d bytes ending in a %d-byte line, want >= %d and < %d without that line",
+				i+1, len(ch), lastLine, flushBytes, flushBytes)
+		}
+	}
+	last := rowChunks[len(rowChunks)-1]
+	if len(last) > flushBytes+200 || !strings.HasSuffix(last, fmt.Sprintf(`{"done":true,"rows":%d,"scanned":%d}`+"\n", n, n)) {
+		t.Errorf("last chunk: %d bytes ending %q, want at most one chunk's rows and the trailer", len(last), last[max(0, len(last)-60):])
+	}
+	lines := strings.Split(strings.TrimSuffix(strings.Join(rowChunks, ""), "\n"), "\n")
+	if len(lines) != n+1 {
+		t.Errorf("%d lines after the header, want %d rows and the trailer", len(lines), n)
 	}
 }

@@ -177,12 +177,23 @@ type StreamTrailer struct {
 	Scanned int  `json:"scanned"`
 }
 
-// flushEvery is how many rows go out between explicit flushes on the
-// streaming path; small enough that clients see steady progress, large
-// enough to amortise the syscall.
-const flushEvery = 64
+// flushBytes is the streaming path's flush rule: row lines collect in
+// one buffer and go out, in one Write and one flush, once the buffer
+// holds at least this many bytes. So every chunk but the last is at
+// least flushBytes and overshoots it by less than one line. It is large
+// enough that the socket writes of a long answer cost little beside its
+// encoding, and small enough that a client sees rows long before a
+// large answer ends.
+const flushBytes = 32 << 10
 
-// streamWriteTimeout bounds how long one row batch may take to reach
+// rowBufPool recycles the streaming encode buffers. A buffer that one
+// very long line grew past twice its usual size is dropped, not pooled.
+var rowBufPool = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 2*flushBytes)
+	return &buf
+}}
+
+// streamWriteTimeout bounds how long one flushed chunk may take to reach
 // the client. The shard scan producers hold their shards' read locks
 // for the life of the stream, so a stalled-but-connected client must
 // not be able to park them (and block writers) indefinitely: once the
@@ -251,16 +262,23 @@ func (s *Server) queryV2(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 	ctx := r.Context()
-	// Row lines collect in buf and reach the ResponseWriter once per
-	// flush interval, in one Write.
-	buf := make([]byte, 0, 4096)
+	// Row lines collect in buf and reach the ResponseWriter once it
+	// holds flushBytes, in one Write.
+	bufp := rowBufPool.Get().(*[]byte)
+	buf := (*bufp)[:0]
+	defer func() {
+		if cap(buf) <= 2*flushBytes {
+			*bufp = buf[:0]
+			rowBufPool.Put(bufp)
+		}
+	}()
 	n := 0
 	for rows.Next() {
 		if buf, err = appendRowJSON(buf, rows.Values()); err != nil {
 			break
 		}
 		n++
-		if n%flushEvery == 0 {
+		if len(buf) >= flushBytes {
 			if _, werr := w.Write(buf); werr != nil {
 				return // write failure: client disconnected; Close aborts the scan
 			}
@@ -285,7 +303,8 @@ func (s *Server) queryV2(w http.ResponseWriter, r *http.Request) {
 		last = errorBody{Error: ErrorDetail{Code: ErrCodeExec, Message: err.Error()}}
 	}
 	line, _ := json.Marshal(last) // plain structs of strings and ints: cannot fail
-	_, _ = w.Write(append(append(buf, line...), '\n'))
+	buf = append(append(buf, line...), '\n')
+	_, _ = w.Write(buf)
 	flush()
 }
 

@@ -136,7 +136,7 @@ func TestV2HandleHealsAfterTableRecreate(t *testing.T) {
 // TestV2Streams100kRows is the acceptance criterion: a 100k-row answer
 // arrives complete over the NDJSON stream, and the server's own
 // response writer never buffers it whole (httptest's default recorder
-// would; the real server chunk-flushes every flushEvery rows).
+// would; the real server flushes every flushBytes bytes).
 func TestV2Streams100kRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-row stream in -short mode")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 )
 
 // Stmt is a server-side prepared statement: the SQL compiled once into
@@ -75,7 +76,9 @@ func (c *Client) stream(body map[string]any) (*Rows, error) {
 // first line; reading it here surfaces immediate failures from Query
 // itself. The body is closed on failure.
 func newRows(body io.ReadCloser) (*Rows, error) {
-	r := &Rows{body: body, br: bufio.NewReaderSize(body, readBufferSize), strs: make(map[string]any)}
+	st := statePool.Get().(*streamState)
+	st.br.Reset(body)
+	r := &Rows{body: body, st: st}
 	var header struct {
 		Cols []string `json:"cols"`
 	}
@@ -84,7 +87,7 @@ func newRows(body io.ReadCloser) (*Rows, error) {
 		err = json.Unmarshal(line, &header)
 	}
 	if err != nil {
-		body.Close()
+		r.Close()
 		return nil, fmt.Errorf("client: stream header: %w", err)
 	}
 	r.cols = header.Cols
@@ -96,16 +99,40 @@ func newRows(body io.ReadCloser) (*Rows, error) {
 // per-Rows buffer, so no line is too long.
 const readBufferSize = 16 << 10
 
+// streamState is the decode state a Rows borrows from statePool for
+// its stream and returns on Close: the line reader and the table of
+// interned string cells (internString). Interned boxes hold immutable
+// strings, so one stream's entries serve the next.
+type streamState struct {
+	br   *bufio.Reader
+	strs map[string]any
+}
+
+var statePool = sync.Pool{New: func() any {
+	return &streamState{br: bufio.NewReaderSize(nil, readBufferSize), strs: make(map[string]any)}
+}}
+
+// release returns st to the pool without its stream. A full intern
+// table is emptied, so the strings of the streams that filled it do
+// not keep later streams' strings out.
+func (st *streamState) release() {
+	st.br.Reset(nil)
+	if len(st.strs) >= internMaxEntries {
+		clear(st.strs)
+	}
+	statePool.Put(st)
+}
+
 // Rows iterates an NDJSON result stream row by row; rows decode as the
 // server produces them, so a very large answer never buffers in the
-// client either. Always Close (or drain) the Rows.
+// client either. Always Close (or drain) the Rows. A Rows is not safe
+// for concurrent use, Close included.
 type Rows struct {
 	body    io.ReadCloser
-	br      *bufio.Reader
-	long    []byte // assembles a line longer than br's buffer
+	st      *streamState // nil once closed
+	long    []byte       // assembles a line longer than the reader's buffer
 	cols    []string
 	cur     []any
-	strs    map[string]any // interned string cells (internString)
 	err     error
 	done    bool
 	rows    int
@@ -121,17 +148,18 @@ func (r *Rows) Cols() []string { return r.cols }
 // the end of the stream it returns io.EOF, or io.ErrUnexpectedEOF when
 // the stream ends inside a line that is not a whole JSON value.
 func (r *Rows) readLine() ([]byte, error) {
+	br := r.st.br
 	for {
-		line, err := r.br.ReadSlice('\n')
+		line, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
 			r.long = append(r.long[:0], line...)
 			for err == bufio.ErrBufferFull {
-				line, err = r.br.ReadSlice('\n')
+				line, err = br.ReadSlice('\n')
 				r.long = append(r.long, line...)
 			}
 			line = r.long
 		}
-		line = bytes.Trim(line, " \t\r\n") // JSON's blanks, no others
+		line = trimBlanks(line)
 		switch {
 		case err == nil && len(line) > 0:
 			return line, nil
@@ -146,6 +174,20 @@ func (r *Rows) readLine() ([]byte, error) {
 	}
 }
 
+// trimBlanks cuts JSON's four blank characters, and no others, from
+// both ends of line.
+func trimBlanks(line []byte) []byte {
+	for len(line) > 0 && isBlank(line[0]) {
+		line = line[1:]
+	}
+	for len(line) > 0 && isBlank(line[len(line)-1]) {
+		line = line[:len(line)-1]
+	}
+	return line
+}
+
+func isBlank(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
 // Next advances to the next row. Once it returns false, check Err.
 func (r *Rows) Next() bool {
 	if r.done {
@@ -159,7 +201,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if line[0] == '[' {
-		row, ok := parseRowLine(line, r.cur, r.strs)
+		row, ok := parseRowLine(line, r.cur, r.st.strs)
 		if !ok {
 			// A variable of its own: taking row's address would move
 			// row to the heap for every line, not just for this rare one.
@@ -224,9 +266,14 @@ func (r *Rows) Scanned() int { return r.scanned }
 // Count reports the rows received so far.
 func (r *Rows) Count() int { return r.rows }
 
-// Close releases the underlying response body. Closing before the
-// stream ends aborts the server-side scan.
+// Close releases the underlying response body and the stream's decode
+// state; Row stays valid. Closing before the stream ends aborts the
+// server-side scan. Closing again only closes the body again.
 func (r *Rows) Close() error {
 	r.done = true
+	if r.st != nil {
+		r.st.release()
+		r.st = nil
+	}
 	return r.body.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -249,39 +250,125 @@ func TestRowsAllocsPerRow(t *testing.T) {
 
 // TestRowsInternStrings: interned string cells decode exactly as
 // encoding/json decodes them, and the intern table stays within its
-// bounds on long and on many distinct strings.
+// bounds on long and on many distinct strings. Across two Rows: the
+// first fills the table, and once it is closed the second's strings
+// are interned all the same.
 func TestRowsInternStrings(t *testing.T) {
 	long := strings.Repeat("x", internMaxLen+1)
-	var body strings.Builder
-	var want [][]any
-	for i := 0; i < 3*internMaxEntries; i++ {
-		line := fmt.Sprintf(`["dev-%d","web-12",%q,""]`, i, long)
-		fmt.Fprintln(&body, line)
-		var row []any
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
+	for _, prefix := range []string{"dev", "next"} {
+		var body strings.Builder
+		var want [][]any
+		for i := 0; i < 3*internMaxEntries; i++ {
+			line := fmt.Sprintf(`["%s-%d","web-12",%q,""]`, prefix, i, long)
+			fmt.Fprintln(&body, line)
+			var row []any
+			if err := json.Unmarshal([]byte(line), &row); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, row)
+		}
+		r := rowsOver(t, body.String()+trailer)
+		got, err := drain(r)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, row)
-	}
-	r := rowsOver(t, body.String()+trailer)
-	got, err := drain(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameValues(got[i], want[i]) {
-			t.Fatalf("row %d = %#v, want %#v", i, got[i], want[i])
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", prefix, len(got), len(want))
+		}
+		for i := range want {
+			if !sameValues(got[i], want[i]) {
+				t.Fatalf("%s: row %d = %#v, want %#v", prefix, i, got[i], want[i])
+			}
+		}
+		strs := r.st.strs
+		if len(strs) != internMaxEntries {
+			t.Errorf("%s: intern table holds %d strings, want its bound %d", prefix, len(strs), internMaxEntries)
+		}
+		if _, ok := strs[prefix+"-0"]; !ok {
+			t.Errorf("%s: the stream's first string was not interned", prefix)
+		}
+		if _, ok := strs[long]; ok {
+			t.Errorf("%s: a %d-byte string was interned (bound %d)", prefix, len(long), internMaxLen)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(strs) != 0 {
+			t.Errorf("%s: a full intern table still holds %d strings after Close", prefix, len(strs))
 		}
 	}
-	if len(r.strs) != internMaxEntries {
-		t.Errorf("intern table holds %d strings, want its bound %d", len(r.strs), internMaxEntries)
+}
+
+// TestRowsCloseTwice: a second Close must not hand the stream's decode
+// state to the pool again, or two later streams would share one line
+// reader.
+func TestRowsCloseTwice(t *testing.T) {
+	r := rowsOver(t, `[1]`+"\n"+trailer)
+	for i := 0; i < 2; i++ {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := r.strs[long]; ok {
-		t.Errorf("a %d-byte string was interned (bound %d)", len(long), internMaxLen)
+	a, b := rowsOver(t, `["a"]`+"\n"+trailer), rowsOver(t, `["b"]`+"\n"+trailer)
+	defer a.Close()
+	defer b.Close()
+	if a.st == b.st {
+		t.Fatal("two open streams share one decode state")
 	}
+	for _, tc := range []struct {
+		r    *Rows
+		want string
+	}{{a, "a"}, {b, "b"}} {
+		if !tc.r.Next() || tc.r.Row()[0] != tc.want {
+			t.Errorf("stream %q read %v (err %v)", tc.want, tc.r.Row(), tc.r.Err())
+		}
+	}
+}
+
+// TestRowsConcurrentEarlyClose runs many streams at once, each over
+// its own rows and each closed early at a different point (some twice),
+// so that decode state passes between goroutines through the pool. Every
+// row must be its own stream's; under -race a state still in use when
+// handed on is a data race. CI repeats it under -race.
+func TestRowsConcurrentEarlyClose(t *testing.T) {
+	const streams, rounds, rows = 8, 12, 2000 // about 48 KB a stream: several buffer fills
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				tag := fmt.Sprintf("s%d-r%d", g, round)
+				var body strings.Builder
+				fmt.Fprintln(&body, `{"cols":["tag","i"]}`)
+				for i := 0; i < rows; i++ {
+					fmt.Fprintf(&body, "[%q,%d,\"dev-%d\"]\n", tag, i, i%7)
+				}
+				body.WriteString(trailer)
+				r, err := newRows(io.NopCloser(strings.NewReader(body.String())))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				stop := (g*rounds + round) * 397 % (rows + 2) // rows+1: a full drain, trailer included
+				for i := 0; i < stop && r.Next(); i++ {
+					row := r.Row()
+					if row[0] != tag || row[1] != float64(i) || row[2] != fmt.Sprintf("dev-%d", i%7) {
+						t.Errorf("%s: row %d = %v", tag, i, row)
+						break
+					}
+				}
+				if err := r.Err(); err != nil {
+					t.Errorf("%s: %v", tag, err)
+				}
+				r.Close()
+				if round%3 == 0 {
+					r.Close()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func FuzzRowLine(f *testing.F) {
