@@ -231,6 +231,7 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	if tail.Error != nil {
+		r.readToEnd()
 		r.fail(&Error{Code: tail.Error.Code, Message: tail.Error.Message, Status: http.StatusOK})
 		return false
 	}
@@ -238,10 +239,25 @@ func (r *Rows) Next() bool {
 		r.fail(fmt.Errorf("client: unexpected stream line"))
 		return false
 	}
+	r.readToEnd()
 	r.trailer = true
 	r.scanned = tail.Scanned
 	r.done = true
 	return false
+}
+
+// maxAfterLastLine bounds what readToEnd reads past the server's last
+// line; a conforming server sends nothing there.
+const maxAfterLastLine = 4 << 10
+
+// readToEnd reads on from the server's last line — the trailer, or the
+// error in its place — to the end of the response, which the server
+// writes once its handler returns. A body closed short of its end takes
+// its connection down with it: whether the next request could reuse the
+// connection or had to dial a new one would then hang on whether that
+// end had already arrived.
+func (r *Rows) readToEnd() {
+	_, _ = r.st.br.Discard(maxAfterLastLine)
 }
 
 func (r *Rows) fail(err error) {

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // rowsOver serves a canned NDJSON body (the header line is added).
@@ -369,6 +374,58 @@ func TestRowsConcurrentEarlyClose(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestRowsReuseConnection: a stream read to its last line leaves its
+// connection to the next request, even when the end of the response
+// comes after that line has been read — here the handler lingers after
+// flushing it, so the chunked body's end always arrives late. Streams
+// end at the trailer and at an error line.
+func TestRowsReuseConnection(t *testing.T) {
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			SQL string `json:"sql"`
+		}
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		fmt.Fprintln(w, `{"cols":["i"]}`)
+		for i := 0; i < 3000; i++ { // more than one read buffer
+			fmt.Fprintf(w, "[%d]\n", i)
+		}
+		if req.SQL == "fail" {
+			fmt.Fprintln(w, `{"error":{"code":"exec","message":"boom"}}`)
+		} else {
+			fmt.Fprint(w, trailer)
+		}
+		w.(http.Flusher).Flush()
+		time.Sleep(2 * time.Millisecond)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := New(ts.URL, ts.Client())
+	for i := 0; i < 10; i++ {
+		sql := "ok"
+		if i%3 == 2 {
+			sql = "fail"
+		}
+		r, err := c.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := drain(r)
+		r.Close()
+		if len(rows) != 3000 || (err != nil) != (sql == "fail") {
+			t.Fatalf("query %d: %d rows, err %v", i, len(rows), err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("10 streams dialled %d connections, want 1", n)
+	}
 }
 
 func FuzzRowLine(f *testing.F) {
