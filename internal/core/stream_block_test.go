@@ -312,31 +312,34 @@ func TestStreamAllocsPerBlock(t *testing.T) {
 // analytic routes: an ORDER BY ... LIMIT k peek and a GROUP BY peek over
 // n matching rows allocate per scan batch, per group and per retained
 // row — never per matching row — whether targets are bare columns or a
-// scalar aggregate rides along.
+// scalar aggregate rides along. An aggregate without GROUP BY folds
+// without any per-batch scratch, so it is bounded in bytes as well.
 func TestAnalyticAllocsLateMaterialised(t *testing.T) {
 	const n, shards, k, groups = 20_000, 4, 50, 7
 	tbl := blockTable(t, shards, n)
 	// Per shard: the heap keeps k rows (one value slice each); the
 	// aggregator makes a bucket per group (key values, cells, index node
-	// and edge) and, for a STRING group key, one code table per segment.
-	// The rest (fan-out, matchers, scratch, the Rows) is fixed.
-	segments := n/4096 + shards
-	const perGroup, fixed = 12, 150
+	// and edge), and a STRING group key's code table is reused from
+	// segment to segment. The rest (fan-out, matchers, scratch, the Rows)
+	// is fixed; for the scalar statement it is under scalarBytes, well
+	// below one row list and bucket list per shard (16 KiB each).
+	const perGroup, fixed, scalarBytes = 12, 150, 16 << 10
 	for name, tc := range map[string]struct {
 		src   string
 		rows  int
 		limit int
+		bytes uint64 // per query; 0 = not bounded
 	}{
-		"topk":   {"SELECT name, v FROM t WHERE k >= 0 ORDER BY v DESC LIMIT 50", k, shards*k + fixed},
-		"group":  {"SELECT name, COUNT(*) AS n, AVG(v) AS a, MAX(k) AS hi FROM t WHERE k >= 0 GROUP BY name", groups, shards*groups*perGroup + segments + fixed},
-		"scalar": {"SELECT COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo FROM t WHERE k >= 0", 1, fixed},
+		"topk":   {"SELECT name, v FROM t WHERE k >= 0 ORDER BY v DESC LIMIT 50", k, shards*k + fixed, 0},
+		"group":  {"SELECT name, COUNT(*) AS n, AVG(v) AS a, MAX(k) AS hi FROM t WHERE k >= 0 GROUP BY name", groups, shards*groups*perGroup + fixed, 0},
+		"scalar": {"SELECT COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo FROM t WHERE k >= 0", 1, fixed, scalarBytes},
 	} {
 		pq, err := tbl.Prepare(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := 0
-		allocs := testing.AllocsPerRun(5, func() {
+		run := func() {
 			rows, err := pq.Execute()
 			if err != nil {
 				t.Fatal(err)
@@ -346,7 +349,8 @@ func TestAnalyticAllocsLateMaterialised(t *testing.T) {
 			if err := rows.Close(); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(5, run)
 		if got != tc.rows {
 			t.Fatalf("%s: %d rows, want %d", name, got, tc.rows)
 		}
@@ -354,6 +358,21 @@ func TestAnalyticAllocsLateMaterialised(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over %d matching rows, want <= %d", name, allocs, n, tc.limit)
 		} else {
 			t.Logf("%s: %.0f allocations over %d matching rows (limit %d)", name, allocs, n, tc.limit)
+		}
+		if tc.bytes == 0 {
+			continue
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > tc.bytes {
+			t.Errorf("%s: %d bytes per query over %d matching rows, want <= %d", name, bytes, n, tc.bytes)
+		} else {
+			t.Logf("%s: %d bytes per query (limit %d)", name, bytes, tc.bytes)
 		}
 	}
 }

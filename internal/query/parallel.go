@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fungusdb/internal/tuple"
@@ -45,8 +46,8 @@ type Aggregator struct {
 	keys  []colAcc
 	cells []aggCell
 	// The typed index over the buckets (see keyNode), and FeedBatch's
-	// scratch: the batch's selected rows with the bucket of each, the
-	// computed-argument row.
+	// scratch: under GROUP BY the batch's selected rows with the bucket
+	// of each; the computed-argument row.
 	nodes []keyNode
 	edges map[keyEdge]int32
 	rows  []int
@@ -72,11 +73,14 @@ type aggCell struct {
 type keyNode struct {
 	grp *aggGroup
 	// byCode caches the edges by dictionary code when the next column is
-	// a STRING, so a string is hashed once per (segment, distinct value),
-	// not per row. Codes are per segment (seg is byCode's). A node earns
-	// the table only by meeting as many rows of the segment (seen) as the
-	// table has entries: under a high-cardinality prefix most nodes meet
-	// one row, and a table each would outweigh the extent many times.
+	// a STRING, so a node with the table hashes a string once per
+	// (segment, distinct value) it meets, not per row. Codes are per
+	// segment (seg is byCode's); a new segment clears the table in place.
+	// The root builds its table from a segment's first row. Any deeper
+	// node earns one only by meeting as many rows of the segment (seen)
+	// as the table has entries, hashing each until then: under a
+	// high-cardinality prefix most nodes meet one row, and a table each
+	// would outweigh the extent many times.
 	seg    uint64
 	seen   int
 	byCode []int32
@@ -164,19 +168,38 @@ func (a *Aggregator) Feed(tp *tuple.Tuple) error {
 
 // FeedBatch folds every selected row of a column batch into the exact
 // state (and on failure the exact error) a Feed call per selected row
-// would produce. Rows find their bucket through the typed group index,
-// then each target folds column-at-a-time in ascending row order, so a
-// cell sees its values in Feed's order (float sums match bit for bit)
-// and the error is that of the first failing (row, target) pair in
-// Feed's row-major order. Only a computed argument decodes rows.
+// would produce. Each target folds column-at-a-time in ascending row
+// order, so a cell sees its values in Feed's order (float sums match bit
+// for bit) and the error is that of the first failing (row, target) pair
+// in Feed's row-major order. Only a computed argument decodes rows.
+// Under GROUP BY, rows first find their bucket through the typed group
+// index; without it every row folds straight into the one bucket, off
+// the selection bitmap.
 func (a *Aggregator) FeedBatch(b *tuple.Batch, sel []uint64) error {
+	var grps []*aggGroup
+	if len(a.keys) == 0 {
+		if a.nodes[0].grp == nil {
+			a.bucket(0, nil)
+		}
+	} else if grps = a.bucketRows(b, sel); len(grps) == 0 {
+		return nil
+	}
+	errRow, err := b.N, error(nil)
+	for ti := range a.cells {
+		if at, e := a.foldCell(ti, b, sel, grps); e != nil && at < errRow {
+			errRow, err = at, e
+		}
+	}
+	return err
+}
+
+// bucketRows lists the selected rows in a.rows and returns the bucket of
+// each, opening the buckets of keys not seen before.
+func (a *Aggregator) bucketRows(b *tuple.Batch, sel []uint64) []*aggGroup {
 	if a.rows == nil {
 		a.rows = make([]int, 0, tuple.BatchRows)
 	}
 	a.rows = tuple.AppendSet(a.rows[:0], sel)
-	if len(a.rows) == 0 {
-		return nil
-	}
 	if cap(a.grps) < len(a.rows) {
 		a.grps = make([]*aggGroup, cap(a.rows))
 	}
@@ -194,13 +217,7 @@ func (a *Aggregator) FeedBatch(b *tuple.Batch, sel []uint64) error {
 			grps[i] = a.bucket(at, key)
 		}
 	}
-	errRow, err := b.N, error(nil)
-	for ti := range a.cells {
-		if at, e := a.foldCell(ti, b, grps); e != nil && at < errRow {
-			errRow, err = at, e
-		}
-	}
-	return err
+	return grps
 }
 
 // child returns the node one GROUP BY column further along row j's key.
@@ -208,7 +225,10 @@ func (a *Aggregator) child(at int32, c colAcc, b *tuple.Batch, j int) int32 {
 	if c.sys == 0 && c.kind == tuple.KindString {
 		cv, code := &b.Cols[c.idx], int(b.Cols[c.idx].Codes[j])
 		if n := &a.nodes[at]; n.seg != b.Seg {
-			n.seg, n.seen, n.byCode = b.Seg, 0, nil
+			n.seg, n.seen, n.byCode = b.Seg, 0, n.byCode[:0]
+			if at == 0 {
+				n.seen = len(cv.Dict)
+			}
 		} else if code < len(n.byCode) && n.byCode[code] != 0 {
 			return n.byCode[code]
 		}
@@ -249,10 +269,11 @@ func (a *Aggregator) kid(at int32, v tuple.Value) int32 {
 	return k
 }
 
-// foldCell folds target ti over the batch's selected rows (a.rows,
-// bucketed in grps). It returns the first row the fold fails on and
-// that row's error, or b.N and nil.
-func (a *Aggregator) foldCell(ti int, b *tuple.Batch, grps []*aggGroup) (int, error) {
+// foldCell folds target ti over the batch's selected rows: into the
+// bucket of each (grps, listed in a.rows) or, with grps nil, into the one
+// bucket. It returns the first row the fold fails on and that row's
+// error, or b.N and nil.
+func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, grps []*aggGroup) (int, error) {
 	c := &a.cells[ti]
 	at := -1
 	switch {
@@ -262,37 +283,40 @@ func (a *Aggregator) foldCell(ti int, b *tuple.Batch, grps []*aggGroup) (int, er
 		if a.env == nil {
 			a.env = &TupleEnv{Schema: a.schema, Tuple: new(tuple.Tuple), Params: a.params}
 		}
-		for i, j := range a.rows {
+		if at, err := a.eachRow(ti, sel, grps, func(st *aggState, j int) error {
 			b.ReadRow(j, a.env.Tuple)
 			v, err := c.expr.Eval(a.env)
 			if err == nil {
-				err = grps[i].aggs[ti].observe(c.agg, v)
+				err = st.observe(c.agg, v)
 			}
-			if err != nil {
-				return j, err
-			}
+			return err
+		}); err != nil {
+			return at, err
 		}
 	case c.col.kind == tuple.KindInvalid || c.agg == AggCount:
+		if grps == nil {
+			a.order[0].aggs[ti].n += uint64(tuple.PopCount(sel))
+		}
 		for _, g := range grps {
 			g.aggs[ti].n++
 		}
 	case c.col.sys == 1:
-		at = foldNum(grps, ti, a.rows, b.Ts, c.agg, tuple.Int)
+		at = foldNum(a, ti, sel, grps, b.Ts, c.agg, tuple.Int)
 	case c.col.sys == 2:
-		at = foldNum(grps, ti, a.rows, b.Fs, c.agg, tuple.Float)
+		at = foldNum(a, ti, sel, grps, b.Fs, c.agg, tuple.Float)
 	case c.col.sys == 3:
-		at = foldNum(grps, ti, a.rows, b.IDs, c.agg, func(id tuple.ID) tuple.Value { return tuple.Int(int64(id)) })
+		at = foldNum(a, ti, sel, grps, b.IDs, c.agg, func(id tuple.ID) tuple.Value { return tuple.Int(int64(id)) })
 	case c.col.kind == tuple.KindInt:
-		at = foldNum(grps, ti, a.rows, b.Cols[c.col.idx].Ints, c.agg, tuple.Int)
+		at = foldNum(a, ti, sel, grps, b.Cols[c.col.idx].Ints, c.agg, tuple.Int)
 	case c.col.kind == tuple.KindFloat:
-		at = foldNum(grps, ti, a.rows, b.Cols[c.col.idx].Floats, c.agg, tuple.Float)
+		at = foldNum(a, ti, sel, grps, b.Cols[c.col.idx].Floats, c.agg, tuple.Float)
 	default:
 		// STRING and BOOL: no sum, and an extreme is boxed either way.
 		cv := &b.Cols[c.col.idx]
-		for i, j := range a.rows {
-			if err := grps[i].aggs[ti].observe(c.agg, cv.Value(j)); err != nil {
-				return j, err
-			}
+		if at, err := a.eachRow(ti, sel, grps, func(st *aggState, j int) error {
+			return st.observe(c.agg, cv.Value(j))
+		}); err != nil {
+			return at, err
 		}
 	}
 	if at >= 0 {
@@ -301,20 +325,49 @@ func (a *Aggregator) foldCell(ti int, b *tuple.Batch, grps []*aggGroup) (int, er
 	return b.N, nil
 }
 
-// foldNum folds a numeric column slice into cell ti of each selected
-// row's bucket with aggState.observe's semantics: SUM/AVG add the
-// float64 image; MIN/MAX compare by it, boxing only when the extreme
-// moves, and return the first row that meets a NaN (incomparable).
-func foldNum[T ~int64 | ~uint64 | ~float64](grps []*aggGroup, ti int, rows []int, xs []T, agg AggKind, box func(T) tuple.Value) int {
+// eachRow calls f on every selected row, in ascending row order, with
+// cell ti of the row's bucket (see foldCell). It returns the first row f
+// fails on and f's error, or -1 and nil.
+func (a *Aggregator) eachRow(ti int, sel []uint64, grps []*aggGroup, f func(st *aggState, j int) error) (int, error) {
+	if grps == nil {
+		st := &a.order[0].aggs[ti]
+		for w, m := range sel {
+			for ; m != 0; m &= m - 1 {
+				j := w<<6 + bits.TrailingZeros64(m)
+				if err := f(st, j); err != nil {
+					return j, err
+				}
+			}
+		}
+		return -1, nil
+	}
+	for i, j := range a.rows {
+		if err := f(&grps[i].aggs[ti], j); err != nil {
+			return j, err
+		}
+	}
+	return -1, nil
+}
+
+// foldNum folds a numeric column slice into cell ti with
+// aggState.observe's semantics: SUM/AVG add the float64 image; MIN/MAX
+// compare by it (improves) and box only when the extreme moves. It
+// returns the first row that meets a NaN (incomparable), or -1. Under
+// GROUP BY it walks each selected row's bucket; without, the one cell's
+// sum and extreme stay in registers for the batch (foldFlat).
+func foldNum[T numCol](a *Aggregator, ti int, sel []uint64, grps []*aggGroup, xs []T, agg AggKind, box func(T) tuple.Value) int {
+	if grps == nil {
+		return foldFlat(&a.order[0].aggs[ti], sel, xs, agg, box)
+	}
 	if agg == AggSum || agg == AggAvg {
-		for i, j := range rows {
+		for i, j := range a.rows {
 			st := &grps[i].aggs[ti]
 			st.n++
 			st.sum += float64(xs[j])
 		}
 		return -1
 	}
-	for i, j := range rows {
+	for i, j := range a.rows {
 		st := &grps[i].aggs[ti]
 		st.n++
 		cur := &st.min
@@ -322,18 +375,73 @@ func foldNum[T ~int64 | ~uint64 | ~float64](grps []*aggGroup, ti int, rows []int
 			cur = &st.max
 		}
 		if cur.IsValid() {
-			x := float64(xs[j])
 			y, _ := cur.Numeric()
-			if x != x || y != y {
+			if better, ok := improves(agg == AggMax, float64(xs[j]), y); !ok {
 				return j
-			}
-			if x == y || (x < y) == (agg == AggMax) {
+			} else if !better {
 				continue
 			}
 		}
 		*cur = box(xs[j])
 	}
 	return -1
+}
+
+// foldFlat is foldNum into one cell. The sum adds in a register in
+// ascending row order; the extreme is kept as T beside its float image
+// and boxed once, at the end of the batch, so of two values with one
+// image (INT 2^53 and 2^53+1) the first seen stays.
+func foldFlat[T numCol](st *aggState, sel []uint64, xs []T, agg AggKind, box func(T) tuple.Value) int {
+	st.n += uint64(tuple.PopCount(sel))
+	if agg == AggSum || agg == AggAvg {
+		sum := st.sum
+		for w, m := range sel {
+			for ; m != 0; m &= m - 1 {
+				sum += float64(xs[w<<6+bits.TrailingZeros64(m)])
+			}
+		}
+		st.sum = sum
+		return -1
+	}
+	cur := &st.min
+	if agg == AggMax {
+		cur = &st.max
+	}
+	have, moved, at, isMax := cur.IsValid(), false, -1, agg == AggMax
+	y, _ := cur.Numeric()
+	var ext T
+scan:
+	for w, m := range sel {
+		for ; m != 0; m &= m - 1 {
+			j := w<<6 + bits.TrailingZeros64(m)
+			x := float64(xs[j])
+			if have {
+				if better, ok := improves(isMax, x, y); !ok {
+					at = j
+					break scan
+				} else if !better {
+					continue
+				}
+			}
+			ext, y, have, moved = xs[j], x, true, true
+		}
+	}
+	if moved {
+		*cur = box(ext)
+	}
+	return at
+}
+
+// improves is the one MIN/MAX step of the numeric folds: whether x, the
+// float image of a new value, strictly improves on y, the current
+// extreme's, so that a tie keeps the first seen. ok is false when either
+// is NaN (incomparable).
+func improves(isMax bool, x, y float64) (better, ok bool) {
+	if isMax && x <= y || !isMax && x >= y {
+		return false, true // a tie or worse, the common case: one comparison
+	}
+	ok = x == x && y == y // otherwise x is strictly better, or a NaN is involved
+	return ok, ok
 }
 
 // group returns (creating if needed) the bucket of the given key values.

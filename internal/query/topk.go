@@ -133,49 +133,104 @@ func (p *Plan) orderLess(a, b topkRow, errp *error) bool {
 // comparison; a winner copies its output columns over the row it
 // evicts, so the collector allocates per retained row, never per match,
 // and keeps nothing that aliases batch memory (dictionary strings
-// outlive the batch). The error is a computed target failing on the
+// outlive the batch). A column-only plan whose first key is numeric
+// goes through addNum. The error is a computed target failing on the
 // first selected row it fails on.
 func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
+	if t.env == nil && numericKind(t.keys[0].kind) {
+		switch k := t.keys[0]; {
+		case k.sys == 1:
+			addNum(t, b, sel, b.Ts)
+		case k.sys == 2:
+			addNum(t, b, sel, b.Fs)
+		case k.sys == 3:
+			addNum(t, b, sel, b.IDs)
+		case k.kind == tuple.KindInt:
+			addNum(t, b, sel, b.Cols[k.idx].Ints)
+		default:
+			addNum(t, b, sel, b.Cols[k.idx].Floats)
+		}
+		return nil
+	}
 	p := t.plan
 	for w, m := range sel {
 		for ; m != 0; m &= m - 1 {
 			j := w<<6 + bits.TrailingZeros64(m)
-			var row topkRow
 			full := t.h.Len() == t.h.Cap()
-			if full {
-				row = t.h.Items()[0]
-			}
 			if t.env != nil {
 				b.ReadRow(j, t.env.Tuple)
 				if err := projectRow(p.targets, t.env, t.row); err != nil {
 					return err
 				}
-				if full && !p.orderLess(topkRow{vals: t.row, id: b.IDs[j]}, row, &t.err) {
+				if full && !p.orderLess(topkRow{vals: t.row, id: b.IDs[j]}, t.h.Items()[0], &t.err) {
 					continue
 				}
-			} else if full && !t.beats(b, j, row) {
+			} else if full && !t.beats(b, j, t.h.Items()[0]) {
 				continue
 			}
-			if !full {
-				row.vals = make([]tuple.Value, len(p.proj))
-			}
-			row.id = b.IDs[j]
-			if t.env != nil {
-				copy(row.vals, t.row)
-			} else {
-				t.one[0] = j
-				for c, slot := range p.proj {
-					gatherCol(row.vals[c:], 1, b, slot, t.one[:])
-				}
-			}
-			if full {
-				t.h.ReplaceTop(row)
-			} else {
-				t.h.Push(row)
-			}
+			t.admit(b, j, full)
 		}
 	}
 	return nil
+}
+
+// addNum is AddBatch for a column-only plan whose first ORDER BY key is
+// the numeric column xs. Once the heap is full it holds the worst
+// survivor's key as a float image (refreshed whenever the top changes)
+// and drops a row whose key is strictly worse without calling beats; a
+// tie or a NaN on either side falls through to beats, which breaks the
+// tie or records the error.
+func addNum[T numCol](t *TopK, b *tuple.Batch, sel []uint64, xs []T) {
+	k := t.plan.order[0]
+	full, worst := t.worst(k.idx)
+	for w, m := range sel {
+		for ; m != 0; m &= m - 1 {
+			j := w<<6 + bits.TrailingZeros64(m)
+			if full {
+				if x := float64(xs[j]); (k.desc && x < worst) || (!k.desc && x > worst) || !t.beats(b, j, t.h.Items()[0]) {
+					continue
+				}
+			}
+			t.admit(b, j, full)
+			full, worst = t.worst(k.idx)
+		}
+	}
+}
+
+// worst reports whether the heap is full and, if so, the float image of
+// its worst survivor's column idx.
+func (t *TopK) worst(idx int) (bool, float64) {
+	if t.h.Len() < t.h.Cap() {
+		return false, 0
+	}
+	y, _ := t.h.Items()[0].vals[idx].Numeric()
+	return true, y
+}
+
+// admit puts row j of b into the heap — over the worst survivor when the
+// heap is full — with its output columns gathered off the column slices,
+// or copied from t.row for a computed plan.
+func (t *TopK) admit(b *tuple.Batch, j int, full bool) {
+	var row topkRow
+	if full {
+		row = t.h.Items()[0]
+	} else {
+		row.vals = make([]tuple.Value, len(t.plan.proj))
+	}
+	row.id = b.IDs[j]
+	if t.env != nil {
+		copy(row.vals, t.row)
+	} else {
+		t.one[0] = j
+		for c, slot := range t.plan.proj {
+			gatherCol(row.vals[c:], 1, b, slot, t.one[:])
+		}
+	}
+	if full {
+		t.h.ReplaceTop(row)
+	} else {
+		t.h.Push(row)
+	}
 }
 
 // beats reports whether row j of b sorts strictly before worst, read
@@ -222,11 +277,8 @@ func (t *TopK) Len() int { return t.h.Len() }
 func (t *TopK) AxisSkip(axis uint8, desc bool) func(ZoneView) bool {
 	keyIdx := t.plan.order[0].idx
 	return func(z ZoneView) bool {
-		if t.h.Len() < t.h.Cap() {
-			return false
-		}
-		worst, wok := t.h.Items()[0].vals[keyIdx].Numeric()
-		if !wok {
+		full, worst := t.worst(keyIdx)
+		if !full {
 			return false
 		}
 		var lo, hi tuple.Value

@@ -316,6 +316,10 @@ func (nd *numLitNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (
 	return b.N, nil
 }
 
+// numCol is the element type of a numeric column slice: INT and _t
+// (int64), FLOAT and _f (float64), _id (tuple.ID).
+type numCol interface{ int64 | float64 | tuple.ID }
+
 // cmpLitWords is numLitNode's kernel over one column slice: it sets
 // out[w] to the rows of word w that sel selects and whose float64
 // image compares true against lit. The operator is reduced once to
@@ -324,7 +328,7 @@ func (nd *numLitNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (
 // cannot occur). With check it returns the first selected NaN row and
 // leaves the words after that row's unwritten; otherwise, or when no
 // selected row is NaN, it returns -1.
-func cmpLitWords[T int64 | float64 | tuple.ID](vals []T, op BinOp, lit float64, check bool, sel, out []uint64) int {
+func cmpLitWords[T numCol](vals []T, op BinOp, lit float64, check bool, sel, out []uint64) int {
 	var inv uint64
 	switch op {
 	case OpNe:
@@ -352,7 +356,7 @@ func cmpLitWords[T int64 | float64 | tuple.ID](vals []T, op BinOp, lit float64, 
 
 // litWord compares up to 64 values against lit under ==, < or >,
 // setting bit k for word[k] without a branch.
-func litWord[T int64 | float64 | tuple.ID](word []T, op BinOp, lit float64) (r uint64) {
+func litWord[T numCol](word []T, op BinOp, lit float64) (r uint64) {
 	switch op {
 	case OpEq:
 		for k, v := range word {
@@ -371,7 +375,7 @@ func litWord[T int64 | float64 | tuple.ID](word []T, op BinOp, lit float64) (r u
 }
 
 // nanWord sets bit k for each NaN word[k].
-func nanWord[T int64 | float64 | tuple.ID](word []T) (r uint64) {
+func nanWord[T numCol](word []T) (r uint64) {
 	for k, v := range word {
 		r |= b2u(math.IsNaN(float64(v))) << (k & 63)
 	}

@@ -119,6 +119,8 @@ var matchCorpus = []string{
 	"(k > 0 OR ok) AND NOT (name = \"beta\")",
 	"k % 3 = 0 AND name LIKE \"%a\"",
 	"k % 3 = 0 OR v > 50.0",
+	"_f <= 0.5",
+	"k >= 8 OR k < -4",
 	"NOT (k % 2 = 0)",
 	// Error paths: type mismatches surface per row with pinned text.
 	"name > 3",
@@ -218,6 +220,35 @@ func vecBatchNext() (*tuple.Batch, []tuple.Tuple) {
 	return b, batchRows(b)
 }
 
+// vecBatchLast is a third segment after vecBatchNext, planted with the
+// cases where a fold's register or a top-k threshold carried over from
+// the earlier batches must hold: INT 2^53+1 before 2^53 (and -(2^53+1)
+// before -2^53) — one float image, so the first seen is the extreme —
+// _f ties of +0 and -0 below every earlier _f, the first NaN of _f (row
+// 46), and later, tying _t values.
+func vecBatchLast() (*tuple.Batch, []tuple.Tuple) {
+	b, _ := vecBatch()
+	b.Seg = 3
+	b.Live[0], b.Live[1] = 0, 0
+	for j := 0; j < b.N; j++ {
+		b.IDs[j] += 2000
+		b.Ts[j] += 5
+		b.Fs[j] = float64(j%7) / 4
+		if j%14 == 7 {
+			b.Fs[j] = math.Copysign(0, -1)
+		}
+		if j%4 != 1 {
+			b.Live[j>>6] |= 1 << uint(j&63)
+		}
+	}
+	b.Fs[46] = math.NaN()
+	for j, k := range map[int]int64{2: 1<<53 + 1, 11: 1 << 53, 30: 1<<53 + 1, 3: -(1 << 53) - 1, 19: -(1 << 53), 60: 1 << 53} {
+		b.Cols[0].Ints[j] = k
+	}
+	b.Alive = tuple.PopCount(b.Live)
+	return b, batchRows(b)
+}
+
 // batchOf presents tuples of schema as one all-live column batch.
 func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
 	b := new(tuple.Batch)
@@ -233,7 +264,7 @@ func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
 // (checkAnalytic).
 func checkBatchProgram(t *testing.T, e Expr) {
 	t.Helper()
-	batches, decoded, sels := checkBatchProgramOver(t, e, []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext})
+	batches, decoded, sels := checkBatchProgramOver(t, e, []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext, vecBatchLast})
 	checkAnalytic(t, batches, decoded, sels)
 }
 
@@ -291,9 +322,12 @@ func checkBatchProgramOver(t *testing.T, e Expr, gens []func() (*tuple.Batch, []
 // through: grouped by a STRING (dictionary codes), by a FLOAT with NaN
 // and -0 beside a BOOL, ungrouped with a computed argument, extremes
 // that meet a NaN, two targets failing on different rows and on the
-// same row; top-k over a
-// STRING key with ID ties, over a FLOAT key with NaN, and over a
-// computed target.
+// same row; ungrouped folds of every bare numeric column, the system
+// columns included, and of STRING and BOOL extremes; top-k over a
+// STRING key with ID ties, over a FLOAT key with NaN, over every
+// numeric column as the first key in both directions (ties at the
+// threshold, ±0, a later NaN, 2^53 beside 2^53+1), and over a computed
+// target.
 var analyticShapes = []string{
 	"SELECT name, COUNT(*) AS n, SUM(v) AS s, AVG(k) AS a, MIN(k) AS lo, MAX(_id) AS hi FROM t GROUP BY name",
 	"SELECT v, ok, COUNT(*) AS n, MIN(name) AS first, MAX(_t) AS t FROM t GROUP BY v, ok ORDER BY n DESC, first, ok",
@@ -303,16 +337,30 @@ var analyticShapes = []string{
 	"SELECT MAX(v) AS hi, SUM(name) AS s FROM t",
 	"SELECT SUM(name) AS s, SUM(ok) AS o FROM t GROUP BY k",
 	"SELECT SUM(100 / k) AS q, MAX(v) AS hi FROM t GROUP BY ok",
+	"SELECT COUNT(k) AS n, SUM(k) AS s, AVG(k) AS a, MIN(k) AS lo, MAX(k) AS hi FROM t",
+	"SELECT COUNT(v) AS n, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi FROM t",
+	"SELECT SUM(_t) AS s, MIN(_t) AS lo, MAX(_t) AS hi, AVG(_f) AS a, MIN(_f) AS flo, MAX(_f) AS fhi FROM t",
+	"SELECT COUNT(_id) AS n, SUM(_id) AS s, AVG(_id) AS a, MIN(_id) AS lo, MAX(_id) AS hi FROM t",
+	"SELECT MIN(name) AS lo, MAX(ok) AS any, COUNT(name) AS n, MAX(k) AS hi FROM t",
 	"SELECT k, name, _id FROM t ORDER BY name DESC LIMIT 5",
 	"SELECT name, ok, _t FROM t ORDER BY ok, _t DESC, name LIMIT 40",
 	"SELECT v, k FROM t ORDER BY v DESC, k LIMIT 4",
+	"SELECT v, _id FROM t ORDER BY v LIMIT 5",
+	"SELECT k, _id FROM t ORDER BY k DESC LIMIT 7",
+	"SELECT k, name FROM t ORDER BY k, name DESC LIMIT 12",
+	"SELECT _t, name FROM t ORDER BY _t DESC, name LIMIT 9",
+	"SELECT _t, k FROM t ORDER BY _t LIMIT 20",
+	"SELECT _f, k FROM t ORDER BY _f LIMIT 6",
+	"SELECT _f FROM t ORDER BY _f DESC LIMIT 3",
+	"SELECT _id, v FROM t ORDER BY _id DESC LIMIT 3",
+	"SELECT _id FROM t ORDER BY _id LIMIT 4",
 	"SELECT k * 2 AS kk, name FROM t ORDER BY name, kk DESC LIMIT 6",
 	"SELECT 100 / k AS q FROM t ORDER BY q LIMIT 3",
 }
 
 var analyticPlans []*Plan
 
-// checkAnalytic feeds the selections of a two-segment scan to the
+// checkAnalytic feeds the selections of a multi-segment scan to the
 // batch consumers — Aggregator.FeedBatch and TopK.AddBatch — and to
 // their row-at-a-time references (Aggregator.Feed, and a projection,
 // stable sort and LIMIT over the decoded rows): same grid, same order,
