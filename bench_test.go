@@ -118,35 +118,45 @@ func BenchmarkInsert(b *testing.B) {
 	b.ReportMetric(float64(tbl.Len()), "final_extent")
 }
 
-// BenchmarkConsumeQuery measures consume-mode answers of 1000 tuples,
-// reloading between iterations.
+// BenchmarkConsumeQuery measures consume-mode answers of 1000 of 10000
+// tuples at 1 and 4 shards, reloading a fresh table between iterations
+// (untimed). A consume is the row route: it collects its matching set
+// under every shard's write lock, removes it, and finishes over it.
 func BenchmarkConsumeQuery(b *testing.B) {
-	db, err := core.Open(core.DBConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	rows := make([][]tuple.Value, 10_000)
+	for j := range rows {
+		rows[j] = core.Row("s", float64(j%100))
 	}
-	defer db.Close()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		name := fmt.Sprintf("t%d", i)
-		tbl, err := db.CreateTable(name, core.TableConfig{Schema: microSchema})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 10_000; j++ {
-			tbl.Insert(core.Row("s", float64(j%100)))
-		}
-		b.StartTimer()
-		g, err := tbl.SQL("SELECT CONSUME * FROM " + name + " WHERE temp < 10")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(g.Rows) != 1000 {
-			b.Fatalf("consumed %d", len(g.Rows))
-		}
-		b.StopTimer()
-		db.DropTable(name)
-		b.StartTimer()
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			db, err := core.Open(core.DBConfig{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				name := fmt.Sprintf("t%d", i)
+				tbl, err := db.CreateTable(name, core.TableConfig{Schema: microSchema, Shards: shards})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tbl.InsertBatch(rows); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				g, err := tbl.SQL("SELECT CONSUME * FROM " + name + " WHERE temp < 10")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(g.Rows) != 1000 {
+					b.Fatalf("consumed %d", len(g.Rows))
+				}
+				b.StopTimer()
+				db.DropTable(name)
+				b.StartTimer()
+			}
+		})
 	}
 }
 

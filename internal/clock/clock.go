@@ -1,9 +1,10 @@
 // Package clock provides the time substrate for fungus decay.
 //
 // The paper's natural laws are phrased against "a periodic clock of T
-// seconds". Real deployments would use wall time; experiments need a
-// deterministic, fast-forwardable clock. Both are modelled by the Clock
-// interface: a monotonically non-decreasing sequence of logical Ticks.
+// seconds". The engine's time is logical: the Clock interface is a
+// monotonically non-decreasing sequence of Ticks that the caller
+// advances — a deployment once per wall-clock period (fungusd's -period
+// ticker calls DB.Tick), an experiment as fast as it likes.
 // All decay dynamics in the repository depend only on tick counts, never
 // on wall-clock durations, which is what makes the simulation faithful
 // (see DESIGN.md, substitutions table).
@@ -12,7 +13,6 @@ package clock
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Tick is a logical instant. Tick 0 is the epoch; decay laws are applied
@@ -72,34 +72,6 @@ func (v *Virtual) Set(t Tick) {
 		panic(fmt.Sprintf("clock: Set(%v) would move time backwards from %v", t, v.now))
 	}
 	v.now = t
-}
-
-// Wall is a Clock deriving ticks from wall time: one tick per period.
-// It exists so a deployment can run the same fungus schedules against
-// real time; experiments never use it.
-type Wall struct {
-	start  time.Time
-	period time.Duration
-	nowFn  func() time.Time
-}
-
-// NewWall returns a wall clock ticking once per period, counting from
-// start. It panics if period is not positive.
-func NewWall(start time.Time, period time.Duration) *Wall {
-	if period <= 0 {
-		panic("clock: wall period must be positive")
-	}
-	return &Wall{start: start, period: period, nowFn: time.Now}
-}
-
-// Now returns the number of whole periods elapsed since start. Times
-// before start read as tick 0.
-func (w *Wall) Now() Tick {
-	elapsed := w.nowFn().Sub(w.start)
-	if elapsed < 0 {
-		return 0
-	}
-	return Tick(elapsed / w.period)
 }
 
 // Fixed is an immutable clock frozen at a single tick, useful for

@@ -3,7 +3,6 @@ package clock
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestVirtualZeroValue(t *testing.T) {
@@ -60,38 +59,6 @@ func TestVirtualConcurrentAdvance(t *testing.T) {
 	if got := v.Now(); got != workers*per {
 		t.Fatalf("Now() = %v, want %d", got, workers*per)
 	}
-}
-
-func TestWallTicks(t *testing.T) {
-	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	w := NewWall(start, time.Minute)
-	now := start
-	w.nowFn = func() time.Time { return now }
-
-	if got := w.Now(); got != 0 {
-		t.Fatalf("at start Now() = %v, want 0", got)
-	}
-	now = start.Add(59 * time.Second)
-	if got := w.Now(); got != 0 {
-		t.Fatalf("at 59s Now() = %v, want 0", got)
-	}
-	now = start.Add(61 * time.Second)
-	if got := w.Now(); got != 1 {
-		t.Fatalf("at 61s Now() = %v, want 1", got)
-	}
-	now = start.Add(-time.Hour)
-	if got := w.Now(); got != 0 {
-		t.Fatalf("before start Now() = %v, want 0", got)
-	}
-}
-
-func TestWallBadPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWall(0) did not panic")
-		}
-	}()
-	NewWall(time.Now(), 0)
 }
 
 func TestFixed(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fungusdb/internal/query"
 	"fungusdb/internal/storage"
@@ -15,9 +14,9 @@ import (
 // This file is the one execution path of the engine's read side, and
 // Prepare is its one way in. Every read — Table.SQL, the HTTP container
 // ask handler, the streaming /v2/query, stream monitors, the shell and
-// the experiments — prepares a statement into a query.Plan
-// (or fetches it from the per-table plan cache) and hands it to execPlan,
-// which routes it:
+// the experiments — prepares a statement into a query.Plan (or fetches
+// it from the per-table plan cache) and hands it to execPlan, which
+// routes it:
 //
 //	digest    ask plans: answer from the container digest, no scan
 //	consume   all-shard atomic answer-and-discard cut, then finish
@@ -27,13 +26,17 @@ import (
 //	material  barrier peek (ORDER BY / distill / touch-on-read):
 //	          collect, then finish
 //
-// Stream, aggregate and top-k materialise late: WHERE, group keys,
-// aggregate arguments and sort keys read the scan batch's typed column
-// slices, and values are boxed only for rows that reach the answer.
-// Every route answers projected rows (query.Rows.Values); a caller that
-// wants a whole tuple's fields selects `_id, _t, _f, *` (SelectTuples,
-// RowTuple). New
-// capabilities land here once instead of once per front door.
+// Every route but digest scans through one driver, scanShards: it owns
+// the fan-out, the shard locks, pruning, the batch walk, the WHERE
+// kernels, the scanned count and early stop, and a route supplies only
+// a per-shard sink and its merge — the tuple collector (mergeByID),
+// query.BlockWriter (the stream merge), Aggregator.FeedBatch (Merge)
+// and TopK.AddBatch (MergeTopK). Stream, aggregate and top-k
+// materialise late: WHERE, group keys, aggregate arguments and sort
+// keys read the batch's typed column slices, and values are boxed only
+// for rows that reach the answer. Every route answers projected rows
+// (query.Rows.Values); a caller that wants a whole tuple's fields
+// selects `_id, _t, _f, *` (SelectTuples, RowTuple).
 
 // ErrNoContainer reports an ask against a container that does not
 // exist (or has rotted away).
@@ -54,18 +57,6 @@ var topkPeakHook func(retained int)
 // segment: no zone-map pruning, no top-k axis bound. The differential
 // tests compare pruned answers against it.
 var pruneOffHook bool
-
-// pruneFn adapts the plan's compiled segment-prune checks to the
-// storage scan callback, nil when the plan prunes nothing.
-// *storage.ZoneMap satisfies query.ZoneView structurally, so neither
-// package imports the other.
-func pruneFn(plan *query.Plan) func(*storage.ZoneMap) bool {
-	p := plan.Pruner()
-	if p == nil || pruneOffHook {
-		return nil
-	}
-	return func(z *storage.ZoneMap) bool { return p.Skip(z) }
-}
 
 // PreparedQuery is a statement compiled against one table: parse and
 // validation already happened, so Execute only binds parameters and
@@ -195,21 +186,20 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 		}
 		plan, params = bound, nil
 	}
+	// late: nothing needs the materialised tuple set (no distillation,
+	// no touch-on-read), so a route may materialise late.
+	late := opt.Distill == "" && !t.cfg.TouchOnRead
 	switch {
 	case plan.Consume():
 		return t.execConsume(plan, params, opt)
-	case plan.Aggregated() && opt.Distill == "" && !t.cfg.TouchOnRead && opt.Limit == 0:
-		// The distributed aggregate path sees every match exactly once,
-		// so it only applies when nothing needs the materialised tuple
-		// set: no distillation, no touch-on-read, and no programmatic
-		// answer-set cap (QueryOpts.Limit bounds the tuples aggregated,
-		// unlike the SQL LIMIT, which caps output rows and is handled
-		// by the aggregator itself).
+	case plan.Aggregated() && late && opt.Limit == 0:
+		// The distributed aggregate sees every match exactly once, so
+		// it also needs no programmatic cap (QueryOpts.Limit bounds the
+		// tuples aggregated; the SQL LIMIT caps output rows).
 		return t.execAggregate(plan, params)
-	case !plan.Aggregated() && !plan.Ordered() && opt.Distill == "" && !t.cfg.TouchOnRead:
+	case !plan.Aggregated() && !plan.Ordered() && late:
 		return t.execStream(plan, params, opt)
-	case !plan.Aggregated() && plan.Ordered() && plan.Limit() > 0 &&
-		opt.Distill == "" && !t.cfg.TouchOnRead && opt.Limit == 0:
+	case !plan.Aggregated() && plan.Ordered() && plan.Limit() > 0 && late && opt.Limit == 0:
 		// Ordered + LIMIT without a reason to materialise: push the
 		// sort into per-shard bounded top-k heaps and merge k-way, so
 		// peak result memory is O(shards × LIMIT) instead of the whole
@@ -232,45 +222,141 @@ func (t *Table) execAsk(plan *query.Plan, params []tuple.Value) (*query.Rows, er
 	return plan.AskRows(c.Digest, params)
 }
 
-// collectMatches gathers up to limit (0 = all) of the tuples matching
-// the plan, in global ID order: every shard's scan selects rows
-// batch-wise over the columnar segment views, tuples materialise only
-// for matches, and the per-shard parts merge by ID. A kernel error only
-// surfaces when a shard's scan consumes every selected row before it —
-// a limit hit stops first, exactly where a row-by-row evaluation would
-// have stopped. The caller holds every shard's lock (read suffices).
+// lockRule says who holds shard i's lock while scanShards walks it.
+type lockRule int
+
+const (
+	lockHeld       lockRule = iota // the caller holds every shard's lock
+	lockPerShard                   // the driver read-locks each shard
+	lockHandedOver                 // the caller read-locked, the driver releases
+)
+
+// scanSink is a route's part of a scanShards walk, called per shard i;
+// only take is required. skip returns a segment veto beside the plan's
+// prune (top-k's AxisSkip). veto runs before a batch's kernels and true
+// stops the walk quietly (a cancelled stream). take folds a batch's
+// selected rows; false or an error stops the walk. end runs when the
+// walk is over, still under the lock, with the walk's error, and
+// returns the shard's.
+type scanSink struct {
+	skip func(i int) func(query.ZoneView) bool
+	veto func(i int) bool
+	take func(i int, b *tuple.Batch, sel []uint64) (more bool, err error)
+	end  func(i int, err error) error
+}
+
+// scanShards is the one shard-scan driver of the read side: every
+// route's scan fans out here, and each route supplies only a sink and
+// merges what the sinks folded. Per shard it walks the live batches
+// along the ID axis (top down when reverse), skips the segments the
+// plan's zone-map prune or the sink rules out (neither under
+// pruneOffHook), runs the WHERE program on each batch and hands the
+// selection to sink.take. The sink takes a batch's selected rows first;
+// the batch's kernel error surfaces only if the sink asked to go on, so
+// a route that stops at its limit stops exactly where a row-by-row
+// evaluation would have. It returns the live rows of every batch
+// walked, summed over the shards, and the lowest shard's error.
 //
-//fungusvet:requires shardlock
-func (t *Table) collectMatches(plan *query.Plan, limit int) (tuples []tuple.Tuple, scanned int, err error) {
+// The read side's three lock rules live here:
+//   - lockHeld: the caller holds every shard's lock (read or write) for
+//     the whole call and the driver takes none: material and consume,
+//     one cut across all shards (collectAnswer).
+//   - lockPerShard: the driver read-locks shard i around its walk, on
+//     the table's worker pool: aggregate and top-k.
+//   - lockHandedOver: the caller read-locked every shard in index order
+//     before the call; the driver releases shard i once its walk and
+//     sink.end are done, and runs one goroutine per shard: the stream.
+//     A producer blocked on the merge holds its lock while the merge
+//     waits on the others; one still to take its lock (or a pool slot)
+//     could queue behind a writer waiting on the blocked one — a cycle.
+func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink scanSink) (int, error) {
 	n := t.store.NumShards()
-	parts := make([][]tuple.Tuple, n)
-	counts := make([]int, n)
-	prune := pruneFn(plan)
-	err = fanOut(n, t.workers, func(i int) error {
+	var prune func(*storage.ZoneMap) bool // a *ZoneMap is a query.ZoneView
+	if p := plan.Pruner(); p != nil && !pruneOffHook {
+		prune = func(z *storage.ZoneMap) bool { return p.Skip(z) }
+	}
+	workers := t.workers
+	if rule == lockHandedOver {
+		workers = n
+	}
+	scanned := make([]int, n)
+	err := fanOut(n, workers, func(i int) error {
+		switch rule {
+		case lockPerShard:
+			t.shardMu[i].RLock()
+			defer t.shardMu[i].RUnlock()
+		case lockHandedOver:
+			defer t.shardMu[i].RUnlock()
+		}
+		skip := prune
+		if sink.skip != nil && !pruneOffHook {
+			extra := sink.skip(i)
+			skip = func(z *storage.ZoneMap) bool { return (prune != nil && prune(z)) || extra(z) }
+		}
 		bm := plan.NewBatchMatcher()
-		var matchErr error
-		t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-			counts[i] += b.Alive
-			sel, _, kerr := bm.Match(b)
-			full := !tuple.EachSet(sel, func(j int) bool {
-				parts[i] = append(parts[i], b.Row(j))
-				return limit == 0 || len(parts[i]) < limit
-			})
-			if full {
+		var err error
+		t.store.ScanShardAxis(i, reverse, skip, func(b *tuple.Batch) bool {
+			scanned[i] += b.Alive
+			if sink.veto != nil && sink.veto(i) {
 				return false
 			}
-			matchErr = kerr
-			return kerr == nil
+			sel, _, kerr := bm.Match(b)
+			more, serr := sink.take(i, b, sel)
+			if err = serr; more && err == nil {
+				err = kerr
+			}
+			return more && err == nil
 		})
-		return matchErr
+		if sink.end != nil {
+			err = sink.end(i, err)
+		}
+		return err
+	})
+	total := 0
+	for _, s := range scanned {
+		total += s
+	}
+	return total, err
+}
+
+// countQuery counts one answered query; failed queries are not queries.
+func (t *Table) countQuery() {
+	t.mu.Lock()
+	t.ctrs.Queries++
+	t.mu.Unlock()
+}
+
+// collectAnswer is the barrier routes' shared step: collect up to
+// opt.Limit (0 = all) of the matching tuples in global ID order, count
+// the query, and absorb the answer into opt.Distill's container. The
+// caller holds every shard's lock (read suffices).
+//
+//fungusvet:requires shardlock
+func (t *Table) collectAnswer(plan *query.Plan, opt QueryOpts) ([]tuple.Tuple, int, error) {
+	limit := opt.Limit
+	parts := make([][]tuple.Tuple, t.store.NumShards())
+	scanned, err := t.scanShards(plan, lockHeld, false, scanSink{
+		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
+			return tuple.EachSet(sel, func(j int) bool {
+				parts[i] = append(parts[i], b.Row(j))
+				return limit == 0 || len(parts[i]) < limit
+			}), nil
+		},
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, c := range counts {
-		scanned += c
+	tuples := mergeByID(parts, limit)
+	t.countQuery()
+	if opt.Distill != "" && len(tuples) > 0 {
+		t.mu.Lock()
+		err = t.shelf.Absorb(opt.Distill, t.clk.Now(), t.cfg.ContainerHalfLife, tuples)
+		t.mu.Unlock()
 	}
-	return mergeByID(parts, limit), scanned, nil
+	if err != nil {
+		return nil, 0, err
+	}
+	return tuples, scanned, nil
 }
 
 // selPool recycles the stream producers' selected-row scratch. Each
@@ -281,131 +367,118 @@ var selPool = sync.Pool{New: func() any {
 	return &sel
 }}
 
+// streamShard is one stream producer: the block it fills and hands to
+// the merge over out until done closes, and what it has matched.
+type streamShard struct {
+	bw      *query.BlockWriter
+	out     chan *query.Block
+	done    <-chan struct{}
+	sel     *[]int // pooled selected-row scratch
+	matched int
+	aborted bool // the merge cancelled the stream
+}
+
+// handOff passes shard i's block being filled to the merge; false
+// means the stream was cancelled meanwhile.
+func (p *streamShard) handOff(i int) bool {
+	b := p.bw.Take()
+	select {
+	case p.out <- b:
+	case <-p.done:
+		b.Release()
+		p.aborted = true
+		return false
+	}
+	if streamHandOffHook != nil {
+		streamHandOffHook(i, p.done)
+	}
+	return true
+}
+
 // execStream is the shard-parallel streaming peek: one producer per
-// shard scans under that shard's read lock, copies the plan's output
-// columns of the matching rows into hand-off blocks and passes them
-// over a small bounded channel; the returned Rows k-way merges the
-// blocks back into global insertion order as the caller pulls. The
-// fan-out deliberately runs one goroutine per shard rather than the
-// worker-bounded pool — the merge needs every shard's head block
-// before it can emit anything, so capping concurrency below the shard
-// count would deadlock; memory stays bounded by the channel buffers,
-// and pacing comes from the consumer. Blocks are recycled: the merge
-// releases each once the caller has moved past its rows, and a
-// producer's next block comes from that pool.
-//
-// Every shard is read-locked here, in index order, before any producer
-// runs, and each producer releases its own lock when it finishes. A
-// producer blocked on the merge holds its lock while the merge waits
-// on the other shards; had one of those still to take its lock, it
-// could queue behind a writer that waits on a reader (rlockAll, another
-// stream) which in turn waits on the blocked producer's shard — a
-// cycle. Once Execute returns, the stream waits only on its consumer.
+// shard copies the plan's output columns of the matching rows into
+// hand-off blocks and passes them over a small bounded channel; the
+// returned Rows k-way merges the blocks back into global insertion
+// order as the caller pulls. Every shard is read-locked here, before
+// any producer runs (scanShards' handed-over rule), so once Execute
+// returns the stream waits only on its consumer. Blocks are recycled:
+// the merge releases each once the caller has moved past its rows.
 func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
 	n := t.store.NumShards()
-	// The programmatic cap and the SQL LIMIT both bound a plain
-	// unordered scan's output; the effective cap is the tighter one.
+	// The programmatic cap and the SQL LIMIT both bound a plain scan's
+	// output; the effective cap is the tighter one. Each shard
+	// contributes at most limit rows, so it stops scanning there.
 	limit := opt.Limit
 	if sl := plan.Limit(); sl > 0 && (limit == 0 || sl < limit) {
 		limit = sl
 	}
-	chans := make([]chan *query.Block, n)
 	recv := make([]<-chan *query.Block, n)
-	for i := range chans {
-		chans[i] = make(chan *query.Block, 1)
-		recv[i] = chans[i]
-	}
+	prods := make([]streamShard, n)
 	done := make(chan struct{})
-	var scanned atomic.Int64
-	prune := pruneFn(plan)
-	errCh := make(chan error, 1)
-	t.rlockAll()
-	go func() {
-		errCh <- fanOut(n, n, func(i int) error {
-			defer close(chans[i])
-			defer t.shardMu[i].RUnlock()
-			// Each shard contributes at most limit rows to a
-			// limit-capped merge, so it stops scanning there.
-			bw := plan.NewBlockWriter(params, limit)
+	for i := range prods {
+		out := make(chan *query.Block, 1)
+		prods[i] = streamShard{bw: plan.NewBlockWriter(params, limit), out: out, done: done, sel: selPool.Get().(*[]int)}
+		recv[i] = out
+	}
+	sink := scanSink{
+		// Poll for cancellation once per batch, before its kernels: a
+		// shard mid-way through a matchless stretch (no sends, so no
+		// natural done check) must stop once the merge has emitted LIMIT
+		// rows or the caller closed the stream. The yield keeps the
+		// consumer runnable even when producers saturate every P.
+		veto: func(i int) bool {
+			select {
+			case <-done:
+				prods[i].aborted = true
+				return true
+			default:
+			}
+			runtime.Gosched()
+			return false
+		},
+		// The selected rows' output columns copy straight from the
+		// column views into the hand-off blocks. The batch is the
+		// shard's last when it reaches the limit or a row in it fails
+		// to project.
+		take: func(i int, b *tuple.Batch, bits []uint64) (bool, error) {
+			p := &prods[i]
+			sel := tuple.AppendSet((*p.sel)[:0], bits)
+			last := limit != 0 && p.matched+len(sel) >= limit
+			if last {
+				sel = sel[:limit-p.matched]
+			}
+			for len(sel) > 0 {
+				took := p.bw.AddBatch(b, sel)
+				sel = sel[took:]
+				p.matched += took
+				if p.bw.Failed() || p.bw.Full() && !p.handOff(i) {
+					return false, nil
+				}
+			}
+			return !last, nil
+		},
+		end: func(i int, err error) error {
+			p := &prods[i]
+			if err == nil && !p.aborted && p.bw.Len() > 0 {
+				p.handOff(i)
+			}
 			// A block still being filled when the producer stops early
 			// never reaches the merge.
-			defer func() { bw.Take().Release() }()
-			bm := plan.NewBatchMatcher()
-			matched := 0
-			aborted := false
-			var innerErr error
-			// handOff passes the block being filled to the merge; false
-			// means the stream was cancelled meanwhile.
-			handOff := func() bool {
-				b := bw.Take()
-				select {
-				case chans[i] <- b:
-				case <-done:
-					b.Release()
-					aborted = true
-					return false
-				}
-				if streamHandOffHook != nil {
-					streamHandOffHook(i, done)
-				}
-				return true
-			}
-			// The WHERE program selects whole column batches and the
-			// selected rows' output columns copy straight from the column
-			// views into the hand-off blocks.
-			selp := selPool.Get().(*[]int)
-			defer selPool.Put(selp)
-			sel := *selp
-			t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-				scanned.Add(int64(b.Alive))
-				// Poll for cancellation once per storage batch (≤ BatchRows
-				// rows): once the merge has emitted LIMIT rows (or the
-				// caller closed the stream), a shard mid-way through a
-				// matchless stretch — no sends, so no natural done check —
-				// must stop instead of scanning to its end. The yield keeps
-				// the consumer (who decides to cancel) runnable even when
-				// producers saturate every P.
-				select {
-				case <-done:
-					aborted = true
-					return false
-				default:
-				}
-				runtime.Gosched()
-				bits, _, kerr := bm.Match(b)
-				sel = tuple.AppendSet(sel[:0], bits)
-				// This batch is the shard's last when it reaches the
-				// limit or a row in it fails to project.
-				last := limit != 0 && matched+len(sel) >= limit
-				if last {
-					sel = sel[:limit-matched]
-				}
-				for rows := sel; len(rows) > 0; {
-					took := bw.AddBatch(b, rows)
-					rows = rows[took:]
-					matched += took
-					if bw.Failed() {
-						last = true
-						break
-					}
-					if bw.Full() && !handOff() {
-						return false
-					}
-				}
-				if last {
-					return false
-				}
-				innerErr = kerr
-				return kerr == nil
-			})
-			if innerErr != nil {
-				return innerErr
-			}
-			if !aborted && bw.Len() > 0 {
-				handOff()
-			}
-			return nil
-		})
+			p.bw.Take().Release()
+			selPool.Put(p.sel)
+			close(p.out)
+			return err
+		},
+	}
+	type result struct {
+		scanned int
+		err     error
+	}
+	res := make(chan result, 1)
+	t.rlockAll()
+	go func() {
+		scanned, err := t.scanShards(plan, lockHandedOver, false, sink)
+		res <- result{scanned, err}
 	}()
 
 	return query.NewStreamRows(query.Stream{
@@ -414,15 +487,13 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 		Blocks: recv,
 		Done:   done,
 		Wait: func() (int, error) {
-			err := <-errCh
+			r := <-res
 			// Count the query only once the scan ends cleanly, matching
-			// the materialised paths: failed queries are not queries.
-			if err == nil {
-				t.mu.Lock()
-				t.ctrs.Queries++
-				t.mu.Unlock()
+			// the materialised paths.
+			if r.err == nil {
+				t.countQuery()
 			}
-			return int(scanned.Load()), err
+			return r.scanned, r.err
 		},
 		Limit: limit,
 	}), nil
@@ -434,101 +505,64 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 // keys and aggregate arguments alike), merged in ascending shard order
 // (deterministic for a fixed shard count).
 func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
-	n := t.store.NumShards()
-	aggs := make([]*query.Aggregator, n)
-	scanned := make([]int, n)
-	prune := pruneFn(plan)
-	err := fanOut(n, t.workers, func(i int) error {
-		agg := plan.NewAggregator(params)
-		t.shardMu[i].RLock()
-		defer t.shardMu[i].RUnlock()
-		// The WHERE program selects whole column batches and the
-		// aggregator folds the selection off the same column slices.
-		bm := plan.NewBatchMatcher()
-		var innerErr error
-		t.store.ScanShardBatches(i, prune, func(b *tuple.Batch) bool {
-			scanned[i] += b.Alive
-			sel, _, kerr := bm.Match(b)
-			if innerErr = agg.FeedBatch(b, sel); innerErr == nil {
-				innerErr = kerr
-			}
-			return innerErr == nil
-		})
-		aggs[i] = agg
-		return innerErr
+	aggs := make([]*query.Aggregator, t.store.NumShards())
+	for i := range aggs {
+		aggs[i] = plan.NewAggregator(params)
+	}
+	scanned, err := t.scanShards(plan, lockPerShard, false, scanSink{
+		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
+			return true, aggs[i].FeedBatch(b, sel)
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < n; i++ {
-		if err := aggs[0].Merge(aggs[i]); err != nil {
+	for _, agg := range aggs[1:] {
+		if err := aggs[0].Merge(agg); err != nil {
 			return nil, err
 		}
 	}
-	t.mu.Lock()
-	t.ctrs.Queries++
-	t.mu.Unlock()
+	t.countQuery()
 	g, err := aggs[0].Grid()
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, s := range scanned {
-		total += s
-	}
-	return query.NewGridRows(g, query.Peek, total), nil
+	return query.NewGridRows(g, query.Peek, scanned), nil
 }
 
 // execOrderedTopK answers an ordered, LIMIT-capped peek without a full
-// sort barrier: under its read lock (with segment pruning) each shard
-// offers its selected rows to a bounded heap of k = LIMIT rows that
-// compares sort keys on the column slices and materialises only the
-// rows it admits. The per-shard survivors merge k-way in (ORDER BY
-// keys, ID) order — the exact total order the materialised path's
-// stable sort produces. Peak result memory is O(shards × k) no matter
-// how many tuples match.
+// sort barrier: each shard offers its selected rows to a bounded heap
+// of k = LIMIT rows that compares sort keys on the column slices and
+// materialises only the rows it admits. The per-shard survivors merge
+// k-way in (ORDER BY keys, ID) order — the exact total order the
+// materialised path's stable sort produces. Peak result memory is
+// O(shards × k) no matter how many tuples match.
 func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
-	n := t.store.NumShards()
-	prune := pruneFn(plan)
-	axis, axisDesc, axisOK := plan.OrderAxis()
-	tks := make([]*query.TopK, n)
-	scanned := make([]int, n)
-	err := fanOut(n, t.workers, func(i int) error {
-		tk := plan.NewTopK()
-		t.shardMu[i].RLock()
-		defer t.shardMu[i].RUnlock()
-		// ORDER BY _t/_id walks the ID axis in key order (segments and
-		// batches reversed for DESC), so the heap fills with the best
-		// candidates first and the per-segment _t/_id bounds rule out
-		// whole segments once it is full. The top-k survivor set is
-		// visit-order independent (the heap orders totally, ties broken
-		// by ID), so the direction cannot change the answer.
-		skip := prune
-		if axisOK && !pruneOffHook {
-			axisSkip := tk.AxisSkip(axis, axisDesc)
-			skip = func(z *storage.ZoneMap) bool {
-				return (prune != nil && prune(z)) || axisSkip(z)
+	tks := make([]*query.TopK, t.store.NumShards())
+	for i := range tks {
+		tks[i] = plan.NewTopK()
+	}
+	sink := scanSink{
+		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
+			return true, tks[i].AddBatch(b, sel)
+		},
+		end: func(i int, err error) error {
+			if err == nil {
+				err = tks[i].Err()
 			}
-		}
-		bm := plan.NewBatchMatcher()
-		var innerErr error
-		t.store.ScanShardAxis(i, axisOK && axisDesc, skip, func(b *tuple.Batch) bool {
-			scanned[i] += b.Alive
-			sel, _, kerr := bm.Match(b)
-			if innerErr = tk.AddBatch(b, sel); innerErr == nil {
-				innerErr = kerr
-			}
-			return innerErr == nil
-		})
-		if innerErr != nil {
-			return innerErr
-		}
-		if err := tk.Err(); err != nil {
 			return err
-		}
-		tks[i] = tk
-		return nil
-	})
+		},
+	}
+	// ORDER BY _t/_id walks the ID axis in key order (reversed for
+	// DESC), so the heap fills with the best candidates first and the
+	// per-segment _t/_id bounds rule out whole segments once it is
+	// full. The survivor set is visit-order independent (the heap
+	// orders totally, ties broken by ID).
+	axis, axisDesc, axisOK := plan.OrderAxis()
+	if axisOK {
+		sink.skip = func(i int) func(query.ZoneView) bool { return tks[i].AxisSkip(axis, axisDesc) }
+	}
+	scanned, err := t.scanShards(plan, lockPerShard, axisOK && axisDesc, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -543,46 +577,26 @@ func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	t.ctrs.Queries++
-	t.mu.Unlock()
-	total := 0
-	for _, s := range scanned {
-		total += s
-	}
-	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, total), nil
+	t.countQuery()
+	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, scanned), nil
 }
 
-// execMaterial is the barrier peek: collect the matching set (one cut
-// across all shards, under their read locks), apply touch-on-read and
-// distillation over it, then run the finishing
-// stages (projection, ORDER BY, LIMIT — or local aggregation when the
-// distributed path was disqualified).
+// execMaterial is the barrier peek: collect (and distill) the matching
+// set in one cut across all shards under their read locks, apply
+// touch-on-read, then run the finishing stages (projection, ORDER BY,
+// LIMIT — or local aggregation when the distributed path was
+// disqualified).
 func (t *Table) execMaterial(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
 	t.rlockAll()
-	tuples, totalScanned, err := t.collectMatches(plan, opt.Limit)
+	tuples, scanned, err := t.collectAnswer(plan, opt)
 	t.runlockAll()
 	if err != nil {
 		return nil, err
 	}
-
 	if t.cfg.TouchOnRead && len(tuples) > 0 {
 		t.touchAnswered(tuples)
 	}
-
-	t.mu.Lock()
-	t.ctrs.Queries++
-	t.mu.Unlock()
-
-	if opt.Distill != "" && len(tuples) > 0 {
-		t.mu.Lock()
-		err := t.shelf.Absorb(opt.Distill, t.clk.Now(), t.cfg.ContainerHalfLife, tuples)
-		t.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return t.finishRows(plan, params, tuples, totalScanned)
+	return t.finishRows(plan, params, tuples, scanned)
 }
 
 // execConsume is the second natural law behind the prepared API: one
@@ -616,36 +630,17 @@ func (t *Table) finishRows(plan *query.Plan, params []tuple.Value, tuples []tupl
 // consumeCut is the all-shards critical section of a consume query:
 // one atomic answer-and-discard cut across the whole extent. It
 // reports whether a checkpoint fell due.
-func (t *Table) consumeCut(plan *query.Plan, opt QueryOpts) (tuples []tuple.Tuple, scannedTotal int, due bool, err error) {
-	n := t.store.NumShards()
+func (t *Table) consumeCut(plan *query.Plan, opt QueryOpts) (tuples []tuple.Tuple, scanned int, due bool, err error) {
 	t.lockAll()
 	defer t.unlockAll()
 	if t.closed.Load() {
 		return nil, 0, false, t.errClosed()
 	}
-
-	tuples, scannedTotal, err = t.collectMatches(plan, opt.Limit)
+	tuples, scanned, err = t.collectAnswer(plan, opt)
 	if err != nil {
 		return nil, 0, false, err
 	}
-
-	t.mu.Lock()
-	t.ctrs.Queries++
-	t.mu.Unlock()
-
-	if opt.Distill != "" && len(tuples) > 0 {
-		t.mu.Lock()
-		err := t.shelf.Absorb(opt.Distill, t.clk.Now(), t.cfg.ContainerHalfLife, tuples)
-		if err == nil {
-			t.ctrs.DistilledQuery += uint64(len(tuples))
-		}
-		t.mu.Unlock()
-		if err != nil {
-			return nil, 0, false, err
-		}
-	}
-
-	evictLogged := make([]int, n)
+	evictLogged := make([]int, t.store.NumShards())
 	for i := range tuples {
 		id := tuples[i].ID
 		s := t.store.ShardOf(id)
@@ -672,7 +667,10 @@ func (t *Table) consumeCut(plan *query.Plan, opt QueryOpts) (tuples []tuple.Tupl
 	}
 	t.mu.Lock()
 	t.ctrs.Consumed += uint64(len(tuples))
+	if opt.Distill != "" {
+		t.ctrs.DistilledQuery += uint64(len(tuples))
+	}
 	due = t.noteMutationLocked(1)
 	t.mu.Unlock()
-	return tuples, scannedTotal, due, nil
+	return tuples, scanned, due, nil
 }

@@ -57,15 +57,6 @@ func parseWhere(src string) (Expr, int, error) {
 	return e, p.params, nil
 }
 
-// MustParse is Parse that panics on error, for tests and examples.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	toks   []token
 	pos    int

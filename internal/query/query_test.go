@@ -15,6 +15,15 @@ var testSchema = tuple.MustSchema(
 	tuple.Column{Name: "ok", Kind: tuple.KindBool},
 )
 
+// MustParse is Parse that panics on error.
+func MustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 func testTuple(device string, temp float64, count int64, ok bool) tuple.Tuple {
 	tp := tuple.New(1, 10, []tuple.Value{
 		tuple.String_(device), tuple.Float(temp), tuple.Int(count), tuple.Bool(ok),
