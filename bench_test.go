@@ -269,8 +269,9 @@ func BenchmarkShardedTick(b *testing.B) {
 // dictionary code and folds them off the column slices into a partial
 // aggregator, merged in shard order, so grouped analytics never
 // materialise a matching tuple. where=all groups every row; where=half
-// puts a WHERE kernel in front (NOT (seq < x) lowers to no zone-map
-// check, so every segment is still scanned). by=seq+device is the
+// puts a WHERE in front, NOT (seq < x): the segment verdicts skip the
+// segments below x and run no kernel in those above it, so it times
+// the verdict path, not a kernel. by=seq+device is the
 // worst case for the group index: a unique INT column ahead of the
 // STRING one, so every row is a bucket of its own and nothing per
 // (bucket, dictionary entry) may be kept.
@@ -1014,7 +1015,7 @@ func prunedScanTable(b *testing.B, shards, n int) (*core.DB, *core.Table) {
 // BenchmarkPrunedScan measures a selective scan under zone-map segment
 // pruning: the per-segment summaries are consulted and non-overlapping
 // ID ranges skipped before a tuple is touched (BenchmarkVectorizedScan
-// runs the same selections with every segment in play). Custom metrics
+// runs the same selections through NOT's verdicts). Custom metrics
 // report the per-op pruning counters (prunedsegs/op, skippedtuples/op)
 // that fungusbench -benchjson carries into BENCH_ci.json. The
 // prune=pruned suffix keeps the cell names BENCH_baseline.json gates.
@@ -1099,10 +1100,12 @@ func BenchmarkOrderedTopK(b *testing.B) {
 // BenchmarkVectorizedScan measures the columnar batch matcher on a
 // materialising scan: the WHERE runs as column-wise kernels that
 // produce a selection bitmap per 1k-row batch, and only the matches are
-// decoded. NOT (seq < x) selects what seq >= x selects but lowers to no
-// zone-map check, so every segment stays in play and the cost is
-// predicate evaluation and row materialisation alone. The vec=on
-// suffix keeps the cell names BENCH_baseline.json gates.
+// decoded. NOT (seq < x) selects what seq >= x selects; the segment
+// verdicts skip the segments below x and run no kernel in those above
+// it, so beside PrunedScan the cells time NOT's verdicts against a
+// plain comparison's (query.BenchmarkNumLitKernel times the kernel
+// itself). The vec=on suffix keeps the cell names BENCH_baseline.json
+// gates.
 func BenchmarkVectorizedScan(b *testing.B) {
 	const n = 100_000
 	for _, shards := range []int{1, 4, 8} {
@@ -1141,8 +1144,8 @@ func BenchmarkVectorizedScan(b *testing.B) {
 // per-tuple materialisation at all. sel=1 (an empty-WHERE full-extent
 // aggregate) is the paper's headline case: pure column arithmetic over
 // contiguous memory instead of decoding every tuple just to add one
-// field. As in BenchmarkVectorizedScan, the WHERE lowers to no zone-map
-// check and the vec=on suffix keeps the gated cell names.
+// field. As in BenchmarkVectorizedScan, the segment verdicts decide the
+// WHERE, and the vec=on suffix keeps the gated cell names.
 func BenchmarkVectorizedAgg(b *testing.B) {
 	const n = 100_000
 	for _, shards := range []int{1, 4, 8} {

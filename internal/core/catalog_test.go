@@ -50,6 +50,7 @@ func TestSpecTableFullLifecycle(t *testing.T) {
 	if tbl2.Len() != 10 {
 		t.Errorf("recovered %d tuples", tbl2.Len())
 	}
+	auditZones(t, tbl2)
 	// The fungus came back too: after the TTL lifetime everything rots
 	// and (DistillOnRot) lands in the rot container.
 	for i := 0; i < 101; i++ {

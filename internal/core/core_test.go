@@ -532,6 +532,7 @@ func TestPersistentTableSurvivesReopen(t *testing.T) {
 	if tbl2.Len() != wantLen {
 		t.Fatalf("recovered %d tuples, want %d", tbl2.Len(), wantLen)
 	}
+	auditZones(t, tbl2)
 	// Freshness survived the checkpoint.
 	res, err := answer(tbl2, "_f < 0.81 AND _f > 0.79", query.Peek)
 	if err != nil {
@@ -588,6 +589,7 @@ func TestCheckpointEveryTruncatesWAL(t *testing.T) {
 	if tbl2.Len() != 25 {
 		t.Errorf("recovered %d, want 25", tbl2.Len())
 	}
+	auditZones(t, tbl2)
 }
 
 func TestCheckpointOnNonPersistentTable(t *testing.T) {

@@ -211,6 +211,7 @@ func TestGroupedCrashKeepsResolvedInserts(t *testing.T) {
 			if got := tbl2.Len(); got != acked {
 				t.Fatalf("recovered %d rows, want the %d acknowledged", got, acked)
 			}
+			auditZones(t, tbl2)
 		})
 	}
 }
@@ -252,6 +253,17 @@ func TestStrictInsertsSurviveCrashImmediately(t *testing.T) {
 	}
 	if got := tbl2.Len(); got != n {
 		t.Fatalf("recovered %d rows, want %d", got, n)
+	}
+	auditZones(t, tbl2)
+}
+
+// auditZones fails the test unless every zone map of tbl holds its live
+// rows: recovery builds them by replay, or installs them from the
+// snapshot without a per-row rebuild.
+func auditZones(t *testing.T, tbl *Table) {
+	t.Helper()
+	if err := tbl.AuditZones(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -295,6 +307,7 @@ func TestCheckpointResolvesGroupedWaits(t *testing.T) {
 	if tbl2.Len() != 1 {
 		t.Fatalf("recovered %d rows, want 1", tbl2.Len())
 	}
+	auditZones(t, tbl2)
 }
 
 // TestGroupCommitStatsSurface: grouped-mode fsync batching shows up in

@@ -26,17 +26,18 @@ import (
 //	material  barrier peek (ORDER BY / distill / touch-on-read):
 //	          collect, then finish
 //
-// Every route but digest scans through one driver, scanShards: it owns
-// the fan-out, the shard locks, pruning, the batch walk, the WHERE
-// kernels, the scanned count and early stop, and a route supplies only
-// a per-shard sink and its merge — the tuple collector (mergeByID),
+// Every route but digest scans through one driver, scanShards: it
+// owns the fan-out, the shard locks, the segment verdicts (skip,
+// kernel and NaN-check elision), the batch walk, the WHERE kernels,
+// the scanned count and early stop, and a route supplies only a
+// per-shard sink and its merge — the tuple collector (mergeByID),
 // query.BlockWriter (the stream merge), Aggregator.FeedBatch (Merge)
 // and TopK.AddBatch (MergeTopK). Stream, aggregate and top-k
 // materialise late: WHERE, group keys, aggregate arguments and sort
-// keys read the batch's typed column slices, and values are boxed only
-// for rows that reach the answer. Every route answers projected rows
-// (query.Rows.Values); a caller that wants a whole tuple's fields
-// selects `_id, _t, _f, *` (SelectTuples, RowTuple).
+// keys read the batch's typed column slices, and values are boxed
+// only for rows that reach the answer. Every route answers projected
+// rows (query.Rows.Values); a caller that wants a whole tuple's
+// fields selects `_id, _t, _f, *` (SelectTuples, RowTuple).
 
 // ErrNoContainer reports an ask against a container that does not
 // exist (or has rotted away).
@@ -53,9 +54,10 @@ var streamHandOffHook func(shard int, done <-chan struct{})
 // the ordered route's peak result-set footprint, O(shards × LIMIT).
 var topkPeakHook func(retained int)
 
-// pruneOffHook, when set (tests only), makes every scan visit every
-// segment: no zone-map pruning, no top-k axis bound. The differential
-// tests compare pruned answers against it.
+// pruneOffHook, when set (tests only), turns off every use of the zone
+// maps: every scan visits every segment, and runs every kernel with
+// every NaN check — no segment verdict, no top-k axis bound. The
+// differential tests compare zone-driven answers against it.
 var pruneOffHook bool
 
 // PreparedQuery is a statement compiled against one table: parse and
@@ -231,13 +233,13 @@ const (
 	lockHandedOver                 // the caller read-locked, the driver releases
 )
 
-// scanSink is a route's part of a scanShards walk, called per shard i;
-// only take is required. skip returns a segment veto beside the plan's
-// prune (top-k's AxisSkip). veto runs before a batch's kernels and true
-// stops the walk quietly (a cancelled stream). take folds a batch's
-// selected rows; false or an error stops the walk. end runs when the
-// walk is over, still under the lock, with the walk's error, and
-// returns the shard's.
+// scanSink is a route's part of a scanShards walk, called per shard
+// i; only take is required. skip returns a segment veto beside the
+// WHERE program's root verdict (top-k's AxisSkip). veto runs before a
+// batch's kernels and true stops the walk quietly (a cancelled
+// stream). take folds a batch's selected rows; false or an error
+// stops the walk. end runs when the walk is over, still under the
+// lock, with the walk's error, and returns the shard's.
 type scanSink struct {
 	skip func(i int) func(query.ZoneView) bool
 	veto func(i int) bool
@@ -248,14 +250,18 @@ type scanSink struct {
 // scanShards is the one shard-scan driver of the read side: every
 // route's scan fans out here, and each route supplies only a sink and
 // merges what the sinks folded. Per shard it walks the live batches
-// along the ID axis (top down when reverse), skips the segments the
-// plan's zone-map prune or the sink rules out (neither under
-// pruneOffHook), runs the WHERE program on each batch and hands the
-// selection to sink.take. The sink takes a batch's selected rows first;
-// the batch's kernel error surfaces only if the sink asked to go on, so
-// a route that stops at its limit stops exactly where a row-by-row
-// evaluation would have. It returns the live rows of every batch
-// walked, summed over the shards, and the lowest shard's error.
+// along the ID axis (top down when reverse). Under the lock that
+// covers its batches, each segment's zone map arms the shard's
+// matcher with the WHERE program's verdicts
+// (query.BatchMatcher.Zone): a root none, or the sink's own veto,
+// skips the segment, and the batches of a scanned one run only the
+// kernels the verdicts leave undecided. Under pruneOffHook no verdict
+// is taken. The selection goes to sink.take. The sink takes a batch's
+// selected rows first; the batch's kernel error surfaces only if the
+// sink asked to go on, so a route that stops at its limit stops
+// exactly where a row-by-row evaluation would have. It returns the
+// live rows of every batch walked, summed over the shards, and the
+// lowest shard's error.
 //
 // The read side's three lock rules live here:
 //   - lockHeld: the caller holds every shard's lock (read or write) for
@@ -271,10 +277,6 @@ type scanSink struct {
 //     could queue behind a writer waiting on the blocked one — a cycle.
 func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink scanSink) (int, error) {
 	n := t.store.NumShards()
-	var prune func(*storage.ZoneMap) bool // a *ZoneMap is a query.ZoneView
-	if p := plan.Pruner(); p != nil && !pruneOffHook {
-		prune = func(z *storage.ZoneMap) bool { return p.Skip(z) }
-	}
 	workers := t.workers
 	if rule == lockHandedOver {
 		workers = n
@@ -288,12 +290,15 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink s
 		case lockHandedOver:
 			defer t.shardMu[i].RUnlock()
 		}
-		skip := prune
-		if sink.skip != nil && !pruneOffHook {
-			extra := sink.skip(i)
-			skip = func(z *storage.ZoneMap) bool { return (prune != nil && prune(z)) || extra(z) }
-		}
 		bm := plan.NewBatchMatcher()
+		var skip func(*storage.ZoneMap) bool // a *ZoneMap is a query.ZoneView
+		if !pruneOffHook {
+			var extra func(query.ZoneView) bool
+			if sink.skip != nil {
+				extra = sink.skip(i)
+			}
+			skip = func(z *storage.ZoneMap) bool { return bm.Zone(z) || extra != nil && extra(z) }
+		}
 		var err error
 		t.store.ScanShardAxis(i, reverse, skip, func(b *tuple.Batch) bool {
 			scanned[i] += b.Alive

@@ -75,6 +75,10 @@ var oracleWheres = []string{
 	"k % 3 = 0 AND name LIKE \"%a\"",
 	"k % 3 = 0 OR v > 50.0",
 	"NOT (k % 2 = 0)",
+	"k > 100 AND v < 1000.0",
+	"v < 1000.0 AND k >= 0",
+	"NOT (v > 1000.0) OR name > 3",
+	"NOT (k / (k - 3) > 0 AND k > 100000)",
 	// Errors: for every row, or only where a row's values make them.
 	"name > 3",
 	"3 > name",
@@ -427,6 +431,10 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 			// first is the sort's business).
 			check := func(stage string, nan bool) {
 				t.Helper()
+				// Segment verdicts read the zone maps as proofs.
+				if err := tbl.AuditZones(); err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
 				hi := seq
 				run := func(src string, opts ...QueryOpts) {
 					t.Helper()

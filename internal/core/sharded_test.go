@@ -263,6 +263,7 @@ func TestShardedPersistenceAcrossShardCounts(t *testing.T) {
 		if tbl.Len() != wantLive {
 			t.Fatalf("shards=%d: recovered %d tuples, want %d", shards, tbl.Len(), wantLive)
 		}
+		auditZones(t, tbl)
 		res, err := answer(tbl, "", query.Peek)
 		if err != nil {
 			t.Fatal(err)

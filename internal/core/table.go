@@ -853,6 +853,16 @@ func (t *Table) SyncWAL() error {
 	return log.Sync()
 }
 
+// AuditZones checks every shard's zone maps against their live rows
+// under the shard read locks (see storage.Store.AuditZones): the
+// recovery, replication and differential tests call it wherever
+// summaries are built, installed or rebuilt.
+func (t *Table) AuditZones() error {
+	t.rlockAll()
+	defer t.runlockAll()
+	return t.store.AuditZones()
+}
+
 // Compact reclaims tombstone space in sealed segments of every shard.
 func (t *Table) Compact() int {
 	t.lockAll()

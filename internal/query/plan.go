@@ -38,11 +38,10 @@ type Plan struct {
 	computed bool
 
 	// Compiled execution state. vec is the WHERE clause lowered to the
-	// batch program (nil without a WHERE); pruner is its conjuncts
-	// lowered to zone-map checks. Bind re-lowers both once placeholders
-	// have become literals. order is the ORDER BY list resolved to
-	// output-column indices at compile time.
-	pruner     *Pruner
+	// batch program, which also decides the segment verdicts (nil
+	// without a WHERE); Bind re-lowers it once placeholders have become
+	// literals. order is the ORDER BY list resolved to output-column
+	// indices at compile time.
 	vec        *vecProg
 	order      []orderIdx
 	limit      int // resolved LIMIT (0 = unlimited)
@@ -115,13 +114,11 @@ func (s *Statement) Plan(schema *tuple.Schema) (*Plan, error) {
 	return p, nil
 }
 
-// compileExec lowers the WHERE clause into the batch program and the
-// segment pruner.
+// compileExec lowers the WHERE clause into the batch program.
 func (p *Plan) compileExec() {
 	if p.where == nil {
 		return
 	}
-	p.pruner = compilePrune(p.where, p.schema)
 	p.vec = compileVecMatch(p.where, p.schema)
 }
 
@@ -200,13 +197,9 @@ func (p *Plan) Ordered() bool { return p.stmt != nil && len(p.stmt.OrderBy) > 0 
 // plans the value is known only on the plan Bind returns.
 func (p *Plan) Limit() int { return p.limit }
 
-// Pruner returns the predicate's compiled segment-prune checks, nil
-// when no conjunct is prunable (or placeholders are still unbound).
-func (p *Plan) Pruner() *Pruner { return p.pruner }
-
 // OrderAxis reports whether the plan's primary sort key is one of the
 // insertion axes the segment zone maps bound: axis 1 is `_t`, axis 2
-// is `_id` (matching the prune-column convention). ok holds only for
+// is `_id`. ok holds only for
 // non-aggregated statement plans whose first ORDER BY key projects the
 // bare system column — those orders can be served by an axis-directed
 // scan that skips whole segments once a top-k heap is full.
@@ -264,7 +257,7 @@ func (p *Plan) BindCheck(params []tuple.Value) error {
 // Bind substitutes the parameters into the plan's expressions as
 // literals, returning a derived zero-parameter plan that evaluates at
 // literal speed (no per-tuple parameter resolution): the bound WHERE
-// clause is re-lowered into the batch program and prune checks, and a
+// clause is re-lowered into the batch program, and a
 // `LIMIT ?` placeholder resolves (and type-checks) here. The caller
 // must have BindCheck-ed params first; plans without placeholders
 // return themselves. The original plan is untouched — one cached Plan

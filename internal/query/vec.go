@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -30,6 +31,16 @@ import (
 // evaluation would error under the interpreter, with result bits
 // defined only below that row — exactly the prefix a row-by-row
 // evaluation would have produced before aborting.
+//
+// The same tree also reasons about whole segments. Before a scan walks
+// a segment's batches, each node's zone method decides from the
+// segment's zone map whether the node is false for every live row
+// (none), true for every one (all) or undecided (some), and whether any
+// row under it can error. A root none skips the segment (the only
+// verdict allowed to hide an error); a node that is none or all and
+// error-free costs no kernel; a FLOAT comparison over a segment without
+// NaN drops its per-row NaN check. A matcher never given a zone runs
+// every kernel and every check.
 
 // colAcc is a schema-resolved column accessor.
 type colAcc struct {
@@ -64,6 +75,33 @@ func colRef(e Expr, schema *tuple.Schema) (colAcc, bool) {
 	return resolveCol(c.Name, schema)
 }
 
+// bounds returns the column's zone bounds as float64 images (see
+// image); ok is false for _f, which has no zone, and whenever the
+// summary cannot vouch for the column.
+func (c colAcc) bounds(z ZoneView) (lo, hi float64, ok bool) {
+	var l, h tuple.Value
+	switch c.sys {
+	case 0:
+		l, h, ok = z.Bounds(c.idx)
+	case 1:
+		l, h, ok = z.TickBounds()
+	case 3:
+		l, h, ok = z.IDBounds()
+	}
+	return image(l), image(h), ok
+}
+
+// image is the float64 a kernel compares a value as: Numeric for INT
+// and FLOAT (so INT bounds beyond 2^53 round exactly as their rows
+// do), 0 or 1 for BOOL.
+func image(v tuple.Value) float64 {
+	if v.Kind() == tuple.KindBool {
+		return float64(b2u(v.AsBool()))
+	}
+	f, _ := v.Numeric()
+	return f
+}
+
 // numericKind reports whether k participates in numeric comparison.
 func numericKind(k tuple.Kind) bool { return k == tuple.KindInt || k == tuple.KindFloat }
 
@@ -74,6 +112,22 @@ func allLits(list []Expr) bool {
 		}
 	}
 	return true
+}
+
+// flipCmp mirrors a comparison so the column lands on the left:
+// lit < col  ==  col > lit.
+func flipCmp(op BinOp) BinOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op // Eq, Ne are symmetric
 }
 
 // cmpDecide turns a three-way comparison into the operator's boolean.
@@ -132,6 +186,7 @@ type vecProg struct {
 	schema *tuple.Schema
 	nbuf   int // scratch selection-bitmap slots
 	nstr   int // string translate-table slots
+	nzone  int // segment-verdict slots
 }
 
 // vecNode is one operator of a compiled batch program.
@@ -142,6 +197,93 @@ type vecNode interface {
 	// when none) and that row's error. Bits of out at or above the
 	// returned row are unspecified; callers mask before use.
 	eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error)
+	// zone decides the operator over every live row of the segment z
+	// summarises and records in m's verdict slots what its eval acts
+	// on; it must write every slot it owns, so nothing carries over
+	// from the previous segment.
+	zone(m *BatchMatcher, z ZoneView) zfact
+}
+
+// ZoneView is the read surface of one segment's zone map: conservative
+// per-column summaries the verdicts reason over. The storage layer's
+// *storage.ZoneMap satisfies it structurally, keeping the two packages
+// decoupled. ok=false (or MayContainString=true) means "unknown".
+// Bounds are inclusive and cover a superset of the live rows, and a
+// FLOAT column has bounds only while the segment holds no NaN.
+type ZoneView interface {
+	// Bounds returns inclusive bounds of schema column col.
+	Bounds(col int) (lo, hi tuple.Value, ok bool)
+	// TickBounds returns inclusive insertion-tick bounds (INT values).
+	TickBounds() (lo, hi tuple.Value, ok bool)
+	// IDBounds returns inclusive tuple-ID bounds (INT values).
+	IDBounds() (lo, hi tuple.Value, ok bool)
+	// MayContainString reports whether column col may hold s; false
+	// means definitely absent.
+	MayContainString(col int, s string) bool
+}
+
+// zfact is what a zone map proves about one node over a segment's live
+// rows; 0 is "some" with no row able to error.
+type zfact uint8
+
+const (
+	zNone  zfact = 1 << iota // every row that does not error yields false
+	zAll                     // every row that does not error yields true
+	zErr                     // some row may error
+	zNoNaN                   // numLitNode's slot: the FLOAT column holds no NaN
+)
+
+// decided is the verdict eval may act on: none or all only when no row
+// under the node can error, 0 (some) otherwise.
+func (f zfact) decided() zfact {
+	if f&zErr != 0 {
+		return 0
+	}
+	return f
+}
+
+// not is NOT's verdict: none and all swap, errors stay.
+func (f zfact) not() zfact { return f&zErr | (f&zNone)<<1 | (f&zAll)>>1 }
+
+// rangeFact decides `x op lit` for every x in [lo, hi]. = is decided
+// by a range without lit or holding nothing else, and != mirrors it; an
+// ordering comparison holds on a half-line, so it decides the range
+// when it agrees at both ends.
+func rangeFact[T float64 | string](op BinOp, lo, hi, lit T) zfact {
+	if op == OpEq || op == OpNe {
+		var f zfact
+		if lit < lo || lit > hi {
+			f = zNone
+		} else if lo == lit && hi == lit {
+			f = zAll
+		}
+		if op == OpNe {
+			return f.not()
+		}
+		return f
+	}
+	atLo, atHi := cmpDecide(op, cmp.Compare(lo, lit)), cmpDecide(op, cmp.Compare(hi, lit))
+	switch {
+	case atLo && atHi:
+		return zAll
+	case !atLo && !atHi:
+		return zNone
+	}
+	return 0
+}
+
+// runZoned evaluates nd unless its decided verdict v makes the kernel
+// moot: all passes sel through, none selects nothing.
+func runZoned(nd vecNode, v zfact, m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
+	switch v {
+	case zAll:
+		copy(out, sel)
+		return b.N, nil
+	case zNone:
+		zeroWords(out)
+		return b.N, nil
+	}
+	return nd.eval(m, b, sel, out)
 }
 
 // batchWords is the bitmap length covering a full batch.
@@ -218,15 +360,16 @@ func batchValue(c colAcc, b *tuple.Batch, j int) tuple.Value {
 type andNode struct {
 	l, r vecNode
 	tmp  int
+	zs   int // verdict slots: l's, then r's
 }
 
 func (nd *andNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
 	tmp := m.bufs[nd.tmp][:len(sel)]
-	ra, errA := nd.l.eval(m, b, sel, tmp)
+	ra, errA := runZoned(nd.l, m.zv[nd.zs], m, b, sel, tmp)
 	if ra < b.N {
 		maskBelow(tmp, ra)
 	}
-	rb, errB := nd.r.eval(m, b, tmp, out)
+	rb, errB := runZoned(nd.r, m.zv[nd.zs+1], m, b, tmp, out)
 	for i := range out {
 		out[i] &= tmp[i]
 	}
@@ -239,16 +382,29 @@ func (nd *andNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int
 	return ra, errA
 }
 
+// zone: false on either side is false; the right side's errors count
+// only where the left can be true.
+func (nd *andNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	l, r := nd.l.zone(m, z), nd.r.zone(m, z)
+	m.zv[nd.zs], m.zv[nd.zs+1] = l.decided(), r.decided()
+	f := (l|r)&zNone | l&r&zAll | l&zErr
+	if l&zNone == 0 {
+		f |= r & zErr
+	}
+	return f
+}
+
 // orNode mirrors short-circuit OR: the right side runs only where the
 // left was false and error-free.
 type orNode struct {
 	l, r       vecNode
 	tmpA, tmpB int
+	zs         int // verdict slots: l's, then r's
 }
 
 func (nd *orNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
 	ltrue := m.bufs[nd.tmpA][:len(sel)]
-	ra, errA := nd.l.eval(m, b, sel, ltrue)
+	ra, errA := runZoned(nd.l, m.zv[nd.zs], m, b, sel, ltrue)
 	if ra < b.N {
 		maskBelow(ltrue, ra)
 	}
@@ -259,7 +415,7 @@ func (nd *orNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int,
 	if ra < b.N {
 		maskBelow(rsel, ra)
 	}
-	rb, errB := nd.r.eval(m, b, rsel, out)
+	rb, errB := runZoned(nd.r, m.zv[nd.zs+1], m, b, rsel, out)
 	for i := range out {
 		out[i] |= ltrue[i]
 	}
@@ -269,51 +425,91 @@ func (nd *orNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int,
 	return ra, errA
 }
 
+// zone: true on either side is true; the right side's errors count
+// only where the left can be false.
+func (nd *orNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	l, r := nd.l.zone(m, z), nd.r.zone(m, z)
+	m.zv[nd.zs], m.zv[nd.zs+1] = l.decided(), r.decided()
+	f := l&r&zNone | (l|r)&zAll | l&zErr
+	if l&zAll == 0 {
+		f |= r & zErr
+	}
+	return f
+}
+
 type notNode struct {
 	x   vecNode
 	tmp int
+	zs  int // x's verdict slot
 }
 
 func (nd *notNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
 	tmp := m.bufs[nd.tmp][:len(sel)]
-	rx, err := nd.x.eval(m, b, sel, tmp)
+	rx, err := runZoned(nd.x, m.zv[nd.zs], m, b, sel, tmp)
 	for i := range out {
 		out[i] = sel[i] &^ tmp[i]
 	}
 	return rx, err
 }
 
+func (nd *notNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	x := nd.x.zone(m, z)
+	m.zv[nd.zs] = x.decided()
+	return x.not()
+}
+
 // --- leaf kernels ---------------------------------------------------
 
 // numLitNode compares a numeric column against a non-NaN numeric
 // constant. check is set for FLOAT columns, whose stored values can be
-// NaN and then error exactly like the interpreter.
+// NaN and then error exactly like the interpreter; the check is
+// dropped over a segment whose zone vouches for the column (zs).
 type numLitNode struct {
 	c     colAcc
 	op    BinOp
 	lit   float64
 	check bool
+	zs    int // with check: verdict slot, zNoNaN when the segment has no NaN
 	err   error
 }
 
 func (nd *numLitNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
+	check := nd.check && m.zv[nd.zs] != zNoNaN
 	var nan int
 	switch c := nd.c; {
 	case c.sys == 1:
 		nan = cmpLitWords(b.Ts[:b.N], nd.op, nd.lit, false, sel, out)
 	case c.sys == 2:
-		nan = cmpLitWords(b.Fs[:b.N], nd.op, nd.lit, nd.check, sel, out)
+		nan = cmpLitWords(b.Fs[:b.N], nd.op, nd.lit, check, sel, out)
 	case c.sys == 3:
 		nan = cmpLitWords(b.IDs[:b.N], nd.op, nd.lit, false, sel, out)
 	case c.kind == tuple.KindInt:
 		nan = cmpLitWords(b.Cols[c.idx].Ints[:b.N], nd.op, nd.lit, false, sel, out)
 	default:
-		nan = cmpLitWords(b.Cols[c.idx].Floats[:b.N], nd.op, nd.lit, nd.check, sel, out)
+		nan = cmpLitWords(b.Cols[c.idx].Floats[:b.N], nd.op, nd.lit, check, sel, out)
 	}
 	if nan >= 0 {
 		return nan, nd.err
 	}
 	return b.N, nil
+}
+
+// zone compares the literal against the bounds' float64 images. A
+// FLOAT column has bounds only while its segment holds no NaN, so
+// bounds also lift the NaN check; without them a NaN row may error.
+func (nd *numLitNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	lo, hi, ok := nd.c.bounds(z)
+	if nd.check {
+		m.zv[nd.zs] = 0
+		if !ok {
+			return zErr
+		}
+		m.zv[nd.zs] = zNoNaN
+	}
+	if !ok {
+		return 0
+	}
+	return rangeFact(nd.op, lo, hi, nd.lit)
 }
 
 // numCol is the element type of a numeric column slice: INT and _t
@@ -418,6 +614,10 @@ func (nd *numColColNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64
 	return b.N, nil
 }
 
+// zone: two columns' bounds prove nothing row-wise, and a FLOAT NaN
+// errors.
+func (nd *numColColNode) zone(*BatchMatcher, ZoneView) zfact { return zErr }
+
 // strTableNode evaluates a per-string predicate (comparison against a
 // literal, IN set probe, LIKE pattern) over a dictionary-encoded
 // column by translating it once per dictionary entry and then probing
@@ -425,10 +625,15 @@ func (nd *numColColNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64
 // O(distinct), not O(rows). Tables cache per segment tag: a tag
 // changes whenever a segment's dictionary could (rebuild, compaction),
 // so a stale table can never be probed.
+//
+// A comparison keeps its operator and literal, and IN its list (op
+// OpEq), for the zone verdict; LIKE has neither (lits nil).
 type strTableNode struct {
 	idx  int
 	slot int
 	pred func(string) bool
+	op   BinOp
+	lits []string
 }
 
 func (nd *strTableNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (int, error) {
@@ -460,6 +665,37 @@ func (nd *strTableNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64)
 	return b.N, nil
 }
 
+// zone: a segment holding one string lets the predicate decide it;
+// otherwise the bounds decide an ordering comparison, and = or IN is
+// false when the bounds or the bloom rule out every literal.
+func (nd *strTableNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	lo, hi, ok := z.Bounds(nd.idx)
+	if !ok {
+		return 0
+	}
+	l, h := lo.AsString(), hi.AsString()
+	switch {
+	case l == h:
+		if nd.pred(l) {
+			return zAll
+		}
+		return zNone
+	case nd.lits == nil:
+		return 0
+	case nd.op != OpEq && nd.op != OpNe:
+		return rangeFact(nd.op, l, h, nd.lits[0])
+	}
+	for _, s := range nd.lits {
+		if s >= l && s <= h && z.MayContainString(nd.idx, s) {
+			return 0
+		}
+	}
+	if nd.op == OpNe {
+		return zAll
+	}
+	return zNone
+}
+
 // strColColNode compares two string columns row-wise through their
 // dictionaries.
 type strColColNode struct {
@@ -483,6 +719,8 @@ func (nd *strColColNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64
 	return b.N, nil
 }
 
+func (nd *strColColNode) zone(*BatchMatcher, ZoneView) zfact { return 0 }
+
 type boolCmpLitNode struct {
 	idx int
 	op  BinOp
@@ -505,6 +743,14 @@ func (nd *boolCmpLitNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint6
 	return b.N, nil
 }
 
+func (nd *boolCmpLitNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	lo, hi, ok := colAcc{idx: nd.idx}.bounds(z)
+	if !ok {
+		return 0
+	}
+	return rangeFact(nd.op, lo, hi, float64(b2u(nd.lit)))
+}
+
 type boolColColNode struct {
 	li, ri int
 	op     BinOp
@@ -525,6 +771,8 @@ func (nd *boolColColNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint6
 	}
 	return b.N, nil
 }
+
+func (nd *boolColColNode) zone(*BatchMatcher, ZoneView) zfact { return 0 }
 
 // numInNode probes a numeric column against a literal set keyed by
 // float64 image; NaN values miss, matching Compare.
@@ -549,6 +797,20 @@ func (nd *numInNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (i
 	return b.N, nil
 }
 
+// zone: false when every member lies outside the bounds' images.
+func (nd *numInNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	lo, hi, ok := nd.c.bounds(z)
+	if !ok {
+		return 0
+	}
+	for v := range nd.set {
+		if v >= lo && v <= hi {
+			return 0
+		}
+	}
+	return zNone
+}
+
 // boolColNode is a bare BOOL column used as the predicate.
 type boolColNode struct {
 	idx int
@@ -570,6 +832,14 @@ func (nd *boolColNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) 
 	return b.N, nil
 }
 
+func (nd *boolColNode) zone(m *BatchMatcher, z ZoneView) zfact {
+	lo, hi, ok := colAcc{idx: nd.idx}.bounds(z)
+	if !ok {
+		return 0
+	}
+	return rangeFact(OpEq, lo, hi, 1)
+}
+
 // litBoolNode is a constant BOOL predicate.
 type litBoolNode struct {
 	val bool
@@ -582,6 +852,13 @@ func (nd *litBoolNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) 
 		zeroWords(out)
 	}
 	return b.N, nil
+}
+
+func (nd *litBoolNode) zone(*BatchMatcher, ZoneView) zfact {
+	if nd.val {
+		return zAll
+	}
+	return zNone
 }
 
 // staticErrNode reproduces operators that error for every tuple they
@@ -599,6 +876,8 @@ func (nd *staticErrNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64
 	}
 	return b.N, nil
 }
+
+func (nd *staticErrNode) zone(*BatchMatcher, ZoneView) zfact { return zErr }
 
 // interpNode is the leaf that makes the program total: a sub-expression
 // with no kernel evaluates through the tree interpreter, one selected
@@ -636,16 +915,22 @@ func (nd *interpNode) eval(m *BatchMatcher, b *tuple.Batch, sel, out []uint64) (
 	return b.N, nil
 }
 
+func (nd *interpNode) zone(*BatchMatcher, ZoneView) zfact { return zErr }
+
 // --- compiler -------------------------------------------------------
 
 type vecCompiler struct {
 	schema *tuple.Schema
 	nbuf   int
 	nstr   int
+	nzone  int
 }
 
 func (vc *vecCompiler) buf() int { vc.nbuf++; return vc.nbuf - 1 }
 func (vc *vecCompiler) str() int { vc.nstr++; return vc.nstr - 1 }
+
+// zone reserves n consecutive verdict slots.
+func (vc *vecCompiler) zone(n int) int { vc.nzone += n; return vc.nzone - n }
 
 // compileVecMatch lowers a predicate into a batch program. Every
 // expression compiles: shapes without a kernel become interpNode
@@ -655,7 +940,7 @@ func compileVecMatch(e Expr, schema *tuple.Schema) *vecProg {
 	root := vc.boolNode(e, func(k tuple.Kind) error {
 		return fmt.Errorf("query: predicate yields %s, want BOOL", k)
 	})
-	return &vecProg{root: root, schema: schema, nbuf: vc.nbuf, nstr: vc.nstr}
+	return &vecProg{root: root, schema: schema, nbuf: vc.nbuf, nstr: vc.nstr, nzone: vc.nzone}
 }
 
 // boolNode lowers e in a position that needs a BOOL; nonBool is that
@@ -671,9 +956,9 @@ func (vc *vecCompiler) boolNode(e Expr, nonBool func(tuple.Kind) error) vecNode 
 			}
 			l, r := vc.boolNode(n.L, operand), vc.boolNode(n.R, operand)
 			if n.Op == OpAnd {
-				return &andNode{l: l, r: r, tmp: vc.buf()}
+				return &andNode{l: l, r: r, tmp: vc.buf(), zs: vc.zone(2)}
 			}
-			return &orNode{l: l, r: r, tmpA: vc.buf(), tmpB: vc.buf()}
+			return &orNode{l: l, r: r, tmpA: vc.buf(), tmpB: vc.buf(), zs: vc.zone(2)}
 		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 			nd = vc.cmp(n)
 		}
@@ -681,7 +966,7 @@ func (vc *vecCompiler) boolNode(e Expr, nonBool func(tuple.Kind) error) vecNode 
 		x := vc.boolNode(n.X, func(k tuple.Kind) error {
 			return fmt.Errorf("query: NOT needs BOOL, got %s", k)
 		})
-		return &notNode{x: x, tmp: vc.buf()}
+		return &notNode{x: x, tmp: vc.buf(), zs: vc.zone(1)}
 	case Like:
 		nd = vc.like(n)
 	case In:
@@ -740,12 +1025,16 @@ func (vc *vecCompiler) colLit(c colAcc, op BinOp, lit tuple.Value, swap bool) ve
 		}
 		// INT columns never produce NaN through their float64 image,
 		// so only FLOAT columns carry the per-row check.
-		return &numLitNode{c: c, op: op, lit: b, check: c.kind == tuple.KindFloat, err: incomparable}
+		nd := &numLitNode{c: c, op: op, lit: b, check: c.kind == tuple.KindFloat, err: incomparable}
+		if nd.check {
+			nd.zs = vc.zone(1)
+		}
+		return nd
 	case c.kind == tuple.KindString && lit.Kind() == tuple.KindString:
 		s := lit.AsString()
 		return &strTableNode{idx: c.idx, slot: vc.str(), pred: func(x string) bool {
 			return cmpDecide(op, cmpString(x, s))
-		}}
+		}, op: op, lits: []string{s}}
 	case c.kind == tuple.KindBool && lit.Kind() == tuple.KindBool:
 		return &boolCmpLitNode{idx: c.idx, op: op, lit: lit.AsBool()}
 	default:
@@ -810,15 +1099,17 @@ func (vc *vecCompiler) in(n In) vecNode {
 		return &numInNode{c: c, set: set}
 	case c.kind == tuple.KindString:
 		set := make(map[string]struct{}, len(n.List))
+		lits := make([]string, 0, len(n.List))
 		for _, it := range n.List {
 			if v := it.(Lit).V; v.Kind() == tuple.KindString {
 				set[v.AsString()] = struct{}{}
+				lits = append(lits, v.AsString())
 			}
 		}
 		return &strTableNode{idx: c.idx, slot: vc.str(), pred: func(x string) bool {
 			_, hit := set[x]
 			return hit
-		}}
+		}, op: OpEq, lits: lits}
 	}
 	return nil
 }
@@ -826,10 +1117,10 @@ func (vc *vecCompiler) in(n In) vecNode {
 // --- matcher --------------------------------------------------------
 
 // BatchMatcher is one execution's batch-program state: scratch
-// selection bitmaps, per-segment string translate tables and, once an
-// interpreted leaf has run, the scratch row such leaves decode into.
-// It is not safe for concurrent use; executors create one per shard
-// scan.
+// selection bitmaps, per-segment string translate tables, the current
+// segment's verdicts and, once an interpreted leaf has run, the scratch
+// row such leaves decode into. It is not safe for concurrent use;
+// executors create one per shard scan.
 type BatchMatcher struct {
 	prog   *vecProg // nil = no WHERE clause
 	base   []uint64
@@ -837,6 +1128,9 @@ type BatchMatcher struct {
 	bufs   [][]uint64
 	tabSeg []uint64
 	tabs   [][]bool
+	zv     []zfact   // verdict slots (all 0, "some", until Zone)
+	zbuf   [8]zfact  // zv's backing for small programs
+	root   zfact     // the root's decided verdict
 	env    *TupleEnv // interpNode's; one per matcher, so no Env is boxed per row
 }
 
@@ -853,8 +1147,27 @@ func newBatchMatcher(prog *vecProg) *BatchMatcher {
 		}
 		m.tabSeg = make([]uint64, prog.nstr)
 		m.tabs = make([][]bool, prog.nstr)
+		m.zv = m.zbuf[:min(prog.nzone, len(m.zbuf))]
+		if prog.nzone > len(m.zbuf) {
+			m.zv = make([]zfact, prog.nzone)
+		}
 	}
 	return m
+}
+
+// Zone arms the matcher for the segment z summarises: every node's
+// verdict is decided once here, and the Match calls over the segment's
+// batches act on them. It reports whether the root is none — no live
+// row can match, and the scan may skip the segment even when a row
+// would have errored. Call it before each segment's batches: verdicts
+// hold only for the segment they were decided over.
+func (m *BatchMatcher) Zone(z ZoneView) (skip bool) {
+	if m.prog == nil {
+		return false
+	}
+	f := m.prog.root.zone(m, z)
+	m.root = f.decided()
+	return f&zNone != 0
 }
 
 // Match evaluates the WHERE program over one batch, returning the
@@ -871,7 +1184,7 @@ func (m *BatchMatcher) Match(b *tuple.Batch) ([]uint64, int, error) {
 		return sel, b.N, nil
 	}
 	out := m.out[:nw]
-	errRow, err := m.prog.root.eval(m, b, sel, out)
+	errRow, err := runZoned(m.prog.root, m.root, m, b, sel, out)
 	if errRow < b.N {
 		maskBelow(out, errRow)
 	}

@@ -122,6 +122,12 @@ var matchCorpus = []string{
 	"_f <= 0.5",
 	"k >= 8 OR k < -4",
 	"NOT (k % 2 = 0)",
+	"v < 1e308 AND k > -10",
+	"NOT (k > 100) AND v > 1.0",
+	"ok OR k < 100",
+	"name != \"zeta\" AND NOT ok",
+	"NOT (k / (k - 3) > 0 AND k > 100)",
+	"NOT (v > 1.0 AND k > 100)",
 	// Error paths: type mismatches surface per row with pinned text.
 	"name > 3",
 	"3 > name",
@@ -249,6 +255,133 @@ func vecBatchLast() (*tuple.Batch, []tuple.Tuple) {
 	return b, batchRows(b)
 }
 
+// vecBatchClean is a fourth segment whose live rows hold no NaN and
+// narrow values, so its exact zone decides whole nodes: k in [10, 14],
+// v in [1.5, 4.5] with a NaN only in a dead row, names "alpha" and
+// "beta", ok true.
+func vecBatchClean() (*tuple.Batch, []tuple.Tuple) {
+	b, _ := vecBatch()
+	b.Seg = 4
+	for j := 0; j < b.N; j++ {
+		b.IDs[j] += 3000
+		b.Ts[j] += 9
+		b.Cols[0].Ints[j] = int64(10 + j%5)
+		b.Cols[1].Floats[j] = 1.5 + float64(j%4)
+		b.Cols[2].Codes[j] = uint32(j % 2)
+		b.Cols[3].Bools[j] = true
+	}
+	b.Cols[1].Floats[2] = math.NaN() // dead
+	return b, batchRows(b)
+}
+
+// batchZone is a ZoneView over one batch's live rows: the exact
+// summary (a FLOAT column with a live NaN has no bounds, the bloom holds
+// exactly the live strings), or a widened superset of it (looser
+// bounds, a bloom that always says maybe).
+type batchZone struct {
+	cols  []zoneBounds
+	t, id zoneBounds
+	strs  []map[string]bool // nil: the bloom abstains
+}
+
+type zoneBounds struct {
+	lo, hi tuple.Value
+	ok     bool
+}
+
+// fold widens r to cover v; INT values order as int64, as storage's
+// zone maps keep them, not by their float64 images.
+func (r *zoneBounds) fold(v tuple.Value) {
+	less := func(a, b tuple.Value) bool {
+		if a.Kind() == tuple.KindInt {
+			return a.AsInt() < b.AsInt()
+		}
+		c, _ := a.Compare(b)
+		return c < 0
+	}
+	if !r.ok || less(v, r.lo) {
+		r.lo = v
+	}
+	if !r.ok || less(r.hi, v) {
+		r.hi = v
+	}
+	r.ok = true
+}
+
+func exactZone(b *tuple.Batch) *batchZone {
+	z := &batchZone{cols: make([]zoneBounds, len(b.Cols)), strs: make([]map[string]bool, len(b.Cols))}
+	nan := make([]bool, len(b.Cols))
+	tuple.EachSet(b.Live, func(j int) bool {
+		z.t.fold(tuple.Int(b.Ts[j]))
+		z.id.fold(tuple.Int(int64(b.IDs[j])))
+		for i := range b.Cols {
+			v := b.Cols[i].Value(j)
+			if v.Kind() == tuple.KindFloat && math.IsNaN(v.AsFloat()) {
+				nan[i] = true
+				continue
+			}
+			z.cols[i].fold(v)
+			if v.Kind() == tuple.KindString {
+				if z.strs[i] == nil {
+					z.strs[i] = map[string]bool{}
+				}
+				z.strs[i][v.AsString()] = true
+			}
+		}
+		return true
+	})
+	for i := range nan {
+		if nan[i] {
+			z.cols[i] = zoneBounds{}
+		}
+	}
+	return z
+}
+
+// widened returns a superset of z: every range grows, the bloom
+// abstains.
+func (z *batchZone) widened() *batchZone {
+	w := &batchZone{cols: make([]zoneBounds, len(z.cols)), t: widen(z.t), id: widen(z.id)}
+	for i := range z.cols {
+		w.cols[i] = widen(z.cols[i])
+	}
+	return w
+}
+
+func widen(r zoneBounds) zoneBounds {
+	if !r.ok {
+		return r
+	}
+	switch r.lo.Kind() {
+	case tuple.KindInt:
+		lo, hi := r.lo.AsInt(), r.hi.AsInt()
+		if lo > math.MinInt64+3 {
+			lo -= 3
+		}
+		if hi < math.MaxInt64-3 {
+			hi += 3
+		}
+		r.lo, r.hi = tuple.Int(lo), tuple.Int(hi)
+	case tuple.KindFloat:
+		r.lo, r.hi = tuple.Float(r.lo.AsFloat()-1), tuple.Float(r.hi.AsFloat()+1)
+	case tuple.KindString:
+		r.lo, r.hi = tuple.String_(""), tuple.String_(r.hi.AsString()+"~")
+	case tuple.KindBool:
+		r.lo, r.hi = tuple.Bool(false), tuple.Bool(true)
+	}
+	return r
+}
+
+func (z *batchZone) Bounds(col int) (lo, hi tuple.Value, ok bool) {
+	r := z.cols[col]
+	return r.lo, r.hi, r.ok
+}
+func (z *batchZone) TickBounds() (lo, hi tuple.Value, ok bool) { return z.t.lo, z.t.hi, z.t.ok }
+func (z *batchZone) IDBounds() (lo, hi tuple.Value, ok bool)   { return z.id.lo, z.id.hi, z.id.ok }
+func (z *batchZone) MayContainString(col int, s string) bool {
+	return z.strs == nil || z.strs[col][s]
+}
+
 // batchOf presents tuples of schema as one all-live column batch.
 func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
 	b := new(tuple.Batch)
@@ -264,18 +397,22 @@ func batchOf(schema *tuple.Schema, rows []tuple.Tuple) *tuple.Batch {
 // (checkAnalytic).
 func checkBatchProgram(t *testing.T, e Expr) {
 	t.Helper()
-	batches, decoded, sels := checkBatchProgramOver(t, e, []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext, vecBatchLast})
+	batches, decoded, sels := checkBatchProgramOver(t, e, []func() (*tuple.Batch, []tuple.Tuple){vecBatch, vecBatchNext, vecBatchLast, vecBatchClean})
 	checkAnalytic(t, batches, decoded, sels)
 }
 
 // checkBatchProgramOver is checkBatchProgram's check of the program
 // alone, over the given batches run in order through one matcher; the
-// one-row check takes the rows of the first. It returns the batches,
-// their decoded rows and the interpreter's selections.
+// one-row check takes the rows of the first. A second matcher is armed
+// with each batch's exact zone and then its widened one: where the
+// root verdict does not skip, it must select what the matcher without
+// verdicts selects and stop at the same row with the same error; where
+// it skips, that matcher must have selected nothing. It returns the
+// batches, their decoded rows and the interpreter's selections.
 func checkBatchProgramOver(t *testing.T, e Expr, gens []func() (*tuple.Batch, []tuple.Tuple)) (batches []*tuple.Batch, decoded [][]tuple.Tuple, sels [][]uint64) {
 	t.Helper()
 	prog := compileVecMatch(e, matchSchema)
-	m := newBatchMatcher(prog)
+	m, mz := newBatchMatcher(prog), newBatchMatcher(prog)
 	for _, next := range gens {
 		b, rows := next()
 		want := make([]uint64, len(b.Live))
@@ -302,6 +439,26 @@ func checkBatchProgramOver(t *testing.T, e Expr, gens []func() (*tuple.Batch, []
 		for w := range want {
 			if got[w] != want[w] {
 				t.Errorf("%s: segment %d: selection word %d = %064b, interpreter %064b", e, b.Seg, w, got[w], want[w])
+			}
+		}
+		exact := exactZone(b)
+		for k, z := range []*batchZone{exact, exact.widened()} {
+			name := [2]string{"exact", "widened"}[k]
+			if mz.Zone(z) {
+				if j := firstSet(got); j >= 0 {
+					t.Errorf("%s: segment %d: the %s zone skips it, but row %d matches", e, b.Seg, name, j)
+				}
+				continue
+			}
+			zgot, zrow, zerr := mz.Match(b)
+			if zrow != gotRow || (zerr == nil) != (gotErr == nil) || (zerr != nil && zerr.Error() != gotErr.Error()) {
+				t.Errorf("%s: segment %d: with the %s zone, error row %d (%v), without %d (%v)", e, b.Seg, name, zrow, zerr, gotRow, gotErr)
+			}
+			for w := range got {
+				if zgot[w] != got[w] {
+					t.Errorf("%s: segment %d: with the %s zone, selection word %d = %064b, without %064b", e, b.Seg, name, w, zgot[w], got[w])
+					break
+				}
 			}
 		}
 		batches, decoded, sels = append(batches, b), append(decoded, rows), append(sels, want)

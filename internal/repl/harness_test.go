@@ -160,6 +160,14 @@ func assertShardsIdentical(t *testing.T, lh *leaderHarness, fh *followerHarness,
 	if err != nil {
 		t.Fatalf("follower table: %v", err)
 	}
+	// Both sides' zone maps must hold their live rows: the follower's
+	// are built by replay or installed from a shipped snapshot.
+	if err := lh.tbl.AuditZones(); err != nil {
+		t.Errorf("leader: %v", err)
+	}
+	if err := ftbl.AuditZones(); err != nil {
+		t.Errorf("follower: %v", err)
+	}
 	dir := t.TempDir()
 	for _, i := range shards {
 		lp := filepath.Join(dir, fmt.Sprintf("leader.%d.db", i))

@@ -35,15 +35,6 @@ func NewCountMin(epsilon, delta float64) (*CountMin, error) {
 	return cm, nil
 }
 
-// MustCountMin is NewCountMin that panics on error.
-func MustCountMin(epsilon, delta float64) *CountMin {
-	cm, err := NewCountMin(epsilon, delta)
-	if err != nil {
-		panic(err)
-	}
-	return cm
-}
-
 // Add counts one occurrence of item.
 func (c *CountMin) Add(item []byte) { c.AddN(item, 1) }
 

@@ -29,15 +29,6 @@ func NewHistogram(n int) (*Histogram, error) {
 	return &Histogram{buckets: make([]uint64, n)}, nil
 }
 
-// MustHistogram is NewHistogram that panics on error.
-func MustHistogram(n int) *Histogram {
-	h, err := NewHistogram(n)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Add observes v. NaN is ignored.
 func (h *Histogram) Add(v float64) {
 	if math.IsNaN(v) {

@@ -24,15 +24,6 @@ func NewHLL(precision uint8) (*HLL, error) {
 	return &HLL{precision: precision, registers: make([]uint8, 1<<precision)}, nil
 }
 
-// MustHLL is NewHLL that panics on error.
-func MustHLL(precision uint8) *HLL {
-	h, err := NewHLL(precision)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Add observes item.
 func (h *HLL) Add(item []byte) {
 	x := fnv64a(0x9E3779B97F4A7C15, item)

@@ -27,15 +27,6 @@ func NewReservoir(k int, rng *rand.Rand) (*Reservoir, error) {
 	return &Reservoir{k: k, rng: rng, items: make([][]byte, 0, k)}, nil
 }
 
-// MustReservoir is NewReservoir that panics on error.
-func MustReservoir(k int, rng *rand.Rand) *Reservoir {
-	r, err := NewReservoir(k, rng)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Add observes one item. The sampler copies the bytes.
 func (r *Reservoir) Add(item []byte) {
 	r.seen++

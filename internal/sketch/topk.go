@@ -28,15 +28,6 @@ func NewTopK(k int) (*TopK, error) {
 	return &TopK{k: k, counters: make(map[string]*ssCounter, k)}, nil
 }
 
-// MustTopK is NewTopK that panics on error.
-func MustTopK(k int) *TopK {
-	t, err := NewTopK(k)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Add observes item.
 func (t *TopK) Add(item []byte) {
 	t.total++

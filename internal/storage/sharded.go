@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"fungusdb/internal/clock"
@@ -165,6 +166,19 @@ func (ss *ShardedStore) ScanShardBatches(i int, skip func(*ZoneMap) bool, fn fun
 //fungusvet:requires shardlock
 func (ss *ShardedStore) ScanShardAxis(i int, reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
 	return ss.shards[i].ScanAxis(reverse, skip, fn)
+}
+
+// AuditZones runs Store.AuditZones on every shard, returning the first
+// violation.
+//
+//fungusvet:requires shardlock
+func (ss *ShardedStore) AuditZones() error {
+	for i, sh := range ss.shards {
+		if err := sh.AuditZones(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Compact reclaims tombstone space in every shard, returning the total

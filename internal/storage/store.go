@@ -404,18 +404,22 @@ func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool
 
 // ScanAxis drives fn over the extent's live rows as columnar batches,
 // in a caller-chosen direction along the ID axis: reverse=true visits
-// segments, and the batches within them, from the top down (rows inside
-// a batch stay ascending). Before a segment is visited, skip (when
-// non-nil) is consulted with its zone map and may veto the whole
-// segment; it must only return true when no live tuple can match, and
-// empty summaries are never offered to it. Because skip runs just
-// before its segment would be visited, it may read state fn builds up —
-// ordered top-k scans use that to stop consulting segments whose zone
-// bounds cannot beat the current worst survivor. Every batch's views
-// alias segment memory and are valid only during the call; fn must not
-// evict, insert, or mutate through them. Batches with no live rows are
-// elided. Returning false stops the scan. Returns what was pruned; the
-// store's lifetime counters accumulate the same numbers.
+// segments, and the batches within them, from the top down (rows
+// inside a batch stay ascending). Before a segment with live rows is
+// visited, skip (when non-nil) is consulted with its zone map and may
+// veto the whole segment; it must only return true when no live tuple
+// can match. Every such segment is offered, empty summaries included
+// (their methods answer "unknown"), and each call is followed by that
+// segment's batches or by the next call, so skip may arm state the
+// batches after it use — the WHERE program's segment verdicts.
+// Because skip runs just before its segment would be visited, it may
+// also read state fn builds up — ordered top-k scans use that to stop
+// consulting segments whose zone bounds cannot beat the current worst
+// survivor. Every batch's views alias segment memory and are valid
+// only during the call; fn must not evict, insert, or mutate through
+// them. Batches with no live rows are elided. Returning false stops
+// the scan. Returns what was pruned; the store's lifetime counters
+// accumulate the same numbers.
 func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
 	ps, batches, rows := s.walkBatches(reverse, skip, fn)
 	s.noteBatches(batches, rows)
@@ -446,7 +450,7 @@ func (s *Store) walkBatches(reverse bool, skip func(*ZoneMap) bool, fn func(*tup
 		if sg == nil {
 			continue
 		}
-		if skip != nil && sg.live > 0 && sg.zone.usable() && skip(sg.zone) {
+		if skip != nil && sg.live > 0 && skip(sg.zone) {
 			ps.Segments++
 			ps.Tuples += sg.live
 			continue
@@ -565,6 +569,31 @@ func (s *Store) LastLive() (tuple.ID, bool) {
 		return 0, false
 	}
 	return s.PrevLive(s.nextID)
+}
+
+// AuditZones checks every segment's zone map against the rows it
+// summarises: the bounds of each column and of the tick and ID axes
+// contain every live value, every live string passes its column's
+// bloom, and a FLOAT column has bounds only if no live row holds NaN.
+// Scans read the summaries as proofs (a segment skipped, a kernel or
+// NaN check elided), so tests call it wherever summaries are built,
+// installed or rebuilt. An empty summary vouches for nothing and
+// passes. It returns the first violation.
+func (s *Store) AuditZones() error {
+	for _, sg := range s.segs[s.first:] {
+		if sg == nil {
+			continue
+		}
+		for j := range sg.ids {
+			if !sg.liveAt(j) {
+				continue
+			}
+			if err := sg.zone.covers(sg, j); err != nil {
+				return fmt.Errorf("storage: zone of segment %d, row %d (ID %d): %w", sg.base, j, sg.ids[j], err)
+			}
+		}
+	}
+	return nil
 }
 
 // Compact rewrites partially dead sealed segments, physically removing

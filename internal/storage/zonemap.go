@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 
 	"fungusdb/internal/sketch"
@@ -186,6 +187,47 @@ func (z *ZoneMap) rebuild(sg *segment) {
 		}
 	}
 	*z = *fresh
+}
+
+// covers returns an error unless the summary holds row j of sg (see
+// Store.AuditZones).
+func (z *ZoneMap) covers(sg *segment, j int) error {
+	if !z.seen {
+		return nil
+	}
+	if t := sg.ts[j]; t < z.tMin || t > z.tMax {
+		return fmt.Errorf("tick %d outside [%d, %d]", t, z.tMin, z.tMax)
+	}
+	if id := sg.ids[j]; id < z.idMin || id > z.idMax {
+		return fmt.Errorf("ID outside [%d, %d]", z.idMin, z.idMax)
+	}
+	for i := range z.cols {
+		c, col := &z.cols[i], &sg.cols[i]
+		var out bool
+		switch c.kind {
+		case tuple.KindInt, tuple.KindBool:
+			v := int64(0)
+			if c.kind == tuple.KindInt {
+				v = col.ints[j]
+			} else if col.bools[j] {
+				v = 1
+			}
+			out = c.ok && (v < c.iLo || v > c.iHi)
+		case tuple.KindFloat:
+			v := col.floats[j]
+			out = c.ok && (math.IsNaN(v) || v < c.fLo || v > c.fHi)
+		case tuple.KindString:
+			v := col.dict[col.codes[j]]
+			if c.bloom != nil && !c.bloom.MayContainString(v) {
+				return fmt.Errorf("column %d: bloom misses %q", i, v)
+			}
+			out = c.ok && (v < c.sLo || v > c.sHi)
+		}
+		if out {
+			return fmt.Errorf("column %d: %v outside the bounds", i, col.value(j))
+		}
+	}
+	return nil
 }
 
 // usable reports whether the summary may be consulted at all.

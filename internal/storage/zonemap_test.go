@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"fungusdb/internal/tuple"
@@ -60,6 +61,68 @@ func TestZoneMapBoundsTrackAppends(t *testing.T) {
 	}
 	if miss < 90 {
 		t.Errorf("bloom definite-misses = %d/100, expected near-total", miss)
+	}
+}
+
+// TestAuditZones: the audit passes summaries that hold their live rows
+// through appends, evictions and compaction, and names a summary that
+// does not — bounds that miss a value, a FLOAT column vouched for over
+// a NaN, a bloom that lost a string.
+func TestAuditZones(t *testing.T) {
+	schema := tuple.MustSchema(
+		tuple.Column{Name: "k", Kind: tuple.KindInt},
+		tuple.Column{Name: "v", Kind: tuple.KindFloat},
+		tuple.Column{Name: "name", Kind: tuple.KindString},
+	)
+	s := New(schema, WithSegmentSize(8)) // segments: [0,8) [8,16) [16,20)
+	for i := 0; i < 20; i++ {
+		v := float64(i) / 2
+		if i == 3 || i == 17 {
+			v = math.NaN()
+		}
+		if _, err := s.Insert(0, []tuple.Value{tuple.Int(int64(i)), tuple.Float(v), tuple.String_(fmt.Sprintf("n%d", i%3))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ok := s.segs[0].zone.Bounds(1); ok {
+		t.Fatal("a segment holding NaN has FLOAT bounds")
+	}
+	for _, id := range []tuple.ID{3, 4, 12} {
+		if err := s.Evict(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AuditZones(); err != nil {
+		t.Fatalf("after evictions: %v", err)
+	}
+	s.Compact()
+	if _, _, ok := s.segs[0].zone.Bounds(1); !ok {
+		t.Fatal("compaction left the NaN-free segment without FLOAT bounds")
+	}
+	if err := s.AuditZones(); err != nil {
+		t.Fatalf("after compaction: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		seg     int
+		corrupt func(z *ZoneMap)
+	}{
+		{"narrow INT bounds", 1, func(z *ZoneMap) { z.cols[0].iHi-- }},
+		{"narrow ticks", 1, func(z *ZoneMap) { z.tMin++ }},
+		{"empty bloom", 1, func(z *ZoneMap) { z.cols[2].bloom = newZoneMap(schema, 8).cols[2].bloom }},
+		{"FLOAT bounds over NaN", 2, func(z *ZoneMap) {
+			z.cols[1].ok, z.cols[1].fLo, z.cols[1].fHi = true, math.Inf(-1), math.Inf(1)
+		}},
+	} {
+		saved := s.segs[c.seg].zone
+		bad := *saved
+		bad.cols = append([]colZone(nil), saved.cols...)
+		c.corrupt(&bad)
+		s.segs[c.seg].zone = &bad
+		if err := s.AuditZones(); err == nil {
+			t.Errorf("%s: the audit passed", c.name)
+		}
+		s.segs[c.seg].zone = saved
 	}
 }
 

@@ -22,18 +22,20 @@ func countZoneFolds(t *testing.T) *int {
 	return &folds
 }
 
-// zonesUsable proves every live segment carries a usable zone summary:
-// a scan whose skip callback rejects everything must skip every live
-// tuple (segments without a usable summary are never offered for
-// pruning and would be scanned instead).
+// zonesUsable proves every live segment carries a usable zone summary
+// that holds its rows: a scan whose skip callback rejects every summary
+// with ID bounds must skip every live tuple, and the audit must pass.
 func zonesUsable(t *testing.T, s *storage.Store) {
 	t.Helper()
 	ps := s.ScanBatches(
-		func(*storage.ZoneMap) bool { return true },
+		func(z *storage.ZoneMap) bool { _, _, ok := z.IDBounds(); return ok },
 		func(*tuple.Batch) bool { return true },
 	)
 	if ps.Tuples != s.Len() {
 		t.Errorf("only %d of %d live tuples sit under usable zone maps", ps.Tuples, s.Len())
+	}
+	if err := s.AuditZones(); err != nil {
+		t.Error(err)
 	}
 }
 
