@@ -27,6 +27,7 @@ import (
 
 	"fungusdb/internal/catalog"
 	"fungusdb/internal/clock"
+	"fungusdb/internal/fanout"
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/wal"
 )
@@ -324,7 +325,7 @@ func (db *DB) Tick() (TickReport, error) {
 
 	rep := TickReport{Now: db.clk.Now(), PerTable: make(map[string]TableTickReport, len(tables))}
 	reps := make([]TableTickReport, len(tables))
-	err := fanOut(len(tables), workers, func(i int) error {
+	err := fanout.Run(len(tables), workers, func(i int) error {
 		tr, err := tables[i].Tick()
 		if err != nil {
 			return fmt.Errorf("core: tick table %q: %w", tables[i].name, err)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"fungusdb/internal/fanout"
 	"fungusdb/internal/query"
 	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
@@ -282,7 +283,7 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink s
 		workers = n
 	}
 	scanned := make([]int, n)
-	err := fanOut(n, workers, func(i int) error {
+	err := fanout.Run(n, workers, func(i int) error {
 		switch rule {
 		case lockPerShard:
 			t.shardMu[i].RLock()

@@ -3,17 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
-
-	"fungusdb/internal/fanout"
 )
-
-// fanOut runs fn(0..n-1) over a bounded pool of at most `workers`
-// goroutines and waits for all of them (see internal/fanout for the
-// contract: every index runs, lowest-index error wins, one worker runs
-// inline).
-func fanOut(n, workers int, fn func(i int) error) error {
-	return fanout.Run(n, workers, fn)
-}
 
 // lockedSource serialises a rand.Source64 so one *rand.Rand can be
 // shared by shard 0's fungus and the table's knowledge shelf without

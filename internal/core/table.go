@@ -8,6 +8,7 @@ import (
 
 	"fungusdb/internal/clock"
 	"fungusdb/internal/container"
+	"fungusdb/internal/fanout"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/metrics"
 	"fungusdb/internal/query"
@@ -475,7 +476,7 @@ func (t *Table) insert(src *rowSource, out []tuple.Tuple) (wal.CommitWait, error
 	}
 	waits := make([]wal.CommitWait, n)
 	var inserted atomic.Int64
-	err := fanOut(n, t.workers, func(g int) error {
+	err := fanout.Run(n, t.workers, func(g int) error {
 		if len(groups[g]) == 0 {
 			return nil
 		}
@@ -598,7 +599,7 @@ func (t *Table) touchAnswered(answered []tuple.Tuple) {
 		byShard[s] = append(byShard[s], answered[i].ID)
 	}
 	now := t.clk.Now()
-	_ = fanOut(n, t.workers, func(i int) error {
+	_ = fanout.Run(n, t.workers, func(i int) error {
 		if len(byShard[i]) == 0 {
 			return nil
 		}
@@ -685,7 +686,7 @@ func (t *Table) Tick() (TableTickReport, error) {
 	doomed := make([][]tuple.Tuple, n)
 	rotted := make([][]tuple.ID, n)
 	if runFungus {
-		err := fanOut(n, t.workers, func(i int) error {
+		err := fanout.Run(n, t.workers, func(i int) error {
 			t.shardMu[i].Lock()
 			defer t.shardMu[i].Unlock()
 			if t.closed.Load() {
@@ -856,7 +857,7 @@ func (t *Table) SyncWAL() error {
 // AuditZones checks every shard's zone maps against their live rows
 // under the shard read locks (see storage.Store.AuditZones): the
 // recovery, replication and differential tests call it wherever
-// summaries are built, installed or rebuilt.
+// summaries are built or rebuilt.
 func (t *Table) AuditZones() error {
 	t.rlockAll()
 	defer t.runlockAll()

@@ -157,13 +157,13 @@ func TestConvergenceAcrossRestartRebase(t *testing.T) {
 	assertQueriesIdentical(t, lh, fh)
 }
 
-// TestConvergenceRepeatedStringAfterRebase pins the interleaving that
-// used to make TestConvergence flake: a follower rebuilt from a shipped
-// snapshot mid-segment, followed by an insert whose STRING value
-// repeats the last one the leader folded into that segment's zone map.
-// The leader's fold takes the repeat short-cut; the follower's
-// installed summary has no memo of the last value and folds in full.
-// Both must serialise the same zone blob.
+// TestConvergenceRepeatedStringAfterRebase pins an interleaving that
+// once made TestConvergence flake: a follower rebased from a shipped
+// snapshot mid-segment, then inserts whose STRING values repeat ones
+// already in that segment. The leader folded the segment's zone map
+// row by row on append; the follower rebuilt it from the snapshot's
+// rows and folds the repeats on replay. Both sides must hold the same
+// tuples, and both zone maps must pass the audit.
 func TestConvergenceRepeatedStringAfterRebase(t *testing.T) {
 	lh := startLeader(t, eventsSpec(1))
 	insert := func(devices ...string) {

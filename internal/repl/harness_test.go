@@ -152,8 +152,8 @@ func (fh *followerHarness) pollStatus(timeout time.Duration, cond func(st repl.T
 
 // assertShardsIdentical is the core convergence oracle: the named
 // shards of leader and follower must serialize to byte-identical
-// snapshot files (same tuples, same freshness, same zones, same
-// allocation cursor).
+// snapshot files (same tuples, same freshness, same allocation
+// cursor), and both sides' zone maps must pass the audit.
 func assertShardsIdentical(t *testing.T, lh *leaderHarness, fh *followerHarness, shards []int) {
 	t.Helper()
 	ftbl, err := fh.db.Table(tableName)
@@ -161,7 +161,7 @@ func assertShardsIdentical(t *testing.T, lh *leaderHarness, fh *followerHarness,
 		t.Fatalf("follower table: %v", err)
 	}
 	// Both sides' zone maps must hold their live rows: the follower's
-	// are built by replay or installed from a shipped snapshot.
+	// are built by replay or rebuilt from a shipped snapshot's rows.
 	if err := lh.tbl.AuditZones(); err != nil {
 		t.Errorf("leader: %v", err)
 	}

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -55,10 +54,9 @@ func MustBloom(expectedItems uint64, fpRate float64) *Bloom {
 // hashes derives the double-hashing pair from one FNV pass: h2 is a
 // splitmix64 finalisation of h1 (odd, so the stride cycles every
 // position). One pass over the bytes instead of two — this is the
-// ingest hot path via the segment zone maps. Persisted filters (the
-// zone-map records inside WAL snapshots) bake this bit layout in:
-// changing the hash derivation requires bumping the zone blob version
-// in internal/storage so stale filters are discarded, not misread.
+// ingest hot path via the segment zone maps. No filter is ever written
+// to disk (zone maps are rebuilt from the rows on recovery), so the bit
+// layout may change freely.
 func hashes(item []byte) (h1, h2 uint64) {
 	h1 = fnv64a(0, item)
 	return h1, deriveH2(h1)
@@ -108,58 +106,6 @@ func (b *Bloom) MayContain(item []byte) bool {
 // Added returns the number of Add calls.
 func (b *Bloom) Added() uint64 { return b.added }
 
-// AppendTo serialises the filter: nbits, k, added, then the bit words,
-// all as uvarints. The layout pairs with BloomFrom.
-func (b *Bloom) AppendTo(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, b.nbits)
-	dst = binary.AppendUvarint(dst, uint64(b.k))
-	dst = binary.AppendUvarint(dst, b.added)
-	for _, w := range b.bits {
-		dst = binary.AppendUvarint(dst, w)
-	}
-	return dst
-}
-
-// maxBloomHashes bounds k on decode: an optimal filter uses -log2(fp)
-// hashes, so 64 covers any false-positive rate above 1e-19, and a
-// corrupt k cannot turn every Add into billions of probes.
-const maxBloomHashes = 64
-
-// BloomFrom deserialises a filter written by AppendTo, returning it and
-// the number of bytes consumed. A header claiming more bit words than
-// the remaining bytes could hold is rejected before anything is
-// allocated.
-func BloomFrom(data []byte) (*Bloom, int, error) {
-	pos := 0
-	read := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	nbits, ok1 := read()
-	k, ok2 := read()
-	added, ok3 := read()
-	if !ok1 || !ok2 || !ok3 || k == 0 || k > maxBloomHashes || nbits == 0 {
-		return nil, 0, fmt.Errorf("sketch: bloom decode: bad header")
-	}
-	// Every word takes at least one uvarint byte.
-	if (nbits-1)/64 >= uint64(len(data)-pos) {
-		return nil, 0, fmt.Errorf("sketch: bloom decode: truncated words")
-	}
-	words := make([]uint64, (nbits+63)/64)
-	for i := range words {
-		w, ok := read()
-		if !ok {
-			return nil, 0, fmt.Errorf("sketch: bloom decode: truncated words")
-		}
-		words[i] = w
-	}
-	return &Bloom{bits: words, nbits: nbits, k: uint32(k), added: added}, pos, nil
-}
-
 // Bytes returns the approximate memory footprint.
 func (b *Bloom) Bytes() int { return 8 * len(b.bits) }
 
@@ -180,11 +126,6 @@ func (b *Bloom) AddString(s string) {
 	}
 	b.added++
 }
-
-// AddRepeat records an Add of an item the caller knows is already in
-// the filter: no bit can change, so only the count moves. The filter
-// ends up in exactly the state a full Add of that item would leave.
-func (b *Bloom) AddRepeat() { b.added++ }
 
 // MayContainString is MayContain for a string key.
 func (b *Bloom) MayContainString(s string) bool {

@@ -147,14 +147,6 @@ type segment struct {
 	sealed bool     // reached capacity at least once; no further appends
 	sparse bool     // compacted: IDs no longer dense, use binary search
 	zone   *ZoneMap // pruning summary, maintained on append
-
-	// zoneCoverMax is set when the zone map was installed from a
-	// snapshot instead of built here: rows with IDs at or below it are
-	// already summarised, so append skips the per-row fold for them.
-	// IDs are globally monotonic, so any row the installed summary did
-	// not see has a larger ID and folds normally.
-	zoneCoverMax tuple.ID
-	zoneInstall  bool
 }
 
 func newSegment(schema *tuple.Schema, base tuple.ID, capacity int, stride tuple.ID) *segment {
@@ -206,9 +198,7 @@ func (s *segment) append(tp tuple.Tuple) {
 	s.liveBits[j>>6] |= 1 << (uint(j) & 63)
 	s.live++
 	s.bytes += tp.Size()
-	if !s.zoneInstall || tp.ID > s.zoneCoverMax {
-		s.zone.fold(s, j)
-	}
+	s.zone.fold(s, j)
 	if len(s.ids) == s.capacity {
 		s.sealed = true
 	}
@@ -350,7 +340,6 @@ func (s *segment) compactInPlace() int {
 	}
 	s.sparse = true
 	s.tag = tuple.NewSegTag()
-	s.zoneInstall = false
 	return reclaimed
 }
 

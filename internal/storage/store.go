@@ -52,9 +52,8 @@ type Store struct {
 	batchesScanned atomic.Uint64 // column batches handed to vectorized scans
 	rowsVectorized atomic.Uint64 // live rows inside those batches
 
-	restoreSeg   int                      // segment index of the last Restore, -1 outside recovery
-	pendingZones map[tuple.ID]pendingZone // snapshot zone summaries staged for install, keyed by segment base
-	upScratch    tuple.Tuple              // Update decode buffer (Update runs under the shard write lock)
+	restoreSeg int         // segment index of the last Restore, -1 outside recovery
+	upScratch  tuple.Tuple // Update decode buffer (Update runs under the shard write lock)
 }
 
 // Option configures a Store.
@@ -235,16 +234,7 @@ func (s *Store) Restore(tp tuple.Tuple) error {
 		s.restoreSeg = segIdx
 	}
 	if s.segs[segIdx] == nil {
-		sg := newSegment(s.schema, s.idAt(segIdx*s.segSize), s.segSize, s.stride)
-		if pz, ok := s.pendingZones[sg.base]; ok {
-			// A snapshot carried this segment's zone map: install it and
-			// let append skip the per-row fold for every row it already
-			// covers (IDs at or below the summary's high-water mark).
-			sg.zone = pz.zone
-			sg.zoneCoverMax = pz.coverMax
-			sg.zoneInstall = true
-		}
-		s.segs[segIdx] = sg
+		s.segs[segIdx] = newSegment(s.schema, s.idAt(segIdx*s.segSize), s.segSize, s.stride)
 	}
 	s.segs[segIdx].append(tp)
 	s.nextID = tp.ID + s.stride
@@ -258,7 +248,6 @@ func (s *Store) Restore(tp tuple.Tuple) error {
 // the drop-when-empty invariant. A dense final segment stays open as the
 // normal insert tail.
 func (s *Store) FinishRestore() {
-	s.pendingZones = nil
 	if s.restoreSeg < 0 || s.restoreSeg >= len(s.segs) {
 		return
 	}
@@ -576,9 +565,9 @@ func (s *Store) LastLive() (tuple.ID, bool) {
 // contain every live value, every live string passes its column's
 // bloom, and a FLOAT column has bounds only if no live row holds NaN.
 // Scans read the summaries as proofs (a segment skipped, a kernel or
-// NaN check elided), so tests call it wherever summaries are built,
-// installed or rebuilt. An empty summary vouches for nothing and
-// passes. It returns the first violation.
+// NaN check elided), so tests call it wherever summaries are built or
+// rebuilt. An empty summary vouches for nothing and passes. It returns
+// the first violation.
 func (s *Store) AuditZones() error {
 	for _, sg := range s.segs[s.first:] {
 		if sg == nil {

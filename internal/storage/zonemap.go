@@ -20,7 +20,9 @@ const zoneBloomFP = 0.01
 // set — so eviction (rot, consume) never needs to touch them: they stay
 // conservative, merely loose. Attributes are immutable once inserted,
 // so nothing ever invalidates a summary: evictions only loosen it, and
-// Compact rebuilds it over the survivors, tightening the bounds.
+// Compact rebuilds it over the survivors, tightening the bounds. A
+// summary is derived state and never written to disk: recovery appends
+// the restored rows, which folds them like any insert.
 //
 // Maintenance sits on the insert hot path, so each column's bounds are
 // kept in raw kind-specialised form (int64/float64/string) and only
@@ -52,14 +54,8 @@ type colZone struct {
 	fLo, fHi float64
 	sLo, sHi string
 	bloom    *sketch.Bloom // STRING columns only
-	lastCode uint32        // dictionary code last folded (dedup memo)
-	hasLast  bool
+	codes    uint32        // STRING: dictionary codes [0, codes) already folded
 }
-
-// TestHookZoneFold, when non-nil, observes every per-row zone fold.
-// Recovery tests use it to prove that snapshot-installed summaries skip
-// the per-tuple rebuild. Not for production use.
-var TestHookZoneFold func()
 
 // newZoneMap builds an empty summary for a segment of the given tuple
 // capacity.
@@ -78,9 +74,6 @@ func newZoneMap(schema *tuple.Schema, capacity int) *ZoneMap {
 // column slices directly — no tuple is materialised on the insert hot
 // path.
 func (z *ZoneMap) fold(sg *segment, j int) {
-	if TestHookZoneFold != nil {
-		TestHookZoneFold()
-	}
 	first := !z.seen
 	if first {
 		z.seen = true
@@ -129,18 +122,14 @@ func (z *ZoneMap) fold(sg *segment, j int) {
 			}
 		case tuple.KindString:
 			code := col.codes[j]
-			if !first && c.hasLast && code == c.lastCode {
-				// Insertion-time clustering makes value repeats the
-				// common case; a repeat changes neither the bounds nor
-				// the bloom's bits, so skip the hash. It still counts:
-				// a summary installed from a snapshot has lost this memo
-				// and folds the row in full, and both must serialise the
-				// same bytes (replicas compare zone blobs).
-				if c.bloom != nil {
-					c.bloom.AddRepeat()
-				}
+			if code < c.codes {
+				// The dictionary interns in row order, so a code below
+				// the count belongs to a value an earlier row already
+				// folded: a repeat changes neither the bounds nor the
+				// bloom's bits, so skip the compare and the hash.
 				break
 			}
+			c.codes = code + 1
 			v := col.dict[code]
 			if first {
 				c.sLo, c.sHi, c.ok = v, v, true
@@ -154,7 +143,6 @@ func (z *ZoneMap) fold(sg *segment, j int) {
 			if c.bloom != nil {
 				c.bloom.AddString(v)
 			}
-			c.lastCode, c.hasLast = code, true
 		case tuple.KindBool:
 			var v int64
 			if col.bools[j] {
@@ -171,10 +159,13 @@ func (z *ZoneMap) fold(sg *segment, j int) {
 	}
 }
 
-// rebuild recomputes the summary over the segment's live rows,
-// tightening eviction-loosened bounds. The bloom is sized to the
-// segment's full capacity, as when the segment was created. The caller
-// must hold the shard's write lock.
+// rebuild recomputes the summary over a freshly compacted segment,
+// tightening eviction-loosened bounds. It folds every row: compaction
+// leaves only live rows and re-interns each dictionary in row order,
+// the invariant fold's code count relies on (a code below the count
+// was folded by an earlier row). The bloom is sized to the segment's
+// full capacity, as when the segment was created. The caller must hold
+// the shard's write lock.
 func (z *ZoneMap) rebuild(sg *segment) {
 	capacity := sg.capacity
 	if capacity < 1 {
@@ -182,9 +173,7 @@ func (z *ZoneMap) rebuild(sg *segment) {
 	}
 	fresh := newZoneMap(z.schema, capacity)
 	for j := range sg.ids {
-		if sg.liveAt(j) {
-			fresh.fold(sg, j)
-		}
+		fresh.fold(sg, j)
 	}
 	*z = *fresh
 }

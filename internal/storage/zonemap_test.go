@@ -124,6 +124,42 @@ func TestAuditZones(t *testing.T) {
 		}
 		s.segs[c.seg].zone = saved
 	}
+
+	// Repeats interleave within a segment: fold skips a value only when
+	// an earlier row of the segment folded it, on append and in the
+	// rebuild after compaction.
+	names := []string{"a", "b", "a", "c", "b", "d", "a"}
+	r := New(schema, WithSegmentSize(len(names)))
+	insert := func(vals ...string) {
+		for _, v := range vals {
+			if _, err := r.Insert(0, []tuple.Value{tuple.Int(0), tuple.Float(0), tuple.String_(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(names...)
+	for _, id := range []tuple.ID{0, 1, 5} { // a, b and d: c is the new top
+		if err := r.Evict(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Compact()
+	if lo, hi, ok := r.segs[0].zone.Bounds(2); !ok || lo.AsString() != "a" || hi.AsString() != "c" {
+		t.Errorf("compacted STRING bounds [%v, %v], want [a, c]", lo, hi)
+	}
+	insert("d", "b", "e", "a", "e")
+	for _, sg := range r.segs {
+		for j := range sg.ids {
+			v := sg.cols[2].dict[sg.cols[2].codes[j]]
+			lo, hi, ok := sg.zone.Bounds(2)
+			if !sg.zone.MayContainString(2, v) || !ok || v < lo.AsString() || v > hi.AsString() {
+				t.Errorf("segment %d: %q escapes its zone (bounds [%v, %v], ok=%v)", sg.base, v, lo, hi, ok)
+			}
+		}
+	}
+	if err := r.AuditZones(); err != nil {
+		t.Errorf("interleaved repeats: %v", err)
+	}
 }
 
 func TestZoneMapEvictionStaysConservative(t *testing.T) {

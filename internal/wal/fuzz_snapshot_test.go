@@ -1,10 +1,11 @@
-// FuzzDecodeSnapshot is the native fuzz target over the snapshot and
-// zone-blob decoders. Recovery reads snapshot files and a replication
-// follower decodes shipped snapshot chunks straight into a shard store,
-// so DecodeSnapshot must be total: arbitrary input restores a snapshot
-// or fails with an error, never a panic. Whatever it accepts must be a
-// fixed point of WriteSnapshot → DecodeSnapshot — the same tuples and
-// the same zone summaries, byte for byte.
+// FuzzDecodeSnapshot is the native fuzz target over the snapshot
+// decoder. Recovery reads snapshot files and a replication follower
+// decodes shipped snapshot chunks straight into a shard store, so
+// DecodeSnapshot must be total: arbitrary input restores a snapshot or
+// fails with an error, never a panic. Whatever it accepts must be a
+// fixed point of WriteSnapshot → DecodeSnapshot — the same tuples, byte
+// for byte — and the zone maps built from the decoded rows must pass
+// the audit.
 package wal
 
 import (
@@ -64,7 +65,7 @@ func tupleDump(st *storage.Store) []byte {
 // fuzzSnapSeeds builds snapshots of the shapes recovery meets: dead rows
 // and a fully dead segment, compacted (sparse) segments, a STRING
 // dictionary with repeats, NaN and -0 floats, a shard of a wider store
-// (whose zone records name another stride), and an empty store.
+// (sparse IDs for the dense reading store), and an empty store.
 func fuzzSnapSeeds(tb testing.TB) [][]byte {
 	devices := []string{"a", "a", "b", "c", "b", "a"}
 	fill := func(st *storage.Store, n int) {
@@ -139,6 +140,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			return
 		}
 		dst.FinishRestore()
+		if err := dst.AuditZones(); err != nil {
+			t.Fatalf("decoded store: %v", err)
+		}
 
 		f1 := snapshotBytes(t, dst)
 		again := fuzzSnapStore()
@@ -146,11 +150,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("snapshot written from an accepted input does not decode: %v", err)
 		}
 		again.FinishRestore()
+		if err := again.AuditZones(); err != nil {
+			t.Fatalf("re-decoded store: %v", err)
+		}
 		if !bytes.Equal(tupleDump(again), tupleDump(dst)) {
 			t.Fatal("tuples changed across WriteSnapshot → DecodeSnapshot")
 		}
 		if f2 := snapshotBytes(t, again); !bytes.Equal(f2, f1) {
-			t.Fatal("snapshot bytes (zone summaries) changed across WriteSnapshot → DecodeSnapshot")
+			t.Fatal("snapshot bytes changed across WriteSnapshot → DecodeSnapshot")
 		}
 	})
 }

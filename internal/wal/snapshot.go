@@ -13,7 +13,10 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-var snapshotMagic = [8]byte{'F', 'D', 'B', 'S', 'N', 'A', 'P', '2'}
+// snapshotMagic opens every snapshot file. The earlier layouts,
+// FDBSNAP1 and FDBSNAP2 (which carried serialised zone maps), are
+// retired and fail to load with "bad snapshot magic".
+var snapshotMagic = [8]byte{'F', 'D', 'B', 'S', 'N', 'A', 'P', '3'}
 
 // WriteSnapshot serialises every live tuple of one shard store (with
 // exact freshness and infection state) to path, atomically via a temp
@@ -46,10 +49,9 @@ func WriteSnapshot(path string, store *storage.Store) (err error) {
 }
 
 // encodeSnapshot writes the snapshot of store to w. Layout: magic,
-// uvarint nextID, uvarint tuple count, a length-prefixed zone-map blob,
-// the tuples, then crc32c of everything after the magic. The zone blob
-// sits before the tuples so recovery can stage the summaries ahead of
-// the restore stream.
+// uvarint nextID, uvarint tuple count, the tuples, then crc32c of
+// everything after the magic. Zone maps are not written: restoring the
+// tuples rebuilds them.
 func encodeSnapshot(w io.Writer, store *storage.Store) error {
 	if _, err := w.Write(snapshotMagic[:]); err != nil {
 		return fmt.Errorf("wal: snapshot magic: %w", err)
@@ -59,9 +61,6 @@ func encodeSnapshot(w io.Writer, store *storage.Store) error {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(store.NextID()))
 	hdr = binary.AppendUvarint(hdr, uint64(store.Len()))
-	zones := store.AppendZones(nil)
-	hdr = binary.AppendUvarint(hdr, uint64(len(zones)))
-	hdr = append(hdr, zones...)
 	if _, err := bw.Write(hdr); err != nil {
 		return fmt.Errorf("wal: snapshot header: %w", err)
 	}
@@ -138,15 +137,6 @@ func DecodeSnapshot(data []byte, store *storage.Store) (tuple.ID, error) {
 		return 0, fmt.Errorf("wal: snapshot bad count")
 	}
 	pos += w
-	zlen, w := binary.Uvarint(body[pos:])
-	if w <= 0 || zlen > uint64(len(body)-pos-w) {
-		return 0, fmt.Errorf("wal: snapshot bad zone blob")
-	}
-	pos += w
-	if zlen > 0 {
-		store.InstallZones(body[pos : pos+int(zlen)])
-	}
-	pos += int(zlen)
 	for i := uint64(0); i < count; i++ {
 		tp, n, err := tuple.Decode(body[pos:], store.Schema())
 		if err != nil {

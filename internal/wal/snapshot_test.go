@@ -26,9 +26,6 @@ func encodeSnapshotByRows(w io.Writer, store *storage.Store) error {
 	var hdr []byte
 	hdr = binary.AppendUvarint(hdr, uint64(store.NextID()))
 	hdr = binary.AppendUvarint(hdr, uint64(store.Len()))
-	zones := store.AppendZones(nil)
-	hdr = binary.AppendUvarint(hdr, uint64(len(zones)))
-	hdr = append(hdr, zones...)
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}

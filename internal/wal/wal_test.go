@@ -232,7 +232,6 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	var body []byte
 	body = binary.AppendUvarint(body, 1) // nextID
 	body = binary.AppendUvarint(body, 1) // tuple count
-	body = binary.AppendUvarint(body, 0) // no zone blob
 	body = tuple.AppendEncode(body, tuple.New(5, 1, row("a", 1)))
 	os.WriteFile(path, sealSnapshot(snapshotMagic[:], body), 0o644)
 	st := storage.New(walSchema)
