@@ -20,10 +20,11 @@ var (
 
 // WalExhaustive requires every switch over wal.RecType to either
 // handle all declared record kinds or carry a default clause that
-// returns or panics. Replay sites (crash recovery, follower apply)
-// otherwise skip unknown frames silently, and a new
-// record kind — the ROADMAP failover arc will add one — must break
-// the build at every replay site rather than corrupt a replica.
+// returns or panics. The record decoder and the one replay site,
+// wal.Applier (shared by crash recovery and follower apply), would
+// otherwise skip unknown frames silently, and a new record kind — the
+// ROADMAP failover arc will add one — must break the build at each of
+// them rather than corrupt a replica.
 var WalExhaustive = &Analyzer{
 	Name: "walexhaustive",
 	Doc: "every switch on wal.RecType must handle all record kinds or have a default " +

@@ -1,28 +1,25 @@
 // Replica apply surface: how a read-only follower table ingests the
 // leader's shipped WAL.
 //
-// The design mirrors crash recovery on purpose. Shipped bytes are raw
-// WAL frames, decoded by the same wal code path recovery uses; inserts
-// apply through storage.Restore (gap-tolerant, strictly increasing,
-// idempotent under redelivery via ErrStaleRestore) and evictions
-// through Evict (idempotent via ErrNotFound). The one replication-only
-// record is the tick: a follower whose decay law is replayable (see
-// fungus.Replayable) re-executes each logged fungus run against its own
-// extent, reproducing the leader's freshness trajectory exactly — the
-// leader's trailing rot-evict records then find nothing to evict and
-// degrade into no-ops. Non-replayable laws skip tick replay and rely on
-// those evict records instead: membership stays exact, freshness is
-// approximate.
+// The design is crash recovery's. Shipped bytes are raw WAL frames,
+// decoded by the same wal code path recovery uses and applied by the
+// same wal.Applier: inserts through storage.Restore (gap-tolerant,
+// strictly increasing, idempotent under redelivery via ErrStaleRestore)
+// and evictions through Evict (idempotent via ErrNotFound). The one
+// replication-only record is the tick: a follower whose decay law is
+// replayable (see fungus.Replayable) re-executes each logged fungus run
+// against its own extent, reproducing the leader's freshness trajectory
+// exactly — the leader's trailing rot-evict records then find nothing
+// to evict and degrade into no-ops. Non-replayable laws skip tick
+// replay and rely on those evict records instead: membership stays
+// exact, freshness is approximate.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"fungusdb/internal/clock"
-	"fungusdb/internal/fungus"
-	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 	"fungusdb/internal/wal"
 )
@@ -49,19 +46,12 @@ func (t *Table) ShipLog() *wal.ShardedLog {
 }
 
 // ApplyStats counts what one ApplyShipped call did.
-type ApplyStats struct {
-	Inserts int // tuples restored into the extent
-	Evicts  int // leader evictions applied
-	Ticks   int // fungus runs replayed locally
-	Rotted  int // tuples rotted by replayed ticks
-	Skipped int // idempotent re-deliveries (stale insert / absent evict)
-}
+type ApplyStats = wal.ApplyStats
 
 // ApplyShipped applies a batch of shipped WAL frames (whole, valid
-// frames — the shape the wire delivers) to shard i of a replica table.
-// It is the follower-side twin of the recovery replay loop and holds
-// shard i's write lock for the whole batch, so readers see each batch
-// atomically.
+// frames — the shape the wire delivers) to shard i of a replica table
+// through the same wal.Applier crash recovery uses, and holds shard i's
+// write lock for the whole batch, so readers see each batch atomically.
 func (t *Table) ApplyShipped(i int, frames []byte) (ApplyStats, error) {
 	if !t.cfg.ReadOnly {
 		return ApplyStats{}, fmt.Errorf("core: table %q is not a replica", t.name)
@@ -69,49 +59,25 @@ func (t *Table) ApplyShipped(i int, frames []byte) (ApplyStats, error) {
 	if t.closed.Load() {
 		return ApplyStats{}, t.errClosed()
 	}
-	var st ApplyStats
 	t.shardMu[i].Lock()
-	sh := t.store.Shard(i)
-	err := wal.DecodeFrames(frames, func(rec wal.Rec) error {
-		switch rec.Type {
-		case wal.RecInsert:
-			if err := sh.Restore(rec.Tuple); err != nil {
-				if errors.Is(err, storage.ErrStaleRestore) {
-					st.Skipped++
-					return nil
-				}
-				return err
-			}
-			st.Inserts++
-			return nil
-		case wal.RecEvict:
-			if err := sh.Evict(rec.ID); err != nil {
-				if errors.Is(err, storage.ErrNotFound) {
-					st.Skipped++ // already rotted by a replayed tick, or re-delivered
-					return nil
-				}
-				return err
-			}
-			st.Evicts++
-			return nil
-		case wal.RecTick:
-			if !t.replayTicks {
-				return nil // non-replayable law: the leader's evicts carry the rot
-			}
-			buf := t.fngs[i].Tick(clock.Tick(rec.Now), sh, t.rngs[i], t.rotBufs[i][:0])
+	a := wal.Applier{Store: t.store.Shard(i)}
+	// A law that is not replayable leaves Tick nil: the leader's evict
+	// records carry its rot.
+	if t.replayTicks {
+		a.Tick = func(now uint64) (int, error) {
+			buf := t.fngs[i].Tick(clock.Tick(now), a.Store, t.rngs[i], t.rotBufs[i][:0])
 			t.rotBufs[i] = buf
 			for _, id := range buf {
-				if err := sh.Evict(id); err != nil {
-					return fmt.Errorf("core: replayed rot evict: %w", err)
+				if err := a.Store.Evict(id); err != nil {
+					return 0, fmt.Errorf("core: replayed rot evict: %w", err)
 				}
 			}
-			st.Ticks++
-			st.Rotted += len(buf)
-			return nil
+			return len(buf), nil
 		}
-		return fmt.Errorf("core: apply: unknown record %d", rec.Type)
-	})
+	}
+	err := wal.DecodeFrames(frames, a.Apply)
 	t.shardMu[i].Unlock()
+	st := a.Stats
 	t.mu.Lock()
 	t.ctrs.Inserted += uint64(st.Inserts)
 	t.ctrs.Consumed += uint64(st.Evicts)
@@ -134,19 +100,7 @@ func (t *Table) ResetReplica() error {
 	}
 	t.lockAll()
 	defer t.unlockAll()
-	n := t.cfg.Shards
-	var opts []storage.Option
-	if t.cfg.SegmentSize > 0 {
-		opts = append(opts, storage.WithSegmentSize(t.cfg.SegmentSize))
-	}
-	t.store = storage.NewSharded(t.cfg.Schema, n, opts...)
-	t.rngs[0] = rand.New(newLockedSource(t.seed))
-	for i := 1; i < n; i++ {
-		t.rngs[i] = rand.New(rand.NewSource(t.seed*1099511628211 + int64(i)))
-	}
-	for i := 0; i < n; i++ {
-		t.fngs[i] = fungus.ForShard(t.cfg.Fungus, i, n)
-	}
+	t.buildShards()
 	return nil
 }
 
@@ -173,9 +127,9 @@ func (t *Table) ApplyShardSnapshot(i int, blob []byte, nextID uint64) error {
 	return nil
 }
 
-// FinishRebase completes a snapshot re-base (the FinishRestore of the
-// recovery twin): sparse tail segments seal, and the shard rotation
-// cursor re-aims.
+// FinishRebase completes a snapshot re-base (the FinishRestore that
+// recovery also ends with): sparse tail segments seal, and the shard
+// rotation cursor re-aims.
 func (t *Table) FinishRebase() {
 	t.lockAll()
 	defer t.unlockAll()

@@ -157,10 +157,6 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 	if workers < 1 {
 		workers = 1
 	}
-	var opts []storage.Option
-	if cfg.SegmentSize > 0 {
-		opts = append(opts, storage.WithSegmentSize(cfg.SegmentSize))
-	}
 	// Resolve the sync level: table spec wins, then the DB default,
 	// then none (the pre-group-commit behaviour).
 	durability := cfg.Durability
@@ -187,18 +183,7 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 		tickLog:     !isNull,
 		replayTicks: cfg.ReadOnly && fungus.Replayable(cfg.Fungus),
 	}
-	// Shard 0 draws from the table stream (shared with the shelf, via a
-	// locked source); shard i > 0 gets its own stream derived from
-	// (table seed, shard index). One-shard tables therefore reproduce
-	// the pre-sharding engine bit for bit.
-	t.rngs[0] = rand.New(newLockedSource(seed))
-	for i := 1; i < n; i++ {
-		t.rngs[i] = rand.New(rand.NewSource(seed*1099511628211 + int64(i)))
-	}
-	for i := 0; i < n; i++ {
-		t.fngs[i] = fungus.ForShard(cfg.Fungus, i, n)
-	}
-	t.store = storage.NewSharded(cfg.Schema, n, opts...)
+	t.buildShards()
 	if dir != "" {
 		// RecoverSharded replays the per-shard logs in parallel (over the
 		// table's worker pool, as checkpoints do) and leaves the directory
@@ -221,6 +206,30 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 	}
 	t.shelf = container.NewShelf(cfg.Schema, cfg.Digest, t.rngs[0])
 	return t, nil
+}
+
+// buildShards sets up the empty store, the per-shard RNG streams and
+// the per-shard fungi from the table's config and seed. Table creation
+// and a replica re-base both start from it, so a re-based replica
+// begins from the same initial conditions as a fresh join. Shard 0
+// draws from the table stream (shared with the shelf, via a locked
+// source); shard i > 0 gets its own stream derived from (table seed,
+// shard index). One-shard tables therefore reproduce the pre-sharding
+// engine bit for bit.
+func (t *Table) buildShards() {
+	n := t.cfg.Shards
+	var opts []storage.Option
+	if t.cfg.SegmentSize > 0 {
+		opts = append(opts, storage.WithSegmentSize(t.cfg.SegmentSize))
+	}
+	t.store = storage.NewSharded(t.cfg.Schema, n, opts...)
+	t.rngs[0] = rand.New(newLockedSource(t.seed))
+	for i := 1; i < n; i++ {
+		t.rngs[i] = rand.New(rand.NewSource(t.seed*1099511628211 + int64(i)))
+	}
+	for i := 0; i < n; i++ {
+		t.fngs[i] = fungus.ForShard(t.cfg.Fungus, i, n)
+	}
 }
 
 // Name returns the table name.

@@ -54,9 +54,6 @@ type Config struct {
 	// usual offender). 0 means DefaultMaxRequestBytes; negative
 	// disables the cap entirely.
 	MaxRequestBytes int64
-	// PreparedHandles bounds the /v2/prepare handle cache (0 = the
-	// defaultHandleCap of 256).
-	PreparedHandles int
 	// Registry receives the server's metric collectors and backs the
 	// GET /metrics endpoint. Nil builds a private registry; pass one in
 	// to add your own collectors (ingest pipelines, harnesses) to the
@@ -117,7 +114,7 @@ func NewWithConfig(db *core.DB, cfg Config) *Server {
 	}
 	s := &Server{
 		db: db, mux: http.NewServeMux(), cfg: cfg,
-		prep: newHandleCache(cfg.PreparedHandles),
+		prep: newHandleCache(),
 		reg:  reg,
 		lat:  make(map[string]*obs.Histogram, len(latencyRoutes)),
 	}

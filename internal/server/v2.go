@@ -30,8 +30,7 @@ import (
 	"fungusdb/internal/tuple"
 )
 
-// defaultHandleCap bounds the prepared-handle cache when the Config
-// does not choose a size.
+// defaultHandleCap bounds the prepared-handle cache.
 const defaultHandleCap = 256
 
 // handleCache is the server-side LRU of prepared statements. Handles
@@ -40,7 +39,6 @@ const defaultHandleCap = 256
 // handle fails with not_found and the client re-prepares.
 type handleCache struct {
 	mu    sync.Mutex
-	cap   int
 	seq   uint64
 	byID  map[string]*list.Element
 	bySQL map[string]*list.Element
@@ -54,14 +52,10 @@ type handleEntry struct {
 	pq    *core.PreparedQuery
 }
 
-func newHandleCache(capacity int) *handleCache {
-	if capacity <= 0 {
-		capacity = defaultHandleCap
-	}
+func newHandleCache() *handleCache {
 	return &handleCache{
-		cap:   capacity,
-		byID:  make(map[string]*list.Element, capacity),
-		bySQL: make(map[string]*list.Element, capacity),
+		byID:  make(map[string]*list.Element, defaultHandleCap),
+		bySQL: make(map[string]*list.Element, defaultHandleCap),
 		lru:   list.New(),
 	}
 }
@@ -82,7 +76,7 @@ func (c *handleCache) add(sql, table string, pq *core.PreparedQuery) string {
 		c.lru.MoveToFront(el)
 		return e.id
 	}
-	if c.lru.Len() >= c.cap {
+	if c.lru.Len() >= defaultHandleCap {
 		oldest := c.lru.Back()
 		if oldest != nil {
 			e := oldest.Value.(*handleEntry)

@@ -2,7 +2,8 @@
 // decode path. Followers feed bytes received off the wire straight
 // into DecodeFrames, so the decoder must be total: arbitrary input
 // yields records or an error, never a panic, and FrameScan's notion of
-// "valid prefix" must stay consistent with what DecodeFrames accepts.
+// "valid prefix" must stay consistent with what DecodeFrames accepts
+// and with where crash recovery's replay stops on the same bytes.
 package wal
 
 import (
@@ -41,6 +42,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(badCRC)
 	zero := fuzzFrame(nil) // zero-length frame is invalid by construction
 	f.Add(zero)
+	f.Add(append(fuzzFrame(insert), fuzzFrame(tick)[:11]...)) // torn payload after a whole frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var decoded int
@@ -68,6 +70,16 @@ func FuzzDecodeFrames(f *testing.F) {
 		}
 		if perr == nil && prefixDecoded != recs {
 			t.Fatalf("prefix decoded %d records without error, FrameScan counted %d", prefixDecoded, recs)
+		}
+
+		// Crash recovery's replay loop — ReplayBounded over a log file's
+		// bytes — stops where FrameScan does whenever every record
+		// decodes. TestReplayBoundedMatchesFrameScan checks the same
+		// through a file; writing one per input stalls the fuzzer.
+		replayed := 0
+		off, _, rerr := replayFrames(data, func(Rec) error { replayed++; return nil })
+		if rerr == nil && (off != valid || replayed != recs) {
+			t.Fatalf("replay stopped at (%d bytes, %d records), FrameScan at (%d, %d)", off, replayed, valid, recs)
 		}
 	})
 }

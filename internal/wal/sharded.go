@@ -424,28 +424,9 @@ func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallel
 			return fmt.Errorf("wal: recover shard %d: %w", i, err)
 		}
 		logPath := filepath.Join(dir, ShardLogFile(i))
-		valid, err := ReplayBounded(logPath, func(rec Rec) error {
-			switch rec.Type {
-			case RecInsert:
-				// Behind the shard's cursor means already in the shard's
-				// snapshot (a checkpoint crashed between manifest commit
-				// and log truncation): skip, not fail.
-				if err := sh.Restore(rec.Tuple); err != nil && !errors.Is(err, storage.ErrStaleRestore) {
-					return err
-				}
-				return nil
-			case RecEvict:
-				if err := sh.Evict(rec.ID); err != nil && !errors.Is(err, storage.ErrNotFound) {
-					return err
-				}
-				return nil
-			case RecTick:
-				// Crash recovery takes freshness from the snapshot, not
-				// from re-running decay; ticks are for live followers.
-				return nil
-			}
-			return fmt.Errorf("unknown record %d", rec.Type)
-		})
+		// Recovery skips ticks: the snapshot carries exact freshness.
+		a := Applier{Store: sh}
+		valid, err := ReplayBounded(logPath, a.Apply)
 		if err != nil {
 			return fmt.Errorf("wal: recover shard %d: %w", i, err)
 		}

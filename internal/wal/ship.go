@@ -17,11 +17,8 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -30,25 +27,14 @@ import (
 // FrameScan returns the byte length of the longest prefix of data that
 // consists of complete, checksum-valid records, and how many records it
 // holds. Shipping uses it to trim a read that raced a partially flushed
-// append down to whole frames.
+// append down to whole frames; Open uses it to count a log's records.
 func FrameScan(data []byte) (n int64, recs int) {
 	for {
-		if int64(len(data))-n < 8 {
+		payload, err := readFrame(data[n:])
+		if err != nil {
 			return n, recs
 		}
-		length := binary.LittleEndian.Uint32(data[n : n+4])
-		wantCRC := binary.LittleEndian.Uint32(data[n+4 : n+8])
-		if length == 0 || length > 1<<28 {
-			return n, recs
-		}
-		end := n + 8 + int64(length)
-		if end > int64(len(data)) {
-			return n, recs
-		}
-		if crc32.Checksum(data[n+8:end], crcTable) != wantCRC {
-			return n, recs
-		}
-		n = end
+		n += frameHeader + int64(len(payload))
 		recs++
 	}
 }
@@ -57,68 +43,11 @@ func FrameScan(data []byte) (n int64, recs int) {
 // whole number of valid frames (the shape FrameScan and ReadShard
 // produce). The follower's apply loop feeds shipped bytes through it.
 func DecodeFrames(data []byte, fn func(Rec) error) error {
-	for len(data) > 0 {
-		if len(data) < 8 {
-			return fmt.Errorf("wal: frame decode: torn header (%d bytes)", len(data))
-		}
-		length := binary.LittleEndian.Uint32(data[0:4])
-		wantCRC := binary.LittleEndian.Uint32(data[4:8])
-		if length == 0 || int(length) > len(data)-8 {
-			return fmt.Errorf("wal: frame decode: bad length %d", length)
-		}
-		payload := data[8 : 8+length]
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return fmt.Errorf("wal: frame decode: checksum mismatch")
-		}
-		rec, err := decodeRec(payload)
-		if err != nil {
-			return fmt.Errorf("wal: frame decode: %w", err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		data = data[8+length:]
+	off, tail, err := replayFrames(data, fn)
+	if tail != nil {
+		return fmt.Errorf("wal: frame decode at byte %d: %w", off, tail)
 	}
-	return nil
-}
-
-// scanFrameFile counts the valid frames in the log at path without
-// decoding payloads (Open uses it to rebuild the record counter). A
-// missing file scans as empty.
-func scanFrameFile(path string) (valid int64, recs uint64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var hdr [8]byte
-	buf := make([]byte, 0, 4096)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return valid, recs, nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > 1<<28 {
-			return valid, recs, nil
-		}
-		if cap(buf) < int(length) {
-			buf = make([]byte, length)
-		}
-		buf = buf[:length]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return valid, recs, nil
-		}
-		if crc32.Checksum(buf, crcTable) != wantCRC {
-			return valid, recs, nil
-		}
-		valid += 8 + int64(length)
-		recs++
-	}
+	return err
 }
 
 // FlushShard pushes shard i's buffered appends to the OS (no fsync) so

@@ -4,6 +4,10 @@
 package wal
 
 import (
+	"encoding/binary"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fungusdb/internal/storage"
@@ -160,5 +164,73 @@ func TestRecordCountsResetAtCheckpoint(t *testing.T) {
 	if trunc.FromGen != 0 || trunc.Sizes[0] != preSize {
 		t.Fatalf("truncation = %+v, want FromGen 0 with size %d (the rollover cursor contract)",
 			trunc, preSize)
+	}
+}
+
+// TestInsertRecordRejectsTrailingBytes: an insert frame whose checksum
+// is valid but whose payload runs past the encoded tuple is a bad
+// record, both for a follower decoding shipped bytes and for recovery
+// replaying a log. Re-encoding drops the junk, so the fuzzer cannot
+// find this.
+func TestInsertRecordRejectsTrailingBytes(t *testing.T) {
+	payload := append([]byte{byte(RecInsert)}, tuple.AppendEncode(nil, shipTuple(3, 9))...)
+	if err := DecodeFrames(fuzzFrame(payload), func(Rec) error { return nil }); err != nil {
+		t.Fatalf("clean insert frame: %v", err)
+	}
+	data := fuzzFrame(append(payload, 1, 2, 3))
+	n := 0
+	if err := DecodeFrames(data, func(Rec) error { n++; return nil }); err == nil {
+		t.Fatalf("insert frame with 3 trailing bytes decoded to %d records", n)
+	}
+	path := filepath.Join(t.TempDir(), ShardLogFile(0))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n = 0
+	if _, err := ReplayBounded(path, func(Rec) error { n++; return nil }); err == nil {
+		t.Fatalf("replay of an insert frame with 3 trailing bytes applied %d records", n)
+	}
+}
+
+// TestReplayBoundedMatchesFrameScan ties recovery's torn-tail rule to
+// shipping's: over a valid log cut, flipped and padded at random,
+// ReplayBounded must stop where FrameScan does and replay as many
+// records as it counts whenever every record decodes.
+func TestReplayBoundedMatchesFrameScan(t *testing.T) {
+	var log []byte
+	for i := 0; i < 12; i++ {
+		log = append(log, fuzzFrame(append([]byte{byte(RecInsert)}, tuple.AppendEncode(nil, shipTuple(uint64(i), int64(i)))...))...)
+		log = append(log, fuzzFrame(binary.LittleEndian.AppendUint64([]byte{byte(RecEvict)}, uint64(i)))...)
+	}
+	path := filepath.Join(t.TempDir(), ShardLogFile(0))
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 300; trial++ {
+		data := append([]byte(nil), log[:rng.Intn(len(log)+1)]...)
+		for f := rng.Intn(3); f > 0 && len(data) > 0; f-- {
+			data[rng.Intn(len(data))] ^= 1 << rng.Intn(8)
+		}
+		junk := make([]byte, rng.Intn(16))
+		rng.Read(junk)
+		data = append(data, junk...)
+		assertReplayMatchesScan(t, path, data)
+	}
+}
+
+// assertReplayMatchesScan writes data to path and checks that, when
+// ReplayBounded replays it without error, its valid offset and record
+// count equal FrameScan's over the same bytes.
+func assertReplayMatchesScan(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs := 0
+	off, err := ReplayBounded(path, func(Rec) error { recs++; return nil })
+	if err != nil {
+		return // a record that passed its checksum failed to decode
+	}
+	if n, want := FrameScan(data); off != n || recs != want {
+		t.Fatalf("ReplayBounded = (%d bytes, %d records), FrameScan = (%d, %d) over %d bytes",
+			off, recs, n, want, len(data))
 	}
 }

@@ -150,5 +150,8 @@ func DecodeSnapshot(data []byte, store *storage.Store) (tuple.ID, error) {
 			return 0, fmt.Errorf("wal: snapshot tuple %d: %w", i, err)
 		}
 	}
+	if pos != len(body) {
+		return 0, fmt.Errorf("wal: snapshot has %d bytes after its %d tuples", len(body)-pos, count)
+	}
 	return tuple.ID(nextID), nil
 }

@@ -8,14 +8,17 @@
 // whether from rot or consume-on-query), and checkpoints capture exact
 // freshness and infection state. On recovery, tuples inserted after the
 // last checkpoint come back with full freshness; at most one checkpoint
-// interval of decay is lost, which only delays their rot. DESIGN.md
-// lists this bounded-staleness trade-off.
+// interval of decay is lost, which only delays their rot.
+// docs/DURABILITY.md states this bounded-staleness trade-off in the
+// notes under its what-you-can-lose table.
 //
 // Record framing: [length uint32][crc32c uint32][type byte][payload].
-// ReplayBounded stops cleanly at the first torn or corrupt record, which
-// is the expected state after a crash mid-append, and reports where the
-// valid prefix ends so the torn tail can be truncated before new appends
-// land behind it.
+// One function, readFrame, parses a frame: recovery, log shipping and
+// the follower's apply loop all walk a log through it, and one Applier
+// applies the decoded records. ReplayBounded stops cleanly at the first
+// torn or corrupt record, which is the expected state after a crash
+// mid-append, and reports where the valid prefix ends so the torn tail
+// can be truncated before new appends land behind it.
 //
 // # Per-shard layout
 //
@@ -65,6 +68,7 @@ import (
 	"os"
 	"sync"
 
+	"fungusdb/internal/storage"
 	"fungusdb/internal/tuple"
 )
 
@@ -112,15 +116,16 @@ type Log struct {
 // replication lag (measured in records, not bytes) stays correct across
 // a leader restart mid-generation.
 func Open(path string) (*Log, error) {
-	_, recs, err := scanFrameFile(path)
-	if err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
+	_, recs := FrameScan(data)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
-	return &Log{f: f, w: bufio.NewWriter(f), recs: recs}, nil
+	return &Log{f: f, w: bufio.NewWriter(f), recs: uint64(recs)}, nil
 }
 
 // AppendInsert logs the insertion of tp. The record is buffered, not
@@ -160,8 +165,45 @@ func (l *Log) AppendTick(now uint64) error {
 	return l.appendFramed(l.buf)
 }
 
+// Frame grammar: [length uint32][crc32c uint32][payload], both little
+// endian. The length counts the payload alone and is never zero;
+// readFrame rejects lengths past maxFrame outright, so a corrupt header
+// cannot claim an implausible payload.
+const (
+	frameHeader = 8
+	maxFrame    = 1 << 28
+)
+
+// Frame errors: why the bytes at a position do not begin a valid frame.
+var (
+	errFrameTorn   = errors.New("torn frame")
+	errFrameLength = errors.New("bad frame length")
+	errFrameCRC    = errors.New("frame checksum mismatch")
+)
+
+// readFrame parses the frame at the head of data and returns its
+// payload, a subslice of data. It is the one reader of the frame
+// grammar: recovery, shipping and the follower all walk frames with it.
+func readFrame(data []byte) ([]byte, error) {
+	if len(data) < frameHeader {
+		return nil, errFrameTorn
+	}
+	length := binary.LittleEndian.Uint32(data[0:4])
+	if length == 0 || length > maxFrame {
+		return nil, errFrameLength
+	}
+	if int(length) > len(data)-frameHeader {
+		return nil, errFrameTorn
+	}
+	payload := data[frameHeader : frameHeader+int(length)]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, errFrameCRC
+	}
+	return payload, nil
+}
+
 func (l *Log) appendFramed(payload []byte) error {
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
 	if _, err := l.w.Write(hdr[:]); err != nil {
@@ -240,62 +282,61 @@ func (l *Log) Truncate() error {
 	return nil
 }
 
-// ReplayBounded reads records from path in order, invoking fn for each,
-// and returns the byte offset one past the last fully valid record — the
-// truncation point for a torn tail. A missing file replays zero records.
-// Replay stops without error at the first torn or corrupt record (the
-// crash tail); fn errors abort. A shard log reopened for appending MUST
-// be truncated at the returned offset first, or records appended after
-// the tear would hide behind it and be lost on the next recovery.
-// Sharded recovery uses the per-shard offsets to truncate each log
-// independently, so one shard's torn tail never aborts (or shortens) the
-// recovery of the others.
+// ReplayBounded reads the log at path whole, invokes fn for each record
+// in order, and returns the byte offset one past the last fully valid
+// record — the truncation point for a torn tail. A missing file replays
+// zero records. Replay stops without error at the first torn or corrupt
+// frame (the crash tail), at the same offset FrameScan reports for the
+// file's bytes; a record that fails to decode and fn errors abort. A
+// shard log reopened for appending MUST be truncated at the returned
+// offset first, or records appended after the tear would hide behind it
+// and be lost on the next recovery. Sharded recovery uses the per-shard
+// offsets to truncate each log independently, so one shard's torn tail
+// never aborts (or shortens) the recovery of the others.
 func ReplayBounded(path string, fn func(Rec) error) (int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("wal: replay open: %w", err)
+		return 0, fmt.Errorf("wal: replay read: %w", err)
 	}
-	defer f.Close()
+	off, _, err := replayFrames(data, fn)
+	return off, err
+}
 
-	r := bufio.NewReader(f)
-	var off int64
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return off, nil // clean EOF or torn header: stop
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if length == 0 || length > 1<<28 {
-			return off, nil // implausible length: corrupt tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return off, nil // corrupt record
+// replayFrames decodes the records of data's frames in order and hands
+// each to fn. It stops at the end of data or at the first torn or
+// corrupt frame, whose error it returns as tail; a record that fails to
+// decode, or an fn error (returned as is), stops it with err. off is the
+// byte length of the frames applied.
+func replayFrames(data []byte, fn func(Rec) error) (off int64, tail, err error) {
+	for off < int64(len(data)) {
+		payload, ferr := readFrame(data[off:])
+		if ferr != nil {
+			return off, ferr, nil
 		}
 		rec, err := decodeRec(payload)
 		if err != nil {
-			return off, fmt.Errorf("wal: replay: %w", err)
+			return off, nil, fmt.Errorf("wal: record at byte %d: %w", off, err)
 		}
 		if err := fn(rec); err != nil {
-			return off, err
+			return off, nil, err
 		}
-		off += int64(len(hdr)) + int64(length)
+		off += frameHeader + int64(len(payload))
 	}
+	return off, nil, nil
 }
 
 func decodeRec(payload []byte) (Rec, error) {
 	switch RecType(payload[0]) {
 	case RecInsert:
-		tp, _, err := tuple.Decode(payload[1:], nil)
+		tp, n, err := tuple.Decode(payload[1:], nil)
 		if err != nil {
 			return Rec{}, fmt.Errorf("bad insert record: %w", err)
+		}
+		if extra := len(payload) - 1 - n; extra != 0 {
+			return Rec{}, fmt.Errorf("bad insert record: %d bytes after the tuple", extra)
 		}
 		return Rec{Type: RecInsert, Tuple: tp}, nil
 	case RecEvict:
@@ -311,4 +352,72 @@ func decodeRec(payload []byte) (Rec, error) {
 	default:
 		return Rec{}, fmt.Errorf("unknown record type %d", payload[0])
 	}
+}
+
+// ApplyStats counts what an Applier did.
+type ApplyStats struct {
+	Inserts int // tuples restored into the extent
+	Evicts  int // evictions applied
+	Ticks   int // fungus runs replayed
+	Rotted  int // tuples rotted by replayed ticks
+	Skipped int // idempotent re-deliveries (stale insert / absent evict)
+}
+
+// Applier applies replayed records to one shard store. It holds the one
+// set of replay rules, shared by crash recovery and a replication
+// follower's apply loop:
+//
+//   - an insert behind the shard's cursor (storage.ErrStaleRestore) is
+//     already in the shard — left by a checkpoint that crashed between
+//     its manifest commit and log truncation, or re-delivered — and is
+//     skipped;
+//   - an evict of an absent tuple (storage.ErrNotFound) was applied
+//     before or rotted by a replayed tick, and is skipped;
+//   - a tick runs Tick, or is skipped when Tick is nil: recovery takes
+//     freshness from the snapshot, and a follower whose law is not
+//     replayable relies on the leader's evict records instead.
+type Applier struct {
+	Store *storage.Store
+	// Tick replays a fungus run at logical time now and reports how
+	// many tuples it rotted.
+	Tick  func(now uint64) (rotted int, err error)
+	Stats ApplyStats
+}
+
+// Apply applies one record. Its method value is the fn ReplayBounded
+// and DecodeFrames take.
+func (a *Applier) Apply(rec Rec) error {
+	switch rec.Type {
+	case RecInsert:
+		if err := a.Store.Restore(rec.Tuple); err != nil {
+			if !errors.Is(err, storage.ErrStaleRestore) {
+				return err
+			}
+			a.Stats.Skipped++
+			return nil
+		}
+		a.Stats.Inserts++
+	case RecEvict:
+		if err := a.Store.Evict(rec.ID); err != nil {
+			if !errors.Is(err, storage.ErrNotFound) {
+				return err
+			}
+			a.Stats.Skipped++
+			return nil
+		}
+		a.Stats.Evicts++
+	case RecTick:
+		if a.Tick == nil {
+			return nil
+		}
+		rotted, err := a.Tick(rec.Now)
+		if err != nil {
+			return err
+		}
+		a.Stats.Ticks++
+		a.Stats.Rotted += rotted
+	default:
+		return fmt.Errorf("wal: apply: unknown record %d", rec.Type)
+	}
+	return nil
 }
