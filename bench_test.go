@@ -1061,7 +1061,9 @@ func BenchmarkPrunedScan(b *testing.B) {
 // `ORDER BY temp DESC LIMIT 10` through the per-shard bounded-heap
 // route (peak result memory O(shards × 10)), mode=barrier runs the
 // same ordering without LIMIT — the materialise-then-sort path the
-// push-down replaces — and reads only the first 10 rows.
+// push-down replaces — and reads only the first 10 rows. mode=topk-rising
+// orders by seq, which rises with the ID, so the ranked walk meets the
+// winners in the newest segment and skips every other segment.
 func BenchmarkOrderedTopK(b *testing.B) {
 	const n = 100_000
 	for _, shards := range []int{1, 4, 8} {
@@ -1094,6 +1096,8 @@ func BenchmarkOrderedTopK(b *testing.B) {
 			run("SELECT seq, temp FROM p ORDER BY temp DESC, seq DESC LIMIT 10"))
 		b.Run(fmt.Sprintf("mode=barrier/shards=%d", shards),
 			run("SELECT seq, temp FROM p ORDER BY temp DESC, seq DESC"))
+		b.Run(fmt.Sprintf("mode=topk-rising/shards=%d", shards),
+			run("SELECT seq, temp FROM p ORDER BY seq DESC LIMIT 10"))
 	}
 }
 

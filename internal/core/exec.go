@@ -236,33 +236,37 @@ const (
 
 // scanSink is a route's part of a scanShards walk, called per shard
 // i; only take is required. skip returns a segment veto beside the
-// WHERE program's root verdict (top-k's AxisSkip). veto runs before a
-// batch's kernels and true stops the walk quietly (a cancelled
-// stream). take folds a batch's selected rows; false or an error
-// stops the walk. end runs when the walk is over, still under the
-// lock, with the walk's error, and returns the shard's.
+// WHERE program's root verdict (top-k's Beaten). score, when set, ranks
+// shard i's segments best first (storage.Store.ScanRanked), and desc
+// runs each segment's batches top down. veto runs before a batch's
+// kernels and true stops the walk quietly (a cancelled stream). take
+// folds a batch's selected rows; false or an error stops the walk. end
+// runs when the walk is over, still under the lock, with the walk's
+// error, and returns the shard's.
 type scanSink struct {
-	skip func(i int) func(query.ZoneView) bool
-	veto func(i int) bool
-	take func(i int, b *tuple.Batch, sel []uint64) (more bool, err error)
-	end  func(i int, err error) error
+	skip  func(i int) func(query.ZoneView) bool
+	score func(i int) func(query.ZoneView) (float64, bool)
+	desc  bool
+	veto  func(i int) bool
+	take  func(i int, b *tuple.Batch, sel []uint64) (more bool, err error)
+	end   func(i int, err error) error
 }
 
 // scanShards is the one shard-scan driver of the read side: every
 // route's scan fans out here, and each route supplies only a sink and
-// merges what the sinks folded. Per shard it walks the live batches
-// along the ID axis (top down when reverse). Under the lock that
-// covers its batches, each segment's zone map arms the shard's
+// merges what the sinks folded. Per shard it walks the live batches in
+// insertion order, or best first by the sink's score. Under the lock
+// that covers its batches, each segment's zone map arms the shard's
 // matcher with the WHERE program's verdicts
 // (query.BatchMatcher.Zone): a root none, or the sink's own veto,
 // skips the segment, and the batches of a scanned one run only the
 // kernels the verdicts leave undecided. Under pruneOffHook no verdict
-// is taken. The selection goes to sink.take. The sink takes a batch's
-// selected rows first; the batch's kernel error surfaces only if the
-// sink asked to go on, so a route that stops at its limit stops
-// exactly where a row-by-row evaluation would have. It returns the
-// live rows of every batch walked, summed over the shards, and the
-// lowest shard's error.
+// is taken and no segment is ranked. The selection goes to sink.take.
+// The sink takes a batch's selected rows first; the batch's kernel
+// error surfaces only if the sink asked to go on, so a route that stops
+// at its limit stops exactly where a row-by-row evaluation would have.
+// It returns the live rows of every batch walked, summed over the
+// shards, and the lowest shard's error.
 //
 // The read side's three lock rules live here:
 //   - lockHeld: the caller holds every shard's lock (read or write) for
@@ -276,7 +280,7 @@ type scanSink struct {
 //     A producer blocked on the merge holds its lock while the merge
 //     waits on the others; one still to take its lock (or a pool slot)
 //     could queue behind a writer waiting on the blocked one — a cycle.
-func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink scanSink) (int, error) {
+func (t *Table) scanShards(plan *query.Plan, rule lockRule, sink scanSink) (int, error) {
 	n := t.store.NumShards()
 	workers := t.workers
 	if rule == lockHandedOver {
@@ -293,15 +297,20 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink s
 		}
 		bm := plan.NewBatchMatcher()
 		var skip func(*storage.ZoneMap) bool // a *ZoneMap is a query.ZoneView
+		var score func(*storage.ZoneMap) (float64, bool)
 		if !pruneOffHook {
 			var extra func(query.ZoneView) bool
 			if sink.skip != nil {
 				extra = sink.skip(i)
 			}
 			skip = func(z *storage.ZoneMap) bool { return bm.Zone(z) || extra != nil && extra(z) }
+			if sink.score != nil {
+				rate := sink.score(i)
+				score = func(z *storage.ZoneMap) (float64, bool) { return rate(z) }
+			}
 		}
 		var err error
-		t.store.ScanShardAxis(i, reverse, skip, func(b *tuple.Batch) bool {
+		take := func(b *tuple.Batch) bool {
 			scanned[i] += b.Alive
 			if sink.veto != nil && sink.veto(i) {
 				return false
@@ -312,7 +321,12 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, reverse bool, sink s
 				err = kerr
 			}
 			return more && err == nil
-		})
+		}
+		if score != nil {
+			t.store.ScanShardRanked(i, score, sink.desc, skip, take)
+		} else {
+			t.store.ScanShardBatches(i, skip, take)
+		}
 		if sink.end != nil {
 			err = sink.end(i, err)
 		}
@@ -341,7 +355,7 @@ func (t *Table) countQuery() {
 func (t *Table) collectAnswer(plan *query.Plan, opt QueryOpts) ([]tuple.Tuple, int, error) {
 	limit := opt.Limit
 	parts := make([][]tuple.Tuple, t.store.NumShards())
-	scanned, err := t.scanShards(plan, lockHeld, false, scanSink{
+	scanned, err := t.scanShards(plan, lockHeld, scanSink{
 		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
 			return tuple.EachSet(sel, func(j int) bool {
 				parts[i] = append(parts[i], b.Row(j))
@@ -483,7 +497,7 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 	res := make(chan result, 1)
 	t.rlockAll()
 	go func() {
-		scanned, err := t.scanShards(plan, lockHandedOver, false, sink)
+		scanned, err := t.scanShards(plan, lockHandedOver, sink)
 		res <- result{scanned, err}
 	}()
 
@@ -515,7 +529,7 @@ func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Ro
 	for i := range aggs {
 		aggs[i] = plan.NewAggregator(params)
 	}
-	scanned, err := t.scanShards(plan, lockPerShard, false, scanSink{
+	scanned, err := t.scanShards(plan, lockPerShard, scanSink{
 		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
 			return true, aggs[i].FeedBatch(b, sel)
 		},
@@ -559,16 +573,17 @@ func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
 			return err
 		},
 	}
-	// ORDER BY _t/_id walks the ID axis in key order (reversed for
-	// DESC), so the heap fills with the best candidates first and the
-	// per-segment _t/_id bounds rule out whole segments once it is
-	// full. The survivor set is visit-order independent (the heap
-	// orders totally, ties broken by ID).
-	axis, axisDesc, axisOK := plan.OrderAxis()
-	if axisOK {
-		sink.skip = func(i int) func(query.ZoneView) bool { return tks[i].AxisSkip(axis, axisDesc) }
+	// A bare numeric first key ranks each shard's segments best first by
+	// the key's zone bounds, so the heap fills with the best candidates
+	// first and, once it is full, a segment whose bound cannot beat the
+	// worst survivor is skipped. The survivor set does not depend on the
+	// visit order (the heap orders totally, ties broken by ID).
+	if desc, ok := tks[0].Ranked(); ok {
+		sink.skip = func(i int) func(query.ZoneView) bool { return tks[i].Beaten }
+		sink.score = func(i int) func(query.ZoneView) (float64, bool) { return tks[i].Score }
+		sink.desc = desc
 	}
-	scanned, err := t.scanShards(plan, lockPerShard, axisOK && axisDesc, sink)
+	scanned, err := t.scanShards(plan, lockPerShard, sink)
 	if err != nil {
 		return nil, err
 	}

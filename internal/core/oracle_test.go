@@ -519,6 +519,19 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 					run("SELECT k, v, name FROM t WHERE v >= 10.0 ORDER BY v DESC, name ASC LIMIT 7")
 					run("SELECT ok, v, _f FROM t ORDER BY ok DESC, v ASC, _f LIMIT 7")
 				}
+				// Ranked walks: an INT or FLOAT attribute as the first key,
+				// both directions, the worst survivor tied with rows of
+				// unvisited segments (v repeats every 97 rows), broken by
+				// a later key or by ID.
+				orders := []string{"k ASC", "k DESC, v", "v DESC", "v ASC", "v DESC, k DESC", "v, name DESC"}
+				if nan {
+					orders = orders[:2]
+				}
+				for _, order := range orders {
+					run(fmt.Sprintf("SELECT k, v, name FROM t ORDER BY %s LIMIT 9", order))
+					run(fmt.Sprintf("SELECT k, v, name FROM t WHERE ok ORDER BY %s LIMIT 9", order))
+					run(fmt.Sprintf("SELECT k, v, name, _id FROM t WHERE k %% 4 = 1 ORDER BY %s LIMIT 30", order))
+				}
 				// Material: a sort barrier without LIMIT, with the
 				// programmatic cap, and a distilling peek.
 				run("SELECT k, name FROM t WHERE k % 3 = 0 ORDER BY name DESC, k ASC")

@@ -185,16 +185,15 @@ func newTable(name string, cfg TableConfig, clk clock.Clock, seed int64, dir str
 	}
 	t.buildShards()
 	if dir != "" {
-		// RecoverSharded replays the per-shard logs in parallel (over the
+		// Recovery replays the per-shard logs in parallel (over the
 		// table's worker pool, as checkpoints do) and leaves the directory
 		// in the per-shard layout at this shard count, re-routing tuples
-		// when the count changed. A single-log directory is refused.
-		if err := wal.RecoverSharded(dir, t.store, workers); err != nil {
-			return nil, fmt.Errorf("core: recover table %q: %w", name, err)
-		}
-		log, err := wal.OpenSharded(dir, n)
+		// when the count changed; the logs then open for appending with
+		// the record counts the replay took. A single-log directory is
+		// refused.
+		log, err := wal.RecoverAndOpen(dir, t.store, workers)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: recover table %q: %w", name, err)
 		}
 		t.log = log
 		if durability == wal.DurabilityGrouped {

@@ -46,11 +46,12 @@ type Aggregator struct {
 	keys  []colAcc
 	cells []aggCell
 	// The typed index over the buckets (see keyNode), and FeedBatch's
-	// scratch: under GROUP BY the batch's selected rows with the bucket
-	// of each; the computed-argument row.
+	// scratch: under GROUP BY the batch's selected rows with the index
+	// node and then the bucket of each; the computed-argument row.
 	nodes []keyNode
 	edges map[keyEdge]int32
 	rows  []int
+	at    []int32
 	grps  []*aggGroup
 	env   *TupleEnv
 }
@@ -72,16 +73,16 @@ type aggCell struct {
 // high-cardinality key makes many of them.
 type keyNode struct {
 	grp *aggGroup
-	// byCode caches the edges by dictionary code when the next column is
-	// a STRING, so a node with the table hashes a string once per
-	// (segment, distinct value) it meets, not per row. Codes are per
-	// segment (seg is byCode's); a new segment clears the table in place.
-	// The root builds its table from a segment's first row. Any deeper
-	// node earns one only by meeting as many rows of the segment (seen)
-	// as the table has entries, hashing each until then: under a
-	// high-cardinality prefix most nodes meet one row, and a table each
-	// would outweigh the extent many times.
-	seg    uint64
+	// byCode caches the edges by shard code (tuple.ColView.Shard) when
+	// the next column is a STRING, so a node with the table hashes a
+	// string once per distinct value it meets in the shard, not once per
+	// row or per segment. An aggregator folds one shard for one query,
+	// under the shard's lock, so the codes hold still for its whole
+	// life. The root keeps a table from its first row. Any deeper node
+	// earns one only once it has hashed (seen) twice as many rows as the
+	// table would have entries: under a high-cardinality prefix most
+	// nodes meet one row, and a table each would outweigh the extent
+	// many times.
 	seen   int
 	byCode []int32
 }
@@ -194,56 +195,72 @@ func (a *Aggregator) FeedBatch(b *tuple.Batch, sel []uint64) error {
 }
 
 // bucketRows lists the selected rows in a.rows and returns the bucket of
-// each, opening the buckets of keys not seen before.
+// each, opening the buckets of keys not seen before. It walks the key a
+// column at a time, a.at holding each row's node so far.
 func (a *Aggregator) bucketRows(b *tuple.Batch, sel []uint64) []*aggGroup {
 	if a.rows == nil {
 		a.rows = make([]int, 0, tuple.BatchRows)
+		a.at = make([]int32, tuple.BatchRows)
+		a.grps = make([]*aggGroup, tuple.BatchRows)
 	}
 	a.rows = tuple.AppendSet(a.rows[:0], sel)
-	if cap(a.grps) < len(a.rows) {
-		a.grps = make([]*aggGroup, cap(a.rows))
-	}
-	grps := a.grps[:len(a.rows)]
-	for i, j := range a.rows {
-		at := int32(0)
-		for _, c := range a.keys {
-			at = a.child(at, c, b, j)
+	rows, at := a.rows, a.at[:len(a.rows)]
+	clear(at)
+	for _, c := range a.keys {
+		if c.sys == 0 && c.kind == tuple.KindString && b.Cols[c.idx].Shard != nil {
+			a.childCodes(at, rows, &b.Cols[c.idx])
+			continue
 		}
-		if grps[i] = a.nodes[at].grp; grps[i] == nil {
+		for i, j := range rows {
+			at[i] = a.kid(at[i], batchValue(c, b, j))
+		}
+	}
+	grps := a.grps[:len(rows)]
+	for i, j := range rows {
+		if grps[i] = a.nodes[at[i]].grp; grps[i] == nil {
 			key := make([]tuple.Value, len(a.keys))
 			for k, c := range a.keys {
 				key[k] = batchValue(c, b, j)
 			}
-			grps[i] = a.bucket(at, key)
+			grps[i] = a.bucket(at[i], key)
 		}
 	}
 	return grps
 }
 
-// child returns the node one GROUP BY column further along row j's key.
-func (a *Aggregator) child(at int32, c colAcc, b *tuple.Batch, j int) int32 {
-	if c.sys == 0 && c.kind == tuple.KindString {
-		cv, code := &b.Cols[c.idx], int(b.Cols[c.idx].Codes[j])
-		if n := &a.nodes[at]; n.seg != b.Seg {
-			n.seg, n.seen, n.byCode = b.Seg, 0, n.byCode[:0]
-			if at == 0 {
-				n.seen = len(cv.Dict)
-			}
-		} else if code < len(n.byCode) && n.byCode[code] != 0 {
-			return n.byCode[code]
+// childCodes moves each listed row's node one STRING column further,
+// through the nodes' shard-code tables where they have them.
+func (a *Aggregator) childCodes(at []int32, rows []int, cv *tuple.ColView) {
+	codes, shard := cv.Codes, cv.Shard
+	for i, j := range rows {
+		sc := shard[codes[j]]
+		if t := a.nodes[at[i]].byCode; int(sc) < len(t) && t[sc] != 0 {
+			at[i] = t[sc]
+			continue
 		}
-		k := a.kid(at, tuple.String_(cv.Dict[code]))
-		if n := &a.nodes[at]; n.seen < len(cv.Dict) {
-			n.seen++
-		} else {
-			if len(n.byCode) < len(cv.Dict) {
-				n.byCode = append(n.byCode, make([]int32, len(cv.Dict)-len(n.byCode))...)
-			}
-			n.byCode[code] = k
-		}
-		return k
+		at[i] = a.learn(at[i], int(sc), cv.Dict[codes[j]], len(cv.Dict))
 	}
-	return a.kid(at, batchValue(c, b, j))
+}
+
+// learn follows (creating if needed) the edge from node at by the
+// string s, of shard code sc, and enters it in the node's table when
+// the node has earned one (see keyNode). dict is the size of the
+// segment's dictionary, the table's first size.
+func (a *Aggregator) learn(at int32, sc int, s string, dict int) int32 {
+	k := a.kid(at, tuple.String_(s))
+	n := &a.nodes[at]
+	n.seen++
+	if want := sc + 1; at == 0 || 2*want <= n.seen {
+		if want > len(n.byCode) {
+			size := max(want, 2*len(n.byCode), dict)
+			if at != 0 {
+				size = min(size, n.seen/2)
+			}
+			n.byCode = append(n.byCode, make([]int32, size-len(n.byCode))...)
+		}
+		n.byCode[sc] = k
+	}
+	return k
 }
 
 // kid follows (creating if needed) the edge from node at by value v.

@@ -197,34 +197,6 @@ func (p *Plan) Ordered() bool { return p.stmt != nil && len(p.stmt.OrderBy) > 0 
 // plans the value is known only on the plan Bind returns.
 func (p *Plan) Limit() int { return p.limit }
 
-// OrderAxis reports whether the plan's primary sort key is one of the
-// insertion axes the segment zone maps bound: axis 1 is `_t`, axis 2
-// is `_id`. ok holds only for
-// non-aggregated statement plans whose first ORDER BY key projects the
-// bare system column — those orders can be served by an axis-directed
-// scan that skips whole segments once a top-k heap is full.
-func (p *Plan) OrderAxis() (axis uint8, desc, ok bool) {
-	if p.stmt == nil || p.agg || len(p.order) == 0 {
-		return 0, false, false
-	}
-	oi := p.order[0]
-	t := p.targets[oi.idx]
-	if t.Agg != AggNone {
-		return 0, false, false
-	}
-	c, isCol := t.Expr.(Col)
-	if !isCol {
-		return 0, false, false
-	}
-	switch c.Name {
-	case tuple.SysTick:
-		return 1, oi.desc, true
-	case tuple.SysID:
-		return 2, oi.desc, true
-	}
-	return 0, false, false
-}
-
 // IsAsk reports whether the plan answers a knowledge-container
 // question rather than scanning the extent.
 func (p *Plan) IsAsk() bool { return p.ask != nil }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"fungusdb/internal/sketch"
 	"fungusdb/internal/tuple"
 )
 
@@ -80,22 +79,75 @@ func rowLess(a, b []tuple.Value, keys []orderIdx, tie bool, errp *error) bool {
 	return tie
 }
 
-// topkRow is one retained row plus the ID tie-break. vals is storage the
+// topkRow is one retained row plus what the heap orders it by: the
+// float image of its first ORDER BY key (when that key is a numeric
+// column, see topkOrder) and the ID tie-break. vals is storage the
 // collector owns: the row that evicts this one is written over it.
 type topkRow struct {
 	vals []tuple.Value
+	key  float64
 	id   tuple.ID
 }
 
+// topkOrder is the heaps' and the merge's row order: (ORDER BY keys,
+// ID ascending). When the first key is a numeric column (keyed), a row's
+// key field holds its image and the order compares that float, then the
+// ID; it falls back to rowLess only on a NaN (which rowLess records as
+// an error) or on a tie when further keys follow.
+type topkOrder struct {
+	keys   []orderIdx
+	keyed  bool
+	desc   bool // the first key's direction
+	single bool // one ORDER BY key
+}
+
+// topkOrder returns the plan's top-k row order. acc is the first key's
+// column when it projects a bare column.
+func (p *Plan) topkOrder() (o topkOrder, acc colAcc) {
+	o = topkOrder{keys: p.order, desc: p.order[0].desc, single: len(p.order) == 1}
+	if c, ok := p.targets[p.order[0].idx].Expr.(Col); ok {
+		acc, ok = resolveCol(c.Name, p.schema)
+		o.keyed = ok && numericKind(acc.kind)
+	}
+	return o, acc
+}
+
+// less reports whether row a sorts strictly before row b.
+func (o *topkOrder) less(a, b *topkRow, errp *error) bool {
+	if o.keyed {
+		switch x, y := a.key, b.key; {
+		case x < y:
+			return !o.desc
+		case x > y:
+			return o.desc
+		case x == y && o.single:
+			return a.id < b.id
+		}
+	}
+	return rowLess(a.vals, b.vals, o.keys, a.id < b.id, errp)
+}
+
+// setKey stores row's first-key image when the order is keyed.
+func (o *topkOrder) setKey(row *topkRow) {
+	if o.keyed {
+		row.key, _ = row.vals[o.keys[0].idx].Numeric()
+	}
+}
+
 // TopK accumulates the best k rows of one shard straight off the
-// column batches. Not safe for concurrent use; run one per shard and
-// merge with MergeTopK.
+// column batches, in a bounded max-heap whose root is the worst
+// survivor: a new row either replaces the root or is dropped on the
+// spot. Not safe for concurrent use; run one per shard and merge with
+// MergeTopK.
 type TopK struct {
-	plan *Plan
-	h    *sketch.BoundedHeap[topkRow]
-	err  error
-	keys []colAcc // the ORDER BY columns of a column-only plan
-	one  [1]int   // the admitted row, as gatherCol's row list
+	plan  *Plan
+	order topkOrder
+	k     int
+	heap  []topkRow
+	err   error
+	first colAcc   // the first ORDER BY key's column, when it is a bare one
+	keys  []colAcc // the ORDER BY columns of a column-only plan
+	one   [1]int   // the admitted row, as gatherCol's row list
 	// Computed plans decode every selected row into env's tuple and
 	// evaluate it into row before the heap decides; nil otherwise.
 	env *TupleEnv
@@ -104,12 +156,15 @@ type TopK struct {
 
 // NewTopK returns an empty per-shard collector. The plan must be
 // ordered with a positive LIMIT (the engine routes only such plans
-// here).
+// here); it panics otherwise. The heap's storage grows with the rows
+// actually retained, so a huge LIMIT over a small input costs what the
+// input costs.
 func (p *Plan) NewTopK() *TopK {
-	t := &TopK{plan: p}
-	t.h = sketch.NewBoundedHeap(p.limit, func(a, b topkRow) bool {
-		return p.orderLess(a, b, &t.err)
-	})
+	if len(p.order) == 0 || p.limit <= 0 {
+		panic("query: top-k wants an ordered plan with a positive LIMIT")
+	}
+	t := &TopK{plan: p, k: p.limit, heap: make([]topkRow, 0, min(p.limit, 1024))}
+	t.order, t.first = p.topkOrder()
 	if p.computed {
 		t.env = &TupleEnv{Schema: p.schema, Tuple: new(tuple.Tuple)}
 		t.row = make([]tuple.Value, len(p.targets))
@@ -122,12 +177,6 @@ func (p *Plan) NewTopK() *TopK {
 	return t
 }
 
-// orderLess orders candidate rows by the resolved ORDER BY keys, ties
-// broken by ascending tuple ID.
-func (p *Plan) orderLess(a, b topkRow, errp *error) bool {
-	return rowLess(a.vals, b.vals, p.order, a.id < b.id, errp)
-}
-
 // AddBatch offers every selected row of a column batch, in ascending
 // row order. Once the heap is full a losing row costs one typed
 // comparison; a winner copies its output columns over the row it
@@ -137,8 +186,8 @@ func (p *Plan) orderLess(a, b topkRow, errp *error) bool {
 // goes through addNum. The error is a computed target failing on the
 // first selected row it fails on.
 func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
-	if t.env == nil && numericKind(t.keys[0].kind) {
-		switch k := t.keys[0]; {
+	if t.env == nil && t.order.keyed {
+		switch k := t.first; {
 		case k.sys == 1:
 			addNum(t, b, sel, b.Ts)
 		case k.sys == 2:
@@ -152,20 +201,23 @@ func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
 		}
 		return nil
 	}
-	p := t.plan
 	for w, m := range sel {
 		for ; m != 0; m &= m - 1 {
 			j := w<<6 + bits.TrailingZeros64(m)
-			full := t.h.Len() == t.h.Cap()
+			full := len(t.heap) == t.k
 			if t.env != nil {
 				b.ReadRow(j, t.env.Tuple)
-				if err := projectRow(p.targets, t.env, t.row); err != nil {
+				if err := projectRow(t.plan.targets, t.env, t.row); err != nil {
 					return err
 				}
-				if full && !p.orderLess(topkRow{vals: t.row, id: b.IDs[j]}, t.h.Items()[0], &t.err) {
-					continue
+				if full {
+					cand := topkRow{vals: t.row, id: b.IDs[j]}
+					t.order.setKey(&cand)
+					if !t.order.less(&cand, &t.heap[0], &t.err) {
+						continue
+					}
 				}
-			} else if full && !t.beats(b, j, t.h.Items()[0]) {
+			} else if full && !t.beats(b, j, &t.heap[0]) {
 				continue
 			}
 			t.admit(b, j, full)
@@ -175,48 +227,40 @@ func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
 }
 
 // addNum is AddBatch for a column-only plan whose first ORDER BY key is
-// the numeric column xs. Once the heap is full it holds the worst
-// survivor's key as a float image (refreshed whenever the top changes)
-// and drops a row whose key is strictly worse without calling beats; a
-// tie or a NaN on either side falls through to beats, which breaks the
-// tie or records the error.
+// the numeric column xs. Once the heap is full, a row whose key image is
+// strictly worse than the worst survivor's is dropped and a strictly
+// better one admitted on that one comparison; a tie or a NaN on either
+// side goes to beats, which breaks the tie or records the error.
 func addNum[T numCol](t *TopK, b *tuple.Batch, sel []uint64, xs []T) {
-	k := t.plan.order[0]
-	full, worst := t.worst(k.idx)
+	desc := t.order.desc
 	for w, m := range sel {
 		for ; m != 0; m &= m - 1 {
 			j := w<<6 + bits.TrailingZeros64(m)
+			full := len(t.heap) == t.k
 			if full {
-				if x := float64(xs[j]); (k.desc && x < worst) || (!k.desc && x > worst) || !t.beats(b, j, t.h.Items()[0]) {
+				x, y := float64(xs[j]), t.heap[0].key
+				if desc {
+					x, y = y, x
+				}
+				if x > y || !(x < y) && !t.beats(b, j, &t.heap[0]) {
 					continue
 				}
 			}
 			t.admit(b, j, full)
-			full, worst = t.worst(k.idx)
 		}
 	}
-}
-
-// worst reports whether the heap is full and, if so, the float image of
-// its worst survivor's column idx.
-func (t *TopK) worst(idx int) (bool, float64) {
-	if t.h.Len() < t.h.Cap() {
-		return false, 0
-	}
-	y, _ := t.h.Items()[0].vals[idx].Numeric()
-	return true, y
 }
 
 // admit puts row j of b into the heap — over the worst survivor when the
 // heap is full — with its output columns gathered off the column slices,
 // or copied from t.row for a computed plan.
 func (t *TopK) admit(b *tuple.Batch, j int, full bool) {
-	var row topkRow
-	if full {
-		row = t.h.Items()[0]
-	} else {
-		row.vals = make([]tuple.Value, len(t.plan.proj))
+	at := 0
+	if !full {
+		t.heap = append(t.heap, topkRow{vals: make([]tuple.Value, len(t.plan.proj))})
+		at = len(t.heap) - 1
 	}
+	row := &t.heap[at]
 	row.id = b.IDs[j]
 	if t.env != nil {
 		copy(row.vals, t.row)
@@ -226,16 +270,51 @@ func (t *TopK) admit(b *tuple.Batch, j int, full bool) {
 			gatherCol(row.vals[c:], 1, b, slot, t.one[:])
 		}
 	}
+	t.order.setKey(row)
 	if full {
-		t.h.ReplaceTop(row)
+		t.siftDown(0)
 	} else {
-		t.h.Push(row)
+		t.siftUp(at)
+	}
+}
+
+// siftUp restores heap order above item i: no parent sorts before its
+// children.
+func (t *TopK) siftUp(i int) {
+	h := t.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.order.less(&h[parent], &h[i], &t.err) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores heap order below item i.
+func (t *TopK) siftDown(i int) {
+	h := t.heap
+	for {
+		l, r := 2*i+1, 2*i+2
+		worst := i
+		if l < len(h) && t.order.less(&h[worst], &h[l], &t.err) {
+			worst = l
+		}
+		if r < len(h) && t.order.less(&h[worst], &h[r], &t.err) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 
 // beats reports whether row j of b sorts strictly before worst, read
-// off the column slices with orderLess's semantics.
-func (t *TopK) beats(b *tuple.Batch, j int, worst topkRow) bool {
+// off the column slices with the heap's semantics.
+func (t *TopK) beats(b *tuple.Batch, j int, worst *topkRow) bool {
 	for i, k := range t.plan.order {
 		cmp, ok := compareCol(t.keys[i], b, j, worst.vals[k.idx])
 		if less, done := k.decide(cmp, ok, &t.err); done {
@@ -264,43 +343,47 @@ func compareCol(c colAcc, b *tuple.Batch, j int, v tuple.Value) (int, bool) {
 }
 
 // Len returns the rows currently retained (≤ k).
-func (t *TopK) Len() int { return t.h.Len() }
+func (t *TopK) Len() int { return len(t.heap) }
 
-// AxisSkip returns a zone check for axis-ordered top-k scans (see
-// Plan.OrderAxis): once the heap holds k rows, a segment whose best
-// possible primary-key value cannot strictly beat the current worst
-// survivor provably contributes nothing — every row it holds loses on
-// the first key before tie-breaks matter. Ties keep scanning (a tying
-// row can still win on later keys or the ID tie-break). The closure
-// reads live heap state and must only run on the goroutine feeding
-// this collector.
-func (t *TopK) AxisSkip(axis uint8, desc bool) func(ZoneView) bool {
-	keyIdx := t.plan.order[0].idx
-	return func(z ZoneView) bool {
-		full, worst := t.worst(keyIdx)
-		if !full {
-			return false
-		}
-		var lo, hi tuple.Value
-		var ok bool
-		switch axis {
-		case 1:
-			lo, hi, ok = z.TickBounds()
-		case 2:
-			lo, hi, ok = z.IDBounds()
-		default:
-			return false
-		}
-		if !ok {
-			return false
-		}
-		if desc {
-			h, _ := hi.Numeric()
-			return h < worst
-		}
-		l, _ := lo.Numeric()
-		return l > worst
+// Ranked reports whether the collector can rank a shard's segments:
+// its first ORDER BY key is a bare numeric column the zone maps bound
+// (_t, _id, or an INT or FLOAT attribute; _f has none), and no target
+// is computed — a computed target can fail on any matching row, so
+// every one must be met, as the sort barrier meets it. desc is the
+// key's direction, which a ranked walk also takes through the batches
+// of each segment.
+func (t *TopK) Ranked() (desc, ok bool) {
+	return t.order.desc, t.order.keyed && t.first.sys != 2 && t.env == nil
+}
+
+// Score rates a segment for a ranked walk (see Ranked): the best first
+// key any of its rows can hold, as a score that grows with the rows'
+// merit — the upper bound for DESC, the negated lower bound for ASC. ok
+// is false when the zone map has no bounds for the key.
+func (t *TopK) Score(z ZoneView) (score float64, ok bool) {
+	lo, hi, ok := t.first.bounds(z)
+	if t.order.desc {
+		return hi, ok
 	}
+	return -lo, ok
+}
+
+// Beaten reports whether no row of a segment can enter the heap: the
+// heap is full and the segment's Score cannot strictly beat the worst
+// survivor's first key. Every row it holds then loses on the first key
+// before tie-breaks matter; a tie keeps the segment (a tying row can
+// still win on later keys or the ID). It reads live heap state and must
+// only run on the goroutine feeding this collector.
+func (t *TopK) Beaten(z ZoneView) bool {
+	if len(t.heap) < t.k {
+		return false
+	}
+	score, ok := t.Score(z)
+	worst := t.heap[0].key
+	if !t.order.desc {
+		worst = -worst
+	}
+	return ok && score < worst
 }
 
 // Err returns the first ordering error observed.
@@ -318,12 +401,13 @@ func (p *Plan) MergeTopK(parts []*TopK) ([][]tuple.Value, error) {
 		if t.err != nil && err == nil {
 			err = t.err
 		}
-		all = append(all, t.h.Items()...)
+		all = append(all, t.heap...)
 	}
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(all, func(i, j int) bool { return p.orderLess(all[i], all[j], &err) })
+	order, _ := p.topkOrder()
+	sort.Slice(all, func(i, j int) bool { return order.less(&all[i], &all[j], &err) })
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fungusdb/internal/catalog"
 	"fungusdb/internal/repl"
 	"fungusdb/pkg/client"
 )
@@ -127,5 +128,24 @@ func TestStaleGenerationFencesFollower(t *testing.T) {
 	// consistent state.
 	if got := queryRows(t, fh.cl, "SELECT * FROM events"); len(got) != len(rowsBefore) {
 		t.Errorf("fenced replica answered %d rows, want the pre-fence %d", len(got), len(rowsBefore))
+	}
+}
+
+// TestNonReplayableLawReachesZeroLag: a follower of a table whose decay
+// law is not replayable (EGI) skips the leader's logged ticks — it
+// follows the evict records instead — yet must count each one as
+// applied, or its lag never reaches zero and it never looks synced.
+func TestNonReplayableLawReachesZeroLag(t *testing.T) {
+	spec := eventsSpec(2)
+	spec.Fungus = &catalog.FungusSpec{Kind: "egi", Seeds: 1, Rate: 0.3}
+	lh := startLeader(t, spec)
+	lh.ingest(t, 20, 0)
+	lh.tick(t, 3)
+	fh := startFollower(t, lh.srv.URL, nil)
+	fh.waitSynced(t, lh)
+	if st, ok := fh.pollStatus(5*time.Second, func(st repl.TableStatus, ok bool) bool {
+		return ok && st.Connected && st.HaveCounts && st.LagRecords == 0
+	}); !ok {
+		t.Fatalf("lag never reached 0 records (status %+v)", st)
 	}
 }

@@ -26,7 +26,8 @@ import (
 
 // colVec stores one attribute column of a segment as a contiguous typed
 // slice. Exactly one payload slice is in use, selected by kind; STRING
-// values are dictionary-encoded (codes index dict, lookup inverts it).
+// values are dictionary-encoded: codes index dict, and shard[l] is the
+// shard code of dict[l] (see shardDict).
 type colVec struct {
 	kind   tuple.Kind
 	ints   []int64
@@ -34,7 +35,7 @@ type colVec struct {
 	bools  []bool
 	codes  []uint32
 	dict   []string
-	lookup map[string]uint32
+	shard  []uint32
 }
 
 func newColVec(kind tuple.Kind, capacity int) colVec {
@@ -48,24 +49,14 @@ func newColVec(kind tuple.Kind, capacity int) colVec {
 		c.bools = make([]bool, 0, capacity)
 	case tuple.KindString:
 		c.codes = make([]uint32, 0, capacity)
-		c.lookup = make(map[string]uint32)
 	}
 	return c
 }
 
-// code interns s into the dictionary and returns its code.
-func (c *colVec) code(s string) uint32 {
-	if code, ok := c.lookup[s]; ok {
-		return code
-	}
-	code := uint32(len(c.dict))
-	c.dict = append(c.dict, s)
-	c.lookup[s] = code
-	return code
-}
-
-// appendVal appends one value. v's kind must match the column's.
-func (c *colVec) appendVal(v tuple.Value) {
+// appendVal appends one value. v's kind must match the column's; a
+// STRING interns into d, the column's shard dictionary, for the segment
+// tagged tag.
+func (c *colVec) appendVal(v tuple.Value, d *shardDict, tag uint64) {
 	switch c.kind {
 	case tuple.KindInt:
 		c.ints = append(c.ints, v.AsInt())
@@ -74,7 +65,58 @@ func (c *colVec) appendVal(v tuple.Value) {
 	case tuple.KindBool:
 		c.bools = append(c.bools, v.AsBool())
 	case tuple.KindString:
-		c.codes = append(c.codes, c.code(v.AsString()))
+		c.codes = append(c.codes, d.intern(c, tag, v.AsString()))
+	}
+}
+
+// keep returns the column cut to the rows listed in rows, ascending.
+// A STRING column keeps the dictionary entries those rows use, in the
+// order the rows first use them, with their shard codes, and releases
+// from d the shard codes of the entries it drops.
+func (c *colVec) keep(rows []int, d *shardDict) colVec {
+	out := colVec{kind: c.kind}
+	switch c.kind {
+	case tuple.KindInt:
+		out.ints = pick(c.ints, rows)
+	case tuple.KindFloat:
+		out.floats = pick(c.floats, rows)
+	case tuple.KindBool:
+		out.bools = pick(c.bools, rows)
+	case tuple.KindString:
+		out.codes = make([]uint32, len(rows))
+		remap := make([]uint32, len(c.dict)) // local code + 1 in out, 0 = unused
+		for i, j := range rows {
+			l := c.codes[j]
+			if remap[l] == 0 {
+				out.dict = append(out.dict, c.dict[l])
+				out.shard = append(out.shard, c.shard[l])
+				remap[l] = uint32(len(out.dict))
+			}
+			out.codes[i] = remap[l] - 1
+		}
+		for l, r := range remap {
+			if r == 0 {
+				d.release(c.shard[l])
+			}
+		}
+	}
+	return out
+}
+
+// pick returns the elements of xs at rows, in order.
+func pick[T any](xs []T, rows []int) []T {
+	out := make([]T, len(rows))
+	for i, j := range rows {
+		out[i] = xs[j]
+	}
+	return out
+}
+
+// release drops the column's claims on its shard codes: the segment
+// is going away.
+func (c *colVec) release(d *shardDict) {
+	for _, sc := range c.shard {
+		d.release(sc)
 	}
 }
 
@@ -115,6 +157,7 @@ func (c *colVec) view(lo, hi int) tuple.ColView {
 	case tuple.KindString:
 		out.Codes = c.codes[lo:hi]
 		out.Dict = c.dict
+		out.Shard = c.shard
 	}
 	return out
 }
@@ -177,10 +220,11 @@ func (s *segment) liveAt(j int) bool {
 	return s.liveBits[j>>6]&(1<<(uint(j)&63)) != 0
 }
 
-// append adds a tuple with an ID greater than any present. The segment
-// turns sparse when the ID skips slots (possible after ID-space gaps
-// left by recovery).
-func (s *segment) append(tp tuple.Tuple) {
+// append adds a tuple with an ID greater than any present, interning
+// its strings into dicts (the store's shard dictionaries, by column).
+// The segment turns sparse when the ID skips slots (possible after
+// ID-space gaps left by recovery).
+func (s *segment) append(tp tuple.Tuple, dicts []*shardDict) {
 	j := len(s.ids)
 	if tp.ID != s.base+tuple.ID(j)*s.stride {
 		s.sparse = true
@@ -190,7 +234,7 @@ func (s *segment) append(tp tuple.Tuple) {
 	s.fs = append(s.fs, float64(tp.F))
 	s.inf = append(s.inf, tp.Infected)
 	for i := range s.cols {
-		s.cols[i].appendVal(tp.Attrs[i])
+		s.cols[i].appendVal(tp.Attrs[i], dicts[i], s.tag)
 	}
 	if j>>6 == len(s.liveBits) {
 		s.liveBits = append(s.liveBits, 0)
@@ -310,32 +354,17 @@ func (s *segment) fillBatch(start int, b *tuple.Batch) {
 // compactInPlace rewrites the segment's columns keeping only live rows,
 // returning the number of tombstone slots reclaimed. IDs are preserved;
 // the segment becomes sparse and gets a fresh revision tag (the string
-// dictionaries are rebuilt, so codes change).
-func (s *segment) compactInPlace() int {
+// dictionaries shrink to the strings live rows use, so codes change, and
+// the shard codes of the strings dropped are released from dicts).
+func (s *segment) compactInPlace(dicts []*shardDict) int {
 	reclaimed := len(s.ids) - s.live
-	ids := make([]tuple.ID, 0, s.live)
-	ts := make([]int64, 0, s.live)
-	fs := make([]float64, 0, s.live)
-	inf := make([]bool, 0, s.live)
-	cols := make([]colVec, len(s.cols))
-	for i := range cols {
-		cols[i] = newColVec(s.cols[i].kind, s.live)
+	rows := tuple.AppendSet(make([]int, 0, s.live), s.liveBits)
+	s.ids, s.ts, s.fs, s.inf = pick(s.ids, rows), pick(s.ts, rows), pick(s.fs, rows), pick(s.inf, rows)
+	for i := range s.cols {
+		s.cols[i] = s.cols[i].keep(rows, dicts[i])
 	}
-	for j := range s.ids {
-		if !s.liveAt(j) {
-			continue
-		}
-		ids = append(ids, s.ids[j])
-		ts = append(ts, s.ts[j])
-		fs = append(fs, s.fs[j])
-		inf = append(inf, s.inf[j])
-		for i := range cols {
-			cols[i].appendVal(s.cols[i].value(j))
-		}
-	}
-	s.ids, s.ts, s.fs, s.inf, s.cols = ids, ts, fs, inf, cols
-	s.liveBits = make([]uint64, (len(ids)+63)/64)
-	for j := range ids {
+	s.liveBits = make([]uint64, (len(rows)+63)/64)
+	for j := range rows {
 		s.liveBits[j>>6] |= 1 << (uint(j) & 63)
 	}
 	s.sparse = true

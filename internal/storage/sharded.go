@@ -19,7 +19,7 @@ import (
 //
 // Tuples are read shard by shard: through Shard(i), whose Store offers
 // the batch walks and the by-ID calls, or through ScanShardBatches and
-// ScanShardAxis. Nothing merges the shards row by row; a reader that
+// ScanShardRanked. Nothing merges the shards row by row; a reader that
 // needs global ID order sorts or merges what the shards hand it.
 //
 // Like Store, a ShardedStore is not safe for concurrent use by itself —
@@ -27,7 +27,7 @@ import (
 // work out. The exception is NextShard, whose round-robin cursor is
 // atomic so concurrent inserters can claim shards without a global
 // lock. Methods that take a shard index (Shard, InsertShard,
-// ScanShardBatches, ScanShardAxis) touch only that shard and may run
+// ScanShardBatches, ScanShardRanked) touch only that shard and may run
 // concurrently with operations on other shards; whole-extent methods
 // (Len, Stats, Compact, ...) touch every shard and need all shard locks
 // held.
@@ -159,13 +159,12 @@ func (ss *ShardedStore) ScanShardBatches(i int, skip func(*ZoneMap) bool, fn fun
 	return ss.shards[i].ScanBatches(skip, fn)
 }
 
-// ScanShardAxis scans only shard i as columnar batches in the chosen
-// direction along the ID axis (see Store.ScanAxis), reporting what was
-// pruned.
+// ScanShardRanked scans only shard i as columnar batches, its segments
+// best first (see Store.ScanRanked), reporting what was pruned.
 //
 //fungusvet:requires shardlock
-func (ss *ShardedStore) ScanShardAxis(i int, reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
-	return ss.shards[i].ScanAxis(reverse, skip, fn)
+func (ss *ShardedStore) ScanShardRanked(i int, score func(*ZoneMap) (float64, bool), reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
+	return ss.shards[i].ScanRanked(score, reverse, skip, fn)
 }
 
 // AuditZones runs Store.AuditZones on every shard, returning the first

@@ -3,6 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"fungusdb/internal/clock"
@@ -27,7 +30,7 @@ var ErrStaleRestore = errors.New("storage: stale restore")
 // engine layer (internal/core) serialises access per shard.
 //
 // A Store is read in one of two ways: whole as column batches
-// (ScanAxis/ScanBatches, ScanSystem, EachBatch), or one tuple by ID
+// (ScanBatches/ScanRanked, ScanSystem, EachBatch), or one tuple by ID
 // (Get, Update, Evict, and FirstLive/LastLive/PrevLive/NextLive to find
 // the IDs).
 type Store struct {
@@ -54,6 +57,8 @@ type Store struct {
 
 	restoreSeg int         // segment index of the last Restore, -1 outside recovery
 	upScratch  tuple.Tuple // Update decode buffer (Update runs under the shard write lock)
+
+	dicts []*shardDict // by column: the STRING columns' shard dictionaries, nil for the rest
 }
 
 // Option configures a Store.
@@ -85,9 +90,15 @@ func WithStride(stride, offset int) Option {
 
 // New creates an empty Store for the given schema.
 func New(schema *tuple.Schema, opts ...Option) *Store {
-	s := &Store{schema: schema, segSize: DefaultSegmentSize, stride: 1, restoreSeg: -1}
+	s := &Store{schema: schema, segSize: DefaultSegmentSize, stride: 1, restoreSeg: -1,
+		dicts: make([]*shardDict, schema.Len())}
 	for _, o := range opts {
 		o(s)
+	}
+	for i := range s.dicts {
+		if schema.Column(i).Kind == tuple.KindString {
+			s.dicts[i] = newShardDict()
+		}
 	}
 	return s
 }
@@ -236,7 +247,7 @@ func (s *Store) Restore(tp tuple.Tuple) error {
 	if s.segs[segIdx] == nil {
 		s.segs[segIdx] = newSegment(s.schema, s.idAt(segIdx*s.segSize), s.segSize, s.stride)
 	}
-	s.segs[segIdx].append(tp)
+	s.segs[segIdx].append(tp, s.dicts)
 	s.nextID = tp.ID + s.stride
 	s.live++
 	s.bytes += tp.Size()
@@ -273,7 +284,7 @@ func (s *Store) insertRaw(tp tuple.Tuple) {
 	for len(s.segs) <= segIdx {
 		s.segs = append(s.segs, newSegment(s.schema, s.idAt(len(s.segs)*s.segSize), s.segSize, s.stride))
 	}
-	s.segs[segIdx].append(tp)
+	s.segs[segIdx].append(tp, s.dicts)
 	s.nextID += s.stride
 	s.live++
 	s.bytes += tp.Size()
@@ -358,7 +369,14 @@ func (s *Store) Evict(id tuple.ID) error {
 	return nil
 }
 
+// dropSegment reclaims segment i, releasing the shard codes its string
+// dictionaries name.
 func (s *Store) dropSegment(i int) {
+	for c := range s.segs[i].cols {
+		if d := s.dicts[c]; d != nil {
+			s.segs[i].cols[c].release(d)
+		}
+	}
 	s.segs[i] = nil
 	s.drops++
 	for s.first < len(s.segs) && s.segs[s.first] == nil {
@@ -386,34 +404,72 @@ func (s *Store) ScanSystem(fn func(ids []tuple.ID, ts []int64, fs []float64, liv
 }
 
 // ScanBatches drives fn over the extent's live rows as columnar
-// batches in insertion order: ScanAxis going forward.
-func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
-	return s.ScanAxis(false, skip, fn)
-}
-
-// ScanAxis drives fn over the extent's live rows as columnar batches,
-// in a caller-chosen direction along the ID axis: reverse=true visits
-// segments, and the batches within them, from the top down (rows
-// inside a batch stay ascending). Before a segment with live rows is
+// batches in insertion order. Before a segment with live rows is
 // visited, skip (when non-nil) is consulted with its zone map and may
 // veto the whole segment; it must only return true when no live tuple
 // can match. Every such segment is offered, empty summaries included
 // (their methods answer "unknown"), and each call is followed by that
 // segment's batches or by the next call, so skip may arm state the
-// batches after it use — the WHERE program's segment verdicts.
-// Because skip runs just before its segment would be visited, it may
-// also read state fn builds up — ordered top-k scans use that to stop
-// consulting segments whose zone bounds cannot beat the current worst
-// survivor. Every batch's views alias segment memory and are valid
-// only during the call; fn must not evict, insert, or mutate through
-// them. Batches with no live rows are elided. Returning false stops
-// the scan. Returns what was pruned; the store's lifetime counters
-// accumulate the same numbers.
-func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
-	ps, batches, rows := s.walkBatches(reverse, skip, fn)
-	s.noteBatches(batches, rows)
-	s.notePruned(ps)
-	return ps
+// batches after it use — the WHERE program's segment verdicts. Every
+// batch's views alias segment memory and are valid only during the
+// call; fn must not evict, insert, or mutate through them. Batches with
+// no live rows are elided. Returning false stops the scan. Returns what
+// was pruned; the store's lifetime counters accumulate the same numbers.
+func (s *Store) ScanBatches(skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
+	var w batchWalk
+	s.walkInOrder(&w, skip, fn)
+	return s.noteWalk(&w)
+}
+
+// rankedSeg is one segment of a ranked walk: its index and score.
+type rankedSeg struct {
+	score float64
+	seg   int
+}
+
+// rankPool recycles ranked walks' segment orders, so that a warm walk
+// allocates nothing.
+var rankPool = sync.Pool{New: func() any { return new([]rankedSeg) }}
+
+// ScanRanked is ScanBatches with the segments visited best first.
+// score rates every segment with live rows by its zone map, before any
+// is visited; the segments are then visited by descending score, ties in
+// insertion order, and one that score cannot rate (ok false) rates +Inf,
+// so it comes first. Within a segment the batches run top down when
+// reverse (rows inside a batch stay ascending). skip is consulted just
+// before each segment, as in ScanBatches, so it may also read state fn
+// has built up: an ordered top-k scan skips a segment whose score
+// cannot beat its worst survivor.
+func (s *Store) ScanRanked(score func(*ZoneMap) (float64, bool), reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) PruneStats {
+	p := rankPool.Get().(*[]rankedSeg)
+	ranked := (*p)[:0]
+	for i := s.first; i < len(s.segs); i++ {
+		if sg := s.segs[i]; sg != nil && sg.live > 0 {
+			sc, ok := score(sg.zone)
+			if !ok || sc != sc {
+				sc = math.Inf(1)
+			}
+			ranked = append(ranked, rankedSeg{score: sc, seg: i})
+		}
+	}
+	slices.SortFunc(ranked, func(a, b rankedSeg) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		}
+		return a.seg - b.seg
+	})
+	var w batchWalk
+	for _, r := range ranked {
+		if !w.segment(s.segs[r.seg], reverse, skip, fn) {
+			break
+		}
+	}
+	*p = ranked
+	rankPool.Put(p)
+	return s.noteWalk(&w)
 }
 
 // EachBatch hands fn the extent's live rows as columnar batches in
@@ -423,62 +479,70 @@ func (s *Store) ScanAxis(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.
 // permission more: fn may write b.Fs and b.Inf, which alias segment
 // memory — how decay laws that read attributes tick (fungus.Extent).
 func (s *Store) EachBatch(fn func(*tuple.Batch) bool) {
-	s.walkBatches(false, nil, fn)
+	var w batchWalk
+	s.walkInOrder(&w, nil, fn)
 }
 
-// walkBatches is the batch walk behind ScanAxis and EachBatch. It
-// returns what it pruned and the batches and live rows it handed out.
-func (s *Store) walkBatches(reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) (ps PruneStats, batches, rows uint64) {
-	var b tuple.Batch
-	for k, n := 0, len(s.segs)-s.first; k < n; k++ {
-		i := s.first + k
+// walkInOrder runs w over the segments in insertion order.
+func (s *Store) walkInOrder(w *batchWalk, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) {
+	for i := s.first; i < len(s.segs); i++ {
+		if !w.segment(s.segs[i], false, skip, fn) {
+			return
+		}
+	}
+}
+
+// batchWalk is the state of one batch walk: the batch it hands out,
+// what it pruned, and the batches and live rows it handed out.
+type batchWalk struct {
+	b       tuple.Batch
+	ps      PruneStats
+	batches uint64
+	rows    uint64
+}
+
+// segment walks one segment (nil is skipped) for the scans above,
+// reporting false once fn has stopped the walk.
+func (w *batchWalk) segment(sg *segment, reverse bool, skip func(*ZoneMap) bool, fn func(*tuple.Batch) bool) bool {
+	if sg == nil {
+		return true
+	}
+	if skip != nil && sg.live > 0 && skip(sg.zone) {
+		w.ps.Segments++
+		w.ps.Tuples += sg.live
+		return true
+	}
+	nb := (sg.rows() + tuple.BatchRows - 1) / tuple.BatchRows
+	for bi := 0; bi < nb; bi++ {
+		start := bi * tuple.BatchRows
 		if reverse {
-			i = len(s.segs) - 1 - k
+			start = (nb - 1 - bi) * tuple.BatchRows
 		}
-		sg := s.segs[i]
-		if sg == nil {
+		sg.fillBatch(start, &w.b)
+		if w.b.Alive == 0 {
 			continue
 		}
-		if skip != nil && sg.live > 0 && skip(sg.zone) {
-			ps.Segments++
-			ps.Tuples += sg.live
-			continue
-		}
-		nb := (sg.rows() + tuple.BatchRows - 1) / tuple.BatchRows
-		for bi := 0; bi < nb; bi++ {
-			start := bi * tuple.BatchRows
-			if reverse {
-				start = (nb - 1 - bi) * tuple.BatchRows
-			}
-			sg.fillBatch(start, &b)
-			if b.Alive == 0 {
-				continue
-			}
-			batches++
-			rows += uint64(b.Alive)
-			if !fn(&b) {
-				return ps, batches, rows
-			}
+		w.batches++
+		w.rows += uint64(w.b.Alive)
+		if !fn(&w.b) {
+			return false
 		}
 	}
-	return ps, batches, rows
+	return true
 }
 
-// noteBatches folds one batch scan's volume into the lifetime counters.
-func (s *Store) noteBatches(batches, rows uint64) {
-	if batches > 0 {
-		s.batchesScanned.Add(batches)
-		s.rowsVectorized.Add(rows)
+// noteWalk folds one scan's volume and pruning into the lifetime
+// counters and returns what it pruned.
+func (s *Store) noteWalk(w *batchWalk) PruneStats {
+	if w.batches > 0 {
+		s.batchesScanned.Add(w.batches)
+		s.rowsVectorized.Add(w.rows)
 	}
-}
-
-// notePruned folds one scan's pruning outcome into the lifetime
-// counters.
-func (s *Store) notePruned(ps PruneStats) {
-	if ps.Segments > 0 {
-		s.segsPruned.Add(uint64(ps.Segments))
-		s.tuplesSkipped.Add(uint64(ps.Tuples))
+	if w.ps.Segments > 0 {
+		s.segsPruned.Add(uint64(w.ps.Segments))
+		s.tuplesSkipped.Add(uint64(w.ps.Tuples))
 	}
+	return w.ps
 }
 
 // PrevLive returns the nearest live tuple ID strictly before id on the
@@ -564,10 +628,14 @@ func (s *Store) LastLive() (tuple.ID, bool) {
 // summarises: the bounds of each column and of the tick and ID axes
 // contain every live value, every live string passes its column's
 // bloom, and a FLOAT column has bounds only if no live row holds NaN.
+// It also checks the shard dictionaries: every segment's shard codes
+// name the strings its dictionary holds, and each code is counted once
+// per segment dictionary that names it and indexed while counted.
 // Scans read the summaries as proofs (a segment skipped, a kernel or
-// NaN check elided), so tests call it wherever summaries are built or
-// rebuilt. An empty summary vouches for nothing and passes. It returns
-// the first violation.
+// NaN check elided) and the group index reads the shard codes as string
+// identity, so tests call it wherever either is built or rebuilt. An
+// empty summary vouches for nothing and passes. It returns the first
+// violation.
 func (s *Store) AuditZones() error {
 	for _, sg := range s.segs[s.first:] {
 		if sg == nil {
@@ -581,6 +649,51 @@ func (s *Store) AuditZones() error {
 				return fmt.Errorf("storage: zone of segment %d, row %d (ID %d): %w", sg.base, j, sg.ids[j], err)
 			}
 		}
+	}
+	for c, d := range s.dicts {
+		if d == nil {
+			continue
+		}
+		if err := s.auditDict(c, d); err != nil {
+			return fmt.Errorf("storage: shard dictionary of column %d: %w", c, err)
+		}
+	}
+	return nil
+}
+
+// auditDict is AuditZones' check of column c's shard dictionary d.
+func (s *Store) auditDict(c int, d *shardDict) error {
+	refs := make([]int32, len(d.entries))
+	for _, sg := range s.segs[s.first:] {
+		if sg == nil {
+			continue
+		}
+		col := &sg.cols[c]
+		if len(col.shard) != len(col.dict) {
+			return fmt.Errorf("segment %d: %d shard codes for %d strings", sg.base, len(col.shard), len(col.dict))
+		}
+		for l, sc := range col.shard {
+			if int(sc) >= len(d.entries) || d.entries[sc].s != col.dict[l] {
+				return fmt.Errorf("segment %d: code %d names shard code %d, not %q", sg.base, l, sc, col.dict[l])
+			}
+			refs[sc]++
+		}
+	}
+	named := 0
+	for sc, e := range d.entries {
+		if e.refs != refs[sc] {
+			return fmt.Errorf("shard code %d (%q) counts %d segments, %d name it", sc, e.s, e.refs, refs[sc])
+		}
+		if e.refs == 0 {
+			continue
+		}
+		named++
+		if got, ok := d.index[e.s]; !ok || got != uint32(sc) {
+			return fmt.Errorf("%q indexed as %d (present %v), named as %d", e.s, got, ok, sc)
+		}
+	}
+	if len(d.index) != named {
+		return fmt.Errorf("%d strings indexed, %d named", len(d.index), named)
 	}
 	return nil
 }
@@ -612,7 +725,7 @@ func (s *Store) Compact() int {
 		if sg.live == sg.rows() {
 			continue
 		}
-		reclaimed += sg.compactInPlace()
+		reclaimed += sg.compactInPlace(s.dicts)
 		sg.zone.rebuild(sg)
 	}
 	return reclaimed

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -175,14 +176,17 @@ func TestScanOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScanAxisDirections: both directions visit exactly the live rows a
-// walk by ID finds; forward batches ascend, reverse batches descend (rows
-// inside a batch ascending either way), dead batches are elided, and a
-// skipped segment is skipped whole in either direction.
-func TestScanAxisDirections(t *testing.T) {
+// TestScanRankedOrder: a ranked walk visits exactly the live rows a
+// walk by ID finds, segment by segment in score order (an unrated
+// segment first, ties in insertion order), its batches top down when
+// reverse and bottom up otherwise (rows inside a batch ascending either
+// way); dead batches are elided, a skipped segment is skipped whole and
+// counted, and a warm walk allocates the same few times however many
+// segments it ranks.
+func TestScanRankedOrder(t *testing.T) {
 	s := New(intSchema(t), WithSegmentSize(2500)) // 1024 + 1024 + 452 rows per segment
-	fill(t, s, 6000)
-	for id := tuple.ID(0); id < 6000; id++ {
+	fill(t, s, 8000)
+	for id := tuple.ID(0); id < 8000; id++ {
 		if id%3 == 1 || (id >= 1024 && id < 2048) { // holes, and one whole batch
 			if err := s.Evict(id); err != nil {
 				t.Fatal(err)
@@ -193,9 +197,17 @@ func TestScanAxisDirections(t *testing.T) {
 	for id, ok := s.FirstLive(); ok; id, ok = s.NextLive(id) {
 		want = append(want, id)
 	}
+	// Segment 1 rates highest, 0 and 3 tie, segment 2 cannot be rated.
+	rates := map[int64]float64{0: 1, 2500: 5, 7500: 1}
+	score := func(z *ZoneMap) (float64, bool) {
+		lo, _, _ := z.IDBounds()
+		r, ok := rates[lo.AsInt()]
+		return r, ok
+	}
+	segOf := func(id tuple.ID) int { return int(id) / 2500 }
 	for _, reverse := range []bool{false, true} {
 		var firsts, got []tuple.ID
-		s.ScanAxis(reverse, nil, func(b *tuple.Batch) bool {
+		s.ScanRanked(score, reverse, nil, func(b *tuple.Batch) bool {
 			firsts = append(firsts, b.IDs[0])
 			tuple.EachSet(b.Live, func(j int) bool {
 				got = append(got, b.IDs[j])
@@ -203,26 +215,24 @@ func TestScanAxisDirections(t *testing.T) {
 			})
 			return true
 		})
-		if len(firsts) != 6 { // 7 batches, one of them dead
-			t.Errorf("reverse=%v: %d batches, want 6", reverse, len(firsts))
-		}
-		for i := 1; i < len(firsts); i++ {
-			if (firsts[i] > firsts[i-1]) == reverse {
+		var segs []int
+		for i, id := range firsts {
+			if i == 0 || segOf(id) != segOf(firsts[i-1]) {
+				segs = append(segs, segOf(id))
+			} else if (id > firsts[i-1]) == reverse {
 				t.Errorf("reverse=%v: batch order %v", reverse, firsts)
 			}
 		}
+		if fmt.Sprint(segs) != "[2 1 0 3]" || len(firsts) != 9 { // 10 batches, one of them dead
+			t.Errorf("reverse=%v: segments %v in %d batches, want [2 1 0 3] in 9", reverse, segs, len(firsts))
+		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != len(want) {
-			t.Fatalf("reverse=%v: %d rows, by ID %d", reverse, len(got), len(want))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("reverse=%v: %d rows, by ID %d, or not the same ones", reverse, len(got), len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("reverse=%v: row %d is ID %d, by ID %d", reverse, i, got[i], want[i])
-			}
-		}
-		// Skip the middle segment.
+		// Skip the segment rated highest.
 		rows := 0
-		ps := s.ScanAxis(reverse, func(z *ZoneMap) bool {
+		ps := s.ScanRanked(score, reverse, func(z *ZoneMap) bool {
 			lo, _, _ := z.IDBounds()
 			return lo.AsInt() == 2500
 		}, func(b *tuple.Batch) bool {
@@ -232,6 +242,11 @@ func TestScanAxisDirections(t *testing.T) {
 		if ps.Segments != 1 || rows+ps.Tuples != len(want) {
 			t.Errorf("reverse=%v: pruned %+v, visited %d rows of %d", reverse, ps, rows, len(want))
 		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		s.ScanRanked(score, true, nil, func(*tuple.Batch) bool { return true })
+	}); n > 4 {
+		t.Errorf("a ranked walk allocates %v times, want a constant few", n)
 	}
 }
 

@@ -16,7 +16,10 @@ const BatchRows = 1024
 // ColView is a read-only columnar view over one attribute of a batch.
 // Exactly one of the payload slices is populated, matching Kind; STRING
 // columns are dictionary-encoded (Codes indexes Dict, which is shared by
-// every batch of the same segment).
+// every batch of the same segment). Shard, when not nil, gives each Dict
+// entry's shard code: equal codes name equal strings across every
+// segment of one storage shard, for as long as the shard's lock is
+// held. Batches that do not come from a shard's store leave it nil.
 type ColView struct {
 	Kind   Kind
 	Ints   []int64
@@ -24,6 +27,7 @@ type ColView struct {
 	Bools  []bool
 	Codes  []uint32
 	Dict   []string
+	Shard  []uint32
 }
 
 // Value boxes row j of the column.
@@ -81,8 +85,9 @@ func (b *Batch) ReadRow(j int, dst *Tuple) {
 // Fill lays rows out as the batch, every row live: the inverse of
 // ReadRow, for callers that hold tuples and run a batch program over
 // them. It reuses the batch's slices, gives each STRING value a
-// dictionary entry of its own, and takes a fresh Seg tag, so a cache
-// keyed on an earlier fill's tag is never probed against these strings.
+// dictionary entry of its own and no shard code, and takes a fresh Seg
+// tag, so a cache keyed on an earlier fill's tag is never probed against
+// these strings.
 // Every row must match schema, and len(rows) must not exceed BatchRows.
 func (b *Batch) Fill(schema *Schema, rows []Tuple) {
 	n := len(rows)
@@ -115,7 +120,7 @@ func (b *Batch) Fill(schema *Schema, rows []Tuple) {
 				cv.Floats[j] = rows[j].Attrs[i].AsFloat()
 			}
 		case KindString:
-			cv.Codes, cv.Dict = resize(cv.Codes, n), resize(cv.Dict, n)
+			cv.Codes, cv.Dict, cv.Shard = resize(cv.Codes, n), resize(cv.Dict, n), nil
 			for j := range rows {
 				cv.Codes[j], cv.Dict[j] = uint32(j), rows[j].Attrs[i].AsString()
 			}

@@ -142,6 +142,24 @@ type Truncation struct {
 // already be in the per-shard layout at this shard count — callers
 // recover (and thereby reshard) via RecoverSharded first.
 func OpenSharded(dir string, shards int) (*ShardedLog, error) {
+	return openSharded(dir, shards, nil)
+}
+
+// RecoverAndOpen is RecoverSharded followed by OpenSharded at ss's
+// shard count, the way a table opens its directory, with every log read
+// once: the opened logs take their record counts from the replay, where
+// OpenSharded alone rebuilds them by reading each log again.
+func RecoverAndOpen(dir string, ss *storage.ShardedStore, parallelism int) (*ShardedLog, error) {
+	recs, err := recoverSharded(dir, ss, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return openSharded(dir, ss.NumShards(), recs)
+}
+
+// openSharded is OpenSharded; recs, when not nil, holds every shard
+// log's record count, and the logs are then not read.
+func openSharded(dir string, shards int, recs []int) (*ShardedLog, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -161,7 +179,13 @@ func OpenSharded(dir string, shards int) (*ShardedLog, error) {
 	}
 	sl := &ShardedLog{dir: dir, logs: make([]*Log, shards), man: man}
 	for i := range sl.logs {
-		log, err := Open(filepath.Join(dir, ShardLogFile(i)))
+		path := filepath.Join(dir, ShardLogFile(i))
+		var log *Log
+		if recs != nil {
+			log, err = openCounted(path, recs[i])
+		} else {
+			log, err = Open(path)
+		}
 		if err != nil {
 			sl.Close()
 			return nil, err
@@ -391,31 +415,42 @@ func parseShardLogName(name string) (shard int, ok bool) {
 // commits the first manifest). A directory in the retired single-log
 // layout fails with ErrSingleLogLayout and is left untouched too.
 func RecoverSharded(dir string, ss *storage.ShardedStore, parallelism int) error {
+	_, err := recoverSharded(dir, ss, parallelism)
+	return err
+}
+
+// recoverSharded is RecoverSharded, returning the record count every
+// shard log of ss's shard count holds once it is done, or nil when it
+// replayed nothing (a fresh directory).
+func recoverSharded(dir string, ss *storage.ShardedStore, parallelism int) ([]int, error) {
 	man, ok, err := loadManifest(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !ok {
 		for _, name := range []string{"snapshot.db", "wal.log"} {
 			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				return fmt.Errorf("%w: %s", ErrSingleLogLayout, dir)
+				return nil, fmt.Errorf("%w: %s", ErrSingleLogLayout, dir)
 			}
 		}
-		return nil // fresh directory
+		return nil, nil // fresh directory: nothing replayed, so openSharded reads
 	}
+	recs := make([]int, ss.NumShards())
 	if man.Shards == ss.NumShards() {
-		return recoverMatched(dir, man, ss, parallelism)
+		return recs, recoverMatched(dir, man, ss, parallelism, recs)
 	}
 	if err := recoverReshard(dir, man, ss, parallelism); err != nil {
-		return err
+		return nil, err
 	}
-	return rewriteLayout(dir, ss, man.Generation+1, parallelism)
+	// The rewrite removes every old log: the new ones start empty.
+	return recs, rewriteLayout(dir, ss, man.Generation+1, parallelism)
 }
 
 // recoverMatched is the fast path: shard counts agree, so shard i's
 // files rebuild shard i's store with no cross-shard traffic, and the
-// shards recover in parallel.
-func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallelism int) error {
+// shards recover in parallel. recs[i] receives the count of records
+// shard i's log holds up to its torn tail, each one replayed.
+func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallelism int, recs []int) error {
 	n := ss.NumShards()
 	err := fanout.Run(n, parallelism, func(i int) error {
 		sh := ss.Shard(i)
@@ -430,6 +465,8 @@ func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallel
 		if err != nil {
 			return fmt.Errorf("wal: recover shard %d: %w", i, err)
 		}
+		st := a.Stats
+		recs[i] = st.Inserts + st.Evicts + st.Ticks + st.Skipped
 		// Truncate this shard's torn tail (if any) before the log is
 		// reopened for appending — independently of every other shard.
 		if fi, statErr := os.Stat(logPath); statErr == nil && fi.Size() > valid {
@@ -464,7 +501,7 @@ func recoverMatched(dir string, man Manifest, ss *storage.ShardedStore, parallel
 // global ID order, which routes each to its new owner by residue.
 func recoverReshard(dir string, man Manifest, ss *storage.ShardedStore, parallelism int) error {
 	old := storage.NewSharded(ss.Schema(), man.Shards)
-	if err := recoverMatched(dir, man, old, parallelism); err != nil {
+	if err := recoverMatched(dir, man, old, parallelism, make([]int, man.Shards)); err != nil {
 		return err
 	}
 	ids := make([]tuple.ID, 0, old.Len())

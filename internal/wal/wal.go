@@ -121,6 +121,12 @@ func Open(path string) (*Log, error) {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
 	_, recs := FrameScan(data)
+	return openCounted(path, recs)
+}
+
+// openCounted is Open for a caller that already knows the log's record
+// count — recovery, which has just replayed it.
+func openCounted(path string, recs int) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open: %w", err)
@@ -360,7 +366,10 @@ type ApplyStats struct {
 	Evicts  int // evictions applied
 	Ticks   int // fungus runs replayed
 	Rotted  int // tuples rotted by replayed ticks
-	Skipped int // idempotent re-deliveries (stale insert / absent evict)
+	// Skipped counts records applied as no-ops: idempotent re-deliveries
+	// (stale insert, absent evict) and ticks with no Tick to run. Every
+	// record applied is counted once, in one of the fields above or here.
+	Skipped int
 }
 
 // Applier applies replayed records to one shard store. It holds the one
@@ -408,6 +417,7 @@ func (a *Applier) Apply(rec Rec) error {
 		a.Stats.Evicts++
 	case RecTick:
 		if a.Tick == nil {
+			a.Stats.Skipped++
 			return nil
 		}
 		rotted, err := a.Tick(rec.Now)
