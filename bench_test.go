@@ -120,8 +120,10 @@ func BenchmarkInsert(b *testing.B) {
 
 // BenchmarkConsumeQuery measures consume-mode answers of 1000 of 10000
 // tuples at 1 and 4 shards, reloading a fresh table between iterations
-// (untimed). A consume is the row route: it collects its matching set
-// under every shard's write lock, removes it, and finishes over it.
+// (untimed). A consume takes the collect route: under every shard's
+// write lock it projects the matching rows into the stream's hand-off
+// blocks, merges them by ID, and only then evicts and logs the answered
+// IDs it recorded on the way.
 func BenchmarkConsumeQuery(b *testing.B) {
 	rows := make([][]tuple.Value, 10_000)
 	for j := range rows {
@@ -711,7 +713,8 @@ func BenchmarkAblationConsume(b *testing.B) {
 					sel[w] = bt.Live[w] &^ sel[w]
 				}
 				tuple.EachSet(sel, func(j int) bool {
-					tp := bt.Row(j)
+					var tp tuple.Tuple
+					bt.ReadRow(j, &tp)
 					rebuilt.Insert(tp.T, tp.Attrs)
 					return true
 				})
@@ -1060,8 +1063,9 @@ func BenchmarkPrunedScan(b *testing.B) {
 // BenchmarkOrderedTopK measures the ORDER BY push-down: mode=topk runs
 // `ORDER BY temp DESC LIMIT 10` through the per-shard bounded-heap
 // route (peak result memory O(shards × 10)), mode=barrier runs the
-// same ordering without LIMIT — the materialise-then-sort path the
-// push-down replaces — and reads only the first 10 rows. mode=topk-rising
+// same ordering without LIMIT — the collect route, which projects every
+// matching row into hand-off blocks, merges them by ID and sorts the
+// whole answer — and reads only the first 10 rows. mode=topk-rising
 // orders by seq, which rises with the ID, so the ranked walk meets the
 // winners in the newest segment and skips every other segment.
 func BenchmarkOrderedTopK(b *testing.B) {

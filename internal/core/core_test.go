@@ -344,6 +344,87 @@ func TestTouchOnReadKeepsDataAlive(t *testing.T) {
 	}
 }
 
+// TestFailedBarrierPeekHasNoSideEffects: a barrier peek whose
+// projection fails (at k = 3, on one of two shards) absorbs, touches and
+// counts nothing — its side effects run only once the whole answer has
+// been folded.
+func TestFailedBarrierPeekHasNoSideEffects(t *testing.T) {
+	const failing = "SELECT 100 / (k - 3) AS q FROM t"
+	load := func(t *testing.T, cfg TableConfig) (*DB, *Table) {
+		t.Helper()
+		db := openDB(t)
+		cfg.Schema, cfg.Shards = oracleSchema, 2
+		tbl, err := db.CreateTable("t", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 10; k++ {
+			if _, err := tbl.Insert(Row(k, float64(k), "x", true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db, tbl
+	}
+	t.Run("distill", func(t *testing.T) {
+		_, tbl := load(t, TableConfig{})
+		queries := tbl.Counters().Queries
+		if _, err := tbl.SQL(failing, QueryOpts{Distill: "d"}); err == nil {
+			t.Fatal("projection dividing by zero succeeded")
+		}
+		if got := tbl.Counters().Queries; got != queries {
+			t.Errorf("failed query counted: Queries %d -> %d", queries, got)
+		}
+		if tbl.Shelf().Get("d") != nil {
+			t.Error("failed query created and filled container d")
+		}
+		if _, err := tbl.SQL("SELECT k FROM t", QueryOpts{Distill: "d"}); err != nil {
+			t.Fatal(err)
+		}
+		if c := tbl.Shelf().Get("d"); c == nil || c.Digest.Count() != 10 {
+			t.Error("a succeeding distill did not absorb its 10 rows")
+		}
+	})
+	t.Run("touch-on-read", func(t *testing.T) {
+		db, tbl := load(t, TableConfig{Fungus: fungus.AccessRefresh{Inner: fungus.Linear{Rate: 0.1}}, TouchOnRead: true})
+		for i := 0; i < 3; i++ {
+			if _, err := db.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		freshness := func() []float64 {
+			var fs []float64
+			for _, part := range oracleDump(tbl) {
+				for i := range part {
+					fs = append(fs, float64(part[i].F))
+				}
+			}
+			return fs
+		}
+		before := freshness()
+		queries := tbl.Counters().Queries
+		if _, err := tbl.SQL(failing); err == nil {
+			t.Fatal("projection dividing by zero succeeded")
+		}
+		if got := tbl.Counters().Queries; got != queries {
+			t.Errorf("failed query counted: Queries %d -> %d", queries, got)
+		}
+		after := freshness()
+		for i := range before {
+			if before[i] == 1 || after[i] != before[i] {
+				t.Fatalf("row %d: _f %v before the failed query, %v after (want decayed, unchanged)", i, before[i], after[i])
+			}
+		}
+		if _, err := tbl.SQL("SELECT k FROM t"); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range freshness() {
+			if f != 1 {
+				t.Fatalf("row %d: _f %v after a succeeding query, want 1", i, f)
+			}
+		}
+	})
+}
+
 func TestContainerShelfDecaysWithTicks(t *testing.T) {
 	db := openDB(t)
 	tbl, _ := db.CreateTable("iot", TableConfig{

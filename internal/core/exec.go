@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 
 	"fungusdb/internal/fanout"
@@ -20,25 +22,26 @@ import (
 // routes it:
 //
 //	digest    ask plans: answer from the container digest, no scan
-//	consume   all-shard atomic answer-and-discard cut, then finish
+//	stream    per-shard parallel scan k-way merged by ID, pull-based
 //	aggregate per-shard partial aggregators merged in shard order
 //	top-k     ORDER BY + LIMIT: per-shard bounded heaps merged k-way
-//	stream    per-shard parallel scan k-way merged by ID, pull-based
-//	material  barrier peek (ORDER BY / distill / touch-on-read):
-//	          collect, then finish
+//	collect   the barrier (CONSUME, distill, touch-on-read, a sort
+//	          without LIMIT): the whole answer folded under every
+//	          shard's lock, then the side effects
 //
+// A statement's fold follows from its shape alone: an aggregate folds
+// through Aggregator.FeedBatch, an ORDER BY … LIMIT peek through
+// TopK.AddBatch, any other statement into query.BlockWriter blocks.
 // Every route but digest scans through one driver, scanShards: it
 // owns the fan-out, the shard locks, the segment verdicts (skip,
 // kernel and NaN-check elision), the batch walk, the WHERE kernels,
-// the scanned count and early stop, and a route supplies only a
-// per-shard sink and its merge — the tuple collector (mergeByID),
-// query.BlockWriter (the stream merge), Aggregator.FeedBatch (Merge)
-// and TopK.AddBatch (MergeTopK). Stream, aggregate and top-k
-// materialise late: WHERE, group keys, aggregate arguments and sort
-// keys read the batch's typed column slices, and values are boxed
-// only for rows that reach the answer. Every route answers projected
-// rows (query.Rows.Values); a caller that wants a whole tuple's
-// fields selects `_id, _t, _f, *` (SelectTuples, RowTuple).
+// the scanned count, caps and early stop, and a route supplies only a
+// per-shard sink and its merge. Every fold materialises late: WHERE,
+// group keys, aggregate arguments and sort keys read the batch's typed
+// column slices, and values are boxed only for rows that reach the
+// answer. Every route answers projected rows (query.Rows.Values); a
+// caller that wants a whole tuple's fields selects `_id, _t, _f, *`
+// (SelectTuples, RowTuple).
 
 // ErrNoContainer reports an ask against a container that does not
 // exist (or has rotted away).
@@ -189,27 +192,26 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 		}
 		plan, params = bound, nil
 	}
-	// late: nothing needs the materialised tuple set (no distillation,
-	// no touch-on-read), so a route may materialise late.
-	late := opt.Distill == "" && !t.cfg.TouchOnRead
 	switch {
-	case plan.Consume():
-		return t.execConsume(plan, params, opt)
-	case plan.Aggregated() && late && opt.Limit == 0:
-		// The distributed aggregate sees every match exactly once, so
-		// it also needs no programmatic cap (QueryOpts.Limit bounds the
-		// tuples aggregated; the SQL LIMIT caps output rows).
-		return t.execAggregate(plan, params)
-	case !plan.Aggregated() && !plan.Ordered() && late:
+	case plan.Consume(), opt.Distill != "", t.cfg.TouchOnRead:
+		// A side effect acts on the answered rows once the whole answer
+		// has been folded: the barrier.
+		return t.execCollect(plan, params, opt)
+	case !plan.Aggregated() && !plan.Ordered():
 		return t.execStream(plan, params, opt)
-	case !plan.Aggregated() && plan.Ordered() && plan.Limit() > 0 && late && opt.Limit == 0:
-		// Ordered + LIMIT without a reason to materialise: push the
-		// sort into per-shard bounded top-k heaps and merge k-way, so
-		// peak result memory is O(shards × LIMIT) instead of the whole
-		// matching set behind a sort barrier.
-		return t.execOrderedTopK(plan)
+	case opt.Limit > 0:
+		// An aggregate or a sort cannot take the programmatic cap (the
+		// first matching rows by ID) shard by shard.
+		return t.execCollect(plan, params, opt)
+	case plan.Aggregated():
+		return t.execFold(plan, t.aggFold(plan, params))
+	case plan.Limit() > 0:
+		// ORDER BY + LIMIT: push the sort into per-shard bounded top-k
+		// heaps and merge k-way, so peak result memory is O(shards ×
+		// LIMIT) instead of the whole matching set behind a sort.
+		return t.execFold(plan, t.topkFold(plan))
 	default:
-		return t.execMaterial(plan, params, opt)
+		return t.execCollect(plan, params, opt)
 	}
 }
 
@@ -242,7 +244,10 @@ const (
 // kernels and true stops the walk quietly (a cancelled stream). take
 // folds a batch's selected rows; false or an error stops the walk. end
 // runs when the walk is over, still under the lock, with the walk's
-// error, and returns the shard's.
+// error, and returns the shard's. caps, when set, returns the most rows
+// shard i takes: the driver hands take only the first of them and ends
+// the walk with the batch that reaches the cap. ids, when set, collects
+// the IDs of the rows shard i takes, ascending.
 type scanSink struct {
 	skip  func(i int) func(query.ZoneView) bool
 	score func(i int) func(query.ZoneView) (float64, bool)
@@ -250,6 +255,8 @@ type scanSink struct {
 	veto  func(i int) bool
 	take  func(i int, b *tuple.Batch, sel []uint64) (more bool, err error)
 	end   func(i int, err error) error
+	caps  func(i int) int
+	ids   [][]tuple.ID
 }
 
 // scanShards is the one shard-scan driver of the read side: every
@@ -261,29 +268,33 @@ type scanSink struct {
 // (query.BatchMatcher.Zone): a root none, or the sink's own veto,
 // skips the segment, and the batches of a scanned one run only the
 // kernels the verdicts leave undecided. Under pruneOffHook no verdict
-// is taken and no segment is ranked. The selection goes to sink.take.
-// The sink takes a batch's selected rows first; the batch's kernel
-// error surfaces only if the sink asked to go on, so a route that stops
-// at its limit stops exactly where a row-by-row evaluation would have.
+// is taken and no segment is ranked. The selection, cut at the sink's
+// cap, goes to sink.take first; the batch's kernel error surfaces only
+// if the walk goes on, so a route that stops at its cap stops exactly
+// where a row-by-row evaluation would have.
 // It returns the live rows of every batch walked, summed over the
 // shards, and the lowest shard's error.
 //
 // The read side's three lock rules live here:
 //   - lockHeld: the caller holds every shard's lock (read or write) for
-//     the whole call and the driver takes none: material and consume,
-//     one cut across all shards (collectAnswer).
+//     the whole call and the driver takes none: the collect route, one
+//     cut across all shards (collect).
 //   - lockPerShard: the driver read-locks shard i around its walk, on
 //     the table's worker pool: aggregate and top-k.
 //   - lockHandedOver: the caller read-locked every shard in index order
 //     before the call; the driver releases shard i once its walk and
-//     sink.end are done, and runs one goroutine per shard: the stream.
-//     A producer blocked on the merge holds its lock while the merge
-//     waits on the others; one still to take its lock (or a pool slot)
-//     could queue behind a writer waiting on the blocked one — a cycle.
+//     sink.end are done: the stream. A producer blocked on the merge
+//     holds its lock while the merge waits on the others; one still to
+//     take its lock (or a pool slot) could queue behind a writer
+//     waiting on the blocked one — a cycle.
+//
+// Under the held and handed-over rules the driver runs one goroutine
+// per shard, never a pool: a block producer waits on the merge, which
+// may wait on any other shard's producer.
 func (t *Table) scanShards(plan *query.Plan, rule lockRule, sink scanSink) (int, error) {
 	n := t.store.NumShards()
 	workers := t.workers
-	if rule == lockHandedOver {
+	if rule != lockPerShard {
 		workers = n
 	}
 	scanned := make([]int, n)
@@ -310,13 +321,27 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, sink scanSink) (int,
 			}
 		}
 		var err error
+		taken, most := 0, 0
+		if sink.caps != nil {
+			most = sink.caps(i)
+		}
 		take := func(b *tuple.Batch) bool {
 			scanned[i] += b.Alive
 			if sink.veto != nil && sink.veto(i) {
 				return false
 			}
+			// The selection is the matcher's scratch, free to cut.
 			sel, _, kerr := bm.Match(b)
+			last := sink.caps != nil && keepFirst(sel, most-taken)
+			taken += tuple.PopCount(sel)
+			if sink.ids != nil {
+				tuple.EachSet(sel, func(j int) bool {
+					sink.ids[i] = append(sink.ids[i], b.IDs[j])
+					return true
+				})
+			}
 			more, serr := sink.take(i, b, sel)
+			more = more && !last
 			if err = serr; more && err == nil {
 				err = kerr
 			}
@@ -339,6 +364,21 @@ func (t *Table) scanShards(plan *query.Plan, rule lockRule, sink scanSink) (int,
 	return total, err
 }
 
+// keepFirst clears every set bit of words after the first k, and
+// reports whether words held k or more.
+func keepFirst(words []uint64, k int) bool {
+	for w := range words {
+		for m := words[w]; m != 0; m &= m - 1 {
+			if k--; k < 0 {
+				words[w] &^= m
+				clear(words[w+1:])
+				return true
+			}
+		}
+	}
+	return k == 0
+}
+
 // countQuery counts one answered query; failed queries are not queries.
 func (t *Table) countQuery() {
 	t.mu.Lock()
@@ -346,40 +386,7 @@ func (t *Table) countQuery() {
 	t.mu.Unlock()
 }
 
-// collectAnswer is the barrier routes' shared step: collect up to
-// opt.Limit (0 = all) of the matching tuples in global ID order, count
-// the query, and absorb the answer into opt.Distill's container. The
-// caller holds every shard's lock (read suffices).
-//
-//fungusvet:requires shardlock
-func (t *Table) collectAnswer(plan *query.Plan, opt QueryOpts) ([]tuple.Tuple, int, error) {
-	limit := opt.Limit
-	parts := make([][]tuple.Tuple, t.store.NumShards())
-	scanned, err := t.scanShards(plan, lockHeld, scanSink{
-		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
-			return tuple.EachSet(sel, func(j int) bool {
-				parts[i] = append(parts[i], b.Row(j))
-				return limit == 0 || len(parts[i]) < limit
-			}), nil
-		},
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	tuples := mergeByID(parts, limit)
-	t.countQuery()
-	if opt.Distill != "" && len(tuples) > 0 {
-		t.mu.Lock()
-		err = t.shelf.Absorb(opt.Distill, t.clk.Now(), t.cfg.ContainerHalfLife, tuples)
-		t.mu.Unlock()
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return tuples, scanned, nil
-}
-
-// selPool recycles the stream producers' selected-row scratch. Each
+// selPool recycles the block producers' selected-row scratch. Each
 // slice holds a whole batch, so AppendSet never grows it and the pooled
 // pointer keeps naming the same array.
 var selPool = sync.Pool{New: func() any {
@@ -387,15 +394,14 @@ var selPool = sync.Pool{New: func() any {
 	return &sel
 }}
 
-// streamShard is one stream producer: the block it fills and hands to
-// the merge over out until done closes, and what it has matched.
+// streamShard is one block producer: the block it fills and hands to
+// the merge over out until done closes.
 type streamShard struct {
 	bw      *query.BlockWriter
 	out     chan *query.Block
 	done    <-chan struct{}
 	sel     *[]int // pooled selected-row scratch
-	matched int
-	aborted bool // the merge cancelled the stream
+	aborted bool   // the merge cancelled the stream
 }
 
 // handOff passes shard i's block being filled to the merge; false
@@ -415,30 +421,19 @@ func (p *streamShard) handOff(i int) bool {
 	return true
 }
 
-// execStream is the shard-parallel streaming peek: one producer per
-// shard copies the plan's output columns of the matching rows into
-// hand-off blocks and passes them over a small bounded channel; the
-// returned Rows k-way merges the blocks back into global insertion
-// order as the caller pulls. Every shard is read-locked here, before
-// any producer runs (scanShards' handed-over rule), so once Execute
-// returns the stream waits only on its consumer. Blocks are recycled:
-// the merge releases each once the caller has moved past its rows.
-func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
-	n := t.store.NumShards()
-	// The programmatic cap and the SQL LIMIT both bound a plain scan's
-	// output; the effective cap is the tighter one. Each shard
-	// contributes at most limit rows, so it stops scanning there.
-	limit := opt.Limit
-	if sl := plan.Limit(); sl > 0 && (limit == 0 || sl < limit) {
-		limit = sl
-	}
-	recv := make([]<-chan *query.Block, n)
+// blockSink is the row plans' fold, shared by the stream and the
+// collect route: one producer per shard copies the plan's output
+// columns of its selected rows, at most limit of them (0 = all), into
+// blocks and hands each over a small bounded channel. The Stream it
+// returns, once given its Wait, merges the blocks by ID as they come
+// and stops at limit rows.
+func blockSink(plan *query.Plan, params []tuple.Value, n, limit int) (scanSink, query.Stream) {
 	prods := make([]streamShard, n)
-	done := make(chan struct{})
+	st := query.Stream{Cols: plan.Cols(), Mode: plan.Mode(), Blocks: make([]<-chan *query.Block, n), Done: make(chan struct{}), Limit: limit}
 	for i := range prods {
 		out := make(chan *query.Block, 1)
-		prods[i] = streamShard{bw: plan.NewBlockWriter(params, limit), out: out, done: done, sel: selPool.Get().(*[]int)}
-		recv[i] = out
+		prods[i] = streamShard{bw: plan.NewBlockWriter(params, limit), out: out, done: st.Done, sel: selPool.Get().(*[]int)}
+		st.Blocks[i] = out
 	}
 	sink := scanSink{
 		// Poll for cancellation once per batch, before its kernels: a
@@ -448,7 +443,7 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 		// consumer runnable even when producers saturate every P.
 		veto: func(i int) bool {
 			select {
-			case <-done:
+			case <-st.Done:
 				prods[i].aborted = true
 				return true
 			default:
@@ -456,26 +451,17 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			runtime.Gosched()
 			return false
 		},
-		// The selected rows' output columns copy straight from the
-		// column views into the hand-off blocks. The batch is the
-		// shard's last when it reaches the limit or a row in it fails
-		// to project.
+		// A batch is a shard's last when a row in it fails to project.
 		take: func(i int, b *tuple.Batch, bits []uint64) (bool, error) {
 			p := &prods[i]
 			sel := tuple.AppendSet((*p.sel)[:0], bits)
-			last := limit != 0 && p.matched+len(sel) >= limit
-			if last {
-				sel = sel[:limit-p.matched]
-			}
 			for len(sel) > 0 {
-				took := p.bw.AddBatch(b, sel)
-				sel = sel[took:]
-				p.matched += took
+				sel = sel[p.bw.AddBatch(b, sel):]
 				if p.bw.Failed() || p.bw.Full() && !p.handOff(i) {
 					return false, nil
 				}
 			}
-			return !last, nil
+			return true, nil
 		},
 		end: func(i int, err error) error {
 			p := &prods[i]
@@ -490,74 +476,113 @@ func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts
 			return err
 		},
 	}
-	type result struct {
-		scanned int
-		err     error
+	if limit > 0 {
+		sink.caps = func(int) int { return limit }
 	}
-	res := make(chan result, 1)
-	t.rlockAll()
-	go func() {
-		scanned, err := t.scanShards(plan, lockHandedOver, sink)
-		res <- result{scanned, err}
-	}()
-
-	return query.NewStreamRows(query.Stream{
-		Cols:   plan.Cols(),
-		Mode:   plan.Mode(),
-		Blocks: recv,
-		Done:   done,
-		Wait: func() (int, error) {
-			r := <-res
-			// Count the query only once the scan ends cleanly, matching
-			// the materialised paths.
-			if r.err == nil {
-				t.countQuery()
-			}
-			return r.scanned, r.err
-		},
-		Limit: limit,
-	}), nil
+	return sink, st
 }
 
-// execAggregate evaluates an aggregate/GROUP BY peek without
-// materialising matches: one partial aggregator per shard folds the
-// selected rows off the column slices during the parallel scan (group
-// keys and aggregate arguments alike), merged in ascending shard order
-// (deterministic for a fixed shard count).
-func (t *Table) execAggregate(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
+// execStream is the shard-parallel streaming peek: the blockSink's
+// producers pass their blocks over small bounded channels, and the
+// returned Rows k-way merges them back into global insertion order as
+// the caller pulls. Every shard is read-locked here, before any
+// producer runs (scanShards' handed-over rule), so once Execute returns
+// the stream waits only on its consumer. Blocks are recycled: the merge
+// releases each once the caller has moved past its rows.
+func (t *Table) execStream(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
+	// The programmatic cap and the SQL LIMIT both bound a plain scan's
+	// output; the effective cap is the tighter one. Each shard
+	// contributes at most limit rows, so it stops scanning there.
+	limit := opt.Limit
+	if sl := plan.Limit(); sl > 0 && (limit == 0 || sl < limit) {
+		limit = sl
+	}
+	sink, st := blockSink(plan, params, t.store.NumShards(), limit)
+	t.rlockAll()
+	join := t.walkAsync(plan, lockHandedOver, sink)
+	st.Wait = func() (int, error) {
+		scanned, err := join()
+		// Count the query only once the scan ends cleanly, as the other
+		// routes do.
+		if err == nil {
+			t.countQuery()
+		}
+		return scanned, err
+	}
+	return query.NewStreamRows(st), nil
+}
+
+// walkAsync runs scanShards on its own goroutine, for a merge that
+// consumes the blocks while they are made, and returns the function
+// that joins the walk.
+func (t *Table) walkAsync(plan *query.Plan, rule lockRule, sink scanSink) func() (int, error) {
+	var scanned int
+	var err error
+	walked := make(chan struct{})
+	go func() {
+		scanned, err = t.scanShards(plan, rule, sink)
+		close(walked)
+	}()
+	return func() (int, error) {
+		<-walked
+		return scanned, err
+	}
+}
+
+// fold is a route's per-shard sink and the step that merges what the
+// sinks folded into the answer's rows, given the walk's error.
+type fold struct {
+	sink   scanSink
+	finish func(err error) ([][]tuple.Value, error)
+}
+
+// execFold runs an aggregate or top-k fold without a barrier, each
+// shard walked under its own read lock.
+func (t *Table) execFold(plan *query.Plan, f fold) (*query.Rows, error) {
+	scanned, err := t.scanShards(plan, lockPerShard, f.sink)
+	rows, err := f.finish(err)
+	if err != nil {
+		return nil, err
+	}
+	t.countQuery()
+	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, scanned), nil
+}
+
+// aggFold folds an aggregate without materialising matches: one partial
+// aggregator per shard folds the selected rows off the column slices
+// (group keys and aggregate arguments alike), merged in ascending shard
+// order (deterministic for a fixed shard count).
+func (t *Table) aggFold(plan *query.Plan, params []tuple.Value) fold {
 	aggs := make([]*query.Aggregator, t.store.NumShards())
 	for i := range aggs {
 		aggs[i] = plan.NewAggregator(params)
 	}
-	scanned, err := t.scanShards(plan, lockPerShard, scanSink{
-		take: func(i int, b *tuple.Batch, sel []uint64) (bool, error) {
-			return true, aggs[i].FeedBatch(b, sel)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, agg := range aggs[1:] {
-		if err := aggs[0].Merge(agg); err != nil {
+	take := func(i int, b *tuple.Batch, sel []uint64) (bool, error) { return true, aggs[i].FeedBatch(b, sel) }
+	return fold{scanSink{take: take}, func(err error) ([][]tuple.Value, error) {
+		for _, agg := range aggs[1:] {
+			if err == nil {
+				err = aggs[0].Merge(agg)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
-	}
-	t.countQuery()
-	g, err := aggs[0].Grid()
-	if err != nil {
-		return nil, err
-	}
-	return query.NewGridRows(g, query.Peek, scanned), nil
+		g, err := aggs[0].Grid()
+		if err != nil {
+			return nil, err
+		}
+		return g.Rows, nil
+	}}
 }
 
-// execOrderedTopK answers an ordered, LIMIT-capped peek without a full
-// sort barrier: each shard offers its selected rows to a bounded heap
-// of k = LIMIT rows that compares sort keys on the column slices and
+// topkFold answers an ordered, LIMIT-capped peek without a full sort
+// barrier: each shard offers its selected rows to a bounded heap of k =
+// LIMIT rows that compares sort keys on the column slices and
 // materialises only the rows it admits. The per-shard survivors merge
 // k-way in (ORDER BY keys, ID) order — the exact total order the
-// materialised path's stable sort produces. Peak result memory is
+// collect route's stable sort produces. Peak result memory is
 // O(shards × k) no matter how many tuples match.
-func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
+func (t *Table) topkFold(plan *query.Plan) fold {
 	tks := make([]*query.TopK, t.store.NumShards())
 	for i := range tks {
 		tks[i] = plan.NewTopK()
@@ -583,115 +608,190 @@ func (t *Table) execOrderedTopK(plan *query.Plan) (*query.Rows, error) {
 		sink.score = func(i int) func(query.ZoneView) (float64, bool) { return tks[i].Score }
 		sink.desc = desc
 	}
-	scanned, err := t.scanShards(plan, lockPerShard, sink)
-	if err != nil {
-		return nil, err
-	}
-	if topkPeakHook != nil {
-		retained := 0
-		for _, tk := range tks {
-			retained += tk.Len()
+	return fold{sink, func(err error) ([][]tuple.Value, error) {
+		if err != nil {
+			return nil, err
 		}
-		topkPeakHook(retained)
-	}
-	rows, err := plan.MergeTopK(tks)
+		if topkPeakHook != nil {
+			retained := 0
+			for _, tk := range tks {
+				retained += tk.Len()
+			}
+			topkPeakHook(retained)
+		}
+		return plan.MergeTopK(tks)
+	}}
+}
+
+// execCollect is the barrier route. collectCut folds the whole answer
+// under every shard's lock; only once the fold, the merge and the sort
+// have all succeeded do the side effects run, in this order: absorb the
+// answer for distill and evict it for CONSUME (both under the locks),
+// touch it (after the read locks are released) and count the query. A
+// query that fails removes, absorbs, touches and counts nothing.
+func (t *Table) execCollect(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
+	rows, ids, due, err := t.collectCut(plan, params, opt)
 	if err != nil {
 		return nil, err
+	}
+	if t.cfg.TouchOnRead && !plan.Consume() {
+		t.touchAnswered(ids)
 	}
 	t.countQuery()
-	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, scanned), nil
-}
-
-// execMaterial is the barrier peek: collect (and distill) the matching
-// set in one cut across all shards under their read locks, apply
-// touch-on-read, then run the finishing stages (projection, ORDER BY,
-// LIMIT — or local aggregation when the distributed path was
-// disqualified).
-func (t *Table) execMaterial(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
-	t.rlockAll()
-	tuples, scanned, err := t.collectAnswer(plan, opt)
-	t.runlockAll()
-	if err != nil {
-		return nil, err
-	}
-	if t.cfg.TouchOnRead && len(tuples) > 0 {
-		t.touchAnswered(tuples)
-	}
-	return t.finishRows(plan, params, tuples, scanned)
-}
-
-// execConsume is the second natural law behind the prepared API: one
-// atomic answer-and-discard cut across all shards, then the finishing
-// stages over the (already removed) answer set.
-func (t *Table) execConsume(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, error) {
-	tuples, scanned, due, err := t.consumeCut(plan, opt)
-	if err != nil {
-		return nil, err
-	}
-	if due {
-		// Checkpoint re-acquires every shard lock, so it runs after
-		// consumeCut released them.
+	if due { // Checkpoint takes every shard lock: collectCut released them.
 		if err := t.Checkpoint(); err != nil {
 			return nil, err
 		}
 	}
-	return t.finishRows(plan, params, tuples, scanned)
+	return rows, nil
 }
 
-// finishRows runs the plan's finishing stages over a materialised
-// matching set and serves the grid as Rows.
-func (t *Table) finishRows(plan *query.Plan, params []tuple.Value, tuples []tuple.Tuple, scanned int) (*query.Rows, error) {
-	g, err := plan.Finish(tuples, params)
-	if err != nil {
-		return nil, err
+// collectCut is execCollect's critical section: every shard read-locked
+// for a peek, write-locked for a CONSUME (one atomic answer-and-discard
+// cut). It returns the answered IDs per shard when a side effect needs
+// them, and whether a checkpoint fell due.
+func (t *Table) collectCut(plan *query.Plan, params []tuple.Value, opt QueryOpts) (*query.Rows, [][]tuple.ID, bool, error) {
+	if plan.Consume() {
+		t.lockAll()
+		defer t.unlockAll()
+		if t.closed.Load() {
+			return nil, nil, false, t.errClosed()
+		}
+	} else {
+		t.rlockAll()
+		defer t.runlockAll()
 	}
-	return query.NewGridRows(g, plan.Mode(), scanned), nil
+	record := plan.Consume() || opt.Distill != "" || t.cfg.TouchOnRead
+	rows, ids, err := t.collect(plan, params, opt.Limit, record)
+	if err == nil && opt.Distill != "" {
+		err = t.distill(opt.Distill, ids)
+	}
+	due := false
+	if err == nil && plan.Consume() {
+		due, err = t.evictAnswered(ids, opt.Distill != "")
+	}
+	return rows, ids, due, err
 }
 
-// consumeCut is the all-shards critical section of a consume query:
-// one atomic answer-and-discard cut across the whole extent. It
-// reports whether a checkpoint fell due.
-func (t *Table) consumeCut(plan *query.Plan, opt QueryOpts) (tuples []tuple.Tuple, scanned int, due bool, err error) {
-	t.lockAll()
-	defer t.unlockAll()
-	if t.closed.Load() {
-		return nil, 0, false, t.errClosed()
+// collect folds the plan's whole answer in one walk of every shard
+// (scanShards' held rule): an aggregate through the aggFold, rows
+// through the blockSink, merged by ID as the walk goes and, for an
+// ordered plan, sorted. It projects every answered row; the SQL LIMIT
+// cuts only the output. With record set it returns each shard's
+// answered IDs. A positive limit (QueryOpts.Limit) answers the first
+// limit matching rows by ID: a first walk finds the cut, the limit-th
+// matching ID, each shard stopping at its limit-th match; the fold then
+// caps each shard at its rows up to the cut, so a WHERE error beyond it
+// stays hidden.
+//
+//fungusvet:requires shardlock
+func (t *Table) collect(plan *query.Plan, params []tuple.Value, limit int, record bool) (*query.Rows, [][]tuple.ID, error) {
+	n := t.store.NumShards()
+	var ids [][]tuple.ID
+	if limit > 0 {
+		first := scanSink{
+			take: func(int, *tuple.Batch, []uint64) (bool, error) { return true, nil },
+			caps: func(int) int { return limit },
+			ids:  make([][]tuple.ID, n),
+		}
+		if _, err := t.scanShards(plan, lockHeld, first); err != nil {
+			return nil, nil, err
+		}
+		cut := ^tuple.ID(0)
+		if all := slices.Concat(first.ids...); len(all) >= limit {
+			slices.Sort(all)
+			cut = all[limit-1]
+		}
+		ids = first.ids
+		for i, shard := range ids {
+			ids[i] = shard[:sort.Search(len(shard), func(k int) bool { return shard[k] > cut })]
+		}
+	} else if record {
+		ids = make([][]tuple.ID, n)
 	}
-	tuples, scanned, err = t.collectAnswer(plan, opt)
+	arm := func(sink *scanSink) {
+		if limit > 0 {
+			sink.caps = func(i int) int { return len(ids[i]) }
+		} else {
+			sink.ids = ids
+		}
+	}
+	if plan.Aggregated() {
+		f := t.aggFold(plan, params)
+		arm(&f.sink)
+		scanned, err := t.scanShards(plan, lockHeld, f.sink)
+		rows, err := f.finish(err)
+		if err != nil {
+			return nil, nil, err
+		}
+		return query.NewValueRows(plan.Cols(), plan.Mode(), rows, scanned), ids, nil
+	}
+	sink, st := blockSink(plan, params, n, 0)
+	arm(&sink)
+	st.Wait = t.walkAsync(plan, lockHeld, sink)
+	merge := query.NewStreamRows(st)
+	rows, err := merge.Collect()
+	if err == nil {
+		rows, err = plan.OrderRows(rows)
+	}
 	if err != nil {
-		return nil, 0, false, err
+		return nil, nil, err
 	}
-	evictLogged := make([]int, t.store.NumShards())
-	for i := range tuples {
-		id := tuples[i].ID
-		s := t.store.ShardOf(id)
-		if err := t.store.Shard(s).Evict(id); err != nil {
-			return nil, 0, false, fmt.Errorf("core: consume evict: %w", err)
-		}
-		if egi, ok := t.fngs[s].(interface{ Forget(tuple.ID) }); ok {
-			egi.Forget(id)
-		}
-		if t.log != nil {
-			if err := t.log.AppendEvict(s, id); err != nil {
-				return nil, 0, false, err
-			}
-			evictLogged[s]++
-		}
+	return query.NewValueRows(plan.Cols(), plan.Mode(), rows, merge.Scanned()), ids, nil
+}
+
+// distill absorbs the answered tuples into the named container, in ID
+// order. The caller holds every shard's lock.
+func (t *Table) distill(name string, ids [][]tuple.ID) error {
+	all := slices.Concat(ids...)
+	if len(all) == 0 {
+		return nil
 	}
-	for s, logged := range evictLogged {
-		if logged == 0 {
-			continue
-		}
-		if _, err := t.noteAppendLocked(s, logged); err != nil {
-			return nil, 0, false, err
+	slices.Sort(all)
+	tuples := make([]tuple.Tuple, len(all))
+	for k, id := range all {
+		var err error
+		if tuples[k], err = t.store.Shard(t.store.ShardOf(id)).Get(id); err != nil {
+			return err
 		}
 	}
 	t.mu.Lock()
-	t.ctrs.Consumed += uint64(len(tuples))
-	if opt.Distill != "" {
-		t.ctrs.DistilledQuery += uint64(len(tuples))
+	defer t.mu.Unlock()
+	return t.shelf.Absorb(name, t.clk.Now(), t.cfg.ContainerHalfLife, tuples)
+}
+
+// evictAnswered is a CONSUME's second natural law: it removes the
+// answered tuples, logs their evicts shard by shard, and reports
+// whether a checkpoint fell due. The caller holds every shard's write
+// lock.
+func (t *Table) evictAnswered(ids [][]tuple.ID, distilled bool) (bool, error) {
+	n := 0
+	for s, shard := range ids {
+		for _, id := range shard {
+			if err := t.store.Shard(s).Evict(id); err != nil {
+				return false, fmt.Errorf("core: consume evict: %w", err)
+			}
+			if egi, ok := t.fngs[s].(interface{ Forget(tuple.ID) }); ok {
+				egi.Forget(id)
+			}
+			if t.log != nil {
+				if err := t.log.AppendEvict(s, id); err != nil {
+					return false, err
+				}
+			}
+		}
+		if t.log != nil && len(shard) > 0 {
+			if _, err := t.noteAppendLocked(s, len(shard)); err != nil {
+				return false, err
+			}
+		}
+		n += len(shard)
 	}
-	due = t.noteMutationLocked(1)
-	t.mu.Unlock()
-	return tuples, scanned, due, nil
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ctrs.Consumed += uint64(n)
+	if distilled {
+		t.ctrs.DistilledQuery += uint64(n)
+	}
+	return t.noteMutationLocked(1), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,9 +17,11 @@ import (
 // simplest evaluator the repository has: dump every shard's live tuples
 // one at a time by ID, filter them with the tree interpreter (Expr.Eval),
 // finish with query.Execute. Every execution route — stream, aggregate,
-// ordered top-k, material, consume — at shards 1 and 3, under rot,
-// consume and compaction churn, must return the oracle's rows in the
-// oracle's order, or fail with the oracle's error text.
+// ordered top-k, collect (peek and consume) — at shards 1 and 3, and
+// every statement through the collect route's barrier on a touch-on-read
+// table, under rot, consume and compaction churn, must return the
+// oracle's rows in the oracle's order, or fail with the oracle's error
+// text.
 
 var oracleSchema = tuple.MustSchema(
 	tuple.Column{Name: "k", Kind: tuple.KindInt},
@@ -67,6 +70,9 @@ var oracleWheres = []string{
 	"k * 2 = 4",
 	"k % 3 = 0",
 	"-k > -20",
+	"k > -3",
+	"-3.5 <= v",
+	"k > 0 - 3",
 	"_t >= 2",
 	"_f < 0.5",
 	"_id BETWEEN 5 AND 9",
@@ -155,8 +161,9 @@ func oracleMatch(where query.Expr, tp *tuple.Tuple) (bool, error) {
 // at the cap, whichever comes first: that is "stop at LIMIT before a
 // later erroring row". lenient treats a row whose WHERE errors as a
 // non-match: the answer of a scan that pruning kept away from every
-// such row.
-func oracleEval(t *testing.T, shards [][]tuple.Tuple, src string, optLimit int, lenient bool) oracleWant {
+// such row. barrier marks a statement with a side effect (distill,
+// touch-on-read), which neither streams nor ranks.
+func oracleEval(t *testing.T, shards [][]tuple.Tuple, src string, optLimit int, lenient, barrier bool) oracleWant {
 	t.Helper()
 	stmt, err := query.ParseSelect(src)
 	if err != nil {
@@ -167,8 +174,8 @@ func oracleEval(t *testing.T, shards [][]tuple.Tuple, src string, optLimit int, 
 		agg = agg || tg.Agg != query.AggNone
 	}
 	ordered := len(stmt.OrderBy) > 0
-	streaming := !stmt.Consume && !agg && !ordered
-	topk := !stmt.Consume && !agg && ordered && stmt.Limit > 0 && optLimit == 0
+	streaming := !barrier && !stmt.Consume && !agg && !ordered
+	topk := !barrier && !stmt.Consume && !agg && ordered && stmt.Limit > 0 && optLimit == 0
 	shardCap := optLimit
 	if streaming && stmt.Limit > 0 && (shardCap == 0 || stmt.Limit < shardCap) {
 		shardCap = stmt.Limit
@@ -223,6 +230,37 @@ func oracleEval(t *testing.T, shards [][]tuple.Tuple, src string, optLimit int, 
 		want.rows = append(want.rows, renderRow(row))
 	}
 	return want
+}
+
+// mergeByID k-way merges per-shard answer sets (each ID-ascending) into
+// global insertion order, truncating to limit when limit > 0.
+func mergeByID(parts [][]tuple.Tuple, limit int) []tuple.Tuple {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	if limit > 0 && total > limit {
+		total = limit
+	}
+	if len(parts) == 1 {
+		return parts[0][:total]
+	}
+	out := make([]tuple.Tuple, 0, total)
+	idx := make([]int, len(parts))
+	for len(out) < total {
+		best := -1
+		for i, p := range parts {
+			if idx[i] < len(p) && (best < 0 || p[idx[i]].ID < parts[best][idx[best]].ID) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, parts[best][idx[best]])
+		idx[best]++
+	}
+	return out
 }
 
 func renderRow(vals []tuple.Value) string {
@@ -284,12 +322,13 @@ func sameRows(a, b []string) bool {
 func oracleCheck(t *testing.T, tbl *Table, stage, src string, opt QueryOpts) {
 	t.Helper()
 	shards := oracleDump(tbl)
-	strict := oracleEval(t, shards, src, opt.Limit, false)
+	barrier := opt.Distill != "" || tbl.cfg.TouchOnRead
+	strict := oracleEval(t, shards, src, opt.Limit, false, barrier)
 	// The answer of a scan that pruning kept away from every erroring
 	// row; only consulted where the strict oracle errors.
 	lenient := strict
 	if len(strict.errs) > 0 {
-		lenient = oracleEval(t, shards, src, opt.Limit, true)
+		lenient = oracleEval(t, shards, src, opt.Limit, true, barrier)
 	}
 	fail := func(mode string, got []string, gerr error, want oracleWant) {
 		t.Helper()
@@ -334,7 +373,7 @@ func oracleCheck(t *testing.T, tbl *Table, stage, src string, opt QueryOpts) {
 		t.Fatalf("%q: prepare: %v", src, err)
 	}
 	p := pq.plan
-	stream := !p.Consume() && !p.Aggregated() && !p.Ordered() && opt.Distill == "" && !tbl.cfg.TouchOnRead
+	stream := !p.Consume() && !p.Aggregated() && !p.Ordered() && !barrier
 	whole := opt.Limit == 0 && !(stream && p.Limit() > 0)
 	run := func(mode string) ([]string, int, error) {
 		t.Helper()
@@ -393,14 +432,25 @@ func oracleCheck(t *testing.T, tbl *Table, stage, src string, opt QueryOpts) {
 
 func TestOracleEveryRouteUnderChurn(t *testing.T) {
 	names := []string{"alpha", "beta", "gamma", "", "a%b_c", "name-1", "name-3", "name-7"}
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	// The touch-on-read table keeps the TTL fungus, which has no Touch:
+	// its answers are the others', but every statement takes the collect
+	// route's barrier.
+	for _, cfg := range []struct {
+		shards int
+		touch  bool
+	}{{1, false}, {3, false}, {3, true}} {
+		name := fmt.Sprintf("shards=%d", cfg.shards)
+		if cfg.touch {
+			name += ",touch-on-read"
+		}
+		t.Run(name, func(t *testing.T) {
 			db := openDB(t)
 			tbl, err := db.CreateTable("t", TableConfig{
 				Schema:      oracleSchema,
 				Fungus:      fungus.TTL{Lifetime: 9},
-				Shards:      shards,
+				Shards:      cfg.shards,
 				SegmentSize: 48,
+				TouchOnRead: cfg.touch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -544,20 +594,26 @@ func TestOracleEveryRouteUnderChurn(t *testing.T) {
 				// rows first, and its kernel error surfaces only if the
 				// sink asks to go on. lo is the oldest live k, so the
 				// first matches and the erroring row mostly share a batch.
-				lo := int64(hi)
+				var ks []int64
 				for _, part := range oracleDump(tbl) {
-					if len(part) > 0 && part[0].Attrs[0].AsInt() < lo {
-						lo = part[0].Attrs[0].AsInt()
+					for i := range part {
+						ks = append(ks, part[i].Attrs[0].AsInt())
 					}
 				}
+				slices.Sort(ks)
+				lo := ks[0]
 				stop := fmt.Sprintf("k < %d OR 100 / (k - %d) > 0", lo+5, lo+8)
 				run("SELECT k FROM t WHERE " + stop + " LIMIT 2")
 				run("SELECT k FROM t WHERE "+stop+" ORDER BY k", QueryOpts{Limit: 2})
 				run("SELECT CONSUME k FROM t WHERE "+stop, QueryOpts{Limit: 2})
-				// Consume: a cut that fails removes nothing; one that
-				// succeeds removes exactly its answer.
+				// Consume: a cut that fails — in WHERE, projection or
+				// aggregate — removes nothing; one that succeeds removes
+				// exactly its answer. The projection divides by zero at
+				// the fourth-oldest live row (k = 3 while it lives).
 				run("SELECT CONSUME k FROM t WHERE name > 3")
 				run("SELECT CONSUME k FROM t WHERE 100 / (k - 3) > 0")
+				run(fmt.Sprintf("SELECT CONSUME 100 / (k - %d) AS q FROM t", ks[3]))
+				run("SELECT CONSUME SUM(name) AS s FROM t")
 				run("SELECT CONSUME k, name FROM t WHERE k % 11 = 0 ORDER BY k DESC LIMIT 4")
 				run("SELECT CONSUME k FROM t WHERE k % 13 = 0", QueryOpts{Limit: 6})
 			}

@@ -91,6 +91,12 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			// The collect route: its producers run beside the merge,
+			// under every shard's read lock.
+			if _, err := tbl.SQL("SELECT device, temp FROM t WHERE temp >= 50 ORDER BY temp", QueryOpts{Distill: "hot"}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	wg.Add(1)

@@ -555,8 +555,9 @@ func (t *Table) noteInserted(n int, err error) error {
 
 // QueryOpts tunes one execution (PreparedQuery.ExecuteOpts, Table.SQL).
 type QueryOpts struct {
-	// Limit caps the answer set size; 0 means unlimited. In Consume
-	// mode only the answered tuples are removed.
+	// Limit answers only the first Limit matching tuples by ID (0 =
+	// unlimited): an aggregate aggregates them, a sort orders them, a
+	// CONSUME removes them, and the SQL LIMIT then cuts the output.
 	Limit int
 	// Distill names a knowledge container that absorbs the answer set
 	// (created on first use with the table's container half-life).
@@ -564,60 +565,20 @@ type QueryOpts struct {
 	Distill string
 }
 
-// mergeByID k-way merges per-shard answer sets (each ID-ascending) into
-// global insertion order, truncating to limit when limit > 0.
-func mergeByID(parts [][]tuple.Tuple, limit int) []tuple.Tuple {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if limit > 0 && total > limit {
-		total = limit
-	}
-	if len(parts) == 1 {
-		return parts[0][:total]
-	}
-	out := make([]tuple.Tuple, 0, total)
-	idx := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		for i, p := range parts {
-			if idx[i] < len(p) && (best < 0 || p[idx[i]].ID < parts[best][idx[best]].ID) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, parts[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
 // touchAnswered refreshes the answered tuples, shard by shard, through
 // each shard's own fungus instance ("data being taken care of by its
 // owner"). Tuples consumed or rotted since the scan are skipped by the
 // refresher's own not-found handling.
-func (t *Table) touchAnswered(answered []tuple.Tuple) {
-	n := t.store.NumShards()
-	byShard := make([][]tuple.ID, n)
-	for i := range answered {
-		s := t.store.ShardOf(answered[i].ID)
-		byShard[s] = append(byShard[s], answered[i].ID)
-	}
+func (t *Table) touchAnswered(ids [][]tuple.ID) {
 	now := t.clk.Now()
-	_ = fanout.Run(n, t.workers, func(i int) error {
-		if len(byShard[i]) == 0 {
-			return nil
-		}
+	_ = fanout.Run(len(ids), t.workers, func(i int) error {
 		r, ok := t.fngs[i].(fungus.Refresher)
-		if !ok {
+		if !ok || len(ids[i]) == 0 {
 			return nil
 		}
 		t.shardMu[i].Lock()
 		defer t.shardMu[i].Unlock()
-		for _, id := range byShard[i] {
+		for _, id := range ids[i] {
 			r.Touch(now, t.store.Shard(i), id)
 		}
 		return nil

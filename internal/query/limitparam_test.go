@@ -90,7 +90,7 @@ func TestLimitPlaceholderGroupedFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := bound.Finish(matchTuples(), nil)
+	g, err := bound.reference(matchTuples(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

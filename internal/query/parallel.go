@@ -135,38 +135,6 @@ func checkGrouping(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schem
 	return nil
 }
 
-// Feed folds one tuple into the accumulator: the row-at-a-time form
-// the finishing stages of a materialised answer use, and the reference
-// FeedBatch is checked against.
-func (a *Aggregator) Feed(tp *tuple.Tuple) error {
-	env := TupleEnv{Schema: a.schema, Tuple: tp, Params: a.params}
-	keyVals := make([]tuple.Value, len(a.stmt.GroupBy))
-	for j, c := range a.stmt.GroupBy {
-		v, err := env.Lookup(c)
-		if err != nil {
-			return err
-		}
-		keyVals[j] = v
-	}
-	grp := a.group(keyVals)
-	for j, t := range a.targets {
-		if t.Agg == AggNone {
-			continue
-		}
-		var v tuple.Value
-		if t.Expr != nil {
-			var err error
-			if v, err = t.Expr.Eval(env); err != nil {
-				return err
-			}
-		}
-		if err := grp.aggs[j].observe(t.Agg, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FeedBatch folds every selected row of a column batch into the exact
 // state (and on failure the exact error) a Feed call per selected row
 // would produce. Each target folds column-at-a-time in ascending row

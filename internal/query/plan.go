@@ -277,14 +277,15 @@ func (p *Plan) Bind(params []tuple.Value) (*Plan, error) {
 	return &q, nil
 }
 
-// Finish runs the statement's target/group/order/limit stages over a
-// materialised matching set — the barrier path for plans that cannot
-// stream (ORDER BY, aggregates executed locally, consume).
-func (p *Plan) Finish(tuples []tuple.Tuple, params []tuple.Value) (*Grid, error) {
-	if p.agg {
-		return executeGrouped(p.stmt, p.targets, p.schema, tuples, params)
+// OrderRows sorts projected rows, given in ID order, by the plan's
+// ORDER BY (stably, so ties keep ID order) and cuts them at its LIMIT:
+// the last stage of a row plan that collected its whole answer.
+func (p *Plan) OrderRows(rows [][]tuple.Value) ([][]tuple.Value, error) {
+	g := &Grid{Cols: p.cols, Rows: rows}
+	if err := orderAndLimit(g, p.stmt); err != nil {
+		return nil, err
 	}
-	return executePlain(p.stmt, p.targets, p.schema, tuples, params)
+	return g.Rows, nil
 }
 
 // NewAggregator returns an empty accumulator for the plan's aggregate

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"fungusdb/internal/tuple"
 )
 
@@ -65,14 +67,23 @@ func (r *Rows) Next() bool {
 func (r *Rows) Values() []tuple.Value { return r.vals }
 
 // Collect drains the remaining rows into rows the caller owns, closes r
-// and returns Err. The values are copied into one flat slab that is cut
-// into rows once the drain ends, so collecting costs no allocation per
-// row.
+// and returns Err. A memory-backed answer's rows are handed over as they
+// are. A stream's values are copied into one flat slab, at least doubled
+// whenever it fills, that is cut into rows once the drain ends, so
+// collecting costs no allocation per row.
 func (r *Rows) Collect() ([][]tuple.Value, error) {
+	if vs, ok := r.src.(*valueSource); ok && !r.closed {
+		rows := vs.rows[vs.i:]
+		vs.i = len(vs.rows)
+		return rows, r.Close()
+	}
 	var slab []tuple.Value
 	var out [][]tuple.Value
 	for r.Next() {
 		v := r.Values()
+		if len(slab)+len(v) > cap(slab) {
+			slab = slices.Grow(slab, max(len(slab), len(v)))
+		}
 		slab = append(slab, v...)
 		// A placeholder that only lends its length to the cut below:
 		// the row it aliases may be recycled by the next Next.
@@ -137,15 +148,10 @@ func (s *valueSource) next(r *Rows) bool {
 func (s *valueSource) close() error { return nil }
 func (s *valueSource) scanned() int { return s.scannedN }
 
-// NewValueRows wraps materialised value rows (an executed grid, an ask
-// answer) as a Rows.
+// NewValueRows wraps materialised value rows (a collected or aggregated
+// answer, an ask answer) as a Rows.
 func NewValueRows(cols []string, mode Mode, rows [][]tuple.Value, scanned int) *Rows {
 	return &Rows{cols: cols, mode: mode, src: &valueSource{rows: rows, scannedN: scanned}}
-}
-
-// NewGridRows wraps a materialised Grid as a Rows.
-func NewGridRows(g *Grid, mode Mode, scanned int) *Rows {
-	return &Rows{cols: g.Cols, mode: mode, src: &valueSource{rows: g.Rows, scannedN: scanned}}
 }
 
 // --- shard-streaming source ------------------------------------------
@@ -173,8 +179,8 @@ type Stream struct {
 
 // NewStreamRows builds the pull-based k-way merge over per-shard block
 // channels: each shard's blocks are ID-ascending, so emitting the
-// smallest head ID reproduces global insertion order — the same order
-// the materialised path's mergeByID produces.
+// smallest head ID reproduces global insertion order. The engine's
+// collect route merges its blocks here too, once its walk is over.
 func NewStreamRows(s Stream) *Rows {
 	return &Rows{cols: s.Cols, mode: s.Mode, src: &streamSource{
 		blocks: s.Blocks,

@@ -263,28 +263,6 @@ type Grid struct {
 	Rows [][]tuple.Value
 }
 
-// Execute evaluates the statement's target/group/order/limit stages
-// over the given tuples (already filtered by WHERE). The engine layer
-// owns the scan and consume semantics; Execute is pure. Statements with
-// placeholders must run through a Plan, which threads the bound
-// parameters into these same stages.
-func Execute(stmt *SelectStmt, schema *tuple.Schema, tuples []tuple.Tuple) (*Grid, error) {
-	targets, err := expandTargets(stmt, schema)
-	if err != nil {
-		return nil, err
-	}
-	hasAgg := false
-	for _, t := range targets {
-		if t.Agg != AggNone {
-			hasAgg = true
-		}
-	}
-	if len(stmt.GroupBy) > 0 || hasAgg {
-		return executeGrouped(stmt, targets, schema, tuples, nil)
-	}
-	return executePlain(stmt, targets, schema, tuples, nil)
-}
-
 func expandTargets(stmt *SelectStmt, schema *tuple.Schema) ([]SelectTarget, error) {
 	var out []SelectTarget
 	for _, t := range stmt.Targets {
@@ -315,24 +293,6 @@ func expandTargets(stmt *SelectStmt, schema *tuple.Schema) ([]SelectTarget, erro
 		seen[t.Alias] = true
 	}
 	return out, nil
-}
-
-func executePlain(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schema, tuples []tuple.Tuple, params []tuple.Value) (*Grid, error) {
-	g := &Grid{}
-	for _, t := range targets {
-		g.Cols = append(g.Cols, t.Alias)
-	}
-	for i := range tuples {
-		row := make([]tuple.Value, len(targets))
-		if err := projectRow(targets, TupleEnv{Schema: schema, Tuple: &tuples[i], Params: params}, row); err != nil {
-			return nil, err
-		}
-		g.Rows = append(g.Rows, row)
-	}
-	if err := orderAndLimit(g, stmt); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // projectRow evaluates a plain projection for the tuple behind env.
@@ -414,19 +374,6 @@ func (a *aggState) result(kind AggKind) tuple.Value {
 		return a.max
 	}
 	return tuple.Value{}
-}
-
-func executeGrouped(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schema, tuples []tuple.Tuple, params []tuple.Value) (*Grid, error) {
-	if err := checkGrouping(stmt, targets, schema); err != nil {
-		return nil, err
-	}
-	agg := newAggregator(stmt, targets, schema, params)
-	for i := range tuples {
-		if err := agg.Feed(&tuples[i]); err != nil {
-			return nil, err
-		}
-	}
-	return agg.Grid()
 }
 
 // sortGridByKeys stably sorts rows by the given column indices.

@@ -17,8 +17,9 @@ import (
 // and only a row that enters the heap has its output columns boxed.
 //
 // Ordering is (ORDER BY keys, tuple ID ascending), which is exactly
-// the total order the materialised path produces: its rows arrive in
-// global ID order and go through a stable sort on the keys.
+// the total order the collect route (and the reference evaluator)
+// produces: its rows arrive in global ID order and go through a stable
+// sort on the keys.
 
 // orderIdx is one ORDER BY key resolved to an output-column index at
 // plan compile time.

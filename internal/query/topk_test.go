@@ -11,7 +11,7 @@ import (
 
 // topkRun feeds rows to a fresh collector of plan src over matchSchema,
 // in batches of at most tuple.BatchRows, every row selected, and returns
-// its answer beside the reference: Finish's projection, stable sort and
+// its answer beside the reference evaluator's projection, stable sort and
 // LIMIT over the same rows.
 func topkRun(t *testing.T, src string, rows []tuple.Tuple) (got, want [][]tuple.Value) {
 	t.Helper()
@@ -33,7 +33,7 @@ func topkRun(t *testing.T, src string, rows []tuple.Tuple) (got, want [][]tuple.
 	if got, err = plan.MergeTopK([]*TopK{tk}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := plan.Finish(rows, nil)
+	g, err := plan.reference(rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,12 @@ import (
 // tree lowered into column-wise batch kernels. The tree interpreter
 // (Expr.Eval) is the semantic reference — every kernel reproduces it
 // bit for bit: same selected rows, same error text, same first-erroring
-// row. The program is total. Comparisons of a column against a literal
-// or another column, IN over a literal list, LIKE with a literal
+// row. The program is total. Comparisons of a column against a constant
+// or another column, IN over a constant list, LIKE with a literal
 // pattern, bare BOOL columns, and AND/OR/NOT over those run as kernels;
-// any other boolean sub-expression (arithmetic operands, computed LIKE
+// a constant is a literal or an operand that reads no column and no
+// placeholder (`-3.5`, `0 - 3`), folded once at compile time. Any other
+// boolean sub-expression (arithmetic over columns, computed LIKE
 // patterns or IN lists, non-column left sides) becomes an interpNode
 // leaf that decodes each selected row and hands it to the interpreter,
 // so a shape without a kernel costs only its own leaf, never the plan.
@@ -105,13 +107,46 @@ func image(v tuple.Value) float64 {
 // numericKind reports whether k participates in numeric comparison.
 func numericKind(k tuple.Kind) bool { return k == tuple.KindInt || k == tuple.KindFloat }
 
-func allLits(list []Expr) bool {
-	for _, e := range list {
-		if _, ok := e.(Lit); !ok {
-			return false
-		}
+// constant returns the value of an operand that reads no column and no
+// placeholder, evaluated once, at compile time, so that `k > -3` or
+// `k > 0 - 3` lowers as the literal it folds to. ok is false for any
+// other operand, and for one whose evaluation errors (1 / 0, INT
+// overflow): that one stays an interpreted leaf, so its error surfaces
+// at the row it always did. The plan's expression tree is not
+// rewritten.
+func constant(e Expr) (tuple.Value, bool) {
+	if lit, ok := e.(Lit); ok {
+		return lit.V, true
 	}
-	return true
+	if !closed(e) {
+		return tuple.Value{}, false
+	}
+	v, err := e.Eval(TupleEnv{})
+	return v, err == nil
+}
+
+// closed reports whether e reads no column and no placeholder.
+func closed(e Expr) bool {
+	switch n := e.(type) {
+	case Lit:
+		return true
+	case Bin:
+		return closed(n.L) && closed(n.R)
+	case Not:
+		return closed(n.X)
+	case Neg:
+		return closed(n.X)
+	case Like:
+		return closed(n.X) && closed(n.Pattern)
+	case In:
+		for _, it := range n.List {
+			if !closed(it) {
+				return false
+			}
+		}
+		return closed(n.X)
+	}
+	return false
 }
 
 // flipCmp mirrors a comparison so the column lands on the left:
@@ -986,22 +1021,22 @@ func (vc *vecCompiler) boolNode(e Expr, nonBool func(tuple.Kind) error) vecNode 
 	return nd
 }
 
-// cmp lowers column-vs-literal (either order) and column-vs-column
+// cmp lowers column-vs-constant (either order) and column-vs-column
 // comparisons; nil for any other operand shape.
 func (vc *vecCompiler) cmp(n Bin) vecNode {
 	op := n.Op
 	if c, ok := colRef(n.L, vc.schema); ok {
-		if lit, isLit := n.R.(Lit); isLit {
-			return vc.colLit(c, op, lit.V, false)
+		if v, isConst := constant(n.R); isConst {
+			return vc.colLit(c, op, v, false)
 		}
 		if c2, ok2 := colRef(n.R, vc.schema); ok2 {
 			return vc.colCol(c, op, c2)
 		}
 		return nil
 	}
-	if lit, isLit := n.L.(Lit); isLit {
+	if v, isConst := constant(n.L); isConst {
 		if c, ok := colRef(n.R, vc.schema); ok {
-			return vc.colLit(c, flipCmp(op), lit.V, true)
+			return vc.colLit(c, flipCmp(op), v, true)
 		}
 	}
 	return nil
@@ -1080,28 +1115,34 @@ func (vc *vecCompiler) like(n Like) vecNode {
 	return &staticErrNode{err: fmt.Errorf("query: LIKE needs STRING operands, got %s and %s", c.kind, lit.V.Kind())}
 }
 
-// in lowers `column IN (literals)` to a hash-set probe (numeric values
+// in lowers `column IN (constants)` to a hash-set probe (numeric values
 // key by their float64 image, matching Compare's cross-kind equality);
 // nil for any other shape.
 func (vc *vecCompiler) in(n In) vecNode {
 	c, ok := colRef(n.X, vc.schema)
-	if !ok || !allLits(n.List) {
+	if !ok {
 		return nil
+	}
+	list := make([]tuple.Value, len(n.List))
+	for i, it := range n.List {
+		if list[i], ok = constant(it); !ok {
+			return nil
+		}
 	}
 	switch {
 	case numericKind(c.kind):
-		set := make(map[float64]struct{}, len(n.List))
-		for _, it := range n.List {
-			if f, ok := it.(Lit).V.Numeric(); ok && !math.IsNaN(f) {
+		set := make(map[float64]struct{}, len(list))
+		for _, v := range list {
+			if f, ok := v.Numeric(); ok && !math.IsNaN(f) {
 				set[f] = struct{}{}
 			}
 		}
 		return &numInNode{c: c, set: set}
 	case c.kind == tuple.KindString:
-		set := make(map[string]struct{}, len(n.List))
-		lits := make([]string, 0, len(n.List))
-		for _, it := range n.List {
-			if v := it.(Lit).V; v.Kind() == tuple.KindString {
+		set := make(map[string]struct{}, len(list))
+		lits := make([]string, 0, len(list))
+		for _, v := range list {
+			if v.Kind() == tuple.KindString {
 				set[v.AsString()] = struct{}{}
 				lits = append(lits, v.AsString())
 			}

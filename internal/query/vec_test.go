@@ -194,7 +194,7 @@ func vecBatch() (*tuple.Batch, []tuple.Tuple) {
 func batchRows(b *tuple.Batch) []tuple.Tuple {
 	rows := make([]tuple.Tuple, b.N)
 	for j := range rows {
-		rows[j] = b.Row(j)
+		b.ReadRow(j, &rows[j])
 	}
 	return rows
 }
@@ -545,7 +545,7 @@ func checkAnalytic(t *testing.T, batches []*tuple.Batch, decoded [][]tuple.Tuple
 		})
 	}
 	for _, plan := range analyticPlans {
-		want, wantErr := plan.Finish(selected, nil)
+		want, wantErr := plan.reference(selected, nil)
 		var got *Grid
 		var gotErr error
 		if plan.Aggregated() {
@@ -614,6 +614,10 @@ func FuzzBatchProgram(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add("SELECT k FROM t WHERE k >= ? AND name = ? OR v < ?")
+	// Constant operands that fold to literals at compile time.
+	f.Add("k > -3")
+	f.Add("-3.5 <= v")
+	f.Add("k > 0 - 3")
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)
 		if err != nil {
@@ -632,6 +636,45 @@ func FuzzBatchProgram(f *testing.F) {
 		}
 		checkBatchProgram(t, e)
 	})
+}
+
+// TestConstantOperandsLowerToKernels: an operand that reads no column
+// and no placeholder folds to a literal at compile time, so these
+// comparisons run as kernels; one whose evaluation errors stays an
+// interpreted leaf and errors per row, as the interpreter does.
+func TestConstantOperandsLowerToKernels(t *testing.T) {
+	var interpreted func(nd vecNode) bool
+	interpreted = func(nd vecNode) bool {
+		switch n := nd.(type) {
+		case *interpNode:
+			return true
+		case *andNode:
+			return interpreted(n.l) || interpreted(n.r)
+		case *orNode:
+			return interpreted(n.l) || interpreted(n.r)
+		case *notNode:
+			return interpreted(n.x)
+		}
+		return false
+	}
+	for _, c := range []struct {
+		src    string
+		interp bool
+	}{
+		{"k > -3", false},
+		{"-3.5 <= v", false},
+		{"k > 0 - 3", false},
+		{"k IN (-1, 2)", false},
+		{"NOT (v < -(1.5 * 2)) AND k IN (0 - 1, 2 + 0, -7)", false},
+		{"k > 1 / 0", true},
+		{"k IN (1, 1 / 0)", true},
+	} {
+		e := MustParse(c.src)
+		if got := interpreted(compileVecMatch(e, matchSchema).root); got != c.interp {
+			t.Errorf("%s: interpreted leaf %v, want %v", c.src, got, c.interp)
+		}
+		checkBatchProgram(t, e)
+	}
 }
 
 func TestBatchProgramUnknownColumn(t *testing.T) {
@@ -717,7 +760,7 @@ func TestGroupIdentity(t *testing.T) {
 		}
 		return sb.String()
 	}
-	if got := render(plan.Finish(rows, nil)); got != want {
+	if got := render(plan.reference(rows, nil)); got != want {
 		t.Errorf("row fold:   %s\nwant:       %s", got, want)
 	}
 	all := []uint64{1<<uint(len(rows)) - 1}

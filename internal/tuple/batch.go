@@ -152,13 +152,6 @@ var segTags atomic.Uint64
 // when the dictionary can have changed.
 func NewSegTag() uint64 { return segTags.Add(1) }
 
-// Row materialises row j as a freshly allocated tuple.
-func (b *Batch) Row(j int) Tuple {
-	var tp Tuple
-	b.ReadRow(j, &tp)
-	return tp
-}
-
 // PopCount returns the number of set bits across words.
 func PopCount(words []uint64) int {
 	n := 0

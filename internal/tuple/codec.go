@@ -68,10 +68,11 @@ func AppendEncode(dst []byte, tp Tuple) []byte {
 }
 
 // AppendEncodeRow appends the encoding of row j of b: the bytes
-// AppendEncode writes for b.Row(j), read off the column slices without
-// materialising the tuple. It spells the layout out again instead of
-// sharing a per-attribute helper with AppendEncode: that call made
-// AppendEncode, the WAL's per-row encoder, over twice as slow.
+// AppendEncode writes for the tuple ReadRow decodes, read off the
+// column slices without materialising the tuple. It spells the layout
+// out again instead of sharing a per-attribute helper with
+// AppendEncode: that call made AppendEncode, the WAL's per-row
+// encoder, over twice as slow.
 func AppendEncodeRow(dst []byte, b *Batch, j int) []byte {
 	var scratch [8]byte
 	binary.LittleEndian.PutUint64(scratch[:], uint64(b.IDs[j]))
