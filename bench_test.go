@@ -267,16 +267,19 @@ func BenchmarkShardedTick(b *testing.B) {
 }
 
 // BenchmarkShardedGroupBy measures the distributed aggregate path over
-// the 100k-row, 32-device extent: each shard buckets its matches by
-// dictionary code and folds them off the column slices into a partial
-// aggregator, merged in shard order, so grouped analytics never
-// materialise a matching tuple. where=all groups every row; where=half
-// puts a WHERE in front, NOT (seq < x): the segment verdicts skip the
-// segments below x and run no kernel in those above it, so it times
-// the verdict path, not a kernel. by=seq+device is the
-// worst case for the group index: a unique INT column ahead of the
-// STRING one, so every row is a bucket of its own and nothing per
-// (bucket, dictionary entry) may be kept.
+// the 100k-row, 32-device extent: each shard maps its matches to dense
+// group ordinals through one open-addressed table over the key's words
+// (a STRING's word is its aggregator-local code, learned once per shard
+// code) and folds them off the column slices into per-group columns,
+// merged in shard order, so grouped analytics never materialise a
+// matching tuple. where=all groups every row; where=half puts a WHERE in
+// front, NOT (seq < x): the segment verdicts skip the segments below x
+// and run no kernel in those above it, so it times the verdict path, not
+// a kernel. where=temp, temp < 50, mixes in every segment (temp = seq %
+// 100), so verdicts decide nothing and it times the kernel and the
+// grouped fold over the whole table. by=seq+device is the worst case for
+// the group table: a unique INT column ahead of the STRING one, so every
+// row is a group of its own.
 func BenchmarkShardedGroupBy(b *testing.B) {
 	const n = 100_000
 	for _, shards := range []int{1, 4} {
@@ -287,6 +290,7 @@ func BenchmarkShardedGroupBy(b *testing.B) {
 		}{
 			{"where=all", "device", "", 32},
 			{"where=half", "device", fmt.Sprintf(" WHERE NOT (seq < %d)", n/2), 32},
+			{"where=temp", "device", " WHERE temp < 50", 32},
 			{"by=seq+device", "seq, device", "", n},
 		} {
 			pq, err := tbl.Prepare("SELECT " + tc.keys + ", COUNT(*) AS n, AVG(temp) AS avg FROM p" + tc.where + " GROUP BY " + tc.keys)

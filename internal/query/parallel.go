@@ -25,82 +25,84 @@ import (
 // group "first seen" order and floating-point addition order depend
 // only on the data placement, never on goroutine scheduling.
 
-// aggGroup is one GROUP BY bucket; its aggregate cells live inline.
-type aggGroup struct {
-	key  []tuple.Value
-	aggs []aggState
-}
-
 // Aggregator accumulates the aggregate/GROUP BY stage of one SELECT
 // over a stream of tuples. It is not safe for concurrent use; shard
 // scans feed one Aggregator each and merge afterwards.
+//
+// Groups are numbered 0, 1, 2, … in first-seen order, and every
+// per-group state is a column indexed by that ordinal. A group's key is
+// one uint64 word per GROUP BY column: an INT, _t or _id value's bits; a
+// FLOAT's bits, every NaN made one NaN and -0 kept apart from 0 (values
+// are one group exactly when they render the same); a BOOL's 0 or 1; a
+// STRING's local code, the order in which the aggregator first met it.
+// One open-addressed table maps a key's words to its group; FeedBatch,
+// Feed and Merge all go through it, so group identity has one
+// definition.
 type Aggregator struct {
 	stmt    *SelectStmt
 	targets []SelectTarget
 	schema  *tuple.Schema
-	order   []*aggGroup   // first-seen group order
 	params  []tuple.Value // bound `?` placeholders, nil when the statement has none
 
 	// The statement lowered for FeedBatch: the GROUP BY columns
 	// resolved to accessors, one cell per target.
 	keys  []colAcc
 	cells []aggCell
-	// The typed index over the buckets (see keyNode), and FeedBatch's
-	// scratch: under GROUP BY the batch's selected rows with the index
-	// node and then the bucket of each; the computed-argument row.
-	nodes []keyNode
-	edges map[keyEdge]int32
-	rows  []int
-	at    []int32
-	grps  []*aggGroup
-	env   *TupleEnv
+
+	// The group table; a statement without GROUP BY has the one group
+	// 0, of no words. slots is a power of two at most half full, probed
+	// linearly from the top bits of the key's Fibonacci hash (keys one
+	// apart, like local string codes, land far apart); shift is 64 minus
+	// the bits.
+	groups int
+	slots  []slot
+	shift  uint8
+	words  []uint64      // len(keys) per group
+	vals   []tuple.Value // len(keys) per group: the key as output
+
+	// strs numbers the distinct strings. byShard maps each STRING key
+	// column's shard codes (tuple.ColView.Shard) to local code + 1, 0
+	// where not yet met. An aggregator folds one shard for one query
+	// under the shard's lock, so the codes hold still for its life; a
+	// fold that released the lock and resumed would have to clear it.
+	strs    map[string]uint32
+	byShard [][]uint32
+
+	// FeedBatch's scratch: the selected rows, the group and key words of
+	// each (a column's words together), one row's words, the dictionary
+	// translation of a batch without shard codes, and the
+	// computed-argument row.
+	rows []int
+	ords []int32
+	kw   []uint64
+	key  []uint64
+	loc  []uint32
+	env  *TupleEnv
 }
 
-// aggCell is one target lowered for batch folding: a bare-column
-// argument folds off the column slices (col), any other is evaluated
-// per row (expr), COUNT(*) has neither. Group-key targets (AggNone)
-// fold nothing.
+// aggCell is one target lowered for batch folding, with its state
+// columns. A bare-column argument folds off the column slices (col), any
+// other is evaluated per row (expr), COUNT(*) has neither; group-key
+// targets (AggNone) fold nothing. COUNT and AVG count in n, SUM and AVG
+// add in sum, MIN and MAX keep the extreme in ext (invalid until met).
 type aggCell struct {
 	agg  AggKind
 	col  colAcc
 	expr Expr
-}
-
-// keyNode is one node of the typed group index: the first d GROUP BY
-// values of a row lead from the root (node 0) to one node, the next
-// column's value along a keyEdge to the next, the whole key to the node
-// that holds the bucket. Nodes and edges are flat (a slice, one map): a
-// high-cardinality key makes many of them.
-type keyNode struct {
-	grp *aggGroup
-	// byCode caches the edges by shard code (tuple.ColView.Shard) when
-	// the next column is a STRING, so a node with the table hashes a
-	// string once per distinct value it meets in the shard, not once per
-	// row or per segment. An aggregator folds one shard for one query,
-	// under the shard's lock, so the codes hold still for its whole
-	// life. The root keeps a table from its first row. Any deeper node
-	// earns one only once it has hashed (seen) twice as many rows as the
-	// table would have entries: under a high-cardinality prefix most
-	// nodes meet one row, and a table each would outweigh the extent
-	// many times.
-	seen   int
-	byCode []int32
-}
-
-type keyEdge struct {
-	from int32
-	v    tuple.Value
+	n    []uint64
+	sum  []float64
+	ext  []tuple.Value
 }
 
 // newAggregator returns an empty accumulator for a statement whose
 // targets and grouping have been validated against schema.
 func newAggregator(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schema, params []tuple.Value) *Aggregator {
-	a := &Aggregator{stmt: stmt, targets: targets, schema: schema, params: params,
-		nodes: make([]keyNode, 1), edges: map[keyEdge]int32{}}
+	a := &Aggregator{stmt: stmt, targets: targets, schema: schema, params: params, slots: make([]slot, 8), shift: 64 - 3}
 	a.keys = make([]colAcc, len(stmt.GroupBy))
 	for i, name := range stmt.GroupBy {
 		a.keys[i], _ = resolveCol(name, schema)
 	}
+	a.byShard = make([][]uint32, len(a.keys))
 	a.cells = make([]aggCell, len(targets))
 	for i, t := range targets {
 		c := aggCell{agg: t.Agg, expr: t.Expr}
@@ -110,6 +112,9 @@ func newAggregator(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schem
 			}
 		}
 		a.cells[i] = c
+	}
+	if len(a.keys) == 0 {
+		a.group(nil)
 	}
 	return a
 }
@@ -141,124 +146,337 @@ func checkGrouping(stmt *SelectStmt, targets []SelectTarget, schema *tuple.Schem
 // order, so a cell sees its values in Feed's order (float sums match bit
 // for bit) and the error is that of the first failing (row, target) pair
 // in Feed's row-major order. Only a computed argument decodes rows.
-// Under GROUP BY, rows first find their bucket through the typed group
-// index; without it every row folds straight into the one bucket, off
-// the selection bitmap.
+// Under GROUP BY, rows first find their group (groupRows); without it
+// every row folds into group 0, off the selection bitmap.
 func (a *Aggregator) FeedBatch(b *tuple.Batch, sel []uint64) error {
-	var grps []*aggGroup
-	if len(a.keys) == 0 {
-		if a.nodes[0].grp == nil {
-			a.bucket(0, nil)
+	var ords []int32
+	if len(a.keys) > 0 {
+		if ords = a.groupRows(b, sel); len(ords) == 0 {
+			return nil
 		}
-	} else if grps = a.bucketRows(b, sel); len(grps) == 0 {
-		return nil
 	}
 	errRow, err := b.N, error(nil)
 	for ti := range a.cells {
-		if at, e := a.foldCell(ti, b, sel, grps); e != nil && at < errRow {
+		if at, e := a.foldCell(ti, b, sel, ords); e != nil && at < errRow {
 			errRow, err = at, e
 		}
 	}
 	return err
 }
 
-// bucketRows lists the selected rows in a.rows and returns the bucket of
-// each, opening the buckets of keys not seen before. It walks the key a
-// column at a time, a.at holding each row's node so far.
-func (a *Aggregator) bucketRows(b *tuple.Batch, sel []uint64) []*aggGroup {
+// groupRows lists the selected rows in a.rows and returns the group of
+// each, adding new keys. It runs loops over the rows whose loads do not
+// wait on one another: a key column at a time, every row's word; then
+// every row's hash and first slot (probe). Only a row whose first slot
+// is empty or holds another key probes on.
+func (a *Aggregator) groupRows(b *tuple.Batch, sel []uint64) []int32 {
 	if a.rows == nil {
 		a.rows = make([]int, 0, tuple.BatchRows)
-		a.at = make([]int32, tuple.BatchRows)
-		a.grps = make([]*aggGroup, tuple.BatchRows)
 	}
 	a.rows = tuple.AppendSet(a.rows[:0], sel)
-	rows, at := a.rows, a.at[:len(a.rows)]
-	clear(at)
-	for _, c := range a.keys {
-		if c.sys == 0 && c.kind == tuple.KindString && b.Cols[c.idx].Shard != nil {
-			a.childCodes(at, rows, &b.Cols[c.idx])
+	rows, n, nk := a.rows, len(a.rows), len(a.keys)
+	if n == 0 {
+		return nil
+	}
+	if cap(a.ords) < n {
+		a.ords = make([]int32, max(n, tuple.BatchRows))
+	}
+	if cap(a.kw) < n*nk {
+		a.kw = make([]uint64, max(n, tuple.BatchRows)*nk)
+	}
+	ords, kw := a.ords[:n], a.kw[:n*nk]
+	for c := range a.keys {
+		a.keyWords(kw[c*n:c*n+n], b, c, rows)
+	}
+	if !probe(ords, kw, a.slots, a.shift, a.words) {
+		a.fit()
+		return ords
+	}
+	for i, g := range ords {
+		if g >= 0 {
 			continue
 		}
+		w := a.key[:0]
+		for c := range a.keys {
+			w = append(w, kw[c*n+i])
+		}
+		a.key = w
+		h := hashWords(w)
+		if g = a.find(h, w); g < 0 {
+			g = a.add(h, w)
+			a.vals = grown(a.vals, nk)
+			for _, c := range a.keys {
+				a.vals = append(a.vals, batchValue(c, b, rows[i]))
+			}
+		}
+		ords[i] = g
+	}
+	a.fit()
+	return ords
+}
+
+// probe sets each row's group from its first slot when the group there
+// has the row's key (kw holds column c's words at c*n), else -1, and
+// reports whether any row missed. The hash (hashWords) decides a
+// one-word key by itself: hashing one word is a bijection.
+func probe(ords []int32, kw []uint64, slots []slot, shift uint8, words []uint64) (miss bool) {
+	n := len(ords)
+	nk, shift := len(kw)/n, shift&63
+	for i := range ords {
+		h := kw[i] * hashMul
+		for c := i + n; c < len(kw); c += n {
+			h = (h ^ kw[c]) * hashMul
+		}
+		s := slots[h>>shift]
+		g := s.ord - 1
+		if g < 0 || s.h != h {
+			g, miss = -1, true
+		}
+		ords[i] = g
+	}
+	for c := 0; nk > 1 && c < nk; c++ {
+		col := kw[c*n : c*n+n]
+		for i, g := range ords {
+			if g >= 0 && words[int(g)*nk+c] != col[i] {
+				ords[i], miss = -1, true
+			}
+		}
+	}
+	return miss
+}
+
+// keyWords writes key column c's word of each listed row to dst.
+func (a *Aggregator) keyWords(dst []uint64, b *tuple.Batch, c int, rows []int) {
+	switch acc := a.keys[c]; {
+	case acc.sys == 1:
+		intWords(dst, rows, b.Ts)
+	case acc.sys == 2:
+		floatWords(dst, rows, b.Fs)
+	case acc.sys == 3:
+		intWords(dst, rows, b.IDs)
+	case acc.kind == tuple.KindInt:
+		intWords(dst, rows, b.Cols[acc.idx].Ints)
+	case acc.kind == tuple.KindFloat:
+		floatWords(dst, rows, b.Cols[acc.idx].Floats)
+	case acc.kind == tuple.KindBool:
+		bs := b.Cols[acc.idx].Bools
 		for i, j := range rows {
-			at[i] = a.kid(at[i], batchValue(c, b, j))
+			dst[i] = b2u(bs[j])
 		}
+	default:
+		a.stringWords(dst, c, &b.Cols[acc.idx], rows)
 	}
-	grps := a.grps[:len(rows)]
+}
+
+func intWords[T int64 | tuple.ID](dst []uint64, rows []int, xs []T) {
 	for i, j := range rows {
-		if grps[i] = a.nodes[at[i]].grp; grps[i] == nil {
-			key := make([]tuple.Value, len(a.keys))
-			for k, c := range a.keys {
-				key[k] = batchValue(c, b, j)
-			}
-			grps[i] = a.bucket(at[i], key)
-		}
+		dst[i] = uint64(xs[j])
 	}
-	return grps
 }
 
-// childCodes moves each listed row's node one STRING column further,
-// through the nodes' shard-code tables where they have them.
-func (a *Aggregator) childCodes(at []int32, rows []int, cv *tuple.ColView) {
-	codes, shard := cv.Codes, cv.Shard
+func floatWords(dst []uint64, rows []int, xs []float64) {
 	for i, j := range rows {
-		sc := shard[codes[j]]
-		if t := a.nodes[at[i]].byCode; int(sc) < len(t) && t[sc] != 0 {
-			at[i] = t[sc]
-			continue
-		}
-		at[i] = a.learn(at[i], int(sc), cv.Dict[codes[j]], len(cv.Dict))
+		dst[i] = floatWord(xs[j])
 	}
 }
 
-// learn follows (creating if needed) the edge from node at by the
-// string s, of shard code sc, and enters it in the node's table when
-// the node has earned one (see keyNode). dict is the size of the
-// segment's dictionary, the table's first size.
-func (a *Aggregator) learn(at int32, sc int, s string, dict int) int32 {
-	k := a.kid(at, tuple.String_(s))
-	n := &a.nodes[at]
-	n.seen++
-	if want := sc + 1; at == 0 || 2*want <= n.seen {
-		if want > len(n.byCode) {
-			size := max(want, 2*len(n.byCode), dict)
-			if at != 0 {
-				size = min(size, n.seen/2)
-			}
-			n.byCode = append(n.byCode, make([]int32, size-len(n.byCode))...)
-		}
-		n.byCode[sc] = k
+// floatWord is a FLOAT key's word: its bits, with every NaN made the
+// same NaN.
+func floatWord(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
 	}
-	return k
+	return math.Float64bits(f)
 }
 
-// kid follows (creating if needed) the edge from node at by value v.
-// Two values are one bucket exactly when they render the same: floats
-// key by their bits (-0 is not 0), every NaN by the same ones.
-func (a *Aggregator) kid(at int32, v tuple.Value) int32 {
-	if v.Kind() == tuple.KindFloat {
-		f := v.AsFloat()
-		if f != f {
-			f = math.NaN()
-		}
-		v = tuple.Int(int64(math.Float64bits(f)))
+// stringWords is keyWords for a STRING column: the local code. A batch
+// with shard codes translates through column c's byShard, so a string
+// is hashed once per shard per query; a batch without translates its
+// own dictionary afresh.
+func (a *Aggregator) stringWords(dst []uint64, c int, cv *tuple.ColView, rows []int) {
+	tr, shard := a.byShard[c], cv.Shard
+	if shard == nil {
+		tr = extend(a.loc[:0], len(cv.Dict))
 	}
-	k, ok := a.edges[keyEdge{at, v}]
+	for i := translate(dst, rows, cv.Codes, shard, tr); i < len(rows); i += translate(dst[i:], rows[i:], cv.Codes, shard, tr) {
+		// Row i's string is new to the table: learn it.
+		d := cv.Codes[rows[i]]
+		x := d
+		if shard != nil {
+			x = shard[d]
+		}
+		tr = extend(tr, int(x)+1)
+		tr[x] = a.intern(cv.Dict[d], len(cv.Dict)) + 1
+	}
+	if shard == nil {
+		a.loc = tr
+	} else {
+		a.byShard[c] = tr
+	}
+}
+
+// translate is stringWords' loop, with no call in it: it stops at the
+// first row whose string tr lacks and returns how many rows it did.
+func translate(dst []uint64, rows []int, codes, shard, tr []uint32) int {
+	for i, j := range rows {
+		x := codes[j]
+		if shard != nil {
+			x = shard[x]
+		}
+		if int(x) >= len(tr) || tr[x] == 0 {
+			return i
+		}
+		dst[i] = uint64(tr[x] - 1)
+	}
+	return len(rows)
+}
+
+// intern returns the local code of s, numbering it when new. hint sizes
+// the table when it is made.
+func (a *Aggregator) intern(s string, hint int) uint32 {
+	code, ok := a.strs[s]
 	if !ok {
-		k = int32(len(a.nodes))
-		if k == int32(cap(a.nodes)) {
-			a.nodes = slices.Grow(a.nodes, len(a.nodes)) // double: append's 1.25x copies a big index five times over
+		if a.strs == nil {
+			a.strs = make(map[string]uint32, hint)
 		}
-		a.nodes = append(a.nodes, keyNode{})
-		a.edges[keyEdge{at, v}] = k
+		code = uint32(len(a.strs))
+		a.strs[s] = code
 	}
-	return k
+	return code
 }
 
-// foldCell folds target ti over the batch's selected rows: into the
-// bucket of each (grps, listed in a.rows) or, with grps nil, into the one
-// bucket. It returns the first row the fold fails on and that row's
-// error, or b.N and nil.
-func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, grps []*aggGroup) (int, error) {
+// valueWord is a key value's word (see Aggregator), for Feed and Merge.
+func (a *Aggregator) valueWord(v tuple.Value) uint64 {
+	switch v.Kind() {
+	case tuple.KindInt:
+		return uint64(v.AsInt())
+	case tuple.KindFloat:
+		return floatWord(v.AsFloat())
+	case tuple.KindString:
+		return uint64(a.intern(v.AsString(), 0))
+	case tuple.KindBool:
+		return b2u(v.AsBool())
+	}
+	return 0
+}
+
+// hashWords hashes a key's words; the table reads the top bits.
+func hashWords(kw []uint64) uint64 {
+	h := uint64(0)
+	for _, w := range kw {
+		h = (h ^ w) * hashMul
+	}
+	return h
+}
+
+// hashMul is 2^64 divided by the golden ratio, the Fibonacci hash's
+// multiplier.
+const hashMul = 0x9e3779b97f4a7c15
+
+// find returns the group whose key words are kw, of hash h, or -1.
+func (a *Aggregator) find(h uint64, kw []uint64) int32 {
+	slots, nk, mask := a.slots, len(kw), uint64(len(a.slots)-1)
+	for s := h >> a.shift; slots[s].ord != 0; s = (s + 1) & mask {
+		if g := int(slots[s].ord - 1); slots[s].h == h && slices.Equal(a.words[g*nk:g*nk+nk], kw) {
+			return int32(g)
+		}
+	}
+	return -1
+}
+
+// add gives the key of words kw and hash h the next ordinal, doubling a
+// table more than half full; the caller appends the key's values.
+func (a *Aggregator) add(h uint64, kw []uint64) int32 {
+	g := int32(a.groups)
+	a.groups++
+	a.words = append(grown(a.words, len(kw)), kw...)
+	if 2*a.groups <= len(a.slots) {
+		a.place(h, g)
+		return g
+	}
+	a.slots, a.shift = make([]slot, 2*len(a.slots)), a.shift-1
+	for o, nk := 0, len(kw); o < a.groups; o++ {
+		a.place(hashWords(a.words[o*nk:o*nk+nk]), int32(o))
+	}
+	return g
+}
+
+// place enters group g, of hash h, in the first free slot from h's.
+func (a *Aggregator) place(h uint64, g int32) {
+	mask := uint64(len(a.slots) - 1)
+	s := h >> a.shift
+	for a.slots[s].ord != 0 {
+		s = (s + 1) & mask
+	}
+	a.slots[s] = slot{h: h, ord: g + 1}
+}
+
+// slot is one entry of the group table: a group's ordinal + 1 (0 when
+// empty) beside its key's hash, which a probe reads without leaving the
+// slot.
+type slot struct {
+	h   uint64
+	ord int32
+}
+
+// group returns the group of the key with the given values, adding it
+// when new: the lookup of Feed and Merge.
+func (a *Aggregator) group(vals []tuple.Value) int32 {
+	kw := a.kw[:0]
+	for _, v := range vals {
+		kw = append(kw, a.valueWord(v))
+	}
+	a.kw = kw
+	h := hashWords(kw)
+	g := a.find(h, kw)
+	if g < 0 {
+		g = a.add(h, kw)
+		a.vals = append(grown(a.vals, len(vals)), vals...)
+		a.fit()
+	}
+	return g
+}
+
+// fit extends every cell's state columns, zeroed, to the group count.
+func (a *Aggregator) fit() {
+	for i := range a.cells {
+		c := &a.cells[i]
+		switch c.agg {
+		case AggCount:
+			c.n = extend(c.n, a.groups)
+		case AggSum:
+			c.sum = extend(c.sum, a.groups)
+		case AggAvg:
+			c.n, c.sum = extend(c.n, a.groups), extend(c.sum, a.groups)
+		case AggMin, AggMax:
+			c.ext = extend(c.ext, a.groups)
+		}
+	}
+}
+
+// grown returns s with room for n more elements, at least doubling it
+// when it moves: append's 1.25x would copy a large table many times.
+func grown[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(n, len(s), 8))
+	}
+	return s
+}
+
+// extend returns s lengthened to n, the new elements zero.
+func extend[T any](s []T, n int) []T {
+	if m := len(s); n > m {
+		s = grown(s, n-m)[:n]
+		clear(s[m:])
+	}
+	return s
+}
+
+// foldCell folds target ti over the batch's selected rows, into the
+// group of each (ords, of the rows in a.rows) or, with ords nil, group
+// 0. It returns the first row the fold fails on and its error, or b.N
+// and nil.
+func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, ords []int32) (int, error) {
 	c := &a.cells[ti]
 	at := -1
 	switch {
@@ -268,38 +486,39 @@ func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, grps []*aggG
 		if a.env == nil {
 			a.env = &TupleEnv{Schema: a.schema, Tuple: new(tuple.Tuple), Params: a.params}
 		}
-		if at, err := a.eachRow(ti, sel, grps, func(st *aggState, j int) error {
+		if at, err := a.eachRow(sel, ords, func(g int32, j int) error {
 			b.ReadRow(j, a.env.Tuple)
 			v, err := c.expr.Eval(a.env)
 			if err == nil {
-				err = st.observe(c.agg, v)
+				err = c.observe(g, v)
 			}
 			return err
 		}); err != nil {
 			return at, err
 		}
 	case c.col.kind == tuple.KindInvalid || c.agg == AggCount:
-		if grps == nil {
-			a.order[0].aggs[ti].n += uint64(tuple.PopCount(sel))
+		n := c.n // a local: stores through c.n would reload it per row
+		if ords == nil {
+			n[0] += uint64(tuple.PopCount(sel))
 		}
-		for _, g := range grps {
-			g.aggs[ti].n++
+		for _, g := range ords {
+			n[g]++
 		}
 	case c.col.sys == 1:
-		at = foldNum(a, ti, sel, grps, b.Ts, c.agg, tuple.Int)
+		at = foldNum(c, sel, ords, a.rows, b.Ts, tuple.Int)
 	case c.col.sys == 2:
-		at = foldNum(a, ti, sel, grps, b.Fs, c.agg, tuple.Float)
+		at = foldNum(c, sel, ords, a.rows, b.Fs, tuple.Float)
 	case c.col.sys == 3:
-		at = foldNum(a, ti, sel, grps, b.IDs, c.agg, func(id tuple.ID) tuple.Value { return tuple.Int(int64(id)) })
+		at = foldNum(c, sel, ords, a.rows, b.IDs, func(id tuple.ID) tuple.Value { return tuple.Int(int64(id)) })
 	case c.col.kind == tuple.KindInt:
-		at = foldNum(a, ti, sel, grps, b.Cols[c.col.idx].Ints, c.agg, tuple.Int)
+		at = foldNum(c, sel, ords, a.rows, b.Cols[c.col.idx].Ints, tuple.Int)
 	case c.col.kind == tuple.KindFloat:
-		at = foldNum(a, ti, sel, grps, b.Cols[c.col.idx].Floats, c.agg, tuple.Float)
+		at = foldNum(c, sel, ords, a.rows, b.Cols[c.col.idx].Floats, tuple.Float)
 	default:
 		// STRING and BOOL: no sum, and an extreme is boxed either way.
 		cv := &b.Cols[c.col.idx]
-		if at, err := a.eachRow(ti, sel, grps, func(st *aggState, j int) error {
-			return st.observe(c.agg, cv.Value(j))
+		if at, err := a.eachRow(sel, ords, func(g int32, j int) error {
+			return c.observe(g, cv.Value(j))
 		}); err != nil {
 			return at, err
 		}
@@ -311,15 +530,14 @@ func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, grps []*aggG
 }
 
 // eachRow calls f on every selected row, in ascending row order, with
-// cell ti of the row's bucket (see foldCell). It returns the first row f
-// fails on and f's error, or -1 and nil.
-func (a *Aggregator) eachRow(ti int, sel []uint64, grps []*aggGroup, f func(st *aggState, j int) error) (int, error) {
-	if grps == nil {
-		st := &a.order[0].aggs[ti]
+// the row's group (see foldCell). It returns the first row f fails on
+// and f's error, or -1 and nil.
+func (a *Aggregator) eachRow(sel []uint64, ords []int32, f func(g int32, j int) error) (int, error) {
+	if ords == nil {
 		for w, m := range sel {
 			for ; m != 0; m &= m - 1 {
 				j := w<<6 + bits.TrailingZeros64(m)
-				if err := f(st, j); err != nil {
+				if err := f(0, j); err != nil {
 					return j, err
 				}
 			}
@@ -327,41 +545,85 @@ func (a *Aggregator) eachRow(ti int, sel []uint64, grps []*aggGroup, f func(st *
 		return -1, nil
 	}
 	for i, j := range a.rows {
-		if err := f(&grps[i].aggs[ti], j); err != nil {
+		if err := f(ords[i], j); err != nil {
 			return j, err
 		}
 	}
 	return -1, nil
 }
 
-// foldNum folds a numeric column slice into cell ti with
-// aggState.observe's semantics: SUM/AVG add the float64 image; MIN/MAX
-// compare by it (improves) and box only when the extreme moves. It
-// returns the first row that meets a NaN (incomparable), or -1. Under
-// GROUP BY it walks each selected row's bucket; without, the one cell's
-// sum and extreme stay in registers for the batch (foldFlat).
-func foldNum[T numCol](a *Aggregator, ti int, sel []uint64, grps []*aggGroup, xs []T, agg AggKind, box func(T) tuple.Value) int {
-	if grps == nil {
-		return foldFlat(&a.order[0].aggs[ti], sel, xs, agg, box)
+// observe folds v into group g: the row-at-a-time step of computed
+// arguments, STRING and BOOL columns and Feed.
+func (c *aggCell) observe(g int32, v tuple.Value) error {
+	switch c.agg {
+	case AggCount:
+		c.n[g]++
+	case AggSum, AggAvg:
+		f, ok := v.Numeric()
+		if !ok {
+			return fmt.Errorf("query: %s over non-numeric %s", c.agg, v.Kind())
+		}
+		if c.agg == AggAvg {
+			c.n[g]++
+		}
+		c.sum[g] += f
+	case AggMin, AggMax:
+		if !c.keep(g, v) {
+			return fmt.Errorf("query: %s over incomparable kinds", c.agg)
+		}
+	default:
+		return fmt.Errorf("query: bad aggregate")
 	}
-	if agg == AggSum || agg == AggAvg {
-		for i, j := range a.rows {
-			st := &grps[i].aggs[ti]
-			st.n++
-			st.sum += float64(xs[j])
+	return nil
+}
+
+// keep folds v into group g's extreme, which a value replaces only
+// when strictly better; it reports false when the two are incomparable.
+func (c *aggCell) keep(g int32, v tuple.Value) bool {
+	cur := &c.ext[g]
+	if !cur.IsValid() {
+		*cur = v
+		return true
+	}
+	cmp, ok := v.Compare(*cur)
+	if ok && (c.agg == AggMin && cmp < 0 || c.agg == AggMax && cmp > 0) {
+		*cur = v
+	}
+	return ok
+}
+
+// foldNum folds a numeric column slice into cell c with observe's
+// semantics: SUM/AVG add the float64 image; MIN/MAX compare by it
+// (improves) and box only when the extreme moves. It returns the first
+// row that meets a NaN (incomparable), or -1. Under GROUP BY it walks
+// the listed rows and their groups; without, group 0's sum and extreme
+// stay in registers for the batch (foldFlat).
+func foldNum[T numCol](c *aggCell, sel []uint64, ords []int32, rows []int, xs []T, box func(T) tuple.Value) int {
+	if ords == nil {
+		return foldFlat(c, sel, xs, box)
+	}
+	switch c.agg {
+	case AggSum:
+		sum := c.sum
+		for i, j := range rows {
+			sum[ords[i]] += float64(xs[j])
+		}
+		return -1
+	case AggAvg:
+		n, sum := c.n, c.sum
+		for i, j := range rows {
+			g := ords[i]
+			n[g]++
+			sum[g] += float64(xs[j])
 		}
 		return -1
 	}
-	for i, j := range a.rows {
-		st := &grps[i].aggs[ti]
-		st.n++
-		cur := &st.min
-		if agg == AggMax {
-			cur = &st.max
-		}
+	ext, isMax := c.ext, c.agg == AggMax
+	for i, j := range rows {
+		cur := &ext[ords[i]]
 		if cur.IsValid() {
 			y, _ := cur.Numeric()
-			if better, ok := improves(agg == AggMax, float64(xs[j]), y); !ok {
+			if better, ok := improves(isMax, float64(xs[j]), y); !ok {
 				return j
 			} else if !better {
 				continue
@@ -372,27 +634,26 @@ func foldNum[T numCol](a *Aggregator, ti int, sel []uint64, grps []*aggGroup, xs
 	return -1
 }
 
-// foldFlat is foldNum into one cell. The sum adds in a register in
+// foldFlat is foldNum into group 0. The sum adds in a register in
 // ascending row order; the extreme is kept as T beside its float image
 // and boxed once, at the end of the batch, so of two values with one
 // image (INT 2^53 and 2^53+1) the first seen stays.
-func foldFlat[T numCol](st *aggState, sel []uint64, xs []T, agg AggKind, box func(T) tuple.Value) int {
-	st.n += uint64(tuple.PopCount(sel))
-	if agg == AggSum || agg == AggAvg {
-		sum := st.sum
+func foldFlat[T numCol](c *aggCell, sel []uint64, xs []T, box func(T) tuple.Value) int {
+	if c.agg == AggSum || c.agg == AggAvg {
+		if c.agg == AggAvg {
+			c.n[0] += uint64(tuple.PopCount(sel))
+		}
+		sum := c.sum[0]
 		for w, m := range sel {
 			for ; m != 0; m &= m - 1 {
 				sum += float64(xs[w<<6+bits.TrailingZeros64(m)])
 			}
 		}
-		st.sum = sum
+		c.sum[0] = sum
 		return -1
 	}
-	cur := &st.min
-	if agg == AggMax {
-		cur = &st.max
-	}
-	have, moved, at, isMax := cur.IsValid(), false, -1, agg == AggMax
+	cur := &c.ext[0]
+	have, moved, at, isMax := cur.IsValid(), false, -1, c.agg == AggMax
 	y, _ := cur.Numeric()
 	var ext T
 scan:
@@ -429,37 +690,16 @@ func improves(isMax bool, x, y float64) (better, ok bool) {
 	return ok, ok
 }
 
-// group returns (creating if needed) the bucket of the given key values.
-func (a *Aggregator) group(keyVals []tuple.Value) *aggGroup {
-	at := int32(0)
-	for _, v := range keyVals {
-		at = a.kid(at, v)
-	}
-	if grp := a.nodes[at].grp; grp != nil {
-		return grp
-	}
-	return a.bucket(at, keyVals)
-}
-
-// bucket opens the bucket of the key that leads to node at.
-func (a *Aggregator) bucket(at int32, keyVals []tuple.Value) *aggGroup {
-	grp := &aggGroup{key: keyVals, aggs: make([]aggState, len(a.targets))}
-	a.nodes[at].grp = grp
-	a.order = append(a.order, grp)
-	return grp
-}
-
 // Merge folds another partial accumulator (built over a disjoint tuple
 // set, e.g. another shard) into a. b must come from the same statement;
-// it must not be used afterwards.
+// it must not be used afterwards. b's groups are looked up in a's table
+// once each, in b's first-seen order.
 func (a *Aggregator) Merge(b *Aggregator) error {
-	for _, src := range b.order {
-		grp := a.group(src.key)
-		for j, t := range a.targets {
-			if t.Agg == AggNone {
-				continue
-			}
-			if err := grp.aggs[j].merge(&src.aggs[j]); err != nil {
+	nk := len(a.keys)
+	for g := range int32(b.groups) {
+		o := a.group(b.vals[int(g)*nk : int(g+1)*nk])
+		for ti := range a.cells {
+			if err := a.cells[ti].merge(o, &b.cells[ti], g); err != nil {
 				return err
 			}
 		}
@@ -467,77 +707,68 @@ func (a *Aggregator) Merge(b *Aggregator) error {
 	return nil
 }
 
-// merge folds the partial cell b into a. COUNT/SUM/AVG add their (n,
-// sum) carriers; MIN/MAX compare — every aggregate merges losslessly.
-func (a *aggState) merge(b *aggState) error {
-	a.n += b.n
-	a.sum += b.sum
-	if b.min.IsValid() {
-		if !a.min.IsValid() {
-			a.min = b.min
-		} else if cmp, ok := b.min.Compare(a.min); !ok {
-			return fmt.Errorf("query: MIN merge over incomparable kinds")
-		} else if cmp < 0 {
-			a.min = b.min
-		}
+// merge folds group g of b into group o of c: counts and sums add,
+// extremes compare.
+func (c *aggCell) merge(o int32, b *aggCell, g int32) error {
+	switch c.agg {
+	case AggCount, AggAvg:
+		c.n[o] += b.n[g]
 	}
-	if b.max.IsValid() {
-		if !a.max.IsValid() {
-			a.max = b.max
-		} else if cmp, ok := b.max.Compare(a.max); !ok {
-			return fmt.Errorf("query: MAX merge over incomparable kinds")
-		} else if cmp > 0 {
-			a.max = b.max
+	switch c.agg {
+	case AggSum, AggAvg:
+		c.sum[o] += b.sum[g]
+	case AggMin, AggMax:
+		if v := b.ext[g]; v.IsValid() && !c.keep(o, v) {
+			return fmt.Errorf("query: %s merge over incomparable kinds", c.agg)
 		}
 	}
 	return nil
 }
 
-// Grid finalises the accumulated groups into the statement's output
-// grid, applying ORDER BY and LIMIT.
-func (a *Aggregator) Grid() (*Grid, error) {
-	g := &Grid{}
-	for _, t := range a.targets {
-		g.Cols = append(g.Cols, t.Alias)
+// result is group g's value of the cell's aggregate.
+func (c *aggCell) result(g int) tuple.Value {
+	switch c.agg {
+	case AggCount:
+		return tuple.Int(int64(c.n[g]))
+	case AggSum:
+		return tuple.Float(c.sum[g])
+	case AggAvg:
+		if c.n[g] == 0 {
+			return tuple.Float(0)
+		}
+		return tuple.Float(c.sum[g] / float64(c.n[g]))
 	}
-	if len(a.stmt.GroupBy) == 0 {
-		// Whole-extent aggregate: exactly one row, even over zero tuples.
-		grp := &aggGroup{aggs: make([]aggState, len(a.targets))}
-		if len(a.order) == 1 {
-			grp = a.order[0]
-		}
-		row := make([]tuple.Value, len(a.targets))
-		for j, t := range a.targets {
-			row[j] = grp.aggs[j].result(t.Agg)
-		}
-		g.Rows = append(g.Rows, row)
-	} else {
-		for _, grp := range a.order {
-			row := make([]tuple.Value, len(a.targets))
-			for j, t := range a.targets {
-				if t.Agg == AggNone {
-					c := t.Expr.(Col)
-					for gi, gc := range a.stmt.GroupBy {
-						if gc == c.Name {
-							row[j] = grp.key[gi]
-						}
-					}
-					continue
-				}
-				row[j] = grp.aggs[j].result(t.Agg)
+	return c.ext[g]
+}
+
+// Grid finalises the groups into the statement's output grid, every row
+// cut from one slab, and applies ORDER BY and LIMIT. A statement
+// without GROUP BY has exactly one row, even over zero tuples.
+func (a *Aggregator) Grid() (*Grid, error) {
+	w, nk := len(a.targets), len(a.keys)
+	g := &Grid{Cols: make([]string, w), Rows: make([][]tuple.Value, a.groups)}
+	slab := make([]tuple.Value, a.groups*w)
+	var keyIdx []int
+	for j, t := range a.targets {
+		g.Cols[j] = t.Alias
+		if t.Agg != AggNone {
+			for r := range a.groups {
+				slab[r*w+j] = a.cells[j].result(r)
 			}
-			g.Rows = append(g.Rows, row)
+			continue
 		}
-		// Deterministic default order: by group key.
-		if len(a.stmt.OrderBy) == 0 {
-			keyIdx := []int{}
-			for j, t := range a.targets {
-				if t.Agg == AggNone {
-					keyIdx = append(keyIdx, j)
-				}
-			}
-			sortGridByKeys(g, keyIdx)
+		keyIdx = append(keyIdx, j)
+		k := slices.Index(a.stmt.GroupBy, t.Expr.(Col).Name)
+		for r := range a.groups {
+			slab[r*w+j] = a.vals[r*nk+k]
 		}
+	}
+	for r := range g.Rows {
+		g.Rows[r] = slab[r*w : r*w+w : r*w+w]
+	}
+	// Deterministic default order: by group key.
+	if nk > 0 && len(a.stmt.OrderBy) == 0 {
+		sortGridByKeys(g, keyIdx)
 	}
 	if err := orderAndLimit(g, a.stmt); err != nil {
 		return nil, err

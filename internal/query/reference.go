@@ -64,7 +64,7 @@ func (a *Aggregator) Feed(tp *tuple.Tuple) error {
 		}
 		keyVals[j] = v
 	}
-	grp := a.group(keyVals)
+	g := a.group(keyVals)
 	for j, t := range a.targets {
 		if t.Agg == AggNone {
 			continue
@@ -76,7 +76,7 @@ func (a *Aggregator) Feed(tp *tuple.Tuple) error {
 				return err
 			}
 		}
-		if err := grp.aggs[j].observe(t.Agg, v); err != nil {
+		if err := a.cells[j].observe(g, v); err != nil {
 			return err
 		}
 	}

@@ -69,8 +69,9 @@ func (r *Rows) Values() []tuple.Value { return r.vals }
 // Collect drains the remaining rows into rows the caller owns, closes r
 // and returns Err. A memory-backed answer's rows are handed over as they
 // are. A stream's values are copied into one flat slab, at least doubled
-// whenever it fills, that is cut into rows once the drain ends, so
-// collecting costs no allocation per row.
+// whenever it fills; every row has the plan's width, so once the drain
+// ends the row index is made once and cut from the slab, and collecting
+// costs no allocation per row.
 func (r *Rows) Collect() ([][]tuple.Value, error) {
 	if vs, ok := r.src.(*valueSource); ok && !r.closed {
 		rows := vs.rows[vs.i:]
@@ -78,23 +79,20 @@ func (r *Rows) Collect() ([][]tuple.Value, error) {
 		return rows, r.Close()
 	}
 	var slab []tuple.Value
-	var out [][]tuple.Value
-	for r.Next() {
+	n, width := 0, 0
+	for ; r.Next(); n++ {
 		v := r.Values()
 		if len(slab)+len(v) > cap(slab) {
 			slab = slices.Grow(slab, max(len(slab), len(v)))
 		}
-		slab = append(slab, v...)
-		// A placeholder that only lends its length to the cut below:
-		// the row it aliases may be recycled by the next Next.
-		out = append(out, v)
+		slab, width = append(slab, v...), len(v)
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	for i, row := range out {
-		n := len(row)
-		out[i], slab = slab[:n:n], slab[n:]
+	out := make([][]tuple.Value, n)
+	for i := range out {
+		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -307,84 +308,15 @@ func projectRow(targets []SelectTarget, env Env, row []tuple.Value) error {
 	return nil
 }
 
-// aggState accumulates one aggregate cell.
-type aggState struct {
-	n   uint64
-	sum float64
-	min tuple.Value
-	max tuple.Value
-}
-
-func (a *aggState) observe(kind AggKind, v tuple.Value) error {
-	a.n++
-	switch kind {
-	case AggCount:
-		return nil
-	case AggSum, AggAvg:
-		f, ok := v.Numeric()
-		if !ok {
-			return fmt.Errorf("query: %s over non-numeric %s", kind, v.Kind())
-		}
-		a.sum += f
-		return nil
-	case AggMin:
-		if !a.min.IsValid() {
-			a.min = v
-			return nil
-		}
-		cmp, ok := v.Compare(a.min)
-		if !ok {
-			return fmt.Errorf("query: MIN over incomparable kinds")
-		}
-		if cmp < 0 {
-			a.min = v
-		}
-		return nil
-	case AggMax:
-		if !a.max.IsValid() {
-			a.max = v
-			return nil
-		}
-		cmp, ok := v.Compare(a.max)
-		if !ok {
-			return fmt.Errorf("query: MAX over incomparable kinds")
-		}
-		if cmp > 0 {
-			a.max = v
-		}
-		return nil
-	}
-	return fmt.Errorf("query: bad aggregate")
-}
-
-func (a *aggState) result(kind AggKind) tuple.Value {
-	switch kind {
-	case AggCount:
-		return tuple.Int(int64(a.n))
-	case AggSum:
-		return tuple.Float(a.sum)
-	case AggAvg:
-		if a.n == 0 {
-			return tuple.Float(0)
-		}
-		return tuple.Float(a.sum / float64(a.n))
-	case AggMin:
-		return a.min
-	case AggMax:
-		return a.max
-	}
-	return tuple.Value{}
-}
-
 // sortGridByKeys stably sorts rows by the given column indices.
 func sortGridByKeys(g *Grid, keyIdx []int) {
-	sort.SliceStable(g.Rows, func(a, b int) bool {
+	slices.SortStableFunc(g.Rows, func(a, b []tuple.Value) int {
 		for _, j := range keyIdx {
-			if cmp, ok := g.Rows[a][j].Compare(g.Rows[b][j]); ok && cmp != 0 {
-				return cmp < 0
+			if cmp, ok := a[j].Compare(b[j]); ok && cmp != 0 {
+				return cmp
 			}
 		}
-		return false
+		return 0
 	})
 }
 

@@ -179,7 +179,7 @@ func (p *Plan) NewTopK() *TopK {
 }
 
 // AddBatch offers every selected row of a column batch, in ascending
-// row order. Once the heap is full a losing row costs one typed
+// row order (addNum: in the first key's direction). Once the heap is full a losing row costs one typed
 // comparison; a winner copies its output columns over the row it
 // evicts, so the collector allocates per retained row, never per match,
 // and keeps nothing that aliases batch memory (dictionary strings
@@ -231,12 +231,25 @@ func (t *TopK) AddBatch(b *tuple.Batch, sel []uint64) error {
 // the numeric column xs. Once the heap is full, a row whose key image is
 // strictly worse than the worst survivor's is dropped and a strictly
 // better one admitted on that one comparison; a tie or a NaN on either
-// side goes to beats, which breaks the tie or records the error.
+// side goes to beats, which breaks the tie or records the error. Under
+// DESC it offers the rows top down, as a ranked walk takes the batches
+// (see Ranked), so a key that rises with the row fills the heap with the
+// winners first. The heap orders totally, so the survivors and the error
+// do not depend on the order rows are offered in.
 func addNum[T numCol](t *TopK, b *tuple.Batch, sel []uint64, xs []T) {
 	desc := t.order.desc
-	for w, m := range sel {
+	for i := range sel {
+		w, m := i, sel[i]
+		if desc {
+			w = len(sel) - 1 - i
+			m = bits.Reverse64(sel[w]) // bit k is row 63-k: the lowest set bit is the highest row
+		}
 		for ; m != 0; m &= m - 1 {
-			j := w<<6 + bits.TrailingZeros64(m)
+			k := bits.TrailingZeros64(m)
+			if desc {
+				k = 63 - k
+			}
+			j := w<<6 + k
 			full := len(t.heap) == t.k
 			if full {
 				x, y := float64(xs[j]), t.heap[0].key

@@ -586,20 +586,38 @@ func cmpLitWords[T numCol](vals []T, op BinOp, lit float64, check bool, sel, out
 }
 
 // litWord compares up to 64 values against lit under ==, < or >,
-// setting bit k for word[k] without a branch.
+// setting bit k for word[k] without a branch. It builds eight bits at a
+// time with constant shifts and moves the byte into place; a tail
+// shorter than eight goes a bit at a time.
 func litWord[T numCol](word []T, op BinOp, lit float64) (r uint64) {
+	k := 0
 	switch op {
 	case OpEq:
-		for k, v := range word {
-			r |= b2u(float64(v) == lit) << (k & 63)
+		for ; k+8 <= len(word); k += 8 {
+			w := word[k : k+8 : k+8]
+			r |= (b2u(float64(w[0]) == lit) | b2u(float64(w[1]) == lit)<<1 | b2u(float64(w[2]) == lit)<<2 | b2u(float64(w[3]) == lit)<<3 |
+				b2u(float64(w[4]) == lit)<<4 | b2u(float64(w[5]) == lit)<<5 | b2u(float64(w[6]) == lit)<<6 | b2u(float64(w[7]) == lit)<<7) << (k & 63)
+		}
+		for ; k < len(word); k++ {
+			r |= b2u(float64(word[k]) == lit) << (k & 63)
 		}
 	case OpLt:
-		for k, v := range word {
-			r |= b2u(float64(v) < lit) << (k & 63)
+		for ; k+8 <= len(word); k += 8 {
+			w := word[k : k+8 : k+8]
+			r |= (b2u(float64(w[0]) < lit) | b2u(float64(w[1]) < lit)<<1 | b2u(float64(w[2]) < lit)<<2 | b2u(float64(w[3]) < lit)<<3 |
+				b2u(float64(w[4]) < lit)<<4 | b2u(float64(w[5]) < lit)<<5 | b2u(float64(w[6]) < lit)<<6 | b2u(float64(w[7]) < lit)<<7) << (k & 63)
+		}
+		for ; k < len(word); k++ {
+			r |= b2u(float64(word[k]) < lit) << (k & 63)
 		}
 	default: // OpGt
-		for k, v := range word {
-			r |= b2u(float64(v) > lit) << (k & 63)
+		for ; k+8 <= len(word); k += 8 {
+			w := word[k : k+8 : k+8]
+			r |= (b2u(float64(w[0]) > lit) | b2u(float64(w[1]) > lit)<<1 | b2u(float64(w[2]) > lit)<<2 | b2u(float64(w[3]) > lit)<<3 |
+				b2u(float64(w[4]) > lit)<<4 | b2u(float64(w[5]) > lit)<<5 | b2u(float64(w[6]) > lit)<<6 | b2u(float64(w[7]) > lit)<<7) << (k & 63)
+		}
+		for ; k < len(word); k++ {
+			r |= b2u(float64(word[k]) > lit) << (k & 63)
 		}
 	}
 	return r
