@@ -263,8 +263,10 @@ func TestStreamBlockRecycling(t *testing.T) {
 func TestStreamAllocsPerBlock(t *testing.T) {
 	const n, small, shards = 20_000, 2_000, 4
 	tbl, tblSmall := blockTable(t, shards, n), blockTable(t, shards, small)
-	// Three allocations per block (the block, its IDs, its values); a
-	// partial last block per shard; the rest (channels, goroutines,
+	// A fresh block is one allocation plus one slab per column kind,
+	// and the producers take back the blocks the merge releases while
+	// the drain runs, so three allocations per block bound a cold drain;
+	// a partial last block per shard; the rest (channels, goroutines,
 	// matchers, the Rows) does not depend on the row count.
 	const perBlock, fixed = 3, 150
 	blocks := (n+query.BlockRows-1)/query.BlockRows + shards

@@ -21,14 +21,42 @@ import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 
+// plainOut marks the bytes AppendString copies as they are: printable
+// ASCII other than `"`, `\`, '<', '>' and '&'. plainIn marks the bytes
+// StringEnd passes over without a second look: ASCII other than `"`,
+// `\` and control bytes.
+var plainOut, plainIn = func() (out, in [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		out[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+		in[b] = b != '"' && b != '\\'
+	}
+	return out, in
+}()
+
 // AppendString quotes s as encoding/json does with HTML escaping on:
 // `"` and `\` backslashed; \b \f \n \r \t by their short forms; other
 // control bytes, '<', '>' and '&' as \u00XX; U+2028 and U+2029 escaped
-// as \u2028 and \u2029; each byte of invalid UTF-8 as \ufffd.
+// as \u2028 and \u2029; each byte of invalid UTF-8 as \ufffd. A run of
+// plain bytes is skipped by table, four at a time; the first byte that
+// needs escaping or UTF-8 decoding hands the rest to the byte-by-byte
+// loop.
 func AppendString(buf []byte, s string) []byte {
 	buf = append(buf, '"')
+	i := 0
+	for ; i+4 <= len(s); i += 4 {
+		if !plainOut[s[i]] || !plainOut[s[i+1]] || !plainOut[s[i+2]] || !plainOut[s[i+3]] {
+			break
+		}
+	}
+	for i < len(s) && plainOut[s[i]] {
+		i++
+	}
+	if i == len(s) {
+		buf = append(buf, s...)
+		return append(buf, '"')
+	}
 	start := 0
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		b := s[i]
 		if b < utf8.RuneSelf {
 			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
@@ -76,13 +104,24 @@ func AppendString(buf []byte, s string) []byte {
 // StringEnd returns the end of the JSON string starting at b[i], one
 // past its closing quote, when its bytes between the quotes are its
 // value: no backslash escape, no control byte, valid UTF-8. Otherwise,
-// or when b[i] does not open a string, it returns -1.
+// or when b[i] does not open a string, it returns -1. A run of plain
+// ASCII is skipped by table, four bytes at a time; the loop after it
+// checks each byte.
 func StringEnd(b []byte, i int) int {
 	if i >= len(b) || b[i] != '"' {
 		return -1
 	}
+	j := i + 1
+	for ; j+4 <= len(b); j += 4 {
+		if !plainIn[b[j]] || !plainIn[b[j+1]] || !plainIn[b[j+2]] || !plainIn[b[j+3]] {
+			break
+		}
+	}
+	for j < len(b) && plainIn[b[j]] {
+		j++
+	}
 	ascii := true
-	for j := i + 1; j < len(b); j++ {
+	for ; j < len(b); j++ {
 		switch c := b[j]; {
 		case c == '"':
 			if !ascii && !utf8.Valid(b[i+1:j]) {

@@ -11,60 +11,161 @@ import (
 // in-flight memory at roughly 2*shards*BlockRows rows.
 const BlockRows = 256
 
+// BlockCol is one output column of a Block, in the tuple.ColView shapes
+// with STRING values as string headers: Kind names the one payload
+// slice in use, whose first len(Block.IDs) entries are the block's
+// rows. A column of KindInvalid is boxed: Vals holds its values, each
+// of its own kind, as a computed target's may change from row to row.
+// A STRING header points into a segment dictionary, never at a shard
+// code, so a block stays readable after its shard's lock is released.
+type BlockCol struct {
+	Kind   tuple.Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Bools  []bool
+	Vals   []tuple.Value
+}
+
+// Value boxes row k of the column.
+func (c *BlockCol) Value(k int) tuple.Value {
+	switch c.Kind {
+	case tuple.KindInt:
+		return tuple.Int(c.Ints[k])
+	case tuple.KindFloat:
+		return tuple.Float(c.Floats[k])
+	case tuple.KindString:
+		return tuple.String_(c.Strs[k])
+	case tuple.KindBool:
+		return tuple.Bool(c.Bools[k])
+	}
+	return c.Vals[k]
+}
+
 // Block is one hand-off from a shard producer to the streaming merge:
 // the plan's output columns of up to BlockRows matching rows, copied
-// out of the extent into one flat row-major slice.
+// out of the extent one typed column per target.
 //
 // Blocks are recycled through one process-wide pool. The merge releases
 // a block once no row of it can still be referenced: after the caller
-// has moved past its last row, since Rows.Values is valid only until
-// the next Next. A producer's BlockWriter takes a pooled block before
-// it allocates one. A caller that keeps a row beyond the next Next must
-// copy it.
+// has moved past its last row, since Rows.Values and Rows.Cursor are
+// valid only until the next Next. A producer's BlockWriter takes a
+// pooled block before it allocates one. A caller that keeps a row
+// beyond the next Next must copy it.
 type Block struct {
 	// IDs are the rows' tuple IDs, ascending.
 	IDs []tuple.ID
-	// Vals holds the rows' output values: row k is
-	// Vals[k*Width:(k+1)*Width].
-	Vals  []tuple.Value
-	Width int
+	// Cols holds one column per output target.
+	Cols []BlockCol
 	// Err, when set, poisons the block's last row: its ID is present
 	// but projecting it failed, so it has no values. The merge reports
 	// Err when (and only if) it reaches that row — exactly where a
 	// consumer-side projection would have failed.
 	Err error
+
+	// The payload slabs, one per kind; each column is carved out of
+	// the slab of its kind and keeps its slab's memory when the block
+	// is pooled and carved again for another plan.
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	vals   []tuple.Value
+}
+
+// blockMem is a pooled block with the arrays its IDs and, for up to
+// eight targets, its columns live in, so a fresh block costs one
+// allocation plus one per column kind. The IDs come last: they hold no
+// pointers, so the collector's scan of a block ends before them.
+type blockMem struct {
+	Block
+	cols [8]BlockCol
+	ids  [BlockRows]tuple.ID
+}
+
+// AppendRow appends row k's values, boxed, to dst.
+func (b *Block) AppendRow(dst []tuple.Value, k int) []tuple.Value {
+	for c := range b.Cols {
+		dst = append(dst, b.Cols[c].Value(k))
+	}
+	return dst
 }
 
 // blockPool holds released hand-off blocks, each with its own capacity.
 var blockPool sync.Pool
 
-// newBlock returns an empty block with room for rows rows of the given
-// width: a pooled one when it is big enough, else a fresh one. A pooled
-// block that is too small is dropped.
-func newBlock(rows, width int) *Block {
-	if b, _ := blockPool.Get().(*Block); b != nil && cap(b.IDs) >= rows && cap(b.Vals) >= rows*width {
-		b.Width = width
-		return b
+// newBlock returns an empty block with room for rows rows of columns of
+// the given kinds (KindInvalid: boxed): a pooled one when there is one,
+// its slabs reused where they are big enough, else a fresh one.
+func newBlock(rows int, kinds []tuple.Kind) *Block {
+	b, _ := blockPool.Get().(*Block)
+	if b == nil {
+		m := new(blockMem)
+		b = &m.Block
+		b.IDs, b.Cols = m.ids[:0], m.cols[:0]
 	}
-	return &Block{
-		IDs:   make([]tuple.ID, 0, rows),
-		Vals:  make([]tuple.Value, 0, rows*width),
-		Width: width,
+	if cap(b.IDs) < rows {
+		b.IDs = make([]tuple.ID, 0, rows)
 	}
+	if cap(b.Cols) < len(kinds) {
+		b.Cols = make([]BlockCol, len(kinds))
+	}
+	b.Cols = b.Cols[:len(kinds)]
+	var n [tuple.KindBool + 1]int
+	for _, k := range kinds {
+		n[k] += rows
+	}
+	b.ints = carve(b.ints, n[tuple.KindInt])
+	b.floats = carve(b.floats, n[tuple.KindFloat])
+	b.strs = carve(b.strs, n[tuple.KindString])
+	b.bools = carve(b.bools, n[tuple.KindBool])
+	b.vals = carve(b.vals, n[tuple.KindInvalid])
+	clear(n[:])
+	for c, k := range kinds {
+		at := n[k]
+		n[k] += rows
+		col := BlockCol{Kind: k}
+		switch k {
+		case tuple.KindInt:
+			col.Ints = b.ints[at:n[k]:n[k]]
+		case tuple.KindFloat:
+			col.Floats = b.floats[at:n[k]:n[k]]
+		case tuple.KindString:
+			col.Strs = b.strs[at:n[k]:n[k]]
+		case tuple.KindBool:
+			col.Bools = b.bools[at:n[k]:n[k]]
+		default:
+			col.Vals = b.vals[at:n[k]:n[k]]
+		}
+		b.Cols[c] = col
+	}
+	return b
+}
+
+// carve returns s resliced to n entries, or a fresh slice when s is too
+// small. A reused numeric slab may still hold an earlier block's values:
+// every row is written before it is read. The string and value slabs
+// come back empty, as Release clears them.
+func carve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Release returns b to the pool. Call it only once nothing will read b
 // again: neither its holder nor a caller that was handed one of its
-// rows. The value slots its rows used are cleared first, so a pooled
+// rows. The string and value slabs are cleared first, so a pooled
 // block pins no strings of evicted segments. Release of nil does
 // nothing.
 func (b *Block) Release() {
 	if b == nil {
 		return
 	}
-	// A poisoned last row may have filled some slots past len(Vals).
-	clear(b.Vals[:len(b.IDs)*b.Width])
-	b.IDs, b.Vals, b.Err = b.IDs[:0], b.Vals[:0], nil
+	// A poisoned block may hold values past its last row.
+	clear(b.strs)
+	clear(b.vals)
+	b.IDs, b.Err = b.IDs[:0], nil
 	blockPool.Put(b)
 }
 
@@ -78,29 +179,32 @@ const (
 
 // lowerTargets resolves bare-column and system-column targets to
 // column slots at plan time, so the streaming producers copy values
-// straight out of column views. computed reports whether any target
-// still needs its expression evaluated per row.
-func lowerTargets(targets []SelectTarget, schema *tuple.Schema) (proj []int, computed bool) {
+// straight out of column views, and gives each target's output kind
+// (KindInvalid for a computed one, which is boxed). computed reports
+// whether any target still needs its expression evaluated per row.
+func lowerTargets(targets []SelectTarget, schema *tuple.Schema) (proj []int, kinds []tuple.Kind, computed bool) {
 	proj = make([]int, len(targets))
+	kinds = make([]tuple.Kind, len(targets))
 	for i, t := range targets {
 		proj[i] = projExpr
 		if c, ok := t.Expr.(Col); ok && t.Agg == AggNone {
-			switch c.Name {
-			case tuple.SysTick:
-				proj[i] = projTick
-			case tuple.SysFresh:
-				proj[i] = projFresh
-			case tuple.SysID:
-				proj[i] = projID
-			default:
-				proj[i] = schema.Index(c.Name)
+			if acc, ok := resolveCol(c.Name, schema); ok {
+				proj[i], kinds[i] = acc.idx, acc.kind
+				switch acc.sys {
+				case 1:
+					proj[i] = projTick
+				case 2:
+					proj[i] = projFresh
+				case 3:
+					proj[i] = projID
+				}
 			}
 		}
 		if proj[i] == projExpr {
 			computed = true
 		}
 	}
-	return proj, computed
+	return proj, kinds, computed
 }
 
 // BlockWriter fills hand-off blocks for one shard producer of a
@@ -124,7 +228,7 @@ func (p *Plan) NewBlockWriter(params []tuple.Value, limit int) *BlockWriter {
 		w.cap = limit
 	}
 	if p.computed {
-		w.env = &TupleEnv{Schema: p.schema, Params: params}
+		w.env = &TupleEnv{Schema: p.schema, Params: params, Tuple: &w.scratch}
 	}
 	return w
 }
@@ -153,118 +257,102 @@ func (w *BlockWriter) Take() *Block {
 	return b
 }
 
-// grow makes room for n more rows and returns the block plus the index
-// of the first new row. The value slots are zeroed, not yet filled.
-func (w *BlockWriter) grow(n int) (*Block, int) {
-	b := w.blk
-	if b == nil {
-		b = newBlock(w.cap, len(w.plan.proj))
-		w.blk = b
-	}
-	at := len(b.IDs)
-	b.IDs = b.IDs[:at+n]
-	b.Vals = b.Vals[:(at+n)*b.Width]
-	return b, at
-}
-
 // AddBatch appends rows (ascending row indexes into the column batch)
-// until the block is full, and returns how many it took. Column-only
-// plans copy column by column, one kind switch per column; plans with
-// computed targets decode each row into a scratch tuple and evaluate.
+// until the block is full, and returns how many it took. Bare-column
+// targets are copied column by column, typed, one kind switch per
+// column; computed targets decode each row into a scratch tuple and
+// evaluate. A row whose evaluation fails is the last one taken: it
+// poisons the block (see Block.Err).
 func (w *BlockWriter) AddBatch(src *tuple.Batch, rows []int) int {
 	if room := w.cap - w.Len(); len(rows) > room {
 		rows = rows[:room]
 	}
-	if w.plan.computed {
-		for n, j := range rows {
-			src.ReadRow(j, &w.scratch)
-			if !w.addTuple(&w.scratch) {
-				return n + 1
-			}
-		}
-		return len(rows)
+	b := w.blk
+	if b == nil {
+		b = newBlock(w.cap, w.plan.kinds)
+		w.blk = b
 	}
-	b, at := w.grow(len(rows))
+	at := len(b.IDs)
+	b.IDs = b.IDs[:at+len(rows)]
 	for k, j := range rows {
 		b.IDs[at+k] = src.IDs[j]
 	}
 	for c, slot := range w.plan.proj {
-		gatherCol(b.Vals[at*b.Width+c:], b.Width, src, slot, rows)
+		if slot != projExpr {
+			gatherCol(&b.Cols[c], at, src, slot, rows)
+		}
+	}
+	if w.env == nil {
+		return len(rows)
+	}
+	for n, j := range rows {
+		src.ReadRow(j, &w.scratch)
+		for c, slot := range w.plan.proj {
+			if slot != projExpr {
+				continue
+			}
+			v, err := w.plan.targets[c].Expr.Eval(w.env)
+			if err != nil {
+				b.IDs = b.IDs[:at+n+1]
+				b.Err = err
+				return n + 1
+			}
+			b.Cols[c].Vals[at+n] = v
+		}
 	}
 	return len(rows)
 }
 
-// gatherCol boxes the given rows of one lowered column slot (a user
-// attribute or a system column) into every stride-th slot of dst.
-func gatherCol(dst []tuple.Value, stride int, src *tuple.Batch, slot int, rows []int) {
+// gatherCol copies the given rows of one lowered column slot (a user
+// attribute or a system column) into dst from row at on.
+func gatherCol(dst *BlockCol, at int, src *tuple.Batch, slot int, rows []int) {
 	switch slot {
 	case projTick:
-		for k, j := range rows {
-			dst[k*stride] = tuple.Int(src.Ts[j])
-		}
+		gather(dst.Ints[at:], src.Ts, rows)
 		return
 	case projFresh:
-		for k, j := range rows {
-			dst[k*stride] = tuple.Float(src.Fs[j])
-		}
+		gather(dst.Floats[at:], src.Fs, rows)
 		return
 	case projID:
+		ints := dst.Ints[at:]
 		for k, j := range rows {
-			dst[k*stride] = tuple.Int(int64(src.IDs[j]))
+			ints[k] = int64(src.IDs[j])
 		}
 		return
 	}
 	col := &src.Cols[slot]
 	switch col.Kind {
 	case tuple.KindInt:
-		for k, j := range rows {
-			dst[k*stride] = tuple.Int(col.Ints[j])
-		}
+		gather(dst.Ints[at:], col.Ints, rows)
 	case tuple.KindFloat:
-		for k, j := range rows {
-			dst[k*stride] = tuple.Float(col.Floats[j])
-		}
+		gather(dst.Floats[at:], col.Floats, rows)
 	case tuple.KindString:
+		strs, codes := dst.Strs[at:], col.Codes
 		for k, j := range rows {
-			dst[k*stride] = tuple.String_(col.Dict[col.Codes[j]])
+			strs[k] = col.Dict[codes[j]]
 		}
 	case tuple.KindBool:
-		for k, j := range rows {
-			dst[k*stride] = tuple.Bool(col.Bools[j])
-		}
+		gather(dst.Bools[at:], col.Bools, rows)
 	}
 }
 
-// addTuple appends one decoded row, AddBatch's route for computed
-// targets. The block must not be full. It reports false when
-// projecting the tuple failed: the block is now poisoned (see
-// Block.Err) and takes no more rows.
-func (w *BlockWriter) addTuple(tp *tuple.Tuple) bool {
-	b, at := w.grow(1)
-	b.IDs[at] = tp.ID
-	row := b.Vals[at*b.Width : (at+1)*b.Width]
-	if w.env != nil {
-		w.env.Tuple = tp
+// gather copies src[rows[k]] to dst[k].
+func gather[T any](dst, src []T, rows []int) {
+	dst = dst[:len(rows)]
+	for k, j := range rows {
+		dst[k] = src[j]
 	}
-	for c, slot := range w.plan.proj {
-		switch slot {
-		case projTick:
-			row[c] = tuple.Int(int64(tp.T))
-		case projFresh:
-			row[c] = tuple.Float(float64(tp.F))
-		case projID:
-			row[c] = tuple.Int(int64(tp.ID))
-		case projExpr:
-			v, err := w.plan.targets[c].Expr.Eval(w.env)
-			if err != nil {
-				b.Vals = b.Vals[:at*b.Width]
-				b.Err = err
-				return false
-			}
-			row[c] = v
-		default:
-			row[c] = tp.Attrs[slot]
-		}
+}
+
+// slotValue boxes row j of one lowered column slot.
+func slotValue(src *tuple.Batch, slot, j int) tuple.Value {
+	switch slot {
+	case projTick:
+		return tuple.Int(src.Ts[j])
+	case projFresh:
+		return tuple.Float(src.Fs[j])
+	case projID:
+		return tuple.Int(int64(src.IDs[j]))
 	}
-	return true
+	return src.Cols[slot].Value(j)
 }

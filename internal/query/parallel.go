@@ -524,7 +524,7 @@ func (a *Aggregator) foldCell(ti int, b *tuple.Batch, sel []uint64, ords []int32
 		}
 	}
 	if at >= 0 {
-		return at, fmt.Errorf("query: %s over incomparable kinds", c.agg)
+		return at, incomparableErr(c.agg)
 	}
 	return b.N, nil
 }
@@ -569,7 +569,7 @@ func (c *aggCell) observe(g int32, v tuple.Value) error {
 		c.sum[g] += f
 	case AggMin, AggMax:
 		if !c.keep(g, v) {
-			return fmt.Errorf("query: %s over incomparable kinds", c.agg)
+			return incomparableErr(c.agg)
 		}
 	default:
 		return fmt.Errorf("query: bad aggregate")
@@ -719,10 +719,17 @@ func (c *aggCell) merge(o int32, b *aggCell, g int32) error {
 		c.sum[o] += b.sum[g]
 	case AggMin, AggMax:
 		if v := b.ext[g]; v.IsValid() && !c.keep(o, v) {
-			return fmt.Errorf("query: %s merge over incomparable kinds", c.agg)
+			return incomparableErr(c.agg)
 		}
 	}
 	return nil
+}
+
+// incomparableErr is the error of a MIN or MAX that meets two values it
+// cannot order. The row fold, the batch fold and Merge word it alike, so
+// an answer's error does not depend on how its rows fell across shards.
+func incomparableErr(agg AggKind) error {
+	return fmt.Errorf("query: %s over incomparable kinds", agg)
 }
 
 // result is group g's value of the cell's aggregate.

@@ -32,9 +32,11 @@ type Plan struct {
 	agg     bool
 
 	// proj lowers each output column of a streaming plan to a column
-	// slot (see lowerTargets); computed marks plans with at least one
-	// target that still evaluates an expression per row.
+	// slot and kinds gives its hand-off column's kind (see
+	// lowerTargets); computed marks plans with at least one target that
+	// still evaluates an expression per row.
 	proj     []int
+	kinds    []tuple.Kind
 	computed bool
 
 	// Compiled execution state. vec is the WHERE clause lowered to the
@@ -98,7 +100,7 @@ func (s *Statement) Plan(schema *tuple.Schema) (*Plan, error) {
 		limitParam: stmt.LimitParam,
 	}
 	if !agg {
-		p.proj, p.computed = lowerTargets(targets, schema)
+		p.proj, p.kinds, p.computed = lowerTargets(targets, schema)
 	}
 	// Resolve ORDER BY keys against the output columns once, here —
 	// a misspelt sort column is a compile error, not a per-execute

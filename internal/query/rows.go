@@ -1,7 +1,7 @@
 package query
 
 import (
-	"slices"
+	"math/bits"
 
 	"fungusdb/internal/tuple"
 )
@@ -23,17 +23,25 @@ import (
 // barrier (ORDER BY, aggregation, consume, ask) are memory-backed and
 // Close is a no-op. A Rows is not safe for concurrent use.
 type Rows struct {
-	cols   []string
-	mode   Mode
-	src    rowSource
+	cols []string
+	mode Mode
+	src  rowSource
+	// A stream's current row is row k of blk; a memory-backed answer's
+	// is vals, and blk is nil. Values boxes a stream's row into row, and
+	// points vals at it, only when asked.
+	blk    *Block
+	k      int
 	vals   []tuple.Value
+	row    []tuple.Value
+	one    Block // Cursor's view of a memory-backed row
 	err    error
 	done   bool
 	closed bool
 }
 
-// rowSource feeds a Rows. next sets r.vals and returns true, or
-// returns false at end of stream (setting r.err on failure).
+// rowSource feeds a Rows. next sets the current row (r.blk and r.k, or
+// r.vals) and returns true, or returns false at end of stream (setting
+// r.err on failure).
 type rowSource interface {
 	next(r *Rows) bool
 	close() error
@@ -52,47 +60,84 @@ func (r *Rows) Next() bool {
 	if r.done || r.closed {
 		return false
 	}
+	r.blk, r.vals = nil, nil
 	if !r.src.next(r) {
 		r.done = true
-		r.vals = nil
 		return false
 	}
 	return true
 }
 
 // Values returns the current row. It is valid until the next Next
-// call: a streaming plan recycles the memory behind it, so a caller that
-// keeps a row must copy it (see Collect). Close does not end it: after
-// Close, Values returns the row the last Next produced, unchanged.
-func (r *Rows) Values() []tuple.Value { return r.vals }
+// call: a stream boxes every row into one reused slice, so a caller
+// that keeps a row must copy it (see Collect). Close does not end it:
+// after Close, Values returns the row the last Next produced, unchanged.
+func (r *Rows) Values() []tuple.Value {
+	if r.vals == nil && r.blk != nil {
+		r.row = r.blk.AppendRow(r.row[:0], r.k)
+		r.vals = r.row[:len(r.row):len(r.row)]
+	}
+	return r.vals
+}
+
+// Cursor returns the current row as row k of a block, for a reader
+// that takes each column's values typed, without boxing them (the
+// server's row encoder). A memory-backed answer's row comes as a
+// one-row block of boxed columns. Both are valid until the next Next;
+// the block must not be modified or released. Cursor returns nil when
+// there is no current row.
+func (r *Rows) Cursor() (b *Block, k int) {
+	if r.blk != nil || r.vals == nil {
+		return r.blk, r.k
+	}
+	o := &r.one
+	if cap(o.Cols) < len(r.vals) {
+		o.Cols = make([]BlockCol, len(r.vals))
+	}
+	o.Cols = o.Cols[:len(r.vals)]
+	for c := range r.vals {
+		o.Cols[c] = BlockCol{Vals: r.vals[c : c+1]}
+	}
+	return o, 0
+}
 
 // Collect drains the remaining rows into rows the caller owns, closes r
 // and returns Err. A memory-backed answer's rows are handed over as they
-// are. A stream's values are copied into one flat slab, at least doubled
-// whenever it fills; every row has the plan's width, so once the drain
-// ends the row index is made once and cut from the slab, and collecting
-// costs no allocation per row.
+// are. A stream's rows are boxed into chunks of values: the first as
+// large as the first block the merge hands over, each next one twice
+// the one before, none ever copied. Once the drain ends the row index is
+// made once and every row cut from its chunk, so collecting costs no
+// allocation per row and at most about twice the answer's values in
+// memory.
 func (r *Rows) Collect() ([][]tuple.Value, error) {
 	if vs, ok := r.src.(*valueSource); ok && !r.closed {
 		rows := vs.rows[vs.i:]
 		vs.i = len(vs.rows)
 		return rows, r.Close()
 	}
-	var slab []tuple.Value
-	n, width := 0, 0
+	width := len(r.cols)
+	var chunks [][]tuple.Value
+	var chunk []tuple.Value
+	n := 0
 	for ; r.Next(); n++ {
-		v := r.Values()
-		if len(slab)+len(v) > cap(slab) {
-			slab = slices.Grow(slab, max(len(slab), len(v)))
+		if len(chunk)+width > cap(chunk) {
+			if cap(chunk) > 0 {
+				chunks = append(chunks, chunk)
+			}
+			chunk = make([]tuple.Value, 0, max(2*cap(chunk), len(r.blk.IDs)*width))
 		}
-		slab, width = append(slab, v...), len(v)
+		chunk = r.blk.AppendRow(chunk, r.k)
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	out := make([][]tuple.Value, n)
-	for i := range out {
-		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	i := 0
+	for _, ch := range append(chunks, chunk) {
+		for at := 0; at < len(ch); at += width {
+			out[i] = ch[at : at+width : at+width]
+			i++
+		}
 	}
 	return out, nil
 }
@@ -192,9 +237,13 @@ type streamSource struct {
 	blocks []<-chan *Block
 	heads  []*Block // current block per shard; nil once its channel closed
 	idx    []int    // cursor into heads[i]
-	// cur is the block the current row (r.vals) lies in. spent means the
-	// merge has moved past cur's last row, so cur is no longer a head
-	// and is released as soon as the caller moves on.
+	// nextID[i] is the ID of heads[i]'s next row, the largest ID once the
+	// shard is finished, so picking the smallest head needs no branch
+	// per shard.
+	nextID []tuple.ID
+	// cur is the block the current row lies in. spent means the merge
+	// has moved past cur's last row, so cur is no longer a head and is
+	// released as soon as the caller moves on.
 	cur     *Block
 	spent   bool
 	done    chan struct{}
@@ -222,6 +271,7 @@ func (s *streamSource) next(r *Rows) bool {
 		s.started = true
 		s.heads = make([]*Block, len(s.blocks))
 		s.idx = make([]int, len(s.blocks))
+		s.nextID = make([]tuple.ID, len(s.blocks))
 		for i := range s.blocks {
 			s.refill(i)
 		}
@@ -232,46 +282,51 @@ func (s *streamSource) next(r *Rows) bool {
 		}
 		return false
 	}
-	best := -1
-	for i, h := range s.heads {
-		if h == nil {
-			continue
-		}
-		if best < 0 || h.IDs[s.idx[i]] < s.heads[best].IDs[s.idx[best]] {
-			best = i
-		}
-	}
-	if best < 0 {
+	best := smallest(s.nextID)
+	h := s.heads[best]
+	if h == nil {
 		if err := s.shutdown(); err != nil && r.err == nil {
 			r.err = err
 		}
 		return false
 	}
-	h, k := s.heads[best], s.idx[best]
+	k := s.idx[best]
 	s.idx[best]++
-	last := s.idx[best] == len(h.IDs)
-	if last && h.Err != nil {
+	last := k+1 == len(h.IDs)
+	switch {
+	case last && h.Err != nil:
 		r.err = h.Err
 		_ = s.shutdown()
 		return false
+	case !last:
+		s.nextID[best] = h.IDs[k+1]
+	case s.limit == 0 || s.emitted+1 < s.limit:
+		s.refill(best)
+	default:
+		// This emission reaches the limit: the merge will never need
+		// another block, so don't block on a producer that may be
+		// mid-way through a long matchless stretch — the next call
+		// shuts the stream down and cancels them.
+		s.heads[best], s.nextID[best] = nil, ^tuple.ID(0)
 	}
-	if last {
-		if s.limit == 0 || s.emitted+1 < s.limit {
-			s.refill(best)
-		} else {
-			// This emission reaches the limit: the merge will never
-			// need another block, so don't block on a producer that
-			// may be mid-way through a long matchless stretch — the
-			// next call shuts the stream down and cancels them.
-			s.heads[best] = nil
-		}
-	}
-	// The capacity cut keeps a caller's append from writing into the
-	// next row of the block.
-	r.vals = h.Vals[k*h.Width : (k+1)*h.Width : (k+1)*h.Width]
+	r.blk, r.k = h, k
 	s.cur, s.spent = h, last
 	s.emitted++
 	return true
+}
+
+// smallest returns the index of the first smallest ID. It selects by
+// mask, not by branch: the borrow of id - low is 1 exactly when id is
+// smaller, so the merge pays no mispredicted branch when the shards'
+// heads take turns.
+func smallest(ids []tuple.ID) int {
+	best, low := 0, uint64(ids[0])
+	for i, id := range ids {
+		_, lt := bits.Sub64(uint64(id), low, 0)
+		best ^= (best ^ i) & -int(lt)
+		low ^= (low ^ uint64(id)) & -lt
+	}
+	return best
 }
 
 // refill receives shard i's next block, marking the shard finished
@@ -279,9 +334,10 @@ func (s *streamSource) next(r *Rows) bool {
 func (s *streamSource) refill(i int) {
 	b, ok := <-s.blocks[i]
 	if !ok {
-		b = nil
+		s.heads[i], s.nextID[i] = nil, ^tuple.ID(0)
+		return
 	}
-	s.heads[i], s.idx[i] = b, 0
+	s.heads[i], s.idx[i], s.nextID[i] = b, 0, b.IDs[0]
 }
 
 // shutdown aborts and joins the producers: signal done, drain every

@@ -148,7 +148,6 @@ type TopK struct {
 	err   error
 	first colAcc   // the first ORDER BY key's column, when it is a bare one
 	keys  []colAcc // the ORDER BY columns of a column-only plan
-	one   [1]int   // the admitted row, as gatherCol's row list
 	// Computed plans decode every selected row into env's tuple and
 	// evaluate it into row before the heap decides; nil otherwise.
 	env *TupleEnv
@@ -279,9 +278,8 @@ func (t *TopK) admit(b *tuple.Batch, j int, full bool) {
 	if t.env != nil {
 		copy(row.vals, t.row)
 	} else {
-		t.one[0] = j
 		for c, slot := range t.plan.proj {
-			gatherCol(row.vals[c:], 1, b, slot, t.one[:])
+			row.vals[c] = slotValue(b, slot, j)
 		}
 	}
 	t.order.setKey(row)

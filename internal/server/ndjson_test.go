@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"fungusdb/internal/core"
+	"fungusdb/internal/query"
 	"fungusdb/internal/tuple"
 	"fungusdb/pkg/client"
 )
@@ -44,24 +45,88 @@ func jsonRowLine(row []tuple.Value) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// blockOf lays rows out as a hand-off block. A column whose values all
+// have one kind is typed, as a bare-column target's is; any other column,
+// and every column when boxed is set, is boxed, as a computed target's
+// or a memory-backed answer's is.
+func blockOf(rows [][]tuple.Value, boxed bool) *query.Block {
+	b := &query.Block{IDs: make([]tuple.ID, len(rows))}
+	for c := range rows[0] {
+		col := query.BlockCol{Kind: rows[0][c].Kind()}
+		for _, row := range rows {
+			if boxed || row[c].Kind() != col.Kind {
+				col.Kind = tuple.KindInvalid
+			}
+		}
+		for _, row := range rows {
+			switch v := row[c]; col.Kind {
+			case tuple.KindInt:
+				col.Ints = append(col.Ints, v.AsInt())
+			case tuple.KindFloat:
+				col.Floats = append(col.Floats, v.AsFloat())
+			case tuple.KindString:
+				col.Strs = append(col.Strs, v.AsString())
+			case tuple.KindBool:
+				col.Bools = append(col.Bools, v.AsBool())
+			default:
+				col.Vals = append(col.Vals, v)
+			}
+		}
+		b.Cols = append(b.Cols, col)
+	}
+	return b
+}
+
+// zeroRow is row with every value replaced by its kind's zero value.
+func zeroRow(row []tuple.Value) []tuple.Value {
+	out := make([]tuple.Value, len(row))
+	for i, v := range row {
+		switch v.Kind() {
+		case tuple.KindInt:
+			out[i] = tuple.Int(0)
+		case tuple.KindFloat:
+			out[i] = tuple.Float(0)
+		case tuple.KindString:
+			out[i] = tuple.String_("")
+		case tuple.KindBool:
+			out[i] = tuple.Bool(false)
+		}
+	}
+	return out
+}
+
 // checkRowLine asserts appendRowJSON and encoding/json agree on row:
-// the same bytes, or both refuse.
+// the same bytes, or both refuse. The encoder reads the row twice: as
+// the second row of a block of typed columns, and as the only row of a
+// block of boxed ones.
 func checkRowLine(t *testing.T, row []tuple.Value) {
 	t.Helper()
 	want, wantErr := jsonRowLine(row)
-	prefix := []byte("kept\n")
-	got, err := appendRowJSON(append([]byte(nil), prefix...), row)
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("row %v: appendRowJSON err %v, encoding/json err %v", row, err, wantErr)
-	}
-	if err != nil {
-		if !strings.Contains(wantErr.Error(), err.Error()) {
-			t.Errorf("row %v: error %q, encoding/json says %q", row, err, wantErr)
-		}
+	if wantErr != nil {
 		want = nil
 	}
-	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("row %v:\n  appendRowJSON  %q\n  encoding/json  %q", row, got[len(prefix):], want)
+	prefix := []byte("kept\n")
+	for _, tc := range []struct {
+		name string
+		b    *query.Block
+		k    int
+	}{
+		{"typed", blockOf([][]tuple.Value{zeroRow(row), row}, false), 1},
+		{"boxed", blockOf([][]tuple.Value{row}, true), 0},
+	} {
+		if len(row) == 0 {
+			tc.b, tc.k = &query.Block{IDs: []tuple.ID{0}}, 0
+		}
+		got, err := appendRowJSON(append([]byte(nil), prefix...), tc.b, tc.k)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s row %v: appendRowJSON err %v, encoding/json err %v", tc.name, row, err, wantErr)
+		}
+		if err != nil && !strings.Contains(wantErr.Error(), err.Error()) {
+			t.Errorf("%s row %v: error %q, encoding/json says %q", tc.name, row, err, wantErr)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s row %v:\n  appendRowJSON  %q\n  encoding/json  %q", tc.name, row, got[len(prefix):], want)
+		}
 	}
 }
 
@@ -228,5 +293,114 @@ func TestV2FlushesByBytes(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(strings.Join(rowChunks, ""), "\n"), "\n")
 	if len(lines) != n+1 {
 		t.Errorf("%d lines after the header, want %d rows and the trailer", len(lines), n)
+	}
+}
+
+// TestCursorLinesMatchValues drives the row loop's two readers over the
+// same merged blocks: the encoder through Rows.Cursor, and encoding/json
+// over Rows.Values. A boxed column whose kind changes from row to row
+// (INT, FLOAT, STRING, BOOL, no value) and a poisoned last row must give
+// the same lines and the same error. No SQL target changes kind from
+// row to row, so the blocks are made by hand.
+func TestCursorLinesMatchValues(t *testing.T) {
+	poison := errors.New("query: division by zero")
+	blocks := func() []*query.Block {
+		a := blockOf([][]tuple.Value{
+			{tuple.Int(0), tuple.Int(7)},
+			{tuple.Int(2), tuple.String_("<b>")},
+			{tuple.Int(4), {}},
+		}, false)
+		b := blockOf([][]tuple.Value{
+			{tuple.Int(1), tuple.Float(2.5)},
+			{tuple.Int(3), tuple.Bool(true)},
+			{tuple.Int(5), tuple.Float(1e21)},
+		}, false)
+		a.IDs = []tuple.ID{0, 2, 4}
+		b.IDs = []tuple.ID{1, 3, 5}
+		b.Err = poison
+		return []*query.Block{a, b}
+	}
+	run := func(line func(rows *query.Rows) []byte) (lines []string, err error) {
+		st := query.Stream{Cols: []string{"k", "x"}, Done: make(chan struct{}), Wait: func() (int, error) { return 0, nil }}
+		for _, b := range blocks() {
+			ch := make(chan *query.Block, 1)
+			ch <- b
+			close(ch)
+			st.Blocks = append(st.Blocks, ch)
+		}
+		rows := query.NewStreamRows(st)
+		for rows.Next() {
+			lines = append(lines, string(line(rows)))
+		}
+		return lines, rows.Close()
+	}
+	got, gotErr := run(func(rows *query.Rows) []byte {
+		b, k := rows.Cursor()
+		line, err := appendRowJSON(nil, b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	})
+	want, wantErr := run(func(rows *query.Rows) []byte {
+		line, err := jsonRowLine(rows.Values())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	})
+	if strings.Join(got, "") != strings.Join(want, "") || len(got) != 5 {
+		t.Errorf("cursor lines:\n%s\nValues lines:\n%s\nwant 5 rows", strings.Join(got, ""), strings.Join(want, ""))
+	}
+	if gotErr != poison || wantErr != poison {
+		t.Errorf("errors %v and %v, want %v", gotErr, wantErr, poison)
+	}
+}
+
+// TestV2ComputedTargetsMatchValues: bare and computed targets beside
+// one another, up to a row whose projection fails, give over HTTP the
+// lines encoding/json writes for the rows in-process Values returns,
+// then the error that ends the in-process drain.
+func TestV2ComputedTargetsMatchValues(t *testing.T) {
+	c, db, ts := newServer(t, Config{})
+	const n, bad = 3000, 2100
+	seedV2(t, c, n)
+	sql := fmt.Sprintf("SELECT host, sev + 1, latency * 2, host + \"<&>\", ok, _id, 100 / (_id - %d) FROM logs", bad)
+	resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql":%q}`, sql)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(body.String(), "\n")
+	tbl, err := db.Table("logs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := tbl.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pq.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 1 // after the header
+	for ; rows.Next(); i++ {
+		want, err := jsonRowLine(rows.Values())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(lines) || lines[i] != string(want) {
+			t.Fatalf("line %d over HTTP does not match in-process row %d: %q", i, i-1, want)
+		}
+	}
+	if err := rows.Close(); err == nil || i != bad+1 {
+		t.Fatalf("in process: %d rows, err %v; want %d rows and an error", i-1, err, bad)
+	} else if tail := lines[i]; !strings.Contains(tail, ErrCodeExec) || !strings.Contains(tail, err.Error()) {
+		t.Errorf("last line %q, want an %s line with %q", tail, ErrCodeExec, err)
 	}
 }

@@ -268,7 +268,8 @@ func (s *Server) queryV2(w http.ResponseWriter, r *http.Request) {
 	}()
 	n := 0
 	for rows.Next() {
-		if buf, err = appendRowJSON(buf, rows.Values()); err != nil {
+		blk, k := rows.Cursor()
+		if buf, err = appendRowJSON(buf, blk, k); err != nil {
 			break
 		}
 		n++
