@@ -8,10 +8,14 @@
 //	stats  <table>
 //	series <table> [buckets]
 //	containers <table>
-//	ask    <table> <container> count|ndv:<col>|mean:<col>|q50:<col>|top:<col>
+//	ask    <table> <container> <question>
 //	tables
 //	help
 //	quit
+//
+// A question is one of the server's ask forms (container.ParseQuestion):
+// count, ndv:<col>, mean:<col>, sum:<col>, q:<col>:<0..1>, top:<col>[:k]
+// (10 unless k is given) or has:<col>:<value>.
 //
 // With -dir the instance is persistent: state survives restarts.
 //
@@ -39,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fungusdb/internal/container"
 	"fungusdb/internal/core"
 	"fungusdb/internal/fungus"
 	"fungusdb/internal/obs"
@@ -283,7 +288,8 @@ const helpText = `commands:
   stats  <table>
   series <table> [buckets]
   containers <table>
-  ask    <table> <container> count|ndv:<col>|mean:<col>|q50:<col>|top:<col>
+  ask    <table> <container> count|ndv:<col>|mean:<col>|sum:<col>|q:<col>:<0..1>|top:<col>[:k]|has:<col>:<value>
+         (the server's question forms: q:<col>:0.5 is the median, top lists 10 unless k is given)
   sql    SELECT [CONSUME] <targets> FROM <table> [WHERE ..] [GROUP BY ..] [ORDER BY ..] [LIMIT n]
   load   <table> iot|clickstream|syslog <n>   (table is created if missing)
   dump   <table> <file.csv> [where...]
@@ -502,29 +508,9 @@ func (s *shell) insert(args []string) error {
 		return fmt.Errorf("table %s wants %d values, got %d", args[0], schema.Len(), len(args)-1)
 	}
 	vals := make([]tuple.Value, schema.Len())
-	for i := 0; i < schema.Len(); i++ {
-		raw := args[i+1]
-		switch schema.Column(i).Kind {
-		case tuple.KindInt:
-			n, err := strconv.ParseInt(raw, 10, 64)
-			if err != nil {
-				return fmt.Errorf("column %s: %v", schema.Column(i).Name, err)
-			}
-			vals[i] = tuple.Int(n)
-		case tuple.KindFloat:
-			f, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return fmt.Errorf("column %s: %v", schema.Column(i).Name, err)
-			}
-			vals[i] = tuple.Float(f)
-		case tuple.KindBool:
-			b, err := strconv.ParseBool(raw)
-			if err != nil {
-				return fmt.Errorf("column %s: %v", schema.Column(i).Name, err)
-			}
-			vals[i] = tuple.Bool(b)
-		default:
-			vals[i] = tuple.String_(raw)
+	for i := range vals {
+		if vals[i], err = tuple.ParseValue(schema.Column(i).Kind, args[i+1]); err != nil {
+			return fmt.Errorf("column %s: %v", schema.Column(i).Name, err)
 		}
 	}
 	tp, err := tbl.Insert(vals)
@@ -689,15 +675,14 @@ func (s *shell) containers(args []string) error {
 	if err != nil {
 		return err
 	}
-	names := tbl.Shelf().Names()
-	if len(names) == 0 {
+	list := tbl.Shelf().List()
+	if len(list) == 0 {
 		fmt.Fprintln(s.out, "(no containers)")
 		return nil
 	}
-	for _, n := range names {
-		c := tbl.Shelf().Get(n)
+	for _, c := range list {
 		fmt.Fprintf(s.out, "%-20s count=%d bytes=%d freshness=%.3f\n",
-			n, c.Digest.Count(), c.Digest.Bytes(), float64(c.Freshness()))
+			c.Name, c.Count, c.Bytes, float64(c.Freshness))
 	}
 	return nil
 }
@@ -710,44 +695,23 @@ func (s *shell) ask(args []string) error {
 	if err != nil {
 		return err
 	}
-	c := tbl.Shelf().Get(args[1])
-	if c == nil {
-		return fmt.Errorf("no container %q", args[1])
+	q, err := container.ParseQuestion(tbl.Schema(), args[2])
+	if err != nil {
+		return err
 	}
-	c.Touch() // consulting knowledge keeps it fresh
-	d := c.Digest
-	q := args[2]
-	switch {
-	case q == "count":
-		fmt.Fprintln(s.out, d.Count())
-	case strings.HasPrefix(q, "ndv:"):
-		v, err := d.NDV(strings.TrimPrefix(q, "ndv:"))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, v)
-	case strings.HasPrefix(q, "mean:"):
-		v, err := d.Mean(strings.TrimPrefix(q, "mean:"))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, v)
-	case strings.HasPrefix(q, "q50:"):
-		v, err := d.Quantile(strings.TrimPrefix(q, "q50:"), 0.5)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(s.out, v)
-	case strings.HasPrefix(q, "top:"):
-		entries, err := d.HeavyHitters(strings.TrimPrefix(q, "top:"), 5)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
+	ans, err := tbl.Shelf().Ask(args[1], q)
+	if err != nil {
+		return err
+	}
+	switch ans.Op {
+	case container.OpTop:
+		for _, e := range ans.Top {
 			fmt.Fprintf(s.out, "%-24s ~%d\n", e.Item, e.Count)
 		}
+	case container.OpHas:
+		fmt.Fprintln(s.out, ans.Has)
 	default:
-		return fmt.Errorf("unknown question %q", q)
+		fmt.Fprintln(s.out, strconv.FormatFloat(ans.Value, 'f', -1, 64))
 	}
 	return nil
 }

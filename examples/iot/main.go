@@ -100,13 +100,13 @@ func main() {
 	fmt.Printf("health: %.1f%% of departed readings captured as knowledge\n", 100*c.CaptureRate())
 
 	fmt.Println("\nwhat the archives know:")
-	for _, name := range readings.Shelf().Names() {
-		d := readings.Shelf().Get(name).Digest
+	for _, c := range readings.Shelf().List() {
+		d := readings.Shelf().Get(c.Name).Digest
 		mean, _ := d.Mean("temp")
 		q95, _ := d.Quantile("temp", 0.95)
 		lo, hi := d.TickRange()
 		fmt.Printf("  %-8s %7d readings  ticks %s..%s  mean temp %5.1f  p95 %5.1f  (%d bytes)\n",
-			name, d.Count(), lo, hi, mean, q95, d.Bytes())
+			c.Name, c.Count, lo, hi, mean, q95, c.Bytes)
 	}
 
 	// Was sensor-042 ever hot? The raw rows are long gone; the bloom

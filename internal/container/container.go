@@ -78,18 +78,18 @@ func NewShelf(schema *tuple.Schema, cfg DigestConfig, rng *rand.Rand) *Shelf {
 	}
 }
 
-// Get returns the named container, or nil.
+// Get returns the named container, or nil. The container's digest is
+// read and written under the shelf's lock: a caller that reads it
+// while the table may tick or distill asks through Ask or List instead.
 func (s *Shelf) Get(name string) *Container {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.containers[name]
 }
 
-// GetOrCreate returns the named container, creating it (with the given
-// half-life) on first use.
-func (s *Shelf) GetOrCreate(name string, now clock.Tick, halfLife float64) (*Container, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// getOrCreateLocked returns the named container, creating it (with the
+// given half-life) on first use. The caller holds s.mu.
+func (s *Shelf) getOrCreateLocked(name string, now clock.Tick, halfLife float64) (*Container, error) {
 	if c, ok := s.containers[name]; ok {
 		return c, nil
 	}
@@ -105,18 +105,32 @@ func (s *Shelf) GetOrCreate(name string, now clock.Tick, halfLife float64) (*Con
 // Absorb distills tuples into the named container, creating it if
 // needed.
 func (s *Shelf) Absorb(name string, now clock.Tick, halfLife float64, tuples []tuple.Tuple) error {
-	c, err := s.GetOrCreate(name, now, halfLife)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.getOrCreateLocked(name, now, halfLife)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i := range tuples {
 		if err := c.Digest.Absorb(&tuples[i]); err != nil {
 			return fmt.Errorf("container %q: %w", name, err)
 		}
 	}
 	return nil
+}
+
+// Ask answers a question (see ParseQuestion) from the named container's
+// digest and touches the container: consulted knowledge stays alive. A
+// missing container is ErrNoContainer.
+func (s *Shelf) Ask(name string, q Question) (Answer, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, ok := s.containers[name]
+	if !ok {
+		return Answer{}, fmt.Errorf("%w: %q", ErrNoContainer, name)
+	}
+	c.Touch()
+	return c.Digest.answer(q)
 }
 
 // Tick decays every container one cycle and discards the rotten ones,
@@ -137,16 +151,24 @@ func (s *Shelf) Tick() []string {
 	return gone
 }
 
-// Names returns the live container names, sorted.
-func (s *Shelf) Names() []string {
+// Info summarises one live container.
+type Info struct {
+	Name      string
+	Count     uint64
+	Bytes     int
+	Freshness tuple.Freshness
+}
+
+// List summarises the live containers, sorted by name.
+func (s *Shelf) List() []Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.containers))
-	for n := range s.containers {
-		names = append(names, n)
+	out := make([]Info, 0, len(s.containers))
+	for name, c := range s.containers {
+		out = append(out, Info{Name: name, Count: c.Digest.Count(), Bytes: c.Digest.Bytes(), Freshness: c.freshness})
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Len returns the number of live containers.
@@ -169,12 +191,12 @@ func (s *Shelf) Discarded() uint64 {
 // one. Missing sources are ignored; on a merge error the shelf is left
 // partially consolidated (merged sources removed, the failing one kept).
 func (s *Shelf) Consolidate(dst string, now clock.Tick, halfLife float64, srcs ...string) error {
-	c, err := s.GetOrCreate(dst, now, halfLife)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.getOrCreateLocked(dst, now, halfLife)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, name := range srcs {
 		if name == dst {
 			continue

@@ -249,8 +249,9 @@ func TestShelfLifecycle(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if got := s.Names(); len(got) != 2 || got[0] != "bucket-1" || got[1] != "bucket-2" {
-		t.Errorf("Names = %v", got)
+	if got := s.List(); len(got) != 2 || got[0].Name != "bucket-1" || got[1].Name != "bucket-2" ||
+		got[0].Count != 2 || got[0].Bytes <= 0 || got[0].Freshness != tuple.Full {
+		t.Errorf("List = %+v", got)
 	}
 	c := s.Get("bucket-1")
 	if c == nil || c.Digest.Count() != 2 {

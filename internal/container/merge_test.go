@@ -130,9 +130,9 @@ func TestShelfConsolidate(t *testing.T) {
 	if err := s.Consolidate("day-0", 3, 0, "hour-0", "hour-1", "missing"); err != nil {
 		t.Fatal(err)
 	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "day-0" || names[1] != "keep" {
-		t.Fatalf("names = %v", names)
+	list := s.List()
+	if len(list) != 2 || list[0].Name != "day-0" || list[1].Name != "keep" {
+		t.Fatalf("list = %+v", list)
 	}
 	day := s.Get("day-0")
 	if day.Digest.Count() != 3 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -15,13 +14,11 @@ import (
 )
 
 // This file is the one execution path of the engine's read side, and
-// Prepare is its one way in. Every read — Table.SQL, the HTTP container
-// ask handler, the streaming /v2/query, stream monitors, the shell and
-// the experiments — prepares a statement into a query.Plan (or fetches
-// it from the per-table plan cache) and hands it to execPlan, which
-// routes it:
+// Prepare is its one way in. Every read — Table.SQL, the streaming
+// /v2/query, stream monitors, the shell and the experiments — prepares
+// a statement into a query.Plan (or fetches it from the per-table plan
+// cache) and hands it to execPlan, which routes it:
 //
-//	digest    ask plans: answer from the container digest, no scan
 //	stream    per-shard parallel scan k-way merged by ID, pull-based
 //	aggregate per-shard partial aggregators merged in shard order
 //	top-k     ORDER BY + LIMIT: per-shard bounded heaps merged k-way
@@ -32,20 +29,16 @@ import (
 // A statement's fold follows from its shape alone: an aggregate folds
 // through Aggregator.FeedBatch, an ORDER BY … LIMIT peek through
 // TopK.AddBatch, any other statement into query.BlockWriter blocks.
-// Every route but digest scans through one driver, scanShards: it
-// owns the fan-out, the shard locks, the segment verdicts (skip,
-// kernel and NaN-check elision), the batch walk, the WHERE kernels,
-// the scanned count, caps and early stop, and a route supplies only a
-// per-shard sink and its merge. Every fold materialises late: WHERE,
+// Every route scans through one driver, scanShards: it owns the
+// fan-out, the shard locks, the segment verdicts (skip, kernel and
+// NaN-check elision), the batch walk, the WHERE kernels, the scanned
+// count, caps and early stop, and a route supplies only a per-shard
+// sink and its merge. Every fold materialises late: WHERE,
 // group keys, aggregate arguments and sort keys read the batch's typed
 // column slices, and values are boxed only for rows that reach the
 // answer. Every route answers projected rows (query.Rows.Values); a
 // caller that wants a whole tuple's fields selects `_id, _t, _f, *`
 // (SelectTuples, RowTuple).
-
-// ErrNoContainer reports an ask against a container that does not
-// exist (or has rotted away).
-var ErrNoContainer = errors.New("core: no such container")
 
 // streamHandOffHook, when set (tests only), runs in a streaming
 // producer right after each block it hands to the merge, with the
@@ -78,7 +71,7 @@ type PreparedQuery struct {
 // table. Compilation results are cached per table keyed by source
 // text, so preparing the same statement twice is a map hit.
 func (t *Table) Prepare(src string) (*PreparedQuery, error) {
-	if plan := t.plans.get("s\x00" + src); plan != nil {
+	if plan := t.plans.get(src); plan != nil {
 		return &PreparedQuery{t: t, plan: plan}, nil
 	}
 	stmt, err := query.ParseStatement(src)
@@ -92,7 +85,7 @@ func (t *Table) Prepare(src string) (*PreparedQuery, error) {
 // (the HTTP handlers) that parsed the source themselves to route it to
 // a table — a plan-cache miss then compiles without re-parsing.
 func (t *Table) PrepareStatement(stmt *query.Statement) (*PreparedQuery, error) {
-	if plan := t.plans.get("s\x00" + stmt.Source()); plan != nil {
+	if plan := t.plans.get(stmt.Source()); plan != nil {
 		return &PreparedQuery{t: t, plan: plan}, nil
 	}
 	return t.compileStatement(stmt)
@@ -108,29 +101,7 @@ func (t *Table) compileStatement(stmt *query.Statement) (*PreparedQuery, error) 
 	if err != nil {
 		return nil, err
 	}
-	t.plans.put("s\x00"+stmt.Source(), plan)
-	return &PreparedQuery{t: t, plan: plan}, nil
-}
-
-// PrepareAsk compiles a knowledge-container question (see
-// query.ParseAskStatement for the forms) against this table's schema.
-// Column references and literal operands are validated and coerced at
-// compile time; the container itself resolves at Execute, so one
-// prepared ask can outlive container churn.
-func (t *Table) PrepareAsk(container, question string) (*PreparedQuery, error) {
-	key := "a\x00" + container + "\x00" + question
-	if plan := t.plans.get(key); plan != nil {
-		return &PreparedQuery{t: t, plan: plan}, nil
-	}
-	stmt, err := query.ParseAskStatement(container, question)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := stmt.Plan(t.cfg.Schema)
-	if err != nil {
-		return nil, err
-	}
-	t.plans.put(key, plan)
+	t.plans.put(stmt.Source(), plan)
 	return &PreparedQuery{t: t, plan: plan}, nil
 }
 
@@ -150,7 +121,7 @@ func (pq *PreparedQuery) Mode() query.Mode { return pq.plan.Mode() }
 
 // Execute binds params and runs the plan, streaming the answer as
 // query.Rows. Plain peeks stream shard-parallel without materialising
-// the answer set; consume, ORDER BY, aggregation and ask answers have
+// the answer set; consume, ORDER BY and aggregation answers have
 // a natural barrier and are memory-backed. Always Close the rows (or
 // drain them): on the streaming path producer goroutines hold shard
 // read locks until the stream ends, so abandoning a Rows mid-way — or
@@ -178,9 +149,6 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 	}
 	if err := plan.BindCheck(params); err != nil {
 		return nil, err
-	}
-	if plan.IsAsk() {
-		return t.execAsk(plan, params)
 	}
 	// Fold the parameters into the plan as literals once, so the
 	// per-tuple hot path below never resolves a placeholder (a
@@ -213,18 +181,6 @@ func (t *Table) execPlan(plan *query.Plan, params []tuple.Value, opt QueryOpts) 
 	default:
 		return t.execCollect(plan, params, opt)
 	}
-}
-
-// execAsk answers a knowledge-container question. Asking refreshes the
-// container — consulted knowledge stays alive.
-func (t *Table) execAsk(plan *query.Plan, params []tuple.Value) (*query.Rows, error) {
-	name := plan.Ask().Container
-	c := t.shelf.Get(name)
-	if c == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoContainer, name)
-	}
-	c.Touch()
-	return plan.AskRows(c.Digest, params)
 }
 
 // lockRule says who holds shard i's lock while scanShards walks it.
@@ -767,18 +723,8 @@ func (t *Table) distill(name string, ids [][]tuple.ID) error {
 func (t *Table) evictAnswered(ids [][]tuple.ID, distilled bool) (bool, error) {
 	n := 0
 	for s, shard := range ids {
-		for _, id := range shard {
-			if err := t.store.Shard(s).Evict(id); err != nil {
-				return false, fmt.Errorf("core: consume evict: %w", err)
-			}
-			if egi, ok := t.fngs[s].(interface{ Forget(tuple.ID) }); ok {
-				egi.Forget(id)
-			}
-			if t.log != nil {
-				if err := t.log.AppendEvict(s, id); err != nil {
-					return false, err
-				}
-			}
+		if err := t.evictLocked(s, shard); err != nil {
+			return false, err
 		}
 		if t.log != nil && len(shard) > 0 {
 			if _, err := t.noteAppendLocked(s, len(shard)); err != nil {

@@ -13,11 +13,11 @@ import (
 // stream of distinct statements stays bounded.
 const planCacheCap = 128
 
-// planCache is a small LRU of compiled plans keyed by source text ("s"
-// statements, "a" container questions). A table owns one: its schema
-// never changes, so cached compilations stay valid for the table's
-// lifetime, and repeated Prepare/SQL calls with the same source skip the
-// parse and validation entirely. Safe for concurrent use.
+// planCache is a small LRU of compiled plans keyed by statement text.
+// A table owns one: its schema never changes, so cached compilations
+// stay valid for the table's lifetime, and repeated Prepare/SQL calls
+// with the same source skip the parse and validation entirely. Safe
+// for concurrent use.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int

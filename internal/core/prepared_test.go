@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"fungusdb/internal/container"
 	"fungusdb/internal/query"
 	"fungusdb/internal/tuple"
 )
@@ -392,53 +394,34 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 }
 
-// TestPrepareAskThroughPlan drives the container ask path through the
-// prepared API.
-func TestPrepareAskThroughPlan(t *testing.T) {
+// TestShelfAskAfterDistill asks a container a CONSUME … distill filled
+// through the shelf's one question door.
+func TestShelfAskAfterDistill(t *testing.T) {
 	db := openDB(t)
 	tbl := loadIoT(t, db, "t", 2, 100)
 	if _, err := answer(tbl, "temp >= 25", query.Consume, QueryOpts{Distill: "hot"}); err != nil {
 		t.Fatal(err)
 	}
-	// Scalar question.
-	pq, err := tbl.PrepareAsk("hot", "count")
-	if err != nil {
-		t.Fatal(err)
+	ask := func(name, q string) (container.Answer, error) {
+		qn, err := container.ParseQuestion(tbl.Schema(), q)
+		if err != nil {
+			return container.Answer{}, err
+		}
+		return tbl.Shelf().Ask(name, qn)
 	}
-	rows, err := pq.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got := drainRows(t, rows)
-	if len(got) != 1 || got[0][0].AsFloat() != 50 {
-		t.Fatalf("count rows = %v, want one row of 50", got)
-	}
-	// Parameterised membership question, reusing one prepared ask.
-	has, err := tbl.PrepareAsk("hot", "has:device:?")
-	if err != nil {
-		t.Fatal(err)
+	if a, err := ask("hot", "count"); err != nil || a.Value != 50 {
+		t.Fatalf("count = %+v, %v; want 50", a, err)
 	}
 	for _, dev := range []string{"d0", "d1"} {
-		rows, err := has.Execute(tuple.String_(dev))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, got := drainRows(t, rows)
-		if len(got) != 1 || !got[0][0].AsBool() {
-			t.Fatalf("has:device:%s = %v, want true", dev, got)
+		if a, err := ask("hot", "has:device:"+dev); err != nil || !a.Has {
+			t.Fatalf("has:device:%s = %+v, %v; want true", dev, a, err)
 		}
 	}
-	// Unknown container: typed error.
-	missing, err := tbl.PrepareAsk("nosuch", "count")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ask("nosuch", "count"); !errors.Is(err, container.ErrNoContainer) {
+		t.Fatalf("missing container = %v, want ErrNoContainer", err)
 	}
-	if _, err := missing.Execute(); err == nil {
-		t.Fatal("ask against missing container succeeded")
-	}
-	// Unknown column: compile-time error.
-	if _, err := tbl.PrepareAsk("hot", "ndv:nosuch"); err == nil {
-		t.Fatal("unknown ask column compiled")
+	if _, err := ask("hot", "ndv:nosuch"); err == nil || errors.Is(err, container.ErrNoContainer) {
+		t.Fatalf("unknown column = %v, want a parse error", err)
 	}
 }
 

@@ -67,10 +67,9 @@ func (t *Table) ApplyShipped(i int, frames []byte) (ApplyStats, error) {
 		a.Tick = func(now uint64) (int, error) {
 			buf := t.fngs[i].Tick(clock.Tick(now), a.Store, t.rngs[i], t.rotBufs[i][:0])
 			t.rotBufs[i] = buf
-			for _, id := range buf {
-				if err := a.Store.Evict(id); err != nil {
-					return 0, fmt.Errorf("core: replayed rot evict: %w", err)
-				}
+			// A replica has no log: the walk only evicts and forgets.
+			if err := t.evictLocked(i, buf); err != nil {
+				return 0, err
 			}
 			return len(buf), nil
 		}

@@ -625,6 +625,29 @@ func (t *Table) SQL(src string, opts ...QueryOpts) (*query.Grid, error) {
 	return g, nil
 }
 
+// evictLocked is the one evict walk: it removes ids from shard i, lets
+// a forgetting law (EGI) drop them from its infection set and, when the
+// table logs, appends one evict record per id. The caller holds shard
+// i's write lock and notes the appended records.
+func (t *Table) evictLocked(i int, ids []tuple.ID) error {
+	sh := t.store.Shard(i)
+	forget, _ := t.fngs[i].(interface{ Forget(tuple.ID) })
+	for _, id := range ids {
+		if err := sh.Evict(id); err != nil {
+			return fmt.Errorf("core: evict: %w", err)
+		}
+		if forget != nil {
+			forget.Forget(id)
+		}
+		if t.log != nil {
+			if err := t.log.AppendEvict(i, id); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Tick applies one decay cycle: every shard's fungus runs (in parallel
 // across the worker pool), rotting tuples are distilled (when
 // configured) and evicted under their shard's lock, and the container
@@ -676,14 +699,7 @@ func (t *Table) Tick() (TableTickReport, error) {
 			buf := t.fngs[i].Tick(now, sh, t.rngs[i], t.rotBufs[i][:0])
 			t.rotBufs[i] = buf
 			rotted[i] = buf
-			if len(buf) == 0 {
-				if logged > 0 {
-					_, err := t.noteAppendLocked(i, logged)
-					return err
-				}
-				return nil
-			}
-			if t.cfg.DistillOnRot {
+			if t.cfg.DistillOnRot && len(buf) > 0 {
 				// "Inspect them once before removal": clone the rotten
 				// tuples before the extent forgets them.
 				dd := make([]tuple.Tuple, 0, len(buf))
@@ -696,16 +712,11 @@ func (t *Table) Tick() (TableTickReport, error) {
 				}
 				doomed[i] = dd
 			}
-			for _, id := range buf {
-				if err := sh.Evict(id); err != nil {
-					return fmt.Errorf("core: rot evict: %w", err)
-				}
-				if t.log != nil {
-					if err := t.log.AppendEvict(i, id); err != nil {
-						return err
-					}
-					logged++
-				}
+			if err := t.evictLocked(i, buf); err != nil {
+				return err
+			}
+			if t.log != nil {
+				logged += len(buf)
 			}
 			if logged > 0 {
 				if _, err := t.noteAppendLocked(i, logged); err != nil {

@@ -23,11 +23,11 @@ var fuzzParseSeeds = []string{
 	"top:device:5",
 }
 
-// FuzzParse is the native fuzz target over every parser entry point:
-// the WHERE-expression grammar, the SELECT statement grammar and the
-// ask-question grammar must be total — any input yields a value or an
-// error, never a panic — and everything that parses must also survive
-// compilation against a schema.
+// FuzzParse is the native fuzz target over both parser entry points:
+// the WHERE-expression grammar and the SELECT statement grammar must be
+// total — any input yields a value or an error, never a panic — and
+// everything that parses must also survive compilation against a
+// schema.
 func FuzzParse(f *testing.F) {
 	for _, seed := range fuzzParseSeeds {
 		f.Add(seed)
@@ -49,9 +49,6 @@ func FuzzParse(f *testing.F) {
 				_ = plan.BindCheck(nil)
 				_ = plan.Cols()
 			}
-		}
-		if stmt, err := ParseAskStatement("c", src); err == nil {
-			_, _ = stmt.Plan(schema)
 		}
 	})
 }

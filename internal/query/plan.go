@@ -2,16 +2,14 @@ package query
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
-	"fungusdb/internal/sketch"
 	"fungusdb/internal/tuple"
 )
 
 // Plan is a Statement compiled against one schema: every static check
-// has passed, targets are expanded, the ask operand is coerced, and the
-// routing decision (stream / aggregate / consume / digest) is captured.
-// Plans are immutable and safe for concurrent use, so one Plan can back
+// has passed, targets are expanded, and the routing decision (stream /
+// aggregate / consume) is captured. Plans are immutable and safe for concurrent use, so one Plan can back
 // any number of concurrent Execute calls — the engine caches them per
 // table, keyed by source text.
 //
@@ -22,11 +20,9 @@ type Plan struct {
 	schema  *tuple.Schema
 	src     string
 	mode    Mode
-	where   Expr           // nil = always true
-	stmt    *SelectStmt    // nil for ask plans
-	targets []SelectTarget // expanded projection; nil for ask plans
-	ask     *AskStmt       // nil for SELECT plans
-	askVal  tuple.Value    // coerced has-operand (zero when parameterised)
+	where   Expr // nil = always true
+	stmt    *SelectStmt
+	targets []SelectTarget // expanded projection
 	cols    []string
 	params  int
 	agg     bool
@@ -50,13 +46,9 @@ type Plan struct {
 	limitParam int // `LIMIT ?` placeholder index, -1 when literal
 }
 
-// Plan compiles the statement against schema. All column references,
-// grouping rules and ask operands are validated here, never at execute
-// time.
+// Plan compiles the statement against schema. All column references
+// and grouping rules are validated here, never at execute time.
 func (s *Statement) Plan(schema *tuple.Schema) (*Plan, error) {
-	if s.ask != nil {
-		return planAsk(s.ask, schema, s.src)
-	}
 	stmt := s.sel
 	targets, err := expandTargets(stmt, schema)
 	if err != nil {
@@ -124,57 +116,6 @@ func (p *Plan) compileExec() {
 	p.vec = compileVecMatch(p.where, p.schema)
 }
 
-func planAsk(ask *AskStmt, schema *tuple.Schema, src string) (*Plan, error) {
-	p := &Plan{schema: schema, src: src, mode: Peek, ask: ask, params: ask.Params, limitParam: -1}
-	if ask.Op != AskCount {
-		if schema.Index(ask.Col) < 0 {
-			return nil, fmt.Errorf("query: unknown column %q (schema: %s)", ask.Col, schema)
-		}
-	}
-	switch ask.Op {
-	case AskTop:
-		p.cols = []string{"item", "count"}
-	case AskHas:
-		p.cols = []string{"contains"}
-		if !ask.HasParam {
-			v, err := coerceToColumn(schema, ask.Col, ask.RawValue)
-			if err != nil {
-				return nil, err
-			}
-			p.askVal = v
-		}
-	default:
-		p.cols = []string{"value"}
-	}
-	return p, nil
-}
-
-// coerceToColumn parses raw source text into the named column's kind —
-// the compile-time half of the old per-request value guessing.
-func coerceToColumn(schema *tuple.Schema, col, raw string) (tuple.Value, error) {
-	switch schema.Column(schema.Index(col)).Kind {
-	case tuple.KindInt:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return tuple.Value{}, fmt.Errorf("query: column %q wants INT, got %q", col, raw)
-		}
-		return tuple.Int(n), nil
-	case tuple.KindFloat:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return tuple.Value{}, fmt.Errorf("query: column %q wants FLOAT, got %q", col, raw)
-		}
-		return tuple.Float(f), nil
-	case tuple.KindBool:
-		b, err := strconv.ParseBool(raw)
-		if err != nil {
-			return tuple.Value{}, fmt.Errorf("query: column %q wants BOOL, got %q", col, raw)
-		}
-		return tuple.Bool(b), nil
-	}
-	return tuple.String_(raw), nil
-}
-
 // Schema returns the schema the plan compiled against.
 func (p *Plan) Schema() *tuple.Schema { return p.schema }
 
@@ -193,18 +134,11 @@ func (p *Plan) Aggregated() bool { return p.agg }
 
 // Ordered reports whether the plan needs a sort barrier before the
 // first row can be emitted.
-func (p *Plan) Ordered() bool { return p.stmt != nil && len(p.stmt.OrderBy) > 0 }
+func (p *Plan) Ordered() bool { return len(p.stmt.OrderBy) > 0 }
 
 // Limit returns the resolved LIMIT (0 = unlimited). For `LIMIT ?`
 // plans the value is known only on the plan Bind returns.
 func (p *Plan) Limit() int { return p.limit }
-
-// IsAsk reports whether the plan answers a knowledge-container
-// question rather than scanning the extent.
-func (p *Plan) IsAsk() bool { return p.ask != nil }
-
-// Ask returns the validated ask statement, nil for SELECT plans.
-func (p *Plan) Ask() *AskStmt { return p.ask }
 
 // Cols returns the output column names.
 func (p *Plan) Cols() []string { return p.cols }
@@ -253,27 +187,21 @@ func (p *Plan) Bind(params []tuple.Value) (*Plan, error) {
 		}
 		q.limit = int(n)
 		q.limitParam = -1
-		if p.stmt != nil {
-			// The finishing stages (orderAndLimit, the aggregator)
-			// read the statement's Limit; give the bound plan its own
-			// copy so the cached plan stays pristine.
-			stmt := *p.stmt
-			stmt.Limit = q.limit
-			q.stmt = &stmt
-		}
+		// The finishing stages (orderAndLimit, the aggregator) read the
+		// statement's Limit; give the bound plan its own copy so the
+		// cached plan stays pristine.
+		stmt := *p.stmt
+		stmt.Limit = q.limit
+		q.stmt = &stmt
 	}
 	if p.where != nil {
 		q.where = bindExpr(p.where, params)
 	}
-	if p.targets != nil {
-		targets := make([]SelectTarget, len(p.targets))
-		copy(targets, p.targets)
-		for i := range targets {
-			if targets[i].Expr != nil {
-				targets[i].Expr = bindExpr(targets[i].Expr, params)
-			}
+	q.targets = slices.Clone(p.targets)
+	for i := range q.targets {
+		if q.targets[i].Expr != nil {
+			q.targets[i].Expr = bindExpr(q.targets[i].Expr, params)
 		}
-		q.targets = targets
 	}
 	q.compileExec()
 	return &q, nil
@@ -296,79 +224,4 @@ func (p *Plan) OrderRows(rows [][]tuple.Value) ([][]tuple.Value, error) {
 // Merge in shard order.
 func (p *Plan) NewAggregator(params []tuple.Value) *Aggregator {
 	return newAggregator(p.stmt, p.targets, p.schema, params)
-}
-
-// DigestView is the read surface of a knowledge-container digest that
-// ask plans evaluate against (satisfied by container.Digest).
-type DigestView interface {
-	Count() uint64
-	NDV(col string) (uint64, error)
-	Mean(col string) (float64, error)
-	Sum(col string) (float64, error)
-	Quantile(col string, q float64) (float64, error)
-	HeavyHitters(col string, n int) ([]sketch.Entry, error)
-	MayContain(col string, v tuple.Value) (bool, error)
-}
-
-// AskRows answers the plan's digest question and returns the result as
-// a (small, memory-backed) Rows stream: scalar questions yield one
-// ["value"] row, `top` yields up to K ["item","count"] rows, `has`
-// yields one ["contains"] row.
-func (p *Plan) AskRows(d DigestView, params []tuple.Value) (*Rows, error) {
-	ask := p.ask
-	if ask == nil {
-		return nil, fmt.Errorf("query: not an ask plan")
-	}
-	scalar := func(v float64) (*Rows, error) {
-		return NewValueRows(p.cols, p.mode, [][]tuple.Value{{tuple.Float(v)}}, 0), nil
-	}
-	switch ask.Op {
-	case AskCount:
-		return scalar(float64(d.Count()))
-	case AskNDV:
-		v, err := d.NDV(ask.Col)
-		if err != nil {
-			return nil, err
-		}
-		return scalar(float64(v))
-	case AskMean:
-		v, err := d.Mean(ask.Col)
-		if err != nil {
-			return nil, err
-		}
-		return scalar(v)
-	case AskSum:
-		v, err := d.Sum(ask.Col)
-		if err != nil {
-			return nil, err
-		}
-		return scalar(v)
-	case AskQuantile:
-		v, err := d.Quantile(ask.Col, ask.Quantile)
-		if err != nil {
-			return nil, err
-		}
-		return scalar(v)
-	case AskTop:
-		entries, err := d.HeavyHitters(ask.Col, ask.K)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([][]tuple.Value, len(entries))
-		for i, e := range entries {
-			rows[i] = []tuple.Value{tuple.String_(e.Item), tuple.Int(int64(e.Count))}
-		}
-		return NewValueRows(p.cols, p.mode, rows, 0), nil
-	case AskHas:
-		v := p.askVal
-		if ask.HasParam {
-			v = params[0]
-		}
-		b, err := d.MayContain(ask.Col, v)
-		if err != nil {
-			return nil, err
-		}
-		return NewValueRows(p.cols, p.mode, [][]tuple.Value{{tuple.Bool(b)}}, 0), nil
-	}
-	return nil, fmt.Errorf("query: bad ask op %d", ask.Op)
 }

@@ -1,21 +1,13 @@
 package query
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
-
-// Statement is one parsed query in the prepared-statement API: either a
-// SELECT (optionally CONSUME) over a table extent, or an ASK over a
-// knowledge-container digest. A Statement is pure syntax — it knows
-// nothing about any schema. Compiling it against a schema with Plan
-// performs every static check (column resolution, grouping rules,
-// aggregate typing, ask-operand coercion) once, so Execute never pays
-// for validation and malformed statements fail before they run.
+// Statement is one parsed query in the prepared-statement API: a
+// SELECT (optionally CONSUME) over a table extent. A Statement is pure
+// syntax — it knows nothing about any schema. Compiling it against a
+// schema with Plan performs every static check (column resolution,
+// grouping rules, aggregate typing) once, so Execute never pays for
+// validation and malformed statements fail before they run.
 type Statement struct {
 	sel *SelectStmt
-	ask *AskStmt
 	src string
 }
 
@@ -33,138 +25,11 @@ func ParseStatement(src string) (*Statement, error) {
 // Source returns the original statement text.
 func (s *Statement) Source() string { return s.src }
 
-// From returns the table a SELECT reads, or "" for ASK statements
-// (their table is addressed out of band, the container by name).
-func (s *Statement) From() string {
-	if s.sel != nil {
-		return s.sel.From
-	}
-	return ""
-}
+// From returns the table the statement reads.
+func (s *Statement) From() string { return s.sel.From }
 
 // NumParams returns the number of `?` placeholders the statement binds.
-func (s *Statement) NumParams() int {
-	if s.sel != nil {
-		return s.sel.Params
-	}
-	return s.ask.Params
-}
+func (s *Statement) NumParams() int { return s.sel.Params }
 
-// Select exposes the parsed SELECT, nil for ASK statements.
+// Select exposes the parsed SELECT.
 func (s *Statement) Select() *SelectStmt { return s.sel }
-
-// Ask exposes the parsed ASK, nil for SELECT statements.
-func (s *Statement) Ask() *AskStmt { return s.ask }
-
-// AskOp enumerates knowledge-container digest questions.
-type AskOp uint8
-
-// Digest questions.
-const (
-	AskCount    AskOp = iota // count          -> total absorbed tuples
-	AskNDV                   // ndv:col        -> distinct values (HLL)
-	AskMean                  // mean:col       -> running mean
-	AskSum                   // sum:col        -> running sum
-	AskQuantile              // q:col:p        -> p-quantile estimate
-	AskTop                   // top:col[:k]    -> heavy hitters
-	AskHas                   // has:col:value  -> Bloom membership
-)
-
-// AskStmt is a parsed knowledge-container question. The value operand
-// of `has` stays raw text until Plan time, where the column's schema
-// kind coerces it (or a `?` placeholder defers it to bind time).
-type AskStmt struct {
-	Container string
-	Op        AskOp
-	Col       string
-	Quantile  float64
-	K         int    // top-k fan-out (default 10)
-	RawValue  string // has operand, source text
-	HasParam  bool   // has operand is a `?` placeholder
-	Params    int
-}
-
-// ParseAskStatement parses a digest question addressed at a container:
-//
-//	count | ndv:<col> | mean:<col> | sum:<col> | q:<col>:<0..1>
-//	     | top:<col>[:k] | has:<col>:<value|?>
-//
-// Parsing checks only the question shape; column existence and value
-// typing are compile-time checks done by Plan against the schema.
-func ParseAskStatement(container, question string) (*Statement, error) {
-	if container == "" {
-		return nil, fmt.Errorf("query: ask wants a container name")
-	}
-	parts := strings.Split(question, ":")
-	ask := &AskStmt{Container: container}
-	needCol := func(form string) error {
-		if len(parts) < 2 || parts[1] == "" {
-			return fmt.Errorf("query: %s wants %s", parts[0], form)
-		}
-		ask.Col = parts[1]
-		return nil
-	}
-	switch parts[0] {
-	case "count":
-		if len(parts) != 1 {
-			return nil, fmt.Errorf("query: count takes no operand")
-		}
-		ask.Op = AskCount
-	case "ndv", "mean", "sum":
-		if err := needCol(parts[0] + ":<col>"); err != nil {
-			return nil, err
-		}
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("query: %s wants %s:<col>", parts[0], parts[0])
-		}
-		switch parts[0] {
-		case "ndv":
-			ask.Op = AskNDV
-		case "mean":
-			ask.Op = AskMean
-		default:
-			ask.Op = AskSum
-		}
-	case "q":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("query: quantile wants q:<col>:<0..1>")
-		}
-		ask.Op = AskQuantile
-		ask.Col = parts[1]
-		p, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || p < 0 || p > 1 {
-			return nil, fmt.Errorf("query: bad quantile %q (want 0..1)", parts[2])
-		}
-		ask.Quantile = p
-	case "top":
-		if err := needCol("top:<col>[:k]"); err != nil {
-			return nil, err
-		}
-		ask.Op = AskTop
-		ask.K = 10
-		if len(parts) == 3 {
-			k, err := strconv.Atoi(parts[2])
-			if err != nil || k < 1 {
-				return nil, fmt.Errorf("query: bad top-k %q", parts[2])
-			}
-			ask.K = k
-		} else if len(parts) != 2 {
-			return nil, fmt.Errorf("query: top wants top:<col>[:k]")
-		}
-	case "has":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("query: has wants has:<col>:<value>")
-		}
-		ask.Op = AskHas
-		ask.Col = parts[1]
-		if parts[2] == "?" {
-			ask.HasParam = true
-			ask.Params = 1
-		} else {
-			ask.RawValue = parts[2]
-		}
-	default:
-		return nil, fmt.Errorf("query: unknown question %q", question)
-	}
-	return &Statement{ask: ask, src: "ask " + container + " " + question}, nil
-}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"fungusdb/internal/container"
 	"fungusdb/internal/tuple"
 )
 
@@ -165,21 +166,23 @@ func TestPlanRouting(t *testing.T) {
 	}
 }
 
-// --- ask statements ---------------------------------------------------
+// --- ask questions ----------------------------------------------------
+
+// Ask questions are not statements: the statement grammar refuses every
+// ask form, and container.ParseQuestion validates them against the same
+// schema a SELECT compiles against.
 
 func TestParseAskForms(t *testing.T) {
 	good := []string{
 		"count", "ndv:user", "mean:dwell", "sum:dwell",
-		"q:dwell:0.5", "top:url", "top:url:3", "has:user:alice", "has:dwell:?",
+		"q:dwell:0.5", "top:url", "top:url:3", "has:user:alice", "has:dwell:42",
 	}
 	for _, q := range good {
-		stmt, err := ParseAskStatement("c", q)
-		if err != nil {
-			t.Errorf("ParseAskStatement(%q): %v", q, err)
-			continue
+		if _, err := ParseStatement(q); err == nil {
+			t.Errorf("ParseStatement(%q) accepted an ask question", q)
 		}
-		if _, err := stmt.Plan(clickSchema); err != nil {
-			t.Errorf("Plan(%q): %v", q, err)
+		if _, err := container.ParseQuestion(clickSchema, q); err != nil {
+			t.Errorf("ParseQuestion(%q): %v", q, err)
 		}
 	}
 	bad := []string{
@@ -187,40 +190,31 @@ func TestParseAskForms(t *testing.T) {
 		"top:url:0", "has:user", "unknown", "mean:dwell:extra",
 	}
 	for _, q := range bad {
-		if stmt, err := ParseAskStatement("c", q); err == nil {
-			if _, err := stmt.Plan(clickSchema); err == nil {
-				t.Errorf("ask %q accepted", q)
-			}
+		if _, err := container.ParseQuestion(clickSchema, q); err == nil {
+			t.Errorf("ask %q accepted", q)
 		}
 	}
 }
 
 func TestAskPlanValidatesColumnAndOperand(t *testing.T) {
-	// Unknown column caught at compile, not at digest time.
-	stmt, err := ParseAskStatement("c", "ndv:nosuch")
+	// Unknown column caught at parse, before any digest is consulted.
+	if _, err := container.ParseQuestion(clickSchema, "ndv:nosuch"); err == nil {
+		t.Fatal("unknown ask column accepted")
+	}
+	// INT column with a non-integer has-operand: parse-time coercion
+	// failure. `?` is no placeholder here, so it fails the same way.
+	for _, q := range []string{"has:dwell:notanint", "has:dwell:?"} {
+		if _, err := container.ParseQuestion(clickSchema, q); err == nil {
+			t.Fatalf("bad has operand %q accepted", q)
+		}
+	}
+	// On a STRING column `?` is an ordinary value.
+	qn, err := container.ParseQuestion(clickSchema, "has:user:?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stmt.Plan(clickSchema); err == nil {
-		t.Fatal("unknown ask column compiled")
-	}
-	// INT column with a non-integer has-operand: compile-time coercion
-	// failure.
-	stmt, err = ParseAskStatement("c", "has:dwell:notanint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stmt.Plan(clickSchema); err == nil {
-		t.Fatal("bad has operand compiled")
-	}
-	// Parameterised has defers the operand to bind time.
-	stmt, _ = ParseAskStatement("c", "has:dwell:?")
-	plan, err := stmt.Plan(clickSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumParams() != 1 {
-		t.Fatalf("has:dwell:? params = %d, want 1", plan.NumParams())
+	if !qn.Value.Equal(tuple.String_("?")) {
+		t.Fatalf("has:user:? operand = %v, want the string \"?\"", qn.Value)
 	}
 }
 

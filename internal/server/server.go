@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"fungusdb/internal/catalog"
+	"fungusdb/internal/container"
 	"fungusdb/internal/core"
 	"fungusdb/internal/obs"
 	"fungusdb/internal/query"
@@ -561,17 +562,8 @@ func (s *Server) listContainers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var out []ContainerInfo
-	for _, name := range tbl.Shelf().Names() {
-		c := tbl.Shelf().Get(name)
-		if c == nil {
-			continue
-		}
-		out = append(out, ContainerInfo{
-			Name:      name,
-			Count:     c.Digest.Count(),
-			Bytes:     c.Digest.Bytes(),
-			Freshness: float64(c.Freshness()),
-		})
+	for _, c := range tbl.Shelf().List() {
+		out = append(out, ContainerInfo{Name: c.Name, Count: c.Count, Bytes: c.Bytes, Freshness: float64(c.Freshness)})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"containers": out})
 }
@@ -592,15 +584,12 @@ type AskResponse struct {
 //	GET .../containers/{c}/ask?q=count
 //	GET .../containers/{c}/ask?q=ndv:col | mean:col | sum:col
 //	GET .../containers/{c}/ask?q=q:col:0.95
-//	GET .../containers/{c}/ask?q=top:col
+//	GET .../containers/{c}/ask?q=top:col[:k]
 //	GET .../containers/{c}/ask?q=has:col:value
 //
-// Asking refreshes the container (consulted knowledge stays alive).
-// The handler is a shim over the prepared path: the question compiles
-// into an ask plan (validating the column and coercing the operand
-// against the schema up front) and executes against the container's
-// digest; the answer rows map back into the classical AskResponse
-// shape by their column layout.
+// The question is checked against the schema before the container is
+// looked up (a bad one is plan_error), then the shelf answers it under
+// its lock and touches the container (consulted knowledge stays alive).
 func (s *Server) askContainer(w http.ResponseWriter, r *http.Request) {
 	defer s.observe("ask", time.Now())
 	tbl, ok := s.table(w, r)
@@ -608,41 +597,33 @@ func (s *Server) askContainer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query().Get("q")
-	pq, err := tbl.PrepareAsk(r.PathValue("container"), q)
+	question, err := container.ParseQuestion(tbl.Schema(), q)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodePlan, err)
 		return
 	}
-	rows, err := pq.Execute()
+	ans, err := tbl.Shelf().Ask(r.PathValue("container"), question)
+	if errors.Is(err, container.ErrNoContainer) {
+		writeErr(w, http.StatusNotFound, ErrCodeNotFound, err)
+		return
+	}
 	if err != nil {
-		if errors.Is(err, core.ErrNoContainer) {
-			writeErr(w, http.StatusNotFound, ErrCodeNotFound, err)
-			return
-		}
 		writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
 		return
 	}
-	defer rows.Close()
 	resp := AskResponse{Question: q}
-	cols := rows.Cols()
-	for rows.Next() {
-		vals := rows.Values()
-		switch {
-		case len(cols) == 2 && cols[0] == "item": // top:<col>
+	switch ans.Op {
+	case container.OpTop:
+		for _, e := range ans.Top {
 			resp.Top = append(resp.Top, struct {
 				Item  string `json:"item"`
 				Count uint64 `json:"count"`
-			}{vals[0].AsString(), uint64(vals[1].AsInt())})
-		case len(cols) == 1 && cols[0] == "contains": // has:<col>:<v>
-			b := vals[0].AsBool()
-			resp.Bool = &b
-		default: // scalar questions
-			resp.Value = vals[0].AsFloat()
+			}{e.Item, e.Count})
 		}
-	}
-	if err := rows.Err(); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeExec, err)
-		return
+	case container.OpHas:
+		resp.Bool = &ans.Has
+	default:
+		resp.Value = ans.Value
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

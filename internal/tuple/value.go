@@ -54,6 +54,28 @@ func ParseKind(s string) (Kind, error) {
 	return KindInvalid, fmt.Errorf("tuple: unknown kind %q", s)
 }
 
+// ParseValue parses source text as a value of kind: INT, FLOAT and
+// BOOL through strconv, STRING verbatim.
+func ParseValue(kind Kind, raw string) (Value, error) {
+	switch kind {
+	case KindInt:
+		if n, err := strconv.ParseInt(raw, 10, 64); err == nil {
+			return Int(n), nil
+		}
+	case KindFloat:
+		if f, err := strconv.ParseFloat(raw, 64); err == nil {
+			return Float(f), nil
+		}
+	case KindBool:
+		if b, err := strconv.ParseBool(raw); err == nil {
+			return Bool(b), nil
+		}
+	case KindString:
+		return String_(raw), nil
+	}
+	return Value{}, fmt.Errorf("tuple: %q is not %s", raw, kind)
+}
+
 // Value is a dynamically typed attribute value. The zero Value has
 // KindInvalid and represents "no value"; the engine has no NULLs — the
 // paper's model does not need them and their absence keeps predicate

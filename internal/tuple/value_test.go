@@ -123,6 +123,38 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
+func TestParseValue(t *testing.T) {
+	good := []struct {
+		kind Kind
+		raw  string
+		want Value
+	}{
+		{KindInt, "-7", Int(-7)},
+		{KindFloat, "2.5", Float(2.5)},
+		{KindFloat, "3", Float(3)},
+		{KindBool, "true", Bool(true)},
+		{KindBool, "0", Bool(false)},
+		{KindString, "?", String_("?")},
+		{KindString, "", String_("")},
+	}
+	for _, c := range good {
+		if got, err := ParseValue(c.kind, c.raw); err != nil || !got.Equal(c.want) || got.Kind() != c.kind {
+			t.Errorf("ParseValue(%s, %q) = %v, %v; want %v", c.kind, c.raw, got, err, c.want)
+		}
+	}
+	bad := []struct {
+		kind Kind
+		raw  string
+	}{
+		{KindInt, "2.5"}, {KindInt, "x"}, {KindFloat, "x"}, {KindBool, "yes"}, {KindInvalid, "1"},
+	}
+	for _, c := range bad {
+		if v, err := ParseValue(c.kind, c.raw); err == nil {
+			t.Errorf("ParseValue(%s, %q) = %v, want an error", c.kind, c.raw, v)
+		}
+	}
+}
+
 func TestValueSizeGrowsWithString(t *testing.T) {
 	small := String_("a").Size()
 	big := String_("aaaaaaaaaaaaaaaaaaaa").Size()
